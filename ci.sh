@@ -17,8 +17,9 @@
 # BENCH_snapshot.json (registry cold-start vs rebuild) +
 # BENCH_deploy.json (the continuous train→serve loop: staleness, swap-window
 # p99, P@1-over-time under drift, gate counters); smoke also runs
-# the chaos suite under forced SLIDE_SIMD=scalar and a live deploy leg
-# (slide_trainerd publishing gated versions into a followed slide_netd); CI
+# the chaos suite under forced SLIDE_SIMD=scalar, a live deploy leg
+# (slide_trainerd publishing gated versions into a followed slide_netd), and
+# the benchmark's two serve workloads for their bit-equality exit status; CI
 # uploads all BENCH_*.json as per-leg artifacts. Gate modes also enforce a
 # test-count ratchet: `cargo test -q` must report at least MIN_TIER1_TESTS
 # passing tests (see below).
@@ -95,8 +96,8 @@ if [[ "$MODE" == "smoke" ]]; then
     }
 
     step "smoke: serve_bench sharded leg (--shards 4, closed sweep + open loop)"
-    # The scatter-gather sharded engine end to end: the closed-loop phase
-    # sweeps N in {1,2,4,8} and the report meta must stamp the shard axis.
+    # The engine at N > 1 shards end to end: the closed-loop phase sweeps
+    # N in {1,2,4,8} and the report meta must stamp the shard axis.
     SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_SERVE_MS=300 SLIDE_CLIENTS=4 \
         SLIDE_JSON_OUT=BENCH_serve_shard.json \
         ./target/release/serve_bench --shards 4 > /dev/null
@@ -412,6 +413,16 @@ if [[ "$MODE" == "smoke" ]]; then
     }
     rm -rf "$DEPLOY_DIR" "$FNETD_OUT" "$TRAINERD_OUT"
 
+    step "smoke: benchmark serve workloads (bit-equality under load gates the engine)"
+    # benchmark/ is a package of its own outside the root workspace, so this
+    # is also the one place the gate compiles it against the serving API.
+    # Each run's exit status is its ok_share: every reply — open loop,
+    # closed loop, before and after the mid-phase publish — must equal the
+    # direct engine's answer bit for bit. Two seconds is enough for that;
+    # the timings it prints are not read here (see benchmark/README.md).
+    benchmark/run.sh serve_inproc --seconds 2 > /dev/null
+    benchmark/run.sh serve_net_i8 --seconds 2 > /dev/null
+
     step "OK — smoke gates passed"
     exit 0
 fi
@@ -431,7 +442,7 @@ fi
 # previous PR's count; bump it (never lower it) when landing new tests. A
 # drop below the baseline means tests were deleted or silently stopped
 # being discovered (e.g. a [[test]] target fell out of the manifest).
-MIN_TIER1_TESTS=627
+MIN_TIER1_TESTS=628
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

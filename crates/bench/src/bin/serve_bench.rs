@@ -42,10 +42,10 @@ use rand::SeedableRng;
 use slide_bench::{epochs, scale, Workload};
 use slide_core::{Network, Trainer};
 use slide_data::{Dataset, Zipf};
-use slide_quant::{shard_i8, QuantizedFrozenNetwork};
+use slide_quant::QuantizedFrozenNetwork;
 use slide_serve::{
     bench_report_json, phase_json, BatchConfig, BatchingServer, BenchMeta, FrozenModel,
-    FrozenNetwork, ServeStats, ShardPlan, ShardedFrozenModel,
+    FrozenNetwork, ServeStats, ShardPlan,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -279,16 +279,11 @@ fn main() {
     let out_dim = trainer.network().config().output_dim;
     let report_printed = std::cell::Cell::new(false);
     let freeze = |net: &Network, n_shards: usize| -> Arc<dyn FrozenModel> {
-        if n_shards > 1 {
-            let plan = ShardPlan::contiguous(n_shards, out_dim).expect("validated shard axis");
-            return if precision == "i8" {
-                Arc::new(shard_i8(net, plan).expect("shardable network"))
-            } else {
-                Arc::new(ShardedFrozenModel::shard_f32(net, plan).expect("shardable network"))
-            };
-        }
+        let plan = (n_shards > 1)
+            .then(|| ShardPlan::contiguous(n_shards, out_dim).expect("validated shard axis"));
         if precision == "i8" {
-            let quant = QuantizedFrozenNetwork::quantize(net);
+            let quant =
+                QuantizedFrozenNetwork::freeze_sharded(net, plan).expect("shardable network");
             if !report_printed.replace(true) {
                 println!(
                     "int8 path: {} — per-layer reconstruction error:\n{}",
@@ -298,7 +293,7 @@ fn main() {
             }
             Arc::new(quant)
         } else {
-            Arc::new(FrozenNetwork::freeze(net))
+            Arc::new(FrozenNetwork::freeze_sharded(net, plan).expect("shardable network"))
         }
     };
     if shards > out_dim {

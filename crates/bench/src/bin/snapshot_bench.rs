@@ -22,10 +22,8 @@
 //! ```
 
 use slide_net::{FleetPrecision, FleetSpec};
-use slide_quant::{shard_i8, QuantizedFrozenNetwork};
-use slide_serve::{
-    FrozenModel, FrozenNetwork, ModelRegistry, ShardPlan, ShardedFrozenModel, SnapshotPrecision,
-};
+use slide_quant::QuantizedFrozenNetwork;
+use slide_serve::{FrozenModel, FrozenNetwork, ModelRegistry, ShardPlan, SnapshotPrecision};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,17 +128,13 @@ fn main() {
         let mut rebuilt: Option<Arc<dyn FrozenModel>> = None;
         for _ in 0..iters {
             let (model, ms) = time_ms(|| -> Arc<dyn FrozenModel> {
-                match (snap_spec.precision, plan) {
-                    (SnapshotPrecision::F32, None) => Arc::new(FrozenNetwork::freeze(&net)),
-                    (SnapshotPrecision::I8, None) => {
-                        Arc::new(QuantizedFrozenNetwork::quantize(&net))
+                match snap_spec.precision {
+                    SnapshotPrecision::F32 => {
+                        Arc::new(FrozenNetwork::freeze_sharded(&net, plan).expect("freeze f32"))
                     }
-                    (SnapshotPrecision::F32, Some(p)) => {
-                        Arc::new(ShardedFrozenModel::shard_f32(&net, p).expect("shard f32"))
-                    }
-                    (SnapshotPrecision::I8, Some(p)) => {
-                        Arc::new(shard_i8(&net, p).expect("shard i8"))
-                    }
+                    SnapshotPrecision::I8 => Arc::new(
+                        QuantizedFrozenNetwork::freeze_sharded(&net, plan).expect("freeze i8"),
+                    ),
                 }
             });
             rebuild_samples.push(ms);

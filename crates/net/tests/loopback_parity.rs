@@ -1,18 +1,19 @@
-//! Socket-vs-in-process equivalence (ISSUE satellite: loopback parity)
-//! plus the `ThreadPool` try-lock contention regression (ISSUE satellite:
-//! nested-pool determinism under the daemon).
+//! Socket-vs-in-process equivalence (ISSUE satellite: loopback parity).
 //!
 //! The serving salt is content-derived (`slide_serve::query_salt`), so the
 //! answer to a query must be **bit-identical** whether it is computed
 //! in-process on the model, through the batching server, or across a TCP
-//! socket — for every engine precision, and no matter how many connection
-//! threads are hammering the server at once (the sharded engine's fan-out
-//! pool falls back to sequential scoring when its `try_lock` loses a race;
-//! both paths must agree).
+//! socket — for every engine precision and shard count, and no matter how
+//! many connection threads are hammering the server at once. A query the
+//! engine refuses (non-finite feature values) is refused the same way on
+//! every path.
 
 use slide_mem::SparseVecRef;
-use slide_net::{FleetPrecision, FleetSpec, NetClient, NetConfig, NetServer, Router, RouterConfig};
-use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel};
+use slide_net::{
+    ClientError, ErrorCode, FleetPrecision, FleetSpec, NetClient, NetConfig, NetServer, Router,
+    RouterConfig,
+};
+use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,14 +99,12 @@ fn socket_topk_is_bit_equal_to_in_process_sharded() {
     });
 }
 
-/// Regression for the PR 5 fan-out fallback: `ShardedFrozenModel` grabs its
-/// fan-out `ThreadPool` with `try_lock` and scores shards sequentially when
-/// another worker holds it. Inside the daemon that contention is the steady
-/// state — several batching workers score concurrently while connection
-/// threads keep the queue full — and both code paths must produce
-/// bit-identical answers. Eight connection threads × many requests against
-/// a 4-worker server over a 3-shard engine exercise the race; any
-/// divergence between fan-out and sequential scoring fails the assert.
+/// Inside the daemon several batching workers score concurrently on one
+/// shared sharded engine while connection threads keep the queue full —
+/// each worker walks the shards inline with its own scratch, and every
+/// answer must stay bit-identical to the single-threaded one. Eight
+/// connection threads × many requests against a 4-worker server over a
+/// 3-shard engine; any cross-worker interference fails the assert.
 #[test]
 fn sharded_answers_stay_bit_identical_under_connection_contention() {
     let spec = FleetSpec {
@@ -143,6 +142,45 @@ fn sharded_answers_stay_bit_identical_under_connection_contention() {
     let stats = net.stats();
     let total_ok: u64 = stats.per_client.iter().map(|(_, c)| c.ok).sum();
     assert_eq!(total_ok, 8 * 6 * 16, "every request must be answered");
+}
+
+/// NaN / ±inf feature values poison every logit, and a ranking of garbage is
+/// not an answer: the engine's `validate_query` refuses them, so the
+/// batching server answers `Invalid` in process and the socket carries the
+/// same refusal as an `Invalid` error frame — for both precisions, without
+/// costing the connection.
+#[test]
+fn non_finite_values_are_invalid_in_process_and_over_the_socket() {
+    for precision in [FleetPrecision::F32, FleetPrecision::I8] {
+        let spec = FleetSpec {
+            precision,
+            ..Default::default()
+        };
+        let (model, _) = battery(&spec, 1);
+        let (batching, net) = serve(model, 2);
+        let mut client =
+            NetClient::connect(net.local_addr(), Duration::from_secs(5)).expect("connect");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let in_process = batching.predict(&[1, 17], &[1.0, bad], K);
+            assert!(
+                matches!(in_process, Err(ServeError::Invalid(_))),
+                "{precision:?} in-process answered {in_process:?} to a {bad} feature"
+            );
+            let socket = client.predict(&[1, 17], &[1.0, bad], K);
+            assert!(
+                matches!(
+                    socket,
+                    Err(ClientError::Server {
+                        code: ErrorCode::Invalid,
+                        ..
+                    })
+                ),
+                "{precision:?} socket answered {socket:?} to a {bad} feature"
+            );
+        }
+        let ok = client.predict(&[1, 17], &[1.0, 0.5], K);
+        assert_eq!(ok.expect("finite query after refusals").len(), K);
+    }
 }
 
 /// An in-process two-replica fleet behind a router: answers through the

@@ -15,8 +15,11 @@ use proptest::prelude::*;
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, SynthConfig};
 use slide_mem::SparseVecRef;
-use slide_quant::{p_at_1, p_at_1_frozen, QuantizedFrozenNetwork};
-use slide_serve::{BatchConfig, BatchingServer, FrozenNetwork};
+use slide_quant::{p_at_1, QuantizedFrozenNetwork, Snapshot};
+use slide_serve::{
+    BatchConfig, BatchingServer, FrozenNetwork, ServeBuildError, ShardPlan, SnapshotError,
+    SnapshotSpec,
+};
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -71,7 +74,7 @@ proptest! {
         let _g = policy_guard();
         let net = small_net(seed, hidden);
         let frozen = FrozenNetwork::freeze(&net);
-        let quant = QuantizedFrozenNetwork::quantize(&net);
+        let quant = QuantizedFrozenNetwork::freeze(&net);
         prop_assert!(quant.report().within_theoretical_bounds());
 
         let queries = test_queries(24, frozen.input_dim());
@@ -95,6 +98,99 @@ proptest! {
     }
 }
 
+fn capped_net(cap: usize) -> Network {
+    let mut cfg = small_net(5, 32).config().clone();
+    cfg.lsh.max_active = Some(cap);
+    Network::new(cfg).unwrap()
+}
+
+/// `lsh.max_active` with one shard, both layouts: the cap holds, f32 and i8
+/// select the identical capped active set, and both survive save → `load`
+/// bit-equal (as an unsharded image and as a one-shard plan).
+#[test]
+fn max_active_is_honoured_at_one_shard_in_both_layouts() {
+    let _g = policy_guard();
+    let cap = 40; // above min_active = 24: truncation and padding both live
+    let net = capped_net(cap);
+    let frozen = FrozenNetwork::freeze(&net);
+    let quant = QuantizedFrozenNetwork::freeze(&net);
+    let one_shard = ShardPlan::contiguous(1, 128).unwrap();
+    let mut loaded: Vec<_> = [
+        SnapshotSpec::f32(),
+        SnapshotSpec::i8(),
+        SnapshotSpec::f32().sharded(one_shard),
+        SnapshotSpec::i8().sharded(one_shard),
+    ]
+    .iter()
+    .map(|spec| {
+        let tag = format!("{}x{}", spec.precision.label(), spec.shard_plan.is_some());
+        let path = std::env::temp_dir().join(format!(
+            "slide_max_active_{tag}_{}.slsnap",
+            std::process::id()
+        ));
+        Snapshot::build(&net, spec).unwrap().save(&path).unwrap();
+        let model = slide_quant::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let scratch = model.make_scratch_any();
+        (model, scratch)
+    })
+    .collect();
+
+    let (mut fs, mut qs) = (frozen.make_scratch(), quant.make_scratch());
+    let mut truncated = 0usize;
+    for (s, (idx, val)) in test_queries(32, 256).iter().enumerate() {
+        let x = SparseVecRef::new(idx, val);
+        let direct = [
+            frozen.predict_sparse(x, 5, &mut fs, s as u64),
+            quant.predict_sparse(x, 5, &mut qs, s as u64),
+        ];
+        assert!(
+            fs.active.len() <= cap,
+            "query {s}: {} active",
+            fs.active.len()
+        );
+        assert_eq!(
+            fs.active, qs.active,
+            "query {s}: capped active sets diverged"
+        );
+        truncated += usize::from(fs.active.len() == cap);
+        for (i, (model, scratch)) in loaded.iter_mut().enumerate() {
+            assert_eq!(
+                model.predict_any(x, 5, scratch.as_mut(), s as u64),
+                direct[i % 2],
+                "query {s}: loaded spec {i} diverged from the direct engine"
+            );
+        }
+    }
+    assert!(truncated > 0, "the cap never bit: the test proves nothing");
+}
+
+/// `lsh.max_active` with more than one shard: every spec is refused, by the
+/// direct constructor and by the snapshot builder alike.
+#[test]
+fn max_active_is_refused_beyond_one_shard() {
+    let net = capped_net(40);
+    for plan in [
+        ShardPlan::contiguous(2, 128).unwrap(),
+        ShardPlan::strided(3, 128).unwrap(),
+    ] {
+        assert_eq!(
+            FrozenNetwork::freeze_sharded(&net, plan).unwrap_err(),
+            ServeBuildError::MaxActiveUnsupported
+        );
+        assert_eq!(
+            QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap_err(),
+            ServeBuildError::MaxActiveUnsupported
+        );
+        for spec in [SnapshotSpec::f32(), SnapshotSpec::i8()] {
+            assert!(matches!(
+                Snapshot::build(&net, &spec.sharded(plan)),
+                Err(SnapshotError::Build(ServeBuildError::MaxActiveUnsupported))
+            ));
+        }
+    }
+}
+
 /// Scalar vs best-available SIMD on the quantized path: integer scoring is
 /// bit-identical across tiers, so any divergence can come only from the f32
 /// input-layer axpy feeding the hash keys — the same (rare) borderline
@@ -106,7 +202,7 @@ fn quantized_predict_is_equivalent_across_simd_levels() {
         return;
     }
     let prior = slide_simd::policy();
-    let quant = QuantizedFrozenNetwork::quantize(&small_net(42, 32));
+    let quant = QuantizedFrozenNetwork::freeze(&small_net(42, 32));
     let queries = test_queries(64, quant.input_dim());
 
     let run_at = |p: SimdPolicy| {
@@ -176,13 +272,13 @@ fn precision_hot_swap_under_load_never_errors() {
         for swap in 0..4u64 {
             std::thread::sleep(Duration::from_millis(50));
             if swap % 2 == 0 {
-                server.publish(QuantizedFrozenNetwork::quantize(&net));
+                server.publish(QuantizedFrozenNetwork::freeze(&net));
             } else {
                 server.publish(FrozenNetwork::freeze(&net));
             }
         }
         // End on a quantized snapshot so the stats stamp proves the swap.
-        server.publish(QuantizedFrozenNetwork::quantize(&net));
+        server.publish(QuantizedFrozenNetwork::freeze(&net));
         std::thread::sleep(Duration::from_millis(50));
         stop.store(true, Ordering::Relaxed);
     });
@@ -237,10 +333,10 @@ fn trained_snapshot_p_at_1_parity_within_half_point() {
     }
 
     let frozen = FrozenNetwork::freeze(trainer.network());
-    let quant = QuantizedFrozenNetwork::quantize(trainer.network());
+    let quant = QuantizedFrozenNetwork::freeze(trainer.network());
     assert!(quant.report().within_theoretical_bounds());
 
-    let f32_p1 = p_at_1_frozen(&frozen, &data.test);
+    let f32_p1 = p_at_1(&frozen, &data.test);
     let i8_p1 = p_at_1(&quant, &data.test);
     println!("parity: f32 P@1 {f32_p1:.4}, i8 P@1 {i8_p1:.4}");
     assert!(

@@ -128,3 +128,45 @@ fn i8_three_shards_round_trip_bit_equal() {
     let plan = ShardPlan::contiguous(3, 128).expect("3-shard plan");
     assert_save_load_parity("i8x3", SnapshotSpec::i8().sharded(plan));
 }
+
+/// `(spec, image length, CRC-32 of the image)` for `small_net(42)` under a
+/// forced-scalar policy, recorded on the commit *before* the four engines
+/// and two codecs were collapsed into `Engine<L>` + one codec. They pin the
+/// `.slsnap` v1 byte layout: section order, alignment, every payload bit.
+const GOLDEN: [(&str, usize, u32); 6] = [
+    ("f32", 59392, 0xcc80_7ca1),
+    ("f32/contiguous(3)", 59648, 0xe8be_3ce1),
+    ("f32/strided(4)", 59648, 0x6a19_70bc),
+    ("i8", 51818, 0xe7b3_c30e),
+    ("i8/contiguous(3)", 52096, 0x678b_be07),
+    ("i8/strided(4)", 52096, 0xbcf4_ce56),
+];
+
+#[test]
+fn golden_slsnap_digests_hold() {
+    let _guard = policy_guard();
+    let prior = slide_simd::policy();
+    set_policy(SimdPolicy::Force(SimdLevel::Scalar));
+    let c3 = ShardPlan::contiguous(3, 128).expect("3-shard plan");
+    let s4 = ShardPlan::strided(4, 128).expect("4-shard plan");
+    let specs = [
+        SnapshotSpec::f32(),
+        SnapshotSpec::f32().sharded(c3),
+        SnapshotSpec::f32().sharded(s4),
+        SnapshotSpec::i8(),
+        SnapshotSpec::i8().sharded(c3),
+        SnapshotSpec::i8().sharded(s4),
+    ];
+    let net = small_net(42);
+    let digests: Vec<(usize, u32)> = specs
+        .iter()
+        .map(|spec| {
+            let snapshot = Snapshot::build(&net, spec).expect("build snapshot");
+            (snapshot.bytes().len(), slide_mem::crc32(snapshot.bytes()))
+        })
+        .collect();
+    set_policy(prior);
+    for ((tag, len, crc), got) in GOLDEN.iter().zip(digests) {
+        assert_eq!(got, (*len, *crc), "{tag}: on-disk format drifted");
+    }
+}

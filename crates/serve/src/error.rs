@@ -1,8 +1,7 @@
 //! Typed build/publish and request errors for the serving tier.
 //!
 //! Before the snapshot-persistence PR these were ad-hoc `Result<_, String>`s
-//! scattered across `BatchingServer::start`, the shard-plan constructors,
-//! and the per-shard engine checks. [`ServeBuildError`] replaces them with
+//! scattered across `BatchingServer::start` and the shard-plan constructors. [`ServeBuildError`] replaces them with
 //! one enum whose `Display` text preserves the old messages (they are
 //! asserted on in tests and surfaced to operators), while callers that care
 //! can now match on the variant instead of substring-sniffing.
@@ -70,49 +69,8 @@ pub enum ServeBuildError {
         /// The network's output dimensionality.
         output_dim: usize,
     },
-    /// Sharded serving cannot honour a global `lsh.max_active` cap.
+    /// More than one shard cannot honour a global `lsh.max_active` cap.
     MaxActiveUnsupported,
-    /// Wrong number of shard engines for the plan.
-    ShardCount {
-        /// Engines supplied.
-        engines: usize,
-        /// Shards the plan defines.
-        shards: usize,
-    },
-    /// A shard engine was cut from a different row universe than the plan.
-    ShardUniverse {
-        /// Which shard.
-        shard: usize,
-        /// Rows of the model the engine was cut from.
-        engine_rows: usize,
-        /// Rows the plan covers.
-        plan_rows: usize,
-    },
-    /// A shard engine owns a different row set than the plan assigns.
-    ShardRows {
-        /// Which shard.
-        shard: usize,
-        /// Rows the engine owns.
-        owned: usize,
-        /// Rows the plan assigns to it.
-        assigned: usize,
-    },
-    /// A shard engine scores a different hidden width than the trunk emits.
-    ShardCols {
-        /// Which shard.
-        shard: usize,
-        /// Columns the engine scores.
-        cols: usize,
-        /// Columns the trunk produces.
-        trunk_cols: usize,
-    },
-    /// `publish_shard` addressed a shard index outside the plan.
-    ShardOutOfRange {
-        /// The requested shard.
-        shard: usize,
-        /// Shards in the plan.
-        shards: usize,
-    },
 }
 
 impl fmt::Display for ServeBuildError {
@@ -138,37 +96,6 @@ impl fmt::Display for ServeBuildError {
                 f,
                 "sharded serving requires lsh.max_active = None: the global cap truncates \
                  in table-encounter order, which a scatter-gather merge cannot reproduce"
-            ),
-            ServeBuildError::ShardCount { engines, shards } => {
-                write!(f, "{engines} engines for a {shards}-shard plan")
-            }
-            ServeBuildError::ShardUniverse {
-                shard,
-                engine_rows,
-                plan_rows,
-            } => write!(
-                f,
-                "shard {shard}: engine cut from a {engine_rows}-row model, plan covers {plan_rows}"
-            ),
-            ServeBuildError::ShardRows {
-                shard,
-                owned,
-                assigned,
-            } => write!(
-                f,
-                "shard {shard}: engine owns {owned} rows, plan assigns {assigned}"
-            ),
-            ServeBuildError::ShardCols {
-                shard,
-                cols,
-                trunk_cols,
-            } => write!(
-                f,
-                "shard {shard} scores {cols} columns, trunk produces {trunk_cols}"
-            ),
-            ServeBuildError::ShardOutOfRange { shard, shards } => write!(
-                f,
-                "publish_shard: shard {shard} out of range ({shards} shards)"
             ),
         }
     }
@@ -199,28 +126,6 @@ mod tests {
                     output_dim: 64,
                 },
                 "ShardPlan covers 32 rows, network outputs 64",
-            ),
-            (
-                ServeBuildError::ShardCount {
-                    engines: 2,
-                    shards: 4,
-                },
-                "2 engines for a 4-shard plan",
-            ),
-            (
-                ServeBuildError::ShardOutOfRange {
-                    shard: 5,
-                    shards: 4,
-                },
-                "publish_shard: shard 5 out of range (4 shards)",
-            ),
-            (
-                ServeBuildError::ShardRows {
-                    shard: 1,
-                    owned: 10,
-                    assigned: 16,
-                },
-                "shard 1: engine owns 10 rows, plan assigns 16",
             ),
         ];
         for (err, expect) in cases {

@@ -7,23 +7,27 @@
 //! active-set machinery of `slide-hash`, and the worker pool of
 //! `slide-core` — but strips away everything mutation-related:
 //!
-//! * [`FrozenNetwork`] — a read-only snapshot of a trained
-//!   [`slide_core::Network`]: contiguous 64-byte-aligned per-layer weight
+//! * [`Engine`] — the one frozen engine: a read-only snapshot of a trained
+//!   [`slide_core::Network`] with contiguous 64-byte-aligned per-layer weight
 //!   arenas, pre-built hash tables, and a lock-free `&self`
-//!   [`FrozenNetwork::predict_sparse`] that is safe to share across threads
-//!   via `Arc` (no `HogwildPtr`, no gradient state, no table locks).
+//!   [`Engine::predict_sparse`] that is safe to share across threads via
+//!   `Arc` (no `HogwildPtr`, no gradient state, no table locks). It is
+//!   generic over the row storage format ([`RowLayout`]: f32
+//!   [`FrozenLayer`] → [`FrozenNetwork`], int8 [`QuantizedLayer`] →
+//!   [`QuantizedFrozenNetwork`]) and over the shard count `N ≥ 1` of the
+//!   output layer ([`ShardPlan`]); every combination answers bit-equally to
+//!   the one-shard engine of the same layout.
 //! * [`BatchingServer`] — a bounded submission queue in front of a frozen
 //!   snapshot: concurrent requests coalesce into micro-batches (size- or
 //!   deadline-triggered, tunable via [`BatchConfig`]), fan out across a
 //!   [`slide_core::ThreadPool`], and report throughput plus p50/p99 latency
-//!   ([`ServeStats`]). `RwLock<Arc<FrozenNetwork>>` hot-swap lets a
-//!   background trainer [`BatchingServer::publish`] fresh snapshots
-//!   mid-traffic without dropping a request.
-//! * [`ShardedFrozenModel`] — the output layer split row-wise across N
-//!   shards ([`shard`] module), each with its own arenas, LSH tables, and
-//!   precision (f32 here, int8 via `slide-quant`), individually
-//!   hot-swappable, scatter–gather merged back to a global top-k that is
-//!   bit-equal to the unsharded engines'.
+//!   ([`ServeStats`]). The model sits behind `RwLock<Arc<dyn FrozenModel>>`,
+//!   so a background trainer can [`BatchingServer::publish`] a fresh
+//!   snapshot of any layout or shard plan mid-traffic without dropping a
+//!   request.
+//! * [`Snapshot`] — the checksummed, mmap-ready `.slsnap` image of any
+//!   layout × shard-plan combination ([`snapshot`] module), and
+//!   [`ModelRegistry`] for versioned publish/rollback.
 //!
 //! # Quickstart
 //!
@@ -49,6 +53,7 @@
 
 mod error;
 mod frozen;
+mod layer;
 mod model;
 pub mod registry;
 mod retrieval;
@@ -57,16 +62,13 @@ pub mod shard;
 pub mod snapshot;
 
 pub use error::{ServeBuildError, ServeError};
-pub use frozen::{FrozenLayer, FrozenNetwork, ServeScratch};
+pub use frozen::{Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
+pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, RowLayout};
 pub use model::{FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
-pub use retrieval::{ActiveSetSelector, SelectorScratch, ShardSelector, ShardSelectorScratch};
 pub use server::{
     bench_report_json, percentile_us, phase_json, query_salt, stage_histogram, BatchConfig,
     BatchingServer, BenchMeta, LatencySummary, ServeStats,
 };
-pub use shard::{
-    F32Shard, F32Trunk, ShardEngine, ShardIndexer, ShardPlan, ShardPlanKind, ShardScratch,
-    ShardTrunk, ShardedFrozenModel, ShardedScratch,
-};
-pub use snapshot::{SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};
+pub use shard::{ShardIndexer, ShardPlan, ShardPlanKind};
+pub use snapshot::{load, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};

@@ -1,28 +1,28 @@
-//! The precision-generic serving handle.
+//! The layout-erased serving handle.
 //!
-//! [`crate::BatchingServer`] used to be hard-wired to the f32
-//! [`FrozenNetwork`]; quantized serving needs the server to hold *any*
-//! frozen engine and hot-swap between precisions mid-traffic. [`FrozenModel`]
-//! is the object-safe contract that makes that possible: the server stores
+//! [`crate::BatchingServer`] and the network tier hold *any* frozen engine
+//! and hot-swap between precisions mid-traffic. [`FrozenModel`] is the
+//! object-safe contract that makes that possible: the server stores
 //! `Arc<dyn FrozenModel>` and treats per-worker scratch as an opaque
 //! `Box<dyn Any + Send>` built by — and downcast inside — the engine that
-//! owns it. Scratch is always rebuilt when a published snapshot replaces the
-//! one it was created from (the dispatcher already does this for shape
-//! changes), so a worker can never hand an engine a foreign scratch type.
+//! owns it. It is the one type-erasure in the serving tier: it hides the row
+//! layout from the server and lets tests substitute a fake; inside
+//! [`Engine`] everything is statically typed. Scratch is always rebuilt when
+//! a published snapshot replaces the one it was created from (the dispatcher
+//! already does this for shape changes).
 
-use crate::frozen::{FrozenNetwork, ServeScratch};
+use crate::frozen::{Engine, ServeScratch};
+use crate::layer::RowLayout;
 use slide_mem::SparseVecRef;
 use slide_obs::StageSample;
 use std::any::Any;
 use std::sync::Arc;
 
 /// An immutable, share-everywhere inference snapshot the batching server can
-/// serve — implemented by the f32 [`FrozenNetwork`] here and by the int8
-/// `QuantizedFrozenNetwork` in `slide-quant`.
+/// serve — implemented once, for every [`Engine`] layout.
 ///
 /// All methods take `&self` and must be safe to call from any number of
-/// threads concurrently (each with its own scratch) — the same lock-free
-/// contract `FrozenNetwork` established.
+/// threads concurrently (each with its own scratch).
 pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
     /// Storage-precision label for logs and bench meta (`"f32"`,
     /// `"bf16-widened-f32"`, `"i8"`).
@@ -37,11 +37,13 @@ pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
     /// Total bytes held in weight/bias/scale arenas.
     fn arena_bytes(&self) -> usize;
 
-    /// Check that a query fits this snapshot's input space.
+    /// Check that a query fits this snapshot's input space (lengths match,
+    /// indices in range, values finite).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending index or length mismatch.
+    /// Returns a message naming the offending index, value, or length
+    /// mismatch.
     fn validate_query(&self, indices: &[u32], values: &[f32]) -> Result<(), String>;
 
     /// Allocate per-worker query scratch for this engine, type-erased for
@@ -54,9 +56,9 @@ pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` was built by a different engine type (the server
-    /// never does this: scratch is rebuilt on every snapshot change), on
-    /// out-of-range feature indices, or if `k == 0`.
+    /// Panics if `scratch` was not built by an engine (the server never does
+    /// this: scratch is rebuilt on every snapshot change), on out-of-range
+    /// feature indices, or if `k == 0`.
     fn predict_any(
         &self,
         x: SparseVecRef<'_>,
@@ -66,10 +68,10 @@ pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
     ) -> Vec<u32>;
 
     /// [`FrozenModel::predict_any`] with per-stage attribution: fills
-    /// `stages` with the retrieval / kernel / merge split of the call.
-    /// The default implementation cannot see inside the engine, so it
-    /// attributes the whole call to the kernel stage; the engines in this
-    /// workspace override it with real per-stage timers.
+    /// `stages` with the retrieval / kernel split of the call. The default
+    /// implementation cannot see inside the model, so it attributes the
+    /// whole call to the kernel stage; [`Engine`] overrides it with real
+    /// per-stage timers.
     fn predict_any_timed(
         &self,
         x: SparseVecRef<'_>,
@@ -91,10 +93,7 @@ pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
 /// Anything the batching server accepts where a model is expected: either a
 /// concrete engine (it is wrapped into an `Arc` on the way in) or an
 /// `Arc<dyn FrozenModel>` that is passed through untouched — for example
-/// one returned by the snapshot loader.
-///
-/// This is the unification of the old `start`/`start_dyn` and
-/// `publish`/`publish_dyn` pairs: one generic entry point each. (A plain
+/// one returned by the snapshot loader. (A plain
 /// `impl Into<Arc<dyn FrozenModel>>` bound cannot express this — the
 /// blanket `From` impl would be an orphan — so the crate owns the
 /// conversion trait.)
@@ -115,7 +114,7 @@ impl IntoFrozenModel for Arc<dyn FrozenModel> {
     }
 }
 
-impl FrozenModel for FrozenNetwork {
+impl<L: RowLayout> FrozenModel for Engine<L> {
     fn precision(&self) -> &'static str {
         self.precision_label()
     }
@@ -147,10 +146,8 @@ impl FrozenModel for FrozenNetwork {
         scratch: &mut (dyn Any + Send),
         salt: u64,
     ) -> Vec<u32> {
-        let scratch = scratch
-            .downcast_mut::<ServeScratch>()
-            .expect("FrozenNetwork handed scratch built by a different engine");
-        self.predict_sparse(x, k, scratch, salt)
+        let mut stages = StageSample::default();
+        self.predict_any_timed(x, k, scratch, salt, &mut stages)
     }
 
     fn predict_any_timed(
@@ -163,7 +160,7 @@ impl FrozenModel for FrozenNetwork {
     ) -> Vec<u32> {
         let scratch = scratch
             .downcast_mut::<ServeScratch>()
-            .expect("FrozenNetwork handed scratch built by a different engine");
+            .expect("Engine handed scratch built by a different engine");
         self.predict_sparse_timed(x, k, scratch, salt, stages)
     }
 }
@@ -171,13 +168,11 @@ impl FrozenModel for FrozenNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FrozenNetwork, QuantizedFrozenNetwork};
     use slide_core::{Network, NetworkConfig};
 
-    #[test]
-    fn frozen_network_serves_through_the_trait_object() {
-        let net = Network::new(NetworkConfig::standard(128, 16, 64)).unwrap();
-        let model: Box<dyn FrozenModel> = Box::new(FrozenNetwork::freeze(&net));
-        assert_eq!(model.precision(), "f32");
+    fn assert_serves(model: Box<dyn FrozenModel>, precision: &str) {
+        assert_eq!(model.precision(), precision);
         assert_eq!(model.input_dim(), 128);
         assert_eq!(model.output_dim(), 64);
         assert!(model.arena_bytes() > 0);
@@ -187,6 +182,18 @@ mod tests {
         let val = [1.0f32, 0.5];
         let topk = model.predict_any(SparseVecRef::new(&idx, &val), 5, scratch.as_mut(), 0);
         assert_eq!(topk.len(), 5);
+    }
+
+    #[test]
+    fn frozen_network_serves_through_the_trait_object() {
+        let net = Network::new(NetworkConfig::standard(128, 16, 64)).unwrap();
+        assert_serves(Box::new(FrozenNetwork::freeze(&net)), "f32");
+    }
+
+    #[test]
+    fn quantized_network_serves_through_the_trait_object() {
+        let net = Network::new(NetworkConfig::standard(128, 16, 64)).unwrap();
+        assert_serves(Box::new(QuantizedFrozenNetwork::freeze(&net)), "i8");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! The model itself sits behind `RwLock<Arc<dyn FrozenModel>>`: a background
 //! trainer can [`BatchingServer::publish`] a fresh snapshot at any moment —
-//! of *any* precision (f32 [`crate::FrozenNetwork`], int8
-//! `QuantizedFrozenNetwork`, or whatever else implements
+//! of *any* layout or shard plan (f32 [`crate::FrozenNetwork`], int8
+//! [`crate::QuantizedFrozenNetwork`], or whatever else implements
 //! [`crate::FrozenModel`]) — and in-flight traffic migrates to it at the
 //! next batch boundary, without dropping or erroring a single request (the
 //! write lock is held only for a pointer swap; workers run on a cloned
@@ -485,7 +485,7 @@ impl BatchingServer {
     ///
     /// [`ServeError::Closed`] if the server shuts down before responding;
     /// [`ServeError::Invalid`] for malformed queries (length mismatch,
-    /// out-of-range feature index, `k == 0`).
+    /// out-of-range feature index, non-finite feature value, `k == 0`).
     pub fn predict(
         &self,
         indices: &[u32],
@@ -1167,6 +1167,20 @@ mod tests {
         let stats = stats_when_served(&server, 2);
         assert_eq!(stats.errors, 1); // only the worker-detected one is counted
         assert_eq!(stats.served, 2);
+    }
+
+    #[test]
+    fn non_finite_feature_values_are_invalid_not_ranked() {
+        // Every logit would be NaN/inf and the "top-k" a ranking of garbage
+        // reported as success.
+        let server = small_server(2, Duration::from_micros(200));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = server.predict(&[1, 17], &[1.0, bad], 5).unwrap_err();
+            assert!(matches!(err, ServeError::Invalid(_)), "{bad}: {err}");
+        }
+        assert_eq!(server.predict(&[1, 17], &[1.0, 0.5], 5).unwrap().len(), 5);
+        let stats = stats_when_served(&server, 4);
+        assert_eq!((stats.errors, stats.served), (3, 4));
     }
 
     #[test]

@@ -1,75 +1,17 @@
-//! Sharded frozen serving: scatter–gather top-k over N output-layer shards.
+//! Row-partitioning plans for the output layer.
 //!
-//! Extreme-classification output layers put 10⁵–10⁶ rows behind one set of
-//! LSH tables and one arena; a [`ShardedFrozenModel`] splits that layer
-//! row-wise into `N` shards, each owning its *own* 64-byte-aligned arena,
-//! its own LSH tables (holding only its rows), and its own retrieval
-//! scratch — so a query fans out across shards (via a
-//! [`slide_core::ThreadPool`] when one is attached), each shard retrieves
-//! and scores locally, and a k-way merge produces the global top-k with
-//! global-row-id remapping. Shards are precision-independent (the f32
-//! engine lives here; the int8 engine in `slide-quant`) and individually
-//! hot-swappable through [`ShardedFrozenModel::publish_shard`], so a
-//! background trainer can re-quantize one shard at a time under live
-//! traffic.
-//!
-//! # Exact equivalence with the unsharded engines
-//!
-//! The acceptance bar is *bit-equal top-k*: for any shard count and plan,
-//! the sharded model must return exactly what the unsharded
-//! `FrozenNetwork` / `QuantizedFrozenNetwork` of the same network returns.
-//! Three constructions make that hold:
-//!
-//! 1. **Partitioned tables, not re-built tables.** Each shard's tables are
-//!    derived by filtering one frozen global build
-//!    ([`crate::ActiveSetSelector::partition_by`]); bucket-cap eviction
-//!    happened once, globally, so the union of per-shard retrievals is
-//!    exactly the global retrieval set.
-//! 2. **Global padding at merge time.** Per-shard retrieval never pads;
-//!    after the merge deduplicates the union, the model replays the
-//!    unsharded selector's deterministic pad stream (`mix3(pad_seed, salt,
-//!    attempt) % rows`) against a global membership stamp — the same final
-//!    active *set* as the unsharded query.
-//! 3. **Per-row-pure scoring.** Every score kernel computes row scores
-//!    independently of their position in the candidate list (the property
-//!    the kernel-variant equivalence suite already enforces), so scoring a
-//!    partition of the active set yields the same per-row logits as
-//!    scoring it whole. Integer (i8) scoring is exactly associative;
-//!    f32 scoring relies on the per-row purity of the gather kernels.
-//!
-//! One deliberate caveat: on *exact* f32 score ties at the top-k boundary
-//! the returned order may differ from the unsharded engine — the merge
-//! visits candidates shard-major while the unsharded path scores them in
-//! table-encounter order, and `top_k_indices` keeps the first-seen id
-//! among equals (the original per-bucket positions are not recoverable
-//! from a partition). Distinct trained rows essentially never tie in f32;
-//! the corner is reachable only through degenerate inputs (an all-zero
-//! hidden activation against untrained zero biases ties every logit at
-//! 0.0) or bit-duplicate output rows. The invariance suite excludes
-//! exactly that degenerate case and asserts bit-equality everywhere else.
-//!
-//! `max_active` caps are rejected at construction: a global cap truncates
-//! in table-encounter order, which a scatter–gather merge cannot reproduce.
+//! Extreme-classification output layers put 10⁵–10⁶ rows behind one arena;
+//! a [`ShardPlan`] splits them row-wise into `N` shards, each owning its own
+//! 64-byte-aligned arena and its partition of the frozen LSH tables inside
+//! one [`crate::Engine`]. Unsharded serving is the one-shard plan. How the
+//! engine retrieves, scores, and merges across shards — and why the result
+//! is bit-equal for every `N` — is documented on [`crate::Engine`].
 
 use crate::error::ServeBuildError;
-use crate::frozen::FrozenLayer;
-use crate::model::FrozenModel;
-use crate::retrieval::{ActiveSetSelector, ShardSelector, ShardSelectorScratch};
-use parking_lot::{Mutex, RwLock};
-use slide_core::{relu, Network, StampSet, ThreadPool};
-use slide_data::top_k_indices;
-use slide_hash::mix::mix3;
-use slide_hash::TableStats;
-use slide_mem::{AlignedVec, SparseVecRef};
-use slide_obs::StageSample;
-use slide_simd::{KernelSet, RowGather};
-use std::any::Any;
-use std::sync::Arc;
-use std::time::Instant;
+use slide_hash::LshTables;
 
 /// How the output layer's rows are assigned to shards. Both policies are
-/// snapshot-time: the plan is fixed when the model is built and every
-/// published shard must honor it.
+/// snapshot-time: the plan is fixed when the engine is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlanKind {
     /// Shard `s` owns one contiguous row range (balanced to within one
@@ -110,7 +52,11 @@ impl ShardPlan {
         Self::new(ShardPlanKind::Strided, shards, rows)
     }
 
-    fn new(kind: ShardPlanKind, shards: usize, rows: usize) -> Result<Self, ServeBuildError> {
+    pub(crate) fn new(
+        kind: ShardPlanKind,
+        shards: usize,
+        rows: usize,
+    ) -> Result<Self, ServeBuildError> {
         if shards == 0 {
             return Err(ServeBuildError::PlanNeedsShards);
         }
@@ -215,9 +161,8 @@ impl ShardPlan {
 }
 
 /// O(1) global→local row indexing for one shard — the arithmetic inverse
-/// of its plan's ownership map, carried by every shard engine so the
-/// scoring hot path never searches a mapping table (DESIGN.md §8's "pure
-/// arithmetic" promise).
+/// of its plan's ownership map, carried by every shard so the scoring hot
+/// path never searches a mapping table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardIndexer {
     /// One contiguous range: `local = global - start`.
@@ -237,1055 +182,46 @@ pub enum ShardIndexer {
 }
 
 impl ShardIndexer {
-    /// Local (arena) index of global row `g`. Callers must only pass rows
-    /// the shard owns — debug builds assert ownership; in release an
-    /// out-of-contract id either trips the arena bounds check or gathers a
-    /// wrong owned row, like any other misuse of a row id.
-    #[inline]
-    pub fn local_of(self, g: u32) -> usize {
+    /// Append the local (arena) index of every global row in `rows` to
+    /// `out`, the plan-kind branch outside the loop. Callers must only pass
+    /// rows the shard owns: an out-of-contract id either trips the arena
+    /// bounds check downstream or gathers a wrong owned row, like any other
+    /// misuse of a row id.
+    pub fn locals_into(self, rows: &[u32], out: &mut Vec<u32>) {
         match self {
-            ShardIndexer::Contiguous { start, len } => {
-                debug_assert!(
-                    g >= start && g - start < len,
-                    "ShardIndexer: row {g} not in [{start}, {})",
-                    start + len
-                );
-                (g - start) as usize
-            }
-            ShardIndexer::Strided { shards, shard } => {
-                debug_assert!(
-                    g % shards == shard,
-                    "ShardIndexer: row {g} not in residue class {shard} (mod {shards})"
-                );
-                (g / shards) as usize
-            }
+            ShardIndexer::Contiguous { start, .. } => out.extend(rows.iter().map(|&g| g - start)),
+            ShardIndexer::Strided { shards, .. } => out.extend(rows.iter().map(|&g| g / shards)),
+        }
+    }
+
+    /// Global row id of the shard's `local`-th row (inverse of
+    /// [`ShardIndexer::locals_into`]).
+    #[inline]
+    pub fn global_of(self, local: usize) -> u32 {
+        match self {
+            ShardIndexer::Contiguous { start, .. } => start + local as u32,
+            ShardIndexer::Strided { shards, shard } => shard + local as u32 * shards,
         }
     }
 }
 
-/// Per-caller, per-shard mutable query state. One concrete type shared by
-/// every [`ShardEngine`] implementation (both precisions), so a per-shard
-/// precision hot-swap never invalidates a worker's scratch.
-#[derive(Debug)]
-pub struct ShardScratch {
-    /// LSH key scratch for this shard's selector.
-    pub sel: ShardSelectorScratch,
-    /// Raw per-shard retrievals (global ids, duplicates included).
-    pub raw: Vec<u32>,
-    /// Deduplicated + globally-padded active rows assigned to this shard.
-    pub active: Vec<u32>,
-    /// Scores for `active`, filled by [`ShardEngine::score_active`].
-    pub logits: Vec<f32>,
-    /// Row-gather pointer staging for the fused kernels.
-    pub gather: RowGather,
-    /// Quantized activation codes (used by i8 shards; sized to the hidden
-    /// width so an f32 → i8 shard swap needs no scratch rebuild).
-    pub xq: AlignedVec<u8>,
-    /// Kernel dispatch table, resolved once per scratch.
-    pub kernels: KernelSet,
-}
-
-/// One output-layer shard: arena + tables + scoring for a row subset.
-/// Implemented by [`F32Shard`] here and by the int8 shard in `slide-quant`.
-/// All methods take `&self` under the same lock-free multi-reader contract
-/// as [`crate::FrozenModel`].
-pub trait ShardEngine: Send + Sync + std::fmt::Debug + 'static {
-    /// Storage-precision label (`"f32"` / `"i8"`).
-    fn precision(&self) -> &'static str;
-
-    /// The global row ids this shard owns, ascending.
-    fn global_rows(&self) -> &[u32];
-
-    /// Global output dimensionality of the model this shard was cut from.
-    fn total_rows(&self) -> usize;
-
-    /// Row width (last hidden dimension).
-    fn cols(&self) -> usize;
-
-    /// Bytes held by this shard's arenas.
-    fn arena_bytes(&self) -> usize;
-
-    /// Occupancy statistics of this shard's tables.
-    fn table_stats(&self) -> TableStats;
-
-    /// Allocate LSH key scratch sized for this shard's selector. Every
-    /// precision cut from one network clones the same family, so scratch
-    /// stays valid across per-shard precision swaps.
-    fn selector_scratch(&self) -> ShardSelectorScratch;
-
-    /// Append this shard's raw LSH candidates for `h` to `scratch.raw`
-    /// (global ids; duplicates across tables included).
-    fn retrieve(&self, h: &[f32], scratch: &mut ShardScratch);
-
-    /// Score `scratch.active` (global ids owned by this shard) against `h`
-    /// into `scratch.logits` (bias included).
-    fn score_active(&self, h: &[f32], scratch: &mut ShardScratch);
-
-    /// Score every owned row against `h` into `scratch.logits`
-    /// (`logits[i]` is the score of `global_rows()[i]`, bias included) —
-    /// the exact-argmax path.
-    fn score_all(&self, h: &[f32], scratch: &mut ShardScratch);
-}
-
-/// The shared (unsharded) input + hidden stack run once per query to
-/// produce the last hidden activation every shard retrieves and scores
-/// against. Implemented by [`F32Trunk`] here and by the int8 trunk in
-/// `slide-quant` (whose deep hidden stack quantizes activations exactly as
-/// the unsharded quantized engine does).
-pub trait ShardTrunk: Send + Sync + std::fmt::Debug + 'static {
-    /// Storage-precision label of the trunk arenas.
-    fn precision(&self) -> &'static str;
-
-    /// Sparse input dimensionality accepted by queries.
-    fn input_dim(&self) -> usize;
-
-    /// Width of the last hidden activation.
-    fn hidden_dim(&self) -> usize;
-
-    /// Bytes held by the trunk arenas.
-    fn arena_bytes(&self) -> usize;
-
-    /// Allocate per-caller forward scratch, type-erased for the sharded
-    /// model's scratch.
-    fn make_scratch(&self) -> Box<dyn Any + Send>;
-
-    /// Run input + hidden for `x`, writing the last hidden activation into
-    /// `out` (`out.len() == self.hidden_dim()`).
-    fn forward_into(&self, x: SparseVecRef<'_>, scratch: &mut (dyn Any + Send), out: &mut [f32]);
-}
-
-/// The f32 trunk: aligned frozen arenas, bit-identical forward to
-/// [`crate::FrozenNetwork::forward_hidden`].
-#[derive(Debug)]
-pub struct F32Trunk {
-    input: FrozenLayer,
-    hidden: Vec<FrozenLayer>,
-}
-
-/// Forward scratch for [`F32Trunk`].
-#[derive(Debug)]
-struct F32TrunkScratch {
-    acts: Vec<AlignedVec<f32>>,
-    kernels: KernelSet,
-}
-
-impl F32Trunk {
-    /// Snapshot the input + hidden stack of `net` (exactly as
-    /// [`crate::FrozenNetwork::freeze`] snapshots them).
-    pub fn from_network(net: &Network) -> Self {
-        F32Trunk {
-            input: FrozenLayer::from_params(net.input().params()),
-            hidden: net
-                .hidden_layers()
-                .iter()
-                .map(|l| FrozenLayer::from_params(l.params()))
-                .collect(),
-        }
+/// Split the global frozen tables into one partition per shard of `plan`:
+/// shard `s` keeps exactly the ids it owns, in their original bucket order.
+/// Filtering one global build (rather than re-building per shard) means
+/// bucket-cap eviction happened once, globally, so the union of the shards'
+/// retrievals is bit-for-bit the global retrieval set.
+pub(crate) fn partition_tables(tables: LshTables, plan: &ShardPlan) -> Vec<LshTables> {
+    if plan.shards() == 1 {
+        return vec![tables];
     }
-
-    /// Assemble a trunk from already-built layers — the snapshot load path.
-    /// `input` is the transposed input layer (one row per feature, bias per
-    /// column); `hidden` is the hidden stack in forward order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if consecutive layer widths do not chain.
-    pub fn from_parts(input: FrozenLayer, hidden: Vec<FrozenLayer>) -> Result<Self, String> {
-        let mut width = input.cols();
-        for (i, layer) in hidden.iter().enumerate() {
-            if layer.cols() != width {
-                return Err(format!(
-                    "F32Trunk: hidden layer {i} consumes {} columns, predecessor emits {width}",
-                    layer.cols()
-                ));
-            }
-            width = layer.rows();
-        }
-        Ok(F32Trunk { input, hidden })
-    }
-}
-
-impl ShardTrunk for F32Trunk {
-    fn precision(&self) -> &'static str {
-        "f32"
-    }
-
-    fn input_dim(&self) -> usize {
-        self.input.rows()
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.hidden
-            .last()
-            .map(FrozenLayer::rows)
-            .unwrap_or_else(|| self.input.cols())
-    }
-
-    fn arena_bytes(&self) -> usize {
-        self.input.arena_bytes()
-            + self
-                .hidden
-                .iter()
-                .map(FrozenLayer::arena_bytes)
-                .sum::<usize>()
-    }
-
-    fn make_scratch(&self) -> Box<dyn Any + Send> {
-        let mut widths: Vec<usize> = vec![self.input.cols()];
-        widths.extend(self.hidden.iter().map(FrozenLayer::rows));
-        Box::new(F32TrunkScratch {
-            acts: widths.iter().map(|&w| AlignedVec::zeroed(w)).collect(),
-            kernels: KernelSet::resolve(),
-        })
-    }
-
-    fn forward_into(&self, x: SparseVecRef<'_>, scratch: &mut (dyn Any + Send), out: &mut [f32]) {
-        let scratch = scratch
-            .downcast_mut::<F32TrunkScratch>()
-            .expect("F32Trunk handed scratch built by a different trunk");
-        let ks = scratch.kernels;
-        let acts = &mut scratch.acts;
-        acts[0].as_mut_slice().copy_from_slice(self.input.bias());
-        for (j, v) in x.iter() {
-            ks.axpy(v, self.input.row(j as usize), acts[0].as_mut_slice());
-        }
-        relu(acts[0].as_mut_slice());
-        for (i, layer) in self.hidden.iter().enumerate() {
-            let (src, dst) = acts.split_at_mut(i + 1);
-            let (src, dst) = (src[i].as_slice(), dst[0].as_mut_slice());
-            ks.gemv(layer.flat(), layer.stride(), src, layer.bias(), dst);
-            relu(dst);
-        }
-        out.copy_from_slice(
-            acts.last()
-                .expect("at least the input activation")
-                .as_slice(),
-        );
-    }
-}
-
-/// The f32 output-layer shard: a row-subset [`FrozenLayer`] arena plus the
-/// shard's slice of the frozen LSH tables.
-#[derive(Debug)]
-pub struct F32Shard {
-    layer: FrozenLayer,
-    rows: Vec<u32>,
-    indexer: ShardIndexer,
-    total_rows: usize,
-    selector: ShardSelector,
-}
-
-impl F32Shard {
-    /// Cut all of `plan`'s f32 shards from `net` at once (one table
-    /// partition pass over the global selector).
-    fn build_all(net: &Network, global: &ActiveSetSelector, plan: &ShardPlan) -> Vec<F32Shard> {
-        let selectors = global.partition_by(plan.shards(), &|id| plan.shard_of(id));
-        selectors
-            .into_iter()
-            .enumerate()
-            .map(|(s, selector)| {
-                let rows = plan.shard_rows(s);
-                let layer = FrozenLayer::from_params_rows(net.output().params(), &rows);
-                F32Shard {
-                    layer,
-                    rows,
-                    indexer: plan.indexer(s),
-                    total_rows: plan.rows(),
-                    selector,
-                }
-            })
-            .collect()
-    }
-
-    /// Assemble shard `s` of `plan` from an already-built row-subset layer
-    /// and the shard's table partition — the snapshot load path (the loader
-    /// reconstructs the *global* selector from its CSR sections, partitions
-    /// it exactly as the internal `F32Shard::build_all` does, and pairs each partition
-    /// with its decoded arena).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `s` is out of range or `layer` does not own
-    /// exactly the rows `plan` assigns to shard `s`.
-    pub fn from_parts(
-        plan: &ShardPlan,
-        s: usize,
-        layer: FrozenLayer,
-        selector: ShardSelector,
-    ) -> Result<Self, String> {
-        if s >= plan.shards() {
-            return Err(format!(
-                "F32Shard: shard {s} out of range ({} shards)",
-                plan.shards()
-            ));
-        }
-        let rows = plan.shard_rows(s);
-        if layer.rows() != rows.len() {
-            return Err(format!(
-                "F32Shard: layer holds {} rows, plan assigns {} to shard {s}",
-                layer.rows(),
-                rows.len()
-            ));
-        }
-        Ok(F32Shard {
-            layer,
-            rows,
-            indexer: plan.indexer(s),
-            total_rows: plan.rows(),
-            selector,
-        })
-    }
-}
-
-impl ShardEngine for F32Shard {
-    fn precision(&self) -> &'static str {
-        "f32"
-    }
-
-    fn global_rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    fn total_rows(&self) -> usize {
-        self.total_rows
-    }
-
-    fn cols(&self) -> usize {
-        self.layer.cols()
-    }
-
-    fn arena_bytes(&self) -> usize {
-        self.layer.arena_bytes()
-    }
-
-    fn table_stats(&self) -> TableStats {
-        self.selector.stats()
-    }
-
-    fn selector_scratch(&self) -> ShardSelectorScratch {
-        self.selector.make_scratch()
-    }
-
-    fn retrieve(&self, h: &[f32], scratch: &mut ShardScratch) {
-        self.selector
-            .retrieve_into(h, &mut scratch.sel, &mut scratch.raw);
-    }
-
-    fn score_active(&self, h: &[f32], scratch: &mut ShardScratch) {
-        scratch.gather.w_f32.clear();
-        scratch.gather.rows.clear();
-        for i in 0..scratch.active.len() {
-            // O(1) arithmetic global→local; locals staged once and reused
-            // by the bias pass below.
-            let local = self.indexer.local_of(scratch.active[i]);
-            scratch.gather.w_f32.push(self.layer.row(local).as_ptr());
-            scratch.gather.rows.push(local as u32);
-        }
-        scratch.logits.clear();
-        scratch.logits.resize(scratch.active.len(), 0.0);
-        // SAFETY: every gathered pointer spans `cols` elements of the
-        // frozen shard arena, which outlives the call.
-        unsafe {
-            scratch
-                .kernels
-                .score_rows_f32(&scratch.gather.w_f32, h, &mut scratch.logits)
-        };
-        let bias = self.layer.bias();
-        for (z, &local) in scratch.logits.iter_mut().zip(scratch.gather.rows.iter()) {
-            *z += bias[local as usize];
-        }
-    }
-
-    fn score_all(&self, h: &[f32], scratch: &mut ShardScratch) {
-        scratch.logits.clear();
-        scratch.logits.resize(self.rows.len(), 0.0);
-        scratch.kernels.gemv(
-            self.layer.flat(),
-            self.layer.stride(),
-            h,
-            self.layer.bias(),
-            &mut scratch.logits,
-        );
-    }
-}
-
-/// Per-caller query scratch for a [`ShardedFrozenModel`]: the trunk's
-/// forward scratch, one [`ShardScratch`] per shard, and the merge buffers.
-#[derive(Debug)]
-pub struct ShardedScratch {
-    trunk: Box<dyn Any + Send>,
-    h: AlignedVec<f32>,
-    shards: Vec<ShardScratch>,
-    stamp: StampSet,
-    merged_ids: Vec<u32>,
-    merged_scores: Vec<f32>,
-    engines: Vec<Arc<dyn ShardEngine>>,
-    full: Vec<f32>,
-}
-
-impl ShardedScratch {
-    /// The active rows of the last query, per shard (inspection hook: the
-    /// concatenation over shards is the global active set).
-    pub fn active_per_shard(&self) -> impl Iterator<Item = &[u32]> {
-        self.shards.iter().map(|s| s.active.as_slice())
-    }
-
-    /// Total active rows of the last query.
-    pub fn active_len(&self) -> usize {
-        self.shards.iter().map(|s| s.active.len()).sum()
-    }
-}
-
-/// Sendable pointer to per-shard scratch slots; each fan-out worker touches
-/// a disjoint subset of shard indices.
-#[derive(Clone, Copy)]
-struct ShardSlotPtr {
-    base: *mut ShardScratch,
-    len: usize,
-}
-
-// SAFETY: workers index disjoint slots (shard `s` is processed by exactly
-// one worker per fan-out), and the backing Vec outlives the pool run.
-unsafe impl Send for ShardSlotPtr {}
-unsafe impl Sync for ShardSlotPtr {}
-
-impl ShardSlotPtr {
-    /// Exclusive access to shard `i`'s scratch.
-    ///
-    /// # Safety
-    ///
-    /// Each index must be used by at most one thread at a time and the
-    /// backing slice must outlive the parallel section.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut ShardScratch {
-        assert!(i < self.len, "ShardSlotPtr: shard index out of range");
-        &mut *self.base.add(i)
-    }
-}
-
-/// Global padding/merge policy replayed from the unsharded selector.
-#[derive(Debug, Clone, Copy)]
-struct MergePolicy {
-    min_active: usize,
-    pad_seed: u64,
-    rows: usize,
-}
-
-/// A frozen serving engine whose output layer is split across N
-/// independently-owned, independently-hot-swappable shards. Implements
-/// [`FrozenModel`], so a [`crate::BatchingServer`] serves it unchanged and
-/// sharding composes with micro-batching and whole-model hot-swap for free.
-///
-/// # Examples
-///
-/// ```
-/// use slide_core::{Network, NetworkConfig};
-/// use slide_serve::{ShardPlan, ShardedFrozenModel};
-///
-/// let net = Network::new(NetworkConfig::standard(256, 16, 64)).unwrap();
-/// let plan = ShardPlan::contiguous(4, 64).unwrap();
-/// let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-/// let mut scratch = sharded.make_scratch();
-/// let idx = [1u32, 17];
-/// let val = [1.0f32, 0.5];
-/// let x = slide_mem::SparseVecRef::new(&idx, &val);
-/// let topk = sharded.predict_sparse(x, 5, &mut scratch, 0);
-/// assert_eq!(topk.len(), 5);
-/// ```
-pub struct ShardedFrozenModel {
-    trunk: Box<dyn ShardTrunk>,
-    shards: Vec<RwLock<Arc<dyn ShardEngine>>>,
-    plan: ShardPlan,
-    merge: MergePolicy,
-    /// Fan-out worker pool. `try_lock` per query: a direct caller gets
-    /// cross-shard parallelism; under the batching server (many workers
-    /// querying concurrently) contended callers fall back to the
-    /// sequential path — results are identical either way, parallelism
-    /// then comes from the batch.
-    fanout: Option<Mutex<ThreadPool>>,
-}
-
-impl std::fmt::Debug for ShardedFrozenModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The fan-out pool carries no meaningful state to print.
-        f.debug_struct("ShardedFrozenModel")
-            .field("trunk", &self.trunk)
-            .field("plan", &self.plan)
-            .field("shard_precisions", &self.shard_precisions())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ShardedFrozenModel {
-    /// Shard `net` into an all-f32 sharded serving model: freeze the trunk,
-    /// build the global LSH tables once from the frozen output rows
-    /// (exactly as [`crate::FrozenNetwork::freeze`] does), then cut per-shard
-    /// arenas (via the range-restricted [`FrozenLayer::from_params_rows`])
-    /// and per-shard table partitions.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeBuildError::PlanRowsMismatch`] if the plan does not match the
-    /// network's output dimensionality;
-    /// [`ServeBuildError::MaxActiveUnsupported`] if the network configures
-    /// `max_active` (a global encounter-order cap a scatter–gather merge
-    /// cannot reproduce).
-    pub fn shard_f32(net: &Network, plan: ShardPlan) -> Result<Self, ServeBuildError> {
-        let global = build_global_selector(net)?;
-        check_plan(net, &plan, &global)?;
-        let trunk = Box::new(F32Trunk::from_network(net));
-        let shards: Vec<RwLock<Arc<dyn ShardEngine>>> = F32Shard::build_all(net, &global, &plan)
-            .into_iter()
-            .map(|s| RwLock::new(Arc::new(s) as Arc<dyn ShardEngine>))
-            .collect();
-        Ok(Self::assemble(trunk, shards, plan, &global))
-    }
-
-    /// The f32 shard engines of `net` under `plan`, for per-shard
-    /// publication into an existing model
-    /// ([`ShardedFrozenModel::publish_shard`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedFrozenModel::shard_f32`].
-    pub fn f32_engines(
-        net: &Network,
-        plan: &ShardPlan,
-    ) -> Result<Vec<Arc<dyn ShardEngine>>, ServeBuildError> {
-        let global = build_global_selector(net)?;
-        check_plan(net, plan, &global)?;
-        Ok(F32Shard::build_all(net, &global, plan)
-            .into_iter()
-            .map(|s| Arc::new(s) as Arc<dyn ShardEngine>)
-            .collect())
-    }
-
-    /// Assemble a sharded model from an explicit trunk and shard engines —
-    /// the construction hook for other precisions (`slide-quant` builds
-    /// its all-i8 model through this). The global padding policy is
-    /// replayed from `global`, which must be the unsharded selector the
-    /// shard tables were partitioned from.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeBuildError::ShardCount`] / [`ServeBuildError::ShardRows`] /
-    /// [`ServeBuildError::ShardCols`] if the engine count or any engine's
-    /// row ownership or width disagrees with `plan` and `trunk`;
-    /// [`ServeBuildError::MaxActiveUnsupported`] if `global` caps
-    /// `max_active`.
-    pub fn from_parts(
-        trunk: Box<dyn ShardTrunk>,
-        shards: Vec<Arc<dyn ShardEngine>>,
-        plan: ShardPlan,
-        global: &ActiveSetSelector,
-    ) -> Result<Self, ServeBuildError> {
-        if global.max_active().is_some() {
-            return Err(ServeBuildError::MaxActiveUnsupported);
-        }
-        if shards.len() != plan.shards() {
-            return Err(ServeBuildError::ShardCount {
-                engines: shards.len(),
-                shards: plan.shards(),
-            });
-        }
-        for (s, engine) in shards.iter().enumerate() {
-            check_engine(&plan, s, engine.as_ref())?;
-            if engine.cols() != trunk.hidden_dim() {
-                return Err(ServeBuildError::ShardCols {
-                    shard: s,
-                    cols: engine.cols(),
-                    trunk_cols: trunk.hidden_dim(),
-                });
-            }
-        }
-        let shards = shards.into_iter().map(RwLock::new).collect();
-        Ok(Self::assemble(trunk, shards, plan, global))
-    }
-
-    fn assemble(
-        trunk: Box<dyn ShardTrunk>,
-        shards: Vec<RwLock<Arc<dyn ShardEngine>>>,
-        plan: ShardPlan,
-        global: &ActiveSetSelector,
-    ) -> Self {
-        let merge = MergePolicy {
-            min_active: global.min_active(),
-            pad_seed: global.pad_seed(),
-            rows: plan.rows(),
-        };
-        let fanout = (plan.shards() > 1).then(|| {
-            let workers = plan.shards().min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            );
-            Mutex::new(ThreadPool::new(workers))
-        });
-        ShardedFrozenModel {
-            trunk,
-            shards,
-            plan,
-            merge,
-            fanout,
-        }
-    }
-
-    /// The row-partitioning plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The engine currently serving shard `s`.
-    pub fn shard(&self, s: usize) -> Arc<dyn ShardEngine> {
-        self.shards[s].read().clone()
-    }
-
-    /// Per-shard precision labels, in shard order.
-    pub fn shard_precisions(&self) -> Vec<&'static str> {
-        self.shards.iter().map(|s| s.read().precision()).collect()
-    }
-
-    /// Per-shard precision labels joined with `|` (bench meta stamp).
-    pub fn shard_precision_label(&self) -> String {
-        self.shard_precisions().join("|")
-    }
-
-    /// Publish a replacement engine for shard `s`; in-flight queries keep
-    /// the engine they pinned, new queries pick the replacement up at
-    /// their next shard read. The write lock is held only for the pointer
-    /// swap. The replacement may change precision (f32 ↔ i8) but not row
-    /// ownership or width — the scratch every worker holds stays valid.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeBuildError::ShardOutOfRange`] if `s` is out of range;
-    /// [`ServeBuildError::ShardRows`] / [`ServeBuildError::ShardCols`] if
-    /// the engine's rows/width disagree with the plan.
-    pub fn publish_shard(
-        &self,
-        s: usize,
-        engine: Arc<dyn ShardEngine>,
-    ) -> Result<(), ServeBuildError> {
-        if s >= self.shards.len() {
-            return Err(ServeBuildError::ShardOutOfRange {
-                shard: s,
-                shards: self.shards.len(),
-            });
-        }
-        check_engine(&self.plan, s, engine.as_ref())?;
-        if engine.cols() != self.trunk.hidden_dim() {
-            return Err(ServeBuildError::ShardCols {
-                shard: s,
-                cols: engine.cols(),
-                trunk_cols: self.trunk.hidden_dim(),
-            });
-        }
-        *self.shards[s].write() = engine;
-        Ok(())
-    }
-
-    /// Sparse input dimensionality accepted by queries.
-    pub fn input_dim(&self) -> usize {
-        self.trunk.input_dim()
-    }
-
-    /// Output (label) dimensionality (across all shards).
-    pub fn output_dim(&self) -> usize {
-        self.plan.rows()
-    }
-
-    /// Total bytes held in trunk + shard arenas.
-    pub fn arena_bytes(&self) -> usize {
-        self.trunk.arena_bytes()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.read().arena_bytes())
-                .sum::<usize>()
-    }
-
-    /// Allocate per-caller query scratch sized for this model.
-    pub fn make_scratch(&self) -> ShardedScratch {
-        let kernels = KernelSet::resolve();
-        let cols = self.trunk.hidden_dim();
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| {
-                let engine = s.read();
-                ShardScratch {
-                    sel: engine.selector_scratch(),
-                    raw: Vec::with_capacity(256),
-                    active: Vec::with_capacity(256),
-                    logits: Vec::with_capacity(256),
-                    gather: RowGather::default(),
-                    xq: AlignedVec::zeroed(cols),
-                    kernels,
-                }
-            })
-            .collect();
-        ShardedScratch {
-            trunk: self.trunk.make_scratch(),
-            h: AlignedVec::zeroed(cols),
-            shards,
-            stamp: StampSet::new(self.plan.rows()),
-            merged_ids: Vec::with_capacity(1024),
-            merged_scores: Vec::with_capacity(1024),
-            engines: Vec::with_capacity(self.shards.len()),
-            full: Vec::new(),
-        }
-    }
-
-    /// Check that a query fits this model's input space.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending index or length mismatch.
-    pub fn validate_query(&self, indices: &[u32], values: &[f32]) -> Result<(), String> {
-        if indices.len() != values.len() {
-            return Err(format!(
-                "query index/value length mismatch: {} vs {}",
-                indices.len(),
-                values.len()
-            ));
-        }
-        let dim = self.trunk.input_dim() as u32;
-        if let Some(&bad) = indices.iter().find(|&&i| i >= dim) {
-            return Err(format!("query feature index {bad} >= input_dim {dim}"));
-        }
-        Ok(())
-    }
-
-    /// Run a per-shard closure over every shard, through the fan-out pool
-    /// when it is attached and uncontended, sequentially otherwise. The
-    /// closure sees `(shard index, engine, that shard's scratch)`;
-    /// disjoint scratch slots make the parallel path race-free.
-    fn for_each_shard(
-        &self,
-        engines: &[Arc<dyn ShardEngine>],
-        scratch: &mut ShardedScratch,
-        f: &(dyn Fn(usize, &dyn ShardEngine, &mut ShardScratch) + Sync),
-    ) {
-        let n = engines.len();
-        if let Some(pool) = self.fanout.as_ref().and_then(|p| p.try_lock()) {
-            let workers = pool.workers();
-            let slots = ShardSlotPtr {
-                base: scratch.shards.as_mut_ptr(),
-                len: scratch.shards.len(),
-            };
-            pool.run(&|worker| {
-                let mut s = worker;
-                while s < n {
-                    // SAFETY: shard `s` is visited by exactly one worker
-                    // (stride partition) and the slots outlive the run.
-                    let slot = unsafe { slots.get(s) };
-                    f(s, engines[s].as_ref(), slot);
-                    s += workers;
-                }
-            });
-        } else {
-            for (s, engine) in engines.iter().enumerate() {
-                f(s, engine.as_ref(), &mut scratch.shards[s]);
-            }
-        }
-    }
-
-    /// Run the shared trunk and pin the current shard engines for one query.
-    fn begin_query(&self, x: SparseVecRef<'_>, scratch: &mut ShardedScratch) {
-        scratch.engines.clear();
-        for s in &self.shards {
-            scratch.engines.push(s.read().clone());
-        }
-        self.trunk
-            .forward_into(x, scratch.trunk.as_mut(), scratch.h.as_mut_slice());
-    }
-
-    /// Predict the top-`k` labels for one sparse input: trunk forward once,
-    /// scatter retrieval + scoring across shards, k-way merge back to
-    /// global ids. Lock-free readers, `&self`; identical results whether
-    /// the fan-out runs parallel or sequential. Returns exactly what the
-    /// unsharded engine of the same network and precision returns, up to
-    /// order among exactly-tied scores (see the module docs for why, and
-    /// for the one degenerate tie case).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range feature indices and if `k == 0`.
-    pub fn predict_sparse(
-        &self,
-        x: SparseVecRef<'_>,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        salt: u64,
-    ) -> Vec<u32> {
-        let mut stages = StageSample::default();
-        self.predict_sparse_timed(x, k, scratch, salt, &mut stages)
-    }
-
-    /// [`ShardedFrozenModel::predict_sparse`] with per-stage attribution:
-    /// trunk forward + shard scoring count as kernel time, the per-shard
-    /// retrieval scatter as retrieval time, and the dedup/pad plus global
-    /// top-k gather as merge time.
-    pub fn predict_sparse_timed(
-        &self,
-        x: SparseVecRef<'_>,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        salt: u64,
-        stages: &mut StageSample,
-    ) -> Vec<u32> {
-        let t0 = Instant::now();
-        self.begin_query(x, scratch);
-        let engines = std::mem::take(&mut scratch.engines);
-        let h = std::mem::take(&mut scratch.h);
-        let t1 = Instant::now();
-
-        // Scatter: per-shard raw retrieval.
-        self.for_each_shard(&engines, scratch, &|_s, engine, slot| {
-            slot.raw.clear();
-            engine.retrieve(h.as_slice(), slot);
-        });
-        let t2 = Instant::now();
-
-        // Merge: global dedup in shard order, then the unsharded selector's
-        // deterministic pad stream against global membership.
-        scratch.stamp.begin();
-        let mut total = 0usize;
-        for slot in scratch.shards.iter_mut() {
-            slot.active.clear();
-            for i in 0..slot.raw.len() {
-                let c = slot.raw[i];
-                if scratch.stamp.insert(c) {
-                    slot.active.push(c);
-                    total += 1;
-                }
-            }
-        }
-        let rows = self.merge.rows as u64;
-        let mut attempt = 0u64;
-        while total < self.merge.min_active {
-            let r = (mix3(self.merge.pad_seed, salt, attempt) % rows) as u32;
-            attempt += 1;
-            if scratch.stamp.insert(r) {
-                scratch.shards[self.plan.shard_of(r)].active.push(r);
-                total += 1;
-            }
-        }
-
-        // Scatter: per-shard scoring of its assigned active rows.
-        let t3 = Instant::now();
-        self.for_each_shard(&engines, scratch, &|_s, engine, slot| {
-            engine.score_active(h.as_slice(), slot);
-        });
-        let t4 = Instant::now();
-
-        // Gather: global top-k over the per-shard (id, score) streams.
-        scratch.merged_ids.clear();
-        scratch.merged_scores.clear();
-        for slot in scratch.shards.iter() {
-            scratch.merged_ids.extend_from_slice(&slot.active);
-            scratch.merged_scores.extend_from_slice(&slot.logits);
-        }
-        scratch.h = h;
-        scratch.engines = engines;
-        let out: Vec<u32> = top_k_indices(&scratch.merged_scores, k.min(total.max(1)))
-            .into_iter()
-            .map(|i| scratch.merged_ids[i as usize])
-            .collect();
-        *stages = StageSample {
-            retrieval_us: (t2 - t1).as_micros() as u64,
-            kernel_us: ((t1 - t0) + (t4 - t3)).as_micros() as u64,
-            merge_us: ((t3 - t2) + t4.elapsed()).as_micros() as u64,
-        };
-        out
-    }
-
-    /// Predict the top-`k` labels scoring *every* output row (exact
-    /// argmax): each shard sweeps its arena, scores scatter into one dense
-    /// global buffer (so tie-breaking matches the unsharded exact path's
-    /// global row order), and one top-k runs over it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range feature indices and if `k == 0`.
-    pub fn predict_full(
-        &self,
-        x: SparseVecRef<'_>,
-        k: usize,
-        scratch: &mut ShardedScratch,
-    ) -> Vec<u32> {
-        self.begin_query(x, scratch);
-        let engines = std::mem::take(&mut scratch.engines);
-        let h = std::mem::take(&mut scratch.h);
-        self.for_each_shard(&engines, scratch, &|_s, engine, slot| {
-            engine.score_all(h.as_slice(), slot);
-        });
-        scratch.full.clear();
-        scratch.full.resize(self.plan.rows(), 0.0);
-        for (engine, slot) in engines.iter().zip(scratch.shards.iter()) {
-            for (&g, &z) in engine.global_rows().iter().zip(slot.logits.iter()) {
-                scratch.full[g as usize] = z;
-            }
-        }
-        scratch.h = h;
-        scratch.engines = engines;
-        top_k_indices(&scratch.full, k)
-    }
-}
-
-impl FrozenModel for ShardedFrozenModel {
-    fn precision(&self) -> &'static str {
-        // The trunk counts: a shard_f32 model whose shards were all
-        // hot-swapped to i8 still runs an f32 hidden stack, and stamping
-        // it "i8" would corrupt the precision axis in bench meta. Only a
-        // model uniform across trunk AND shards gets the plain label.
-        let precisions = self.shard_precisions();
-        let first = precisions[0];
-        if precisions.iter().all(|&p| p == first) && self.trunk.precision() == first {
-            first
-        } else {
-            "mixed"
-        }
-    }
-
-    fn input_dim(&self) -> usize {
-        self.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.output_dim()
-    }
-
-    fn arena_bytes(&self) -> usize {
-        self.arena_bytes()
-    }
-
-    fn validate_query(&self, indices: &[u32], values: &[f32]) -> Result<(), String> {
-        self.validate_query(indices, values)
-    }
-
-    fn make_scratch_any(&self) -> Box<dyn Any + Send> {
-        Box::new(self.make_scratch())
-    }
-
-    fn predict_any(
-        &self,
-        x: SparseVecRef<'_>,
-        k: usize,
-        scratch: &mut (dyn Any + Send),
-        salt: u64,
-    ) -> Vec<u32> {
-        let scratch = scratch
-            .downcast_mut::<ShardedScratch>()
-            .expect("ShardedFrozenModel handed scratch built by a different engine");
-        self.predict_sparse(x, k, scratch, salt)
-    }
-
-    fn predict_any_timed(
-        &self,
-        x: SparseVecRef<'_>,
-        k: usize,
-        scratch: &mut (dyn Any + Send),
-        salt: u64,
-        stages: &mut StageSample,
-    ) -> Vec<u32> {
-        let scratch = scratch
-            .downcast_mut::<ShardedScratch>()
-            .expect("ShardedFrozenModel handed scratch built by a different engine");
-        self.predict_sparse_timed(x, k, scratch, salt, stages)
-    }
-}
-
-/// Build the unsharded retrieval selector for `net` exactly as
-/// [`crate::FrozenNetwork::freeze`] does (same seeds, same insertion order), so
-/// partitioned shard tables are bit-compatible with the unsharded engine's.
-/// Public for other-precision shard constructors (`slide-quant` hashes the
-/// same original f32 rows before quantizing).
-///
-/// # Errors
-///
-/// [`ServeBuildError::MaxActiveUnsupported`] if the network configures
-/// `max_active` (see the module docs).
-pub fn build_global_selector(net: &Network) -> Result<ActiveSetSelector, ServeBuildError> {
-    let config = net.config();
-    if config.lsh.max_active.is_some() {
-        return Err(ServeBuildError::MaxActiveUnsupported);
-    }
-    let out = net.output().params();
-    let mut selector = ActiveSetSelector::new(
-        net.output().family().clone(),
-        &config.lsh,
-        out.rows(),
-        config.seed,
-    );
-    let mut sel_scratch = selector.make_scratch();
-    let mut row_buf = vec![0.0f32; out.cols()];
-    for r in 0..out.rows() {
-        out.widen_row_into(r, &mut row_buf);
-        selector.insert(r as u32, &row_buf, &mut sel_scratch);
-    }
-    Ok(selector)
-}
-
-fn check_plan(
-    net: &Network,
-    plan: &ShardPlan,
-    global: &ActiveSetSelector,
-) -> Result<(), ServeBuildError> {
-    if plan.rows() != global.rows() || plan.rows() != net.config().output_dim {
-        return Err(ServeBuildError::PlanRowsMismatch {
-            plan_rows: plan.rows(),
-            output_dim: net.config().output_dim,
-        });
-    }
-    Ok(())
-}
-
-fn check_engine(
-    plan: &ShardPlan,
-    s: usize,
-    engine: &dyn ShardEngine,
-) -> Result<(), ServeBuildError> {
-    if engine.total_rows() != plan.rows() {
-        return Err(ServeBuildError::ShardUniverse {
-            shard: s,
-            engine_rows: engine.total_rows(),
-            plan_rows: plan.rows(),
-        });
-    }
-    let expect = plan.shard_rows(s);
-    if engine.global_rows() != expect.as_slice() {
-        return Err(ServeBuildError::ShardRows {
-            shard: s,
-            owned: engine.global_rows().len(),
-            assigned: expect.len(),
-        });
-    }
-    Ok(())
+    (0..plan.shards())
+        .map(|s| tables.retained(&|id| plan.shard_of(id) == s))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FrozenNetwork;
-    use slide_core::{LshConfig, NetworkConfig};
-
-    fn tiny_net(seed: u64) -> Network {
-        let mut cfg = NetworkConfig::standard(128, 16, 64);
-        cfg.seed = seed;
-        cfg.lsh = LshConfig {
-            tables: 10,
-            key_bits: 4,
-            min_active: 16,
-            ..Default::default()
-        };
-        Network::new(cfg).unwrap()
-    }
 
     #[test]
     fn plan_partitions_cover_every_row_once() {
@@ -1297,8 +233,13 @@ mod tests {
                 ] {
                     let mut seen = vec![false; rows];
                     for s in 0..shards {
-                        for &g in &plan.shard_rows(s) {
+                        let (indexer, owned) = (plan.indexer(s), plan.shard_rows(s));
+                        let mut locals = Vec::new();
+                        indexer.locals_into(&owned, &mut locals);
+                        assert!(locals.iter().copied().eq(0..owned.len() as u32));
+                        for (local, &g) in owned.iter().enumerate() {
                             assert_eq!(plan.shard_of(g), s, "{plan:?} row {g}");
+                            assert_eq!(indexer.global_of(local), g, "{plan:?} row {g}");
                             assert!(!seen[g as usize], "{plan:?} row {g} double-owned");
                             seen[g as usize] = true;
                         }
@@ -1318,149 +259,5 @@ mod tests {
         assert!(ShardPlan::contiguous(0, 8).is_err());
         assert!(ShardPlan::strided(9, 8).is_err());
         assert!(ShardPlan::contiguous(8, 8).is_ok());
-    }
-
-    #[test]
-    fn sharded_model_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ShardedFrozenModel>();
-    }
-
-    #[test]
-    fn sharded_matches_unsharded_frozen_f32() {
-        let net = tiny_net(3);
-        let frozen = FrozenNetwork::freeze(&net);
-        let mut fs = frozen.make_scratch();
-        for shards in [1usize, 2, 4, 8] {
-            for plan in [
-                ShardPlan::contiguous(shards, 64).unwrap(),
-                ShardPlan::strided(shards, 64).unwrap(),
-            ] {
-                let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-                let mut ss = sharded.make_scratch();
-                for s in 0..24u32 {
-                    let idx = [s % 128, (s * 7 + 3) % 128, (s * 31 + 11) % 128];
-                    let val = [1.0f32, -0.5, 0.25];
-                    let x = SparseVecRef::new(&idx, &val);
-                    assert_eq!(
-                        sharded.predict_sparse(x, 4, &mut ss, s as u64),
-                        frozen.predict_sparse(x, 4, &mut fs, s as u64),
-                        "sparse diverged: {shards} shards {} sample {s}",
-                        plan.kind_label()
-                    );
-                    assert_eq!(
-                        sharded.predict_full(x, 4, &mut ss),
-                        frozen.predict_full(x, 4, &mut fs),
-                        "full diverged: {shards} shards {} sample {s}",
-                        plan.kind_label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_active_set_equals_unsharded() {
-        let net = tiny_net(9);
-        let frozen = FrozenNetwork::freeze(&net);
-        let plan = ShardPlan::strided(4, 64).unwrap();
-        let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-        let mut fs = frozen.make_scratch();
-        let mut ss = sharded.make_scratch();
-        for s in 0..16u32 {
-            let idx = [s % 128, (s * 13 + 5) % 128];
-            let val = [1.0f32, -0.75];
-            let x = SparseVecRef::new(&idx, &val);
-            frozen.predict_sparse(x, 4, &mut fs, s as u64);
-            sharded.predict_sparse(x, 4, &mut ss, s as u64);
-            let mut global: Vec<u32> = fs.active.clone();
-            let mut merged: Vec<u32> = ss.active_per_shard().flatten().copied().collect();
-            global.sort_unstable();
-            merged.sort_unstable();
-            assert_eq!(global, merged, "active sets diverged at sample {s}");
-        }
-    }
-
-    #[test]
-    fn shard_tables_partition_the_global_tables() {
-        let net = tiny_net(5);
-        let frozen = FrozenNetwork::freeze(&net);
-        let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-        let global = frozen.table_stats().stored;
-        let per_shard: usize = (0..4).map(|s| sharded.shard(s).table_stats().stored).sum();
-        assert_eq!(global, per_shard);
-        // Arena bytes: trunk + shard arenas land close to the unsharded
-        // model (row padding may differ by alignment only).
-        assert!(sharded.arena_bytes() > 0);
-    }
-
-    #[test]
-    fn publish_shard_validates_ownership() {
-        let net = tiny_net(1);
-        let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-        let engines = ShardedFrozenModel::f32_engines(&net, &plan).unwrap();
-        // Correct slot: accepted.
-        sharded.publish_shard(2, engines[2].clone()).unwrap();
-        // Wrong slot: row ownership mismatch.
-        assert!(sharded.publish_shard(1, engines[2].clone()).is_err());
-        // Out of range.
-        assert!(sharded.publish_shard(9, engines[0].clone()).is_err());
-        // Wrong plan shape.
-        let other =
-            ShardedFrozenModel::f32_engines(&net, &ShardPlan::strided(4, 64).unwrap()).unwrap();
-        assert!(sharded.publish_shard(1, other[1].clone()).is_err());
-    }
-
-    #[test]
-    fn publish_shard_swaps_under_the_same_scratch() {
-        let net = tiny_net(2);
-        let retrained = tiny_net(12);
-        let plan = ShardPlan::strided(2, 64).unwrap();
-        let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-        let mut scratch = sharded.make_scratch();
-        let idx = [3u32, 40];
-        let val = [1.0f32, -0.5];
-        let before = sharded.predict_sparse(SparseVecRef::new(&idx, &val), 3, &mut scratch, 7);
-        let engines = ShardedFrozenModel::f32_engines(&retrained, &plan).unwrap();
-        sharded.publish_shard(0, engines[0].clone()).unwrap();
-        // Same scratch keeps working across the swap.
-        let after = sharded.predict_sparse(SparseVecRef::new(&idx, &val), 3, &mut scratch, 7);
-        assert_eq!(before.len(), after.len());
-    }
-
-    #[test]
-    fn serves_through_the_model_trait_and_server() {
-        let net = tiny_net(4);
-        let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-        assert_eq!(FrozenModel::precision(&sharded), "f32");
-        let server = crate::BatchingServer::start(
-            sharded,
-            crate::BatchConfig {
-                max_batch: 8,
-                max_wait: std::time::Duration::from_micros(200),
-                queue_cap: 64,
-                threads: 2,
-            },
-        )
-        .unwrap();
-        for q in 0..20u32 {
-            let topk = server.predict(&[q % 128], &[1.0], 3).unwrap();
-            assert_eq!(topk.len(), 3);
-        }
-        assert_eq!(server.stats().errors, 0);
-    }
-
-    #[test]
-    fn max_active_is_rejected() {
-        let mut cfg = NetworkConfig::standard(128, 16, 64);
-        cfg.lsh.max_active = Some(32);
-        let net = Network::new(cfg).unwrap();
-        let err =
-            ShardedFrozenModel::shard_f32(&net, ShardPlan::contiguous(2, 64).unwrap()).unwrap_err();
-        assert_eq!(err, ServeBuildError::MaxActiveUnsupported);
-        assert!(err.to_string().contains("max_active"), "{err}");
     }
 }

@@ -32,22 +32,30 @@
 //! ```
 //!
 //! Sections are addressed `(kind, index)`; the index is the layer ordinal
-//! (0 = input, `1..=H` = hidden, `H+1` = output — or `H+1+s` for shard
-//! `s` of a sharded image). The LSH sections always hold the **global**
-//! selector's tables: a sharded load reconstructs the global selector and
-//! re-partitions it exactly as the builder did, which is what makes loaded
-//! sharded retrieval bit-equal to built sharded retrieval.
+//! (0 = input, `1..=H` = hidden, `H+1+s` = output shard `s` — an unsharded
+//! image is the one-shard case, output at `H+1`). The LSH sections always
+//! hold the **global** tables: a load re-partitions them exactly as the
+//! builder did, which is what makes loaded sharded retrieval bit-equal to
+//! built sharded retrieval.
 //!
-//! This module owns the format plus the f32 encode/decode paths; the int8
-//! sections and the unified `Snapshot::build` entry point live in
-//! `slide-quant` (which can see both precisions).
+//! One codec serves every engine: [`encode`] writes the image of any
+//! [`SnapshotSpec`] (layout × shard plan), [`decode`] instantiates whatever
+//! an image describes; the per-layout sections are the
+//! [`RowLayout::encode`] / [`RowLayout::decode`] hooks. [`Snapshot`] wraps
+//! the pair for callers: [`Snapshot::build`] cuts a verified image,
+//! [`load`] brings one back as an `Arc<dyn FrozenModel>` with the weight
+//! arenas viewing the mapped file (see [`crate::ModelRegistry`] for
+//! versioned publish/rollback).
 
 use crate::error::ServeBuildError;
-use crate::frozen::{FrozenLayer, FrozenNetwork};
-use crate::retrieval::{ActiveSetSelector, TABLE_SEED_SALT};
-use crate::shard::{F32Shard, F32Trunk, ShardEngine, ShardPlan, ShardPlanKind, ShardedFrozenModel};
+use crate::frozen::{cut_layers, serving_plan, Engine};
+use crate::layer::{FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
+use crate::model::FrozenModel;
+use crate::registry::write_atomic;
+use crate::retrieval::{build_tables, TABLE_SEED_SALT};
+use crate::shard::{ShardPlan, ShardPlanKind};
 use slide_core::{HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision};
-use slide_hash::{BucketPolicy, DwtaConfig, LshFamily, LshTables, SimHashConfig, TablesCsr};
+use slide_hash::{BucketPolicy, LshTables, TablesCsr};
 use slide_mem::{crc32, pod_bytes, AlignedVec, ArenaView, Pod, SharedArena};
 use std::fmt;
 use std::path::Path;
@@ -71,9 +79,9 @@ const SECTION_ENTRY_LEN: usize = 32;
 /// Storage precision of a snapshot image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPrecision {
-    /// f32 arenas ([`FrozenNetwork`] / f32 shards).
+    /// f32 arenas ([`FrozenLayer`]).
     F32,
-    /// int8 codes + per-row scales (`slide-quant` engines).
+    /// int8 codes + per-row scales ([`QuantizedLayer`]).
     I8,
 }
 
@@ -103,10 +111,9 @@ impl SnapshotPrecision {
     }
 }
 
-/// What to snapshot a network *as*: the one spec that replaces the old
-/// `FrozenNetwork::freeze` / `QuantizedFrozenNetwork::quantize` /
-/// per-shard constructor fan-out. Build with [`SnapshotSpec::f32`] or
-/// [`SnapshotSpec::i8`], optionally sharding via [`SnapshotSpec::sharded`].
+/// What to snapshot a network *as*: a row layout and a shard plan. Build
+/// with [`SnapshotSpec::f32`] or [`SnapshotSpec::i8`], optionally sharding
+/// via [`SnapshotSpec::sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotSpec {
     /// Arena storage precision.
@@ -116,7 +123,7 @@ pub struct SnapshotSpec {
 }
 
 impl SnapshotSpec {
-    /// An unsharded f32 snapshot (what `FrozenNetwork::freeze` produced).
+    /// An unsharded f32 snapshot.
     pub fn f32() -> Self {
         SnapshotSpec {
             precision: SnapshotPrecision::F32,
@@ -124,8 +131,7 @@ impl SnapshotSpec {
         }
     }
 
-    /// An unsharded int8 snapshot (what `QuantizedFrozenNetwork::quantize`
-    /// produced).
+    /// An unsharded int8 snapshot.
     pub fn i8() -> Self {
         SnapshotSpec {
             precision: SnapshotPrecision::I8,
@@ -197,7 +203,7 @@ impl From<ServeBuildError> for SnapshotError {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
+pub(crate) fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
 }
 
@@ -214,9 +220,9 @@ pub enum SectionKind {
     WeightsF32 = 3,
     /// One layer's bias vector (f32, both precisions).
     Bias = 4,
-    /// One layer's padded int8 code arena (`slide-quant`).
+    /// One layer's padded int8 code arena.
     QuantWeights = 5,
-    /// One layer's per-row dequantization scales (f32, `slide-quant`).
+    /// One layer's per-row dequantization scales (f32).
     QuantScales = 6,
     /// Global LSH tables, CSR offsets (u32, index 0).
     TableOffsets = 7,
@@ -224,8 +230,8 @@ pub enum SectionKind {
     TableItems = 8,
     /// Global LSH tables, per-bucket arrival counters (u64, index 0).
     TableArrivals = 9,
-    /// The quantization report (`slide-quant`, index 0): per-layer error
-    /// stats that cannot be recomputed without the original f32 weights.
+    /// The quantization report (index 0): per-layer error stats that
+    /// cannot be recomputed without the original f32 weights.
     QuantReport = 10,
 }
 
@@ -639,17 +645,17 @@ pub fn encode_config(config: &NetworkConfig) -> Vec<u8> {
 }
 
 /// Bounds-checked cursor over a config/manifest payload.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, at: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self
             .at
             .checked_add(n)
@@ -664,7 +670,7 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
@@ -672,11 +678,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| corrupt("value exceeds this platform's usize"))
     }
 
-    fn done(&self) -> Result<(), SnapshotError> {
+    pub(crate) fn done(&self) -> Result<(), SnapshotError> {
         if self.at != self.buf.len() {
             return Err(corrupt(format!(
                 "{} trailing payload bytes",
@@ -873,32 +879,26 @@ pub fn expected_manifest(config: &NetworkConfig, spec: &SnapshotSpec) -> Vec<Lay
 }
 
 // ---------------------------------------------------------------------------
-// Selector codec
+// Table sections
 // ---------------------------------------------------------------------------
 
-/// Write the global selector's frozen tables as the three CSR sections.
-pub fn encode_selector(writer: &mut SnapshotWriter, selector: &ActiveSetSelector) {
-    let csr = selector.tables().to_csr();
+/// Write the global frozen tables as the three CSR sections.
+fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
+    let csr = tables.to_csr();
     writer.section_pod(SectionKind::TableOffsets, 0, &csr.offsets);
     writer.section_pod(SectionKind::TableItems, 0, &csr.items);
     writer.section_pod(SectionKind::TableArrivals, 0, &csr.arrivals);
 }
 
-/// Rebuild the global [`ActiveSetSelector`] from an image's CSR sections
-/// and its stored config: the hash family and every table/policy seed are
-/// re-derived from `config.seed` exactly as the original build derived
-/// them, and the CSR round trip preserves bucket contents, order, and
-/// reservoir arrival counters — so the loaded selector retrieves
-/// bit-identically to the one that was saved.
-///
-/// # Errors
-///
-/// [`SnapshotError::Corrupt`] if the CSR sections are missing or
-/// malformed for the config's table shape.
-pub fn decode_selector(
+/// Rebuild the global tables from an image's CSR sections: every
+/// table/policy seed is re-derived from `config.seed` exactly as the
+/// original build derived it, and the CSR round trip preserves bucket
+/// contents, order, and reservoir arrival counters — so loaded tables
+/// retrieve bit-identically to the ones that were saved.
+fn decode_tables(
     image: &SnapshotImage,
     config: &NetworkConfig,
-) -> Result<ActiveSetSelector, SnapshotError> {
+) -> Result<LshTables, SnapshotError> {
     let csr = TablesCsr {
         offsets: image
             .view::<u32>(SectionKind::TableOffsets, 0)?
@@ -913,7 +913,7 @@ pub fn decode_selector(
             .as_slice()
             .to_vec(),
     };
-    let tables = LshTables::from_csr(
+    LshTables::from_csr(
         config.lsh.tables,
         config.lsh.key_bits,
         config.lsh.bucket_cap,
@@ -921,248 +921,251 @@ pub fn decode_selector(
         config.seed ^ TABLE_SEED_SALT,
         &csr,
     )
-    .map_err(corrupt)?;
-    Ok(ActiveSetSelector::from_tables(
-        family_for(config),
-        &config.lsh,
-        config.output_dim,
-        config.seed,
-        tables,
-    ))
-}
-
-/// Reconstruct the LSH family a network of `config` hashes its output rows
-/// with — the same construction and seed chain as the training side, where
-/// `Network::new` hands the output layer `config.seed ^ 0x0707` and the
-/// layer salts its family from that. Stored table contents are only
-/// meaningful under this exact family: rows were inserted under its hash
-/// functions, and queries must hash with the same ones.
-pub fn family_for(config: &NetworkConfig) -> LshFamily {
-    let hidden = *config.hidden_dims.last().expect("validated non-empty");
-    let layer_seed = config.seed ^ 0x0707;
-    match config.lsh.family {
-        HashFamilyKind::Dwta { bin_size } => LshFamily::dwta(DwtaConfig {
-            dim: hidden,
-            key_bits: config.lsh.key_bits,
-            tables: config.lsh.tables,
-            bin_size,
-            seed: layer_seed ^ 0xD1A7,
-        }),
-        HashFamilyKind::SimHash => LshFamily::simhash(SimHashConfig {
-            dim: hidden,
-            key_bits: config.lsh.key_bits,
-            tables: config.lsh.tables,
-            seed: layer_seed ^ 0x51A7,
-        }),
-    }
+    .map_err(corrupt)
 }
 
 // ---------------------------------------------------------------------------
-// f32 encode / decode
+// The one codec
 // ---------------------------------------------------------------------------
 
-/// Write one f32 layer's arena + bias sections at `ordinal`.
-pub fn encode_f32_layer(writer: &mut SnapshotWriter, ordinal: u32, layer: &FrozenLayer) {
-    writer.section_pod(SectionKind::WeightsF32, ordinal, layer.flat());
-    writer.section_pod(SectionKind::Bias, ordinal, layer.bias());
-}
-
-/// View one f32 layer out of the image at `ordinal` with the manifest's
-/// declared shape.
+/// Encode `net` as `spec` describes. Layers stream straight from the
+/// training network into the writer one at a time — trunk, then one
+/// row-subset arena per shard — followed by the *global* tables (shard
+/// partitions are recomputed at load) and, for unsharded lossy images, the
+/// quantization report. An unsharded image is the one-shard case: shard
+/// count 1, output layer at ordinal `H + 1`.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Corrupt`] if sections are missing or their lengths
-/// disagree with `dims`.
-pub fn decode_f32_layer(
-    image: &SnapshotImage,
-    ordinal: u32,
-    dims: LayerDims,
-) -> Result<FrozenLayer, SnapshotError> {
-    let weights = image.view::<f32>(SectionKind::WeightsF32, ordinal)?;
-    let bias = image.view::<f32>(SectionKind::Bias, ordinal)?;
-    if bias.len() != dims.bias_len {
-        return Err(corrupt(format!(
-            "layer {ordinal}: {} bias elements, manifest declares {}",
-            bias.len(),
-            dims.bias_len
-        )));
+/// [`SnapshotError::Build`] if the spec is unservable for this network
+/// (plan row mismatch, `max_active` with more than one shard).
+pub fn encode(net: &Network, spec: &SnapshotSpec) -> Result<AlignedVec<u8>, SnapshotError> {
+    match spec.precision {
+        SnapshotPrecision::F32 => encode_as::<FrozenLayer>(net, spec),
+        SnapshotPrecision::I8 => encode_as::<QuantizedLayer>(net, spec),
     }
-    FrozenLayer::from_views(weights, bias, dims.rows, dims.cols)
-        .map_err(|e| corrupt(format!("layer {ordinal}: {e}")))
 }
 
-/// Encode an unsharded f32 image of `net` (freeze + serialize; the frozen
-/// arenas are written verbatim, stride padding included).
-pub fn encode_f32(net: &Network) -> AlignedVec<u8> {
-    let frozen = FrozenNetwork::freeze(net);
-    let spec = SnapshotSpec::f32();
-    let mut w = SnapshotWriter::new(&spec);
-    w.section(SectionKind::Config, 0, encode_config(frozen.config()));
-    let manifest = expected_manifest(frozen.config(), &spec);
+fn encode_as<L: RowLayout>(
+    net: &Network,
+    spec: &SnapshotSpec,
+) -> Result<AlignedVec<u8>, SnapshotError> {
+    let config = net.config();
+    let plan = serving_plan(config, spec.shard_plan)?;
+    let mut w = SnapshotWriter::new(spec);
+    w.section(SectionKind::Config, 0, encode_config(config));
+    let manifest = expected_manifest(config, spec);
     w.section(SectionKind::Manifest, 0, encode_manifest(&manifest));
-    encode_f32_layer(&mut w, 0, frozen.input_layer());
-    for (i, layer) in frozen.hidden_layers().iter().enumerate() {
-        encode_f32_layer(&mut w, 1 + i as u32, layer);
+    FrozenLayer::from_params(net.input().params()).encode(&mut w, 0);
+    let mut report = QuantReport::default();
+    let mut ordinal = 0;
+    cut_layers(net, &plan, &mut report, |layer: L| {
+        ordinal += 1;
+        layer.encode(&mut w, ordinal);
+    });
+    encode_tables(&mut w, &build_tables(net));
+    if spec.shard_plan.is_none() && !report.layers.is_empty() {
+        w.section(SectionKind::QuantReport, 0, report.encode());
     }
-    let out_ordinal = 1 + frozen.hidden_layers().len() as u32;
-    encode_f32_layer(&mut w, out_ordinal, frozen.output_layer());
-    encode_selector(&mut w, frozen.selector());
-    w.finish()
-}
-
-/// Encode a sharded f32 image of `net` under `plan`: trunk layers, one
-/// arena per shard (cut row-subset, never the whole output layer), and the
-/// *global* selector's tables (shard partitions are recomputed at load).
-///
-/// # Errors
-///
-/// [`SnapshotError::Build`] if the plan or config is unservable (row
-/// mismatch, `max_active`).
-pub fn encode_sharded_f32(net: &Network, plan: ShardPlan) -> Result<AlignedVec<u8>, SnapshotError> {
-    let global = crate::shard::build_global_selector(net)?;
-    if plan.rows() != net.config().output_dim {
-        return Err(ServeBuildError::PlanRowsMismatch {
-            plan_rows: plan.rows(),
-            output_dim: net.config().output_dim,
-        }
-        .into());
-    }
-    let config = net.config().clone();
-    let spec = SnapshotSpec::f32().sharded(plan);
-    let mut w = SnapshotWriter::new(&spec);
-    w.section(SectionKind::Config, 0, encode_config(&config));
-    let manifest = expected_manifest(&config, &spec);
-    w.section(SectionKind::Manifest, 0, encode_manifest(&manifest));
-
-    let input = FrozenLayer::from_params(net.input().params());
-    let hidden: Vec<FrozenLayer> = net
-        .hidden_layers()
-        .iter()
-        .map(|l| FrozenLayer::from_params(l.params()))
-        .collect();
-    encode_f32_layer(&mut w, 0, &input);
-    for (i, layer) in hidden.iter().enumerate() {
-        encode_f32_layer(&mut w, 1 + i as u32, layer);
-    }
-    let base = 1 + hidden.len() as u32;
-    for s in 0..plan.shards() {
-        let rows = plan.shard_rows(s);
-        let layer = FrozenLayer::from_params_rows(net.output().params(), &rows);
-        encode_f32_layer(&mut w, base + s as u32, &layer);
-    }
-    encode_selector(&mut w, &global);
     Ok(w.finish())
 }
 
-/// Decode the config + manifest preamble shared by every load path and
-/// cross-check the manifest's layer count against the config and header.
-///
-/// # Errors
-///
-/// [`SnapshotError::Corrupt`] on any disagreement.
-pub fn decode_preamble(
+/// Decode the config + manifest preamble every load path shares, rebuild
+/// the [`SnapshotSpec`] the image was cut under, and cross-check the
+/// manifest against what that config and spec must produce — after this,
+/// every layer shape (widths chain, shard row counts) is trusted.
+fn decode_preamble(
     image: &SnapshotImage,
-) -> Result<(NetworkConfig, Vec<LayerDims>), SnapshotError> {
+) -> Result<(NetworkConfig, SnapshotSpec, Vec<LayerDims>), SnapshotError> {
     let config = decode_config(image.bytes(SectionKind::Config, 0)?)?;
-    let manifest = decode_manifest(image.bytes(SectionKind::Manifest, 0)?)?;
-    let shards = image.plan().map_or(1, |(_, n)| n);
-    let expect = 1 + dense_hidden_count(&config) + shards;
-    if manifest.len() != expect {
-        return Err(corrupt(format!(
-            "manifest holds {} layers, config + header imply {expect}",
-            manifest.len()
-        )));
-    }
-    Ok((config, manifest))
-}
-
-/// Reconstruct the [`ShardPlan`] an image was cut under (rows come from
-/// the stored config).
-///
-/// # Errors
-///
-/// [`SnapshotError::Corrupt`] if the image is unsharded or the plan shape
-/// is unbuildable; [`SnapshotError::Build`] never (plan errors are
-/// corruption here: the builder could not have written such a header).
-pub fn decode_plan(
-    image: &SnapshotImage,
-    config: &NetworkConfig,
-) -> Result<ShardPlan, SnapshotError> {
-    let (kind, shards) = image
+    let shard_plan = image
         .plan()
-        .ok_or_else(|| corrupt("image is unsharded, no plan to decode"))?;
-    let plan = match kind {
-        ShardPlanKind::Contiguous => ShardPlan::contiguous(shards, config.output_dim),
-        ShardPlanKind::Strided => ShardPlan::strided(shards, config.output_dim),
+        .map(|(kind, shards)| ShardPlan::new(kind, shards, config.output_dim))
+        .transpose()
+        .map_err(|e| corrupt(format!("stored plan unbuildable: {e}")))?;
+    let spec = SnapshotSpec {
+        precision: image.precision(),
+        shard_plan,
     };
-    plan.map_err(|e| corrupt(format!("stored plan unbuildable: {e}")))
-}
-
-/// Instantiate the unsharded f32 engine over an image: every arena is a
-/// view into the image (zero weight copies), the selector is rebuilt from
-/// the CSR sections.
-///
-/// # Errors
-///
-/// [`SnapshotError::Corrupt`] / [`SnapshotError::Unsupported`] as the
-/// sections decode.
-pub fn decode_f32(image: &SnapshotImage) -> Result<FrozenNetwork, SnapshotError> {
-    if image.precision() != SnapshotPrecision::F32 {
-        return Err(SnapshotError::Unsupported(format!(
-            "decode_f32 on an {} image",
-            image.precision().label()
-        )));
-    }
-    if image.plan().is_some() {
-        return Err(SnapshotError::Unsupported(
-            "decode_f32 on a sharded image (use decode_sharded_f32)".into(),
+    let manifest = decode_manifest(image.bytes(SectionKind::Manifest, 0)?)?;
+    if manifest != expected_manifest(&config, &spec) {
+        return Err(corrupt(
+            "manifest disagrees with the shapes its config and header imply",
         ));
     }
-    let (config, manifest) = decode_preamble(image)?;
-    let input = decode_f32_layer(image, 0, manifest[0])?;
-    let hidden: Vec<FrozenLayer> = (0..dense_hidden_count(&config))
-        .map(|i| decode_f32_layer(image, 1 + i as u32, manifest[1 + i]))
-        .collect::<Result<_, _>>()?;
-    let out_ordinal = 1 + dense_hidden_count(&config);
-    let output = decode_f32_layer(image, out_ordinal as u32, manifest[out_ordinal])?;
-    let selector = decode_selector(image, &config)?;
-    FrozenNetwork::from_parts(config, input, hidden, output, selector).map_err(corrupt)
+    Ok((config, spec, manifest))
 }
 
-/// Instantiate the sharded f32 engine over an image: trunk and shard
-/// arenas view the image, the global selector is rebuilt from CSR and
-/// re-partitioned exactly as the builder partitioned it.
+impl<L: RowLayout> Engine<L> {
+    /// Instantiate the engine an image of this layout describes: every
+    /// arena is a view into the image (zero weight copies), the tables are
+    /// rebuilt from the CSR sections and re-partitioned exactly as the
+    /// builder partitioned them.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Unsupported`] if the image holds another layout;
+    /// [`SnapshotError::Corrupt`] on section-shape disagreements;
+    /// [`SnapshotError::Build`] if the decoded parts are unservable.
+    pub fn from_image(image: &SnapshotImage) -> Result<Self, SnapshotError> {
+        if image.precision() != L::PRECISION {
+            return Err(SnapshotError::Unsupported(format!(
+                "an {} image cannot back an {} engine",
+                image.precision().label(),
+                L::PRECISION.label()
+            )));
+        }
+        let (config, spec, manifest) = decode_preamble(image)?;
+        let plan = serving_plan(&config, spec.shard_plan)?;
+        let input = FrozenLayer::decode(image, 0, manifest[0])?;
+        let mut hidden: Vec<L> = (1..manifest.len())
+            .map(|o| L::decode(image, o as u32, manifest[o]))
+            .collect::<Result<_, _>>()?;
+        let shards = hidden.split_off(dense_hidden_count(&config));
+        let tables = decode_tables(image, &config)?;
+        // `.slsnap` v1: the report rides in unsharded lossy images only.
+        let report = if L::PRECISION == SnapshotPrecision::I8 && spec.shard_plan.is_none() {
+            QuantReport::decode(image.bytes(SectionKind::QuantReport, 0)?)?
+        } else {
+            QuantReport::default()
+        };
+        Ok(Engine::assemble(
+            config, plan, input, hidden, shards, tables, report,
+        ))
+    }
+}
+
+/// Instantiate the serving engine `image` describes, dispatching on the
+/// header's precision code.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Corrupt`] on section-shape disagreements;
-/// [`SnapshotError::Build`] if the decoded parts are unservable.
-pub fn decode_sharded_f32(image: &SnapshotImage) -> Result<ShardedFrozenModel, SnapshotError> {
-    if image.precision() != SnapshotPrecision::F32 {
-        return Err(SnapshotError::Unsupported(format!(
-            "decode_sharded_f32 on an {} image",
-            image.precision().label()
-        )));
+/// As [`Engine::from_image`].
+pub fn decode(image: &SnapshotImage) -> Result<Arc<dyn FrozenModel>, SnapshotError> {
+    Ok(match image.precision() {
+        SnapshotPrecision::F32 => Arc::new(Engine::<FrozenLayer>::from_image(image)?),
+        SnapshotPrecision::I8 => Arc::new(Engine::<QuantizedLayer>::from_image(image)?),
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot
+// ---------------------------------------------------------------------------
+
+/// A verified snapshot image plus the spec it was cut under — the one
+/// artifact that moves between the build side ([`Snapshot::build`]), disk
+/// ([`Snapshot::save`] / [`Snapshot::open`]), and the serving engine
+/// ([`Snapshot::model`]).
+///
+/// Every build encodes into a verified in-memory image and instantiates the
+/// engine *over that image* — the same code path a later [`Snapshot::open`]
+/// of the saved file runs — so save→load bit-equality holds by
+/// construction, not by testing alone.
+///
+/// # Examples
+///
+/// ```
+/// use slide_core::{Network, NetworkConfig};
+/// use slide_serve::{load, ShardPlan, Snapshot, SnapshotSpec};
+///
+/// let net = Network::new(NetworkConfig::standard(256, 16, 64)).unwrap();
+/// let spec = SnapshotSpec::i8().sharded(ShardPlan::contiguous(2, 64).unwrap());
+/// let snapshot = Snapshot::build(&net, &spec).unwrap();
+/// let built = snapshot.model().unwrap();
+///
+/// let path = std::env::temp_dir().join(format!("doc_{}.slsnap", std::process::id()));
+/// snapshot.save(&path).unwrap();
+/// let loaded = load(&path).unwrap();
+/// std::fs::remove_file(&path).unwrap();
+///
+/// let (idx, val) = ([1u32, 17], [1.0f32, 0.5]);
+/// let x = slide_mem::SparseVecRef::new(&idx, &val);
+/// let (mut sb, mut sl) = (built.make_scratch_any(), loaded.make_scratch_any());
+/// assert_eq!(
+///     loaded.predict_any(x, 5, sl.as_mut(), 0),
+///     built.predict_any(x, 5, sb.as_mut(), 0),
+/// );
+/// ```
+#[derive(Debug)]
+pub struct Snapshot {
+    image: SnapshotImage,
+    spec: SnapshotSpec,
+}
+
+impl Snapshot {
+    /// Snapshot `net` as `spec` describes: encode into an in-memory image
+    /// and verify it exactly as a loaded file would be.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Build`] if the spec is unservable for this network
+    /// (plan row mismatch, `max_active`); verification errors cannot occur
+    /// on a freshly encoded image short of a bug.
+    pub fn build(net: &Network, spec: &SnapshotSpec) -> Result<Self, SnapshotError> {
+        let image = SnapshotImage::from_arena(SharedArena::from_bytes(encode(net, spec)?))?;
+        Ok(Snapshot { image, spec: *spec })
     }
-    let (config, manifest) = decode_preamble(image)?;
-    let plan = decode_plan(image, &config)?;
-    let input = decode_f32_layer(image, 0, manifest[0])?;
-    let hidden: Vec<FrozenLayer> = (0..dense_hidden_count(&config))
-        .map(|i| decode_f32_layer(image, 1 + i as u32, manifest[1 + i]))
-        .collect::<Result<_, _>>()?;
-    let trunk = F32Trunk::from_parts(input, hidden).map_err(corrupt)?;
-    let global = decode_selector(image, &config)?;
-    let selectors = global.partition_by(plan.shards(), &|id| plan.shard_of(id));
-    let base = 1 + dense_hidden_count(&config);
-    let mut engines: Vec<Arc<dyn ShardEngine>> = Vec::with_capacity(plan.shards());
-    for (s, selector) in selectors.into_iter().enumerate() {
-        let dims = manifest[base + s];
-        let layer = decode_f32_layer(image, (base + s) as u32, dims)?;
-        let shard = F32Shard::from_parts(&plan, s, layer, selector).map_err(corrupt)?;
-        engines.push(Arc::new(shard));
+
+    /// Map and verify the snapshot at `path` (typically a registry
+    /// version file).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] on filesystem failure, otherwise as
+    /// [`SnapshotImage::open`].
+    pub fn open(path: &Path) -> Result<Self, SnapshotError> {
+        let image = SnapshotImage::open(path)?;
+        let (_, spec, _) = decode_preamble(&image)?;
+        Ok(Snapshot { image, spec })
     }
-    ShardedFrozenModel::from_parts(Box::new(trunk), engines, plan, &global).map_err(Into::into)
+
+    /// The spec this snapshot was cut under.
+    pub fn spec(&self) -> SnapshotSpec {
+        self.spec
+    }
+
+    /// The verified image.
+    pub fn image(&self) -> &SnapshotImage {
+        &self.image
+    }
+
+    /// The raw image bytes (what [`Snapshot::save`] writes and
+    /// `ModelRegistry::publish` stores).
+    pub fn bytes(&self) -> &[u8] {
+        self.image.arena().as_slice()
+    }
+
+    /// Write the image to `path` atomically (temp sibling + fsync +
+    /// rename — the registry's durability discipline, usable standalone).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] on write failure.
+    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
+        write_atomic(path, self.bytes())?;
+        Ok(())
+    }
+
+    /// Instantiate the serving engine this image describes. Weight/code
+    /// arenas are views into the image — loading parses headers and
+    /// rebuilds hash-table bookkeeping, never the arenas.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`].
+    pub fn model(&self) -> Result<Arc<dyn FrozenModel>, SnapshotError> {
+        decode(&self.image)
+    }
+}
+
+/// One-call serving path: mmap + verify + instantiate the engine at
+/// `path`. This is what `slide_netd --snapshot` runs at cold start.
+///
+/// # Errors
+///
+/// As [`Snapshot::open`] and [`Snapshot::model`].
+pub fn load(path: &Path) -> Result<Arc<dyn FrozenModel>, SnapshotError> {
+    Snapshot::open(path)?.model()
 }
 
 #[cfg(test)]
@@ -1285,103 +1288,204 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_save_load_predicts_bit_identically() {
-        let net = tiny_net(42);
-        let original = FrozenNetwork::freeze(&net);
-        let image = SnapshotImage::from_arena(SharedArena::from_bytes(encode_f32(&net))).unwrap();
-        let loaded = decode_f32(&image).unwrap();
+    fn image_of(net: &Network, spec: &SnapshotSpec) -> SnapshotImage {
+        SnapshotImage::from_arena(SharedArena::from_bytes(encode(net, spec).unwrap())).unwrap()
+    }
+
+    fn queries(input_dim: u32) -> Vec<(Vec<u32>, Vec<f32>)> {
+        (0..24u32)
+            .map(|q| {
+                (
+                    vec![
+                        q % input_dim,
+                        (q * 7 + 3) % input_dim,
+                        (q * 31 + 11) % input_dim,
+                    ],
+                    vec![1.0f32, -0.5, 0.25],
+                )
+            })
+            .collect()
+    }
+
+    /// Encode → decode equals the directly frozen engine of layout `L`.
+    fn assert_save_load_bit_identical<L: RowLayout>(net: &Network, plan: Option<ShardPlan>) {
+        let spec = SnapshotSpec {
+            precision: L::PRECISION,
+            shard_plan: plan,
+        };
+        let original = Engine::<L>::freeze_sharded(net, plan).unwrap();
+        let image = image_of(net, &spec);
+        assert_eq!(image.precision(), L::PRECISION);
+        assert_eq!(image.plan(), plan.map(|p| (p.kind(), p.shards())));
+        let loaded = Engine::<L>::from_image(&image).unwrap();
         assert_eq!(loaded.config(), original.config());
+        if plan.is_none() {
+            assert_eq!(loaded.report(), original.report());
+        }
         let (mut so, mut sl) = (original.make_scratch(), loaded.make_scratch());
-        for q in 0..32u32 {
-            let idx = [q % 128, (q * 7 + 3) % 128, (q * 31 + 11) % 128];
-            let val = [1.0f32, -0.5, 0.25];
+        for (q, (idx, val)) in queries(net.config().input_dim as u32)
+            .into_iter()
+            .enumerate()
+        {
             let x = SparseVecRef::new(&idx, &val);
             assert_eq!(
                 loaded.predict_sparse(x, 5, &mut sl, q as u64),
                 original.predict_sparse(x, 5, &mut so, q as u64),
-                "sparse diverged at query {q}"
+                "{spec:?}: sparse diverged at query {q}"
             );
             assert_eq!(
                 loaded.predict_full(x, 5, &mut sl),
                 original.predict_full(x, 5, &mut so),
-                "full diverged at query {q}"
+                "{spec:?}: full diverged at query {q}"
             );
         }
     }
 
+    fn sharded_plans() -> [Option<ShardPlan>; 2] {
+        [
+            Some(ShardPlan::contiguous(3, 64).unwrap()),
+            Some(ShardPlan::strided(4, 64).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn f32_save_load_predicts_bit_identically() {
+        assert_save_load_bit_identical::<FrozenLayer>(&tiny_net(42), None);
+    }
+
     #[test]
     fn sharded_f32_save_load_predicts_bit_identically() {
-        let net = tiny_net(7);
-        for plan in [
-            ShardPlan::contiguous(3, 64).unwrap(),
-            ShardPlan::strided(4, 64).unwrap(),
-        ] {
-            let original = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-            let bytes = encode_sharded_f32(&net, plan).unwrap();
-            let image = SnapshotImage::from_arena(SharedArena::from_bytes(bytes)).unwrap();
-            assert_eq!(image.plan(), Some((plan.kind(), plan.shards())));
-            let loaded = decode_sharded_f32(&image).unwrap();
-            let (mut so, mut sl) = (original.make_scratch(), loaded.make_scratch());
-            for q in 0..24u32 {
-                let idx = [q % 128, (q * 13 + 5) % 128];
-                let val = [1.0f32, -0.75];
-                let x = SparseVecRef::new(&idx, &val);
-                assert_eq!(
-                    loaded.predict_sparse(x, 4, &mut sl, q as u64),
-                    original.predict_sparse(x, 4, &mut so, q as u64),
-                    "{} plan diverged at query {q}",
-                    plan.kind_label()
-                );
-            }
+        for plan in sharded_plans() {
+            assert_save_load_bit_identical::<FrozenLayer>(&tiny_net(7), plan);
         }
     }
 
     #[test]
-    fn deep_network_round_trips() {
+    fn i8_save_load_predicts_bit_identically_with_report() {
+        assert_save_load_bit_identical::<QuantizedLayer>(&tiny_net(11), None);
+    }
+
+    #[test]
+    fn sharded_i8_save_load_predicts_bit_identically() {
+        for plan in sharded_plans() {
+            assert_save_load_bit_identical::<QuantizedLayer>(&tiny_net(17), plan);
+        }
+    }
+
+    fn deep_net() -> Network {
         let mut cfg = NetworkConfig::standard(64, 16, 32);
         cfg.hidden_dims = vec![16, 12, 8];
         cfg.lsh.tables = 6;
         cfg.lsh.key_bits = 4;
         cfg.lsh.min_active = 8;
-        let net = Network::new(cfg).unwrap();
-        let original = FrozenNetwork::freeze(&net);
-        let image = SnapshotImage::from_arena(SharedArena::from_bytes(encode_f32(&net))).unwrap();
-        let loaded = decode_f32(&image).unwrap();
-        let (mut so, mut sl) = (original.make_scratch(), loaded.make_scratch());
-        let idx = [3u32, 40];
-        let val = [1.0f32, -0.5];
-        let x = SparseVecRef::new(&idx, &val);
-        assert_eq!(
-            loaded.predict_sparse(x, 3, &mut sl, 9),
-            original.predict_sparse(x, 3, &mut so, 9)
-        );
+        Network::new(cfg).unwrap()
     }
 
     #[test]
-    fn decode_f32_refuses_mismatched_images() {
-        let net = tiny_net(1);
-        let sharded = encode_sharded_f32(&net, ShardPlan::contiguous(2, 64).unwrap()).unwrap();
-        let image = SnapshotImage::from_arena(SharedArena::from_bytes(sharded)).unwrap();
+    fn deep_network_round_trips() {
+        let plan = Some(ShardPlan::strided(2, 32).unwrap());
+        assert_save_load_bit_identical::<FrozenLayer>(&deep_net(), None);
+        assert_save_load_bit_identical::<QuantizedLayer>(&deep_net(), plan);
+    }
+
+    #[test]
+    fn report_round_trips_bit_exactly() {
+        let report = Engine::<QuantizedLayer>::freeze(&deep_net())
+            .report()
+            .clone();
+        assert_eq!(report.layers.len(), 3);
+        assert_eq!(QuantReport::decode(&report.encode()).unwrap(), report);
         assert!(matches!(
-            decode_f32(&image),
+            QuantReport::decode(&report.encode()[..7]),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn build_covers_every_spec_and_matches_the_direct_engine() {
+        let net = tiny_net(23);
+        let plan = ShardPlan::contiguous(3, 64).unwrap();
+        let specs = [
+            SnapshotSpec::f32(),
+            SnapshotSpec::i8(),
+            SnapshotSpec::f32().sharded(plan),
+            SnapshotSpec::i8().sharded(plan),
+        ];
+        let frozen = Engine::<FrozenLayer>::freeze(&net);
+        let mut reference = frozen.make_scratch();
+        for spec in specs {
+            let snap = Snapshot::build(&net, &spec).unwrap();
+            assert_eq!(snap.spec(), spec);
+            let model = snap.model().unwrap();
+            assert_eq!(model.precision(), spec.precision.label());
+            let mut scratch = model.make_scratch_any();
+            for (q, (idx, val)) in queries(128).into_iter().enumerate() {
+                let x = SparseVecRef::new(&idx, &val);
+                let topk = model.predict_any(x, 4, scratch.as_mut(), q as u64);
+                assert_eq!(topk.len(), 4);
+                if spec.precision == SnapshotPrecision::F32 {
+                    // Every f32 spec — sharded or not, built or loaded — is
+                    // bit-equal to the directly frozen engine.
+                    assert_eq!(
+                        topk,
+                        frozen.predict_sparse(x, 4, &mut reference, q as u64),
+                        "{spec:?} diverged at query {q}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn save_open_through_a_registry_round_trips() {
+        let root =
+            std::env::temp_dir().join(format!("slide_serve_snapshot_reg_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let reg = crate::ModelRegistry::open(&root).unwrap();
+        let net = tiny_net(29);
+        let built = Snapshot::build(&net, &SnapshotSpec::i8()).unwrap();
+        let v = reg.publish(built.bytes()).unwrap();
+        let loaded = load(&reg.version_path(v)).unwrap();
+        let model = built.model().unwrap();
+        let (mut sa, mut sb) = (model.make_scratch_any(), loaded.make_scratch_any());
+        for (q, (idx, val)) in queries(128).into_iter().enumerate() {
+            let x = SparseVecRef::new(&idx, &val);
+            assert_eq!(
+                loaded.predict_any(x, 5, sb.as_mut(), q as u64),
+                model.predict_any(x, 5, sa.as_mut(), q as u64),
+                "registry round trip diverged at query {q}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_i8_image_cannot_back_an_f32_engine() {
+        let image = image_of(&tiny_net(31), &SnapshotSpec::i8());
+        assert!(matches!(
+            Engine::<FrozenLayer>::from_image(&image),
             Err(SnapshotError::Unsupported(_))
         ));
-        let flat = SnapshotImage::from_arena(SharedArena::from_bytes(encode_f32(&net))).unwrap();
+    }
+
+    #[test]
+    fn an_f32_image_cannot_back_an_i8_engine() {
+        let plan = ShardPlan::contiguous(2, 64).unwrap();
+        let image = image_of(&tiny_net(1), &SnapshotSpec::f32().sharded(plan));
         assert!(matches!(
-            decode_sharded_f32(&flat),
-            Err(SnapshotError::Corrupt(_))
+            Engine::<QuantizedLayer>::from_image(&image),
+            Err(SnapshotError::Unsupported(_))
         ));
     }
 
     #[test]
     fn loaded_arenas_view_the_image_not_copies() {
         let net = tiny_net(5);
-        let image = SnapshotImage::from_arena(SharedArena::from_bytes(encode_f32(&net))).unwrap();
+        let image = image_of(&net, &SnapshotSpec::f32());
         let lo = image.arena().as_slice().as_ptr() as usize;
         let hi = lo + image.arena().len();
-        let loaded = decode_f32(&image).unwrap();
-        let w = loaded.output_layer().flat().as_ptr() as usize;
+        let loaded = Engine::<FrozenLayer>::from_image(&image).unwrap();
+        let w = loaded.shard_layer(0).flat().as_ptr() as usize;
         assert!(
             (lo..hi).contains(&w),
             "output arena {w:#x} escaped image [{lo:#x}, {hi:#x})"

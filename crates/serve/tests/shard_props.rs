@@ -5,11 +5,10 @@
 //!   P@1 are **identical** to the unsharded engine of the same precision.
 //! * Proptest generalization: arbitrary (untrained) network seeds and
 //!   query batteries keep the sharded/unsharded top-k equal.
-//! * Mixed-precision hot-swap stress: 5 client threads hammer a
-//!   [`BatchingServer`] over one sharded model while 4 rounds of per-shard
-//!   publishes flip alternating shards f32↔i8 — 0 errors, no torn reads
-//!   (every response well-formed), extending the PR 4 `quant_props` stress
-//!   pattern to per-shard granularity.
+//! * Whole-model precision hot-swap stress: 5 client threads hammer a
+//!   [`BatchingServer`] while `publish` flips a 4-shard engine f32↔i8 —
+//!   0 errors, and every answer is bit-equal to what one of the two
+//!   engines returns directly (no torn reads).
 //!
 //! The whole file runs green under forced `SLIDE_SIMD={scalar,avx2,auto}`
 //! (the CI matrix): equivalence is *within* one process's resolved kernel
@@ -19,10 +18,8 @@ use proptest::prelude::*;
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
 use slide_mem::SparseVecRef;
-use slide_quant::{i8_engines, p_at_1, shard_i8, QuantizedFrozenNetwork};
-use slide_serve::{
-    BatchConfig, BatchingServer, FrozenModel, FrozenNetwork, ShardPlan, ShardedFrozenModel,
-};
+use slide_quant::{p_at_1, QuantizedFrozenNetwork};
+use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork, ShardPlan};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -106,26 +103,7 @@ fn trained() -> &'static (Network, Dataset) {
     })
 }
 
-/// P@1 of the f32 sharded sampled path, same protocol as
-/// `slide_quant::p_at_1` (salt = sample index).
-fn p_at_1_sharded_f32(model: &ShardedFrozenModel, data: &Dataset) -> f64 {
-    let mut scratch = model.make_scratch();
-    let (mut hits, mut total) = (0usize, 0usize);
-    for i in 0..data.len() {
-        let labels = data.labels(i);
-        if labels.is_empty() {
-            continue;
-        }
-        let topk = model.predict_sparse(data.features(i), 1, &mut scratch, i as u64);
-        total += 1;
-        if topk.first().is_some_and(|p| labels.contains(p)) {
-            hits += 1;
-        }
-    }
-    hits as f64 / total.max(1) as f64
-}
-
-fn p_at_1_sharded_any(model: &ShardedFrozenModel, data: &Dataset) -> f64 {
+fn p_at_1_sharded_any(model: &dyn FrozenModel, data: &Dataset) -> f64 {
     // Same loop through the type-erased entry point (what the server runs).
     let mut scratch = model.make_scratch_any();
     let (mut hits, mut total) = (0usize, 0usize);
@@ -148,27 +126,12 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
     let (net, test) = trained();
     let frozen = FrozenNetwork::freeze(net);
     let mut fs = frozen.make_scratch();
-    let reference_p1 = {
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for i in 0..test.len() {
-            let labels = test.labels(i);
-            if labels.is_empty() {
-                continue;
-            }
-            let topk = frozen.predict_sparse(test.features(i), 1, &mut fs, i as u64);
-            total += 1;
-            if topk.first().is_some_and(|p| labels.contains(p)) {
-                hits += 1;
-            }
-        }
-        hits as f64 / total.max(1) as f64
-    };
+    let reference_p1 = p_at_1(&frozen, test);
     assert!(reference_p1 > 0.3, "f32 reference P@1 {reference_p1:.3}");
 
     for shards in SHARD_COUNTS {
         for plan in plans(shards, 64) {
-            let sharded = ShardedFrozenModel::shard_f32(net, plan).unwrap();
+            let sharded = FrozenNetwork::freeze_sharded(net, plan).unwrap();
             let mut ss = sharded.make_scratch();
             for i in 0..test.len().min(64) {
                 let x = test.features(i);
@@ -179,7 +142,7 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
                     plan.kind_label()
                 );
             }
-            let sharded_p1 = p_at_1_sharded_f32(&sharded, test);
+            let sharded_p1 = p_at_1(&sharded, test);
             assert_eq!(
                 sharded_p1,
                 reference_p1,
@@ -193,13 +156,13 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
 #[test]
 fn trained_i8_sharding_is_invariant_in_topk_and_p_at_1() {
     let (net, test) = trained();
-    let quant = QuantizedFrozenNetwork::quantize(net);
+    let quant = QuantizedFrozenNetwork::freeze(net);
     let mut qs = quant.make_scratch();
     let reference_p1 = p_at_1(&quant, test);
 
     for shards in SHARD_COUNTS {
         for plan in plans(shards, 64) {
-            let sharded = shard_i8(net, plan).unwrap();
+            let sharded = QuantizedFrozenNetwork::freeze_sharded(net, plan).unwrap();
             let mut ss = sharded.make_scratch();
             for i in 0..test.len().min(64) {
                 let x = test.features(i);
@@ -232,14 +195,14 @@ proptest! {
     fn arbitrary_networks_shard_invariantly(seed in 0u64..1000, hidden in 16usize..64) {
         let net = untrained_net(seed, hidden);
         let frozen = FrozenNetwork::freeze(&net);
-        let quant = QuantizedFrozenNetwork::quantize(&net);
+        let quant = QuantizedFrozenNetwork::freeze(&net);
         let queries = query_battery(12, 256);
         let mut fs = frozen.make_scratch();
         let mut qs = quant.make_scratch();
         for shards in SHARD_COUNTS {
             for plan in plans(shards, 96) {
-                let sharded_f32 = ShardedFrozenModel::shard_f32(&net, plan).unwrap();
-                let sharded_i8 = shard_i8(&net, plan).unwrap();
+                let sharded_f32 = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+                let sharded_i8 = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap();
                 let mut sf = sharded_f32.make_scratch();
                 let mut si = sharded_i8.make_scratch();
                 for (s, (idx, val)) in queries.iter().enumerate() {
@@ -268,21 +231,33 @@ proptest! {
     }
 }
 
-/// Mixed-precision per-shard hot-swap under sustained load: 5 clients ×
-/// 4 publish rounds flipping alternating shards f32↔i8, 0 errors, every
-/// response well-formed, and the final precision stamp proves the swaps
-/// landed.
+/// Whole-model precision hot-swap of a sharded engine under sustained load:
+/// 5 clients × 4 publishes flipping a 4-shard engine f32 ↔ i8 through
+/// `BatchingServer::publish`. 0 errors, and every response is bit-equal to
+/// the direct answer of the f32 or the i8 engine — a reply computed half on
+/// one engine and half on the other would match neither.
 #[test]
-fn per_shard_precision_hot_swap_under_load_never_errors() {
+fn sharded_precision_hot_swap_under_load_never_errors() {
     let (net, test) = trained();
     let plan = ShardPlan::contiguous(4, 64).unwrap();
-    let model = Arc::new(ShardedFrozenModel::shard_f32(net, plan).unwrap());
-    let f32_shards = ShardedFrozenModel::f32_engines(net, &plan).unwrap();
-    let i8_shards = i8_engines(net, &plan).unwrap();
+    let engines: [Arc<dyn FrozenModel>; 2] = [
+        Arc::new(FrozenNetwork::freeze_sharded(net, plan).unwrap()),
+        Arc::new(QuantizedFrozenNetwork::freeze_sharded(net, plan).unwrap()),
+    ];
+    let direct: Vec<[Vec<u32>; 2]> = {
+        let mut scratch = [engines[0].make_scratch_any(), engines[1].make_scratch_any()];
+        (0..test.len())
+            .map(|i| {
+                let x = test.features(i);
+                let salt = query_salt(x.indices, x.values, 3);
+                [0, 1].map(|e| engines[e].predict_any(x, 3, scratch[e].as_mut(), salt))
+            })
+            .collect()
+    };
 
     let server = Arc::new(
         BatchingServer::start(
-            model.clone() as Arc<dyn FrozenModel>,
+            Arc::clone(&engines[0]),
             BatchConfig {
                 max_batch: 32,
                 max_wait: Duration::from_micros(300),
@@ -300,41 +275,42 @@ fn per_shard_precision_hot_swap_under_load_never_errors() {
         for c in 0..clients {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
+            let direct = &direct;
             scope.spawn(move || {
                 let mut n = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let x = test.features((c * 31 + n) % test.len());
+                    let i = (c * 31 + n) % test.len();
+                    let x = test.features(i);
                     let topk = server
                         .predict(x.indices, x.values, 3)
-                        .expect("request failed during per-shard hot-swap");
-                    assert_eq!(topk.len(), 3, "torn response");
+                        .expect("request failed during sharded precision hot-swap");
+                    assert!(
+                        direct[i].contains(&topk),
+                        "sample {i}: {topk:?} is neither engine's answer {:?}",
+                        direct[i]
+                    );
                     n += 1;
                 }
             });
         }
-        // 4 publish rounds: each flips two alternating shards to the other
-        // precision while traffic is in flight.
-        for round in 0..4usize {
+        // f32 → i8 → f32 → i8 while traffic is in flight.
+        for swap in 1..=4usize {
             std::thread::sleep(Duration::from_millis(40));
-            let (a, b) = if round % 2 == 0 { (0, 2) } else { (1, 3) };
-            if round < 2 {
-                model.publish_shard(a, i8_shards[a].clone()).unwrap();
-                model.publish_shard(b, i8_shards[b].clone()).unwrap();
-            } else {
-                model.publish_shard(a, f32_shards[a].clone()).unwrap();
-                model.publish_shard(b, f32_shards[b].clone()).unwrap();
-            }
+            server.publish(Arc::clone(&engines[swap % 2]));
         }
-        // Land on a mixed configuration so the stamp proves per-shard
-        // granularity survived the churn.
-        model.publish_shard(1, i8_shards[1].clone()).unwrap();
         std::thread::sleep(Duration::from_millis(40));
         stop.store(true, Ordering::Relaxed);
     });
 
     let stats = server.stats();
-    assert_eq!(stats.errors, 0, "per-shard hot-swap produced errors");
+    assert_eq!(
+        stats.errors, 0,
+        "sharded precision hot-swap produced errors"
+    );
     assert!(stats.served > clients as u64 * 10);
-    assert_eq!(stats.precision, "mixed");
-    assert_eq!(model.shard_precision_label(), "f32|i8|f32|f32");
+    assert_eq!(stats.hot_swaps, 4);
+    assert_eq!(
+        stats.precision, "f32",
+        "the last publish was the f32 engine"
+    );
 }

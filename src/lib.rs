@@ -66,10 +66,10 @@ pub use slide_net::{
     FleetSpec, Frame, GateConfig, GateDecision, NetClient, NetConfig, NetServer, RegistryWatcher,
     RoutePolicy, Router, RouterConfig, ShadowGate, TrainerLoop, TrainerLoopConfig, WireError,
 };
-pub use slide_quant::{shard_i8, QuantReport, QuantizedFrozenNetwork, Snapshot};
+pub use slide_quant::{QuantReport, QuantizedFrozenNetwork, Snapshot};
 pub use slide_serve::{
-    BatchConfig, BatchingServer, FrozenModel, FrozenNetwork, IntoFrozenModel, ModelRegistry,
-    ServeBuildError, ServeError, ServeStats, ShardPlan, ShardedFrozenModel, SnapshotError,
+    BatchConfig, BatchingServer, Engine, FrozenModel, FrozenNetwork, IntoFrozenModel,
+    ModelRegistry, ServeBuildError, ServeError, ServeStats, ShardPlan, SnapshotError,
     SnapshotImage, SnapshotPrecision, SnapshotSpec,
 };
 pub use slide_simd::{
