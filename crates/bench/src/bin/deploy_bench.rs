@@ -1,5 +1,5 @@
 //! Continuous-deployment benchmark: what the train→serve loop costs the
-//! serving tier, measured while it actually runs (EXPERIMENTS.md §13).
+//! serving tier, measured while it actually runs (EXPERIMENTS.md §8).
 //!
 //! One in-process fleet replica (a `BatchingServer` cold-started from
 //! registry v1) serves an open-loop drifting workload while a background

@@ -1,34 +1,18 @@
-//! Network-tier benchmark: the socket and fleet overhead on top of the
-//! in-process serving engine, measured open-loop (see EXPERIMENTS.md §9).
+//! Fault-injected fleet report: a `Router` over loopback replicas on a bad
+//! day (see EXPERIMENTS.md §7). Two replicas sit behind seeded fault
+//! proxies — one stalls every third reply mid-write, one drops 10% of
+//! request frames — and every request of the open-loop load carries a
+//! deadline budget, so hedging, circuit breakers and deadline shedding
+//! absorb the damage instead of timeouts.
 //!
-//! Five phases, identical offered load, identical deterministic model
-//! (`slide_net::FleetSpec`), identical open-loop generator — so the deltas
-//! isolate each layer:
-//!
-//! * **inproc** — the load generator calls
-//!   `BatchingServer::try_predict` directly: the no-network baseline.
-//! * **socket1** — the same batching server behind one `NetServer`; the
-//!   delta over `inproc` is the wire codec + loopback TCP round trip.
-//! * **scrape** — `socket1` again, with a background scraper hammering the
-//!   daemon's v3 `GetMetrics` endpoint for the whole run; the delta over
-//!   `socket1` is the cost of observation, asserted to stay in the noise
-//!   (p50 under `SCRAPE_OVERHEAD_LIMIT`× the unscraped phase). This phase
-//!   also yields the per-stage latency breakdown (admission → encode) from
-//!   the replica's `slide-obs` stage histograms (EXPERIMENTS.md §12).
-//! * **fleet** — N replicas (each its own batching server + `NetServer`)
-//!   behind a `Router`; the delta over `socket1` is the extra proxy hop
-//!   plus replica selection.
-//! * **fault** — the same fleet with seeded faults injected in front of
-//!   two replicas (one stalls every third reply mid-write, one drops 10%
-//!   of request frames) and a deadline budget on every request; the tail
-//!   here is what the paper-scale fleet looks like on a bad day, with
-//!   hedging, circuit breakers, and deadline shedding absorbing the
-//!   damage (EXPERIMENTS.md §11).
-//!
-//! Every phase reports socket-measured p50/p99 and the shed rate (explicit
-//! `RetryLater` fraction — admission control shedding, not failure); the
-//! fault phase additionally reports hedge/breaker/deadline counters.
-//! Writes `BENCH_net.json` (env `SLIDE_JSON_OUT` overrides the path).
+//! This is an ungated report, not a benchmark: `benchmark/README.md` rules
+//! a fault-injected fleet out of a gated cell, and the clean-path numbers
+//! (batcher, socket hop, router hop, scrape cost) are `benchmark/`'s. It
+//! reports socket-measured p50/p99, the shed rate (explicit `RetryLater`
+//! fraction — admission control, not failure) and the router's
+//! hedge/breaker/deadline counters next to what the proxies injected, and
+//! fails if any request ended in a hard error. Writes `BENCH_net.json` (env
+//! `SLIDE_JSON_OUT` overrides the path).
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin net_bench
@@ -37,20 +21,12 @@
 //! ```
 
 use slide_net::{
-    FaultAction, FaultPlan, FaultProxy, FaultRule, FleetPrecision, FleetSpec, LoadReport,
-    LoadgenConfig, NetClient, NetConfig, NetServer, RoutePolicy, Router, RouterConfig,
-    SubmitOutcome, Trigger,
+    FaultAction, FaultPlan, FaultProxy, FaultRule, FleetPrecision, FleetSpec, LoadgenConfig,
+    NetClient, NetConfig, NetServer, RoutePolicy, Router, RouterConfig, SubmitOutcome, Trigger,
 };
-use slide_obs::Stage;
-use slide_serve::{stage_histogram, BatchConfig, BatchingServer, FrozenModel, ServeError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// The scrape phase's p50 may not exceed this multiple of the unscraped
-/// socket phase's p50 — "observation stays in the noise", with generous
-/// headroom for CI jitter.
-const SCRAPE_OVERHEAD_LIMIT: f64 = 3.0;
+use std::time::Duration;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -88,38 +64,6 @@ fn start_replica(model: Arc<dyn FrozenModel>, threads: usize) -> (Arc<BatchingSe
     (batching, net)
 }
 
-fn socket_submitter(
-    addr: std::net::SocketAddr,
-) -> impl FnMut(&[u32], &[f32], usize) -> SubmitOutcome {
-    let mut client = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
-    move |idx: &[u32], val: &[f32], k: usize| match client.predict(idx, val, k) {
-        Ok(ids) => SubmitOutcome::Ok(ids),
-        Err(slide_net::ClientError::RetryLater { .. }) => SubmitOutcome::RetryLater,
-        Err(e) => match NetClient::connect(addr, Duration::from_secs(5)) {
-            Ok(c) => {
-                client = c;
-                let _ = e;
-                SubmitOutcome::Reconnected
-            }
-            Err(_) => SubmitOutcome::HardError(e.to_string()),
-        },
-    }
-}
-
-fn print_phase(report: &LoadReport, mode: &str) {
-    println!(
-        "  {mode:<8} sent {:>6}  ok {:>6}  shed {:>5.1}%  hard {:>3}  p50 {:>6} us  p99 {:>6} us  \
-         achieved {:>7.1} qps",
-        report.sent,
-        report.ok,
-        report.shed_rate() * 100.0,
-        report.hard_errors,
-        report.latency.p50_us,
-        report.latency.p99_us,
-        report.achieved_qps,
-    );
-}
-
 fn main() {
     let replicas = env_usize("SLIDE_NET_REPLICAS", 2);
     let clients = env_usize("SLIDE_NET_CLIENTS", 4);
@@ -144,8 +88,8 @@ fn main() {
         FleetPrecision::I8 => "i8",
     };
     println!(
-        "net_bench: {replicas} replicas, {clients} clients, {offered_qps:.0} qps offered, \
-         {} ms per phase, precision {precision_label}, shards {shards}",
+        "net_bench: {replicas} replicas, {clients} clients, {offered_qps:.0} qps offered \
+         for {} ms, precision {precision_label}, shards {shards}",
         duration.as_millis()
     );
 
@@ -163,139 +107,9 @@ fn main() {
         ..Default::default()
     };
 
-    // Phase 1: in-process baseline (no sockets anywhere).
-    let (inproc_server, _inproc_net) = start_replica(Arc::clone(&model), threads);
-    let inproc = slide_net::run_open_loop(&queries, &cfg, |_| {
-        let server = Arc::clone(&inproc_server);
-        move |idx: &[u32], val: &[f32], k: usize| match server.try_predict(idx, val, k) {
-            Ok(ids) => SubmitOutcome::Ok(ids),
-            Err(ServeError::Overloaded(_)) => SubmitOutcome::RetryLater,
-            Err(e) => SubmitOutcome::HardError(e.to_string()),
-        }
-    });
-    print_phase(&inproc, "inproc");
-
-    // Phase 2: one replica over a loopback socket.
-    let (_s1_batching, s1_net) = start_replica(Arc::clone(&model), threads);
-    let s1_addr = s1_net.local_addr();
-    let socket1 = slide_net::run_open_loop(&queries, &cfg, |_| socket_submitter(s1_addr));
-    print_phase(&socket1, "socket1");
-
-    // Phase 3: the same single-replica socket load with a background
-    // scraper hitting GetMetrics for the whole run. A fresh replica keeps
-    // its stage histograms (and the overhead comparison) uncontaminated.
-    let (scr_batching, scr_net) = start_replica(Arc::clone(&model), threads);
-    let scr_addr = scr_net.local_addr();
-    let stop_scraper = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop_scraper);
-        std::thread::spawn(move || {
-            let mut client = NetClient::connect(scr_addr, Duration::from_secs(5));
-            let (mut scrapes, mut total_us, mut bytes) = (0u64, 0u64, 0u64);
-            while !stop.load(Ordering::Relaxed) {
-                match &mut client {
-                    Ok(c) => {
-                        let t0 = Instant::now();
-                        match c.metrics_text() {
-                            Ok(text) => {
-                                scrapes += 1;
-                                total_us += t0.elapsed().as_micros() as u64;
-                                bytes += text.len() as u64;
-                            }
-                            Err(_) => client = NetClient::connect(scr_addr, Duration::from_secs(5)),
-                        }
-                    }
-                    Err(_) => client = NetClient::connect(scr_addr, Duration::from_secs(5)),
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            (scrapes, total_us, bytes)
-        })
-    };
-    let scrape = slide_net::run_open_loop(&queries, &cfg, |_| socket_submitter(scr_addr));
-    stop_scraper.store(true, Ordering::Relaxed);
-    let (scrapes, scrape_total_us, scrape_bytes) = scraper.join().expect("scraper thread");
-    print_phase(&scrape, "scrape");
-    let mean_scrape_us = scrape_total_us / scrapes.max(1);
-    let overhead_p50 = scrape.latency.p50_us as f64 / socket1.latency.p50_us.max(1) as f64;
-    println!(
-        "  scrape overhead: {scrapes} scrapes (mean {mean_scrape_us} us, {} B each), \
-         p50 {:.2}x of unscraped socket1",
-        scrape_bytes / scrapes.max(1),
-        overhead_p50,
-    );
-    assert!(scrapes > 0, "scraper never completed a scrape");
-    assert!(
-        overhead_p50 < SCRAPE_OVERHEAD_LIMIT,
-        "continuous scraping moved request p50 by {overhead_p50:.2}x \
-         (limit {SCRAPE_OVERHEAD_LIMIT}x): observation must stay in the noise"
-    );
-
-    // Per-stage latency breakdown from the scraped replica's live stage
-    // histograms (the registry dedups by series key, so this reads the
-    // very instruments the serve/net tiers recorded into).
-    let scr_hub = scr_batching.obs();
-    let stages = [
-        Stage::Admission,
-        Stage::BatchWait,
-        Stage::Retrieval,
-        Stage::Kernel,
-        Stage::Merge,
-        Stage::Encode,
-    ];
-    let stage_breakdown = stages
-        .iter()
-        .map(|&st| {
-            let h = stage_histogram(&scr_hub, st);
-            format!(
-                "\"{}\":{{\"p50_us\":{},\"p99_us\":{},\"count\":{}}}",
-                st.as_str(),
-                h.quantile(50.0),
-                h.quantile(99.0),
-                h.snapshot().count,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    for &st in &stages {
-        let h = stage_histogram(&scr_hub, st);
-        println!(
-            "  stage {:<11} p50 {:>6} us  p99 {:>6} us  ({} samples)",
-            st.as_str(),
-            h.quantile(50.0),
-            h.quantile(99.0),
-            h.snapshot().count,
-        );
-        assert!(
-            h.snapshot().count > 0,
-            "stage {} recorded no samples under load",
-            st.as_str()
-        );
-    }
-
-    // Phase 4: the fleet — N replicas behind the router.
-    let fleet_replicas: Vec<(Arc<BatchingServer>, NetServer)> = (0..replicas)
-        .map(|_| start_replica(Arc::clone(&model), threads))
-        .collect();
-    let addrs: Vec<std::net::SocketAddr> =
-        fleet_replicas.iter().map(|(_, n)| n.local_addr()).collect();
-    let router = Router::start(
-        "127.0.0.1:0",
-        &addrs,
-        RouterConfig {
-            policy: RoutePolicy::LeastLoad,
-            health_interval: Duration::from_millis(100),
-            ..Default::default()
-        },
-    )
-    .expect("bind router");
-    let router_addr = router.local_addr();
-    let fleet = slide_net::run_open_loop(&queries, &cfg, |_| socket_submitter(router_addr));
-    print_phase(&fleet, "fleet");
-
-    // Phase 5: the same fleet on a bad day. Fresh replicas, two of them
-    // behind deterministic fault proxies; every request carries a deadline
-    // budget so the tail is bounded by shedding, not by timeouts.
+    // Fresh replicas, two of them behind deterministic fault proxies; every
+    // request carries a deadline budget so the tail is bounded by shedding,
+    // not by timeouts.
     let fault_replicas: Vec<(Arc<BatchingServer>, NetServer)> = (0..replicas.max(2))
         .map(|_| start_replica(Arc::clone(&model), threads))
         .collect();
@@ -363,7 +177,17 @@ fn main() {
             },
         }
     });
-    print_phase(&fault, "fault");
+    println!(
+        "  fault    sent {:>6}  ok {:>6}  shed {:>5.1}%  hard {:>3}  p50 {:>6} us  p99 {:>6} us  \
+         achieved {:>7.1} qps",
+        fault.sent,
+        fault.ok,
+        fault.shed_rate() * 100.0,
+        fault.hard_errors,
+        fault.latency.p50_us,
+        fault.latency.p99_us,
+        fault.achieved_qps,
+    );
     let fault_router_stats = fault_router.stats_json();
     let stall_stats = stall_proxy.stats();
     let drop_stats = drop_proxy.stats();
@@ -374,12 +198,7 @@ fn main() {
         stall_stats.forwarded + drop_stats.forwarded,
     );
 
-    for report in [&inproc, &socket1, &scrape, &fleet, &fault] {
-        assert_eq!(
-            report.hard_errors, 0,
-            "hard errors in a router-fronted bench"
-        );
-    }
+    assert_eq!(fault.hard_errors, 0, "hard errors behind the router");
 
     let json = format!(
         "{{\"bench\":\"net\",\"source\":\"net_bench\",\"replicas\":{replicas},\
@@ -387,19 +206,12 @@ fn main() {
          \"precision\":\"{precision_label}\",\"shards\":{shards},\
          \"simd_level\":\"{}\",\"kernel_variant\":\"{}\",\"k\":{K},\
          \"offered_qps\":{offered_qps:.1},\"deadline_us\":{deadline_us},\
-         \"phases\":[{},{},{},{},{}],\
-         \"scrape_overhead\":{{\"scrapes\":{scrapes},\"mean_scrape_us\":{mean_scrape_us},\
-         \"p50_ratio\":{overhead_p50:.3}}},\
-         \"stage_breakdown_us\":{{{stage_breakdown}}},\
+         \"phases\":[{}],\
          \"fault_router\":{fault_router_stats},\
          \"fault_proxies\":{{\"stalled\":{},\"dropped\":{},\"delayed\":{},\
          \"corrupted\":{},\"closed\":{},\"forwarded\":{}}}}}\n",
         slide_simd::effective_level(),
         slide_simd::kernel_variant(),
-        inproc.to_json("inproc"),
-        socket1.to_json("socket1"),
-        scrape.to_json("scrape"),
-        fleet.to_json("fleet"),
         fault.to_json("fault"),
         stall_stats.stalled + drop_stats.stalled,
         stall_stats.dropped + drop_stats.dropped,

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! With `SLIDE_JSON_OUT=<path>` the same numbers are written as a
-//! `BENCH_train.json` trajectory artifact (see EXPERIMENTS.md §3); the meta
+//! `BENCH_train.json` report (see EXPERIMENTS.md §3 and §5); the meta
 //! block records the resolved SIMD level and kernel variant per row so
 //! trajectories stay comparable across machines and forced CI legs.
 

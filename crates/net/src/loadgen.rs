@@ -102,8 +102,8 @@ impl LoadReport {
         }
     }
 
-    /// Render as a JSON object fragment (one phase of `BENCH_net.json`;
-    /// `mode` follows the `BENCH_serve.json` phase idiom).
+    /// Render as a JSON object fragment (one phase of `BENCH_net.json`,
+    /// labelled `mode`).
     pub fn to_json(&self, mode: &str) -> String {
         format!(
             "{{\"mode\":\"{mode}\",\"sent\":{},\"ok\":{},\"retry_later\":{},\

@@ -200,6 +200,7 @@ fn get_metrics_exposes_promised_families_over_the_wire() {
         "slide_serve_requests_total",
         "slide_serve_latency_us",
         "slide_serve_batches_total",
+        "slide_serve_batch_size",
         "slide_stage_us_count{stage=\"kernel\"}",
         "slide_stage_us_count{stage=\"encode\"}",
     ] {

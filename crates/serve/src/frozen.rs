@@ -298,7 +298,7 @@ impl<L: RowLayout> Engine<L> {
         self.config.precision
     }
 
-    /// Storage-precision label for logs and `BENCH_serve.json` meta (see
+    /// Storage-precision label for logs and stats views (see
     /// [`crate::FrozenModel::precision`]).
     pub fn precision_label(&self) -> &'static str {
         match (L::PRECISION, self.config.precision) {

@@ -20,11 +20,11 @@
 //! * [`BatchingServer`] — a bounded submission queue in front of a frozen
 //!   snapshot: concurrent requests coalesce into micro-batches (size- or
 //!   deadline-triggered, tunable via [`BatchConfig`]), fan out across a
-//!   [`slide_core::ThreadPool`], and report throughput plus p50/p99 latency
-//!   ([`ServeStats`]). The model sits behind `RwLock<Arc<dyn FrozenModel>>`,
-//!   so a background trainer can [`BatchingServer::publish`] a fresh
-//!   snapshot of any layout or shard plan mid-traffic without dropping a
-//!   request.
+//!   [`slide_core::ThreadPool`], and record request, batch-size and latency
+//!   instruments ([`ServeStats`], [`BatchingServer::obs`]). The model sits
+//!   behind `RwLock<Arc<dyn FrozenModel>>`, so a background trainer can
+//!   [`BatchingServer::publish`] a fresh snapshot of any layout or shard
+//!   plan mid-traffic without dropping a request.
 //! * [`Snapshot`] — the checksummed, mmap-ready `.slsnap` image of any
 //!   layout × shard-plan combination ([`snapshot`] module), and
 //!   [`ModelRegistry`] for versioned publish/rollback.
@@ -67,8 +67,8 @@ pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, 
 pub use model::{FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
 pub use server::{
-    bench_report_json, percentile_us, phase_json, query_salt, stage_histogram, BatchConfig,
-    BatchingServer, BenchMeta, LatencySummary, ServeStats,
+    percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, LatencySummary,
+    ServeStats,
 };
 pub use shard::{ShardIndexer, ShardPlan, ShardPlanKind};
 pub use snapshot::{load, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};

@@ -113,12 +113,6 @@ struct Queue {
     closed: bool,
 }
 
-struct StatsInner {
-    /// `batch_counts[s]` = number of executed batches of size `s`.
-    batch_counts: Vec<u64>,
-    started: Instant,
-}
-
 /// The server's registry-backed instruments, `Arc`s cached at start so the
 /// hot path never touches the registry's name map. The latency histogram —
 /// not a capped sample vector — is the source of truth for percentiles:
@@ -136,6 +130,8 @@ struct ServeObs {
     /// answered with a prediction or a validation verdict.
     deadline_exceeded: Arc<Counter>,
     batches: Arc<Counter>,
+    /// Requests per executed micro-batch.
+    batch_size: Arc<Histogram>,
     hot_swaps: Arc<Gauge>,
     latency_us: Arc<Histogram>,
     stage_admission: Arc<Histogram>,
@@ -161,6 +157,7 @@ impl ServeObs {
             errors: r.counter("slide_serve_errors_total"),
             deadline_exceeded: r.counter("slide_serve_deadline_exceeded_total"),
             batches: r.counter("slide_serve_batches_total"),
+            batch_size: r.histogram("slide_serve_batch_size"),
             hot_swaps: r.gauge("slide_serve_hot_swaps"),
             latency_us: r.histogram("slide_serve_latency_us"),
             stage_admission: stage_histogram(&hub, Stage::Admission),
@@ -177,6 +174,7 @@ impl ServeObs {
         self.errors.reset();
         self.deadline_exceeded.reset();
         self.batches.reset();
+        self.batch_size.reset();
         self.latency_us.reset();
         self.stage_admission.reset();
         self.stage_batch_wait.reset();
@@ -191,7 +189,6 @@ struct ServerShared {
     not_empty: Condvar,
     not_full: Condvar,
     model: RwLock<Arc<dyn FrozenModel>>,
-    stats: Mutex<StatsInner>,
     obs: ServeObs,
     swap_epoch: AtomicU64,
     config: BatchConfig,
@@ -226,9 +223,7 @@ impl SlotPtr {
 
 struct WorkerSlot {
     /// Engine-owned query scratch, opaque to the server (built by —
-    /// and downcast inside — the snapshot that created it). Counters and
-    /// latencies no longer live here: workers record straight into the
-    /// lock-free registry instruments, so there is no batch-boundary merge.
+    /// and downcast inside — the snapshot that created it).
     scratch: Box<dyn Any + Send>,
 }
 
@@ -326,50 +321,11 @@ pub struct ServeStats {
     pub batches: u64,
     /// Snapshots published over the server's lifetime.
     pub hot_swaps: u64,
-    /// Seconds since the server started (or stats were reset).
-    pub elapsed_seconds: f64,
-    /// `served / elapsed_seconds`.
-    pub throughput_qps: f64,
-    /// Mean executed batch size.
+    /// Mean executed batch size (`served / batches`); the distribution is
+    /// the `slide_serve_batch_size` histogram in [`BatchingServer::obs`].
     pub mean_batch: f64,
-    /// `(batch_size, count)` pairs for every observed batch size.
-    pub batch_hist: Vec<(usize, u64)>,
     /// End-to-end request latency (enqueue → response ready).
     pub latency: LatencySummary,
-}
-
-impl ServeStats {
-    /// Render as a JSON object (the `BENCH_serve.json` stats fragment; see
-    /// EXPERIMENTS.md for the schema).
-    pub fn to_json(&self) -> String {
-        let hist: Vec<String> = self
-            .batch_hist
-            .iter()
-            .map(|(size, count)| format!("[{size},{count}]"))
-            .collect();
-        format!(
-            "{{\"precision\":\"{}\",\"served\":{},\"errors\":{},\"deadline_exceeded\":{},\
-             \"batches\":{},\"hot_swaps\":{},\
-             \"elapsed_seconds\":{:.3},\"throughput_qps\":{:.1},\"mean_batch\":{:.2},\
-             \"latency_us\":{{\"p50\":{},\"p99\":{},\"mean\":{:.1},\"max\":{},\"samples\":{}}},\
-             \"batch_hist\":[{}]}}",
-            self.precision,
-            self.served,
-            self.errors,
-            self.deadline_exceeded,
-            self.batches,
-            self.hot_swaps,
-            self.elapsed_seconds,
-            self.throughput_qps,
-            self.mean_batch,
-            self.latency.p50_us,
-            self.latency.p99_us,
-            self.latency.mean_us,
-            self.latency.max_us,
-            self.latency.samples,
-            hist.join(",")
-        )
-    }
 }
 
 /// A concurrent inference front-end over a hot-swappable [`FrozenModel`]
@@ -388,7 +344,6 @@ impl ServeStats {
 /// ).unwrap();
 /// let topk = server.predict(&[1, 17], &[1.0, 0.5], 5).unwrap();
 /// assert_eq!(topk.len(), 5);
-/// // Counters merge at batch boundaries; quiesce before exact comparisons.
 /// ```
 pub struct BatchingServer {
     shared: Arc<ServerShared>,
@@ -424,10 +379,6 @@ impl BatchingServer {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             model: RwLock::new(model),
-            stats: Mutex::new(StatsInner {
-                batch_counts: vec![0; config.max_batch + 1],
-                started: Instant::now(),
-            }),
             obs: ServeObs::new(ObsHub::shared()),
             swap_epoch: AtomicU64::new(0),
             config,
@@ -444,11 +395,6 @@ impl BatchingServer {
             shared,
             dispatcher: Some(dispatcher),
         })
-    }
-
-    /// Worker threads scoring batches.
-    pub fn threads(&self) -> usize {
-        self.shared.threads
     }
 
     /// This server's observability hub: the registry its counters and
@@ -497,12 +443,12 @@ impl BatchingServer {
 
     /// [`BatchingServer::predict`] with a deadline: if `deadline` passes
     /// before the request reaches compute it is shed with
-    /// [`ServeError::DeadlineExceeded`] — immediately at admission when it
-    /// arrives already expired (no compute, no queue slot), or from the
-    /// dispatcher's drain loop when it expires while queued. A request
-    /// already being scored runs to completion (compute is never cancelled
-    /// mid-batch); the deadline bounds *queueing*, which is where overload
-    /// latency lives.
+    /// [`ServeError::DeadlineExceeded`] — at admission when it arrives
+    /// already expired or expires while parked on a full queue (no compute,
+    /// no queue slot), or from the dispatcher's drain loop when it expires
+    /// while queued. A request already being scored runs to completion
+    /// (compute is never cancelled mid-batch); the deadline bounds
+    /// *queueing*, which is where overload latency lives.
     ///
     /// # Errors
     ///
@@ -623,7 +569,20 @@ impl BatchingServer {
                 if !block {
                     return Err(ServeError::Overloaded(q.items.len()));
                 }
-                self.shared.not_full.wait(&mut q);
+                match deadline {
+                    None => self.shared.not_full.wait(&mut q),
+                    // The budget bounds the park too: a request that never
+                    // got a queue slot is shed when it lapses, not when the
+                    // queue happens to drain.
+                    Some(d) => {
+                        let remaining = d.saturating_duration_since(Instant::now());
+                        if remaining.is_zero() {
+                            obs.deadline_exceeded.inc();
+                            return Err(ServeError::DeadlineExceeded);
+                        }
+                        self.shared.not_full.wait_for(&mut q, remaining);
+                    }
+                }
             }
             if q.closed {
                 return Err(ServeError::Closed);
@@ -649,7 +608,7 @@ impl BatchingServer {
         self.shared.queue.lock().items.len()
     }
 
-    /// Snapshot the throughput/latency counters.
+    /// Snapshot the request/latency counters.
     ///
     /// Counters are lock-free and workers record them as each response is
     /// sent, so a response a client just received may precede its own
@@ -663,18 +622,6 @@ impl BatchingServer {
         let served = obs.served.get();
         let batches = obs.batches.get();
         let lat = obs.latency_us.snapshot();
-        let (started, batch_hist) = {
-            let stats = self.shared.stats.lock();
-            let hist: Vec<(usize, u64)> = stats
-                .batch_counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (s, c))
-                .collect();
-            (stats.started, hist)
-        };
-        let elapsed = started.elapsed().as_secs_f64().max(1e-9);
         ServeStats {
             precision,
             served,
@@ -682,14 +629,11 @@ impl BatchingServer {
             deadline_exceeded: obs.deadline_exceeded.get(),
             batches,
             hot_swaps: self.shared.swap_epoch.load(Ordering::Acquire),
-            elapsed_seconds: elapsed,
-            throughput_qps: served as f64 / elapsed,
             mean_batch: if batches == 0 {
                 0.0
             } else {
                 served as f64 / batches as f64
             },
-            batch_hist,
             latency: LatencySummary {
                 p50_us: lat.quantile(50.0),
                 p99_us: lat.quantile(99.0),
@@ -700,11 +644,8 @@ impl BatchingServer {
         }
     }
 
-    /// Zero the counters and restart the stats clock (e.g. after warmup).
+    /// Zero every per-server instrument (e.g. after warmup).
     pub fn reset_stats(&self) {
-        let mut stats = self.shared.stats.lock();
-        stats.batch_counts.fill(0);
-        stats.started = Instant::now();
         self.shared.obs.reset();
     }
 
@@ -848,7 +789,7 @@ fn dispatcher_loop(shared: &ServerShared) {
         // Count the batch before fan-out so a client that just got its
         // response never observes served > 0 with batches == 0.
         obs.batches.inc();
-        shared.stats.lock().batch_counts[n] += 1;
+        obs.batch_size.record(n as u64);
         pool.run(&|worker| {
             // SAFETY: worker ids are distinct; `slots` outlives `run`.
             let slot = unsafe { slot_ptr.get(worker) };
@@ -938,83 +879,6 @@ fn dispatcher_loop(shared: &ServerShared) {
     }
 }
 
-/// Run metadata shared by every `BENCH_serve.json` emitter (`slide_cli
-/// serve-bench` and the `serve_bench` experiment binary); keeps the schema
-/// in one place — see EXPERIMENTS.md §4.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchMeta<'a> {
-    /// Which emitter produced the report.
-    pub source: &'a str,
-    /// Workload name.
-    pub workload: &'a str,
-    /// `SLIDE_SCALE`-style workload multiplier.
-    pub scale: usize,
-    /// Load-generating client threads.
-    pub clients: usize,
-    /// Scoring threads in the server pool.
-    pub threads: usize,
-    /// Micro-batch size cap.
-    pub max_batch: usize,
-    /// Micro-batch deadline in microseconds.
-    pub max_wait_us: u64,
-    /// Top-k requested per query.
-    pub k: usize,
-    /// Storage precision of the snapshot under test (`"f32"` / `"i8"` /
-    /// `"bf16-widened-f32"`), so BENCH_serve.json rows are distinguishable
-    /// across the `--precision` axis.
-    pub precision: &'a str,
-    /// Output-layer shards of the snapshot under test (1 = unsharded).
-    pub shards: usize,
-    /// Per-shard precision labels joined with `|` (equal to `precision`
-    /// when unsharded or uniformly sharded, e.g. `"f32|i8|f32|f32"` after
-    /// mixed per-shard hot-swaps).
-    pub shard_precisions: &'a str,
-}
-
-/// Render one load phase (`"closed"` / `"open"`) as a JSON object.
-/// `shards` is the shard count the phase ran against — stamped per phase
-/// because the closed-loop shard sweep varies it within one report.
-pub fn phase_json(
-    mode: &str,
-    offered_qps: Option<f64>,
-    shards: usize,
-    stats: &ServeStats,
-) -> String {
-    let offered = offered_qps.map_or_else(|| "null".to_string(), |q| format!("{q:.1}"));
-    format!(
-        "{{\"mode\":\"{mode}\",\"offered_qps\":{offered},\"shards\":{shards},\"stats\":{}}}",
-        stats.to_json()
-    )
-}
-
-/// Render a complete `BENCH_serve.json` document (trailing newline
-/// included). `simd_level` and `kernel_variant` are stamped from the
-/// process's effective dispatch level and kernel variant at call time, so
-/// trajectories stay comparable across machines and forced-`SLIDE_SIMD` /
-/// `SLIDE_KERNELS` CI legs.
-pub fn bench_report_json(meta: &BenchMeta<'_>, phases: &[String]) -> String {
-    format!(
-        "{{\"bench\":\"serve\",\"source\":\"{}\",\"workload\":\"{}\",\"scale\":{},\
-         \"clients\":{},\"threads\":{},\"simd_level\":\"{}\",\"kernel_variant\":\"{}\",\
-         \"precision\":\"{}\",\"shards\":{},\"shard_precisions\":\"{}\",\
-         \"max_batch\":{},\"max_wait_us\":{},\"k\":{},\"phases\":[{}]}}\n",
-        meta.source,
-        meta.workload,
-        meta.scale,
-        meta.clients,
-        meta.threads,
-        slide_simd::effective_level(),
-        slide_simd::kernel_variant(),
-        meta.precision,
-        meta.shards,
-        meta.shard_precisions,
-        meta.max_batch,
-        meta.max_wait_us,
-        meta.k,
-        phases.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,8 +897,9 @@ mod tests {
         FrozenNetwork::freeze(&Network::new(cfg).unwrap())
     }
 
-    /// Stats merge at batch boundaries (see [`BatchingServer::stats`]); poll
-    /// briefly until the expected request count lands.
+    /// A response can precede its own counters by nanoseconds (see
+    /// [`BatchingServer::stats`]); poll briefly until the expected request
+    /// count lands.
     fn stats_when_served(server: &BatchingServer, served: u64) -> ServeStats {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -1044,6 +909,10 @@ mod tests {
             }
             std::thread::yield_now();
         }
+    }
+
+    fn batch_sizes(server: &BatchingServer) -> Arc<Histogram> {
+        server.obs().registry().histogram("slide_serve_batch_size")
     }
 
     fn small_server(threads: usize, max_wait: Duration) -> BatchingServer {
@@ -1094,7 +963,8 @@ mod tests {
         assert_eq!(stats.served, 1);
         assert_eq!(stats.errors, 0);
         assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_hist, vec![(1, 1)]);
+        let sizes = batch_sizes(&server);
+        assert_eq!((sizes.count(), sizes.max()), (1, 1));
     }
 
     #[test]
@@ -1117,7 +987,6 @@ mod tests {
         let stats = stats_when_served(&server, (clients * per_client) as u64);
         assert_eq!(stats.served, (clients * per_client) as u64);
         assert_eq!(stats.errors, 0);
-        assert!(stats.throughput_qps > 0.0);
         assert!(stats.latency.p50_us <= stats.latency.p99_us);
         assert!(stats.latency.p99_us <= stats.latency.max_us);
     }
@@ -1139,12 +1008,8 @@ mod tests {
         });
         let stats = stats_when_served(&server, 80);
         assert_eq!(stats.served, 80);
-        let biggest = stats.batch_hist.last().map(|&(s, _)| s).unwrap_or(0);
-        assert!(
-            biggest >= 2,
-            "no coalescing observed: {:?}",
-            stats.batch_hist
-        );
+        let biggest = batch_sizes(&server).max();
+        assert!(biggest >= 2, "no coalescing observed: largest {biggest}");
         assert!(stats.batches < 80, "every request ran alone");
     }
 
@@ -1210,66 +1075,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.served, 0);
         assert_eq!(stats.batches, 0);
-        assert!(stats.batch_hist.is_empty());
-    }
-
-    #[test]
-    fn stats_json_has_required_fields() {
-        let server = small_server(1, Duration::from_micros(100));
-        server.predict(&[1], &[1.0], 1).unwrap();
-        let json = stats_when_served(&server, 1).to_json();
-        for field in [
-            "\"precision\":\"f32\"",
-            "\"served\":1",
-            "\"throughput_qps\":",
-            "\"latency_us\":",
-            "\"p50\":",
-            "\"p99\":",
-            "\"batch_hist\":[[1,1]]",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-    }
-
-    #[test]
-    fn bench_report_schema_is_stable() {
-        let server = small_server(1, Duration::from_micros(100));
-        server.predict(&[1], &[1.0], 1).unwrap();
-        let stats = stats_when_served(&server, 1);
-        let phases = vec![
-            phase_json("closed", None, 1, &stats),
-            phase_json("open", Some(123.456), 4, &stats),
-        ];
-        let doc = bench_report_json(
-            &BenchMeta {
-                source: "test",
-                workload: "synthetic",
-                scale: 1,
-                clients: 2,
-                threads: server.threads(),
-                max_batch: 16,
-                max_wait_us: 100,
-                k: 1,
-                precision: "f32",
-                shards: 4,
-                shard_precisions: "f32|f32|f32|f32",
-            },
-            &phases,
-        );
-        for field in [
-            "\"bench\":\"serve\"",
-            "\"source\":\"test\"",
-            "\"simd_level\":\"",
-            "\"precision\":\"f32\"",
-            "\"shards\":4",
-            "\"shard_precisions\":\"f32|f32|f32|f32\"",
-            "\"phases\":[{\"mode\":\"closed\",\"offered_qps\":null,\"shards\":1,",
-            "{\"mode\":\"open\",\"offered_qps\":123.5,\"shards\":4,",
-            "\"p99\":",
-        ] {
-            assert!(doc.contains(field), "missing {field} in {doc}");
-        }
-        assert!(doc.ends_with("}\n"));
+        assert_eq!(batch_sizes(&server).count(), 0);
     }
 
     /// A FrozenModel wrapper that sleeps per prediction — slow enough that
@@ -1421,6 +1227,68 @@ mod tests {
         assert!(stats.deadline_exceeded >= 1);
         // The server is still healthy after shedding.
         assert_eq!(server.predict(&[3], &[1.0], 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn deadline_expiring_while_parked_on_a_full_queue_is_shed_without_a_slot() {
+        // One worker, 40ms per prediction, batches of 1, queue depth 2, eight
+        // undeadlined submitters: one is being scored, two hold the queue
+        // slots, the rest are parked — the queue stays full. A blocking
+        // request with a 5ms budget must come back when the budget lapses,
+        // not when a 40ms prediction finally frees a slot.
+        let predict_time = Duration::from_millis(40);
+        let server = Arc::new(
+            BatchingServer::start(
+                SlowModel(tiny_frozen(5), predict_time),
+                BatchConfig {
+                    max_batch: 1,
+                    max_wait: Duration::ZERO,
+                    queue_cap: 2,
+                    threads: 1,
+                },
+            )
+            .unwrap(),
+        );
+        let blockers = 8u32;
+        std::thread::scope(|scope| {
+            for c in 0..blockers {
+                let server = Arc::clone(&server);
+                scope.spawn(move || server.predict(&[c], &[1.0], 2).unwrap());
+            }
+            // Submit right after a prediction starts (a batch is counted
+            // before fan-out) with the queue refilled by a parked submitter:
+            // the next slot is then a whole prediction away.
+            let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while !cond() {
+                    assert!(Instant::now() < give_up, "never saw {what}");
+                    std::thread::yield_now();
+                }
+            };
+            wait_until("a full queue", &|| server.queue_len() == 2);
+            let batches = server.stats().batches;
+            wait_until("the next batch", &|| server.stats().batches > batches);
+            wait_until("the queue refill", &|| server.queue_len() == 2);
+            let submitted = Instant::now();
+            let doomed = server.predict_within(
+                &[100],
+                &[1.0],
+                2,
+                Some(submitted + Duration::from_millis(5)),
+            );
+            let took = submitted.elapsed();
+            assert_eq!(doomed, Err(ServeError::DeadlineExceeded));
+            assert!(
+                took < predict_time,
+                "blocked {took:?} on a 5ms budget: bounded by queue drain, not by the deadline"
+            );
+        });
+        let stats = stats_when_served(&server, blockers as u64);
+        assert_eq!(
+            stats.served, blockers as u64,
+            "the shed request was counted"
+        );
+        assert_eq!(stats.deadline_exceeded, 1);
     }
 
     #[test]

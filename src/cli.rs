@@ -1,19 +1,16 @@
 //! Command-line interface plumbing for the `slide_cli` binary: a tiny,
-//! dependency-free argument parser and the four subcommands a downstream
-//! user needs (`gen`, `train`, `eval`, `serve-bench`). Kept in the library
-//! so the parsing logic is unit-testable.
+//! dependency-free argument parser and the subcommands a downstream user
+//! needs (`gen`, `train`, `eval`, `snapshot`, `obs scrape`). Kept in the
+//! library so the parsing logic is unit-testable.
 
 use crate::{
-    load_checkpoint, parse_xc, save_checkpoint, write_xc, BatchConfig, BatchingServer, Dataset,
-    EvalMode, HashFamilyKind, Network, NetworkConfig, Precision, SynthConfig, TextConfig, Trainer,
-    TrainerConfig,
+    load_checkpoint, parse_xc, save_checkpoint, write_xc, Dataset, EvalMode, HashFamilyKind,
+    Network, NetworkConfig, Precision, SynthConfig, TextConfig, Trainer, TrainerConfig,
 };
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A parsed command line: subcommand plus `--key value` / `--flag` options.
@@ -164,22 +161,11 @@ USAGE:
                   [--checkpoint FILE]
   slide_cli eval  --data FILE --checkpoint FILE [--hidden N] [--tables N]
                   [--key-bits N] [--k N] [--simhash]
-  slide_cli serve-bench [--clients N] [--duration-ms N] [--max-batch N]
-                  [--max-wait-us N] [--threads N] [--k N] [--train-epochs N]
-                  [--precision f32|i8] [--shards N] [--json FILE]
   slide_cli snapshot --registry DIR [--precision f32|i8] [--shards N]
                   [--seed N] [--train-epochs N] [--rollback] [--retain N]
   slide_cli obs scrape --addr HOST:PORT [--timeout-ms N]
 
 Datasets use the XC repository format (`parse_xc`/`write_xc`).
-`serve-bench` trains a small synthetic model, serves it through the
-micro-batching pipeline under concurrent closed-loop load with one hot-swap
-mid-run, and writes throughput + p50/p99 latency to FILE
-(default BENCH_serve.json). With `--precision i8` the snapshot is
-post-training int8-quantized (slide-quant) and scored through the integer
-kernels; with `--shards N` the output layer is split row-wise across N
-independently-tabled shards (slide-serve's scatter-gather engine). The
-report meta records the precision and shard count.
 `snapshot` trains the deterministic fleet fixture, cuts a `.slsnap` image
 under the chosen precision/shard spec, and publishes it atomically to a
 versioned registry directory; `slide_netd --snapshot DIR` then cold-starts
@@ -333,177 +319,6 @@ pub fn cmd_eval(args: &CliArgs) -> Result<String, CliError> {
     Ok(format!("P@{k} = {p:.4} over {} samples", data.len()))
 }
 
-/// `serve-bench`: train a small synthetic model, freeze it, and drive the
-/// micro-batching server with concurrent closed-loop clients, hot-swapping
-/// a retrained snapshot mid-run. Writes a `BENCH_serve.json` report.
-///
-/// # Errors
-///
-/// Propagates flag and I/O errors, and fails if any request errored (a
-/// hot-swap under load must be invisible to clients).
-pub fn cmd_serve_bench(args: &CliArgs) -> Result<String, CliError> {
-    let clients = args.get_usize("clients", 4)?.max(1);
-    let duration_ms = args.get_usize("duration-ms", 2000)?.max(100);
-    let max_batch = args.get_usize("max-batch", 64)?;
-    let max_wait_us = args.get_usize("max-wait-us", 500)?;
-    let threads = args.get_usize("threads", 0)?;
-    let k = args.get_usize("k", 5)?.max(1);
-    let train_epochs = args.get_usize("train-epochs", 2)?.max(1) as u64;
-    let json_path = args.get_str("json", "BENCH_serve.json");
-    let shards = args.get_usize("shards", 1)?.max(1);
-    let precision = match args.get_str("precision", "f32").as_str() {
-        "f32" => "f32",
-        "i8" => "i8",
-        other => {
-            return Err(CliError(format!(
-                "--precision expects f32|i8, got '{other}'"
-            )))
-        }
-    };
-
-    // A small learnable workload: big enough that batches exercise the
-    // kernels, small enough that the whole run stays in CI-smoke budget.
-    let data = crate::generate_synthetic(&SynthConfig {
-        feature_dim: 1024,
-        label_dim: 2048,
-        n_train: 3000,
-        n_test: 600,
-        ..Default::default()
-    });
-    let mut net_cfg = NetworkConfig::standard(1024, 64, 2048);
-    net_cfg.lsh.tables = 16;
-    net_cfg.lsh.key_bits = 5;
-    net_cfg.lsh.min_active = 64;
-    let trainer_cfg = TrainerConfig {
-        batch_size: 128,
-        learning_rate: 2e-3,
-        threads,
-        ..Default::default()
-    };
-    let mut trainer =
-        Trainer::new(Network::new(net_cfg).map_err(CliError)?, trainer_cfg).map_err(CliError)?;
-    for epoch in 0..train_epochs {
-        trainer.train_epoch(&data.train, epoch);
-    }
-
-    // Snapshot factory for the chosen precision × shard axes (also used
-    // for the mid-run hot-swap, so the swap stays configuration-consistent):
-    // one SnapshotSpec, one build call, whatever the axes.
-    let freeze = |net: &Network| -> Result<Arc<dyn crate::FrozenModel>, CliError> {
-        let mut spec = if precision == "i8" {
-            crate::SnapshotSpec::i8()
-        } else {
-            crate::SnapshotSpec::f32()
-        };
-        if shards > 1 {
-            let plan = crate::serve::ShardPlan::contiguous(shards, net.config().output_dim)
-                .map_err(|e| CliError(e.to_string()))?;
-            spec = spec.sharded(plan);
-        }
-        crate::Snapshot::build(net, &spec)
-            .and_then(|snap| snap.model())
-            .map_err(|e| CliError(e.to_string()))
-    };
-    let server = Arc::new(
-        BatchingServer::start(
-            freeze(trainer.network())?,
-            BatchConfig {
-                max_batch,
-                max_wait: Duration::from_micros(max_wait_us as u64),
-                queue_cap: (4 * max_batch).max(1024),
-                threads,
-            },
-        )
-        .map_err(|e| CliError(e.to_string()))?,
-    );
-
-    // Closed-loop clients querying the test split (hash-scrambled order),
-    // with one hot-swap landing mid-run.
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut client_counts = vec![0u64; clients];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let server = Arc::clone(&server);
-                let stop = Arc::clone(&stop);
-                let test = &data.test;
-                scope.spawn(move || {
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let i = (crate::hash::mix::mix3(0x5E6E, c as u64, n) as usize) % test.len();
-                        let x = test.features(i);
-                        server
-                            .predict(x.indices, x.values, k)
-                            .expect("serve-bench request failed");
-                        n += 1;
-                    }
-                    n
-                })
-            })
-            .collect();
-
-        std::thread::sleep(Duration::from_millis(duration_ms as u64 / 2));
-        // Background retrain + publish while clients keep submitting. The
-        // shard plan was already validated by the startup freeze, so a
-        // mid-run snapshot of the same network cannot fail to build.
-        trainer.train_epoch(&data.train, train_epochs);
-        server.publish(freeze(trainer.network()).expect("same plan froze at startup"));
-        std::thread::sleep(Duration::from_millis(
-            duration_ms as u64 - duration_ms as u64 / 2,
-        ));
-        stop.store(true, Ordering::Relaxed);
-        for (c, h) in handles.into_iter().enumerate() {
-            client_counts[c] = h.join().expect("client thread panicked");
-        }
-    });
-
-    let stats = server.stats();
-    if stats.errors > 0 {
-        return Err(CliError(format!(
-            "{} request(s) errored during the run (hot-swap must be invisible)",
-            stats.errors
-        )));
-    }
-    let shard_precisions = vec![precision; shards].join("|");
-    let json = crate::serve::bench_report_json(
-        &crate::serve::BenchMeta {
-            source: "slide_cli",
-            workload: "synthetic",
-            scale: 1,
-            clients,
-            threads: server.threads(),
-            max_batch,
-            max_wait_us: max_wait_us as u64,
-            k,
-            precision,
-            shards,
-            shard_precisions: &shard_precisions,
-        },
-        &[crate::serve::phase_json("closed", None, shards, &stats)],
-    );
-    std::fs::write(&json_path, &json)?;
-
-    Ok(format!(
-        "serve-bench: {} clients x {}ms closed-loop, {} scoring threads, simd {}, precision {precision}, shards {shards}\n\
-         served {} requests in {} batches (mean batch {:.1}), 1 hot-swap, 0 errors\n\
-         throughput {:.0} req/s; latency p50 {}us p99 {}us max {}us\n\
-         per-client counts: {:?}\n\
-         report written to {json_path}\n",
-        clients,
-        duration_ms,
-        server.threads(),
-        crate::simd::effective_level(),
-        stats.served,
-        stats.batches,
-        stats.mean_batch,
-        stats.throughput_qps,
-        stats.latency.p50_us,
-        stats.latency.p99_us,
-        stats.latency.max_us,
-        client_counts,
-    ))
-}
-
 /// `snapshot`: manage a versioned model registry — publish a freshly
 /// trained fleet-fixture snapshot (the artifact `slide_netd --snapshot`
 /// cold-starts from), roll the live pointer back, or prune old versions.
@@ -579,7 +394,6 @@ pub fn run(args: &CliArgs) -> Result<String, CliError> {
         "gen" => cmd_gen(args),
         "train" => cmd_train(args),
         "eval" => cmd_eval(args),
-        "serve-bench" => cmd_serve_bench(args),
         "snapshot" => cmd_snapshot(args),
         "obs scrape" => cmd_obs_scrape(args),
         "help" | "--help" => Ok(usage().to_string()),
@@ -593,6 +407,8 @@ pub fn run(args: &CliArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchConfig, BatchingServer};
+    use std::sync::Arc;
 
     #[test]
     fn parse_command_and_options() {
@@ -703,113 +519,6 @@ mod tests {
         let args = CliArgs::parse(["frobnicate"]).unwrap();
         let err = run(&args).unwrap_err();
         assert!(err.to_string().contains("USAGE"), "{err}");
-    }
-
-    #[test]
-    fn serve_bench_runs_and_writes_report() {
-        let dir = std::env::temp_dir().join(format!("slide_serve_bench_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_serve.json");
-        let args = CliArgs::parse([
-            "serve-bench",
-            "--clients",
-            "4",
-            "--duration-ms",
-            "300",
-            "--train-epochs",
-            "1",
-            "--threads",
-            "2",
-            "--max-batch",
-            "16",
-            "--json",
-            json.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("1 hot-swap, 0 errors"), "{report}");
-        assert!(report.contains("throughput"), "{report}");
-        let body = std::fs::read_to_string(&json).unwrap();
-        for field in [
-            "\"bench\":\"serve\"",
-            "\"p50\":",
-            "\"p99\":",
-            "\"batch_hist\":",
-        ] {
-            assert!(body.contains(field), "missing {field} in {body}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serve_bench_i8_precision_leg() {
-        let dir = std::env::temp_dir().join(format!("slide_serve_i8_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_serve_i8.json");
-        let args = CliArgs::parse([
-            "serve-bench",
-            "--precision",
-            "i8",
-            "--clients",
-            "2",
-            "--duration-ms",
-            "300",
-            "--train-epochs",
-            "1",
-            "--threads",
-            "2",
-            "--max-batch",
-            "16",
-            "--json",
-            json.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("precision i8"), "{report}");
-        assert!(report.contains("1 hot-swap, 0 errors"), "{report}");
-        let body = std::fs::read_to_string(&json).unwrap();
-        assert!(body.contains("\"precision\":\"i8\""), "{body}");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // And the flag rejects junk.
-        let bad = CliArgs::parse(["serve-bench", "--precision", "fp4"]).unwrap();
-        let err = cmd_serve_bench(&bad).unwrap_err();
-        assert!(err.to_string().contains("--precision"), "{err}");
-    }
-
-    #[test]
-    fn serve_bench_sharded_leg() {
-        let dir = std::env::temp_dir().join(format!("slide_serve_shard_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_serve_shard.json");
-        let args = CliArgs::parse([
-            "serve-bench",
-            "--shards",
-            "4",
-            "--clients",
-            "2",
-            "--duration-ms",
-            "300",
-            "--train-epochs",
-            "1",
-            "--threads",
-            "2",
-            "--max-batch",
-            "16",
-            "--json",
-            json.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("shards 4"), "{report}");
-        assert!(report.contains("1 hot-swap, 0 errors"), "{report}");
-        let body = std::fs::read_to_string(&json).unwrap();
-        assert!(body.contains("\"shards\":4"), "{body}");
-        assert!(
-            body.contains("\"shard_precisions\":\"f32|f32|f32|f32\""),
-            "{body}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
