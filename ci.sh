@@ -17,12 +17,15 @@
 # their exit status. Serving, snapshot and network-hop numbers come from
 # benchmark/ alone: smoke runs all four of its workloads for their checks
 # (every reply bit-equal to the direct engine), the int8 workload again
-# under forced SLIDE_SIMD=avx2, and the benchmark's own unit tests. Smoke
-# also runs the chaos suite under forced SLIDE_SIMD=scalar, a fleet scrape
-# and a live deploy leg (slide_trainerd publishing gated versions into a
-# followed slide_netd); CI uploads all BENCH_*.json as per-leg artifacts.
-# Gate modes also enforce a test-count ratchet: `cargo test -q` must report
-# at least MIN_TIER1_TESTS passing tests (see below).
+# under forced SLIDE_SIMD=avx2, the benchmark's own unit tests, and a soak
+# (both serve workloads ten times each under a timeout: one hang or failed
+# check on the request path fails CI). Smoke also runs the chaos suite and,
+# twenty times over, the request path's concurrency tests under forced
+# SLIDE_SIMD=scalar, a fleet scrape and a live deploy leg (slide_trainerd
+# publishing gated versions into a followed slide_netd); CI uploads all
+# BENCH_*.json as per-leg artifacts. Gate modes also enforce a test-count
+# ratchet (`cargo test -q` must report at least MIN_TIER1_TESTS passing
+# tests, see below) and that the request path stays free of `unsafe`.
 #
 # SLIDE_SIMD={auto|scalar|avx2|avx512} forces the global SimdPolicy inside
 # every test/binary process (the env hook in slide_simd::policy), so the
@@ -110,6 +113,18 @@ if [[ "$MODE" == "smoke" ]]; then
     SLIDE_SIMD=scalar cargo test --release -q -p slide-net \
         --test fault_injection --test deadline_hops
 
+    step "smoke: request-path concurrency tests x20 under forced SLIDE_SIMD=scalar"
+    # Each of these forces its interleaving with a gate inside a fake model
+    # or a counter, never a sleep, so a failure in any of the twenty rounds
+    # is a bug in crates/serve/src/server.rs, not a flake to re-run.
+    for round in $(seq 1 20); do
+        SLIDE_SIMD=scalar cargo test --release -q -p slide-serve --lib server::tests \
+            > /dev/null || {
+            echo "request-path concurrency tests failed in round $round" >&2
+            exit 1
+        }
+    done
+
     step "smoke: registry cold start + fleet scrape (slide_cli obs scrape)"
     # Publish a snapshot through the CLI, cold-start a replica daemon from
     # the registry, front it with slide_router, scrape BOTH tiers over the
@@ -162,6 +177,9 @@ if [[ "$MODE" == "smoke" ]]; then
         slide_serve_requests_total \
         slide_serve_batches_total \
         slide_serve_batch_size \
+        slide_serve_inline_total \
+        slide_serve_slot_handoffs_total \
+        slide_serve_overloaded_total \
         'slide_stage_us_count{stage="kernel"}' \
         'slide_stage_us_count{stage="encode"}'; do
         grep -qF "$family" <<< "$DAEMON_SCRAPE" || {
@@ -321,6 +339,19 @@ if [[ "$MODE" == "smoke" ]]; then
     # (see benchmark/README.md).
     benchmark/run.sh all --seconds 2 > /dev/null
 
+    step "smoke: benchmark soak (serve_inproc and serve_net_i8, 10x each, timeout 120)"
+    # The driver's command must exit 0 every time: a lost slot or a lost
+    # wake-up on the request path shows up as a hang (the timeout) and a
+    # wrong reply as a failed check, and neither need happen on every run.
+    for w in serve_inproc serve_net_i8; do
+        for seed in $(seq 1 10); do
+            timeout 120 benchmark/run.sh "$w" --seed "$seed" --seconds 2 > /dev/null || {
+                echo "benchmark soak: $w seed $seed failed or timed out (exit $?)" >&2
+                exit 1
+            }
+        done
+    done
+
     step "smoke: benchmark serve_net_i8 under forced SLIDE_SIMD=avx2"
     # The quantized serving path on the AVX2 maddubs kernels, so the int8
     # leg exercises a fixed integer ISA whatever the runner's AVX-512
@@ -337,6 +368,14 @@ fi
 step "cargo fmt --check"
 cargo fmt --check
 
+step "no unsafe on the request path (crates/serve/src/server.rs)"
+# Slots are owned values passed between threads through one mutex and the
+# waiters' channels; nothing there needs a raw pointer, and it stays so.
+if grep -n 'unsafe' crates/serve/src/server.rs; then
+    echo "ci.sh: crates/serve/src/server.rs must not contain 'unsafe'" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -350,7 +389,7 @@ fi
 # they tested (each listed in CHANGES.md). A drop below it means tests were
 # deleted or silently stopped being discovered (e.g. a [[test]] target fell
 # out of the manifest).
-MIN_TIER1_TESTS=624
+MIN_TIER1_TESTS=631
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

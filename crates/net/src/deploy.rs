@@ -18,7 +18,7 @@
 //!   amortizing as steps accumulate) and drives train → snapshot → gate →
 //!   publish rounds.
 //! * [`RegistryWatcher`] — polls `CURRENT`, mmap-loads new versions, and
-//!   publishes them into a [`BatchingServer`] at a batch boundary. The
+//!   publishes them into a [`BatchingServer`] between requests. The
 //!   **staleness** it records per swap is the full train-to-serve lag:
 //!   version-file mtime (when the publisher made the bytes durable) to
 //!   hot-swap completion, so it includes the pointer flip, the poll

@@ -30,6 +30,7 @@ use slide_serve::{stage_histogram, BatchingServer, LatencySummary, ServeError};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -420,7 +421,13 @@ fn bump(shared: &NetShared, peer: &str, f: impl Fn(&mut ClientCounters)) {
     let mut inner = shared.stats.lock();
     inner.touch_seq += 1;
     let now = inner.touch_seq;
-    if !inner.per_client.contains_key(peer) && inner.per_client.len() >= MAX_TRACKED_PEERS {
+    // A tracked peer costs one lookup; only first contact allocates its key.
+    if let Some(entry) = inner.per_client.get_mut(peer) {
+        entry.touched = now;
+        f(&mut entry.counters);
+        return;
+    }
+    if inner.per_client.len() >= MAX_TRACKED_PEERS {
         // Evict the least-recently-touched peer to admit this one. O(n)
         // scan, but n is capped at MAX_TRACKED_PEERS and eviction only
         // fires on first contact from a new peer past the cap.
@@ -437,6 +444,15 @@ fn bump(shared: &NetShared, peer: &str, f: impl Fn(&mut ClientCounters)) {
     let entry = inner.per_client.entry(peer.to_string()).or_default();
     entry.touched = now;
     f(&mut entry.counters);
+}
+
+/// The one per-peer update of a `Predict` frame: the request and its
+/// outcome together, so the frame takes the stats mutex once.
+fn bump_request(shared: &NetShared, peer: &str, outcome: impl Fn(&mut ClientCounters)) {
+    bump(shared, peer, |c| {
+        c.requests += 1;
+        outcome(c);
+    });
 }
 
 fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) {
@@ -491,11 +507,10 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) 
 fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: Frame) -> bool {
     match frame {
         Frame::Predict(req) => {
-            bump(shared, peer, |c| c.requests += 1);
             shared.obs.requests.inc();
             if shared.draining.load(Ordering::Acquire) {
                 // Drain started between frames: shed softly and close.
-                bump(shared, peer, |c| c.retry_later += 1);
+                bump_request(shared, peer, |c| c.retry_later += 1);
                 shared.obs.retry_later.inc();
                 let _ = write_frame(
                     stream,
@@ -512,17 +527,23 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
             let deadline =
                 (req.deadline_us > 0).then(|| t0 + Duration::from_micros(req.deadline_us));
             shared.inflight.fetch_add(1, Ordering::Relaxed);
-            let result = shared.batching.try_predict_traced(
-                &req.indices,
-                &req.values,
-                req.k as usize,
-                deadline,
-                req.trace_id,
-            );
+            // Scoring runs on this thread, so a model panic unwinds through
+            // here. It has already closed the engine: answer it as `Closed`
+            // rather than die without a reply and leave the gauges stuck.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                shared.batching.try_predict_traced(
+                    &req.indices,
+                    &req.values,
+                    req.k as usize,
+                    deadline,
+                    req.trace_id,
+                )
+            }))
+            .unwrap_or(Err(ServeError::Closed));
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
             let reply = match result {
                 Ok(ids) => {
-                    bump(shared, peer, |c| c.ok += 1);
+                    bump_request(shared, peer, |c| c.ok += 1);
                     shared.obs.ok.inc();
                     shared
                         .obs
@@ -534,7 +555,7 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::Overloaded(depth)) => {
-                    bump(shared, peer, |c| c.retry_later += 1);
+                    bump_request(shared, peer, |c| c.retry_later += 1);
                     shared.obs.retry_later.inc();
                     Frame::RetryLater {
                         req_id: req.req_id,
@@ -542,12 +563,12 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::DeadlineExceeded) => {
-                    bump(shared, peer, |c| c.deadline_exceeded += 1);
+                    bump_request(shared, peer, |c| c.deadline_exceeded += 1);
                     shared.obs.deadline_exceeded.inc();
                     Frame::DeadlineExceeded { req_id: req.req_id }
                 }
                 Err(ServeError::Invalid(msg)) => {
-                    bump(shared, peer, |c| c.invalid += 1);
+                    bump_request(shared, peer, |c| c.invalid += 1);
                     shared.obs.invalid.inc();
                     Frame::Error {
                         req_id: req.req_id,
@@ -556,6 +577,7 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::Closed) => {
+                    bump_request(shared, peer, |_| {});
                     let _ = write_frame(
                         stream,
                         &Frame::Error {

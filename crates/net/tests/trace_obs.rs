@@ -22,7 +22,7 @@ use slide_net::{
 use slide_obs::Stage;
 use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const K: usize = 5;
 
@@ -122,8 +122,14 @@ fn traced_request_reports_every_hop_exactly_once() {
     );
 
     // Winning replica: all five serve-side stages plus the socket encode,
-    // each exactly once.
+    // each exactly once. The replica records its encode span after the
+    // reply is on the wire, so a client already holding the reply may be
+    // here first: give that last span a bounded moment to land.
     let fast_hub = b_fast.obs();
+    let give_up = Instant::now() + Duration::from_secs(1);
+    while count_stage(&fast_hub, trace_id, Stage::Encode) != 1 && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
     let expect = [
         Stage::Admission,
         Stage::BatchWait,
@@ -201,6 +207,9 @@ fn get_metrics_exposes_promised_families_over_the_wire() {
         "slide_serve_latency_us",
         "slide_serve_batches_total",
         "slide_serve_batch_size",
+        "slide_serve_inline_total",
+        "slide_serve_slot_handoffs_total",
+        "slide_serve_overloaded_total",
         "slide_stage_us_count{stage=\"kernel\"}",
         "slide_stage_us_count{stage=\"encode\"}",
     ] {

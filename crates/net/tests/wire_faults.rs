@@ -8,9 +8,11 @@
 //! runs under a watchdog, and after each fault the same server must still
 //! answer a well-formed request (no poisoned state).
 
-use slide_net::wire::{crc32, frame_bytes, Frame, MAGIC, VERSION};
-use slide_net::{FleetSpec, NetClient, NetConfig, NetServer};
-use slide_serve::{BatchConfig, BatchingServer};
+use slide_mem::SparseVecRef;
+use slide_net::wire::{crc32, frame_bytes, ErrorCode, Frame, MAGIC, VERSION};
+use slide_net::{ClientError, FleetSpec, NetClient, NetConfig, NetServer};
+use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
+use std::any::Any;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -252,5 +254,76 @@ fn idle_connection_survives_until_drain_then_closes_cleanly() {
         server.drain();
         assert!(server.is_draining());
         read_until_close(&mut s);
+    });
+}
+
+/// The fleet model, except that a query whose first feature is `.1` panics
+/// inside the engine.
+#[derive(Debug)]
+struct PanicsOn(Arc<dyn FrozenModel>, u32);
+
+impl FrozenModel for PanicsOn {
+    fn precision(&self) -> &'static str {
+        self.0.precision()
+    }
+    fn input_dim(&self) -> usize {
+        self.0.input_dim()
+    }
+    fn output_dim(&self) -> usize {
+        self.0.output_dim()
+    }
+    fn arena_bytes(&self) -> usize {
+        self.0.arena_bytes()
+    }
+    fn validate_query(&self, indices: &[u32], values: &[f32]) -> Result<(), String> {
+        self.0.validate_query(indices, values)
+    }
+    fn make_scratch_any(&self) -> Box<dyn Any + Send> {
+        self.0.make_scratch_any()
+    }
+    fn predict_any(
+        &self,
+        x: SparseVecRef<'_>,
+        k: usize,
+        scratch: &mut (dyn Any + Send),
+        salt: u64,
+    ) -> Vec<u32> {
+        assert_ne!(x.indices[0], self.1, "injected model panic");
+        self.0.predict_any(x, k, scratch, salt)
+    }
+}
+
+#[test]
+fn a_model_panic_is_answered_as_unavailable_and_leaves_no_gauge_stuck() {
+    // Scoring runs on the connection thread: a panic there must still end
+    // in a typed reply and a clean close, with `inflight` and
+    // `connections_active` back at zero.
+    watchdog("model-panic", || {
+        let (model, _) = FleetSpec {
+            epochs: 0,
+            ..Default::default()
+        }
+        .build();
+        let batching =
+            BatchingServer::start(PanicsOn(model, 7), BatchConfig::default()).expect("config");
+        let server = NetServer::start(Arc::new(batching), "127.0.0.1:0", NetConfig::default())
+            .expect("bind loopback");
+        let mut client =
+            NetClient::connect(server.local_addr(), Duration::from_secs(5)).expect("connect");
+        assert_eq!(client.predict(&[1, 5], &[1.0, 0.5], 3).unwrap().len(), 3);
+        match client.predict(&[7, 9], &[1.0, 0.5], 3) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Unavailable),
+            other => panic!("expected a typed Unavailable reply, got {other:?}"),
+        }
+        // The engine is closed for good; a fresh connection hears the same.
+        let mut again =
+            NetClient::connect(server.local_addr(), Duration::from_secs(5)).expect("reconnect");
+        assert_eq!(again.ping(1).expect("still answering pings").inflight, 0);
+        assert!(again.predict(&[1, 5], &[1.0, 0.5], 3).is_err());
+        drop((client, again));
+        while server.stats().connections_active > 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.stats().inflight, 0);
     });
 }

@@ -24,8 +24,8 @@ pub enum ServeError {
     /// buffering it. Carries the queue depth observed at rejection.
     Overloaded(usize),
     /// The request's deadline expired before it reached compute — at
-    /// admission, or while queued (the dispatcher sheds stale requests from
-    /// the drain loop rather than scoring answers nobody is waiting for).
+    /// admission, or while queued (whoever picks a stale request up sheds it
+    /// rather than scoring an answer nobody is waiting for).
     /// Distinct from [`ServeError::Overloaded`]: retrying immediately is
     /// pointless, the *budget* was exhausted, not the queue.
     DeadlineExceeded,
@@ -51,8 +51,6 @@ impl std::error::Error for ServeError {}
 pub enum ServeBuildError {
     /// A [`crate::BatchConfig`] field failed validation.
     InvalidBatchConfig(String),
-    /// The dispatcher thread could not be spawned.
-    Spawn(String),
     /// A [`crate::ShardPlan`] was constructed with zero shards.
     PlanNeedsShards,
     /// A [`crate::ShardPlan`] spreads too few rows over too many shards.
@@ -77,7 +75,6 @@ impl fmt::Display for ServeBuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeBuildError::InvalidBatchConfig(msg) => write!(f, "{msg}"),
-            ServeBuildError::Spawn(msg) => write!(f, "spawn dispatcher: {msg}"),
             ServeBuildError::PlanNeedsShards => {
                 write!(f, "ShardPlan: need at least one shard")
             }
@@ -134,8 +131,5 @@ mod tests {
         assert!(ServeBuildError::MaxActiveUnsupported
             .to_string()
             .contains("max_active"));
-        assert!(ServeBuildError::Spawn("boom".into())
-            .to_string()
-            .contains("spawn dispatcher: boom"));
     }
 }

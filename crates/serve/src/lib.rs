@@ -4,8 +4,8 @@
 //! accelerates *training*; this crate gives the trained network a production
 //! inference path that reuses the same substrates — the AVX-512/AVX2 kernels
 //! of `slide-simd`, the aligned-arena discipline of `slide-mem`, the LSH
-//! active-set machinery of `slide-hash`, and the worker pool of
-//! `slide-core` — but strips away everything mutation-related:
+//! active-set machinery of `slide-hash`, and SLIDE's one-thread-per-sample
+//! execution model — but strips away everything mutation-related:
 //!
 //! * [`Engine`] — the one frozen engine: a read-only snapshot of a trained
 //!   [`slide_core::Network`] with contiguous 64-byte-aligned per-layer weight
@@ -17,12 +17,15 @@
 //!   [`QuantizedFrozenNetwork`]) and over the shard count `N ≥ 1` of the
 //!   output layer ([`ShardPlan`]); every combination answers bit-equally to
 //!   the one-shard engine of the same layout.
-//! * [`BatchingServer`] — a bounded submission queue in front of a frozen
-//!   snapshot: concurrent requests coalesce into micro-batches (size- or
-//!   deadline-triggered, tunable via [`BatchConfig`]), fan out across a
-//!   [`slide_core::ThreadPool`], and record request, batch-size and latency
-//!   instruments ([`ServeStats`], [`BatchingServer::obs`]). The model sits
-//!   behind `RwLock<Arc<dyn FrozenModel>>`, so a background trainer can
+//! * [`BatchingServer`] — the caller-runs request path in front of a frozen
+//!   snapshot: a query is scored on the thread that brought it, on one of
+//!   `threads` scratch slots; with every slot busy it queues (bounded,
+//!   deadline-aware), and a caller answers those queued behind it for at
+//!   most `max_batch` requests / `max_wait` before passing its slot on
+//!   ([`BatchConfig`]). No dispatcher thread, no worker pool, no fixed
+//!   wait. Request, session-size, latency and per-stage instruments live in
+//!   [`BatchingServer::obs`] ([`ServeStats`] summarizes them). The model
+//!   sits behind an `RwLock`, so a background trainer can
 //!   [`BatchingServer::publish`] a fresh snapshot of any layout or shard
 //!   plan mid-traffic without dropping a request.
 //! * [`Snapshot`] — the checksummed, mmap-ready `.slsnap` image of any

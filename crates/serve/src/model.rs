@@ -3,13 +3,13 @@
 //! [`crate::BatchingServer`] and the network tier hold *any* frozen engine
 //! and hot-swap between precisions mid-traffic. [`FrozenModel`] is the
 //! object-safe contract that makes that possible: the server stores
-//! `Arc<dyn FrozenModel>` and treats per-worker scratch as an opaque
+//! `Arc<dyn FrozenModel>` and treats per-slot scratch as an opaque
 //! `Box<dyn Any + Send>` built by — and downcast inside — the engine that
 //! owns it. It is the one type-erasure in the serving tier: it hides the row
 //! layout from the server and lets tests substitute a fake; inside
 //! [`Engine`] everything is statically typed. Scratch is always rebuilt when
-//! a published snapshot replaces the one it was created from (the dispatcher
-//! already does this for shape changes).
+//! a published snapshot replaces the one it was created from (the server
+//! tags each scratch slot with the publish epoch it was built for).
 
 use crate::frozen::{Engine, ServeScratch};
 use crate::layer::RowLayout;
@@ -46,8 +46,8 @@ pub trait FrozenModel: Send + Sync + std::fmt::Debug + 'static {
     /// mismatch.
     fn validate_query(&self, indices: &[u32], values: &[f32]) -> Result<(), String>;
 
-    /// Allocate per-worker query scratch for this engine, type-erased for
-    /// the server's worker slots.
+    /// Allocate one thread's query scratch for this engine, type-erased for
+    /// the server's slots.
     fn make_scratch_any(&self) -> Box<dyn Any + Send>;
 
     /// Predict the top-`k` labels for one sparse input using scratch

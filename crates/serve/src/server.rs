@@ -1,47 +1,81 @@
-//! The micro-batching request pipeline.
+//! The caller-runs request path.
 //!
-//! Serving heavy traffic one request at a time wastes the batch-level
-//! parallelism the SLIDE kernels and worker pool were built for. A
-//! [`BatchingServer`] puts a bounded submission queue in front of a
-//! [`FrozenNetwork`]: concurrent callers block in [`BatchingServer::predict`]
-//! while a dispatcher thread coalesces their requests into micro-batches —
-//! closing a batch when it reaches `max_batch` requests *or* `max_wait` has
-//! elapsed since the batch opened, whichever comes first — and fans each
-//! batch across a [`slide_core::ThreadPool`] with per-worker scratch.
+//! SLIDE scores one sample per thread with no synchronisation inside a
+//! sample (arXiv 1903.03129 §3.1), and the frozen engine keeps that shape:
+//! one query, one `predict_any_timed` call, no batched GEMM. So a request
+//! gains nothing from being moved to another thread, and a
+//! [`BatchingServer`] does not move it. The server owns `threads` *slots* —
+//! engine-owned query scratch tagged with the publish epoch it was built
+//! for — and one mutex over `{ free slots, FIFO queue, closed }`:
 //!
-//! The model itself sits behind `RwLock<Arc<dyn FrozenModel>>`: a background
-//! trainer can [`BatchingServer::publish`] a fresh snapshot at any moment —
-//! of *any* layout or shard plan (f32 [`crate::FrozenNetwork`], int8
-//! [`crate::QuantizedFrozenNetwork`], or whatever else implements
-//! [`crate::FrozenModel`]) — and in-flight traffic migrates to it at the
-//! next batch boundary, without dropping or erroring a single request (the
-//! write lock is held only for a pointer swap; workers run on a cloned
-//! `Arc`, never inside the lock, and rebuild their engine-owned scratch at
-//! the first batch on a new snapshot).
+//! * **Idle path.** [`BatchingServer::predict`] takes the mutex once; if a
+//!   slot is free the caller scores its own borrowed query on its own
+//!   thread — no copy, no channel, no wake-up.
+//! * **Busy path.** With every slot taken the query is copied into the
+//!   bounded queue (`queue_cap`: park or [`ServeError::Overloaded`]) and the
+//!   caller blocks for a reply.
+//! * **Combining.** Before a holder gives its slot back it pops and answers
+//!   whatever queued meanwhile, in FIFO order, shedding requests whose
+//!   deadline lapsed at pickup. `max_batch` (requests per session) and
+//!   `max_wait` (time since the holder's own answer) bound how long one
+//!   caller serves others: once either is used up the holder hands the slot
+//!   itself to the head waiter, who scores its own query on its own thread
+//!   and carries on. Neither knob is ever waited *for* — both are upper
+//!   bounds that only saturation reaches.
+//!
+//! **Invariant: slot free ⇒ queue empty.** A request is queued only while
+//! no slot is free and a slot is freed only while the queue is empty, both
+//! decided under the one mutex. A queued request is therefore always
+//! followed by a live holder that will look at the queue again before it
+//! lets go of its slot, so no wake-up can be lost and there is nothing to
+//! signal "not empty" to. A blocking submitter parked on a full queue is
+//! covered too: the queue it found full has a live holder behind it, every
+//! pop wakes one parked submitter, and freeing a slot wakes all of them —
+//! one that wakes to a free slot scores inline, pops nothing and would
+//! otherwise leave the rest asleep beside an idle server. (A panic in the
+//! model would lose the slot; the unwinding holder closes the server
+//! instead, and everyone queued or parked gets [`ServeError::Closed`].)
+//!
+//! The model sits behind `RwLock<(epoch, Arc<dyn FrozenModel>)>`: a trainer
+//! can [`BatchingServer::publish`] a snapshot of *any* layout or shard plan
+//! at any moment. A holder pins the current `Arc` for its whole session and
+//! rebuilds its slot's scratch when the epoch moved, so a swap lands between
+//! sessions without dropping or erroring a request; scratch is built, and a
+//! retired snapshot dropped, outside both locks. A slot carries the epoch
+//! rather than the `Arc` so that an idle slot never keeps a retired
+//! snapshot mapped.
+//!
+//! Measured on the 106 496 × 128 fixture (`benchmark/`, 8 submitters at
+//! 500 req/s over one slot, ten alternating pairs against the dispatcher
+//! thread with a fixed 500 µs window that this replaced): client p50
+//! 931 → 304 µs in process (f32), 921 → 272 µs through a socket (int8);
+//! engine rate and peak memory unmoved. The table is in DESIGN.md §4.
 
 use crate::error::{ServeBuildError, ServeError};
 use crate::model::{FrozenModel, IntoFrozenModel};
 use parking_lot::{Condvar, Mutex, RwLock};
-use slide_core::ThreadPool;
 use slide_mem::SparseVecRef;
 use slide_obs::{Counter, Gauge, Histogram, ObsHub, Stage, StageSample};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the micro-batcher.
+/// Sizing and fairness bounds of the request path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Close a batch as soon as it holds this many requests.
+    /// Most requests one holder session scores (its own included) before it
+    /// hands its slot to the next waiter.
     pub max_batch: usize,
-    /// Close a batch this long after its first request arrived, even if it
-    /// is not full (the latency/throughput trade-off knob).
+    /// Longest a holder keeps answering queued requests after its own
+    /// answer is ready (and so how far its return can trail its recorded
+    /// latency). An upper bound under saturation, never a wait: an empty
+    /// queue ends the session at once. Zero = never serve others.
     pub max_wait: Duration,
     /// Bound on queued requests; submitters block (backpressure) when full.
     pub queue_cap: usize,
-    /// Worker threads scoring batches (0 = all available cores).
+    /// Scratch slots = requests scored concurrently (0 = all available
+    /// cores). Scoring runs on the callers' threads; the server owns none.
     pub threads: usize,
 }
 
@@ -87,50 +121,86 @@ impl BatchConfig {
 
 type Response = Result<Vec<u32>, ServeError>;
 
-struct Request {
-    indices: Vec<u32>,
-    values: Vec<f32>,
+/// What travels with a query besides its features.
+#[derive(Clone, Copy)]
+struct Ticket {
     k: usize,
     enqueued: Instant,
     /// Absolute point past which the answer is worthless to the caller;
-    /// `None` = wait forever. The dispatcher sheds expired requests from the
-    /// drain loop *before* they reach a worker.
+    /// `None` = wait forever. Checked at admission, while parked on a full
+    /// queue, and at pickup.
     deadline: Option<Instant>,
     /// Nonzero for traced requests: per-stage spans land in the server's
     /// trace ring under this id (0 = untraced, spans skipped).
     trace_id: u64,
-    tx: mpsc::SyncSender<Response>,
 }
 
-impl Request {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
+/// A request that found every slot busy: a copy of the query for whichever
+/// holder pops it, and the channel its caller is blocked on.
+struct Queued {
+    indices: Vec<u32>,
+    values: Vec<f32>,
+    ticket: Ticket,
+    tx: mpsc::SyncSender<Reply>,
 }
 
-struct Queue {
-    items: VecDeque<Request>,
+/// How `submit` got past the mutex.
+enum Admitted {
+    /// A slot was free: the caller holds it.
+    Inline(Slot),
+    /// Every slot was busy: the caller waits on its queued copy's channel.
+    Queued(mpsc::Receiver<Reply>),
+}
+
+enum Reply {
+    /// A holder scored (or shed) the request.
+    Answer(Response),
+    /// The holder's bound ran out: the waiter now holds the slot and scores
+    /// its own request.
+    Turn(Slot),
+}
+
+/// Engine-owned query scratch, opaque to the server (built by — and
+/// downcast inside — the snapshot published at `epoch`). Epochs only grow,
+/// so an equal epoch means the very snapshot the scratch was built for.
+struct Slot {
+    epoch: u64,
+    scratch: Box<dyn Any + Send>,
+}
+
+/// Everything the one mutex guards. `!free.is_empty()` implies
+/// `queue.is_empty()` (see the module docs).
+struct State {
+    free: Vec<Slot>,
+    queue: VecDeque<Queued>,
+    /// Blocking submitters asleep on `not_full` (they found the queue full).
+    parked: usize,
     closed: bool,
 }
 
 /// The server's registry-backed instruments, `Arc`s cached at start so the
-/// hot path never touches the registry's name map. The latency histogram —
-/// not a capped sample vector — is the source of truth for percentiles:
-/// bounded memory at any traffic volume, with tail accuracy bounded by
-/// [`Histogram::RELATIVE_ERROR_BOUND`] instead of silently degrading once
-/// a sample cap is hit.
+/// hot path never touches the registry's name map. The latency histogram is
+/// the source of truth for percentiles: bounded memory at any volume, tail
+/// accuracy bounded by [`Histogram::RELATIVE_ERROR_BOUND`].
 struct ServeObs {
     hub: Arc<ObsHub>,
     /// Requests answered (including error responses).
     served: Arc<Counter>,
     errors: Arc<Counter>,
-    /// Requests shed because their deadline expired before compute
-    /// (at admission, in the drain loop, or at the worker's last check).
-    /// Kept separate from `served`/`errors`: a shed request was never
-    /// answered with a prediction or a validation verdict.
+    /// Requests shed because their deadline expired before compute (at
+    /// admission, parked on a full queue, or at pickup). Kept separate from
+    /// `served`/`errors`: a shed request was never answered with a
+    /// prediction or a validation verdict.
     deadline_exceeded: Arc<Counter>,
+    /// Requests shed by `try_predict*` on a full queue.
+    overloaded: Arc<Counter>,
+    /// Requests scored by their own thread without queueing.
+    inline: Arc<Counter>,
+    /// Slots passed to a waiter because the holder's bound ran out.
+    slot_handoffs: Arc<Counter>,
+    /// Holder sessions that scored at least one request.
     batches: Arc<Counter>,
-    /// Requests per executed micro-batch.
+    /// Requests scored per holder session (its own + those it combined).
     batch_size: Arc<Histogram>,
     hot_swaps: Arc<Gauge>,
     latency_us: Arc<Histogram>,
@@ -156,6 +226,9 @@ impl ServeObs {
             served: r.counter("slide_serve_requests_total"),
             errors: r.counter("slide_serve_errors_total"),
             deadline_exceeded: r.counter("slide_serve_deadline_exceeded_total"),
+            overloaded: r.counter("slide_serve_overloaded_total"),
+            inline: r.counter("slide_serve_inline_total"),
+            slot_handoffs: r.counter("slide_serve_slot_handoffs_total"),
             batches: r.counter("slide_serve_batches_total"),
             batch_size: r.histogram("slide_serve_batch_size"),
             hot_swaps: r.gauge("slide_serve_hot_swaps"),
@@ -173,6 +246,9 @@ impl ServeObs {
         self.served.reset();
         self.errors.reset();
         self.deadline_exceeded.reset();
+        self.overloaded.reset();
+        self.inline.reset();
+        self.slot_handoffs.reset();
         self.batches.reset();
         self.batch_size.reset();
         self.latency_us.reset();
@@ -185,46 +261,12 @@ impl ServeObs {
 }
 
 struct ServerShared {
-    queue: Mutex<Queue>,
-    not_empty: Condvar,
+    state: Mutex<State>,
     not_full: Condvar,
-    model: RwLock<Arc<dyn FrozenModel>>,
+    /// The serving snapshot and the number of publishes before it.
+    model: RwLock<(u64, Arc<dyn FrozenModel>)>,
     obs: ServeObs,
-    swap_epoch: AtomicU64,
     config: BatchConfig,
-    threads: usize,
-}
-
-/// Sendable pointer to per-worker slots; each pool worker dereferences only
-/// its own index, so access is disjoint.
-#[derive(Clone, Copy)]
-struct SlotPtr {
-    base: *mut WorkerSlot,
-    len: usize,
-}
-
-unsafe impl Send for SlotPtr {}
-unsafe impl Sync for SlotPtr {}
-
-impl SlotPtr {
-    /// Exclusive access to worker `i`'s slot.
-    ///
-    /// # Safety
-    ///
-    /// Each index must be used by at most one thread at a time (the pool
-    /// hands every worker a distinct id) and the backing slice must outlive
-    /// the parallel section.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut WorkerSlot {
-        assert!(i < self.len, "SlotPtr: worker index out of range");
-        &mut *self.base.add(i)
-    }
-}
-
-struct WorkerSlot {
-    /// Engine-owned query scratch, opaque to the server (built by —
-    /// and downcast inside — the snapshot that created it).
-    scratch: Box<dyn Any + Send>,
 }
 
 /// Summary of a latency distribution, in microseconds.
@@ -262,8 +304,8 @@ impl LatencySummary {
 
 /// The content-derived retrieval salt the batching server hands the model
 /// for a query: a splitmix64 fold over `(indices, value bits, k)`. Using
-/// query *content* rather than batch position makes serving deterministic —
-/// the same query produces bit-identical top-k whatever batch it lands in
+/// query *content* rather than arrival order makes serving deterministic —
+/// the same query produces bit-identical top-k whichever thread scores it
 /// and whichever replica of a snapshot answers it — which is what lets a
 /// router fail a request over mid-flight without the client seeing two
 /// different answers. Callers comparing an in-process prediction against a
@@ -317,14 +359,17 @@ pub struct ServeStats {
     pub errors: u64,
     /// Requests shed because their deadline expired before compute.
     pub deadline_exceeded: u64,
-    /// Micro-batches executed.
+    /// Holder sessions that scored at least one request.
     pub batches: u64,
     /// Snapshots published over the server's lifetime.
     pub hot_swaps: u64,
-    /// Mean executed batch size (`served / batches`); the distribution is
-    /// the `slide_serve_batch_size` histogram in [`BatchingServer::obs`].
+    /// Mean requests per holder session (`served / batches`; 1 = nobody
+    /// queued behind anybody); the distribution is the
+    /// `slide_serve_batch_size` histogram in [`BatchingServer::obs`].
     pub mean_batch: f64,
-    /// End-to-end request latency (enqueue → response ready).
+    /// End-to-end request latency (enqueue → response ready). A holder
+    /// returns to its caller only after its session, so under saturation an
+    /// inline caller sees up to `max_wait` + one scoring more than this.
     pub latency: LatencySummary,
 }
 
@@ -347,21 +392,19 @@ pub struct ServeStats {
 /// ```
 pub struct BatchingServer {
     shared: Arc<ServerShared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl BatchingServer {
-    /// Start the dispatcher thread serving `model` under `config`. The
-    /// model may be any [`FrozenModel`] — the f32 [`crate::FrozenNetwork`],
-    /// a quantized engine — or an already-erased `Arc<dyn FrozenModel>`
-    /// (e.g. one loaded from a snapshot): [`IntoFrozenModel`] accepts both,
-    /// so there is no separate `start_dyn`.
+    /// Build the slots for serving `model` under `config`; no thread is
+    /// started. The model may be any [`FrozenModel`] — the f32
+    /// [`crate::FrozenNetwork`], a quantized engine — or an already-erased
+    /// `Arc<dyn FrozenModel>` (e.g. one loaded from a snapshot):
+    /// [`IntoFrozenModel`] accepts both.
     ///
     /// # Errors
     ///
     /// [`ServeBuildError::InvalidBatchConfig`] with the message from
-    /// [`BatchConfig::validate`], or [`ServeBuildError::Spawn`] if the
-    /// dispatcher thread could not be created.
+    /// [`BatchConfig::validate`].
     pub fn start(
         model: impl IntoFrozenModel,
         config: BatchConfig,
@@ -370,31 +413,25 @@ impl BatchingServer {
         config
             .validate()
             .map_err(ServeBuildError::InvalidBatchConfig)?;
-        let threads = config.effective_threads();
+        let free = (0..config.effective_threads())
+            .map(|_| Slot {
+                epoch: 0,
+                scratch: model.make_scratch_any(),
+            })
+            .collect();
         let shared = Arc::new(ServerShared {
-            queue: Mutex::new(Queue {
-                items: VecDeque::with_capacity(config.queue_cap),
+            state: Mutex::new(State {
+                free,
+                queue: VecDeque::new(),
+                parked: 0,
                 closed: false,
             }),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            model: RwLock::new(model),
+            model: RwLock::new((0, model)),
             obs: ServeObs::new(ObsHub::shared()),
-            swap_epoch: AtomicU64::new(0),
             config,
-            threads,
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("slide-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(&shared))
-                .map_err(|e| ServeBuildError::Spawn(e.to_string()))?
-        };
-        Ok(BatchingServer {
-            shared,
-            dispatcher: Some(dispatcher),
-        })
+        Ok(BatchingServer { shared })
     }
 
     /// This server's observability hub: the registry its counters and
@@ -407,25 +444,30 @@ impl BatchingServer {
 
     /// The snapshot currently serving traffic.
     pub fn current(&self) -> Arc<dyn FrozenModel> {
-        self.shared.model.read().clone()
+        self.shared.model.read().1.clone()
     }
 
-    /// Publish a new snapshot; traffic migrates at the next batch boundary.
-    /// The write lock is held only for the pointer swap, so publishing never
-    /// stalls readers for longer than an `Arc` assignment. The new snapshot
-    /// need not match the old one's precision (or engine type): workers
-    /// rebuild their engine-owned scratch at the first batch on the new
-    /// model, so f32 → i8 → f32 swaps are invisible to in-flight clients.
-    /// Like [`BatchingServer::start`], accepts a concrete engine or an
-    /// already-erased `Arc<dyn FrozenModel>`.
+    /// Publish a new snapshot; traffic migrates at the next holder session.
+    /// The write lock is held only for the pointer swap (the retired
+    /// snapshot is released after it), so publishing never stalls readers
+    /// for longer than an `Arc` assignment. The new snapshot need not match
+    /// the old one's precision (or engine type): every holder rebuilds its
+    /// slot's scratch at its first session on the new model, so f32 → i8 →
+    /// f32 swaps are invisible to in-flight clients. Accepts what
+    /// [`BatchingServer::start`] accepts.
     pub fn publish(&self, model: impl IntoFrozenModel) {
-        *self.shared.model.write() = model.into_frozen();
-        let epoch = self.shared.swap_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.shared.obs.hot_swaps.set(epoch);
+        let mut next = model.into_frozen();
+        let mut current = self.shared.model.write();
+        std::mem::swap(&mut current.1, &mut next);
+        current.0 += 1;
+        self.shared.obs.hot_swaps.set(current.0);
+        drop(current);
+        // `next` now holds the retired snapshot: released here, unlocked.
     }
 
-    /// Submit one query and block until its top-`k` prediction is ready.
-    /// Applies backpressure: blocks while the submission queue is full.
+    /// Submit one query and block until its top-`k` prediction is ready —
+    /// scored on this thread when a slot is free. Applies backpressure:
+    /// blocks while the submission queue is full.
     ///
     /// # Errors
     ///
@@ -445,10 +487,10 @@ impl BatchingServer {
     /// before the request reaches compute it is shed with
     /// [`ServeError::DeadlineExceeded`] — at admission when it arrives
     /// already expired or expires while parked on a full queue (no compute,
-    /// no queue slot), or from the dispatcher's drain loop when it expires
-    /// while queued. A request already being scored runs to completion
-    /// (compute is never cancelled mid-batch); the deadline bounds
-    /// *queueing*, which is where overload latency lives.
+    /// no queue slot), or at pickup when it expires while queued. A request
+    /// already being scored runs to completion (compute is never cancelled);
+    /// the deadline bounds *queueing*, which is where overload latency
+    /// lives.
     ///
     /// # Errors
     ///
@@ -545,79 +587,167 @@ impl BatchingServer {
                 values.len()
             )));
         }
-        let obs = &self.shared.obs;
+        let shared = &*self.shared;
+        let obs = &shared.obs;
         let admit_start_us = obs.hub.ring().now_us();
-        // Already expired on arrival: reject before taking a queue slot —
-        // the caller's budget is gone, compute would be pure waste.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            obs.deadline_exceeded.inc();
-            return Err(ServeError::DeadlineExceeded);
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
-        let request = Request {
-            indices: indices.to_vec(),
-            values: values.to_vec(),
+        let ticket = Ticket {
             k,
             enqueued: Instant::now(),
             deadline,
             trace_id,
-            tx,
         };
-        {
-            let mut q = self.shared.queue.lock();
-            while q.items.len() >= self.shared.config.queue_cap && !q.closed {
-                if !block {
-                    return Err(ServeError::Overloaded(q.items.len()));
+        // Already expired on arrival: reject before taking a slot or a
+        // queue place — compute would be pure waste.
+        if deadline.is_some_and(|d| ticket.enqueued >= d) {
+            obs.deadline_exceeded.inc();
+            return Err(ServeError::DeadlineExceeded);
+        }
+        // Take a free slot (nobody is ahead: slot free ⇒ queue empty) or a
+        // place in the queue.
+        let admitted = {
+            let mut st = shared.state.lock();
+            loop {
+                if st.closed {
+                    return Err(ServeError::Closed);
                 }
-                match deadline {
-                    None => self.shared.not_full.wait(&mut q),
-                    // The budget bounds the park too: a request that never
-                    // got a queue slot is shed when it lapses, not when the
-                    // queue happens to drain.
-                    Some(d) => {
-                        let remaining = d.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            obs.deadline_exceeded.inc();
-                            return Err(ServeError::DeadlineExceeded);
-                        }
-                        self.shared.not_full.wait_for(&mut q, remaining);
+                if let Some(slot) = st.free.pop() {
+                    break Admitted::Inline(slot);
+                }
+                if st.queue.len() < shared.config.queue_cap {
+                    let (tx, rx) = mpsc::sync_channel(1);
+                    st.queue.push_back(Queued {
+                        indices: indices.to_vec(),
+                        values: values.to_vec(),
+                        ticket,
+                        tx,
+                    });
+                    break Admitted::Queued(rx);
+                }
+                if !block {
+                    obs.overloaded.inc();
+                    return Err(ServeError::Overloaded(st.queue.len()));
+                }
+                // The budget bounds the park too: a request that never got
+                // a queue place is shed when it lapses, not when the queue
+                // happens to drain.
+                let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if budget.is_some_and(|b| b.is_zero()) {
+                    obs.deadline_exceeded.inc();
+                    return Err(ServeError::DeadlineExceeded);
+                }
+                st.parked += 1;
+                match budget {
+                    None => shared.not_full.wait(&mut st),
+                    Some(b) => {
+                        shared.not_full.wait_for(&mut st, b);
                     }
                 }
+                st.parked -= 1;
             }
-            if q.closed {
-                return Err(ServeError::Closed);
-            }
-            q.items.push_back(request);
-            self.shared.not_empty.notify_one();
-        }
-        // Admission: validation + queue hand-off (ends when the request is
-        // enqueued; waiting for the batch is the BatchWait stage).
+        };
+        // Admission: validation + taking the slot or the queue place
+        // (waiting for a holder is the BatchWait stage).
         let admit_us = obs.hub.ring().now_us().saturating_sub(admit_start_us);
         obs.stage_admission.record(admit_us);
-        if trace_id != 0 {
-            obs.hub
-                .ring()
-                .record(trace_id, Stage::Admission, admit_start_us, admit_us);
+        obs.hub
+            .ring()
+            .record(trace_id, Stage::Admission, admit_start_us, admit_us);
+        match admitted {
+            Admitted::Inline(slot) => {
+                obs.inline.inc();
+                self.hold(slot, indices, values, ticket)
+            }
+            Admitted::Queued(rx) => match rx.recv() {
+                Ok(Reply::Answer(response)) => response,
+                Ok(Reply::Turn(slot)) => self.hold(slot, indices, values, ticket),
+                Err(mpsc::RecvError) => Err(ServeError::Closed),
+            },
         }
-        rx.recv().unwrap_or(Err(ServeError::Closed))
+    }
+
+    /// One holder session on the calling thread: score the caller's own
+    /// request, then answer queued ones until the queue is empty (slot
+    /// freed) or the `max_batch` / `max_wait` bound runs out (slot handed
+    /// to the head waiter). Returns the caller's own response.
+    fn hold(&self, mut slot: Slot, indices: &[u32], values: &[f32], ticket: Ticket) -> Response {
+        let shared = &*self.shared;
+        let obs = &shared.obs;
+        let on_unwind = CloseOnUnwind(shared);
+        // Pin the snapshot for the whole session (hot-swaps land between
+        // sessions, never inside one). Shapes and the scratch's engine type
+        // may differ across snapshots: a new epoch always means new scratch.
+        let (epoch, model) = shared.model.read().clone();
+        if slot.epoch != epoch {
+            let scratch = model.make_scratch_any();
+            slot = Slot { epoch, scratch };
+        }
+        let mut session = Session {
+            obs,
+            model: &*model,
+            slot,
+            scored: 0,
+        };
+        let own = session.score(indices, values, ticket);
+        let own_ready = Instant::now();
+        loop {
+            let mut st = shared.state.lock();
+            let Some(next) = st.queue.pop_front() else {
+                st.free.push(session.slot);
+                // A pop wakes one parked submitter, but one that wakes to
+                // this free slot takes no queue place and wakes nobody in
+                // turn: freeing the slot wakes everyone still parked.
+                if st.parked > 0 {
+                    shared.not_full.notify_all();
+                }
+                break;
+            };
+            let parked = st.parked;
+            drop(st);
+            if parked > 0 {
+                shared.not_full.notify_one();
+            }
+            let within_bound = session.scored < shared.config.max_batch
+                && own_ready.elapsed() < shared.config.max_wait;
+            if within_bound {
+                let response = session.score(&next.indices, &next.values, next.ticket);
+                // A disappeared client (dropped receiver) is not an error.
+                let _ = next.tx.send(Reply::Answer(response));
+            } else if let Err(mpsc::SendError(Reply::Turn(back))) =
+                next.tx.send(Reply::Turn(session.slot))
+            {
+                // The waiter is gone: the slot comes back inside the error.
+                session.slot = back;
+            } else {
+                obs.slot_handoffs.inc();
+                break;
+            }
+        }
+        if session.scored > 0 {
+            obs.batch_size.record(session.scored as u64);
+        }
+        std::mem::forget(on_unwind);
+        own
     }
 
     /// Requests currently waiting in the submission queue (not including
-    /// those already being scored in a batch).
+    /// those being scored).
     pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().items.len()
+        self.shared.state.lock().queue.len()
     }
 
     /// Snapshot the request/latency counters.
     ///
-    /// Counters are lock-free and workers record them as each response is
-    /// sent, so a response a client just received may precede its own
-    /// appearance here by nanoseconds. Quiesce traffic before comparing
-    /// exact counts. Latency percentiles come from the bounded-memory
-    /// registry histogram (p50/p99 within its 1/32 bucket error bound;
-    /// mean/max exact).
+    /// Counters are lock-free and a holder records them as it sends each
+    /// response, so a response a queued client just received may precede
+    /// its session's `slide_serve_batch_size` sample by nanoseconds.
+    /// Quiesce traffic before comparing exact counts. Latency percentiles
+    /// come from the bounded-memory registry histogram (p50/p99 within its
+    /// 1/32 bucket error bound; mean/max exact).
     pub fn stats(&self) -> ServeStats {
-        let precision = self.shared.model.read().precision().to_string();
+        let (hot_swaps, precision) = {
+            let current = self.shared.model.read();
+            (current.0, current.1.precision().to_string())
+        };
         let obs = &self.shared.obs;
         let served = obs.served.get();
         let batches = obs.batches.get();
@@ -628,7 +758,7 @@ impl BatchingServer {
             errors: obs.errors.get(),
             deadline_exceeded: obs.deadline_exceeded.get(),
             batches,
-            hot_swaps: self.shared.swap_epoch.load(Ordering::Acquire),
+            hot_swaps,
             mean_batch: if batches == 0 {
                 0.0
             } else {
@@ -649,233 +779,103 @@ impl BatchingServer {
         self.shared.obs.reset();
     }
 
-    /// Stop accepting new requests. Requests already queued are still served
-    /// before the dispatcher exits; blocked submitters get
-    /// [`ServeError::Closed`].
+    /// Stop accepting new requests. Requests already queued are still
+    /// served (a queued request always has a live holder ahead of it);
+    /// submitters parked on a full queue get [`ServeError::Closed`].
     pub fn close(&self) {
-        let mut q = self.shared.queue.lock();
-        q.closed = true;
-        self.shared.not_empty.notify_all();
+        self.shared.state.lock().closed = true;
         self.shared.not_full.notify_all();
     }
 }
 
-impl Drop for BatchingServer {
+/// Armed for the length of a holder session and forgotten at its normal
+/// end. If the model panics the holder's slot unwinds with it, and a lost
+/// slot would strand every request queued behind it: close the server and
+/// drop the queue instead, so each parked caller's sender goes away and it
+/// gets [`ServeError::Closed`].
+struct CloseOnUnwind<'a>(&'a ServerShared);
+
+impl Drop for CloseOnUnwind<'_> {
     fn drop(&mut self) {
-        self.close();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Closes and drains the queue when the dispatcher exits — normally (the
-/// queue is already empty then) or by panic, in which case every pending
-/// request's sender is dropped so blocked callers get [`ServeError::Closed`]
-/// instead of hanging forever.
-struct DrainOnExit<'a>(&'a ServerShared);
-
-impl Drop for DrainOnExit<'_> {
-    fn drop(&mut self) {
-        let mut q = self.0.queue.lock();
-        q.closed = true;
-        q.items.clear();
-        self.0.not_empty.notify_all();
-        self.0.not_full.notify_all();
-    }
-}
-
-fn dispatcher_loop(shared: &ServerShared) {
-    let _drain_guard = DrainOnExit(shared);
-    let config = shared.config;
-    let pool = ThreadPool::new(shared.threads);
-    let mut slots: Vec<WorkerSlot> = Vec::new();
-    // The snapshot the current slots' scratches were built for; holding the
-    // Arc pins the allocation, so pointer equality is ABA-safe and a
-    // hot-swap always triggers a scratch rebuild (shapes — and the scratch's
-    // concrete engine type — may differ across snapshots).
-    let mut slots_model: Option<Arc<dyn FrozenModel>> = None;
-    let mut batch: Vec<Request> = Vec::with_capacity(config.max_batch);
-
-    let mut shed: Vec<Request> = Vec::new();
-
-    loop {
-        batch.clear();
-        shed.clear();
-        {
-            let mut q = shared.queue.lock();
-            // Wait for the first live request (or shutdown). Requests whose
-            // deadline already passed are shed here — before they occupy a
-            // batch slot or touch a worker — and answered after the lock
-            // drops.
-            loop {
-                let now = Instant::now();
-                while batch.len() < config.max_batch {
-                    match q.items.pop_front() {
-                        Some(r) if r.expired(now) => shed.push(r),
-                        Some(r) => batch.push(r),
-                        None => break,
-                    }
-                }
-                if !batch.is_empty() || !shed.is_empty() || q.closed {
-                    break;
-                }
-                shared.not_empty.wait(&mut q);
-            }
-            if batch.is_empty() && shed.is_empty() {
-                return; // closed and fully drained
-            }
-            // Coalescing window: keep absorbing requests until the batch is
-            // full or `max_wait` has elapsed since it opened.
-            if !batch.is_empty() && batch.len() < config.max_batch && !q.closed {
-                let window_closes = batch[0].enqueued + config.max_wait;
-                loop {
-                    let now = Instant::now();
-                    while batch.len() < config.max_batch {
-                        match q.items.pop_front() {
-                            Some(r) if r.expired(now) => shed.push(r),
-                            Some(r) => batch.push(r),
-                            None => break,
-                        }
-                    }
-                    if batch.len() >= config.max_batch || q.closed {
-                        break;
-                    }
-                    let Some(remaining) = window_closes
-                        .checked_duration_since(now)
-                        .filter(|d| !d.is_zero())
-                    else {
-                        break;
-                    };
-                    shared.not_empty.wait_for(&mut q, remaining);
-                }
-            }
-        }
-        shared.not_full.notify_all();
-
-        if !shed.is_empty() {
-            shared.obs.deadline_exceeded.add(shed.len() as u64);
-            for req in shed.drain(..) {
-                // A disappeared client (dropped receiver) is not an error.
-                let _ = req.tx.send(Err(ServeError::DeadlineExceeded));
-            }
-        }
-        if batch.is_empty() {
-            continue; // this round only flushed expired requests
-        }
-
-        // Pin the snapshot for this whole batch (hot-swaps land between
-        // batches, never inside one).
-        let model = shared.model.read().clone();
-        let stale = !matches!(&slots_model, Some(m) if Arc::ptr_eq(m, &model));
-        if slots.len() != shared.threads || stale {
-            slots = (0..shared.threads)
-                .map(|_| WorkerSlot {
-                    scratch: model.make_scratch_any(),
-                })
-                .collect();
-            slots_model = Some(Arc::clone(&model));
-        }
-
-        let n = batch.len();
-        let cursor = AtomicUsize::new(0);
-        let slot_ptr = SlotPtr {
-            base: slots.as_mut_ptr(),
-            len: slots.len(),
+        let stranded = {
+            let mut st = self.0.state.lock();
+            st.closed = true;
+            std::mem::take(&mut st.queue)
         };
-        let batch_ref: &[Request] = &batch;
-        let model_ref: &dyn FrozenModel = &*model;
-        let obs = &shared.obs;
-        // Count the batch before fan-out so a client that just got its
-        // response never observes served > 0 with batches == 0.
-        obs.batches.inc();
-        obs.batch_size.record(n as u64);
-        pool.run(&|worker| {
-            // SAFETY: worker ids are distinct; `slots` outlives `run`.
-            let slot = unsafe { slot_ptr.get(worker) };
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let req = &batch_ref[i];
-                if req.expired(Instant::now()) {
-                    // Expired between batch assembly and pickup (e.g. a slow
-                    // predecessor in this batch): shed without scoring.
-                    obs.deadline_exceeded.inc();
-                    let _ = req.tx.send(Err(ServeError::DeadlineExceeded));
-                    continue;
-                }
-                // BatchWait: enqueue → this worker picking the request up.
-                let pickup_us = obs.hub.ring().now_us();
-                let wait_us = req.enqueued.elapsed().as_micros() as u64;
-                obs.stage_batch_wait.record(wait_us);
-                let mut stages = StageSample::default();
-                let response = match model_ref.validate_query(&req.indices, &req.values) {
-                    Ok(()) => {
-                        let x = SparseVecRef::new(&req.indices, &req.values);
-                        // Content-derived salt: the same query gets the same
-                        // active-set padding — and therefore bit-identical
-                        // top-k — on every call, in any batch position, on
-                        // any replica of the same snapshot. A fleet needs
-                        // that for failover answer-consistency; parity tests
-                        // need it to compare socket vs in-process paths.
-                        let salt = query_salt(&req.indices, &req.values, req.k);
-                        Ok(model_ref.predict_any_timed(
-                            x,
-                            req.k,
-                            slot.scratch.as_mut(),
-                            salt,
-                            &mut stages,
-                        ))
-                    }
-                    Err(msg) => {
-                        obs.errors.inc();
-                        Err(ServeError::Invalid(msg))
-                    }
-                };
-                obs.stage_retrieval.record(stages.retrieval_us);
-                obs.stage_kernel.record(stages.kernel_us);
-                obs.stage_merge.record(stages.merge_us);
-                if req.trace_id != 0 {
-                    // Spans in canonical pipeline order with synthesized
-                    // sequential starts from pickup — monotone by
-                    // construction (the engine interleaves kernel work
-                    // around retrieval; attribution is by stage, not by
-                    // wall-clock interleaving).
-                    let ring = obs.hub.ring();
-                    ring.record(
-                        req.trace_id,
-                        Stage::BatchWait,
-                        pickup_us.saturating_sub(wait_us),
-                        wait_us,
-                    );
-                    ring.record(
-                        req.trace_id,
-                        Stage::Retrieval,
-                        pickup_us,
-                        stages.retrieval_us,
-                    );
-                    ring.record(
-                        req.trace_id,
-                        Stage::Kernel,
-                        pickup_us + stages.retrieval_us,
-                        stages.kernel_us,
-                    );
-                    ring.record(
-                        req.trace_id,
-                        Stage::Merge,
-                        pickup_us + stages.retrieval_us + stages.kernel_us,
-                        stages.merge_us,
-                    );
-                }
-                obs.latency_us
-                    .record(req.enqueued.elapsed().as_micros() as u64);
-                obs.served.inc();
-                // A disappeared client (dropped receiver) is not an error.
-                let _ = req.tx.send(response);
+        self.0.not_full.notify_all();
+        drop(stranded);
+    }
+}
+
+/// What one holder session scores with: the snapshot it pinned, the slot it
+/// holds, and how many requests it has scored so far.
+struct Session<'a> {
+    obs: &'a ServeObs,
+    model: &'a dyn FrozenModel,
+    slot: Slot,
+    scored: usize,
+}
+
+impl Session<'_> {
+    /// Score one request on the calling thread — or shed it if its deadline
+    /// lapsed before pickup — recording its stage times, spans and counters.
+    /// The first request a session scores ticks `batches`, before its answer
+    /// exists, so a client never observes `served > 0` with `batches == 0`.
+    fn score(&mut self, indices: &[u32], values: &[f32], ticket: Ticket) -> Response {
+        let obs = self.obs;
+        if ticket.deadline.is_some_and(|d| Instant::now() >= d) {
+            obs.deadline_exceeded.inc();
+            return Err(ServeError::DeadlineExceeded);
+        }
+        if self.scored == 0 {
+            obs.batches.inc();
+        }
+        self.scored += 1;
+        // BatchWait: admission → this thread picking the request up (≈ 0
+        // on the idle path).
+        let pickup_us = obs.hub.ring().now_us();
+        let wait_us = ticket.enqueued.elapsed().as_micros() as u64;
+        obs.stage_batch_wait.record(wait_us);
+        let mut stages = StageSample::default();
+        let response = match self.model.validate_query(indices, values) {
+            Ok(()) => {
+                // Content-derived salt: the same query gets the same
+                // active-set padding — so bit-identical top-k — on any
+                // thread and any replica of a snapshot (failover answer
+                // consistency; socket vs in-process parity tests).
+                let salt = query_salt(indices, values, ticket.k);
+                let x = SparseVecRef::new(indices, values);
+                let scratch = self.slot.scratch.as_mut();
+                Ok(self
+                    .model
+                    .predict_any_timed(x, ticket.k, scratch, salt, &mut stages))
             }
-        });
+            Err(msg) => {
+                obs.errors.inc();
+                Err(ServeError::Invalid(msg))
+            }
+        };
+        obs.stage_retrieval.record(stages.retrieval_us);
+        obs.stage_kernel.record(stages.kernel_us);
+        obs.stage_merge.record(stages.merge_us);
+        // Spans in canonical pipeline order with synthesized sequential
+        // starts from pickup — monotone by construction (attribution is by
+        // stage, not by wall-clock interleaving). The ring ignores id 0.
+        let mut start_us = pickup_us.saturating_sub(wait_us);
+        for (stage, dur_us) in [
+            (Stage::BatchWait, wait_us),
+            (Stage::Retrieval, stages.retrieval_us),
+            (Stage::Kernel, stages.kernel_us),
+            (Stage::Merge, stages.merge_us),
+        ] {
+            let ring = obs.hub.ring();
+            ring.record(ticket.trace_id, stage, start_us, dur_us);
+            start_us += dur_us;
+        }
+        let latency_us = ticket.enqueued.elapsed().as_micros() as u64;
+        obs.latency_us.record(latency_us);
+        obs.served.inc();
+        response
     }
 }
 
@@ -884,6 +884,7 @@ mod tests {
     use super::*;
     use crate::FrozenNetwork;
     use slide_core::{LshConfig, Network, NetworkConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_frozen(seed: u64) -> FrozenNetwork {
         let mut cfg = NetworkConfig::standard(128, 16, 64);
@@ -992,28 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_window_coalesces_concurrent_requests() {
-        // One scoring thread + a generous window: requests arriving together
-        // must share batches at least some of the time.
-        let server = Arc::new(small_server(1, Duration::from_millis(20)));
-        std::thread::scope(|scope| {
-            for c in 0..8u32 {
-                let server = Arc::clone(&server);
-                scope.spawn(move || {
-                    for i in 0..10u32 {
-                        server.predict(&[(c * 16 + i) % 128], &[1.0], 2).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = stats_when_served(&server, 80);
-        assert_eq!(stats.served, 80);
-        let biggest = batch_sizes(&server).max();
-        assert!(biggest >= 2, "no coalescing observed: largest {biggest}");
-        assert!(stats.batches < 80, "every request ran alone");
-    }
-
-    #[test]
     fn invalid_queries_error_without_killing_the_server() {
         let server = small_server(2, Duration::from_micros(200));
         assert!(matches!(
@@ -1078,12 +1057,69 @@ mod tests {
         assert_eq!(batch_sizes(&server).count(), 0);
     }
 
-    /// A FrozenModel wrapper that sleeps per prediction — slow enough that
-    /// a flood deterministically backs the admission queue up.
-    #[derive(Debug)]
-    struct SlowModel(FrozenNetwork, Duration);
+    /// What a [`SlowModel`] does on the scoring thread before each
+    /// prediction, given the query's feature indices.
+    trait BeforePredict: std::fmt::Debug + Send + Sync + 'static {
+        fn before_predict(&self, indices: &[u32]);
+    }
 
-    impl FrozenModel for SlowModel {
+    /// Sleep — slow enough that a flood deterministically backs the
+    /// admission queue up.
+    impl BeforePredict for Duration {
+        fn before_predict(&self, _: &[u32]) {
+            std::thread::sleep(*self);
+        }
+    }
+
+    /// The hook of the tests that force an interleaving: logs which thread
+    /// started scoring which query (by its first feature index), then blocks
+    /// until [`Probe::open`], then panics on the marked query.
+    #[derive(Debug, Default)]
+    struct Probe {
+        shut: Mutex<bool>,
+        opened: Condvar,
+        calls: Mutex<Vec<(std::thread::ThreadId, u32)>>,
+        panic_on: Option<u32>,
+    }
+
+    impl Probe {
+        fn gated(panic_on: Option<u32>) -> Arc<Probe> {
+            Arc::new(Probe {
+                shut: Mutex::new(true),
+                panic_on,
+                ..Default::default()
+            })
+        }
+
+        fn open(&self) {
+            *self.shut.lock() = false;
+            self.opened.notify_all();
+        }
+
+        fn calls(&self) -> Vec<(std::thread::ThreadId, u32)> {
+            self.calls.lock().clone()
+        }
+    }
+
+    impl BeforePredict for Arc<Probe> {
+        fn before_predict(&self, indices: &[u32]) {
+            self.calls
+                .lock()
+                .push((std::thread::current().id(), indices[0]));
+            let mut shut = self.shut.lock();
+            while *shut {
+                self.opened.wait(&mut shut);
+            }
+            drop(shut);
+            assert_ne!(self.panic_on, Some(indices[0]), "probe: marked query");
+        }
+    }
+
+    /// A FrozenModel wrapper that runs a hook before each prediction.
+    #[derive(Debug)]
+    struct SlowModel<H>(FrozenNetwork, H);
+
+    impl<H: BeforePredict> FrozenModel for SlowModel<H> {
         fn precision(&self) -> &'static str {
             self.0.precision_label()
         }
@@ -1109,10 +1145,319 @@ mod tests {
             scratch: &mut (dyn Any + Send),
             salt: u64,
         ) -> Vec<u32> {
-            std::thread::sleep(self.1);
+            self.1.before_predict(x.indices);
             let scratch = scratch.downcast_mut().expect("slow-model scratch");
             self.0.predict_sparse(x, k, scratch, salt)
         }
+    }
+
+    fn wait_until(what: &str, cond: &dyn Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < give_up, "never saw {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A one-slot server over a shut [`Probe`] whose only slot is already
+    /// held: the returned holder thread (query `[holder_query]`) is inside
+    /// the model and stays there until the probe opens.
+    fn gated_holder(
+        config: BatchConfig,
+        holder_query: u32,
+        panic_on: Option<u32>,
+    ) -> (
+        Arc<BatchingServer>,
+        Arc<Probe>,
+        std::thread::JoinHandle<Response>,
+    ) {
+        assert_eq!(config.threads, 1);
+        let probe = Probe::gated(panic_on);
+        let model = SlowModel(tiny_frozen(6), Arc::clone(&probe));
+        let server = Arc::new(BatchingServer::start(model, config).unwrap());
+        let holder = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.predict(&[holder_query], &[1.0], 2))
+        };
+        wait_until("the holder inside the model", &|| probe.calls().len() == 1);
+        (server, probe, holder)
+    }
+
+    /// Spawn a submitter and return once its request is in the queue, so
+    /// consecutive calls fix the FIFO order.
+    fn park(
+        server: &Arc<BatchingServer>,
+        submit: impl FnOnce(&BatchingServer) -> Response + Send + 'static,
+    ) -> std::thread::JoinHandle<Response> {
+        let before = server.queue_len();
+        let handle = {
+            let server = Arc::clone(server);
+            std::thread::spawn(move || submit(&server))
+        };
+        wait_until("the submitter in the queue", &|| {
+            server.queue_len() == before + 1
+        });
+        handle
+    }
+
+    fn park_queries(
+        server: &Arc<BatchingServer>,
+        queries: std::ops::RangeInclusive<u32>,
+    ) -> Vec<std::thread::JoinHandle<Response>> {
+        queries
+            .map(|q| park(server, move |s| s.predict(&[q], &[1.0], 2)))
+            .collect()
+    }
+
+    fn scored_queries(probe: &Probe) -> Vec<u32> {
+        probe.calls().iter().map(|call| call.1).collect()
+    }
+
+    #[test]
+    fn an_idle_server_scores_on_the_calling_thread() {
+        let probe = Arc::new(Probe::default());
+        let server = BatchingServer::start(
+            SlowModel(tiny_frozen(6), Arc::clone(&probe)),
+            BatchConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(server.predict(&[7], &[1.0], 3).unwrap().len(), 3);
+        assert_eq!(probe.calls(), [(std::thread::current().id(), 7)]);
+        let obs = &server.shared.obs;
+        assert_eq!((obs.inline.get(), obs.slot_handoffs.get()), (1, 0));
+        assert_eq!(server.stats().batches, 1);
+    }
+
+    #[test]
+    fn a_holder_answers_whoever_queued_behind_it_in_fifo_order() {
+        let parked = 5u32;
+        let (server, probe, holder) = gated_holder(
+            BatchConfig {
+                max_batch: 16,
+                max_wait: Duration::from_secs(3600),
+                queue_cap: 16,
+                threads: 1,
+            },
+            0,
+            None,
+        );
+        let waiters = park_queries(&server, 1..=parked);
+        let holder_id = holder.thread().id();
+        probe.open();
+        for thread in waiters.into_iter().chain([holder]) {
+            assert_eq!(thread.join().unwrap().unwrap().len(), 2);
+        }
+        let in_order: Vec<_> = (0..=parked).map(|q| (holder_id, q)).collect();
+        assert_eq!(probe.calls(), in_order, "one thread, arrival order");
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.batches), (parked as u64 + 1, 1));
+        let sizes = batch_sizes(&server);
+        assert_eq!((sizes.count(), sizes.max()), (1, parked as u64 + 1));
+        let obs = &server.shared.obs;
+        assert_eq!((obs.inline.get(), obs.slot_handoffs.get()), (1, 0));
+    }
+
+    #[test]
+    fn max_batch_and_max_wait_bound_how_long_one_caller_serves_others() {
+        // Holder + six parked. `max_batch: 2`: sessions of 2, 2, 2, 1 and a
+        // hand-off between each; `max_wait: ZERO`: nobody serves anybody.
+        let forever = Duration::from_secs(3600);
+        for (max_batch, max_wait, sessions, biggest) in
+            [(2, forever, 4, 2), (16, Duration::ZERO, 7, 1)]
+        {
+            let (server, probe, holder) = gated_holder(
+                BatchConfig {
+                    max_batch,
+                    max_wait,
+                    queue_cap: 16,
+                    threads: 1,
+                },
+                0,
+                None,
+            );
+            let waiters = park_queries(&server, 1..=6);
+            probe.open();
+            for thread in waiters.into_iter().chain([holder]) {
+                assert_eq!(thread.join().unwrap().unwrap().len(), 2);
+            }
+            assert_eq!(scored_queries(&probe), [0, 1, 2, 3, 4, 5, 6], "each once");
+            let stats = server.stats();
+            assert_eq!((stats.served, stats.batches), (7, sessions));
+            let sizes = batch_sizes(&server);
+            assert_eq!((sizes.count(), sizes.max()), (sessions, biggest));
+            assert_eq!(server.shared.obs.slot_handoffs.get(), sessions - 1);
+            assert_eq!(server.shared.state.lock().free.len(), 1, "slot returned");
+        }
+    }
+
+    #[test]
+    fn a_waiter_handed_the_slot_past_its_deadline_sheds_itself_and_passes_it_on() {
+        let (server, probe, holder) = gated_holder(
+            BatchConfig {
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                queue_cap: 16,
+                threads: 1,
+            },
+            0,
+            None,
+        );
+        let deadline = Instant::now() + Duration::from_millis(250);
+        let doomed = park(&server, move |s| {
+            s.predict_within(&[1], &[1.0], 2, Some(deadline))
+        });
+        let behind = park_queries(&server, 2..=2);
+        wait_until("the deadline", &|| Instant::now() > deadline);
+        probe.open();
+        assert_eq!(doomed.join().unwrap(), Err(ServeError::DeadlineExceeded));
+        for thread in behind.into_iter().chain([holder]) {
+            assert_eq!(thread.join().unwrap().unwrap().len(), 2);
+        }
+        assert_eq!(
+            scored_queries(&probe),
+            [0, 2],
+            "the doomed one never scored"
+        );
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.deadline_exceeded), (2, 1));
+        assert_eq!(server.shared.obs.slot_handoffs.get(), 2);
+        assert_eq!(server.shared.state.lock().free.len(), 1, "slot returned");
+    }
+
+    #[test]
+    fn submitters_parked_on_a_full_queue_are_all_woken_once_the_slot_is_free() {
+        // A pop wakes one parked submitter; one that wakes to a free slot
+        // scores inline, pops nothing and so wakes nobody. The two queued
+        // requests are shed at pickup (no compute), so the holder empties
+        // the queue and frees the slot before either woken submitter runs:
+        // the rest must be woken by the freeing itself, not left asleep
+        // beside an idle server.
+        let (server, probe, holder) = gated_holder(
+            BatchConfig {
+                max_batch: 2,
+                max_wait: Duration::from_secs(3600),
+                queue_cap: 2,
+                threads: 1,
+            },
+            0,
+            None,
+        );
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let doomed: Vec<_> = (1..=2)
+            .map(|q| {
+                park(&server, move |s| {
+                    s.predict_within(&[q], &[1.0], 2, Some(deadline))
+                })
+            })
+            .collect();
+        let (tx, answers) = mpsc::channel();
+        for q in 3..=6u32 {
+            let (server, tx) = (Arc::clone(&server), tx.clone());
+            std::thread::spawn(move || tx.send(server.predict(&[q], &[1.0], 2)));
+        }
+        wait_until("four submitters parked", &|| {
+            server.shared.state.lock().parked == 4
+        });
+        wait_until("the deadline", &|| Instant::now() > deadline);
+        probe.open();
+        for _ in 3..=6 {
+            let answer = answers
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a parked submitter never woke");
+            assert_eq!(answer.unwrap().len(), 2);
+        }
+        for thread in doomed {
+            assert_eq!(thread.join().unwrap(), Err(ServeError::DeadlineExceeded));
+        }
+        assert_eq!(holder.join().unwrap().unwrap().len(), 2);
+        let st = server.shared.state.lock();
+        assert_eq!((st.free.len(), st.queue.len(), st.parked), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_panicking_model_closes_the_server_and_nobody_hangs() {
+        let (server, probe, holder) = gated_holder(
+            BatchConfig {
+                max_batch: 2,
+                max_wait: Duration::from_secs(3600),
+                queue_cap: 2,
+                threads: 1,
+            },
+            99,
+            Some(99),
+        );
+        let mut waiters = park_queries(&server, 1..=2);
+        // Parked on the full queue, or arriving after the panic: `Closed`
+        // either way.
+        let late = Arc::clone(&server);
+        waiters.push(std::thread::spawn(move || late.predict(&[3], &[1.0], 2)));
+        probe.open();
+        assert!(holder.join().is_err(), "the holder's thread unwinds");
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(ServeError::Closed));
+        }
+        assert_eq!(server.predict(&[4], &[1.0], 2), Err(ServeError::Closed));
+        assert_eq!((server.queue_len(), server.stats().served), (0, 0));
+    }
+
+    #[test]
+    fn two_slots_under_sixteen_clients_and_a_publish_answer_as_the_engine() {
+        let model = tiny_frozen(7);
+        let mut scratch = model.make_scratch_any();
+        let queries: Vec<(Vec<u32>, Vec<f32>)> = (0..64u32)
+            .map(|q| (vec![q, (q * 7 + 3) % 128], vec![1.0, -0.5]))
+            .collect();
+        let expected: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|(i, v)| {
+                let x = SparseVecRef::new(i, v);
+                model.predict_any(x, 4, scratch.as_mut(), query_salt(i, v, 4))
+            })
+            .collect();
+        let server = BatchingServer::start(
+            model,
+            BatchConfig {
+                max_batch: 4,
+                max_wait: Duration::from_micros(200),
+                queue_cap: 64,
+                threads: 2,
+            },
+        )
+        .unwrap();
+        let (clients, per_client) = (16usize, 200usize);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for c in 0..clients {
+                let (server, queries, expected, done) = (&server, &queries, &expected, &done);
+                scope.spawn(move || {
+                    for i in 0..per_client {
+                        let q = (c * 31 + i * 7) % queries.len();
+                        let (indices, values) = &queries[q];
+                        let got = server.predict(indices, values, 4).unwrap();
+                        assert_eq!(got, expected[q], "client {c} request {i}");
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            // The same weights behind a new `Arc`: every slot rebuilds its
+            // scratch mid-run and the answers must not move.
+            wait_until("half the requests", &|| {
+                done.load(Ordering::Relaxed) >= clients * per_client / 2
+            });
+            server.publish(tiny_frozen(7));
+        });
+        let stats = server.stats();
+        assert_eq!(stats.served, (clients * per_client) as u64);
+        assert_eq!((stats.errors, stats.hot_swaps), (0, 1));
+        assert!(batch_sizes(&server).max() <= 4);
+        assert_eq!(server.queue_len(), 0);
+        assert_eq!(server.shared.state.lock().free.len(), 2, "both slots free");
+        let inline = server.shared.obs.inline.get();
+        server.predict(&[1], &[1.0], 2).unwrap();
+        assert_eq!(server.shared.obs.inline.get(), inline + 1);
     }
 
     #[test]
@@ -1192,7 +1537,7 @@ mod tests {
     fn deadline_expiring_in_queue_is_shed_from_the_drain_loop() {
         // One worker, 25ms per prediction, batches of 1: a request queued
         // behind a slow one with a 2ms budget must be shed when the
-        // dispatcher pops it, not scored 25ms late.
+        // holder pops it, not scored 25ms late.
         let server = Arc::new(
             BatchingServer::start(
                 SlowModel(tiny_frozen(4), Duration::from_millis(25)),
@@ -1258,13 +1603,6 @@ mod tests {
             // Submit right after a prediction starts (a batch is counted
             // before fan-out) with the queue refilled by a parked submitter:
             // the next slot is then a whole prediction away.
-            let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
-                let give_up = Instant::now() + Duration::from_secs(5);
-                while !cond() {
-                    assert!(Instant::now() < give_up, "never saw {what}");
-                    std::thread::yield_now();
-                }
-            };
             wait_until("a full queue", &|| server.queue_len() == 2);
             let batches = server.stats().batches;
             wait_until("the next batch", &|| server.stats().batches > batches);

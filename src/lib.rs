@@ -11,7 +11,7 @@
 //! | [`mem`] | `slide-mem` | coalesced batch/parameter memory layouts and their naive counterparts (§4.1) |
 //! | [`hash`] | `slide-hash` | DWTA + SimHash LSH families and the multi-table bucket index (§2, §4.3.3) |
 //! | [`data`] | `slide-data` | synthetic Amazon-670K/WikiLSH/Text8 stand-ins, XC-format parsing, P@k metrics |
-//! | [`serve`] | `slide-serve` | frozen-inference snapshots and the micro-batching request pipeline |
+//! | [`serve`] | `slide-serve` | frozen-inference snapshots and the caller-runs request path |
 //! | [`quant`] | `slide-quant` | post-training int8 quantized serving snapshots over VNNI-class integer kernels |
 //! | [`net`] | `slide-net` | TCP wire protocol, `slide_netd` replica daemon, `slide_router` fleet front-end |
 //! | [`baseline`] | `slide-baseline` | dense full-softmax baseline and the modeled V100 column |
