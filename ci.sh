@@ -17,7 +17,9 @@
 # their exit status. Serving, snapshot and network-hop numbers come from
 # benchmark/ alone: smoke runs all four of its workloads for their checks
 # (every reply bit-equal to the direct engine), the int8 workload again
-# under forced SLIDE_SIMD=avx2, the benchmark's own unit tests, and a soak
+# under forced SLIDE_SIMD=avx2, train_w2v again under forced
+# SLIDE_SIMD=scalar and avx2 (the hashing kernels on each ISA), the
+# benchmark's own unit tests, and a soak
 # (both serve workloads ten times each under a timeout: one hang or failed
 # check on the request path fails CI). Smoke also runs the chaos suite and,
 # twenty times over, the request path's concurrency tests under forced
@@ -358,6 +360,14 @@ if [[ "$MODE" == "smoke" ]]; then
     # support.
     SLIDE_SIMD=avx2 benchmark/run.sh serve_net_i8 --seconds 2 > /dev/null
 
+    step "smoke: benchmark train_w2v under forced SLIDE_SIMD=scalar and avx2"
+    # The hashing kernels behind every select_active and table rebuild, on
+    # the scalar reference and on the 8-lane ISA whatever the runner
+    # auto-detects: the benchmark's training checks (fixed work done, loss
+    # and P@1 as expected) must pass on each.
+    SLIDE_SIMD=scalar benchmark/run.sh train_w2v --seconds 2 > /dev/null
+    SLIDE_SIMD=avx2 benchmark/run.sh train_w2v --seconds 2 > /dev/null
+
     step "smoke: benchmark unit tests (BENCHMARK.json equals spec.rs)"
     cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
@@ -389,7 +399,7 @@ fi
 # they tested (each listed in CHANGES.md). A drop below it means tests were
 # deleted or silently stopped being discovered (e.g. a [[test]] target fell
 # out of the manifest).
-MIN_TIER1_TESTS=631
+MIN_TIER1_TESTS=642
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -348,27 +348,25 @@ impl SampledOutputLayer {
     /// Returns how many neurons actually changed buckets.
     pub fn refresh_rows(&self, rows: &[u32], scratch: &mut WorkerScratch) -> usize {
         let l = self.family.tables();
-        let mut new_keys = vec![0u32; l];
         let mut moved = 0usize;
         let mut cache = self.key_cache.lock();
         let mut tables = self.tables.write();
         for &r in rows {
             let r = r as usize;
             self.params.widen_row_into(r, &mut scratch.widen);
-            let widen = std::mem::take(&mut scratch.widen);
             self.family
-                .keys_dense(&widen, &mut scratch.lsh, &mut new_keys);
-            scratch.widen = widen;
+                .keys_dense(&scratch.widen, &mut scratch.lsh, &mut scratch.keys);
+            let new_keys = &scratch.keys[..];
             let old = &mut cache[r * l..(r + 1) * l];
-            if old != &new_keys[..] {
+            if old != new_keys {
                 // Plain reservoir insert: under bounded buckets the neuron
                 // may not have been resident under its old keys (the
                 // reservoir can reject), so delete/re-add must follow the
                 // same admission rule; the periodic full rebuild restores
                 // the uniform sample either way.
                 tables.remove(old, r as u32);
-                tables.insert(&new_keys, r as u32);
-                old.copy_from_slice(&new_keys);
+                tables.insert(new_keys, r as u32);
+                old.copy_from_slice(new_keys);
                 moved += 1;
             }
         }

@@ -6,17 +6,27 @@
 //! `bins * bin_size` slots (precomputed once, per §4.3.3 "we pre-compute the
 //! random map of all the indices"). Each *bin* covers `bin_size` consecutive
 //! slots; the hash value of a bin is the in-bin slot of the maximum-valued
-//! coordinate that landed in it — a `log2(bin_size)`-bit code found with the
-//! vectorized [`slide_simd::argmax_f32`] reduction. Bins that receive no
-//! coordinate (common for very sparse inputs) are *densified*: they borrow
-//! the value of a non-empty bin chosen by an iterated universal hash, which
-//! restores the collision-probability guarantees of dense WTA.
+//! coordinate that landed in it — a `log2(bin_size)`-bit code. Bins that
+//! receive no coordinate (common for very sparse inputs) are *densified*:
+//! they borrow the value of a non-empty bin chosen by an iterated universal
+//! hash, which restores the collision-probability guarantees of dense WTA.
 //!
 //! Each hash table consumes `bins_per_table` consecutive bins, concatenating
 //! their codes into a `K`-bit bucket key.
+//!
+//! Two paths find the bin codes. [`DwtaHash::keys_dense`] — the one every
+//! layer, rebuild and frozen engine calls — hands the *inverse* of the map
+//! (slot → the coordinates that land in it, built in [`DwtaHash::new`]) to
+//! [`slide_simd::dwta_bin_codes`], which gathers 8/16 slots per instruction
+//! and needs no per-input state. [`DwtaHash::keys_sparse`] is the scalar
+//! oracle: it scatters the non-zeros through the forward map into scratch
+//! slots and reduces each bin with [`slide_simd::argmax_f32`]. Both visit a
+//! slot's coordinates in the same order and only compare, so the codes are
+//! identical; densification and key assembly are shared.
 
 use crate::mix::{mix3, reduce};
 use slide_mem::SparseVecRef;
+use slide_simd::DwtaSources;
 
 /// Maximum densification probes before giving up and emitting code 0.
 const MAX_DENSIFY_ATTEMPTS: u32 = 64;
@@ -52,17 +62,15 @@ impl Default for DwtaConfig {
 /// Reusable per-thread scratch for [`DwtaHash`] computations.
 #[derive(Debug, Clone)]
 pub struct DwtaScratch {
-    /// Best value seen per slot (NEG_INFINITY = empty).
+    /// Best value seen per slot (NEG_INFINITY = empty); sparse path only.
     slot_vals: Vec<f32>,
-    /// Slots touched by the current input (for cheap reset).
+    /// Slots the last sparse input touched (for cheap reset).
     touched: Vec<u32>,
     /// Per-bin winning code, NO_CODE when the bin is empty.
     codes: Vec<u32>,
-    /// Per-bin winning value (for densification donors).
-    bin_max: Vec<f32>,
 }
 
-const NO_CODE: u32 = u32::MAX;
+const NO_CODE: u32 = slide_simd::DWTA_EMPTY_BIN;
 
 impl DwtaScratch {
     fn new(total_bins: usize, bin_size: usize) -> Self {
@@ -70,7 +78,6 @@ impl DwtaScratch {
             slot_vals: vec![f32::NEG_INFINITY; total_bins * bin_size],
             touched: Vec::with_capacity(256),
             codes: vec![NO_CODE; total_bins],
-            bin_max: vec![f32::NEG_INFINITY; total_bins],
         }
     }
 }
@@ -100,6 +107,8 @@ pub struct DwtaHash {
     /// `L · bins · bin_size ≫ dim`, the per-bin argmax chooses among a
     /// handful of shared candidates, and key diversity collapses.
     index_map: Vec<u32>,
+    /// The inverse of `index_map`, for the dense path.
+    sources: DwtaSources,
     replicas: usize,
     bins_per_table: usize,
     bits_per_bin: u32,
@@ -123,16 +132,18 @@ impl DwtaHash {
         let total_bins = bins_per_table * config.tables;
         let total_slots = total_bins * config.bin_size;
         let replicas = total_slots.div_ceil(config.dim).max(1);
-        let index_map = (0..replicas * config.dim)
+        let index_map: Vec<u32> = (0..replicas * config.dim)
             .map(|ri| {
                 let rep = (ri / config.dim) as u64;
                 let i = (ri % config.dim) as u64;
                 reduce(mix3(config.seed, rep, i), total_slots) as u32
             })
             .collect();
+        let sources = DwtaSources::invert(&index_map, config.dim, total_bins, config.bin_size);
         DwtaHash {
             config,
             index_map,
+            sources,
             replicas,
             bins_per_table,
             bits_per_bin,
@@ -170,7 +181,8 @@ impl DwtaHash {
         DwtaScratch::new(self.total_bins, self.config.bin_size)
     }
 
-    /// Compute the `L` table keys for a sparse input.
+    /// Compute the `L` table keys for a sparse input (the scalar oracle the
+    /// dense path is tested against).
     ///
     /// # Panics
     ///
@@ -181,15 +193,36 @@ impl DwtaHash {
         scratch: &mut DwtaScratch,
         keys_out: &mut [u32],
     ) {
-        self.scatter(
-            |rep, f| {
-                for (pos, &idx) in x.indices.iter().enumerate() {
-                    f(rep, idx as usize, x.values[pos]);
+        // Reset only what the previous sparse input touched.
+        for &s in &scratch.touched {
+            scratch.slot_vals[s as usize] = f32::NEG_INFINITY;
+        }
+        scratch.touched.clear();
+        let dim = self.config.dim;
+        for rep in 0..self.replicas {
+            for (idx, v) in x.iter() {
+                let slot = self.index_map[rep * dim + idx as usize];
+                let cur = &mut scratch.slot_vals[slot as usize];
+                if *cur == f32::NEG_INFINITY {
+                    scratch.touched.push(slot);
+                    *cur = v;
+                } else if v > *cur {
+                    *cur = v;
                 }
-            },
-            scratch,
-        );
-        self.finish(scratch, keys_out);
+            }
+        }
+        // Bins whose best value is still NEG_INFINITY are empty.
+        let bin_size = self.config.bin_size;
+        for (b, code) in scratch.codes.iter_mut().enumerate() {
+            let bin = &scratch.slot_vals[b * bin_size..(b + 1) * bin_size];
+            let (winner, best) = slide_simd::argmax_f32(bin).expect("bin_size > 0");
+            *code = if best == f32::NEG_INFINITY {
+                NO_CODE
+            } else {
+                winner as u32
+            };
+        }
+        self.keys_from_codes(&scratch.codes, keys_out);
     }
 
     /// Compute the `L` table keys for a dense input of length `dim`
@@ -204,79 +237,28 @@ impl DwtaHash {
             self.config.dim,
             "DwtaHash: dense input dim mismatch"
         );
-        self.scatter(
-            |rep, f| {
-                for (idx, &v) in x.iter().enumerate() {
-                    f(rep, idx, v);
-                }
-            },
-            scratch,
-        );
-        self.finish(scratch, keys_out);
+        slide_simd::dwta_bin_codes(x, &self.sources, &mut scratch.codes);
+        self.keys_from_codes(&scratch.codes, keys_out);
     }
 
-    /// Run the scatter phase: `visit(rep, emit)` is called once per replica
-    /// and must invoke `emit(rep, idx, value)` for every non-zero.
-    fn scatter(
-        &self,
-        visit: impl Fn(usize, &mut dyn FnMut(usize, usize, f32)),
-        scratch: &mut DwtaScratch,
-    ) {
-        // Reset only what the previous input touched.
-        for &s in &scratch.touched {
-            scratch.slot_vals[s as usize] = f32::NEG_INFINITY;
-        }
-        scratch.touched.clear();
-        let dim = self.config.dim;
-        let map = &self.index_map;
-        let slot_vals = &mut scratch.slot_vals;
-        let touched = &mut scratch.touched;
-        for rep in 0..self.replicas {
-            let base = rep * dim;
-            visit(rep, &mut |_rep, idx, v| {
-                let slot = map[base + idx];
-                let cur = &mut slot_vals[slot as usize];
-                if *cur == f32::NEG_INFINITY {
-                    touched.push(slot);
-                    *cur = v;
-                } else if v > *cur {
-                    *cur = v;
-                }
-            });
-        }
-    }
-
-    fn finish(&self, scratch: &mut DwtaScratch, keys_out: &mut [u32]) {
+    /// Concatenate each table's bin codes into its key, densifying empty
+    /// bins by probing other bins with a universal hash chain (Chen &
+    /// Shrivastava 2018).
+    fn keys_from_codes(&self, codes: &[u32], keys_out: &mut [u32]) {
         assert_eq!(
             keys_out.len(),
             self.config.tables,
             "DwtaHash: keys_out length must equal tables()"
         );
-        let bin_size = self.config.bin_size;
-        // Winner per bin via the vectorized argmax (§4.3.3): bins whose best
-        // value is still NEG_INFINITY are empty.
-        for b in 0..self.total_bins {
-            let bin = &scratch.slot_vals[b * bin_size..(b + 1) * bin_size];
-            let (code, best) = slide_simd::argmax_f32(bin).expect("bin_size > 0");
-            if best == f32::NEG_INFINITY {
-                scratch.codes[b] = NO_CODE;
-                scratch.bin_max[b] = f32::NEG_INFINITY;
-            } else {
-                scratch.codes[b] = code as u32;
-                scratch.bin_max[b] = best;
-            }
-        }
-        // Densify empty bins by probing other bins with a universal hash
-        // chain (Chen & Shrivastava 2018).
         let key_mask = (1u64 << self.config.key_bits) - 1;
-        for (t, key_out) in keys_out.iter_mut().enumerate().take(self.config.tables) {
+        for (t, key_out) in keys_out.iter_mut().enumerate() {
             let mut key: u64 = 0;
             for j in 0..self.bins_per_table {
                 let b = t * self.bins_per_table + j;
-                let code = if scratch.codes[b] != NO_CODE {
-                    scratch.codes[b]
+                let code = if codes[b] != NO_CODE {
+                    codes[b]
                 } else {
-                    self.densify(b, &scratch.codes)
+                    self.densify(b, codes)
                 };
                 key = (key << self.bits_per_bin) | code as u64;
             }
@@ -376,6 +358,29 @@ mod tests {
         h.keys_sparse(SparseVecRef::new(&a_idx, &a_val), &mut scratch, &mut k3);
         assert_eq!(k1, k3, "state leaked between computations");
         assert_ne!(k1, k2, "different inputs should (overwhelmingly) differ");
+    }
+
+    #[test]
+    fn dense_and_sparse_calls_interleave_on_one_scratch() {
+        // The dense path keeps no per-input state and the sparse path resets
+        // only what the last *sparse* input touched: either order must give
+        // what a fresh scratch gives.
+        let h = family(256);
+        let dense: Vec<f32> = (0..256).map(|i| ((i * 29 % 83) as f32) - 30.0).collect();
+        let (s_idx, s_val) = ([4u32, 77, 130, 255], [2.0f32, -1.0, 0.5, 9.0]);
+        let sparse = SparseVecRef::new(&s_idx, &s_val);
+        let fresh_sparse = keys_of(&h, sparse);
+        let mut fresh_dense = vec![0u32; h.tables()];
+        h.keys_dense(&dense, &mut h.make_scratch(), &mut fresh_dense);
+
+        let mut scratch = h.make_scratch();
+        let mut keys = vec![0u32; h.tables()];
+        for _ in 0..2 {
+            h.keys_dense(&dense, &mut scratch, &mut keys);
+            assert_eq!(keys, fresh_dense, "dense after sparse");
+            h.keys_sparse(sparse, &mut scratch, &mut keys);
+            assert_eq!(keys, fresh_sparse, "sparse after dense");
+        }
     }
 
     #[test]

@@ -2,10 +2,18 @@
 //! the Text8 word2vec workload (`K = 9`, `L = 50`).
 //!
 //! Each hash bit is the sign of a projection onto an implicit ±1 hyperplane:
-//! the sign for (bit, coordinate) is drawn from a universal hash, so no dense
-//! random matrix is materialized even for million-dimensional inputs. 64 sign
-//! bits are generated per mix call, which keeps the per-coordinate cost at
-//! `ceil(K*L/64)` integer mixes.
+//! the sign for (bit, coordinate) is drawn from a universal hash, 64 sign
+//! bits per mix call, so the hyperplanes cost one bit per entry rather than
+//! an f32.
+//!
+//! Two paths compute the same keys. [`SimHash::keys_dense`] — the one every
+//! layer, rebuild and frozen engine calls — reads the sign words from a
+//! `dim × ceil(K·L/64)` table filled in [`SimHash::new`] and runs
+//! [`slide_simd::simhash_sign_bits`], which adds `±x[i]` into 8/16
+//! projections per instruction. [`SimHash::keys_sparse`] is the scalar
+//! oracle: it re-derives each sign word from the mixer and walks the bits one
+//! at a time. Both sum a projection's coordinates in ascending order, so the
+//! f32 sums, and therefore the keys, are bit-identical.
 
 use crate::mix::mix3;
 use slide_mem::SparseVecRef;
@@ -37,8 +45,10 @@ impl Default for SimHashConfig {
 /// Reusable per-thread scratch for [`SimHash`] computations.
 #[derive(Debug, Clone)]
 pub struct SimHashScratch {
-    /// One accumulator per hash bit (K*L total).
+    /// One accumulator per hash bit (K*L total); sparse path only.
     acc: Vec<f32>,
+    /// One sign bit per projection, padded to whole words; dense path only.
+    bits: Vec<u64>,
 }
 
 /// The signed-random-projection LSH family.
@@ -59,6 +69,8 @@ pub struct SimHashScratch {
 pub struct SimHash {
     config: SimHashConfig,
     total_bits: usize,
+    /// `sign_word(i, w)` for every coordinate and word, coordinate-major.
+    signs: Vec<u64>,
 }
 
 impl SimHash {
@@ -72,7 +84,15 @@ impl SimHash {
         assert!(config.dim > 0, "SimHash: dim must be positive");
         assert!(config.tables > 0, "SimHash: tables must be positive");
         let total_bits = config.key_bits as usize * config.tables;
-        SimHash { config, total_bits }
+        let words = total_bits.div_ceil(64);
+        let signs = (0..config.dim * words)
+            .map(|iw| sign_word(config.seed, iw / words, iw % words))
+            .collect();
+        SimHash {
+            config,
+            total_bits,
+            signs,
+        }
     }
 
     /// The configuration this family was built with.
@@ -99,6 +119,7 @@ impl SimHash {
     pub fn make_scratch(&self) -> SimHashScratch {
         SimHashScratch {
             acc: vec![0.0; self.total_bits],
+            bits: vec![0; self.total_bits.div_ceil(64)],
         }
     }
 
@@ -131,20 +152,30 @@ impl SimHash {
             self.config.dim,
             "SimHash: dense input dim mismatch"
         );
-        scratch.acc.fill(0.0);
-        for (idx, &v) in x.iter().enumerate() {
-            if v != 0.0 {
-                self.accumulate(idx, v, &mut scratch.acc);
+        assert_eq!(
+            keys_out.len(),
+            self.config.tables,
+            "SimHash: keys_out length must equal tables()"
+        );
+        slide_simd::simhash_sign_bits(x, &self.signs, &mut scratch.bits);
+        // Key `t` is projections `t*K..(t+1)*K`, first projection in the
+        // most significant bit.
+        let k = self.config.key_bits as usize;
+        for (t, key) in keys_out.iter_mut().enumerate() {
+            let (word, offset) = (t * k / 64, t * k % 64);
+            let mut field = scratch.bits[word] >> offset;
+            if offset + k > 64 {
+                field |= scratch.bits[word + 1] << (64 - offset);
             }
+            *key = ((field as u32) << (32 - k)).reverse_bits();
         }
-        self.collect_keys(&scratch.acc, keys_out);
     }
 
     #[inline]
     fn accumulate(&self, idx: usize, v: f32, acc: &mut [f32]) {
         let words = self.total_bits.div_ceil(64);
         for w in 0..words {
-            let mut bits = mix3(self.config.seed, idx as u64, w as u64);
+            let mut bits = sign_word(self.config.seed, idx, w);
             let base = w * 64;
             let end = (base + 64).min(self.total_bits);
             for slot in acc[base..end].iter_mut() {
@@ -171,6 +202,13 @@ impl SimHash {
             *key = bits;
         }
     }
+}
+
+/// The 64 hyperplane signs (set bit = `+1`) of coordinate `idx` for
+/// projections `64 * word ..`.
+#[inline]
+fn sign_word(seed: u64, idx: usize, word: usize) -> u64 {
+    mix3(seed, idx as u64, word as u64)
 }
 
 #[cfg(test)]
@@ -256,6 +294,25 @@ mod tests {
         let mut dense_keys = vec![0u32; 8];
         h.keys_dense(&dense, &mut scratch, &mut dense_keys);
         assert_eq!(dense_keys, keys_sparse_of(&h, &idx, &val));
+    }
+
+    #[test]
+    fn dense_and_sparse_calls_interleave_on_one_scratch() {
+        let h = family(64, 25);
+        let dense: Vec<f32> = (0..64).map(|i| ((i * 29 % 83) as f32) - 30.0).collect();
+        let (s_idx, s_val) = ([4u32, 17, 63], [2.0f32, -1.0, 0.5]);
+        let fresh_sparse = keys_sparse_of(&h, &s_idx, &s_val);
+        let mut fresh_dense = vec![0u32; 25];
+        h.keys_dense(&dense, &mut h.make_scratch(), &mut fresh_dense);
+
+        let mut scratch = h.make_scratch();
+        let mut keys = vec![0u32; 25];
+        for _ in 0..2 {
+            h.keys_dense(&dense, &mut scratch, &mut keys);
+            assert_eq!(keys, fresh_dense, "dense after sparse");
+            h.keys_sparse(SparseVecRef::new(&s_idx, &s_val), &mut scratch, &mut keys);
+            assert_eq!(keys, fresh_sparse, "sparse after dense");
+        }
     }
 
     #[test]

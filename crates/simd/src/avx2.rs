@@ -12,6 +12,7 @@
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
+use crate::hashing::{DwtaSources, DWTA_EMPTY_BIN, DWTA_NO_SOURCE};
 use crate::kernels::AdamStep;
 use core::arch::x86_64::*;
 
@@ -506,5 +507,106 @@ pub unsafe fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], 
     }
     if i < n {
         crate::scalar::adam_step(&mut w[i..], &mut m[i..], &mut v[i..], &g[i..], step);
+    }
+}
+
+/// See [`crate::simhash_sign_bits`]. One hyperplane word at a time: its 64
+/// projections are 8 ymm accumulators that stay in registers across the
+/// coordinate loop. A sign bit is moved into the f32 sign position with a
+/// per-lane variable shift and xor-ed into `-v`, so each lane performs
+/// exactly the scalar reference's `acc += ±v` in the same coordinate order.
+///
+/// # Safety
+///
+/// Requires AVX2 and `signs.len() == x.len() * bits_out.len()`.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn simhash_sign_bits(x: &[f32], signs: &[u64], bits_out: &mut [u64]) {
+    debug_assert_eq!(signs.len(), x.len() * bits_out.len());
+    let words = bits_out.len();
+    let sign_bit = _mm256_set1_epi32(i32::MIN);
+    // Lane `l` of byte `q` of a 32-bit half holds bit `8q + l`: shifting it
+    // left by `31 - (8q + l)` lands it on the sign bit.
+    let lane_shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+    let shifts: [__m256i; 4] =
+        core::array::from_fn(|q| _mm256_sub_epi32(lane_shift, _mm256_set1_epi32(8 * q as i32)));
+    for (w, out) in bits_out.iter_mut().enumerate() {
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for (i, &v) in x.iter().enumerate() {
+            if v == 0.0 {
+                continue;
+            }
+            let neg = _mm256_castps_si256(_mm256_set1_ps(-v));
+            let word = *signs.get_unchecked(i * words + w);
+            let halves = [
+                _mm256_set1_epi32(word as u32 as i32),
+                _mm256_set1_epi32((word >> 32) as u32 as i32),
+            ];
+            for (q, a) in acc.iter_mut().enumerate() {
+                let flip =
+                    _mm256_and_si256(_mm256_sllv_epi32(halves[q / 4], shifts[q % 4]), sign_bit);
+                *a = _mm256_add_ps(*a, _mm256_castsi256_ps(_mm256_xor_si256(neg, flip)));
+            }
+        }
+        let zero = _mm256_setzero_ps();
+        *out = 0;
+        for (q, a) in acc.iter().enumerate() {
+            let positive = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(*a, zero));
+            *out |= (positive as u64) << (8 * q);
+        }
+    }
+}
+
+/// See [`crate::dwta_bin_codes`]. One ymm covers 8 slots: each source layer
+/// is one masked gather folded into the running slot values, and the bin
+/// winner is a horizontal max plus the first equal lane.
+///
+/// # Safety
+///
+/// Requires AVX2, `x.len() == sources.dim()` and `codes_out.len() ==
+/// sources.bins()`.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn dwta_bin_codes(x: &[f32], sources: &DwtaSources, codes_out: &mut [u32]) {
+    let bin_size = sources.bin_size();
+    if !bin_size.is_multiple_of(LANES) {
+        return crate::scalar::dwta_bin_codes(x, sources, codes_out);
+    }
+    let slots = sources.slots();
+    let layers = sources.layers().as_ptr();
+    let px = x.as_ptr();
+    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+    // DWTA_NO_SOURCE is −1 as an i32; real coordinates are ≥ 0.
+    let no_source = _mm256_set1_epi32(DWTA_NO_SOURCE as i32);
+    for (b, code) in codes_out.iter_mut().enumerate() {
+        let mut best = f32::NEG_INFINITY;
+        *code = DWTA_EMPTY_BIN;
+        for chunk in (0..bin_size).step_by(LANES) {
+            let slot = layers.add(b * bin_size + chunk);
+            let mut cur = neg_inf;
+            for f in 0..sources.fan_in() {
+                let idx = _mm256_loadu_si256(slot.add(f * slots) as *const __m256i);
+                let live = _mm256_castsi256_ps(_mm256_cmpgt_epi32(idx, no_source));
+                // Padding lanes are masked off (never dereferenced) and read
+                // as −∞, which the fold below ignores.
+                let v = _mm256_mask_i32gather_ps::<4>(neg_inf, px, idx, live);
+                let take = _mm256_or_ps(
+                    _mm256_cmp_ps::<_CMP_EQ_OQ>(cur, neg_inf),
+                    _mm256_cmp_ps::<_CMP_GT_OQ>(v, cur),
+                );
+                cur = _mm256_blendv_ps(cur, v, take);
+            }
+            // NaN never wins: treat it as −∞ for the reduction.
+            let vals = _mm256_blendv_ps(cur, neg_inf, _mm256_cmp_ps::<_CMP_UNORD_Q>(cur, cur));
+            let m4 = _mm_max_ps(
+                _mm256_castps256_ps128(vals),
+                _mm256_extractf128_ps::<1>(vals),
+            );
+            let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+            let top = _mm_cvtss_f32(_mm_max_ss(m2, _mm_movehdup_ps(m2)));
+            if top > best {
+                best = top;
+                let at = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(vals, _mm256_set1_ps(top)));
+                *code = (chunk as u32) + at.trailing_zeros();
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
+use crate::hashing::{DwtaSources, DWTA_EMPTY_BIN, DWTA_NO_SOURCE};
 use crate::kernels::AdamStep;
 use core::arch::x86_64::*;
 
@@ -521,5 +522,112 @@ pub unsafe fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], 
     }
     if i < n {
         crate::scalar::adam_step(&mut w[i..], &mut m[i..], &mut v[i..], &g[i..], step);
+    }
+}
+
+/// SimHash accumulation for `W` hyperplane words (`64 * W` projections, `4 *
+/// W` zmm accumulators that stay in registers across the coordinate loop).
+/// The 16-bit pieces of a sign word are used directly as `__mmask16`s to
+/// pick `+v` or `-v` per lane, so each lane performs exactly the scalar
+/// reference's `acc += ±v` in the same coordinate order.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn simhash_words<const W: usize>(
+    x: &[f32],
+    signs: *const u64,
+    words: usize,
+    out: &mut [u64],
+) {
+    let mut acc = [[_mm512_setzero_ps(); 4]; W];
+    for (i, &v) in x.iter().enumerate() {
+        if v == 0.0 {
+            continue;
+        }
+        let pos = _mm512_set1_ps(v);
+        let neg = _mm512_set1_ps(-v);
+        let row = signs.add(i * words);
+        for (j, acc_w) in acc.iter_mut().enumerate() {
+            let word = *row.add(j);
+            for (q, a) in acc_w.iter_mut().enumerate() {
+                let k = (word >> (16 * q)) as __mmask16;
+                *a = _mm512_add_ps(*a, _mm512_mask_blend_ps(k, neg, pos));
+            }
+        }
+    }
+    let zero = _mm512_setzero_ps();
+    for (acc_w, o) in acc.iter().zip(out) {
+        *o = 0;
+        for (q, a) in acc_w.iter().enumerate() {
+            *o |= (_mm512_cmp_ps_mask::<_CMP_GT_OQ>(*a, zero) as u64) << (16 * q);
+        }
+    }
+}
+
+/// See [`crate::simhash_sign_bits`].
+///
+/// # Safety
+///
+/// Requires AVX-512F and `signs.len() == x.len() * bits_out.len()`.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn simhash_sign_bits(x: &[f32], signs: &[u64], bits_out: &mut [u64]) {
+    debug_assert_eq!(signs.len(), x.len() * bits_out.len());
+    let words = bits_out.len();
+    let mut w = 0usize;
+    // 4 words = 16 accumulators: K·L ≤ 256 (Text8's 225) is one pass over x.
+    while w + 4 <= words {
+        simhash_words::<4>(x, signs.as_ptr().add(w), words, &mut bits_out[w..w + 4]);
+        w += 4;
+    }
+    while w < words {
+        simhash_words::<1>(x, signs.as_ptr().add(w), words, &mut bits_out[w..w + 1]);
+        w += 1;
+    }
+}
+
+/// See [`crate::dwta_bin_codes`]. One zmm covers 16 slots: each source layer
+/// is one masked gather folded into the running slot values, and the bin
+/// winner is a horizontal max plus the first equal lane.
+///
+/// # Safety
+///
+/// Requires AVX-512F, `x.len() == sources.dim()` and `codes_out.len() ==
+/// sources.bins()`.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn dwta_bin_codes(x: &[f32], sources: &DwtaSources, codes_out: &mut [u32]) {
+    let bin_size = sources.bin_size();
+    if !bin_size.is_multiple_of(LANES) {
+        return crate::scalar::dwta_bin_codes(x, sources, codes_out);
+    }
+    let slots = sources.slots();
+    let layers = sources.layers().as_ptr();
+    let px = x.as_ptr();
+    let neg_inf = _mm512_set1_ps(f32::NEG_INFINITY);
+    let no_source = _mm512_set1_epi32(DWTA_NO_SOURCE as i32);
+    for (b, code) in codes_out.iter_mut().enumerate() {
+        let mut best = f32::NEG_INFINITY;
+        *code = DWTA_EMPTY_BIN;
+        for chunk in (0..bin_size).step_by(LANES) {
+            let slot = layers.add(b * bin_size + chunk);
+            let mut cur = neg_inf;
+            for f in 0..sources.fan_in() {
+                let idx = _mm512_loadu_si512(slot.add(f * slots) as *const __m512i);
+                let live = _mm512_cmpneq_epi32_mask(idx, no_source);
+                // Padding lanes are masked off (never dereferenced) and read
+                // as −∞, which the fold below ignores.
+                let v = _mm512_mask_i32gather_ps::<4>(neg_inf, live, idx, px);
+                let take = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(cur, neg_inf)
+                    | _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, cur);
+                cur = _mm512_mask_blend_ps(take, cur, v);
+            }
+            // NaN never wins: treat it as −∞ for the reduction.
+            let vals =
+                _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(cur, cur), cur, neg_inf);
+            let top = _mm512_reduce_max_ps(vals);
+            if top > best {
+                best = top;
+                let at = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(vals, _mm512_set1_ps(top));
+                *code = (chunk as u32) + at.trailing_zeros();
+            }
+        }
     }
 }

@@ -62,6 +62,7 @@ macro_rules! dispatch {
         }
     }};
 }
+pub(crate) use dispatch;
 
 /// Inner product `aᵀb` — the hot loop of Algorithm 1 (row-major weights,
 /// dense input, sparse/dense output).

@@ -9,7 +9,11 @@
 //! * [`axpy_f32`] — the scaled accumulate of Algorithm 2 (sparse input,
 //!   column-major weights, dense output),
 //! * [`adam_step_f32`] — the fused ADAM parameter update of §4.3.1,
-//! * [`argmax_f32`] / reductions — used by DWTA hashing (§4.3.3) and P@1,
+//! * [`argmax_f32`] / reductions — the bin reduction of the sparse DWTA
+//!   oracle,
+//! * [`simhash_sign_bits`] / [`dwta_bin_codes`] — the LSH key kernels
+//!   (§4.3.3): SimHash projections and DWTA bin winners, 8/16 hash slots
+//!   per instruction and bit-identical at every level,
 //! * the [`bf16`] module — software brain-float16 (§4.4) with vectorized
 //!   slice conversions and bf16-weight kernels,
 //! * the [`int8`] module — post-training-quantization kernels for i8
@@ -47,6 +51,7 @@
 pub mod bf16;
 mod extra;
 mod gather;
+mod hashing;
 pub mod int8;
 mod kernels;
 mod policy;
@@ -63,6 +68,7 @@ pub use gather::{
     backward_rows_fused_bf16, backward_rows_fused_f32, gemv_full_f32, gemv_full_i8,
     score_rows_gather_bf16, score_rows_gather_f32, score_rows_gather_i8, KernelSet, RowGather,
 };
+pub use hashing::{dwta_bin_codes, simhash_sign_bits, DwtaSources, DWTA_EMPTY_BIN};
 pub use int8::{
     dequantize_row_f32, int8_isa, quantize_acts_u8, quantize_row_i8, Int8Isa, I8_WEIGHT_MAX,
     U8_ACT_MAX,

@@ -6,6 +6,7 @@
 //! the auto-vectorizer-friendly iterator forms so that forcing
 //! `SimdLevel::Scalar` measures honest scalar throughput.
 
+use crate::hashing::{DwtaSources, DWTA_EMPTY_BIN, DWTA_NO_SOURCE};
 use crate::kernels::AdamStep;
 
 #[inline]
@@ -68,6 +69,65 @@ pub fn argmax(x: &[f32]) -> Option<(usize, f32)> {
         }
     }
     Some((best_idx, best))
+}
+
+/// SimHash reference: up to four hyperplane words (256 projections) per pass
+/// over `x`, each projection summing `±x[i]` over the non-zero coordinates
+/// in ascending `i` — the order every vector level reproduces. The 64 adds
+/// of a word test independent bits (`word >> b`, not a running `bits >>= 1`),
+/// which leaves the compiler free to use the target's baseline vector unit
+/// for them; this is the only path non-x86_64 targets have.
+pub fn simhash_sign_bits(x: &[f32], signs: &[u64], bits_out: &mut [u64]) {
+    let words = bits_out.len();
+    for (block, out) in bits_out.chunks_mut(4).enumerate() {
+        let mut acc = [[0.0_f32; 64]; 4];
+        let acc = &mut acc[..out.len()];
+        for (i, &v) in x.iter().enumerate() {
+            if v != 0.0 {
+                let row = &signs[i * words + 4 * block..][..acc.len()];
+                for (acc_w, &word) in acc.iter_mut().zip(row) {
+                    for (b, slot) in acc_w.iter_mut().enumerate() {
+                        *slot += if (word >> b) & 1 == 1 { v } else { -v };
+                    }
+                }
+            }
+        }
+        for (acc_w, o) in acc.iter().zip(out) {
+            *o = 0;
+            for (b, &a) in acc_w.iter().enumerate() {
+                *o |= ((a > 0.0) as u64) << b;
+            }
+        }
+    }
+}
+
+/// DWTA reference: fold each slot's sources in map order, then take the
+/// first strict maximum of the bin.
+pub fn dwta_bin_codes(x: &[f32], sources: &DwtaSources, codes_out: &mut [u32]) {
+    let (slots, bin_size) = (sources.slots(), sources.bin_size());
+    let layers = sources.layers();
+    for (b, code) in codes_out.iter_mut().enumerate() {
+        let mut best = f32::NEG_INFINITY;
+        *code = DWTA_EMPTY_BIN;
+        for lane in 0..bin_size {
+            let slot = b * bin_size + lane;
+            let mut cur = f32::NEG_INFINITY;
+            for f in 0..sources.fan_in() {
+                let src = layers[f * slots + slot];
+                if src == DWTA_NO_SOURCE {
+                    break;
+                }
+                let v = x[src as usize];
+                if cur == f32::NEG_INFINITY || v > cur {
+                    cur = v;
+                }
+            }
+            if cur > best {
+                best = cur;
+                *code = lane as u32;
+            }
+        }
+    }
 }
 
 /// Multi-row gathered scoring: `out[i] = rows[i] · x`. Rows are walked in

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use slide_simd::{
-    adam_step_f32, argmax_f32, axpy_f32, bf16, dequantize_row_f32, dot_f32, quantize_acts_u8,
-    quantize_row_i8, set_policy, sum_f32, AdamStep, Bf16, KernelSet, KernelVariant, SimdLevel,
-    SimdPolicy,
+    adam_step_f32, argmax_f32, axpy_f32, bf16, dequantize_row_f32, dot_f32, dwta_bin_codes,
+    quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, sum_f32, AdamStep, Bf16,
+    DwtaSources, KernelSet, KernelVariant, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
 };
 
 /// Tests in this binary mutate the process-wide SIMD policy; serialize them.
@@ -27,6 +27,41 @@ fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-1e3_f32..1e3_f32, 0..max_len)
 }
+
+fn xorshift(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
+/// An input the hashing kernels must agree on bit for bit: finite values
+/// mixed with exact zeros of both signs and runs of one repeated value
+/// (first-wins ties); `specials` bit 0 adds ±∞, bit 1 adds NaN, bit 2 makes
+/// most coordinates −∞ (DWTA bins stay empty).
+fn hashing_input(dim: usize, seed: u64, specials: u8) -> Vec<f32> {
+    let mut s = seed | 1;
+    let run = (xorshift(&mut s) % 7) as f32 - 3.0;
+    (0..dim)
+        .map(|_| {
+            let r = xorshift(&mut s);
+            if specials & 4 != 0 && !r.is_multiple_of(8) {
+                return f32::NEG_INFINITY;
+            }
+            match (r >> 8) % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2..=4 => run,
+                5 if specials & 1 != 0 => f32::INFINITY,
+                6 if specials & 1 != 0 => f32::NEG_INFINITY,
+                7 if specials & 2 != 0 => f32::NAN,
+                _ => (r >> 40) as f32 / (1u64 << 23) as f32 * 1e3 - 1e3,
+            }
+        })
+        .collect()
+}
+
+const HASH_DIMS: [usize; 5] = [1, 7, 128, 200, 1000];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -509,5 +544,96 @@ proptest! {
             / 128.0
             + 1.0;
         prop_assert!((approx - exact).abs() <= budget, "{approx} vs {exact}");
+    }
+}
+
+// The hashing kernels: every level equals the scalar reference *exactly*, and
+// the scalar reference equals the definition. Each case sweeps the whole
+// shape grid, so a few dozen seeds suffice.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // K·L ∈ {1, 63, 64, 65, 225, 450} are 1, 1, 1, 2, 4, 8 sign words; 3 and
+    // 5 add the AVX-512 block's leftover-word loop.
+    #[test]
+    fn simhash_sign_bits_levels_agree_exactly(seed in any::<u64>(), specials in 0u8..4) {
+        let _g = policy_lock();
+        for dim in HASH_DIMS {
+            let x = hashing_input(dim, seed, specials);
+            for words in [1usize, 2, 3, 4, 5, 8] {
+                let mut s = seed ^ words as u64 | 1;
+                let signs: Vec<u64> = (0..dim * words).map(|_| xorshift(&mut s)).collect();
+                let mut reference = vec![0u64; words];
+                with_level(SimdLevel::Scalar, || simhash_sign_bits(&x, &signs, &mut reference));
+                // The definition, one projection at a time.
+                for bit in 0..words * 64 {
+                    let mut sum = 0.0_f32;
+                    for (i, &v) in x.iter().enumerate() {
+                        if v != 0.0 {
+                            let plus = signs[i * words + bit / 64] >> (bit % 64) & 1 == 1;
+                            sum += if plus { v } else { -v };
+                        }
+                    }
+                    prop_assert_eq!(reference[bit / 64] >> (bit % 64) & 1 == 1, sum > 0.0);
+                }
+                for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
+                    let mut got = vec![u64::MAX; words];
+                    with_level(level, || simhash_sign_bits(&x, &signs, &mut got));
+                    prop_assert_eq!(&got, &reference, "{:?} dim={} words={}", level, dim, words);
+                }
+            }
+        }
+    }
+
+    // dim < slots (several replicas, fan-in ~1), dim > slots (fan-in ≫ 1),
+    // bin sizes below, at and above the vector widths, and maps that leave
+    // whole bins without a source.
+    #[test]
+    fn dwta_bin_codes_levels_agree_exactly(
+        seed in any::<u64>(),
+        specials in 0u8..8,
+        reach_percent in 10u64..101,
+    ) {
+        let _g = policy_lock();
+        for dim in HASH_DIMS {
+            let x = hashing_input(dim, seed, specials);
+            for (bins, bin_size) in [(48usize, 16usize), (12, 4), (48, 8), (2, 32), (5, 2)] {
+                let slots = bins * bin_size;
+                let reach = (slots as u64 * reach_percent / 100).max(1);
+                let mut s = seed ^ slots as u64 | 1;
+                let map: Vec<u32> = (0..slots.div_ceil(dim) * dim)
+                    .map(|_| (xorshift(&mut s) % reach) as u32)
+                    .collect();
+                let sources = DwtaSources::invert(&map, dim, bins, bin_size);
+                let mut reference = vec![0u32; bins];
+                with_level(SimdLevel::Scalar, || dwta_bin_codes(&x, &sources, &mut reference));
+                // The definition: scatter through the forward map, then the
+                // first strict maximum of each bin.
+                let mut slot_vals = vec![f32::NEG_INFINITY; slots];
+                for (j, &slot) in map.iter().enumerate() {
+                    let (cur, v) = (&mut slot_vals[slot as usize], x[j % dim]);
+                    if *cur == f32::NEG_INFINITY || v > *cur {
+                        *cur = v;
+                    }
+                }
+                for (b, bin) in slot_vals.chunks(bin_size).enumerate() {
+                    let mut expect = (DWTA_EMPTY_BIN, f32::NEG_INFINITY);
+                    for (lane, &v) in bin.iter().enumerate() {
+                        if v > expect.1 {
+                            expect = (lane as u32, v);
+                        }
+                    }
+                    prop_assert_eq!(reference[b], expect.0, "scalar dim={} bin={}", dim, b);
+                }
+                for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
+                    let mut got = vec![7u32; bins];
+                    with_level(level, || dwta_bin_codes(&x, &sources, &mut got));
+                    prop_assert_eq!(
+                        &got, &reference,
+                        "{:?} dim={} bins={}x{}", level, dim, bins, bin_size
+                    );
+                }
+            }
+        }
     }
 }
