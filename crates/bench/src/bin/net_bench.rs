@@ -184,11 +184,36 @@ fn main() {
         fault.ok,
         fault.shed_rate() * 100.0,
         fault.hard_errors,
-        fault.latency.p50_us,
-        fault.latency.p99_us,
+        fault.latency.quantile(50.0),
+        fault.latency.quantile(99.0),
         fault.achieved_qps,
     );
-    let fault_router_stats = fault_router.stats_json();
+    let hub = fault_router.obs();
+    let counter = |name: &str| hub.registry().counter(name).get();
+    // Breaker counters are one series per replica; the report sums them.
+    let per_replica = |name: &str| -> u64 {
+        fault_addrs
+            .iter()
+            .map(|a| {
+                hub.registry()
+                    .counter_with(name, &[("replica", &a.to_string())])
+                    .get()
+            })
+            .sum()
+    };
+    let fault_router_stats = format!(
+        "{{\"hedges\":{},\"hedge_wins\":{},\"failovers\":{},\"deadline_exceeded\":{},\
+         \"breaker_opens\":{},\"breaker_half_opens\":{},\"breaker_closes\":{},\
+         \"healthy\":{}}}",
+        counter("slide_router_hedges_total"),
+        counter("slide_router_hedge_wins_total"),
+        counter("slide_router_failovers_total"),
+        counter("slide_router_deadline_exceeded_total"),
+        per_replica("slide_router_breaker_opens_total"),
+        per_replica("slide_router_breaker_half_opens_total"),
+        per_replica("slide_router_breaker_closes_total"),
+        fault_router.healthy_replicas(),
+    );
     let stall_stats = stall_proxy.stats();
     let drop_stats = drop_proxy.stats();
     println!(

@@ -35,7 +35,6 @@ mod dataset;
 mod metrics;
 mod split;
 mod stats;
-mod stream;
 mod svm;
 mod synth;
 mod text;
@@ -45,11 +44,10 @@ mod zipf;
 pub use batch::{materialize_batch, EpochBatches};
 pub use dataset::Dataset;
 pub use metrics::{precision_at_k, top_k_indices, MeanMetric};
-pub use split::{k_folds, subsample, train_holdout_split};
+pub use split::train_holdout_split;
 pub use stats::{model_parameters, DatasetStats};
-pub use stream::{StreamedSample, XcReader};
 pub use svm::{parse_xc, write_xc, ParseDatasetError};
-pub use synth::{generate_synthetic, prototype_feature, SynthConfig, SynthDataset};
+pub use synth::{generate_synthetic, SynthConfig, SynthDataset};
 pub use text::{collocate, generate_text, TextConfig, TextDataset};
-pub use transform::{document_frequencies, l2_normalize, tf_idf};
+pub use transform::{l2_normalize, tf_idf};
 pub use zipf::{Zipf, ZipfDrift};

@@ -1,6 +1,6 @@
-//! Dataset splitting utilities: seeded train/validation carving and
-//! subsampling. The real XC files ship fixed train/test splits; downstream
-//! users still need validation folds and fast-iteration subsets.
+//! Dataset splitting: seeded train/validation carving. The real XC files
+//! ship fixed train/test splits; downstream users still need a validation
+//! holdout.
 
 use crate::dataset::Dataset;
 use rand::rngs::SmallRng;
@@ -46,42 +46,6 @@ pub fn train_holdout_split(ds: &Dataset, holdout_fraction: f64, seed: u64) -> (D
     }
     let (holdout_idx, train_idx) = order.split_at(n_holdout);
     (copy_samples(ds, train_idx), copy_samples(ds, holdout_idx))
-}
-
-/// Uniformly subsample `n` samples (all of them if `n >= len`), shuffled
-/// under `seed` — for quick experiments against large files.
-pub fn subsample(ds: &Dataset, n: usize, seed: u64) -> Dataset {
-    let mut order: Vec<u32> = (0..ds.len() as u32).collect();
-    order.shuffle(&mut SmallRng::seed_from_u64(seed));
-    order.truncate(n);
-    copy_samples(ds, &order)
-}
-
-/// `k`-fold partition: returns `k` (train, validation) pairs covering every
-/// sample exactly once as validation.
-///
-/// # Panics
-///
-/// Panics if `k < 2` or `k > ds.len()`.
-pub fn k_folds(ds: &Dataset, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-    assert!(k >= 2, "k_folds: k must be at least 2");
-    assert!(k <= ds.len(), "k_folds: k exceeds dataset size");
-    let mut order: Vec<u32> = (0..ds.len() as u32).collect();
-    order.shuffle(&mut SmallRng::seed_from_u64(seed));
-    let fold_size = ds.len().div_ceil(k);
-    let mut out = Vec::with_capacity(k);
-    for f in 0..k {
-        let start = f * fold_size;
-        let end = ((f + 1) * fold_size).min(ds.len());
-        let val_idx = &order[start..end];
-        let train_idx: Vec<u32> = order[..start]
-            .iter()
-            .chain(&order[end..])
-            .copied()
-            .collect();
-        out.push((copy_samples(ds, &train_idx), copy_samples(ds, val_idx)));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -139,35 +103,5 @@ mod tests {
         let (train, val) = train_holdout_split(&ds, 0.0, 1);
         assert_eq!(val.len(), 0);
         assert_eq!(train.len(), 5);
-    }
-
-    #[test]
-    fn subsample_bounds() {
-        let ds = toy(20);
-        assert_eq!(subsample(&ds, 7, 1).len(), 7);
-        assert_eq!(subsample(&ds, 100, 1).len(), 20);
-        assert_eq!(subsample(&ds, 0, 1).len(), 0);
-    }
-
-    #[test]
-    fn k_folds_cover_everything_once() {
-        let ds = toy(23);
-        let folds = k_folds(&ds, 4, 5);
-        assert_eq!(folds.len(), 4);
-        let mut vals: Vec<f32> = Vec::new();
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 23);
-            for i in 0..val.len() {
-                vals.push(val.features(i).values[0]);
-            }
-        }
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(vals, (0..23).map(|i| i as f32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 2")]
-    fn k_folds_rejects_k1() {
-        k_folds(&toy(10), 1, 0);
     }
 }

@@ -183,7 +183,7 @@ fn generate_split(config: &SynthConfig, zipf: &Zipf, n: usize, salt: u64) -> Dat
 
 /// The `j`-th prototype feature of `label` (deterministic in the config
 /// seed, shared by train and test).
-pub fn prototype_feature(config: &SynthConfig, label: u32, j: u32) -> u32 {
+fn prototype_feature(config: &SynthConfig, label: u32, j: u32) -> u32 {
     reduce(
         mix3(config.seed ^ 0x9E0F, label as u64, j as u64),
         config.feature_dim,

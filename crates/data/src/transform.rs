@@ -6,17 +6,7 @@
 use crate::dataset::Dataset;
 
 /// Per-feature document frequencies over a dataset.
-///
-/// # Examples
-///
-/// ```
-/// use slide_data::{document_frequencies, Dataset};
-/// let mut ds = Dataset::new(4, 2);
-/// ds.push(&[0, 1], &[1.0, 1.0], &[0]);
-/// ds.push(&[1, 2], &[1.0, 1.0], &[1]);
-/// assert_eq!(document_frequencies(&ds), vec![1, 2, 1, 0]);
-/// ```
-pub fn document_frequencies(ds: &Dataset) -> Vec<u32> {
+fn document_frequencies(ds: &Dataset) -> Vec<u32> {
     let mut df = vec![0u32; ds.feature_dim()];
     for i in 0..ds.len() {
         for (idx, _) in ds.features(i).iter() {

@@ -48,13 +48,11 @@
 
 mod dwta;
 mod family;
-mod minhash;
 pub mod mix;
 mod srp;
 mod table;
 
 pub use dwta::{DwtaConfig, DwtaHash, DwtaScratch};
 pub use family::{LshFamily, LshScratch};
-pub use minhash::{MinHash, MinHashConfig, MinHashScratch};
 pub use srp::{SimHash, SimHashConfig, SimHashScratch};
 pub use table::{BucketPolicy, LshTables, TableStats, TablesCsr};

@@ -272,6 +272,9 @@ fn main() {
         w.stop();
     }
     net.drain();
-    println!("SLIDE_NETD STATS {}", net.stats().to_json());
+    println!(
+        "SLIDE_NETD METRICS\n{}",
+        batching.obs().registry().render().trim_end()
+    );
     println!("SLIDE_NETD DRAINED");
 }

@@ -145,6 +145,9 @@ fn main() {
         }
     }
     router.drain();
-    println!("SLIDE_ROUTER STATS {}", router.stats_json());
+    println!(
+        "SLIDE_ROUTER METRICS\n{}",
+        router.obs().registry().render().trim_end()
+    );
     println!("SLIDE_ROUTER DRAINED");
 }

@@ -13,7 +13,8 @@
 //! SLIDE_TRAINERD REJECTED round 3 p_at_1 0.0052 baseline 0.2344
 //! ```
 //!
-//! then `SLIDE_TRAINERD STATS {json}` + `SLIDE_TRAINERD DONE` at exit.
+//! then `SLIDE_TRAINERD METRICS`, its registry exposition (gate counters,
+//! the `slide_deploy_publish_us` summary) and `SLIDE_TRAINERD DONE` at exit.
 //! Stops early (between rounds) when stdin reaches EOF — the same
 //! portable parent-died convention the other daemons use.
 
@@ -163,8 +164,6 @@ fn main() {
         )
     };
 
-    let mut published = 0usize;
-    let mut publish_us_total = 0u128;
     for round in 1..=args.rounds {
         let outcome = match looper.run_round() {
             Ok(o) => o,
@@ -176,8 +175,6 @@ fn main() {
         let k = args.gate_k;
         match outcome.decision {
             GateDecision::Accepted => {
-                published += 1;
-                publish_us_total += outcome.publish_time.as_micros();
                 println!(
                     "SLIDE_TRAINERD PUBLISHED v{:06} p_at_{k} {:.4}",
                     outcome.published.expect("accepted round has a version"),
@@ -197,14 +194,9 @@ fn main() {
         }
     }
 
-    let reg = hub.registry();
-    let accepted = reg.counter("slide_gate_accepted_total").get();
-    let rejected = reg.counter("slide_gate_rejected_total").get();
-    let baseline = looper.gate().baseline().unwrap_or(0.0);
     println!(
-        "SLIDE_TRAINERD STATS {{\"accepted\":{accepted},\"rejected\":{rejected},\
-         \"published\":{published},\"baseline_p_at_k\":{baseline:.4},\
-         \"publish_us_total\":{publish_us_total}}}"
+        "SLIDE_TRAINERD METRICS\n{}",
+        hub.registry().render().trim_end()
     );
     println!("SLIDE_TRAINERD DONE");
 }

@@ -161,7 +161,7 @@ impl NetClient {
 
     /// [`NetClient::predict`] with a deadline budget: `deadline_us` is the
     /// remaining time (µs) the caller will wait for an answer; `0` means no
-    /// deadline (and sends a v1 frame). Every hop downstream decrements the
+    /// deadline. Every hop downstream decrements the
     /// budget and sheds the request with a typed `DeadlineExceeded` frame
     /// once it runs out.
     ///
@@ -180,10 +180,9 @@ impl NetClient {
     }
 
     /// [`NetClient::predict_within`] for a traced request: a nonzero
-    /// `trace_id` rides a v3 frame and is propagated unchanged through every
-    /// hop (router → replica), where each hop records its per-stage spans
-    /// under that id. `0` traces nothing and encodes byte-identically to
-    /// [`NetClient::predict_within`].
+    /// `trace_id` is propagated unchanged through every hop (router →
+    /// replica), where each hop records its per-stage spans under that id.
+    /// `0` traces nothing.
     ///
     /// # Errors
     ///
@@ -271,24 +270,8 @@ impl NetClient {
         }
     }
 
-    /// Fetch the server's stats snapshot as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Transport faults, or [`ClientError::Protocol`] on a nonsense reply.
-    pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        match self.exchange(&Frame::GetStats)? {
-            Frame::StatsJson(json) => Ok(json),
-            Frame::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected reply to get-stats: type {}",
-                other.type_byte()
-            ))),
-        }
-    }
-
     /// Fetch the server's metrics exposition (Prometheus-style text plus
-    /// trace-span comment lines) via a v3 `GetMetrics` frame.
+    /// trace-span comment lines) via a `GetMetrics` frame.
     ///
     /// # Errors
     ///

@@ -199,8 +199,6 @@ pub struct RoundOutcome {
     pub published: Option<u64>,
     /// Wall time of the train+snapshot step.
     pub train_time: Duration,
-    /// Wall time of the publish step (zero when rejected).
-    pub publish_time: Duration,
 }
 
 /// The background trainer: persistent SGD state, one candidate snapshot
@@ -311,18 +309,18 @@ impl TrainerLoop {
         let candidate = snapshot.model()?;
         let p_at_k = self.gate.shadow_p_at_k(&candidate, &self.holdout);
         let decision = self.gate.admit(p_at_k);
-        let (published, publish_time) = match decision {
+        let published = match decision {
             GateDecision::Accepted => {
                 let publish_started = Instant::now();
                 let version = self.registry.publish(snapshot.bytes())?;
                 if self.cfg.retain > 0 {
                     self.registry.retain(self.cfg.retain)?;
                 }
-                let elapsed = publish_started.elapsed();
-                self.publish_us.record(elapsed.as_micros() as u64);
-                (Some(version), elapsed)
+                self.publish_us
+                    .record(publish_started.elapsed().as_micros() as u64);
+                Some(version)
             }
-            GateDecision::Rejected { .. } => (None, Duration::ZERO),
+            GateDecision::Rejected { .. } => None,
         };
         Ok(RoundOutcome {
             round: self.round,
@@ -330,7 +328,6 @@ impl TrainerLoop {
             decision,
             published,
             train_time,
-            publish_time,
         })
     }
 }

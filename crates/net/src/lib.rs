@@ -7,19 +7,22 @@
 //! length-prefixed, checksummed binary protocol over `std::net` TCP and
 //! scales them out to a replicated fleet:
 //!
-//! * [`wire`] — the frame codec: 16-byte header (magic `SLW1`, version,
-//!   frame type, length, CRC-32 of the payload), twelve frame kinds
-//!   ([`Frame`], including the v3 `GetMetrics`/`MetricsText` scrape pair
-//!   and a per-request trace id on `Predict`), and a **total** decoder —
-//!   arbitrary bytes produce a typed [`WireError`], never a panic
-//!   (property-tested against garbage and mutation fuzzing).
+//! * [`wire`] — the frame codec: 16-byte header (magic `SLW1`, the one
+//!   [`VERSION`], frame type, length, CRC-32 of the payload), ten frame
+//!   kinds with one layout each ([`Frame`], including the
+//!   `GetMetrics`/`MetricsText` scrape pair and a deadline budget and trace
+//!   id on every `Predict`), and a **total** decoder — arbitrary bytes
+//!   produce a typed [`WireError`], never a panic (property-tested against
+//!   garbage and mutation fuzzing).
 //! * [`stream`] — deadline-aware framed I/O: idle polls, slow-loris
 //!   cutoffs ([`WireError::Stalled`]), clean-close vs mid-frame-EOF
 //!   distinction.
 //! * [`server`] — [`NetServer`], the daemon front-end: thread-per-
 //!   connection, bounded admission via
 //!   [`slide_serve::BatchingServer::try_predict`] with explicit
-//!   [`Frame::RetryLater`] shedding, per-client stats, graceful drain.
+//!   [`Frame::RetryLater`] shedding, graceful drain; every request is
+//!   counted once, in the batching server's `slide_obs` registry, and
+//!   `GetMetrics` is the only rendering of it.
 //! * [`client`] — [`NetClient`], a blocking request/response client.
 //! * [`router`] — [`Router`], a fleet proxy: consistent-hash or
 //!   least-load replica selection, per-replica three-state circuit
@@ -38,8 +41,8 @@
 //!   hot-swap a live `BatchingServer` — `slide_netd --follow`).
 //!
 //! Two binaries ship with the crate: `slide_netd` (one replica daemon) and
-//! `slide_router` (the fleet front door). See DESIGN.md §9 for the frame
-//! layout and the drain/failover state machines, and §11 for deadline
+//! `slide_router` (the fleet front door). See DESIGN.md §8 for the frame
+//! layout and the drain/failover state machines, and §10 for deadline
 //! budget arithmetic, the breaker state machine, and the hedging policy.
 
 pub mod client;
@@ -61,10 +64,9 @@ pub use fault::{Direction, FaultAction, FaultPlan, FaultProxy, FaultRule, FaultS
 pub use loadgen::{query_battery, run_open_loop, LoadReport, LoadgenConfig, SubmitOutcome};
 pub use model::{FleetPrecision, FleetSpec};
 pub use router::{RoutePolicy, Router, RouterConfig};
-pub use server::{ClientCounters, NetConfig, NetServer, NetStats, MAX_TRACKED_PEERS};
+pub use server::{ClientCounters, NetConfig, NetServer, NetStats};
 pub use stream::{read_frame, read_frame_timeout, write_frame, ReadOutcome};
 pub use wire::{
     crc32, decode_frame, decode_payload, encode_frame, frame_bytes, ErrorCode, Frame, FrameHeader,
-    PongInfo, PredictRequest, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION, VERSION2,
-    VERSION3,
+    PongInfo, PredictRequest, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };

@@ -15,7 +15,7 @@
 
 use rand::{rngs::SmallRng, SeedableRng};
 use slide_data::{Dataset, Zipf};
-use slide_serve::LatencySummary;
+use slide_obs::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,8 +82,9 @@ pub struct LoadReport {
     pub hard_errors: u64,
     /// Connection rebuilds observed by submitters.
     pub reconnects: u64,
-    /// Latency over the `ok` responses (request submitted → answer in hand).
-    pub latency: LatencySummary,
+    /// Latency in µs over the `ok` responses (request submitted → answer in
+    /// hand).
+    pub latency: HistogramSnapshot,
     /// The configured arrival rate.
     pub offered_qps: f64,
     /// `ok / elapsed` — what actually got through.
@@ -120,11 +121,11 @@ impl LoadReport {
             self.offered_qps,
             self.achieved_qps,
             self.duration.as_millis(),
-            self.latency.p50_us,
-            self.latency.p99_us,
-            self.latency.mean_us,
-            self.latency.max_us,
-            self.latency.samples,
+            self.latency.quantile(50.0),
+            self.latency.quantile(99.0),
+            self.latency.mean(),
+            self.latency.max,
+            self.latency.count,
         )
     }
 }
@@ -136,7 +137,6 @@ struct ClientTally {
     deadline_exceeded: u64,
     hard_errors: u64,
     reconnects: u64,
-    latencies_us: Vec<u64>,
 }
 
 /// Run an open-loop load test.
@@ -159,12 +159,14 @@ where
     let interval = Duration::from_secs_f64(1.0 / cfg.offered_qps.max(1.0));
     let total: u64 = (cfg.duration.as_secs_f64() * cfg.offered_qps).ceil() as u64;
     let arrivals = Arc::new(AtomicU64::new(0));
+    let latency = Histogram::default();
     let start = Instant::now();
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients)
             .map(|client_id| {
                 let arrivals = Arc::clone(&arrivals);
                 let make_submitter = &make_submitter;
+                let latency = &latency;
                 scope.spawn(move || {
                     let mut submit = make_submitter(client_id);
                     let zipf = Zipf::new(queries.len(), cfg.zipf_exponent);
@@ -178,7 +180,6 @@ where
                         deadline_exceeded: 0,
                         hard_errors: 0,
                         reconnects: 0,
-                        latencies_us: Vec::new(),
                     };
                     loop {
                         let i = arrivals.fetch_add(1, Ordering::Relaxed);
@@ -199,7 +200,7 @@ where
                         match submit(indices, values, cfg.k) {
                             SubmitOutcome::Ok(_) => {
                                 tally.ok += 1;
-                                tally.latencies_us.push(t0.elapsed().as_micros() as u64);
+                                latency.record(t0.elapsed().as_micros() as u64);
                             }
                             SubmitOutcome::RetryLater => tally.retry_later += 1,
                             SubmitOutcome::DeadlineExceeded => tally.deadline_exceeded += 1,
@@ -217,7 +218,6 @@ where
             .collect()
     });
     let elapsed = start.elapsed();
-    let mut latencies = Vec::new();
     let mut report = LoadReport {
         sent: 0,
         ok: 0,
@@ -225,21 +225,19 @@ where
         deadline_exceeded: 0,
         hard_errors: 0,
         reconnects: 0,
-        latency: LatencySummary::from_unsorted(Vec::new()),
+        latency: latency.snapshot(),
         offered_qps: cfg.offered_qps,
         achieved_qps: 0.0,
         duration: elapsed,
     };
-    for mut t in tallies {
+    for t in tallies {
         report.sent += t.sent;
         report.ok += t.ok;
         report.retry_later += t.retry_later;
         report.deadline_exceeded += t.deadline_exceeded;
         report.hard_errors += t.hard_errors;
         report.reconnects += t.reconnects;
-        latencies.append(&mut t.latencies_us);
     }
-    report.latency = LatencySummary::from_unsorted(latencies);
     report.achieved_qps = report.ok as f64 / elapsed.as_secs_f64().max(1e-9);
     report
 }
@@ -275,7 +273,7 @@ mod tests {
         assert_eq!(report.sent, expected);
         assert_eq!(report.ok, expected);
         assert_eq!(report.hard_errors, 0);
-        assert_eq!(report.latency.samples, expected);
+        assert_eq!(report.latency.count, expected);
         assert!(report.to_json("inproc").contains("\"mode\":\"inproc\""));
     }
 

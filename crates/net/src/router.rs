@@ -30,13 +30,13 @@
 //! failover; `RetryLater` and request errors pass through untouched —
 //! they are verdicts about load and about the request, not the replica.
 //!
-//! **Deadlines:** a v2 predict carries `deadline_us`, the remaining budget
-//! granted by the client. The router anchors it to its own receive clock,
-//! sheds already-expired requests with a typed `DeadlineExceeded` frame
-//! before touching any replica, forwards the *decremented* budget on each
-//! attempt, and abandons all in-flight attempts the moment the budget runs
-//! out — the forwarded budgets make the replicas shed the stragglers
-//! themselves, so a hedged pair dies as a pair.
+//! **Deadlines:** a predict carries `deadline_us`, the remaining budget
+//! granted by the client (`0` = none). The router anchors it to its own
+//! receive clock, sheds already-expired requests with a typed
+//! `DeadlineExceeded` frame before touching any replica, forwards the
+//! *decremented* budget on each attempt, and abandons all in-flight
+//! attempts the moment the budget runs out — the forwarded budgets make the
+//! replicas shed the stragglers themselves, so a hedged pair dies as a pair.
 
 use crate::client::{ClientError, NetClient};
 use crate::server::NetConfig;
@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use slide_obs::{Counter, Gauge, Histogram, ObsHub, Stage};
 use slide_serve::stage_histogram;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -147,12 +147,13 @@ const BREAKER_OPEN: u64 = 2;
 /// One replica's live state, shared between the health thread and every
 /// connection thread. The lifetime counters are registry instruments
 /// labeled `{replica="ip:port"}`, so one scrape shows the whole fleet's
-/// breaker history; the JSON stats view reads the same instruments.
+/// breaker history.
 struct ReplicaState {
     idx: usize,
     addr: SocketAddr,
     breaker: Mutex<Breaker>,
-    inflight: AtomicUsize,
+    /// Forwards to this replica awaiting a reply (the least-load key).
+    inflight: Arc<Gauge>,
     forwarded: Arc<Counter>,
     failed: Arc<Counter>,
     /// Closed/HalfOpen → Open transitions (the "ejections" of the
@@ -176,7 +177,7 @@ impl ReplicaState {
             idx,
             addr,
             breaker: Mutex::new(Breaker::Closed { fails: 0 }),
-            inflight: AtomicUsize::new(0),
+            inflight: r.gauge_with("slide_router_inflight", labels),
             forwarded: r.counter_with("slide_router_forwarded_total", labels),
             failed: r.counter_with("slide_router_failed_total", labels),
             opens: r.counter_with("slide_router_breaker_opens_total", labels),
@@ -189,14 +190,6 @@ impl ReplicaState {
     /// Closed-breaker replicas are the only ones that receive traffic.
     fn available(&self) -> bool {
         matches!(*self.breaker.lock(), Breaker::Closed { .. })
-    }
-
-    fn breaker_view(&self) -> (&'static str, bool) {
-        match *self.breaker.lock() {
-            Breaker::Closed { .. } => ("closed", true),
-            Breaker::Open { .. } => ("open", false),
-            Breaker::HalfOpen { .. } => ("half_open", false),
-        }
     }
 
     /// Any successful exchange closes the breaker and clears the failure
@@ -465,12 +458,6 @@ impl Router {
             .count()
     }
 
-    /// Per-replica counters as a JSON object (the router's `GetStats`
-    /// response).
-    pub fn stats_json(&self) -> String {
-        router_stats_json(&self.shared)
-    }
-
     /// The router's observability hub (registry + trace ring) — the same
     /// one a wire `GetMetrics` renders.
     pub fn obs(&self) -> Arc<ObsHub> {
@@ -507,47 +494,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.drain();
     }
-}
-
-fn router_stats_json(shared: &RouterShared) -> String {
-    let reps: Vec<String> = shared
-        .replicas
-        .iter()
-        .map(|r| {
-            let (breaker, healthy) = r.breaker_view();
-            format!(
-                "{{\"addr\":\"{}\",\"healthy\":{},\"breaker\":\"{}\",\"inflight\":{},\
-                 \"forwarded\":{},\"failed\":{},\"ejections\":{},\"half_opens\":{},\
-                 \"readmissions\":{}}}",
-                r.addr,
-                healthy,
-                breaker,
-                r.inflight.load(Ordering::Relaxed),
-                r.forwarded.get(),
-                r.failed.get(),
-                r.opens.get(),
-                r.half_opens.get(),
-                r.closes.get(),
-            )
-        })
-        .collect();
-    let healthy = shared.replicas.iter().filter(|r| r.available()).count();
-    format!(
-        "{{\"role\":\"router\",\"policy\":\"{}\",\"replicas\":{},\"healthy\":{},\
-         \"hedges\":{},\"hedge_wins\":{},\"failovers\":{},\"deadline_exceeded\":{},\
-         \"replica_stats\":[{}]}}",
-        match shared.cfg.policy {
-            RoutePolicy::LeastLoad => "least_load",
-            RoutePolicy::ConsistentHash => "consistent_hash",
-        },
-        shared.replicas.len(),
-        healthy,
-        shared.obs.hedges.get(),
-        shared.obs.hedge_wins.get(),
-        shared.obs.failovers.get(),
-        shared.obs.deadline_exceeded.get(),
-        reps.join(",")
-    )
 }
 
 /// Render the router's exposition. Breaker-state gauges are refreshed from
@@ -688,16 +634,13 @@ fn router_connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
                     inflight: shared
                         .replicas
                         .iter()
-                        .map(|r| r.inflight.load(Ordering::Relaxed) as u32)
+                        .map(|r| r.inflight.get() as u32)
                         .sum(),
                     draining: shared.draining.load(Ordering::Acquire),
                     precision: "router".into(),
                 }),
             )
             .is_ok(),
-            Frame::GetStats => {
-                write_frame(&mut stream, &Frame::StatsJson(router_stats_json(shared))).is_ok()
-            }
             Frame::GetMetrics => write_frame(
                 &mut stream,
                 &Frame::MetricsText(router_metrics_text(shared)),
@@ -737,7 +680,7 @@ fn pick_replica(shared: &RouterShared, indices: &[u32], attempted: &[usize]) -> 
     match shared.cfg.policy {
         RoutePolicy::LeastLoad => (0..shared.replicas.len())
             .filter(|&i| ok(i))
-            .min_by_key(|&i| shared.replicas[i].inflight.load(Ordering::Relaxed)),
+            .min_by_key(|&i| shared.replicas[i].inflight.get()),
         RoutePolicy::ConsistentHash => ring_pick(&shared.ring, query_ring_key(indices), ok),
     }
 }
@@ -764,7 +707,7 @@ fn spawn_attempt(
     let conns = Arc::clone(conns);
     let req = Arc::clone(req);
     let tx2 = tx.clone();
-    shared.replicas[i].inflight.fetch_add(1, Ordering::Relaxed);
+    shared.replicas[i].inflight.inc();
     let spawned = std::thread::Builder::new()
         .name("slide-router-attempt".into())
         .spawn(move || {
@@ -772,7 +715,7 @@ fn spawn_attempt(
             let tx = tx2;
             let result = attempt_once(&shared, &conns, &req, i, deadline);
             let rep = &shared.replicas[i];
-            rep.inflight.fetch_sub(1, Ordering::Relaxed);
+            rep.inflight.dec();
             match &result {
                 Ok(_)
                 | Err(ClientError::RetryLater { .. })
@@ -790,7 +733,7 @@ fn spawn_attempt(
             let _ = tx.send(AttemptReport { hedge, result });
         });
     if spawned.is_err() {
-        shared.replicas[i].inflight.fetch_sub(1, Ordering::Relaxed);
+        shared.replicas[i].inflight.dec();
         let _ = tx.send(AttemptReport {
             hedge,
             result: Err(ClientError::Io("attempt thread spawn failed".into())),

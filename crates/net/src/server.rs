@@ -20,18 +20,17 @@
 //! **Graceful drain** ([`NetServer::drain`], or a client [`Frame::Drain`]):
 //! stop accepting connections, answer every request already being read or
 //! scored, then close each connection at its next frame boundary. The state
-//! machine is Accepting → Draining → Closed; see DESIGN.md §9.
+//! machine is Accepting → Draining → Closed; see DESIGN.md §8.
 
 use crate::stream::{read_frame, write_frame, ReadOutcome};
 use crate::wire::{ErrorCode, Frame, PongInfo, WireError};
 use parking_lot::Mutex;
-use slide_obs::{Counter, Histogram, ObsHub, Stage};
-use slide_serve::{stage_histogram, BatchingServer, LatencySummary, ServeError};
-use std::collections::HashMap;
+use slide_obs::{Counter, Gauge, Histogram, HistogramSnapshot, ObsHub, Stage};
+use slide_serve::{stage_histogram, BatchingServer, ServeError};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,7 +63,9 @@ impl Default for NetConfig {
     }
 }
 
-/// Per-peer request counters (keyed by the peer's `ip:port`).
+/// Request counters since start. Every `Predict` frame lands in `requests`
+/// and in exactly one outcome, so once traffic quiesces `requests == ok +
+/// invalid + retry_later + deadline_exceeded + unavailable`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientCounters {
     /// Predict frames received.
@@ -78,34 +79,18 @@ pub struct ClientCounters {
     /// Shed with `DeadlineExceeded` (budget ran out at admission or in the
     /// batch queue).
     pub deadline_exceeded: u64,
-    /// Wire-level faults attributed to this peer (bad frames, stalls).
+    /// Answered with an `Unavailable` error (engine closed, or its model
+    /// panicked).
+    pub unavailable: u64,
+    /// Wire-level faults (bad frames, stalls, server-only frames).
     pub protocol_errors: u64,
 }
 
-/// A tracked peer: counters plus a last-touch clock for LRU eviction.
-#[derive(Default, Clone, Copy)]
-struct PeerEntry {
-    touched: u64,
-    counters: ClientCounters,
-}
-
-#[derive(Default)]
-struct NetStatsInner {
-    per_client: HashMap<String, PeerEntry>,
-    /// Monotone touch clock driving LRU eviction of `per_client`.
-    touch_seq: u64,
-}
-
-/// Track at most this many distinct peers. A port-churning loadgen (every
-/// reconnect is a fresh `ip:port` key) previously grew the map without
-/// bound; beyond the cap the least-recently-touched peer is evicted and
-/// `slide_net_evicted_peers_total` counts the loss. Fleet totals are immune:
-/// they come from registry counters, not per-peer sums.
-pub const MAX_TRACKED_PEERS: usize = 64;
-
 /// Network-tier instruments, registered in the **batching server's** hub so
 /// one `GetMetrics` scrape exposes socket-, serve-, and stage-level series
-/// from a single rendering pass.
+/// from a single rendering pass. They are the only place a request or a
+/// connection is counted ([`NetStats`] is a typed read of them), and they
+/// belong to the hub: front-ends sharing one batching server share them.
 struct NetObs {
     hub: Arc<ObsHub>,
     requests: Arc<Counter>,
@@ -113,8 +98,14 @@ struct NetObs {
     invalid: Arc<Counter>,
     retry_later: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
+    unavailable: Arc<Counter>,
     protocol_errors: Arc<Counter>,
-    evicted_peers: Arc<Counter>,
+    conns_opened: Arc<Counter>,
+    conns_active: Arc<Gauge>,
+    refused: Arc<Counter>,
+    /// Predict requests currently inside `try_predict`.
+    inflight: Arc<Gauge>,
+    draining: Arc<Gauge>,
     latency_us: Arc<Histogram>,
     stage_encode: Arc<Histogram>,
 }
@@ -128,8 +119,13 @@ impl NetObs {
             invalid: r.counter("slide_net_invalid_total"),
             retry_later: r.counter("slide_net_retry_later_total"),
             deadline_exceeded: r.counter("slide_net_deadline_exceeded_total"),
+            unavailable: r.counter("slide_net_unavailable_total"),
             protocol_errors: r.counter("slide_net_protocol_errors_total"),
-            evicted_peers: r.counter("slide_net_evicted_peers_total"),
+            conns_opened: r.counter("slide_net_connections_opened_total"),
+            conns_active: r.gauge("slide_net_connections_active"),
+            refused: r.counter("slide_net_refused_total"),
+            inflight: r.gauge("slide_net_inflight"),
+            draining: r.gauge("slide_net_draining"),
             latency_us: r.histogram("slide_net_latency_us"),
             stage_encode: stage_histogram(&hub, Stage::Encode),
             hub,
@@ -142,17 +138,18 @@ struct NetShared {
     cfg: NetConfig,
     local_addr: SocketAddr,
     draining: AtomicBool,
-    /// Predict requests currently inside `try_predict`.
-    inflight: AtomicUsize,
-    conns_active: AtomicUsize,
-    conns_opened: AtomicU64,
-    refused: AtomicU64,
     obs: NetObs,
-    stats: Mutex<NetStatsInner>,
     conn_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// A point-in-time snapshot of the network tier's counters.
+impl NetShared {
+    fn start_draining(&self) {
+        self.draining.store(true, Ordering::Release);
+        self.obs.draining.set(1);
+    }
+}
+
+/// A point-in-time read of the network tier's registry instruments.
 #[derive(Debug, Clone)]
 pub struct NetStats {
     /// Whether the server is draining.
@@ -165,64 +162,11 @@ pub struct NetStats {
     pub refused: u64,
     /// Predict requests currently in flight.
     pub inflight: usize,
-    /// Fleet totals since start. Registry-backed, so they keep counting
-    /// across per-peer evictions (summing `per_client` would not).
+    /// Request totals since start.
     pub totals: ClientCounters,
-    /// Peers dropped from the tracked set at the [`MAX_TRACKED_PEERS`] cap.
-    pub evicted_peers: u64,
-    /// Per-peer counters (at most [`MAX_TRACKED_PEERS`] entries, most
-    /// recently active peers win), sorted by peer address.
-    pub per_client: Vec<(String, ClientCounters)>,
-    /// Socket-measured request latency (frame decoded → response written).
-    pub latency: LatencySummary,
-}
-
-impl NetStats {
-    /// Render as a JSON object (the `GetStats` response body).
-    pub fn to_json(&self) -> String {
-        let clients: Vec<String> = self
-            .per_client
-            .iter()
-            .map(|(peer, c)| {
-                format!(
-                    "{{\"peer\":\"{peer}\",\"requests\":{},\"ok\":{},\"invalid\":{},\
-                     \"retry_later\":{},\"deadline_exceeded\":{},\"protocol_errors\":{}}}",
-                    c.requests,
-                    c.ok,
-                    c.invalid,
-                    c.retry_later,
-                    c.deadline_exceeded,
-                    c.protocol_errors
-                )
-            })
-            .collect();
-        format!(
-            "{{\"draining\":{},\"connections_opened\":{},\"connections_active\":{},\
-             \"refused\":{},\"inflight\":{},\"requests\":{},\"ok\":{},\"invalid\":{},\
-             \"retry_later\":{},\"deadline_exceeded\":{},\"protocol_errors\":{},\
-             \"evicted_peers\":{},\
-             \"latency_us\":{{\"p50\":{},\"p99\":{},\"mean\":{:.1},\"max\":{},\"samples\":{}}},\
-             \"clients\":[{}]}}",
-            self.draining,
-            self.connections_opened,
-            self.connections_active,
-            self.refused,
-            self.inflight,
-            self.totals.requests,
-            self.totals.ok,
-            self.totals.invalid,
-            self.totals.retry_later,
-            self.totals.deadline_exceeded,
-            self.totals.protocol_errors,
-            self.evicted_peers,
-            self.latency.p50_us,
-            self.latency.p99_us,
-            self.latency.mean_us,
-            self.latency.max_us,
-            self.latency.samples,
-            clients.join(",")
-        )
-    }
+    /// Socket-measured request latency in µs (frame decoded → response
+    /// written).
+    pub latency: HistogramSnapshot,
 }
 
 /// The TCP serving front-end: accepts wire-protocol connections and answers
@@ -258,11 +202,6 @@ impl NetServer {
             local_addr,
             obs,
             draining: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            conns_active: AtomicUsize::new(0),
-            conns_opened: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            stats: Mutex::new(NetStatsInner::default()),
             conn_handles: Mutex::new(Vec::new()),
         });
         let accept = {
@@ -288,16 +227,33 @@ impl NetServer {
         self.shared.draining.load(Ordering::Acquire)
     }
 
-    /// Snapshot the network-tier counters.
+    /// Read the network-tier instruments.
     pub fn stats(&self) -> NetStats {
-        snapshot_stats(&self.shared)
+        let o = &self.shared.obs;
+        NetStats {
+            draining: self.is_draining(),
+            connections_opened: o.conns_opened.get(),
+            connections_active: o.conns_active.get() as usize,
+            refused: o.refused.get(),
+            inflight: o.inflight.get() as usize,
+            totals: ClientCounters {
+                requests: o.requests.get(),
+                ok: o.ok.get(),
+                invalid: o.invalid.get(),
+                retry_later: o.retry_later.get(),
+                deadline_exceeded: o.deadline_exceeded.get(),
+                unavailable: o.unavailable.get(),
+                protocol_errors: o.protocol_errors.get(),
+            },
+            latency: o.latency_us.snapshot(),
+        }
     }
 
     /// Graceful drain: stop accepting, let every in-flight request finish
     /// and its response flush, then close all connections. Blocks until the
     /// accept thread and every connection thread have exited.
     pub fn drain(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.start_draining();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -321,43 +277,6 @@ impl Drop for NetServer {
     }
 }
 
-fn snapshot_stats(shared: &NetShared) -> NetStats {
-    let inner = shared.stats.lock();
-    let mut per_client: Vec<(String, ClientCounters)> = inner
-        .per_client
-        .iter()
-        .map(|(k, v)| (k.clone(), v.counters))
-        .collect();
-    per_client.sort_by(|a, b| a.0.cmp(&b.0));
-    drop(inner);
-    let o = &shared.obs;
-    let lat = o.latency_us.snapshot();
-    NetStats {
-        draining: shared.draining.load(Ordering::Acquire),
-        connections_opened: shared.conns_opened.load(Ordering::Relaxed),
-        connections_active: shared.conns_active.load(Ordering::Relaxed),
-        refused: shared.refused.load(Ordering::Relaxed),
-        inflight: shared.inflight.load(Ordering::Relaxed),
-        totals: ClientCounters {
-            requests: o.requests.get(),
-            ok: o.ok.get(),
-            invalid: o.invalid.get(),
-            retry_later: o.retry_later.get(),
-            deadline_exceeded: o.deadline_exceeded.get(),
-            protocol_errors: o.protocol_errors.get(),
-        },
-        evicted_peers: o.evicted_peers.get(),
-        latency: LatencySummary {
-            p50_us: lat.quantile(50.0),
-            p99_us: lat.quantile(99.0),
-            mean_us: lat.mean(),
-            max_us: lat.max,
-            samples: lat.count,
-        },
-        per_client,
-    }
-}
-
 fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
     loop {
         if shared.draining.load(Ordering::Acquire) {
@@ -365,19 +284,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
         }
         match listener.accept() {
             Ok((stream, peer)) => {
-                shared.conns_opened.fetch_add(1, Ordering::Relaxed);
-                if shared.conns_active.load(Ordering::Relaxed) >= shared.cfg.max_connections {
-                    shared.refused.fetch_add(1, Ordering::Relaxed);
+                shared.obs.conns_opened.inc();
+                if shared.obs.conns_active.get() as usize >= shared.cfg.max_connections {
+                    shared.obs.refused.inc();
                     refuse(stream, shared.cfg);
                     continue;
                 }
-                shared.conns_active.fetch_add(1, Ordering::Relaxed);
+                shared.obs.conns_active.inc();
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("slide-net-conn-{peer}"))
                     .spawn(move || {
-                        connection_loop(stream, peer, &shared2);
-                        shared2.conns_active.fetch_sub(1, Ordering::Relaxed);
+                        connection_loop(stream, &shared2);
+                        shared2.obs.conns_active.dec();
                     });
                 match handle {
                     Ok(h) => {
@@ -387,9 +306,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
                         handles.retain(|h| !h.is_finished());
                         handles.push(h);
                     }
-                    Err(_) => {
-                        shared.conns_active.fetch_sub(1, Ordering::Relaxed);
-                    }
+                    Err(_) => shared.obs.conns_active.dec(),
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -417,45 +334,7 @@ fn refuse(mut stream: TcpStream, cfg: NetConfig) {
     );
 }
 
-fn bump(shared: &NetShared, peer: &str, f: impl Fn(&mut ClientCounters)) {
-    let mut inner = shared.stats.lock();
-    inner.touch_seq += 1;
-    let now = inner.touch_seq;
-    // A tracked peer costs one lookup; only first contact allocates its key.
-    if let Some(entry) = inner.per_client.get_mut(peer) {
-        entry.touched = now;
-        f(&mut entry.counters);
-        return;
-    }
-    if inner.per_client.len() >= MAX_TRACKED_PEERS {
-        // Evict the least-recently-touched peer to admit this one. O(n)
-        // scan, but n is capped at MAX_TRACKED_PEERS and eviction only
-        // fires on first contact from a new peer past the cap.
-        if let Some(victim) = inner
-            .per_client
-            .iter()
-            .min_by_key(|(_, e)| e.touched)
-            .map(|(k, _)| k.clone())
-        {
-            inner.per_client.remove(&victim);
-            shared.obs.evicted_peers.inc();
-        }
-    }
-    let entry = inner.per_client.entry(peer.to_string()).or_default();
-    entry.touched = now;
-    f(&mut entry.counters);
-}
-
-/// The one per-peer update of a `Predict` frame: the request and its
-/// outcome together, so the frame takes the stats mutex once.
-fn bump_request(shared: &NetShared, peer: &str, outcome: impl Fn(&mut ClientCounters)) {
-    bump(shared, peer, |c| {
-        c.requests += 1;
-        outcome(c);
-    });
-}
-
-fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) {
+fn connection_loop(mut stream: TcpStream, shared: &NetShared) {
     let cfg = shared.cfg;
     if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
@@ -463,7 +342,6 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) 
     {
         return;
     }
-    let peer = peer.to_string();
     loop {
         if shared.draining.load(Ordering::Acquire) {
             // Flush-then-close happens below per response; at a frame
@@ -476,7 +354,6 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) 
             Ok(ReadOutcome::Closed) => return,
             Ok(ReadOutcome::Frame(f)) => f,
             Err(e) => {
-                bump(shared, &peer, |c| c.protocol_errors += 1);
                 shared.obs.protocol_errors.inc();
                 // Name the fault for the peer when the stream is still
                 // usable, then close. Stalls and IO faults skip the
@@ -495,7 +372,7 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) 
                 return;
             }
         };
-        let keep_going = handle_frame(&mut stream, &peer, shared, frame);
+        let keep_going = handle_frame(&mut stream, shared, frame);
         if !keep_going {
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return;
@@ -504,13 +381,12 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, shared: &NetShared) 
 }
 
 /// Handle one decoded frame; returns false when the connection should close.
-fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: Frame) -> bool {
+fn handle_frame(stream: &mut TcpStream, shared: &NetShared, frame: Frame) -> bool {
     match frame {
         Frame::Predict(req) => {
             shared.obs.requests.inc();
             if shared.draining.load(Ordering::Acquire) {
                 // Drain started between frames: shed softly and close.
-                bump_request(shared, peer, |c| c.retry_later += 1);
                 shared.obs.retry_later.inc();
                 let _ = write_frame(
                     stream,
@@ -526,7 +402,7 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
             // fully read microseconds ago, so `t0` is the admission instant.
             let deadline =
                 (req.deadline_us > 0).then(|| t0 + Duration::from_micros(req.deadline_us));
-            shared.inflight.fetch_add(1, Ordering::Relaxed);
+            shared.obs.inflight.inc();
             // Scoring runs on this thread, so a model panic unwinds through
             // here. It has already closed the engine: answer it as `Closed`
             // rather than die without a reply and leave the gauges stuck.
@@ -540,10 +416,9 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                 )
             }))
             .unwrap_or(Err(ServeError::Closed));
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
+            shared.obs.inflight.dec();
             let reply = match result {
                 Ok(ids) => {
-                    bump_request(shared, peer, |c| c.ok += 1);
                     shared.obs.ok.inc();
                     shared
                         .obs
@@ -555,7 +430,6 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::Overloaded(depth)) => {
-                    bump_request(shared, peer, |c| c.retry_later += 1);
                     shared.obs.retry_later.inc();
                     Frame::RetryLater {
                         req_id: req.req_id,
@@ -563,12 +437,10 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::DeadlineExceeded) => {
-                    bump_request(shared, peer, |c| c.deadline_exceeded += 1);
                     shared.obs.deadline_exceeded.inc();
                     Frame::DeadlineExceeded { req_id: req.req_id }
                 }
                 Err(ServeError::Invalid(msg)) => {
-                    bump_request(shared, peer, |c| c.invalid += 1);
                     shared.obs.invalid.inc();
                     Frame::Error {
                         req_id: req.req_id,
@@ -577,7 +449,7 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                     }
                 }
                 Err(ServeError::Closed) => {
-                    bump_request(shared, peer, |_| {});
+                    shared.obs.unavailable.inc();
                     let _ = write_frame(
                         stream,
                         &Frame::Error {
@@ -605,16 +477,12 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
                 stream,
                 &Frame::Pong(PongInfo {
                     nonce,
-                    inflight: shared.inflight.load(Ordering::Relaxed) as u32,
+                    inflight: shared.obs.inflight.get() as u32,
                     draining: shared.draining.load(Ordering::Acquire),
                     precision,
                 }),
             )
             .is_ok()
-        }
-        Frame::GetStats => {
-            let json = snapshot_stats(shared).to_json();
-            write_frame(stream, &Frame::StatsJson(json)).is_ok()
         }
         Frame::GetMetrics => {
             // One hub serves both tiers: socket counters, serve counters,
@@ -623,7 +491,7 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
             write_frame(stream, &Frame::MetricsText(text)).is_ok()
         }
         Frame::Drain => {
-            shared.draining.store(true, Ordering::Release);
+            shared.start_draining();
             let _ = write_frame(stream, &Frame::Drain);
             let _ = stream.flush();
             false
@@ -634,10 +502,8 @@ fn handle_frame(stream: &mut TcpStream, peer: &str, shared: &NetShared, frame: F
         | Frame::Error { .. }
         | Frame::RetryLater { .. }
         | Frame::Pong(_)
-        | Frame::StatsJson(_)
         | Frame::MetricsText(_)
         | Frame::DeadlineExceeded { .. }) => {
-            bump(shared, peer, |c| c.protocol_errors += 1);
             shared.obs.protocol_errors.inc();
             let _ = write_frame(
                 stream,

@@ -116,7 +116,6 @@ pub fn read_frame<R: Read>(
         });
     }
     Ok(ReadOutcome::Frame(decode_payload(
-        header.version,
         header.frame_type,
         &payload,
     )?))

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field         value
 //! 0       4     magic         0x31574C53 ("SLW1", little-endian)
-//! 4       1     version       1, 2, or 3 (see below)
+//! 4       1     version       3 (`VERSION`)
 //! 5       1     frame type    see [`Frame`]
 //! 6       2     reserved      must be 0
 //! 8       4     payload_len   LE; must be <= the receiver's max_payload
@@ -15,20 +15,12 @@
 //! 16      n     payload       frame-type-specific, all integers LE
 //! ```
 //!
-//! **Versioning** is per-frame, not per-connection. Version 1 is the
-//! baseline protocol. Version 2 adds a `deadline_us` budget field to
-//! `Predict` and the `DeadlineExceeded` reply (frame type 10). Version 3
-//! adds a `trace_id` field to `Predict` (after `deadline_us`) and the
-//! `GetMetrics`/`MetricsText` observability pair (frame types 11/12). The
-//! encoder always emits the *lowest* version that can carry the frame — a
-//! `Predict` with no deadline and no trace id is bit-identical to what a
-//! v1 client sends, and one with a deadline but a zero trace id is
-//! bit-identical to v2 — and the decoder accepts all versions, reading a
-//! v1/v2 `Predict` as "no trace". Old clients therefore keep working
-//! against new servers (their requests *are* v1/v2 frames, and every reply
-//! they can trigger encodes at their version or lower), and the
-//! canonical-encoding property (decode → encode is bit-identical) holds
-//! across versions.
+//! There is **one layout per frame kind**, stamped with the one [`VERSION`]:
+//! a `Predict` always carries its `deadline_us` and `trace_id` fields, `0`
+//! meaning "none", so a frame's length is a function of its contents alone
+//! and the canonical-encoding property (decode → encode is bit-identical)
+//! holds without qualification. A header stamped with any other version is
+//! refused as [`WireError::BadVersion`] from its 16 bytes.
 //!
 //! The header is validated *before* any payload byte is read, so a bad
 //! magic, an unknown version, or an oversized length prefix is rejected
@@ -48,20 +40,9 @@ use bytes::{Buf, BufMut};
 /// Frame magic: `b"SLW1"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"SLW1");
 
-/// Baseline protocol version (no deadline support).
-pub const VERSION: u8 = 1;
-
-/// Deadline-aware protocol version: `Predict` carries a `deadline_us`
-/// budget and servers may reply [`Frame::DeadlineExceeded`]. Frames that
-/// need no v2 feature still encode as [`VERSION`] (lowest-version rule).
-pub const VERSION2: u8 = 2;
-
-/// Observability protocol version: `Predict` carries a `trace_id` (after
-/// `deadline_us`) and [`Frame::GetMetrics`] / [`Frame::MetricsText`] expose
-/// a process's metrics registry and trace ring. Frames that need no v3
-/// feature encode at the lowest version that fits, so a zero trace id is
-/// byte-invisible on the wire.
-pub const VERSION3: u8 = 3;
+/// The protocol version every frame is stamped with; a header carrying any
+/// other value is refused before its payload is read.
+pub const VERSION: u8 = 3;
 
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 16;
@@ -202,18 +183,17 @@ pub struct PredictRequest {
     pub req_id: u64,
     /// Number of labels requested.
     pub k: u32,
-    /// Remaining deadline budget in microseconds; `0` means "no deadline"
-    /// (and encodes as a v1 frame). A *relative* budget rather than an
+    /// Remaining deadline budget in microseconds; `0` means "no deadline".
+    /// A *relative* budget rather than an
     /// absolute timestamp because the hops live in different processes with
     /// unsynchronized clocks: each hop anchors the budget to its own receive
     /// time and re-encodes the remainder when forwarding, so the budget
     /// shrinks monotonically across hops (network transit is the only time
     /// the budget fails to account for).
     pub deadline_us: u64,
-    /// Distributed trace id; `0` means "untraced" (and never forces a v3
-    /// encoding, so untraced requests are byte-identical to their v2/v1
-    /// forms). A nonzero id is propagated unchanged client → router →
-    /// replica, and every hop records its stage spans under it.
+    /// Distributed trace id; `0` means "untraced". A nonzero id is
+    /// propagated unchanged client → router → replica, and every hop
+    /// records its stage spans under it.
     pub trace_id: u64,
     /// Sparse feature indices (may be empty).
     pub indices: Vec<u32>,
@@ -234,7 +214,8 @@ pub struct PongInfo {
     pub precision: String,
 }
 
-/// One protocol frame. The discriminants are the on-wire frame-type bytes.
+/// One protocol frame. Type bytes 7 and 8 belonged to a retired stats
+/// pair and stay unassigned ([`WireError::BadFrameType`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client → server: predict the top-k labels for a sparse input.
@@ -270,10 +251,6 @@ pub enum Frame {
     },
     /// Health probe response with load info.
     Pong(PongInfo),
-    /// Ask the server for its stats JSON.
-    GetStats,
-    /// Stats JSON response.
-    StatsJson(String),
     /// Ask the server to drain gracefully (stop accepting, flush
     /// in-flight, close). Acknowledged by echoing `Drain` back.
     Drain,
@@ -281,15 +258,15 @@ pub enum Frame {
     /// answer was produced (shed pre-compute at admission or in the batch
     /// queue, or the budget expired mid-forward at the router). Distinct
     /// from [`Frame::RetryLater`]: the *budget* was exhausted, not the
-    /// queue — an immediate retry carries the same doom. v2-only.
+    /// queue — an immediate retry carries the same doom.
     DeadlineExceeded {
         /// Correlation id from the request.
         req_id: u64,
     },
     /// Ask the server for its Prometheus-style metrics exposition
-    /// (counters, histograms, breaker states, recent trace spans). v3-only.
+    /// (counters, histograms, breaker states, recent trace spans).
     GetMetrics,
-    /// Metrics exposition text response. v3-only.
+    /// Metrics exposition text response.
     MetricsText(String),
 }
 
@@ -303,27 +280,10 @@ impl Frame {
             Frame::RetryLater { .. } => 4,
             Frame::Ping { .. } => 5,
             Frame::Pong(_) => 6,
-            Frame::GetStats => 7,
-            Frame::StatsJson(_) => 8,
             Frame::Drain => 9,
             Frame::DeadlineExceeded { .. } => 10,
             Frame::GetMetrics => 11,
             Frame::MetricsText(_) => 12,
-        }
-    }
-
-    /// The lowest protocol version that can carry this frame — what the
-    /// encoder stamps in the header. A traced `Predict` and the metrics
-    /// pair need v3; a deadline-bearing `Predict` and `DeadlineExceeded`
-    /// need v2; everything else stays v1, so a frame with no newer-version
-    /// feature is bit-identical to its oldest encoding.
-    pub fn wire_version(&self) -> u8 {
-        match self {
-            Frame::Predict(req) if req.trace_id > 0 => VERSION3,
-            Frame::GetMetrics | Frame::MetricsText(_) => VERSION3,
-            Frame::Predict(req) if req.deadline_us > 0 => VERSION2,
-            Frame::DeadlineExceeded { .. } => VERSION2,
-            _ => VERSION,
         }
     }
 }
@@ -332,17 +292,13 @@ impl Frame {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn encode_payload(frame: &Frame, version: u8, out: &mut Vec<u8>) {
+fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::Predict(req) => {
             out.put_u64_le(req.req_id);
             out.put_u32_le(req.k);
-            if version >= VERSION2 {
-                out.put_u64_le(req.deadline_us);
-            }
-            if version >= VERSION3 {
-                out.put_u64_le(req.trace_id);
-            }
+            out.put_u64_le(req.deadline_us);
+            out.put_u64_le(req.trace_id);
             out.put_u32_le(req.indices.len() as u32);
             for &i in &req.indices {
                 out.put_u32_le(i);
@@ -383,21 +339,18 @@ fn encode_payload(frame: &Frame, version: u8, out: &mut Vec<u8>) {
             out.put_u32_le(info.precision.len() as u32);
             out.put_slice(info.precision.as_bytes());
         }
-        Frame::GetStats | Frame::Drain | Frame::GetMetrics => {}
-        Frame::StatsJson(json) => out.put_slice(json.as_bytes()),
+        Frame::Drain | Frame::GetMetrics => {}
         Frame::DeadlineExceeded { req_id } => out.put_u64_le(*req_id),
         Frame::MetricsText(text) => out.put_slice(text.as_bytes()),
     }
 }
 
-/// Append `frame` (header + payload) to `out`, stamped with the lowest
-/// protocol version that can carry it (see [`Frame::wire_version`]).
+/// Append `frame` (header + payload) to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let version = frame.wire_version();
     let mut payload = Vec::new();
-    encode_payload(frame, version, &mut payload);
+    encode_payload(frame, &mut payload);
     out.put_u32_le(MAGIC);
-    out.put_u8(version);
+    out.put_u8(VERSION);
     out.put_u8(frame.type_byte());
     out.put_u8(0); // reserved
     out.put_u8(0); // reserved
@@ -422,7 +375,7 @@ pub fn frame_bytes(frame: &Frame) -> Vec<u8> {
 /// panic on underflow, matching upstream).
 struct Reader<'a>(&'a [u8]);
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn need(&self, n: usize, what: &str) -> Result<(), WireError> {
         if self.0.remaining() < n {
             return Err(WireError::Malformed(format!(
@@ -448,9 +401,15 @@ impl Reader<'_> {
         Ok(self.0.get_u64_le())
     }
 
-    fn f32(&mut self, what: &str) -> Result<f32, WireError> {
-        self.need(4, what)?;
-        Ok(self.0.get_f32_le())
+    /// `n` little-endian 32-bit words under one bounds check, so a count
+    /// the payload cannot hold is refused before anything is allocated.
+    fn words(&mut self, n: usize, what: &str) -> Result<impl Iterator<Item = u32> + 'a, WireError> {
+        self.need(n.saturating_mul(4), what)?;
+        let (head, tail) = self.0.split_at(n * 4);
+        self.0 = tail;
+        Ok(head
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])))
     }
 
     fn utf8(&mut self, len: usize, what: &str) -> Result<String, WireError> {
@@ -476,10 +435,7 @@ impl Reader<'_> {
 /// first corrupt field is the one reported).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Protocol version of this frame ([`VERSION`], [`VERSION2`], or
-    /// [`VERSION3`]); payload layout for some frame types depends on it.
-    pub version: u8,
-    /// Frame-type byte (validated against the known set for `version`).
+    /// Frame-type byte (validated against the known set).
     pub frame_type: u8,
     /// Payload length in bytes.
     pub payload_len: u32,
@@ -503,20 +459,11 @@ impl FrameHeader {
             return Err(WireError::BadMagic(magic));
         }
         let version = r.get_u8();
-        if !(VERSION..=VERSION3).contains(&version) {
+        if version != VERSION {
             return Err(WireError::BadVersion(version));
         }
-        // Frame types exist only at the version that introduced them (10 =
-        // DeadlineExceeded in v2; 11/12 = GetMetrics/MetricsText in v3); an
-        // older frame claiming a newer type is a protocol fault, not a
-        // forward-compat case.
-        let max_type = match version {
-            v if v >= VERSION3 => 12,
-            v if v >= VERSION2 => 10,
-            _ => 9,
-        };
         let frame_type = r.get_u8();
-        if !(1..=max_type).contains(&frame_type) {
+        if !matches!(frame_type, 1..=6 | 9..=12) {
             return Err(WireError::BadFrameType(frame_type));
         }
         let reserved = u16::from_le_bytes([r.get_u8(), r.get_u8()]);
@@ -532,7 +479,6 @@ impl FrameHeader {
         }
         let payload_crc = r.get_u32_le();
         Ok(FrameHeader {
-            version,
             frame_type,
             payload_len,
             payload_crc,
@@ -540,37 +486,22 @@ impl FrameHeader {
     }
 }
 
-/// Parse a payload whose header already validated, under the header's
-/// protocol `version` (a v1 `Predict` has no deadline field and decodes as
-/// `deadline_us == 0`). Total: returns a typed error for any byte sequence.
-pub fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
+/// Parse a payload whose header already validated. Total: returns a typed
+/// error for any byte sequence.
+pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader(payload);
     match frame_type {
         1 => {
             let req_id = r.u64("Predict.req_id")?;
             let k = r.u32("Predict.k")?;
-            let deadline_us = if version >= VERSION2 {
-                r.u64("Predict.deadline_us")?
-            } else {
-                0
-            };
-            let trace_id = if version >= VERSION3 {
-                r.u64("Predict.trace_id")?
-            } else {
-                0
-            };
+            let deadline_us = r.u64("Predict.deadline_us")?;
+            let trace_id = r.u64("Predict.trace_id")?;
             let nnz = r.u32("Predict.nnz")? as usize;
-            // 8 bytes per non-zero (u32 index + f32 value) must fit in what
-            // is actually present — reject absurd counts before allocating.
-            r.need(nnz.saturating_mul(8), "Predict.indices/values")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(r.u32("Predict.index")?);
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(r.f32("Predict.value")?);
-            }
+            let indices = r.words(nnz, "Predict.indices")?.collect();
+            let values = r
+                .words(nnz, "Predict.values")?
+                .map(f32::from_bits)
+                .collect();
             r.finish("Predict")?;
             Ok(Frame::Predict(PredictRequest {
                 req_id,
@@ -584,11 +515,7 @@ pub fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Fra
         2 => {
             let req_id = r.u64("TopK.req_id")?;
             let n = r.u32("TopK.n")? as usize;
-            r.need(n.saturating_mul(4), "TopK.ids")?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(r.u32("TopK.id")?);
-            }
+            let ids = r.words(n, "TopK.ids")?.collect();
             r.finish("TopK")?;
             Ok(Frame::TopK { req_id, ids })
         }
@@ -632,29 +559,20 @@ pub fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Fra
                 precision,
             }))
         }
-        7 => {
-            r.finish("GetStats")?;
-            Ok(Frame::GetStats)
-        }
-        8 => {
-            let len = payload.len();
-            let json = r.utf8(len, "StatsJson.body")?;
-            Ok(Frame::StatsJson(json))
-        }
         9 => {
             r.finish("Drain")?;
             Ok(Frame::Drain)
         }
-        10 if version >= VERSION2 => {
+        10 => {
             let req_id = r.u64("DeadlineExceeded.req_id")?;
             r.finish("DeadlineExceeded")?;
             Ok(Frame::DeadlineExceeded { req_id })
         }
-        11 if version >= VERSION3 => {
+        11 => {
             r.finish("GetMetrics")?;
             Ok(Frame::GetMetrics)
         }
-        12 if version >= VERSION3 => {
+        12 => {
             let len = payload.len();
             let text = r.utf8(len, "MetricsText.body")?;
             Ok(Frame::MetricsText(text))
@@ -686,10 +604,7 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<(Frame, usize), Wire
             actual,
         });
     }
-    Ok((
-        decode_payload(header.version, header.frame_type, payload)?,
-        total,
-    ))
+    Ok((decode_payload(header.frame_type, payload)?, total))
 }
 
 #[cfg(test)]
@@ -707,6 +622,7 @@ mod tests {
         let bytes = frame_bytes(&frame);
         let (decoded, used) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("decodes");
         assert_eq!(used, bytes.len());
+        assert_eq!(bytes[4], VERSION);
         assert_eq!(decoded, frame);
         // Re-encoding is bit-identical (canonical encoding).
         assert_eq!(frame_bytes(&decoded), bytes);
@@ -759,8 +675,6 @@ mod tests {
             draining: true,
             precision: "i8".into(),
         }));
-        roundtrip(Frame::GetStats);
-        roundtrip(Frame::StatsJson("{\"served\":1}".into()));
         roundtrip(Frame::Drain);
         roundtrip(Frame::Predict(PredictRequest {
             req_id: 11,
@@ -777,160 +691,19 @@ mod tests {
     }
 
     #[test]
-    fn version_is_per_frame_and_lowest_that_fits() {
-        // No deadline -> v1 bytes, indistinguishable from an old client.
-        let plain = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id: 1,
-            k: 2,
-            deadline_us: 0,
-            trace_id: 0,
-            indices: vec![3],
-            values: vec![1.0],
-        }));
-        assert_eq!(plain[4], VERSION);
-        // A deadline forces v2 and an 8-byte-longer payload.
-        let budgeted = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id: 1,
-            k: 2,
-            deadline_us: 1_000,
-            trace_id: 0,
-            indices: vec![3],
-            values: vec![1.0],
-        }));
-        assert_eq!(budgeted[4], VERSION2);
-        assert_eq!(budgeted.len(), plain.len() + 8);
-        assert_eq!(
-            frame_bytes(&Frame::DeadlineExceeded { req_id: 1 })[4],
-            VERSION2
-        );
-        // Replies a v1 client can trigger all stay v1.
-        for frame in [
-            Frame::TopK {
-                req_id: 1,
-                ids: vec![0],
-            },
-            Frame::RetryLater {
-                req_id: 1,
-                queue_depth: 9,
-            },
-            Frame::Ping { nonce: 5 },
-            Frame::Drain,
-        ] {
-            assert_eq!(frame_bytes(&frame)[4], VERSION);
-        }
-    }
-
-    #[test]
-    fn v1_predict_layout_decodes_with_no_deadline() {
-        // Hand-built v1 Predict payload: req_id, k, nnz, indices, values —
-        // the exact bytes a pre-deadline client emits. Guards layout drift:
-        // the v2 field must not leak into v1 decoding.
-        let mut payload = Vec::new();
-        payload.put_u64_le(77);
-        payload.put_u32_le(4);
-        payload.put_u32_le(2);
-        payload.put_u32_le(10);
-        payload.put_u32_le(20);
-        payload.put_f32_le(1.5);
-        payload.put_f32_le(-0.5);
-        let decoded = decode_payload(VERSION, 1, &payload).expect("v1 predict decodes");
-        let expect = Frame::Predict(PredictRequest {
-            req_id: 77,
-            k: 4,
-            deadline_us: 0,
-            trace_id: 0,
-            indices: vec![10, 20],
-            values: vec![1.5, -0.5],
-        });
-        assert_eq!(decoded, expect);
-        // And the canonical encoding of that frame IS the v1 byte stream.
-        let mut bytes = Vec::new();
-        bytes.put_u32_le(MAGIC);
-        bytes.put_u8(VERSION);
-        bytes.put_u8(1);
-        bytes.put_u8(0);
-        bytes.put_u8(0);
-        bytes.put_u32_le(payload.len() as u32);
-        bytes.put_u32_le(crc32(&payload));
-        bytes.put_slice(&payload);
-        assert_eq!(frame_bytes(&expect), bytes);
-    }
-
-    #[test]
-    fn deadline_exceeded_requires_v2() {
-        // A v1 header claiming frame type 10 is a typed rejection.
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        let mut bytes = Vec::new();
-        bytes.put_u32_le(MAGIC);
-        bytes.put_u8(VERSION);
-        bytes.put_u8(10);
-        bytes.put_u8(0);
-        bytes.put_u8(0);
-        bytes.put_u32_le(payload.len() as u32);
-        bytes.put_u32_le(crc32(&payload));
-        bytes.put_slice(&payload);
-        assert_eq!(
-            decode_frame(&bytes, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadFrameType(10))
-        );
-    }
-
-    #[test]
-    fn trace_id_forces_v3_and_adds_eight_bytes() {
-        // The v2 deadline form is the baseline...
-        let v2 = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id: 3,
-            k: 2,
-            deadline_us: 9_000,
-            trace_id: 0,
-            indices: vec![4],
-            values: vec![0.5],
-        }));
-        assert_eq!(v2[4], VERSION2);
-        // ...and a non-zero trace id widens it by exactly the 8-byte id.
-        let v3 = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id: 3,
-            k: 2,
-            deadline_us: 9_000,
-            trace_id: 0x1234_5678_9ABC_DEF0,
-            indices: vec![4],
-            values: vec![0.5],
-        }));
-        assert_eq!(v3[4], VERSION3);
-        assert_eq!(v3.len(), v2.len() + 8);
-        // A zero trace id never forces v3: the encoding above IS the v2
-        // byte stream an un-instrumented client emits, bit for bit.
-        assert_eq!(&v2[..4], &v3[..4]);
-        // Metrics frames are v3-only by construction.
-        assert_eq!(frame_bytes(&Frame::GetMetrics)[4], VERSION3);
-        assert_eq!(frame_bytes(&Frame::MetricsText("x".into()))[4], VERSION3);
-    }
-
-    #[test]
-    fn metrics_frames_require_v3() {
-        // Pre-v3 headers claiming frame types 11/12 are typed rejections,
-        // exactly like type 10 on a v1 header.
-        for (version, ftype, payload) in [
-            (VERSION, 11u8, Vec::new()),
-            (VERSION2, 11u8, Vec::new()),
-            (VERSION, 12u8, b"text".to_vec()),
-            (VERSION2, 12u8, b"text".to_vec()),
-        ] {
-            let mut bytes = Vec::new();
-            bytes.put_u32_le(MAGIC);
-            bytes.put_u8(version);
-            bytes.put_u8(ftype);
-            bytes.put_u8(0);
-            bytes.put_u8(0);
-            bytes.put_u32_le(payload.len() as u32);
-            bytes.put_u32_le(crc32(&payload));
-            bytes.put_slice(&payload);
-            assert_eq!(
-                decode_frame(&bytes, DEFAULT_MAX_PAYLOAD),
-                Err(WireError::BadFrameType(ftype)),
-                "type {ftype} must be rejected at v{version}"
-            );
+    fn predict_length_depends_on_nnz_alone() {
+        for nnz in [0usize, 1, 7] {
+            for (deadline_us, trace_id) in [(0, 0), (1, 0), (0, 1), (u64::MAX, u64::MAX)] {
+                let bytes = frame_bytes(&Frame::Predict(PredictRequest {
+                    req_id: 1,
+                    k: 2,
+                    deadline_us,
+                    trace_id,
+                    indices: vec![3; nnz],
+                    values: vec![1.0; nnz],
+                }));
+                assert_eq!(bytes.len(), HEADER_LEN + 32 + 8 * nnz);
+            }
         }
     }
 
@@ -945,19 +718,25 @@ mod tests {
             Err(WireError::BadMagic(_))
         ));
 
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadVersion(99))
-        ));
+        // Every version but the one, the retired layouts 1 and 2 included.
+        for version in [0u8, 1, 2, 4, 99] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert_eq!(
+                decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
+                Err(WireError::BadVersion(version))
+            );
+        }
 
-        let mut bad = good.clone();
-        bad[5] = 200;
-        assert!(matches!(
-            decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadFrameType(200))
-        ));
+        // Unassigned type bytes, the retired stats pair 7/8 included.
+        for frame_type in [0u8, 7, 8, 13, 200] {
+            let mut bad = good.clone();
+            bad[5] = frame_type;
+            assert_eq!(
+                decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
+                Err(WireError::BadFrameType(frame_type))
+            );
+        }
 
         let mut bad = good.clone();
         bad[6] = 1;
@@ -976,7 +755,7 @@ mod tests {
         ));
 
         // Corrupted payload byte -> checksum mismatch, not a garbage parse.
-        let mut bad = frame_bytes(&Frame::StatsJson("{}".into()));
+        let mut bad = frame_bytes(&Frame::MetricsText("{}".into()));
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(matches!(
@@ -996,13 +775,15 @@ mod tests {
 
     #[test]
     fn payload_underflow_and_trailing_bytes_are_malformed() {
-        // Predict claiming 1000 non-zeros with an 8-byte payload.
+        // Predict claiming 1000 non-zeros with none present.
         let mut payload = Vec::new();
         payload.put_u64_le(1);
         payload.put_u32_le(5);
+        payload.put_u64_le(0);
+        payload.put_u64_le(0);
         payload.put_u32_le(1000);
         assert!(matches!(
-            decode_payload(VERSION, 1, &payload),
+            decode_payload(1, &payload),
             Err(WireError::Malformed(_))
         ));
         // Ping with trailing junk.
@@ -1010,7 +791,7 @@ mod tests {
         payload.put_u64_le(1);
         payload.put_u8(0);
         assert!(matches!(
-            decode_payload(VERSION, 5, &payload),
+            decode_payload(5, &payload),
             Err(WireError::Malformed(_))
         ));
         // Error frame with non-UTF-8 message bytes.
@@ -1020,16 +801,16 @@ mod tests {
         payload.put_u32_le(2);
         payload.put_slice(&[0xFF, 0xFE]);
         assert!(matches!(
-            decode_payload(VERSION, 3, &payload),
+            decode_payload(3, &payload),
             Err(WireError::Malformed(_))
         ));
-        // v2 Predict whose payload stops inside the deadline field.
+        // Predict whose payload stops inside the deadline field.
         let mut payload = Vec::new();
         payload.put_u64_le(1);
         payload.put_u32_le(5);
         payload.put_u32_le(0); // only 4 of the deadline's 8 bytes present
         assert!(matches!(
-            decode_payload(VERSION2, 1, &payload),
+            decode_payload(1, &payload),
             Err(WireError::Malformed(_))
         ));
     }

@@ -7,14 +7,15 @@
 //! * a budget that cannot be met is shed with a typed `DeadlineExceeded`
 //!   — never an error, never a hang, and never compute;
 //! * a generous budget changes nothing: the answer is bit-identical to
-//!   the deadline-free answer (v2 framing is a no-op semantically);
+//!   the deadline-free answer;
 //! * when the budget dies mid-hedge, *both* attempts die with it — the
 //!   forwarded decremented budgets make the replicas shed the stragglers;
-//! * a v1 client (no deadline field at all) still gets served.
+//! * a frame in the retired v1 layout (no deadline field at all) is refused
+//!   by its version byte, never mis-parsed, and the server keeps serving.
 
 use slide_net::{
-    ClientError, FaultAction, FaultPlan, FaultProxy, FaultRule, FleetSpec, Frame, NetClient,
-    NetConfig, NetServer, Router, RouterConfig, Trigger,
+    ClientError, ErrorCode, FaultAction, FaultPlan, FaultProxy, FaultRule, FleetSpec, Frame,
+    NetClient, NetConfig, NetServer, Router, RouterConfig, Trigger,
 };
 use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
 use std::net::TcpStream;
@@ -54,9 +55,9 @@ fn serve(model: Arc<dyn FrozenModel>) -> (Arc<BatchingServer>, NetServer) {
     (batching, net)
 }
 
-/// A generous budget is semantically invisible: the v2-framed answer is
-/// bit-identical to the v1 (deadline-free) answer, end to end through
-/// the router.
+/// A generous budget is semantically invisible: the budgeted answer is
+/// bit-identical to the deadline-free answer, end to end through the
+/// router.
 #[test]
 fn generous_deadline_answers_bit_equal_to_no_deadline() {
     let (model, queries) = fixture();
@@ -175,29 +176,32 @@ fn deadline_expiring_mid_hedge_cancels_both_attempts() {
          request timeout: {elapsed:?}"
     );
     // The hedge fired (and died with the primary).
-    let stats = router.stats_json();
+    let hub = router.obs();
+    let counter = |name: &str| hub.registry().counter(name).get();
     assert!(
-        !stats.contains("\"hedges\":0,"),
-        "expected a hedge attempt: {stats}"
+        counter("slide_router_hedges_total") >= 1,
+        "expected a hedge attempt"
     );
-    assert!(
-        stats.contains("\"deadline_exceeded\":1"),
-        "router must count the shed: {stats}"
+    assert_eq!(
+        counter("slide_router_deadline_exceeded_total"),
+        1,
+        "router must count the shed"
     );
 }
 
-/// A pre-deadline (v1) client: hand-written v1 Predict bytes on a raw
-/// socket are served identically to a current client's answer.
+/// Hand-written v1 `Predict` bytes on a raw socket (the retired layout: no
+/// deadline, no trace id) are answered `Error(Protocol)` naming version 1 —
+/// refused from the header, not parsed under today's layout — and the next
+/// client on the same server is served bit-equal.
 #[test]
-fn v1_wire_client_is_still_served() {
+fn v1_stamped_predict_is_refused_by_version_and_the_server_keeps_serving() {
     let (model, queries) = fixture();
     let (_batching, net) = serve(model);
     let (idx, val) = &queries[0];
-    let mut modern =
-        NetClient::connect(net.local_addr(), Duration::from_secs(5)).expect("modern client");
-    let want = modern.predict(idx, val, K).expect("modern predict");
+    let mut before =
+        NetClient::connect(net.local_addr(), Duration::from_secs(5)).expect("first client");
+    let want = before.predict(idx, val, K).expect("first predict");
 
-    // The exact byte layout a v1 client emits: no deadline field.
     let mut payload = Vec::new();
     payload.extend_from_slice(&7u64.to_le_bytes()); // req_id
     payload.extend_from_slice(&(K as u32).to_le_bytes());
@@ -210,7 +214,7 @@ fn v1_wire_client_is_still_served() {
     }
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&slide_net::MAGIC.to_le_bytes());
-    bytes.push(slide_net::VERSION);
+    bytes.push(1); // the retired version
     bytes.push(1); // Predict
     bytes.extend_from_slice(&[0, 0]);
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -226,12 +230,17 @@ fn v1_wire_client_is_still_served() {
         slide_net::DEFAULT_MAX_PAYLOAD,
         Duration::from_secs(5),
     )
-    .expect("v1 client must get a reply");
+    .expect("a v1 frame must get a reply");
     match reply {
-        Frame::TopK { req_id, ids } => {
-            assert_eq!(req_id, 7);
-            assert_eq!(ids, want, "v1 client's answer must match the modern one");
-        }
-        other => panic!("expected TopK for v1 predict, got {other:?}"),
+        Frame::Error {
+            req_id: 0,
+            code: ErrorCode::Protocol,
+            message,
+        } => assert!(message.contains("version 1"), "{message}"),
+        other => panic!("expected Error(Protocol) for a v1 frame, got {other:?}"),
     }
+
+    let mut after =
+        NetClient::connect(net.local_addr(), Duration::from_secs(5)).expect("next client");
+    assert_eq!(after.predict(idx, val, K).expect("next predict"), want);
 }

@@ -24,6 +24,7 @@ use slide_net::{
 };
 use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel};
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,18 +51,16 @@ fn serve(model: Arc<dyn FrozenModel>) -> (Arc<BatchingServer>, NetServer) {
     (batching, net)
 }
 
-/// Sum every occurrence of `"key":<n>` in a stats JSON string (the
-/// per-replica counters appear once per replica).
-fn sum_counter(stats: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    stats
-        .split(&needle)
-        .skip(1)
-        .filter_map(|tail| {
-            tail.split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse::<u64>()
-                .ok()
+/// Sum a per-replica counter family (one `{replica="ip:port"}` series per
+/// replica) from the router's registry.
+fn sum_over_replicas(router: &Router, replicas: &[SocketAddr], name: &str) -> u64 {
+    let hub = router.obs();
+    replicas
+        .iter()
+        .map(|addr| {
+            hub.registry()
+                .counter_with(name, &[("replica", &addr.to_string())])
+                .get()
         })
         .sum()
 }
@@ -129,13 +128,14 @@ fn seeded_fault_plan_chaos_run_full_accounting_and_bit_equality() {
     // Replica C is clean: the fleet always has one fast path, so hedges
     // routinely win and no request is doomed.
 
+    let replicas = [
+        proxy_a.local_addr(),
+        proxy_b.local_addr(),
+        net_c.local_addr(),
+    ];
     let router = Router::start(
         "127.0.0.1:0",
-        &[
-            proxy_a.local_addr(),
-            proxy_b.local_addr(),
-            net_c.local_addr(),
-        ],
+        &replicas,
         RouterConfig {
             health_interval: Duration::from_millis(50),
             request_timeout: Duration::from_millis(250),
@@ -212,26 +212,26 @@ fn seeded_fault_plan_chaos_run_full_accounting_and_bit_equality() {
     // breakers opened and the router hedged. (Every third reply from A
     // stalls past the attempt timeout, so with eject_after=1 this is
     // deterministic in aggregate, not a lucky draw.)
-    let during = router.stats_json();
+    let breaker = |name: &str| sum_over_replicas(&router, &replicas, name);
+    let hedges = router
+        .obs()
+        .registry()
+        .counter("slide_router_hedges_total")
+        .get();
     assert!(
-        sum_counter(&during, "ejections") >= 1,
-        "no breaker ever opened: {during}"
+        breaker("slide_router_breaker_opens_total") >= 1,
+        "no breaker ever opened"
     );
-    assert!(
-        sum_counter(&during, "hedges") >= 1,
-        "no hedge ever fired: {during}"
-    );
+    assert!(hedges >= 1, "no hedge ever fired");
 
     // Recovery: once load stops, the only s→c traffic is health pings;
     // probes succeed between stall episodes, so every breaker must walk
     // Open → HalfOpen → Closed and the fleet converges to all-healthy.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut stats = during;
     let recovered = loop {
-        if stats.contains("\"role\":\"router\",")
-            && stats.contains(&format!("\"replicas\":3,\"healthy\":{}", 3))
-            && sum_counter(&stats, "half_opens") >= 1
-            && sum_counter(&stats, "readmissions") >= 1
+        if router.healthy_replicas() == 3
+            && breaker("slide_router_breaker_half_opens_total") >= 1
+            && breaker("slide_router_breaker_closes_total") >= 1
         {
             break true;
         }
@@ -239,12 +239,12 @@ fn seeded_fault_plan_chaos_run_full_accounting_and_bit_equality() {
             break false;
         }
         std::thread::sleep(Duration::from_millis(100));
-        stats = router.stats_json();
     };
     assert!(
         recovered,
         "breakers never completed open → half-open → closed, or the fleet \
-         did not converge to healthy: {stats}"
+         did not converge to healthy: {}",
+        router.metrics_text()
     );
 
     // The proxies really injected what the plan said (seeded, so these are

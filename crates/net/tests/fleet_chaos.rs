@@ -19,6 +19,18 @@ use slide_net::{FleetSpec, LoadgenConfig, NetClient, SubmitOutcome};
 use slide_serve::ModelRegistry;
 use std::time::{Duration, Instant};
 
+/// The values of every `family{...} <n>` series in an exposition text.
+fn series_values<'a>(text: &'a str, family: &'a str) -> impl Iterator<Item = u64> + 'a {
+    text.lines().filter_map(move |line| {
+        let (series, value) = line.rsplit_once(' ')?;
+        series
+            .strip_prefix(family)?
+            .starts_with('{')
+            .then_some(())?;
+        value.parse().ok()
+    })
+}
+
 #[test]
 fn kill_one_replica_mid_load_no_hard_errors_and_readmission() {
     // Publish the fleet fixture into a registry up front: the mid-chaos
@@ -127,24 +139,18 @@ fn kill_one_replica_mid_load_no_hard_errors_and_readmission() {
     // on record. (Under a heavily loaded machine the dead replica can be
     // ejected and readmitted more than once while its restart is slow —
     // any count >= 1 proves the eject → health-ping → readmit cycle.)
-    let readmissions_recorded = |stats: &str| {
-        stats
-            .split("\"readmissions\":")
-            .skip(1)
-            .filter_map(|tail| {
-                tail.split(|c: char| !c.is_ascii_digit())
-                    .next()?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .any(|n| n >= 1)
-    };
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut stats;
     let readmitted = loop {
-        let mut c = NetClient::connect(router_addr, Duration::from_secs(2)).expect("stats conn");
-        stats = c.stats_json().expect("router stats");
-        if stats.contains("\"healthy\":3") && readmissions_recorded(&stats) {
+        let mut c = NetClient::connect(router_addr, Duration::from_secs(2)).expect("scrape conn");
+        stats = c.metrics_text().expect("router scrape");
+        // Breaker state 0 = closed = healthy.
+        let healthy = series_values(&stats, "slide_router_breaker_state")
+            .filter(|&state| state == 0)
+            .count();
+        if healthy == 3
+            && series_values(&stats, "slide_router_breaker_closes_total").any(|n| n >= 1)
+        {
             break true;
         }
         if Instant::now() > deadline {
@@ -152,7 +158,7 @@ fn kill_one_replica_mid_load_no_hard_errors_and_readmission() {
         }
         std::thread::sleep(Duration::from_millis(200));
     };
-    assert!(readmitted, "replica not readmitted; router stats: {stats}");
+    assert!(readmitted, "replica not readmitted; router scrape: {stats}");
 
     // Graceful teardown: drain the fleet via stdin EOF.
     router.shutdown();

@@ -1,7 +1,7 @@
 //! End-to-end trace propagation and wire scraping (ISSUE tentpole +
 //! satellite: trace-propagation tests).
 //!
-//! A traced predict carries its id client → router → replica on v3 frames;
+//! A traced predict carries its id client → router → replica in its frames;
 //! every hop records its stage spans into its own process-local trace ring.
 //! These tests drive a real 2-replica fleet (with a deliberately slowed
 //! primary so the hedge *must* fire) and assert:
@@ -117,8 +117,11 @@ fn traced_request_reports_every_hop_exactly_once() {
     assert_eq!(
         count_stage(&router_hub, trace_id, Stage::HedgeWait),
         1,
-        "the 300 ms primary must force exactly one hedge: {}",
-        router.stats_json()
+        "the 300 ms primary must force exactly one hedge: {} counted",
+        router_hub
+            .registry()
+            .counter("slide_router_hedges_total")
+            .get()
     );
 
     // Winning replica: all five serve-side stages plus the socket encode,

@@ -100,12 +100,7 @@ fn assert_still_serving(server: &NetServer) {
 }
 
 fn total_protocol_errors(server: &NetServer) -> u64 {
-    server
-        .stats()
-        .per_client
-        .iter()
-        .map(|(_, c)| c.protocol_errors)
-        .sum()
+    server.stats().totals.protocol_errors
 }
 
 /// A Frame::Error on the wire starts with type byte 3 at header offset 5
@@ -159,21 +154,26 @@ fn oversized_length_prefix_is_rejected_at_the_header() {
 fn bad_magic_and_bad_version_are_typed_rejections() {
     watchdog("bad-magic-version", || {
         let server = live_server();
-        for (label, mutate) in [
-            ("magic", 0usize),   // first magic byte
-            ("version", 4usize), // the version byte
+        // (what, header offset, byte written there); 2 is a retired
+        // version and 7/8 the retired stats pair's type bytes.
+        for (label, offset, byte) in [
+            ("magic", 0usize, 0xFFu8),
+            ("version", 4, VERSION ^ 0xFF),
+            ("version", 4, 2),
+            ("frame type", 5, 7),
+            ("frame type", 5, 8),
         ] {
             let mut s = raw_conn(&server);
             let mut bytes = frame_bytes(&Frame::Ping { nonce: 2 });
-            bytes[mutate] ^= 0xFF;
+            bytes[offset] = byte;
             s.write_all(&bytes).unwrap();
             let reply = read_until_close(&mut s);
             assert!(
                 server_sent_error_frame(&reply),
-                "bad {label}: want a typed protocol error"
+                "bad {label} {byte}: want a typed protocol error"
             );
         }
-        assert!(total_protocol_errors(&server) >= 2);
+        assert_eq!(total_protocol_errors(&server), 5);
         assert_still_serving(&server);
     });
 }
@@ -324,6 +324,15 @@ fn a_model_panic_is_answered_as_unavailable_and_leaves_no_gauge_stuck() {
         while server.stats().connections_active > 0 {
             std::thread::yield_now();
         }
-        assert_eq!(server.stats().inflight, 0);
+        let stats = server.stats();
+        assert_eq!(stats.inflight, 0);
+        // Every Predict frame has exactly one outcome, the panicked one and
+        // the one refused after it included.
+        let t = stats.totals;
+        assert_eq!((t.requests, t.ok, t.unavailable), (3, 1, 2), "{t:?}");
+        assert_eq!(
+            t.requests,
+            t.ok + t.invalid + t.retry_later + t.deadline_exceeded + t.unavailable
+        );
     });
 }

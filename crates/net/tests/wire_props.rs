@@ -54,97 +54,14 @@ proptest! {
         pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..64),
     ) {
         // Values straight from arbitrary bit patterns: NaN, inf, subnormals
-        // all must survive the wire bit-for-bit. deadline_us and trace_id
-        // range over all of u64, so the v1 (no deadline), v2 (deadline),
-        // and v3 (trace id) encodings are all exercised.
+        // all must survive the wire bit-for-bit, as must every deadline_us
+        // and trace_id in u64 (0 = none is a value, not a layout).
         let (indices, values): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
         let values: Vec<f32> = values.into_iter().map(f32::from_bits).collect();
         assert_roundtrip_bits(&Frame::Predict(PredictRequest {
             req_id, k, deadline_us, trace_id, indices, values,
         }));
         assert_roundtrip_bits(&Frame::DeadlineExceeded { req_id });
-    }
-
-    #[test]
-    fn zero_trace_id_encodes_byte_identically_to_v2_and_v1(
-        req_id in any::<u64>(),
-        k in any::<u32>(),
-        deadline_us in any::<u64>(),
-        trace_id in any::<u64>().prop_map(|x| x.max(1)),
-        pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..64),
-    ) {
-        // The compatibility contract of the v3 field: an *untraced* request
-        // must be indistinguishable on the wire from one sent by a pre-v3
-        // client — v2 bytes when it carries a deadline, v1 bytes otherwise.
-        // And a traced request is exactly the untraced frame plus the
-        // version bump and the 8-byte id.
-        let (indices, values): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-        let values: Vec<f32> = values.into_iter().map(f32::from_bits).collect();
-        let untraced = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id, k, deadline_us, trace_id: 0,
-            indices: indices.clone(), values: values.clone(),
-        }));
-        let expected_version =
-            if deadline_us > 0 { slide_net::wire::VERSION2 } else { slide_net::wire::VERSION };
-        prop_assert_eq!(untraced[4], expected_version);
-        let traced = frame_bytes(&Frame::Predict(PredictRequest {
-            req_id, k, deadline_us, trace_id, indices, values,
-        }));
-        prop_assert_eq!(traced[4], slide_net::wire::VERSION3);
-        prop_assert_eq!(traced.len(), untraced.len() + if deadline_us > 0 { 8 } else { 16 });
-        // Decoding the traced frame recovers the exact id.
-        let (decoded, _) = decode_frame(&traced, DEFAULT_MAX_PAYLOAD).expect("v3 decodes");
-        match decoded {
-            Frame::Predict(p) => prop_assert_eq!(p.trace_id, trace_id),
-            other => prop_assert!(false, "decoded wrong frame kind: {:?}", other),
-        }
-    }
-
-    #[test]
-    fn v1_predict_frames_still_roundtrip_and_decode(
-        req_id in any::<u64>(),
-        k in any::<u32>(),
-        pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..64),
-    ) {
-        // Hand-encode the exact byte layout a pre-deadline (v1) client
-        // emits and demand (a) it decodes, (b) the deadline reads as "none",
-        // (c) re-encoding reproduces the v1 bytes — i.e. v1 *is* the
-        // canonical encoding of a deadline-free Predict, so old captures
-        // and old clients stay byte-compatible forever.
-        let (indices, values): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-        let values: Vec<f32> = values.into_iter().map(f32::from_bits).collect();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&req_id.to_le_bytes());
-        payload.extend_from_slice(&k.to_le_bytes());
-        payload.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-        for &i in &indices {
-            payload.extend_from_slice(&i.to_le_bytes());
-        }
-        for &v in &values {
-            payload.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&slide_net::wire::MAGIC.to_le_bytes());
-        bytes.push(slide_net::wire::VERSION);
-        bytes.push(1); // Predict
-        bytes.extend_from_slice(&[0, 0]);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&slide_net::wire::crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let (decoded, consumed) =
-            decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("v1 frame must decode");
-        prop_assert_eq!(consumed, bytes.len());
-        // Byte-level comparison (as everywhere in this file) so NaN values
-        // don't trip derived float equality.
-        let expect = Frame::Predict(PredictRequest {
-            req_id, k, deadline_us: 0, trace_id: 0, indices, values,
-        });
-        prop_assert_eq!(frame_bytes(&expect), bytes.clone());
-        match &decoded {
-            Frame::Predict(p) => prop_assert_eq!(p.deadline_us, 0),
-            other => prop_assert!(false, "decoded wrong frame kind: {:?}", other),
-        }
-        prop_assert_eq!(frame_bytes(&decoded), bytes);
     }
 
     #[test]
@@ -166,15 +83,13 @@ proptest! {
         inflight in any::<u32>(),
         draining in any::<bool>(),
         precision in ascii_string(16),
-        json in ascii_string(128),
+        text in ascii_string(128),
     ) {
         assert_roundtrip_bits(&Frame::Ping { nonce });
         assert_roundtrip_bits(&Frame::Pong(PongInfo { nonce, inflight, draining, precision }));
-        assert_roundtrip_bits(&Frame::GetStats);
-        assert_roundtrip_bits(&Frame::StatsJson(json.clone()));
         assert_roundtrip_bits(&Frame::Drain);
         assert_roundtrip_bits(&Frame::GetMetrics);
-        assert_roundtrip_bits(&Frame::MetricsText(json));
+        assert_roundtrip_bits(&Frame::MetricsText(text));
     }
 
     #[test]

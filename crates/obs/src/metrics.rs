@@ -69,8 +69,8 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can go up or down (queue depth, breaker state).
-/// Single atomic — gauges are set/loaded, not contended-incremented.
+/// A gauge: a value that can go up or down (queue depth, breaker state,
+/// requests in flight). Single atomic.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -81,6 +81,18 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
+    }
+
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.value.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtract one; pairs with an earlier [`inc`](Self::inc).
+    #[inline]
+    pub fn dec(&self) {
+        self.value.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current value.

@@ -70,8 +70,7 @@ pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, 
 pub use model::{FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
 pub use server::{
-    percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, LatencySummary,
-    ServeStats,
+    percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, ServeStats,
 };
 pub use shard::{ShardIndexer, ShardPlan, ShardPlanKind};
 pub use snapshot::{load, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};

@@ -55,7 +55,7 @@ use crate::error::{ServeBuildError, ServeError};
 use crate::model::{FrozenModel, IntoFrozenModel};
 use parking_lot::{Condvar, Mutex, RwLock};
 use slide_mem::SparseVecRef;
-use slide_obs::{Counter, Gauge, Histogram, ObsHub, Stage, StageSample};
+use slide_obs::{Counter, Gauge, Histogram, HistogramSnapshot, ObsHub, Stage, StageSample};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
@@ -269,39 +269,6 @@ struct ServerShared {
     config: BatchConfig,
 }
 
-/// Summary of a latency distribution, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Median.
-    pub p50_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// Arithmetic mean.
-    pub mean_us: f64,
-    /// Worst observed.
-    pub max_us: u64,
-    /// Samples summarized.
-    pub samples: u64,
-}
-
-impl LatencySummary {
-    /// Summarize an unsorted sample set (empty input yields all zeros).
-    pub fn from_unsorted(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        LatencySummary {
-            p50_us: percentile_us(&samples, 50.0),
-            p99_us: percentile_us(&samples, 99.0),
-            mean_us: if samples.is_empty() {
-                0.0
-            } else {
-                samples.iter().sum::<u64>() as f64 / samples.len() as f64
-            },
-            max_us: samples.last().copied().unwrap_or(0),
-            samples: samples.len() as u64,
-        }
-    }
-}
-
 /// The content-derived retrieval salt the batching server hands the model
 /// for a query: a splitmix64 fold over `(indices, value bits, k)`. Using
 /// query *content* rather than arrival order makes serving deterministic —
@@ -348,7 +315,7 @@ pub fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// A point-in-time snapshot of a server's counters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Storage precision of the snapshot currently serving traffic
     /// (`"f32"`, `"bf16-widened-f32"`, `"i8"`).
@@ -367,10 +334,11 @@ pub struct ServeStats {
     /// queued behind anybody); the distribution is the
     /// `slide_serve_batch_size` histogram in [`BatchingServer::obs`].
     pub mean_batch: f64,
-    /// End-to-end request latency (enqueue → response ready). A holder
-    /// returns to its caller only after its session, so under saturation an
-    /// inline caller sees up to `max_wait` + one scoring more than this.
-    pub latency: LatencySummary,
+    /// End-to-end request latency in µs (enqueue → response ready). A
+    /// holder returns to its caller only after its session, so under
+    /// saturation an inline caller sees up to `max_wait` + one scoring more
+    /// than this.
+    pub latency: HistogramSnapshot,
 }
 
 /// A concurrent inference front-end over a hot-swappable [`FrozenModel`]
@@ -751,7 +719,6 @@ impl BatchingServer {
         let obs = &self.shared.obs;
         let served = obs.served.get();
         let batches = obs.batches.get();
-        let lat = obs.latency_us.snapshot();
         ServeStats {
             precision,
             served,
@@ -764,13 +731,7 @@ impl BatchingServer {
             } else {
                 served as f64 / batches as f64
             },
-            latency: LatencySummary {
-                p50_us: lat.quantile(50.0),
-                p99_us: lat.quantile(99.0),
-                mean_us: lat.mean(),
-                max_us: lat.max,
-                samples: lat.count,
-            },
+            latency: obs.latency_us.snapshot(),
         }
     }
 
@@ -988,8 +949,8 @@ mod tests {
         let stats = stats_when_served(&server, (clients * per_client) as u64);
         assert_eq!(stats.served, (clients * per_client) as u64);
         assert_eq!(stats.errors, 0);
-        assert!(stats.latency.p50_us <= stats.latency.p99_us);
-        assert!(stats.latency.p99_us <= stats.latency.max_us);
+        assert!(stats.latency.quantile(50.0) <= stats.latency.quantile(99.0));
+        assert!(stats.latency.quantile(99.0) <= stats.latency.max);
     }
 
     #[test]

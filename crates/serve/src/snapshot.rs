@@ -8,7 +8,7 @@
 //! and the LSH tables in CSR form — in exactly the in-memory layout the
 //! engines score from, so loading is `mmap` + header/CRC verification +
 //! pointer arithmetic: the arenas are never parsed, transposed, or copied
-//! (see DESIGN.md §10 for the full layout and the one honest caveat: CRC
+//! (see DESIGN.md §9 for the full layout and the one honest caveat: CRC
 //! verification is a sequential read pass over the file, it is *parsing*
 //! that is eliminated, not page-ins).
 //!

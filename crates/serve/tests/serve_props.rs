@@ -207,7 +207,8 @@ fn hot_swap_under_concurrent_load_never_errors() {
         "suspiciously little traffic: {}",
         stats.served
     );
-    assert!(stats.latency.p50_us > 0 && stats.latency.p50_us <= stats.latency.p99_us);
+    assert!(stats.latency.quantile(50.0) > 0);
+    assert!(stats.latency.quantile(50.0) <= stats.latency.quantile(99.0));
 }
 
 /// Freeze a *trained* network and check the frozen sampled path tracks the

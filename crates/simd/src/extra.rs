@@ -1,16 +1,7 @@
-//! Secondary vectorized kernels: element-wise subtraction, squared L2 norm,
-//! and the fused `y = alpha*x + beta*y` update. Used by the dataset
-//! normalization transforms and available to downstream users; each has the
-//! same three-tier dispatch as the primary kernels.
+//! The squared-L2-norm kernel behind the dataset normalization transform,
+//! dispatched like the primary kernels.
 
 use crate::policy::{effective_level, SimdLevel};
-
-#[inline]
-fn sub_scalar(x: &[f32], y: &mut [f32]) {
-    for i in 0..x.len() {
-        y[i] -= x[i];
-    }
-}
 
 #[inline]
 fn norm_sq_scalar(x: &[f32]) -> f32 {
@@ -21,34 +12,10 @@ fn norm_sq_scalar(x: &[f32]) -> f32 {
     acc
 }
 
-#[inline]
-fn scale_add_scalar(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    for i in 0..x.len() {
-        y[i] = alpha * x[i] + beta * y[i];
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     #![allow(unsafe_op_in_unsafe_fn)]
     use core::arch::x86_64::*;
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sub(x: &[f32], y: &mut [f32]) {
-        let n = x.len();
-        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let xv = _mm512_loadu_ps(px.add(i));
-            let yv = _mm512_loadu_ps(py.add(i));
-            _mm512_storeu_ps(py.add(i), _mm512_sub_ps(yv, xv));
-            i += 16;
-        }
-        while i < n {
-            *py.add(i) -= *px.add(i);
-            i += 1;
-        }
-    }
 
     #[target_feature(enable = "avx512f")]
     pub unsafe fn norm_sq(x: &[f32]) -> f32 {
@@ -69,42 +36,6 @@ mod x86 {
         }
         total
     }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn scale_add(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        let n = x.len();
-        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
-        let va = _mm512_set1_ps(alpha);
-        let vb = _mm512_set1_ps(beta);
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let xv = _mm512_loadu_ps(px.add(i));
-            let yv = _mm512_loadu_ps(py.add(i));
-            _mm512_storeu_ps(py.add(i), _mm512_fmadd_ps(va, xv, _mm512_mul_ps(vb, yv)));
-            i += 16;
-        }
-        while i < n {
-            *py.add(i) = alpha * *px.add(i) + beta * *py.add(i);
-            i += 1;
-        }
-    }
-}
-
-/// Element-wise `y -= x`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn sub_f32(x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "sub_f32: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if effective_level() == SimdLevel::Avx512 {
-        unsafe { x86::sub(x, y) };
-        return;
-    }
-    let _ = effective_level();
-    sub_scalar(x, y);
 }
 
 /// Squared L2 norm `Σ xᵢ²`.
@@ -116,23 +47,6 @@ pub fn norm_sq_f32(x: &[f32]) -> f32 {
     }
     let _ = effective_level();
     norm_sq_scalar(x)
-}
-
-/// Fused `y = alpha·x + beta·y`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn scale_add_f32(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "scale_add_f32: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if effective_level() == SimdLevel::Avx512 {
-        unsafe { x86::scale_add(alpha, x, beta, y) };
-        return;
-    }
-    let _ = effective_level();
-    scale_add_scalar(alpha, x, beta, y);
 }
 
 #[cfg(test)]
@@ -155,22 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_levels_agree() {
-        for n in [0usize, 1, 15, 16, 17, 100] {
-            let x = vals(n);
-            let y0: Vec<f32> = x.iter().map(|v| v + 1.0).collect();
-            let mut a = y0.clone();
-            let mut b = y0.clone();
-            with_level(SimdLevel::Scalar, || sub_f32(&x, &mut a));
-            with_level(SimdLevel::Avx512, || sub_f32(&x, &mut b));
-            assert_eq!(a, b, "n={n}");
-            for v in &a {
-                assert!((v - 1.0).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn norm_sq_levels_agree() {
         for n in [0usize, 1, 16, 33, 128] {
             let x = vals(n);
@@ -178,39 +76,6 @@ mod tests {
             let v = with_level(SimdLevel::Avx512, || norm_sq_f32(&x));
             assert!((s - v).abs() <= 1e-3 * (n.max(1) as f32), "n={n}");
             assert!(s >= 0.0);
-        }
-    }
-
-    #[test]
-    fn scale_add_levels_agree() {
-        for n in [0usize, 1, 16, 31, 64] {
-            let x = vals(n);
-            let y0: Vec<f32> = x.iter().map(|v| v * 0.5 - 1.0).collect();
-            let mut a = y0.clone();
-            let mut b = y0.clone();
-            with_level(SimdLevel::Scalar, || scale_add_f32(2.0, &x, 0.5, &mut a));
-            with_level(SimdLevel::Avx512, || scale_add_f32(2.0, &x, 0.5, &mut b));
-            for i in 0..n {
-                assert!((a[i] - b[i]).abs() < 1e-5, "n={n} i={i}");
-                let expect = 2.0 * x[i] + 0.5 * y0[i];
-                assert!((a[i] - expect).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn scale_add_special_cases() {
-        let x = vals(20);
-        let mut y = vec![1.0f32; 20];
-        // beta = 0: plain scaled copy.
-        scale_add_f32(3.0, &x, 0.0, &mut y);
-        for i in 0..20 {
-            assert!((y[i] - 3.0 * x[i]).abs() < 1e-6);
-        }
-        // alpha = 0: plain scaling of y.
-        scale_add_f32(0.0, &x, 2.0, &mut y);
-        for i in 0..20 {
-            assert!((y[i] - 6.0 * x[i]).abs() < 1e-5);
         }
     }
 }

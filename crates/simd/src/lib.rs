@@ -63,7 +63,7 @@ pub(crate) mod avx2;
 pub(crate) mod avx512;
 
 pub use bf16::Bf16;
-pub use extra::{norm_sq_f32, scale_add_f32, sub_f32};
+pub use extra::norm_sq_f32;
 pub use gather::{
     backward_rows_fused_bf16, backward_rows_fused_f32, gemv_full_f32, gemv_full_i8,
     score_rows_gather_bf16, score_rows_gather_f32, score_rows_gather_i8, KernelSet, RowGather,

@@ -172,7 +172,7 @@ versioned registry directory; `slide_netd --snapshot DIR` then cold-starts
 from it (mmap, no retraining). `--rollback` repoints the registry at the
 previous version; `--retain N` prunes all but the N newest versions.
 `obs scrape` connects to a running `slide_netd` or `slide_router`, sends a
-v3 `GetMetrics` frame, and prints the Prometheus-style exposition text
+`GetMetrics` frame, and prints the Prometheus-style exposition text
 (counters, gauges, latency/stage summaries, breaker states, and recent
 trace-span comment lines)."
 }
