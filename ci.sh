@@ -77,8 +77,8 @@ if [[ "$MODE" == "smoke" ]]; then
     step "smoke: profile_phases (1 epoch, emits BENCH_train.json)"
     SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
         ./target/release/profile_phases > /dev/null
-    grep -q '"kernel_variant"' BENCH_train.json || {
-        echo "profile_phases smoke: BENCH_train.json missing kernel_variant meta" >&2
+    grep -q '"simd_level"' BENCH_train.json || {
+        echo "profile_phases smoke: BENCH_train.json missing simd_level meta" >&2
         exit 1
     }
 
@@ -390,6 +390,15 @@ if grep -n 'unsafe' crates/serve/src/server.rs; then
     exit 1
 fi
 
+step "one shape per kernel, one rebuild path (no variant switch, no _pf/_nopf twins)"
+# Each kernel's prefetch decision is written into it (DESIGN.md §6) and the
+# trainer rebuilds tables in full; neither fork comes back under a new flag.
+if grep -rnE 'KernelVariant|SLIDE_KERNELS|kernel_variant|_nopf\b|RebuildMode|refresh_rows' \
+    crates src examples; then
+    echo "ci.sh: the kernel-variant switch / incremental rebuild path is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -408,7 +417,12 @@ fi
 # (4 + 1 doctest), sub_f32/scale_add_f32 (3), k_folds/subsample (3), the
 # document_frequencies doctest (now private). Added:
 # wire::tests::predict_length_depends_on_nnz_alone.
-MIN_TIER1_TESTS=617
+# PR 22: 617 - 7 + 2 = 612. Deleted with their code: the KernelVariant
+# switch (2 policy tests + the parse_kernel_variant doctest), the
+# incremental rebuild path (2 trainer tests) and LshTables::remove (1 table
+# test, 1 lsh_props case) — named in CHANGES.md. Added:
+# crates/core/tests/bench_surface.rs (2).
+MIN_TIER1_TESTS=612
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"
@@ -429,15 +443,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 # Emit the training-perf trajectory artifact (table1/profile_phases tiny
 # config) so every gate leg leaves a BENCH_train.json behind: the meta block
-# stamps the leg's resolved SIMD level + kernel variant, making PR-over-PR
-# perf visible per forced-SLIDE_SIMD leg. The quick mode builds just the one
+# stamps the leg's resolved SIMD level, making PR-over-PR perf visible per
+# forced-SLIDE_SIMD leg. The quick mode builds just the one
 # release binary it needs; full mode already built everything.
 step "bench trajectory: BENCH_train.json (profile_phases, tiny config)"
 cargo build --release -q -p slide-bench --bin profile_phases
 SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
     ./target/release/profile_phases > /dev/null
-grep -q '"kernel_variant"' BENCH_train.json || {
-    echo "profile_phases: BENCH_train.json missing kernel_variant meta" >&2
+grep -q '"simd_level"' BENCH_train.json || {
+    echo "profile_phases: BENCH_train.json missing simd_level meta" >&2
     exit 1
 }
 

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use slide_simd::{
     adam_step_f32, add_f32, argmax_f32, axpy_f32, bf16, dot_f32, quantize_acts_u8, quantize_row_i8,
-    set_policy, AdamStep, KernelSet, KernelVariant, SimdLevel, SimdPolicy,
+    set_policy, AdamStep, KernelSet, SimdLevel, SimdPolicy,
 };
 use std::time::Duration;
 
@@ -193,19 +193,17 @@ fn gather_order(total: usize, take: usize) -> Vec<usize> {
     out
 }
 
-fn variants() -> [(&'static str, KernelVariant); 3] {
-    [
-        ("single_row", KernelVariant::SingleRow),
-        ("blocked", KernelVariant::Blocked),
-        ("blocked_prefetch", KernelVariant::Fused),
-    ]
+/// The table every gather bench calls through: the host's best SIMD level.
+fn best_kernels() -> KernelSet {
+    KernelSet::for_level(slide_simd::detected_level())
 }
 
-/// Multi-row gathered scoring: the single-row loop vs the blocked kernel vs
-/// blocked + software prefetch, at the host's best SIMD level. The arena is
+/// Multi-row gathered scoring: the pre-fusion loop (one dependent `dot` per
+/// row) vs the multi-row kernel, at the host's best SIMD level. The arena is
 /// 4x the active set so gathers miss cache the way training does.
 fn bench_gather_score(c: &mut Criterion) {
     let mut g = c.benchmark_group("gather_score_f32");
+    let ks = best_kernels();
     g.measurement_time(Duration::from_millis(900));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(15);
@@ -217,18 +215,21 @@ fn bench_gather_score(c: &mut Criterion) {
             let ptrs: Vec<*const f32> = order.iter().map(|&r| arena[r * cols..].as_ptr()).collect();
             let (x, _) = vecs(cols);
             let mut out = vec![0.0_f32; rows];
-            for (name, variant) in variants() {
-                let ks = KernelSet::for_level_variant(slide_simd::detected_level(), variant);
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{rows}x{cols}"), name),
-                    &ks,
-                    |b, ks| {
-                        b.iter(|| unsafe {
-                            ks.score_rows_f32(black_box(&ptrs), black_box(&x), black_box(&mut out))
-                        })
-                    },
-                );
-            }
+            let id = format!("{rows}x{cols}");
+            g.bench_function(BenchmarkId::new(&id, "single_row"), |b| {
+                b.iter(|| {
+                    for (o, &p) in out.iter_mut().zip(black_box(&ptrs)) {
+                        // SAFETY: every pointer addresses `cols` floats of `arena`.
+                        *o = ks.dot(unsafe { std::slice::from_raw_parts(p, cols) }, &x);
+                    }
+                    black_box(&mut out);
+                })
+            });
+            g.bench_function(BenchmarkId::new(&id, "kernel"), |b| {
+                b.iter(|| unsafe {
+                    ks.score_rows_f32(black_box(&ptrs), black_box(&x), black_box(&mut out))
+                })
+            });
         }
     }
     g.finish();
@@ -237,6 +238,7 @@ fn bench_gather_score(c: &mut Criterion) {
 /// Same sweep for the fused backward pass (dx + grad in one pass per row).
 fn bench_gather_backward(c: &mut Criterion) {
     let mut g = c.benchmark_group("gather_backward_f32");
+    let ks = best_kernels();
     g.measurement_time(Duration::from_millis(900));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(15);
@@ -260,25 +262,32 @@ fn bench_gather_backward(c: &mut Criterion) {
                 .collect();
             let (h, mut dx) = vecs(cols);
             let deltas: Vec<f32> = (0..rows).map(|r| (r as f32 * 0.07).cos() * 0.01).collect();
-            for (name, variant) in variants() {
-                let ks = KernelSet::for_level_variant(slide_simd::detected_level(), variant);
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{rows}x{cols}"), name),
-                    &ks,
-                    |b, ks| {
-                        b.iter(|| unsafe {
-                            ks.backward_rows_f32(
-                                black_box(&w_ptrs),
-                                black_box(&g_ptrs),
-                                black_box(&deltas),
-                                0.125,
-                                black_box(&h),
-                                black_box(&mut dx),
-                            )
-                        })
-                    },
-                );
-            }
+            let id = format!("{rows}x{cols}");
+            g.bench_function(BenchmarkId::new(&id, "single_row"), |b| {
+                b.iter(|| {
+                    for ((&w, &gr), &d) in black_box(&w_ptrs).iter().zip(&g_ptrs).zip(&deltas) {
+                        // SAFETY: both pointers address `cols` floats of
+                        // their arena; gradient rows are distinct.
+                        unsafe {
+                            ks.axpy(d, std::slice::from_raw_parts(w, cols), &mut dx);
+                            ks.axpy(d * 0.125, &h, std::slice::from_raw_parts_mut(gr, cols));
+                        }
+                    }
+                    black_box(&mut dx);
+                })
+            });
+            g.bench_function(BenchmarkId::new(&id, "kernel"), |b| {
+                b.iter(|| unsafe {
+                    ks.backward_rows_f32(
+                        black_box(&w_ptrs),
+                        black_box(&g_ptrs),
+                        black_box(&deltas),
+                        0.125,
+                        black_box(&h),
+                        black_box(&mut dx),
+                    )
+                })
+            });
         }
     }
     g.finish();
@@ -287,6 +296,7 @@ fn bench_gather_backward(c: &mut Criterion) {
 /// bf16-weight gather scoring (AVX-512 widen-on-the-fly vs scalar).
 fn bench_gather_score_bf16(c: &mut Criterion) {
     let mut g = c.benchmark_group("gather_score_bf16");
+    let ks = best_kernels();
     g.measurement_time(Duration::from_millis(900));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(15);
@@ -300,18 +310,21 @@ fn bench_gather_score_bf16(c: &mut Criterion) {
             let ptrs: Vec<*const u16> = order.iter().map(|&r| arena[r * cols..].as_ptr()).collect();
             let (x, _) = vecs(cols);
             let mut out = vec![0.0_f32; rows];
-            for (name, variant) in variants() {
-                let ks = KernelSet::for_level_variant(slide_simd::detected_level(), variant);
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{rows}x{cols}"), name),
-                    &ks,
-                    |b, ks| {
-                        b.iter(|| unsafe {
-                            ks.score_rows_bf16(black_box(&ptrs), black_box(&x), black_box(&mut out))
-                        })
-                    },
-                );
-            }
+            let id = format!("{rows}x{cols}");
+            g.bench_function(BenchmarkId::new(&id, "single_row"), |b| {
+                b.iter(|| {
+                    for (o, &p) in out.iter_mut().zip(black_box(&ptrs)) {
+                        // SAFETY: every pointer addresses `cols` codes of `arena`.
+                        *o = ks.dot_bf16(unsafe { std::slice::from_raw_parts(p, cols) }, &x);
+                    }
+                    black_box(&mut out);
+                })
+            });
+            g.bench_function(BenchmarkId::new(&id, "kernel"), |b| {
+                b.iter(|| unsafe {
+                    ks.score_rows_bf16(black_box(&ptrs), black_box(&x), black_box(&mut out))
+                })
+            });
         }
     }
     g.finish();
@@ -327,7 +340,7 @@ fn bench_quant_score(c: &mut Criterion) {
     g.measurement_time(Duration::from_millis(900));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(15);
-    let ks = KernelSet::for_level_variant(slide_simd::detected_level(), KernelVariant::Fused);
+    let ks = best_kernels();
     for &cols in GATHER_COLS {
         for &rows in GATHER_ROWS {
             let total = rows * 4;
@@ -402,6 +415,7 @@ fn bench_quant_score(c: &mut Criterion) {
 /// over a cache-line-strided arena.
 fn bench_gemv_blocked(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemv_blocked_f32");
+    let ks = best_kernels();
     g.measurement_time(Duration::from_millis(900));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(15);
@@ -414,24 +428,27 @@ fn bench_gemv_blocked(c: &mut Criterion) {
             let (x, _) = vecs(cols);
             let bias = vec![0.01_f32; rows];
             let mut out = vec![0.0_f32; rows];
-            for (name, variant) in variants() {
-                let ks = KernelSet::for_level_variant(slide_simd::detected_level(), variant);
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{rows}x{cols}"), name),
-                    &ks,
-                    |b, ks| {
-                        b.iter(|| {
-                            ks.gemv(
-                                black_box(&arena),
-                                stride,
-                                black_box(&x),
-                                black_box(&bias),
-                                black_box(&mut out),
-                            )
-                        })
-                    },
-                );
-            }
+            let id = format!("{rows}x{cols}");
+            g.bench_function(BenchmarkId::new(&id, "single_row"), |b| {
+                b.iter(|| {
+                    for (r, o) in out.iter_mut().enumerate() {
+                        *o =
+                            ks.dot(&black_box(&arena)[r * stride..r * stride + cols], &x) + bias[r];
+                    }
+                    black_box(&mut out);
+                })
+            });
+            g.bench_function(BenchmarkId::new(&id, "kernel"), |b| {
+                b.iter(|| {
+                    ks.gemv(
+                        black_box(&arena),
+                        stride,
+                        black_box(&x),
+                        black_box(&bias),
+                        black_box(&mut out),
+                    )
+                })
+            });
         }
     }
     g.finish();

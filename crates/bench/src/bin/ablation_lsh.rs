@@ -1,14 +1,12 @@
 //! LSH design-choice ablations beyond the paper's headline tables: table
-//! count `L`, bucket policy (FIFO vs reservoir), and full vs incremental
-//! rebuilds (§2's delete/re-add path) — the design decisions DESIGN.md
-//! flags for ablation.
+//! count `L` and bucket policy (FIFO vs reservoir) — the design decisions
+//! DESIGN.md flags for ablation.
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin ablation_lsh
 //! ```
 
 use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
-use slide_core::{Network, RebuildMode, Trainer};
 use slide_hash::BucketPolicy;
 use slide_simd::SimdPolicy;
 
@@ -108,38 +106,5 @@ fn main() {
         &["Policy", "s/epoch", "P@1"],
         &rows,
         &[10, 10, 7],
-    );
-
-    // --- Rebuild mode: full vs incremental, with rebuild-phase timing ---
-    let mut rows = Vec::new();
-    for (name, mode) in [
-        ("full rebuild", RebuildMode::Full),
-        ("incremental (delete/re-add)", RebuildMode::Incremental),
-    ] {
-        let cfg = w.network_config(train.feature_dim(), train.label_dim());
-        let mut tc = w.trainer_config();
-        tc.rebuild.mode = mode;
-        let mut trainer =
-            Trainer::new(Network::new(cfg).expect("valid config"), tc).expect("valid trainer");
-        let mut secs = 0.0;
-        let mut rebuild_secs = 0.0;
-        for epoch in 0..n_epochs {
-            let stats = trainer.train_epoch(&train, epoch as u64);
-            secs += stats.seconds;
-            rebuild_secs += stats.phases.rebuild;
-        }
-        let p1 = trainer.evaluate(&test, 1, slide_core::EvalMode::Exact, Some(300));
-        rows.push(vec![
-            name.to_string(),
-            fmt_secs(secs / n_epochs as f64),
-            format!("{:.1}ms", rebuild_secs / n_epochs as f64 * 1e3),
-            format!("{p1:.3}"),
-        ]);
-    }
-    print_table(
-        "Rebuild strategy (§2 delete/re-add vs full rebuild)",
-        &["Strategy", "s/epoch", "rebuild/epoch", "P@1"],
-        &rows,
-        &[29, 10, 14, 7],
     );
 }

@@ -324,7 +324,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"deploy\",\"source\":\"deploy_bench\",\
          \"precision\":\"{precision_label}\",\"simd_level\":\"{}\",\
-         \"kernel_variant\":\"{}\",\"k\":{K},\"rounds\":{rounds},\
+         \"k\":{K},\"rounds\":{rounds},\
          \"epochs_per_round\":{epochs},\"offered_qps\":{offered_qps:.1},\
          \"clients\":{clients},\"duration_ms\":{},\
          \"gate\":{{\"accepted\":{accepted},\"rejected\":{rejected},\
@@ -336,7 +336,6 @@ fn main() {
          \"p_at_1_windows\":[{}],\
          \"load\":{{\"sent\":{sent},\"ok\":{},\"shed\":{shed},\"hard_errors\":{hard}}}}}\n",
         slide_simd::effective_level(),
-        slide_simd::kernel_variant(),
         duration.as_millis(),
         outcomes.iter().map(|o| o.p_at_k).fold(r1.p_at_k, f64::max),
         summary_json("staleness_us", &staleness_us),

@@ -229,14 +229,13 @@ fn main() {
         "{{\"bench\":\"net\",\"source\":\"net_bench\",\"replicas\":{replicas},\
          \"policy\":\"least_load\",\"clients\":{clients},\"threads\":{threads},\
          \"precision\":\"{precision_label}\",\"shards\":{shards},\
-         \"simd_level\":\"{}\",\"kernel_variant\":\"{}\",\"k\":{K},\
+         \"simd_level\":\"{}\",\"k\":{K},\
          \"offered_qps\":{offered_qps:.1},\"deadline_us\":{deadline_us},\
          \"phases\":[{}],\
          \"fault_router\":{fault_router_stats},\
          \"fault_proxies\":{{\"stalled\":{},\"dropped\":{},\"delayed\":{},\
          \"corrupted\":{},\"closed\":{},\"forwarded\":{}}}}}\n",
         slide_simd::effective_level(),
-        slide_simd::kernel_variant(),
         fault.to_json("fault"),
         stall_stats.stalled + drop_stats.stalled,
         stall_stats.dropped + drop_stats.dropped,

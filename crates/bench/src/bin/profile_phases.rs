@@ -2,11 +2,7 @@
 //! phase does each optimization accelerate? This is the measurement behind
 //! the paper's §5.5–§5.7 narrative (ADAM and the forward/backward kernels
 //! vectorize; the batch copy and parameter access patterns are the memory
-//! story; rebuilds amortize), extended with the fused-gather ablation: the
-//! "single-row kernels" row runs the same optimized configuration with
-//! `KernelVariant::SingleRow`, isolating what the multi-row fused kernels
-//! (blocked accumulators + software prefetch + once-resolved dispatch) buy
-//! in the `forward_backward` phase.
+//! story; rebuilds amortize).
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin profile_phases
@@ -15,19 +11,19 @@
 //!
 //! With `SLIDE_JSON_OUT=<path>` the same numbers are written as a
 //! `BENCH_train.json` report (see EXPERIMENTS.md §3 and §5); the meta
-//! block records the resolved SIMD level and kernel variant per row so
-//! trajectories stay comparable across machines and forced CI legs.
+//! block records the resolved SIMD level per row so trajectories stay
+//! comparable across machines and forced CI legs.
 
 use slide_bench::{epochs, print_table, scale, Workload};
 use slide_core::{Network, PhaseBreakdown, Trainer};
-use slide_simd::{KernelVariant, SimdPolicy};
+use slide_simd::SimdPolicy;
 
-/// Profile one preset × variant row. A preset returning `SimdPolicy::Auto`
-/// defers to `base_policy` (the process policy at startup, i.e. a forced
-/// `SLIDE_SIMD` CI leg stays forced for the optimized rows); presets that
-/// force a level (naive → scalar) keep their forcing. The prior
-/// policy/variant are restored afterwards — never hard-reset to
-/// Auto/Fused, which would clobber the env leg for the rest of the run.
+/// Profile one preset row. A preset returning `SimdPolicy::Auto` defers to
+/// `base_policy` (the process policy at startup, i.e. a forced `SLIDE_SIMD`
+/// CI leg stays forced for the optimized rows); presets that force a level
+/// (naive → scalar) keep their forcing. The prior policy is restored
+/// afterwards — never hard-reset to Auto, which would clobber the env leg
+/// for the rest of the run.
 ///
 /// Returns the per-epoch phase means, the per-epoch seconds, and the SIMD
 /// level the row actually resolved to.
@@ -35,7 +31,6 @@ fn profile(
     w: Workload,
     train: &slide_data::Dataset,
     preset: impl Fn(&mut slide_core::NetworkConfig) -> SimdPolicy,
-    variant: KernelVariant,
     n_epochs: u32,
     base_policy: SimdPolicy,
 ) -> (PhaseBreakdown, f64, slide_simd::SimdLevel) {
@@ -44,9 +39,7 @@ fn profile(
         SimdPolicy::Auto => base_policy,
         forced => forced,
     };
-    let prior_variant = slide_simd::kernel_variant();
     slide_simd::set_policy(row_policy);
-    slide_simd::set_kernel_variant(variant);
     let level = slide_simd::effective_level();
     let mut trainer = Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
         .expect("valid trainer");
@@ -61,7 +54,6 @@ fn profile(
         acc.rebuild += stats.phases.rebuild;
     }
     slide_simd::set_policy(base_policy);
-    slide_simd::set_kernel_variant(prior_variant);
     let inv = n_epochs as f64;
     (
         PhaseBreakdown {
@@ -82,7 +74,6 @@ type Preset = fn(&mut slide_core::NetworkConfig) -> SimdPolicy;
 struct Row {
     name: &'static str,
     simd_level: slide_simd::SimdLevel,
-    kernel_variant: KernelVariant,
     epoch_seconds: f64,
     phases: PhaseBreakdown,
 }
@@ -97,41 +88,19 @@ fn phases_json(p: &PhaseBreakdown) -> String {
 fn main() {
     let scale = scale();
     let n_epochs = epochs(4);
-    // The process baseline: whatever SLIDE_SIMD / SLIDE_KERNELS forced (or
-    // Auto/Fused). Rows that don't force their own policy run under it, and
-    // the top-level JSON meta is stamped from it.
+    // The process baseline: whatever SLIDE_SIMD forced (or Auto). Rows that
+    // don't force their own policy run under it, and the top-level JSON
+    // meta is stamped from it.
     let base_policy = slide_simd::policy();
     println!(
-        "Per-phase epoch breakdown; SLIDE_SCALE={scale}, epochs={n_epochs}, \
-         base simd={}, base kernels={}",
-        slide_simd::effective_level(),
-        slide_simd::kernel_variant()
+        "Per-phase epoch breakdown; SLIDE_SCALE={scale}, epochs={n_epochs}, base simd={}",
+        slide_simd::effective_level()
     );
 
-    // (label, preset, kernel variant). The single-row row is the fused-gather
-    // ablation: identical config/policy to "optimized (CLX)", pre-fusion
-    // kernels.
-    let presets: [(&'static str, Preset, KernelVariant); 4] = [
-        (
-            "optimized (CLX)",
-            slide_baseline::optimized_slide_clx,
-            KernelVariant::Fused,
-        ),
-        (
-            "optimized, single-row",
-            slide_baseline::optimized_slide_clx,
-            KernelVariant::SingleRow,
-        ),
-        (
-            "optimized+bf16 (CPX)",
-            slide_baseline::optimized_slide_cpx,
-            KernelVariant::Fused,
-        ),
-        (
-            "naive",
-            slide_baseline::naive_slide,
-            KernelVariant::SingleRow,
-        ),
+    let presets: [(&'static str, Preset); 3] = [
+        ("optimized (CLX)", slide_baseline::optimized_slide_clx),
+        ("optimized+bf16 (CPX)", slide_baseline::optimized_slide_cpx),
+        ("naive", slide_baseline::naive_slide),
     ];
 
     let mut workload_docs = Vec::new();
@@ -139,8 +108,8 @@ fn main() {
         let (train, _test) = w.dataset(scale);
         let mut rows = Vec::new();
         let mut measured: Vec<Row> = Vec::new();
-        for (name, preset, variant) in presets {
-            let (p, total, level) = profile(w, &train, preset, variant, n_epochs, base_policy);
+        for (name, preset) in presets {
+            let (p, total, level) = profile(w, &train, preset, n_epochs, base_policy);
             let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
             rows.push(vec![
                 name.to_string(),
@@ -157,7 +126,6 @@ fn main() {
             measured.push(Row {
                 name,
                 simd_level: level,
-                kernel_variant: variant,
                 epoch_seconds: total,
                 phases: p,
             });
@@ -179,11 +147,10 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"variant\":\"{}\",\"simd_level\":\"{}\",\"kernel_variant\":\"{}\",\
+                    "{{\"variant\":\"{}\",\"simd_level\":\"{}\",\
                      \"epoch_seconds\":{:.6},\"phases\":{}}}",
                     r.name,
                     r.simd_level,
-                    r.kernel_variant,
                     r.epoch_seconds,
                     phases_json(&r.phases)
                 )
@@ -196,23 +163,21 @@ fn main() {
         ));
     }
     println!(
-        "\nExpected shape: fwd/bwd dominates and shrinks most under AVX-512 and \
-         again under the fused multi-row kernels (compare the single-row row); \
+        "\nExpected shape: fwd/bwd dominates and shrinks most under AVX-512; \
          the ADAM phase shows the Figure 3 flat-sweep gains; rebuild stays \
          amortized (exponential back-off)."
     );
 
     if let Ok(path) = std::env::var("SLIDE_JSON_OUT") {
-        // Meta block: the process-default resolved SIMD level and kernel
-        // variant (per-row values are recorded on each row, since the rows
-        // force their own policy/variant).
+        // Meta block: the process-default resolved SIMD level (per-row
+        // values are recorded on each row, since the rows force their own
+        // policy).
         let json = format!(
             "{{\"bench\":\"train\",\"source\":\"profile_phases\",\"scale\":{},\"epochs\":{},\
-             \"simd_level\":\"{}\",\"kernel_variant\":\"{}\",\"workloads\":[{}]}}\n",
+             \"simd_level\":\"{}\",\"workloads\":[{}]}}\n",
             scale,
             n_epochs,
             slide_simd::effective_level(),
-            slide_simd::kernel_variant(),
             workload_docs.join(",")
         );
         std::fs::write(&path, &json).expect("write BENCH_train.json");

@@ -75,27 +75,10 @@ impl Default for LshConfig {
     }
 }
 
-/// How hash tables are brought back in sync with drifted weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum RebuildMode {
-    /// Clear every table and re-insert every neuron (parallel two-phase).
-    #[default]
-    Full,
-    /// The paper's §2 delete/re-add path: at each scheduled tick only
-    /// neurons whose weights changed since the last refresh are re-hashed
-    /// and moved between buckets. Because bounded buckets evict a victim on
-    /// every forced re-insert, pure surgery slowly biases bucket membership
-    /// toward recently-moved neurons; a full rebuild is therefore interposed
-    /// every [`RebuildSchedule::full_rebuild_every`] ticks to restore the
-    /// uniform reservoir sample (this hybrid is what the original SLIDE
-    /// implementation does in practice).
-    Incremental,
-}
-
 /// Hash-table rebuild schedule (§2: tables are refreshed as weights drift;
 /// SLIDE grows the interval exponentially because early weights change fast
-/// and late weights change slowly).
+/// and late weights change slowly). Every rebuild clears the tables and
+/// re-inserts every neuron (parallel two-phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RebuildSchedule {
@@ -105,11 +88,6 @@ pub struct RebuildSchedule {
     pub growth: f32,
     /// Ceiling for the period.
     pub max_period: u32,
-    /// Full rebuild vs incremental delete/re-add.
-    pub mode: RebuildMode,
-    /// In [`RebuildMode::Incremental`], run a full rebuild every this many
-    /// ticks to rebalance bucket membership (ignored in `Full` mode).
-    pub full_rebuild_every: u32,
 }
 
 impl Default for RebuildSchedule {
@@ -118,8 +96,6 @@ impl Default for RebuildSchedule {
             initial_period: 50,
             growth: 1.05,
             max_period: 1000,
-            mode: RebuildMode::Full,
-            full_rebuild_every: 8,
         }
     }
 }

@@ -209,10 +209,6 @@ pub struct SampledOutputLayer {
     params: LayerParams,
     family: LshFamily,
     tables: RwLock<LshTables>,
-    /// Current table keys per neuron (`rows x L`), kept in sync with the
-    /// tables so the incremental delete/re-add path (§2) knows which
-    /// buckets a neuron currently occupies.
-    key_cache: parking_lot::Mutex<Vec<u32>>,
     min_active: usize,
     max_active: Option<usize>,
     probes: usize,
@@ -253,12 +249,10 @@ impl SampledOutputLayer {
             lsh.policy,
             seed ^ 0x7AB1,
         );
-        let key_count = output_dim * lsh.tables;
         let layer = SampledOutputLayer {
             params,
             family,
             tables: RwLock::new(tables),
-            key_cache: parking_lot::Mutex::new(vec![0; key_count]),
             min_active: lsh.min_active.min(output_dim),
             max_active: lsh.max_active,
             probes: lsh.probes.max(1),
@@ -309,13 +303,11 @@ impl SampledOutputLayer {
         let mut widen = vec![0.0_f32; self.params.cols()];
         let mut keys = vec![0u32; l];
         let mut tables = self.tables.write();
-        let mut cache = self.key_cache.lock();
         tables.clear();
         for r in 0..self.params.rows() {
             self.params.widen_row_into(r, &mut widen);
             self.family.keys_dense(&widen, &mut lsh_scratch, &mut keys);
             tables.insert(&keys, r as u32);
-            cache[r * l..(r + 1) * l].copy_from_slice(&keys);
         }
     }
 
@@ -337,46 +329,6 @@ impl SampledOutputLayer {
         for r in 0..self.params.rows() {
             tables.insert(&all_keys[r * l..(r + 1) * l], r as u32);
         }
-        self.key_cache.lock().copy_from_slice(all_keys);
-    }
-
-    /// Incremental maintenance (§2): re-hash exactly the given neurons; a
-    /// neuron whose keys changed is deleted from its old buckets and
-    /// re-added under the new keys. Far cheaper than a full rebuild when few
-    /// neurons moved, at the cost of per-neuron bucket surgery.
-    ///
-    /// Returns how many neurons actually changed buckets.
-    pub fn refresh_rows(&self, rows: &[u32], scratch: &mut WorkerScratch) -> usize {
-        let l = self.family.tables();
-        let mut moved = 0usize;
-        let mut cache = self.key_cache.lock();
-        let mut tables = self.tables.write();
-        for &r in rows {
-            let r = r as usize;
-            self.params.widen_row_into(r, &mut scratch.widen);
-            self.family
-                .keys_dense(&scratch.widen, &mut scratch.lsh, &mut scratch.keys);
-            let new_keys = &scratch.keys[..];
-            let old = &mut cache[r * l..(r + 1) * l];
-            if old != new_keys {
-                // Plain reservoir insert: under bounded buckets the neuron
-                // may not have been resident under its old keys (the
-                // reservoir can reject), so delete/re-add must follow the
-                // same admission rule; the periodic full rebuild restores
-                // the uniform sample either way.
-                tables.remove(old, r as u32);
-                tables.insert(new_keys, r as u32);
-                old.copy_from_slice(new_keys);
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// The cached table keys of neuron `r` (test/inspection hook).
-    pub fn cached_keys(&self, r: usize) -> Vec<u32> {
-        let l = self.family.tables();
-        self.key_cache.lock()[r * l..(r + 1) * l].to_vec()
     }
 
     /// Build the active set for input `h` into `scratch.active`:
@@ -608,21 +560,21 @@ mod tests {
     }
 
     #[test]
-    fn train_sample_fused_matches_single_row_variant() {
-        // The fused multi-row path and the pre-fusion single-row path must
-        // produce the same loss, hidden gradient, and accumulated weight
-        // gradients (up to float reassociation).
+    fn train_sample_at_detected_level_matches_scalar_table() {
+        // The vector kernels and the scalar table must produce the same
+        // loss, hidden gradient, and accumulated weight gradients (up to
+        // float reassociation).
         let lsh = LshConfig {
             min_active: 24,
             ..Default::default()
         };
         let h: Vec<f32> = (0..16).map(|i| 0.05 * i as f32 - 0.3).collect();
         let labels = [3u32, 11];
-        let run = |variant: slide_simd::KernelVariant| {
+        let run = |level: slide_simd::SimdLevel| {
             let layer =
                 SampledOutputLayer::new(16, 48, &lsh, ParamLayout::Coalesced, Precision::Fp32, 77);
             let mut scratch = scratch_for(16, 48, &layer);
-            scratch.kernels = KernelSet::for_level_variant(slide_simd::detected_level(), variant);
+            scratch.kernels = KernelSet::for_level(level);
             let mut dx = vec![0.0; 16];
             let loss = layer.train_sample(&h, &labels, &mut scratch, 0.5, 1, &mut dx, 9);
             let grads: Vec<f32> = scratch
@@ -632,14 +584,14 @@ mod tests {
                 .collect();
             (loss, dx, scratch.touched_out.clone(), grads)
         };
-        let (loss_f, dx_f, touched_f, grads_f) = run(slide_simd::KernelVariant::Fused);
-        let (loss_s, dx_s, touched_s, grads_s) = run(slide_simd::KernelVariant::SingleRow);
-        assert_eq!(touched_f, touched_s, "active sets must be identical");
-        assert!((loss_f - loss_s).abs() < 1e-5, "{loss_f} vs {loss_s}");
+        let (loss_v, dx_v, touched_v, grads_v) = run(slide_simd::detected_level());
+        let (loss_s, dx_s, touched_s, grads_s) = run(slide_simd::SimdLevel::Scalar);
+        assert_eq!(touched_v, touched_s, "active sets must be identical");
+        assert!((loss_v - loss_s).abs() < 1e-5, "{loss_v} vs {loss_s}");
         for i in 0..16 {
-            assert!((dx_f[i] - dx_s[i]).abs() < 1e-4, "dx[{i}]");
+            assert!((dx_v[i] - dx_s[i]).abs() < 1e-4, "dx[{i}]");
         }
-        for (i, (a, b)) in grads_f.iter().zip(&grads_s).enumerate() {
+        for (i, (a, b)) in grads_v.iter().zip(&grads_s).enumerate() {
             assert!((a - b).abs() < 1e-5, "grad[{i}]");
         }
     }

@@ -62,8 +62,8 @@ mod trainer;
 pub use activation::{relu, relu_backward_mask, softmax_into};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use config::{
-    HashFamilyKind, LrSchedule, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildMode,
-    RebuildSchedule, TrainerConfig,
+    HashFamilyKind, LrSchedule, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
+    TrainerConfig,
 };
 pub use layer::{DenseLayer, SampledOutputLayer, SparseInputLayer};
 pub use network::Network;

@@ -183,75 +183,23 @@ impl LayerParams {
         }
     }
 
-    /// Inner product of weight row `r` with `x` — Algorithm 1's kernel.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract (see [`slide_mem::HogwildPtr`]): the layer must
-    /// outlive the call; racing writers may make the result slightly stale.
-    #[inline]
-    pub unsafe fn w_dot(&self, r: usize, x: &[f32]) -> f32 {
-        match &self.weights {
-            WeightStorage::F32(store) => slide_simd::dot_f32(store.row_racy(r), x),
-            WeightStorage::Bf16(arena) => {
-                slide_simd::bf16::dot_bf16_f32(arena.ptr().row(r, self.cols), x)
-            }
-        }
-    }
-
-    /// `out += alpha * W[r]` — Algorithm 2's kernel and the backward
-    /// `∇x = Wᵀ∇y` accumulation.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract, as [`LayerParams::w_dot`].
-    #[inline]
-    pub unsafe fn w_axpy_into(&self, r: usize, alpha: f32, out: &mut [f32]) {
-        match &self.weights {
-            WeightStorage::F32(store) => slide_simd::axpy_f32(alpha, store.row_racy(r), out),
-            WeightStorage::Bf16(arena) => {
-                slide_simd::bf16::axpy_bf16_f32(alpha, arena.ptr().row(r, self.cols), out)
-            }
-        }
-    }
-
-    /// `grad_w[r] += alpha * x` (gradient accumulation; always f32).
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract: concurrent accumulation into the same row may lose
-    /// an addend — SLIDE's benign-race design.
-    #[inline]
-    pub unsafe fn grad_axpy(&self, r: usize, alpha: f32, x: &[f32]) {
-        slide_simd::axpy_f32(alpha, x, self.grad_w.row_racy(r));
-    }
-
     /// `grad_b[u] += delta`.
     ///
     /// # Safety
     ///
-    /// HOGWILD contract, as [`LayerParams::grad_axpy`].
+    /// HOGWILD contract, as [`LayerParams::grad_axpy_ks`].
     #[inline]
     pub unsafe fn grad_bias_add(&self, u: usize, delta: f32) {
         self.grad_b.ptr().add(u, delta);
     }
 
-    /// `grad_b += dy` over the whole bias vector.
+    /// `out += alpha * W[r]` through a pre-resolved kernel table —
+    /// Algorithm 2's kernel and the backward `∇x = Wᵀ∇y` accumulation.
     ///
     /// # Safety
     ///
-    /// HOGWILD contract, as [`LayerParams::grad_axpy`].
-    #[inline]
-    pub unsafe fn grad_bias_axpy(&self, dy: &[f32], scale: f32) {
-        let gb = self.grad_b.ptr().slice_mut(0, self.units);
-        slide_simd::axpy_f32(scale, dy, gb);
-    }
-
-    /// `out += alpha * W[r]` through a pre-resolved kernel table.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract, as [`LayerParams::w_axpy_into`].
+    /// HOGWILD contract (see [`slide_mem::HogwildPtr`]): the layer must
+    /// outlive the call; racing writers may make the result slightly stale.
     #[inline]
     pub unsafe fn w_axpy_into_ks(&self, ks: &KernelSet, r: usize, alpha: f32, out: &mut [f32]) {
         match &self.weights {
@@ -260,11 +208,13 @@ impl LayerParams {
         }
     }
 
-    /// `grad_w[r] += alpha * x` through a pre-resolved kernel table.
+    /// `grad_w[r] += alpha * x` through a pre-resolved kernel table
+    /// (gradient accumulation; always f32).
     ///
     /// # Safety
     ///
-    /// HOGWILD contract, as [`LayerParams::grad_axpy`].
+    /// HOGWILD contract: concurrent accumulation into the same row may lose
+    /// an addend — SLIDE's benign-race design.
     #[inline]
     pub unsafe fn grad_axpy_ks(&self, ks: &KernelSet, r: usize, alpha: f32, x: &[f32]) {
         ks.axpy(alpha, x, self.grad_w.row_racy(r));
@@ -275,7 +225,7 @@ impl LayerParams {
     ///
     /// # Safety
     ///
-    /// HOGWILD contract, as [`LayerParams::grad_bias_axpy`].
+    /// HOGWILD contract, as [`LayerParams::grad_axpy_ks`].
     #[inline]
     pub unsafe fn grad_bias_axpy_ks(&self, ks: &KernelSet, dy: &[f32], scale: f32) {
         let gb = self.grad_b.ptr().slice_mut(0, self.units);
@@ -716,13 +666,16 @@ mod tests {
         let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
         for precision in [Precision::Fp32, Precision::Bf16Both] {
             let p = params(precision, ParamLayout::Coalesced);
+            let ks = KernelSet::resolve();
             let row = p.row_f32(3);
             let expect = slide_simd::dot_f32(&row, &x);
-            let got = unsafe { p.w_dot(3, &x) };
-            assert!((got - expect).abs() < 1e-4, "{precision:?}");
+            // Biases start at zero, so the gathered score is the bare dot.
+            let mut got = [f32::NAN];
+            unsafe { p.score_rows_into(&ks, &[3], &x, &mut RowGather::default(), &mut got) };
+            assert!((got[0] - expect).abs() < 1e-4, "{precision:?}");
 
             let mut out = vec![0.0f32; 32];
-            unsafe { p.w_axpy_into(3, 2.0, &mut out) };
+            unsafe { p.w_axpy_into_ks(&ks, 3, 2.0, &mut out) };
             for c in 0..32 {
                 assert!((out[c] - 2.0 * row[c]).abs() < 1e-5);
             }
@@ -735,7 +688,7 @@ mod tests {
             let p = params(precision, ParamLayout::Coalesced);
             let before = p.row_f32(2);
             unsafe {
-                p.grad_axpy(2, 1.0, &[1.0f32; 32]);
+                p.grad_axpy_ks(&KernelSet::resolve(), 2, 1.0, &[1.0f32; 32]);
                 p.adam_row(2, AdamStep::bias_corrected(0.01, 0.9, 0.999, 1e-8, 1));
             }
             let after = p.row_f32(2);
@@ -775,13 +728,14 @@ mod tests {
         let b = params(Precision::Fp32, ParamLayout::Coalesced);
         assert!(a.supports_flat_adam());
         let step = AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, 3);
+        let ks = KernelSet::resolve();
         unsafe {
             for r in 0..8 {
                 let g: Vec<f32> = (0..32)
                     .map(|c| ((r * 32 + c) as f32 * 0.01) - 1.0)
                     .collect();
-                a.grad_axpy(r, 1.0, &g);
-                b.grad_axpy(r, 1.0, &g);
+                a.grad_axpy_ks(&ks, r, 1.0, &g);
+                b.grad_axpy_ks(&ks, r, 1.0, &g);
             }
             for r in 0..8 {
                 a.adam_row(r, step);

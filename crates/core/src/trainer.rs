@@ -13,10 +13,10 @@
 //! 4. periodically the output layer's hash tables are rebuilt from the
 //!    current weights, with the interval growing exponentially.
 
-use crate::config::{RebuildMode, TrainerConfig};
+use crate::config::TrainerConfig;
 use crate::network::Network;
 use crate::pool::ThreadPool;
-use crate::scratch::{ScratchSlots, StampSet, WorkerScratch};
+use crate::scratch::{ScratchSlots, WorkerScratch};
 use slide_data::{precision_at_k, Dataset, EpochBatches, MeanMetric};
 use slide_mem::{BatchStore, FragmentedBatch, SparseBatch};
 use slide_simd::AdamStep;
@@ -34,7 +34,7 @@ pub struct PhaseBreakdown {
     pub forward_backward: f64,
     /// The sparse/dense ADAM phase.
     pub optimizer: f64,
-    /// Hash-table rebuild / incremental refresh.
+    /// Hash-table rebuild.
     pub rebuild: f64,
 }
 
@@ -159,10 +159,6 @@ pub struct Trainer {
     touched_out: Vec<u32>,
     touched_in: Vec<u32>,
     rebuild_keys: Vec<u32>,
-    /// Rows awaiting an incremental refresh (RebuildMode::Incremental).
-    pending_refresh: Vec<u32>,
-    pending_stamp: StampSet,
-    ticks_since_full: u32,
     epoch_phases: PhaseBreakdown,
     current_lr: f32,
     total_train_seconds: f64,
@@ -179,8 +175,6 @@ impl Trainer {
         config.validate()?;
         let threads = config.effective_threads();
         let scratches = (0..threads).map(|_| network.make_scratch()).collect();
-        let mut pending_stamp = StampSet::new(network.config().output_dim);
-        pending_stamp.begin();
         Ok(Trainer {
             pool: ThreadPool::new(threads),
             scratches,
@@ -191,9 +185,6 @@ impl Trainer {
             touched_out: Vec::new(),
             touched_in: Vec::new(),
             rebuild_keys: Vec::new(),
-            pending_refresh: Vec::new(),
-            pending_stamp,
-            ticks_since_full: 0,
             epoch_phases: PhaseBreakdown::default(),
             current_lr: config.learning_rate,
             total_train_seconds: 0.0,
@@ -310,8 +301,8 @@ impl Trainer {
 
         // Resolve the kernel dispatch table once per batch and hand a copy
         // to every worker: the forward/backward hot loops then run with zero
-        // policy loads, while `set_policy`/`set_kernel_variant` changes
-        // still take effect at the next batch boundary.
+        // policy loads, while a `set_policy` change still takes effect at
+        // the next batch boundary.
         let kernels = slide_simd::KernelSet::resolve();
         for s in &mut self.scratches {
             s.kernels = kernels;
@@ -357,35 +348,9 @@ impl Trainer {
         phases.optimizer = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        if self.config.rebuild.mode == RebuildMode::Incremental {
-            for i in 0..self.touched_out.len() {
-                let r = self.touched_out[i];
-                if self.pending_stamp.insert(r) {
-                    self.pending_refresh.push(r);
-                }
-            }
-        }
         self.batches_until_rebuild = self.batches_until_rebuild.saturating_sub(1);
         if self.batches_until_rebuild == 0 {
-            match self.config.rebuild.mode {
-                RebuildMode::Full => self.rebuild_tables(),
-                RebuildMode::Incremental => {
-                    self.ticks_since_full += 1;
-                    if self.ticks_since_full >= self.config.rebuild.full_rebuild_every.max(1) {
-                        // Rebalance: surgery-only maintenance biases bucket
-                        // membership toward recently-moved neurons.
-                        self.rebuild_tables();
-                        self.ticks_since_full = 0;
-                        self.pending_refresh.clear();
-                    } else {
-                        let pending = std::mem::take(&mut self.pending_refresh);
-                        self.network
-                            .output()
-                            .refresh_rows(&pending, &mut self.scratches[0]);
-                    }
-                    self.pending_stamp.begin();
-                }
-            }
+            self.rebuild_tables();
             self.rebuild_period = (self.rebuild_period * self.config.rebuild.growth)
                 .min(self.config.rebuild.max_period as f32);
             self.batches_until_rebuild = self.rebuild_period.round().max(1.0) as u32;
@@ -785,58 +750,6 @@ mod tests {
             (p_after_first - p_after_frozen).abs() < 0.06,
             "decayed lr should freeze accuracy: {p_after_first:.3} vs {p_after_frozen:.3}"
         );
-    }
-
-    #[test]
-    fn incremental_rebuild_trains_as_well_as_full() {
-        let data = tiny_data();
-        let score = |mode: crate::config::RebuildMode| {
-            let mut tc = TrainerConfig {
-                batch_size: 64,
-                learning_rate: 2e-3,
-                threads: 2,
-                ..Default::default()
-            };
-            tc.rebuild.initial_period = 5;
-            tc.rebuild.mode = mode;
-            let mut t = Trainer::new(tiny_network(), tc).unwrap();
-            for epoch in 0..8 {
-                t.train_epoch(&data.train, epoch);
-            }
-            t.evaluate(&data.test, 1, EvalMode::Exact, None)
-        };
-        let full = score(crate::config::RebuildMode::Full);
-        let incr = score(crate::config::RebuildMode::Incremental);
-        assert!(full > 0.35, "full {full:.3}");
-        assert!(incr > 0.35, "incremental {incr:.3}");
-    }
-
-    #[test]
-    fn incremental_refresh_moves_changed_neurons() {
-        let data = tiny_data();
-        let mut t = trainer(1);
-        t.train_epoch(&data.train, 0);
-        let net = t.network();
-        // Change one neuron's weights drastically; its keys must change and
-        // querying with the NEW weight vector must retrieve it post-refresh.
-        let r = 7usize;
-        unsafe {
-            for c in 0..net.output().params().cols() {
-                net.output()
-                    .params()
-                    .nudge_weight(r, c, ((c % 5) as f32) * 3.0 - 6.0);
-            }
-        }
-        let mut scratch = net.make_scratch();
-        let old_keys = net.output().cached_keys(r);
-        let moved = net.output().refresh_rows(&[r as u32], &mut scratch);
-        assert_eq!(moved, 1, "drastic weight change should move buckets");
-        let new_keys = net.output().cached_keys(r);
-        assert_ne!(old_keys, new_keys);
-        // The neuron is findable under its own (new) weight vector.
-        let w = net.output().params().row_f32(r);
-        net.output().select_active(&w, &[], &mut scratch, 0);
-        assert!(scratch.active.contains(&(r as u32)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   (`K = 9, L = 50`),
 //! * [`LshFamily`] — runtime selector between the two,
 //! * [`LshTables`] — the `L x 2^K` bounded-bucket index with FIFO and
-//!   reservoir insertion policies, insert/remove/query/rebuild,
+//!   reservoir insertion policies, insert/query/rebuild,
 //! * [`mix`] — the universal integer-hash family underlying all of it.
 //!
 //! # Examples

@@ -161,24 +161,6 @@ impl LshTables {
         }
     }
 
-    /// Remove `id` from bucket `keys[t]` of every table `t` (no-op for
-    /// tables where it is absent). Used when a neuron's weights change enough
-    /// that it must move buckets ("deleted from the current bucket and
-    /// re-added", §2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() != self.tables()`.
-    pub fn remove(&mut self, keys: &[u32], id: u32) {
-        assert_eq!(keys.len(), self.tables.len(), "LshTables: keys per table");
-        for (t, &key) in keys.iter().enumerate() {
-            let bucket = &mut self.tables[t][key as usize];
-            if let Some(pos) = bucket.items.iter().position(|&x| x == id) {
-                bucket.items.swap_remove(pos);
-            }
-        }
-    }
-
     /// Append the contents of bucket `keys[t]` of every table to `out`
     /// (duplicates across tables are *not* removed here — the active-set
     /// builder deduplicates with a stamp array).
@@ -369,18 +351,6 @@ mod tests {
         assert!(out.contains(&7));
         assert!(out.contains(&8)); // shares bucket 1 in table 0 and 3 in table 2
         assert_eq!(out.iter().filter(|&&x| x == 7).count(), 3);
-    }
-
-    #[test]
-    fn remove_deletes_from_every_table() {
-        let mut t = LshTables::new(2, 4, 16, BucketPolicy::Fifo, 1);
-        t.insert(&[5, 9], 42);
-        t.remove(&[5, 9], 42);
-        let mut out = Vec::new();
-        t.query_into(&[5, 9], &mut out);
-        assert!(out.is_empty());
-        // Removing again is a no-op.
-        t.remove(&[5, 9], 42);
     }
 
     #[test]

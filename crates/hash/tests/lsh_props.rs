@@ -181,31 +181,6 @@ proptest! {
     }
 
     #[test]
-    fn tables_remove_then_query_is_empty_of_id(
-        ids in prop::collection::btree_set(0u32..1000, 1..30),
-    ) {
-        let mut tables = LshTables::new(3, 5, 512, BucketPolicy::Fifo, 9);
-        let key_of = |id: u32, t: u64| (slide_hash::mix::mix2(t, id as u64) % 32) as u32;
-        for &id in &ids {
-            let keys: Vec<u32> = (0..3).map(|t| key_of(id, t)).collect();
-            tables.insert(&keys, id);
-        }
-        let victim = *ids.iter().next().unwrap();
-        let victim_keys: Vec<u32> = (0..3).map(|t| key_of(victim, t)).collect();
-        tables.remove(&victim_keys, victim);
-        let mut out = Vec::new();
-        tables.query_into(&victim_keys, &mut out);
-        prop_assert!(!out.contains(&victim));
-        // Everyone else is still present.
-        for &id in ids.iter().filter(|&&i| i != victim) {
-            let keys: Vec<u32> = (0..3).map(|t| key_of(id, t)).collect();
-            let mut out = Vec::new();
-            tables.query_into(&keys, &mut out);
-            prop_assert!(out.contains(&id));
-        }
-    }
-
-    #[test]
     fn bucket_never_exceeds_cap(
         inserts in prop::collection::vec((0u32..8, 0u32..100_000), 0..300),
         policy_fifo in any::<bool>(),

@@ -730,14 +730,14 @@ mod tests {
     }
 
     #[test]
-    fn predict_agrees_across_kernel_variants() {
-        // The fused gather/gemv path and the pre-fusion single-row path
-        // must retrieve and rank identically on the same snapshot.
+    fn predict_agrees_across_kernel_levels() {
+        // Every vector tier's gather/gemv kernels must retrieve and rank
+        // exactly as the scalar table does on the same snapshot (the hash
+        // keys are bit-identical at every level, so only scoring differs).
         let frozen = FrozenNetwork::freeze(&tiny_net());
-        let level = slide_simd::effective_level();
-        let run = |variant: slide_simd::KernelVariant| {
+        let run = |level: slide_simd::SimdLevel| {
             let mut scratch = frozen.make_scratch();
-            scratch.kernels = slide_simd::KernelSet::for_level_variant(level, variant);
+            scratch.kernels = slide_simd::KernelSet::for_level(level);
             let mut out = Vec::new();
             for s in 0..16u32 {
                 let idx = [s % 128, (s * 13 + 5) % 128];
@@ -750,11 +750,12 @@ mod tests {
             }
             out
         };
-        let fused = run(slide_simd::KernelVariant::Fused);
-        let single = run(slide_simd::KernelVariant::SingleRow);
-        let blocked = run(slide_simd::KernelVariant::Blocked);
-        assert_eq!(fused, single);
-        assert_eq!(fused, blocked);
+        let scalar = run(slide_simd::SimdLevel::Scalar);
+        for level in [slide_simd::SimdLevel::Avx2, slide_simd::SimdLevel::Avx512] {
+            if level <= slide_simd::detected_level() {
+                assert_eq!(run(level), scalar, "{level}");
+            }
+        }
     }
 
     fn assert_pads_to_min_active_and_dedups<L: RowLayout>(engine: &Engine<L>) {

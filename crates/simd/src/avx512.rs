@@ -201,22 +201,21 @@ unsafe fn block_dot4(
     sums
 }
 
-/// Multi-row gathered scoring with interleaved accumulators and optional
-/// next-block prefetch: `out[i] = rows[i] · x`.
+/// Multi-row gathered scoring with interleaved accumulators and next-block
+/// prefetch: `out[i] = rows[i] · x`.
 ///
 /// # Safety
 ///
 /// Every `rows[i]` must be valid for `x.len()` f32 reads.
-#[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn score_rows_impl(rows: &[*const f32], x: &[f32], out: &mut [f32], pf: bool) {
+pub unsafe fn score_rows(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(rows.len(), out.len());
     let cols = x.len();
     let n = rows.len();
     let mut r = 0usize;
     while r + GATHER_BLOCK <= n {
         let p = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
-        let next = if pf && r + 2 * GATHER_BLOCK <= n {
+        let next = if r + 2 * GATHER_BLOCK <= n {
             Some([rows[r + 4], rows[r + 5], rows[r + 6], rows[r + 7]])
         } else {
             None
@@ -231,44 +230,25 @@ unsafe fn score_rows_impl(rows: &[*const f32], x: &[f32], out: &mut [f32], pf: b
     }
 }
 
-/// [`score_rows_impl`] with next-block software prefetch.
-///
-/// # Safety
-///
-/// As [`score_rows_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn score_rows_pf(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
-    score_rows_impl(rows, x, out, true)
-}
-
-/// [`score_rows_impl`] without prefetch (the `blocked` ablation point).
-///
-/// # Safety
-///
-/// As [`score_rows_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn score_rows_nopf(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
-    score_rows_impl(rows, x, out, false)
-}
-
 /// Fused backward over gathered rows: one pass per 4-row block doing
 /// `dx += deltas[k] * W[k]` and `grad[k] += deltas[k] * scale * h`, loading
-/// `h` and `dx` once per block instead of once per row.
+/// `h` and `dx` once per block instead of once per row. No software
+/// prefetch: every step already stores to four gradient rows, and prefetching
+/// the next block's weight rows on top of that measured slower end to end
+/// (DESIGN.md §6).
 ///
 /// # Safety
 ///
 /// `w_rows[i]` valid for `h.len()` reads, `g_rows[i]` for `h.len()`
 /// reads+writes, `dx` disjoint from every gathered row.
-#[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn backward_rows_impl(
+pub unsafe fn backward_rows(
     w_rows: &[*const f32],
     g_rows: &[*mut f32],
     deltas: &[f32],
     scale: f32,
     h: &[f32],
     dx: &mut [f32],
-    pf: bool,
 ) {
     debug_assert_eq!(w_rows.len(), g_rows.len());
     debug_assert_eq!(w_rows.len(), deltas.len());
@@ -281,7 +261,6 @@ unsafe fn backward_rows_impl(
     while r + GATHER_BLOCK <= n {
         let wp = [w_rows[r], w_rows[r + 1], w_rows[r + 2], w_rows[r + 3]];
         let gp = [g_rows[r], g_rows[r + 1], g_rows[r + 2], g_rows[r + 3]];
-        let prefetch = pf && r + 2 * GATHER_BLOCK <= n;
         let mut vd = [_mm512_setzero_ps(); GATHER_BLOCK];
         let mut vg = [_mm512_setzero_ps(); GATHER_BLOCK];
         for k in 0..GATHER_BLOCK {
@@ -290,11 +269,6 @@ unsafe fn backward_rows_impl(
         }
         let mut i = 0usize;
         while i + LANES <= cols {
-            if prefetch {
-                for k in 0..GATHER_BLOCK {
-                    _mm_prefetch::<_MM_HINT_T0>(w_rows[r + GATHER_BLOCK + k].add(i) as *const i8);
-                }
-            }
             let hv = _mm512_loadu_ps(ph.add(i));
             let mut dxv = _mm512_loadu_ps(pdx.add(i));
             for k in 0..GATHER_BLOCK {
@@ -329,58 +303,14 @@ unsafe fn backward_rows_impl(
     }
 }
 
-/// [`backward_rows_impl`] with next-block prefetch of the weight rows
-/// (the gradient rows are write-dominated; prefetching their RFO stream
-/// measured slower — see DESIGN.md §6).
-///
-/// # Safety
-///
-/// As [`backward_rows_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn backward_rows_pf(
-    w_rows: &[*const f32],
-    g_rows: &[*mut f32],
-    deltas: &[f32],
-    scale: f32,
-    h: &[f32],
-    dx: &mut [f32],
-) {
-    backward_rows_impl(w_rows, g_rows, deltas, scale, h, dx, true)
-}
-
-/// [`backward_rows_impl`] without prefetch.
-///
-/// # Safety
-///
-/// As [`backward_rows_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn backward_rows_nopf(
-    w_rows: &[*const f32],
-    g_rows: &[*mut f32],
-    deltas: &[f32],
-    scale: f32,
-    h: &[f32],
-    dx: &mut [f32],
-) {
-    backward_rows_impl(w_rows, g_rows, deltas, scale, h, dx, false)
-}
-
 /// Blocked full gemv over a strided row-major arena:
 /// `out[r] = W[r] · x + bias[r]`, rows starting at `w + r * stride`.
 ///
 /// # Safety
 ///
 /// `w` valid for `(out.len() - 1) * stride + x.len()` reads.
-#[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemv_impl(
-    w: *const f32,
-    stride: usize,
-    x: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    pf: bool,
-) {
+pub unsafe fn gemv(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
     debug_assert_eq!(bias.len(), out.len());
     debug_assert!(stride >= x.len());
     let cols = x.len();
@@ -393,7 +323,7 @@ unsafe fn gemv_impl(
             w.add((r + 2) * stride),
             w.add((r + 3) * stride),
         ];
-        let next = if pf && r + 2 * GATHER_BLOCK <= n {
+        let next = if r + 2 * GATHER_BLOCK <= n {
             Some([
                 w.add((r + 4) * stride),
                 w.add((r + 5) * stride),
@@ -413,26 +343,6 @@ unsafe fn gemv_impl(
         out[r] = dot(core::slice::from_raw_parts(w.add(r * stride), cols), x) + bias[r];
         r += 1;
     }
-}
-
-/// [`gemv_impl`] with next-block prefetch.
-///
-/// # Safety
-///
-/// As [`gemv_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn gemv_pf(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
-    gemv_impl(w, stride, x, bias, out, true)
-}
-
-/// [`gemv_impl`] without prefetch.
-///
-/// # Safety
-///
-/// As [`gemv_impl`].
-#[target_feature(enable = "avx512f")]
-pub unsafe fn gemv_nopf(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
-    gemv_impl(w, stride, x, bias, out, false)
 }
 
 /// Vectorized first-wins argmax (the reduction at the heart of DWTA hashing,

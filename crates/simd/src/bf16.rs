@@ -435,14 +435,13 @@ pub(crate) mod x86 {
     const GATHER_BLOCK: usize = 4;
 
     /// Multi-row gathered scoring over bf16 rows with interleaved
-    /// accumulators, on-the-fly widening, and optional next-block prefetch.
+    /// accumulators, on-the-fly widening, and next-block prefetch.
     ///
     /// # Safety
     ///
     /// Every `rows[i]` must be valid for `x.len()` u16 reads.
-    #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn score_rows_bf16_impl(rows: &[*const u16], x: &[f32], out: &mut [f32], pf: bool) {
+    pub unsafe fn score_rows_bf16(rows: &[*const u16], x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(rows.len(), out.len());
         let cols = x.len();
         let n = rows.len();
@@ -450,7 +449,7 @@ pub(crate) mod x86 {
         let mut r = 0usize;
         while r + GATHER_BLOCK <= n {
             let p = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
-            let next = if pf && r + 2 * GATHER_BLOCK <= n {
+            let next = if r + 2 * GATHER_BLOCK <= n {
                 Some([rows[r + 4], rows[r + 5], rows[r + 6], rows[r + 7]])
             } else {
                 None
@@ -488,44 +487,23 @@ pub(crate) mod x86 {
         }
     }
 
-    /// [`score_rows_bf16_impl`] with prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`score_rows_bf16_impl`].
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn score_rows_bf16_pf(rows: &[*const u16], x: &[f32], out: &mut [f32]) {
-        score_rows_bf16_impl(rows, x, out, true)
-    }
-
-    /// [`score_rows_bf16_impl`] without prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`score_rows_bf16_impl`].
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn score_rows_bf16_nopf(rows: &[*const u16], x: &[f32], out: &mut [f32]) {
-        score_rows_bf16_impl(rows, x, out, false)
-    }
-
     /// Fused backward over gathered bf16 weight rows (f32 gradient rows):
     /// one pass per 4-row block doing `dx += deltas[k] * widen(W[k])` and
-    /// `grad[k] += deltas[k] * scale * h`.
+    /// `grad[k] += deltas[k] * scale * h`. No software prefetch, as in the
+    /// f32 sibling.
     ///
     /// # Safety
     ///
     /// `w_rows[i]` valid for `h.len()` u16 reads, `g_rows[i]` for `h.len()`
     /// f32 reads+writes, `dx` disjoint from every gradient row.
-    #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn backward_rows_bf16_impl(
+    pub unsafe fn backward_rows_bf16(
         w_rows: &[*const u16],
         g_rows: &[*mut f32],
         deltas: &[f32],
         scale: f32,
         h: &[f32],
         dx: &mut [f32],
-        pf: bool,
     ) {
         debug_assert_eq!(w_rows.len(), g_rows.len());
         debug_assert_eq!(w_rows.len(), deltas.len());
@@ -538,7 +516,6 @@ pub(crate) mod x86 {
         while r + GATHER_BLOCK <= n {
             let wp = [w_rows[r], w_rows[r + 1], w_rows[r + 2], w_rows[r + 3]];
             let gp = [g_rows[r], g_rows[r + 1], g_rows[r + 2], g_rows[r + 3]];
-            let prefetch = pf && r + 2 * GATHER_BLOCK <= n;
             let mut vd = [_mm512_setzero_ps(); GATHER_BLOCK];
             let mut vg = [_mm512_setzero_ps(); GATHER_BLOCK];
             for k in 0..GATHER_BLOCK {
@@ -547,13 +524,6 @@ pub(crate) mod x86 {
             }
             let mut i = 0usize;
             while i + LANES <= cols {
-                if prefetch {
-                    for k in 0..GATHER_BLOCK {
-                        _mm_prefetch::<_MM_HINT_T0>(
-                            w_rows[r + GATHER_BLOCK + k].add(i) as *const i8
-                        );
-                    }
-                }
                 let hv = _mm512_loadu_ps(ph.add(i));
                 let mut dxv = _mm512_loadu_ps(pdx.add(i));
                 for k in 0..GATHER_BLOCK {
@@ -585,40 +555,6 @@ pub(crate) mod x86 {
             }
             r += 1;
         }
-    }
-
-    /// [`backward_rows_bf16_impl`] with prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`backward_rows_bf16_impl`].
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn backward_rows_bf16_pf(
-        w_rows: &[*const u16],
-        g_rows: &[*mut f32],
-        deltas: &[f32],
-        scale: f32,
-        h: &[f32],
-        dx: &mut [f32],
-    ) {
-        backward_rows_bf16_impl(w_rows, g_rows, deltas, scale, h, dx, true)
-    }
-
-    /// [`backward_rows_bf16_impl`] without prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`backward_rows_bf16_impl`].
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn backward_rows_bf16_nopf(
-        w_rows: &[*const u16],
-        g_rows: &[*mut f32],
-        deltas: &[f32],
-        scale: f32,
-        h: &[f32],
-        dx: &mut [f32],
-    ) {
-        backward_rows_bf16_impl(w_rows, g_rows, deltas, scale, h, dx, false)
     }
 
     #[target_feature(enable = "avx512f")]

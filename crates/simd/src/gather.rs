@@ -8,10 +8,10 @@
 //! contiguous sweeps:
 //!
 //! * **[`KernelSet`]** — a function-pointer table resolved *once* (per
-//!   training batch, per serve scratch) from the effective [`SimdLevel`]
-//!   and [`KernelVariant`], so the per-row policy load + match disappears
-//!   from the inner loops. The dispatched free functions in
-//!   [`crate::kernels`] remain the right tool for one-off calls.
+//!   training batch, per serve scratch) from the effective [`SimdLevel`],
+//!   so the per-row policy load + match disappears from the inner loops.
+//!   The dispatched free functions in [`crate::kernels`] remain the right
+//!   tool for one-off calls.
 //! * **multi-row scoring** (`score_rows_*`) — 4 gathered rows at a time
 //!   with one accumulator per row and `_mm_prefetch` of the *next* block's
 //!   rows at the matching column offset, hiding the gather latency behind
@@ -19,14 +19,15 @@
 //! * **fused backward** (`backward_rows_*`) — one pass per row computing
 //!   both `dx += δ·W[r]` and `grad[r] += δ·scale·h`, reading `W[r]` once
 //!   and loading `h`/`dx` once per 4-row block (previously two separate
-//!   sweeps over disjoint arenas per row).
+//!   sweeps over disjoint arenas per row). No software prefetch: the loop
+//!   already stores to four gradient rows per step.
 //! * **blocked gemv** (`gemv`) — full-matrix scoring over a strided arena
 //!   for exact top-k and the frozen serving path.
 //!
 //! [`RowGather`] owns the reusable pointer lists a caller needs to hand a
 //! scattered active set to these kernels without allocating.
 
-use crate::policy::{detected_level, effective_level, kernel_variant, KernelVariant, SimdLevel};
+use crate::policy::{detected_level, effective_level, SimdLevel};
 use crate::scalar;
 
 /// Reusable pointer/staging lists for handing a gathered active set to the
@@ -98,9 +99,8 @@ fn axpy_bf16_scalar_shim(alpha: f32, x: &[u16], y: &mut [f32]) {
 }
 
 /// A dispatch table of the hot-loop kernels, resolved once from the global
-/// SIMD policy and kernel variant. Copy it into per-worker state and call
-/// through it: the only per-call cost left is an indirect call (or, for the
-/// `SingleRow` ablation variant, a predictable branch).
+/// SIMD policy. Copy it into per-worker state and call through it: the only
+/// per-call cost left is an indirect call.
 ///
 /// # Examples
 ///
@@ -112,7 +112,6 @@ fn axpy_bf16_scalar_shim(alpha: f32, x: &[u16], y: &mut [f32]) {
 #[derive(Debug, Clone, Copy)]
 pub struct KernelSet {
     level: SimdLevel,
-    variant: KernelVariant,
     int8_isa: crate::int8::Int8Isa,
     dot: DotF32,
     axpy: AxpyF32,
@@ -129,45 +128,41 @@ pub struct KernelSet {
 }
 
 impl KernelSet {
-    /// Resolve from the process-wide policy ([`effective_level`]) and
-    /// kernel variant ([`kernel_variant`]). This is the one place the hot
-    /// paths consult the globals; everything downstream calls through the
-    /// returned table.
+    /// Resolve from the process-wide policy ([`effective_level`]). This is
+    /// the one place the hot paths consult the global; everything
+    /// downstream calls through the returned table.
     pub fn resolve() -> KernelSet {
-        KernelSet::for_level_variant(effective_level(), kernel_variant())
+        KernelSet::for_level(effective_level())
     }
 
-    /// Build a table for an explicit level and variant; the level is
-    /// clamped to the host's detected capability (a `Force` above it
-    /// degrades rather than faulting, matching [`effective_level`]).
-    pub fn for_level_variant(level: SimdLevel, variant: KernelVariant) -> KernelSet {
+    /// Build a table for an explicit level, clamped to the host's detected
+    /// capability (a `Force` above it degrades rather than faulting,
+    /// matching [`effective_level`]).
+    pub fn for_level(level: SimdLevel) -> KernelSet {
         let level = level.min(detected_level());
         #[cfg(target_arch = "x86_64")]
         {
             match level {
-                SimdLevel::Avx512 => Self::avx512(variant),
-                SimdLevel::Avx2 => Self::avx2(variant),
-                SimdLevel::Scalar => Self::scalar(variant),
+                SimdLevel::Avx512 => Self::avx512(),
+                SimdLevel::Avx2 => Self::avx2(),
+                SimdLevel::Scalar => Self::scalar(),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            Self::scalar(variant)
+            Self::scalar()
         }
     }
 
-    fn scalar(variant: KernelVariant) -> KernelSet {
+    fn scalar() -> KernelSet {
         KernelSet {
             level: SimdLevel::Scalar,
-            variant,
             int8_isa: crate::int8::Int8Isa::Scalar,
             dot: scalar::dot as DotF32,
             axpy: scalar::axpy as AxpyF32,
             dot_bf16: dot_bf16_scalar_shim as DotBf16,
             axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
             dot_i8: crate::int8::dot_i8_scalar_shim as DotI8,
-            // The scalar tier has no prefetch: `Blocked` and `Fused` share
-            // the interleaved-accumulator implementation.
             score_f32: scalar::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
             score_i8: crate::int8::score_rows_i8_scalar,
@@ -179,13 +174,11 @@ impl KernelSet {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn avx2(variant: KernelVariant) -> KernelSet {
+    fn avx2() -> KernelSet {
         use crate::avx2;
         use crate::int8::x86 as i8x;
-        let pf = variant == KernelVariant::Fused;
         KernelSet {
             level: SimdLevel::Avx2,
-            variant,
             int8_isa: crate::int8::Int8Isa::Avx2Maddubs,
             dot: avx2::dot as DotF32,
             axpy: avx2::axpy as AxpyF32,
@@ -194,78 +187,32 @@ impl KernelSet {
             dot_bf16: dot_bf16_scalar_shim as DotBf16,
             axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
             dot_i8: i8x::dot_i8,
-            score_f32: if pf {
-                avx2::score_rows_pf
-            } else {
-                avx2::score_rows_nopf
-            },
+            score_f32: avx2::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
-            score_i8: if pf {
-                i8x::score_rows_pf
-            } else {
-                i8x::score_rows_nopf
-            },
-            backward_f32: if pf {
-                avx2::backward_rows_pf
-            } else {
-                avx2::backward_rows_nopf
-            },
+            score_i8: i8x::score_rows,
+            backward_f32: avx2::backward_rows,
             backward_bf16: crate::bf16::backward_rows_bf16_scalar,
-            gemv_f32: if pf { avx2::gemv_pf } else { avx2::gemv_nopf },
-            gemv_i8: if pf { i8x::gemv_pf } else { i8x::gemv_nopf },
+            gemv_f32: avx2::gemv,
+            gemv_i8: i8x::gemv,
         }
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn avx512(variant: KernelVariant) -> KernelSet {
+    fn avx512() -> KernelSet {
         use crate::avx512;
         use crate::bf16::x86 as bf16x;
         use crate::int8::{x86 as i8x, Int8Isa};
-        let pf = variant == KernelVariant::Fused;
         // The useful 512-bit integer-dot instructions live beyond AVX-512F:
         // probe vnni/bw once here and fall back to the 256-bit maddubs path
         // on F-only hosts (correct everywhere, fastest where supported).
         let int8_isa = crate::int8::int8_isa(SimdLevel::Avx512);
         let (dot_i8, score_i8, gemv_i8): (DotI8, ScoreI8, GemvI8) = match int8_isa {
-            Int8Isa::Avx512Vnni => (
-                i8x::vnni::dot_i8,
-                if pf {
-                    i8x::vnni::score_rows_pf
-                } else {
-                    i8x::vnni::score_rows_nopf
-                },
-                if pf {
-                    i8x::vnni::gemv_pf
-                } else {
-                    i8x::vnni::gemv_nopf
-                },
-            ),
-            Int8Isa::Avx512Bw => (
-                i8x::bw::dot_i8,
-                if pf {
-                    i8x::bw::score_rows_pf
-                } else {
-                    i8x::bw::score_rows_nopf
-                },
-                if pf {
-                    i8x::bw::gemv_pf
-                } else {
-                    i8x::bw::gemv_nopf
-                },
-            ),
-            _ => (
-                i8x::dot_i8,
-                if pf {
-                    i8x::score_rows_pf
-                } else {
-                    i8x::score_rows_nopf
-                },
-                if pf { i8x::gemv_pf } else { i8x::gemv_nopf },
-            ),
+            Int8Isa::Avx512Vnni => (i8x::vnni::dot_i8, i8x::vnni::score_rows, i8x::vnni::gemv),
+            Int8Isa::Avx512Bw => (i8x::bw::dot_i8, i8x::bw::score_rows, i8x::bw::gemv),
+            _ => (i8x::dot_i8, i8x::score_rows, i8x::gemv),
         };
         KernelSet {
             level: SimdLevel::Avx512,
-            variant,
             int8_isa,
             dot_i8,
             score_i8,
@@ -274,42 +221,17 @@ impl KernelSet {
             axpy: avx512::axpy as AxpyF32,
             dot_bf16: bf16x::dot_bf16_f32 as DotBf16,
             axpy_bf16: bf16x::axpy_bf16_f32 as AxpyBf16,
-            score_f32: if pf {
-                avx512::score_rows_pf
-            } else {
-                avx512::score_rows_nopf
-            },
-            score_bf16: if pf {
-                bf16x::score_rows_bf16_pf
-            } else {
-                bf16x::score_rows_bf16_nopf
-            },
-            backward_f32: if pf {
-                avx512::backward_rows_pf
-            } else {
-                avx512::backward_rows_nopf
-            },
-            backward_bf16: if pf {
-                bf16x::backward_rows_bf16_pf
-            } else {
-                bf16x::backward_rows_bf16_nopf
-            },
-            gemv_f32: if pf {
-                avx512::gemv_pf
-            } else {
-                avx512::gemv_nopf
-            },
+            score_f32: avx512::score_rows,
+            score_bf16: bf16x::score_rows_bf16,
+            backward_f32: avx512::backward_rows,
+            backward_bf16: bf16x::backward_rows_bf16,
+            gemv_f32: avx512::gemv,
         }
     }
 
     /// The instruction-set tier this table dispatches to.
     pub fn level(&self) -> SimdLevel {
         self.level
-    }
-
-    /// The kernel variant this table dispatches to.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
     }
 
     /// The integer-dot instruction path the i8 kernels resolved to (within
@@ -368,15 +290,9 @@ impl KernelSet {
             scales.len(),
             "KernelSet::score_rows_i8: rows/scales length mismatch"
         );
-        if self.variant == KernelVariant::SingleRow {
-            // The pre-fusion baseline: one dependent integer dot per row.
-            for (r, &p) in rows.iter().enumerate() {
-                let acc = unsafe { (self.dot_i8)(core::slice::from_raw_parts(p, x.len()), x) };
-                out[r] = acc as f32 * scales[r] * x_scale;
-            }
-        } else {
-            unsafe { (self.score_i8)(rows, scales, x, x_scale, out) }
-        }
+        // SAFETY: the pointers are the caller's contract (see `# Safety`);
+        // construction clamped the level to what this host supports.
+        unsafe { (self.score_i8)(rows, scales, x, x_scale, out) }
     }
 
     /// Blocked full i8 gemv over a strided row-major arena:
@@ -418,16 +334,8 @@ impl KernelSet {
             w.len() >= (rows - 1) * stride + x.len(),
             "KernelSet::gemv_i8: arena too short for {rows} rows at stride {stride}"
         );
-        if self.variant == KernelVariant::SingleRow {
-            for (r, o) in out.iter_mut().enumerate() {
-                // SAFETY: bounds checked above.
-                let acc = unsafe { (self.dot_i8)(&w[r * stride..r * stride + x.len()], x) };
-                *o = acc as f32 * scales[r] * x_scale + bias[r];
-            }
-        } else {
-            // SAFETY: bounds checked above; ISA probed at construction.
-            unsafe { (self.gemv_i8)(w.as_ptr(), stride, scales, x, x_scale, bias, out) }
-        }
+        // SAFETY: bounds checked above; ISA probed at construction.
+        unsafe { (self.gemv_i8)(w.as_ptr(), stride, scales, x, x_scale, bias, out) }
     }
 
     /// Inner product `a · b` through the resolved tier (no policy load).
@@ -496,14 +404,9 @@ impl KernelSet {
             out.len(),
             "KernelSet::score_rows_f32: rows/out length mismatch"
         );
-        if self.variant == KernelVariant::SingleRow {
-            // The pre-fusion baseline: one dependent kernel call per row.
-            for (o, &p) in out.iter_mut().zip(rows) {
-                *o = unsafe { (self.dot)(core::slice::from_raw_parts(p, x.len()), x) };
-            }
-        } else {
-            unsafe { (self.score_f32)(rows, x, out) }
-        }
+        // SAFETY: the pointers are the caller's contract (see `# Safety`);
+        // construction clamped the level to what this host supports.
+        unsafe { (self.score_f32)(rows, x, out) }
     }
 
     /// Score a gathered bf16 row list: `out[i] = widen(rows[i]) · x`.
@@ -522,13 +425,9 @@ impl KernelSet {
             out.len(),
             "KernelSet::score_rows_bf16: rows/out length mismatch"
         );
-        if self.variant == KernelVariant::SingleRow {
-            for (o, &p) in out.iter_mut().zip(rows) {
-                *o = unsafe { (self.dot_bf16)(core::slice::from_raw_parts(p, x.len()), x) };
-            }
-        } else {
-            unsafe { (self.score_bf16)(rows, x, out) }
-        }
+        // SAFETY: the pointers are the caller's contract (see `# Safety`);
+        // construction clamped the level to what this host supports.
+        unsafe { (self.score_bf16)(rows, x, out) }
     }
 
     /// Fused backward over gathered rows: for every row `i`,
@@ -567,26 +466,9 @@ impl KernelSet {
             dx.len(),
             "KernelSet::backward_rows_f32: h/dx length mismatch"
         );
-        if self.variant == KernelVariant::SingleRow {
-            // Two separate passes over disjoint arenas per row — the shape
-            // of the pre-fusion backward loop.
-            for r in 0..w_rows.len() {
-                unsafe {
-                    (self.axpy)(
-                        deltas[r],
-                        core::slice::from_raw_parts(w_rows[r], h.len()),
-                        dx,
-                    );
-                    (self.axpy)(
-                        deltas[r] * scale,
-                        h,
-                        core::slice::from_raw_parts_mut(g_rows[r], h.len()),
-                    );
-                }
-            }
-        } else {
-            unsafe { (self.backward_f32)(w_rows, g_rows, deltas, scale, h, dx) }
-        }
+        // SAFETY: the pointers are the caller's contract (see `# Safety`);
+        // construction clamped the level to what this host supports.
+        unsafe { (self.backward_f32)(w_rows, g_rows, deltas, scale, h, dx) }
     }
 
     /// Fused backward over gathered bf16 weight rows (gradients are f32).
@@ -623,24 +505,9 @@ impl KernelSet {
             dx.len(),
             "KernelSet::backward_rows_bf16: h/dx length mismatch"
         );
-        if self.variant == KernelVariant::SingleRow {
-            for r in 0..w_rows.len() {
-                unsafe {
-                    (self.axpy_bf16)(
-                        deltas[r],
-                        core::slice::from_raw_parts(w_rows[r], h.len()),
-                        dx,
-                    );
-                    (self.axpy)(
-                        deltas[r] * scale,
-                        h,
-                        core::slice::from_raw_parts_mut(g_rows[r], h.len()),
-                    );
-                }
-            }
-        } else {
-            unsafe { (self.backward_bf16)(w_rows, g_rows, deltas, scale, h, dx) }
-        }
+        // SAFETY: the pointers are the caller's contract (see `# Safety`);
+        // construction clamped the level to what this host supports.
+        unsafe { (self.backward_bf16)(w_rows, g_rows, deltas, scale, h, dx) }
     }
 
     /// Blocked full gemv over a strided row-major arena:
@@ -677,14 +544,8 @@ impl KernelSet {
             w.len() >= (rows - 1) * stride + x.len(),
             "KernelSet::gemv: arena too short for {rows} rows at stride {stride}"
         );
-        if self.variant == KernelVariant::SingleRow {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = self.dot(&w[r * stride..r * stride + x.len()], x) + bias[r];
-            }
-        } else {
-            // SAFETY: bounds checked above; level clamped at construction.
-            unsafe { (self.gemv_f32)(w.as_ptr(), stride, x, bias, out) }
-        }
+        // SAFETY: bounds checked above; level clamped at construction.
+        unsafe { (self.gemv_f32)(w.as_ptr(), stride, x, bias, out) }
     }
 }
 
@@ -696,15 +557,6 @@ impl KernelSet {
 /// As [`KernelSet::score_rows_f32`].
 pub unsafe fn score_rows_gather_f32(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
     unsafe { KernelSet::resolve().score_rows_f32(rows, x, out) }
-}
-
-/// One-off dispatched wrapper around [`KernelSet::score_rows_bf16`].
-///
-/// # Safety
-///
-/// As [`KernelSet::score_rows_bf16`].
-pub unsafe fn score_rows_gather_bf16(rows: &[*const u16], x: &[f32], out: &mut [f32]) {
-    unsafe { KernelSet::resolve().score_rows_bf16(rows, x, out) }
 }
 
 /// One-off dispatched wrapper around [`KernelSet::backward_rows_f32`].
@@ -723,27 +575,6 @@ pub unsafe fn backward_rows_fused_f32(
     unsafe { KernelSet::resolve().backward_rows_f32(w_rows, g_rows, deltas, scale, h, dx) }
 }
 
-/// One-off dispatched wrapper around [`KernelSet::backward_rows_bf16`].
-///
-/// # Safety
-///
-/// As [`KernelSet::backward_rows_bf16`].
-pub unsafe fn backward_rows_fused_bf16(
-    w_rows: &[*const u16],
-    g_rows: &[*mut f32],
-    deltas: &[f32],
-    scale: f32,
-    h: &[f32],
-    dx: &mut [f32],
-) {
-    unsafe { KernelSet::resolve().backward_rows_bf16(w_rows, g_rows, deltas, scale, h, dx) }
-}
-
-/// One-off dispatched wrapper around [`KernelSet::gemv`].
-pub fn gemv_full_f32(w: &[f32], stride: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
-    KernelSet::resolve().gemv(w, stride, x, bias, out)
-}
-
 /// One-off dispatched wrapper around [`KernelSet::score_rows_i8`].
 ///
 /// # Safety
@@ -757,20 +588,6 @@ pub unsafe fn score_rows_gather_i8(
     out: &mut [f32],
 ) {
     unsafe { KernelSet::resolve().score_rows_i8(rows, scales, x, x_scale, out) }
-}
-
-/// One-off dispatched wrapper around [`KernelSet::gemv_i8`].
-#[allow(clippy::too_many_arguments)] // mirrors the i8 kernel operand list
-pub fn gemv_full_i8(
-    w: &[i8],
-    stride: usize,
-    scales: &[f32],
-    x: &[u8],
-    x_scale: f32,
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    KernelSet::resolve().gemv_i8(w, stride, scales, x, x_scale, bias, out)
 }
 
 #[cfg(test)]
@@ -790,22 +607,13 @@ mod tests {
             .collect()
     }
 
-    /// Every (level, variant) pair the host can actually run.
+    /// Every level the host can actually run.
     fn tables() -> Vec<KernelSet> {
-        let mut out = Vec::new();
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            if level > detected_level() {
-                continue;
-            }
-            for variant in [
-                KernelVariant::SingleRow,
-                KernelVariant::Blocked,
-                KernelVariant::Fused,
-            ] {
-                out.push(KernelSet::for_level_variant(level, variant));
-            }
-        }
-        out
+        [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+            .into_iter()
+            .filter(|&level| level <= detected_level())
+            .map(KernelSet::for_level)
+            .collect()
     }
 
     /// Row/column shapes covering empty lists, sub-block row counts, block
@@ -844,11 +652,10 @@ mod tests {
                     let tol = 1e-4 * (cols.max(1) as f32).sqrt();
                     assert!(
                         (out[r] - expect[r]).abs() <= tol.max(1e-5),
-                        "{}x{} r={r} {:?}/{:?}: {} vs {}",
+                        "{}x{} r={r} {:?}: {} vs {}",
                         rows,
                         cols,
                         ks.level(),
-                        ks.variant(),
                         out[r],
                         expect[r]
                     );
@@ -885,11 +692,10 @@ mod tests {
                     let tol = 1e-3 * (cols.max(1) as f32).sqrt();
                     assert!(
                         (out[r] - expect[r]).abs() <= tol.max(1e-4),
-                        "bf16 {}x{} r={r} {:?}/{:?}",
+                        "bf16 {}x{} r={r} {:?}",
                         rows,
                         cols,
-                        ks.level(),
-                        ks.variant()
+                        ks.level()
                     );
                 }
             }
@@ -923,22 +729,20 @@ mod tests {
                 for i in 0..cols {
                     assert!(
                         (dx[i] - dx_ref[i]).abs() <= 1e-4 * (rows.max(1) as f32),
-                        "dx {}x{} i={i} {:?}/{:?}",
+                        "dx {}x{} i={i} {:?}",
                         rows,
                         cols,
-                        ks.level(),
-                        ks.variant()
+                        ks.level()
                     );
                 }
                 for r in 0..rows {
                     for i in 0..cols {
                         assert!(
                             (g[r][i] - g_ref[r][i]).abs() <= 1e-5,
-                            "grad {}x{} r={r} i={i} {:?}/{:?}",
+                            "grad {}x{} r={r} i={i} {:?}",
                             rows,
                             cols,
-                            ks.level(),
-                            ks.variant()
+                            ks.level()
                         );
                     }
                 }
@@ -980,11 +784,10 @@ mod tests {
                 for i in 0..cols {
                     assert!(
                         (dx[i] - dx_ref[i]).abs() <= 1e-4 * (rows.max(1) as f32),
-                        "bf16 dx {}x{} i={i} {:?}/{:?}",
+                        "bf16 dx {}x{} i={i} {:?}",
                         rows,
                         cols,
-                        ks.level(),
-                        ks.variant()
+                        ks.level()
                     );
                 }
                 for r in 0..rows {
@@ -1025,11 +828,10 @@ mod tests {
                     let tol = 1e-4 * (cols.max(1) as f32).sqrt();
                     assert!(
                         (out[r] - expect[r]).abs() <= tol.max(1e-5),
-                        "gemv {}x{} r={r} {:?}/{:?}",
+                        "gemv {}x{} r={r} {:?}",
                         rows,
                         cols,
-                        ks.level(),
-                        ks.variant()
+                        ks.level()
                     );
                 }
             }
@@ -1051,29 +853,25 @@ mod tests {
     }
 
     #[test]
-    fn resolve_follows_global_policy_and_variant() {
+    fn resolve_follows_global_policy() {
         let _guard = crate::policy::test_guard();
         let prior_policy = crate::policy::policy();
-        let prior_variant = kernel_variant();
         crate::policy::set_policy(crate::SimdPolicy::Force(SimdLevel::Scalar));
-        crate::policy::set_kernel_variant(KernelVariant::SingleRow);
         let ks = KernelSet::resolve();
         assert_eq!(ks.level(), SimdLevel::Scalar);
-        assert_eq!(ks.variant(), KernelVariant::SingleRow);
         crate::policy::set_policy(prior_policy);
-        crate::policy::set_kernel_variant(prior_variant);
     }
 
     #[test]
     fn for_level_clamps_to_detected_capability() {
-        let ks = KernelSet::for_level_variant(SimdLevel::Avx512, KernelVariant::Fused);
+        let ks = KernelSet::for_level(SimdLevel::Avx512);
         assert!(ks.level() <= detected_level());
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn score_rows_length_mismatch_panics() {
-        let ks = KernelSet::for_level_variant(SimdLevel::Scalar, KernelVariant::Fused);
+        let ks = KernelSet::for_level(SimdLevel::Scalar);
         let row = [1.0_f32; 4];
         let ptrs = [row.as_ptr()];
         let mut out = [0.0_f32; 2];

@@ -233,7 +233,7 @@ impl std::fmt::Display for Int8Isa {
 
 /// Resolve the i8 instruction path for `level` on this host. The level is
 /// taken at face value (callers clamp to [`crate::detected_level`] first, as
-/// [`crate::KernelSet::for_level_variant`] does); within `Avx512` the
+/// [`crate::KernelSet::for_level`] does); within `Avx512` the
 /// `avx512vnni` → `avx512bw` → AVX2 fallback chain is probed at runtime, so
 /// an AVX-512F-only host still gets a correct (256-bit) integer path.
 pub fn int8_isa(level: SimdLevel) -> Int8Isa {
@@ -368,21 +368,19 @@ pub(crate) mod x86 {
         sums
     }
 
-    /// Multi-row gathered i8 scoring (AVX2 tier).
+    /// Multi-row gathered i8 scoring with next-block prefetch (AVX2 tier).
     ///
     /// # Safety
     ///
     /// Every `rows[i]` valid for `x.len()` i8 reads; lengths as asserted by
     /// [`crate::KernelSet::score_rows_i8`].
-    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn score_rows_impl(
+    pub unsafe fn score_rows(
         rows: &[*const i8],
         scales: &[f32],
         x: &[u8],
         x_scale: f32,
         out: &mut [f32],
-        pf: bool,
     ) {
         debug_assert_eq!(rows.len(), out.len());
         debug_assert_eq!(rows.len(), scales.len());
@@ -391,7 +389,7 @@ pub(crate) mod x86 {
         let mut r = 0usize;
         while r + GATHER_BLOCK <= n {
             let p = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
-            let next = if pf && r + 2 * GATHER_BLOCK <= n {
+            let next = if r + 2 * GATHER_BLOCK <= n {
                 Some([rows[r + 4], rows[r + 5], rows[r + 6], rows[r + 7]])
             } else {
                 None
@@ -409,47 +407,13 @@ pub(crate) mod x86 {
         }
     }
 
-    /// [`score_rows_impl`] with next-block software prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`score_rows_impl`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn score_rows_pf(
-        rows: &[*const i8],
-        scales: &[f32],
-        x: &[u8],
-        x_scale: f32,
-        out: &mut [f32],
-    ) {
-        score_rows_impl(rows, scales, x, x_scale, out, true)
-    }
-
-    /// [`score_rows_impl`] without prefetch (the `blocked` ablation point).
-    ///
-    /// # Safety
-    ///
-    /// As [`score_rows_impl`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn score_rows_nopf(
-        rows: &[*const i8],
-        scales: &[f32],
-        x: &[u8],
-        x_scale: f32,
-        out: &mut [f32],
-    ) {
-        score_rows_impl(rows, scales, x, x_scale, out, false)
-    }
-
-    /// Blocked strided i8 gemv (AVX2 tier).
+    /// Blocked strided i8 gemv with next-block prefetch (AVX2 tier).
     ///
     /// # Safety
     ///
     /// `w` valid for `(out.len() - 1) * stride + x.len()` i8 reads.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // the quantized gemv operand list
     #[target_feature(enable = "avx2")]
-    unsafe fn gemv_impl(
+    pub unsafe fn gemv(
         w: *const i8,
         stride: usize,
         scales: &[f32],
@@ -457,7 +421,6 @@ pub(crate) mod x86 {
         x_scale: f32,
         bias: &[f32],
         out: &mut [f32],
-        pf: bool,
     ) {
         debug_assert_eq!(bias.len(), out.len());
         debug_assert_eq!(scales.len(), out.len());
@@ -472,7 +435,7 @@ pub(crate) mod x86 {
                 w.add((r + 2) * stride),
                 w.add((r + 3) * stride),
             ];
-            let next = if pf && r + 2 * GATHER_BLOCK <= n {
+            let next = if r + 2 * GATHER_BLOCK <= n {
                 Some([
                     w.add((r + 4) * stride),
                     w.add((r + 5) * stride),
@@ -493,42 +456,6 @@ pub(crate) mod x86 {
             out[r] = acc as f32 * scales[r] * x_scale + bias[r];
             r += 1;
         }
-    }
-
-    /// [`gemv_impl`] with next-block prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`gemv_impl`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_pf(
-        w: *const i8,
-        stride: usize,
-        scales: &[f32],
-        x: &[u8],
-        x_scale: f32,
-        bias: &[f32],
-        out: &mut [f32],
-    ) {
-        gemv_impl(w, stride, scales, x, x_scale, bias, out, true)
-    }
-
-    /// [`gemv_impl`] without prefetch.
-    ///
-    /// # Safety
-    ///
-    /// As [`gemv_impl`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_nopf(
-        w: *const i8,
-        stride: usize,
-        scales: &[f32],
-        x: &[u8],
-        x_scale: f32,
-        bias: &[f32],
-        out: &mut [f32],
-    ) {
-        gemv_impl(w, stride, scales, x, x_scale, bias, out, false)
     }
 
     // -- AVX-512: maddubs at 512-bit (BW) or vpdpbusd (VNNI), masked tails --
@@ -629,20 +556,19 @@ pub(crate) mod x86 {
                     _mm512_reduce_add_epi32(acc)
                 }
 
-                /// Multi-row gathered i8 scoring at this tier.
+                /// Multi-row gathered i8 scoring with next-block prefetch at
+                /// this tier.
                 ///
                 /// # Safety
                 ///
                 /// As the AVX2 sibling.
-                #[inline]
                 #[target_feature($(enable = $feat),+)]
-                unsafe fn score_rows_impl(
+                pub unsafe fn score_rows(
                     rows: &[*const i8],
                     scales: &[f32],
                     x: &[u8],
                     x_scale: f32,
                     out: &mut [f32],
-                    pf: bool,
                 ) {
                     debug_assert_eq!(rows.len(), out.len());
                     debug_assert_eq!(rows.len(), scales.len());
@@ -651,7 +577,7 @@ pub(crate) mod x86 {
                     let mut r = 0usize;
                     while r + GATHER_BLOCK <= n {
                         let p = [rows[r], rows[r + 1], rows[r + 2], rows[r + 3]];
-                        let next = if pf && r + 2 * GATHER_BLOCK <= n {
+                        let next = if r + 2 * GATHER_BLOCK <= n {
                             Some([rows[r + 4], rows[r + 5], rows[r + 6], rows[r + 7]])
                         } else {
                             None
@@ -670,47 +596,14 @@ pub(crate) mod x86 {
                     }
                 }
 
-                /// With next-block prefetch.
-                ///
-                /// # Safety
-                ///
-                /// As [`score_rows_impl`].
-                #[target_feature($(enable = $feat),+)]
-                pub unsafe fn score_rows_pf(
-                    rows: &[*const i8],
-                    scales: &[f32],
-                    x: &[u8],
-                    x_scale: f32,
-                    out: &mut [f32],
-                ) {
-                    score_rows_impl(rows, scales, x, x_scale, out, true)
-                }
-
-                /// Without prefetch.
-                ///
-                /// # Safety
-                ///
-                /// As [`score_rows_impl`].
-                #[target_feature($(enable = $feat),+)]
-                pub unsafe fn score_rows_nopf(
-                    rows: &[*const i8],
-                    scales: &[f32],
-                    x: &[u8],
-                    x_scale: f32,
-                    out: &mut [f32],
-                ) {
-                    score_rows_impl(rows, scales, x, x_scale, out, false)
-                }
-
-                /// Blocked strided i8 gemv at this tier.
+                /// Blocked strided i8 gemv with next-block prefetch at this
+                /// tier.
                 ///
                 /// # Safety
                 ///
                 /// `w` valid for `(out.len() - 1) * stride + x.len()` reads.
-                #[inline]
-                #[allow(clippy::too_many_arguments)] // quantized gemv operands
                 #[target_feature($(enable = $feat),+)]
-                unsafe fn gemv_impl(
+                pub unsafe fn gemv(
                     w: *const i8,
                     stride: usize,
                     scales: &[f32],
@@ -718,7 +611,6 @@ pub(crate) mod x86 {
                     x_scale: f32,
                     bias: &[f32],
                     out: &mut [f32],
-                    pf: bool,
                 ) {
                     debug_assert_eq!(bias.len(), out.len());
                     debug_assert_eq!(scales.len(), out.len());
@@ -733,7 +625,7 @@ pub(crate) mod x86 {
                             w.add((r + 2) * stride),
                             w.add((r + 3) * stride),
                         ];
-                        let next = if pf && r + 2 * GATHER_BLOCK <= n {
+                        let next = if r + 2 * GATHER_BLOCK <= n {
                             Some([
                                 w.add((r + 4) * stride),
                                 w.add((r + 5) * stride),
@@ -755,42 +647,6 @@ pub(crate) mod x86 {
                         out[r] = acc as f32 * scales[r] * x_scale + bias[r];
                         r += 1;
                     }
-                }
-
-                /// With next-block prefetch.
-                ///
-                /// # Safety
-                ///
-                /// As [`gemv_impl`].
-                #[target_feature($(enable = $feat),+)]
-                pub unsafe fn gemv_pf(
-                    w: *const i8,
-                    stride: usize,
-                    scales: &[f32],
-                    x: &[u8],
-                    x_scale: f32,
-                    bias: &[f32],
-                    out: &mut [f32],
-                ) {
-                    gemv_impl(w, stride, scales, x, x_scale, bias, out, true)
-                }
-
-                /// Without prefetch.
-                ///
-                /// # Safety
-                ///
-                /// As [`gemv_impl`].
-                #[target_feature($(enable = $feat),+)]
-                pub unsafe fn gemv_nopf(
-                    w: *const i8,
-                    stride: usize,
-                    scales: &[f32],
-                    x: &[u8],
-                    x_scale: f32,
-                    bias: &[f32],
-                    out: &mut [f32],
-                ) {
-                    gemv_impl(w, stride, scales, x, x_scale, bias, out, false)
                 }
             }
         };

@@ -24,9 +24,9 @@
 //!   (blocked scoring with software prefetch, one-pass fused backward,
 //!   blocked full gemv) behind SLIDE's active-set hot loops, dispatched
 //!   through a function-pointer table resolved once per batch/snapshot
-//!   instead of once per call. The [`KernelVariant`] knob
-//!   (`SLIDE_KERNELS=single_row|blocked|fused`) keeps the pre-fusion
-//!   single-row loops selectable for ablation.
+//!   instead of once per call. Each kernel has one shape per ISA tier;
+//!   the pre-fusion loop is `for row in rows { ks.dot(row, x) }` for
+//!   anything that wants to time it.
 //!
 //! Every public kernel picks an implementation at runtime from
 //! [`SimdLevel::Scalar`], [`SimdLevel::Avx2`], or [`SimdLevel::Avx512`]
@@ -65,8 +65,7 @@ pub(crate) mod avx512;
 pub use bf16::Bf16;
 pub use extra::norm_sq_f32;
 pub use gather::{
-    backward_rows_fused_bf16, backward_rows_fused_f32, gemv_full_f32, gemv_full_i8,
-    score_rows_gather_bf16, score_rows_gather_f32, score_rows_gather_i8, KernelSet, RowGather,
+    backward_rows_fused_f32, score_rows_gather_f32, score_rows_gather_i8, KernelSet, RowGather,
 };
 pub use hashing::{dwta_bin_codes, simhash_sign_bits, DwtaSources, DWTA_EMPTY_BIN};
 pub use int8::{
@@ -77,9 +76,8 @@ pub use kernels::{
     adam_step_f32, add_f32, argmax_f32, axpy_f32, dot_f32, scale_f32, sum_f32, AdamStep,
 };
 pub use policy::{
-    apply_env_kernel_variant, apply_env_policy, detected_level, effective_level, kernel_variant,
-    parse_kernel_variant, parse_policy, policy, set_kernel_variant, set_policy, KernelVariant,
-    SimdLevel, SimdPolicy,
+    apply_env_policy, detected_level, effective_level, parse_policy, policy, set_policy, SimdLevel,
+    SimdPolicy,
 };
 
 /// Number of bytes in a cache line on the target platforms (CLX/CPX: 64).

@@ -50,109 +50,6 @@ impl std::fmt::Display for SimdLevel {
     }
 }
 
-/// Which multi-row kernel shape the hot loops run (the ablation axis behind
-/// the fused-gather optimization; see [`crate::KernelSet`]).
-///
-/// Orthogonal to [`SimdLevel`]: the level picks the ISA, the variant picks
-/// how many rows a kernel walks per call and whether it software-prefetches
-/// the next block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelVariant {
-    /// One dependent kernel call per active row (the pre-fusion baseline).
-    SingleRow,
-    /// 4-row blocks with interleaved accumulators, no software prefetch.
-    Blocked,
-    /// 4-row blocks plus `_mm_prefetch` of the next block at the matching
-    /// column offset (the default).
-    #[default]
-    Fused,
-}
-
-impl std::fmt::Display for KernelVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelVariant::SingleRow => f.write_str("single_row"),
-            KernelVariant::Blocked => f.write_str("blocked"),
-            KernelVariant::Fused => f.write_str("fused"),
-        }
-    }
-}
-
-/// Parse a kernel-variant name as accepted by the `SLIDE_KERNELS`
-/// environment variable: `single_row`, `blocked`, or `fused`
-/// (case-insensitive). Returns `None` for anything else.
-///
-/// ```
-/// use slide_simd::{parse_kernel_variant, KernelVariant};
-/// assert_eq!(parse_kernel_variant("fused"), Some(KernelVariant::Fused));
-/// assert_eq!(parse_kernel_variant("SINGLE_ROW"), Some(KernelVariant::SingleRow));
-/// assert_eq!(parse_kernel_variant("turbo"), None);
-/// ```
-pub fn parse_kernel_variant(name: &str) -> Option<KernelVariant> {
-    match name.to_ascii_lowercase().as_str() {
-        "single_row" => Some(KernelVariant::SingleRow),
-        "blocked" => Some(KernelVariant::Blocked),
-        "fused" => Some(KernelVariant::Fused),
-        _ => None,
-    }
-}
-
-const VARIANT_FUSED: u8 = 0;
-const VARIANT_BLOCKED: u8 = 1;
-const VARIANT_SINGLE_ROW: u8 = 2;
-
-static VARIANT: AtomicU8 = AtomicU8::new(VARIANT_FUSED);
-
-/// Apply the `SLIDE_KERNELS` environment variable to the global kernel
-/// variant, once per process (subsequent calls are no-ops). An unset or
-/// unparsable variable leaves the default ([`KernelVariant::Fused`])
-/// untouched; an explicit [`set_kernel_variant`] call later always wins.
-pub fn apply_env_kernel_variant() -> Option<KernelVariant> {
-    static ENV_VARIANT: OnceLock<Option<KernelVariant>> = OnceLock::new();
-    *ENV_VARIANT.get_or_init(|| {
-        let requested = std::env::var("SLIDE_KERNELS").ok().and_then(|v| {
-            let parsed = parse_kernel_variant(&v);
-            if parsed.is_none() {
-                eprintln!(
-                    "slide-simd: ignoring unrecognized SLIDE_KERNELS={v:?} \
-                     (want single_row|blocked|fused)"
-                );
-            }
-            parsed
-        });
-        if let Some(variant) = requested {
-            VARIANT.store(encode_variant(variant), Ordering::Release);
-        }
-        requested
-    })
-}
-
-fn encode_variant(variant: KernelVariant) -> u8 {
-    match variant {
-        KernelVariant::Fused => VARIANT_FUSED,
-        KernelVariant::Blocked => VARIANT_BLOCKED,
-        KernelVariant::SingleRow => VARIANT_SINGLE_ROW,
-    }
-}
-
-/// Set the process-wide kernel variant (the fused-vs-single-row ablation
-/// switch used by `profile_phases` and the Criterion benches). Takes effect
-/// the next time a [`crate::KernelSet`] is resolved.
-pub fn set_kernel_variant(variant: KernelVariant) {
-    apply_env_kernel_variant();
-    VARIANT.store(encode_variant(variant), Ordering::Release);
-}
-
-/// The currently configured kernel variant.
-pub fn kernel_variant() -> KernelVariant {
-    apply_env_kernel_variant();
-    match VARIANT.load(Ordering::Acquire) {
-        VARIANT_BLOCKED => KernelVariant::Blocked,
-        VARIANT_SINGLE_ROW => KernelVariant::SingleRow,
-        _ => KernelVariant::Fused,
-    }
-}
-
 /// Process-wide dispatch policy for all kernels in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPolicy {
@@ -375,33 +272,5 @@ mod tests {
         assert_eq!(SimdLevel::Avx512.to_string(), "avx512");
         assert_eq!(SimdLevel::Avx2.to_string(), "avx2");
         assert_eq!(SimdLevel::Scalar.to_string(), "scalar");
-        assert_eq!(KernelVariant::Fused.to_string(), "fused");
-        assert_eq!(KernelVariant::Blocked.to_string(), "blocked");
-        assert_eq!(KernelVariant::SingleRow.to_string(), "single_row");
-    }
-
-    #[test]
-    fn parse_kernel_variant_roundtrips_display() {
-        for v in [
-            KernelVariant::SingleRow,
-            KernelVariant::Blocked,
-            KernelVariant::Fused,
-        ] {
-            assert_eq!(parse_kernel_variant(&v.to_string()), Some(v));
-        }
-        assert_eq!(parse_kernel_variant(""), None);
-        assert_eq!(parse_kernel_variant("fastest"), None);
-    }
-
-    #[test]
-    fn kernel_variant_set_and_restore() {
-        let _guard = test_guard();
-        let prior = kernel_variant();
-        set_kernel_variant(KernelVariant::SingleRow);
-        assert_eq!(kernel_variant(), KernelVariant::SingleRow);
-        set_kernel_variant(KernelVariant::Blocked);
-        assert_eq!(kernel_variant(), KernelVariant::Blocked);
-        set_kernel_variant(prior);
-        assert_eq!(kernel_variant(), prior);
     }
 }

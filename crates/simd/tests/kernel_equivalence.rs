@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use slide_simd::{
     adam_step_f32, argmax_f32, axpy_f32, bf16, dequantize_row_f32, dot_f32, dwta_bin_codes,
     quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, sum_f32, AdamStep, Bf16,
-    DwtaSources, KernelSet, KernelVariant, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
+    DwtaSources, KernelSet, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
 };
 
 /// Tests in this binary mutate the process-wide SIMD policy; serialize them.
@@ -212,8 +212,8 @@ proptest! {
         });
         let ptrs: Vec<*const f32> = m.iter().map(|row| row.as_ptr()).collect();
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            // The dispatched wrapper depends only on the level; check it
-            // once per level, outside the variant loop.
+            // The dispatched wrapper and an explicitly built table must
+            // both hold to the reference.
             let mut out = vec![f32::NAN; rows];
             with_level(level, || unsafe {
                 slide_simd::score_rows_gather_f32(&ptrs, &x, &mut out)
@@ -222,19 +222,17 @@ proptest! {
                 let tol = 1e-3_f32.max(reference[r].abs() * 1e-4);
                 prop_assert!((out[r] - reference[r]).abs() <= tol, "dispatched {level:?} r={r}");
             }
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut out2 = vec![f32::NAN; rows];
-                unsafe { ks.score_rows_f32(&ptrs, &x, &mut out2) };
-                for r in 0..rows {
-                    let tol = 1e-3_f32.max(reference[r].abs() * 1e-4);
-                    prop_assert!(
-                        (out2[r] - reference[r]).abs() <= tol,
-                        "{level:?}/{variant:?} r={r}: {} vs {}",
-                        out2[r],
-                        reference[r]
-                    );
-                }
+            let ks = KernelSet::for_level(level);
+            let mut out2 = vec![f32::NAN; rows];
+            unsafe { ks.score_rows_f32(&ptrs, &x, &mut out2) };
+            for r in 0..rows {
+                let tol = 1e-3_f32.max(reference[r].abs() * 1e-4);
+                prop_assert!(
+                    (out2[r] - reference[r]).abs() <= tol,
+                    "{level:?} r={r}: {} vs {}",
+                    out2[r],
+                    reference[r]
+                );
             }
         }
     }
@@ -262,17 +260,15 @@ proptest! {
         });
         let ptrs: Vec<*const u16> = m.iter().map(|row| row.as_ptr()).collect();
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut out = vec![f32::NAN; rows];
-                unsafe { ks.score_rows_bf16(&ptrs, &x, &mut out) };
-                for r in 0..rows {
-                    let tol = 1e-2_f32.max(reference[r].abs() * 1e-3);
-                    prop_assert!(
-                        (out[r] - reference[r]).abs() <= tol,
-                        "bf16 {level:?}/{variant:?} r={r}"
-                    );
-                }
+            let ks = KernelSet::for_level(level);
+            let mut out = vec![f32::NAN; rows];
+            unsafe { ks.score_rows_bf16(&ptrs, &x, &mut out) };
+            for r in 0..rows {
+                let tol = 1e-2_f32.max(reference[r].abs() * 1e-3);
+                prop_assert!(
+                    (out[r] - reference[r]).abs() <= tol,
+                    "bf16 {level:?} r={r}"
+                );
             }
         }
     }
@@ -309,25 +305,23 @@ proptest! {
 
         let w_ptrs: Vec<*const f32> = w.iter().map(|row| row.as_ptr()).collect();
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut g = g0.clone();
-                let mut dx = dx0.clone();
-                let g_ptrs: Vec<*mut f32> = g.iter_mut().map(|row| row.as_mut_ptr()).collect();
-                unsafe { ks.backward_rows_f32(&w_ptrs, &g_ptrs, &deltas, scale, &h, &mut dx) };
+            let ks = KernelSet::for_level(level);
+            let mut g = g0.clone();
+            let mut dx = dx0.clone();
+            let g_ptrs: Vec<*mut f32> = g.iter_mut().map(|row| row.as_mut_ptr()).collect();
+            unsafe { ks.backward_rows_f32(&w_ptrs, &g_ptrs, &deltas, scale, &h, &mut dx) };
+            for i in 0..cols {
+                prop_assert!(
+                    (dx[i] - dx_ref[i]).abs() <= 1e-3 * (rows.max(1) as f32),
+                    "dx {level:?} i={i}"
+                );
+            }
+            for r in 0..rows {
                 for i in 0..cols {
                     prop_assert!(
-                        (dx[i] - dx_ref[i]).abs() <= 1e-3 * (rows.max(1) as f32),
-                        "dx {level:?}/{variant:?} i={i}"
+                        (g[r][i] - g_ref[r][i]).abs() <= 1e-4,
+                        "grad {level:?} r={r} i={i}"
                     );
-                }
-                for r in 0..rows {
-                    for i in 0..cols {
-                        prop_assert!(
-                            (g[r][i] - g_ref[r][i]).abs() <= 1e-4,
-                            "grad {level:?}/{variant:?} r={r} i={i}"
-                        );
-                    }
                 }
             }
         }
@@ -353,17 +347,15 @@ proptest! {
                 .collect()
         });
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut out = vec![f32::NAN; rows];
-                ks.gemv(&arena, stride, &x, &bias, &mut out);
-                for r in 0..rows {
-                    let tol = 1e-3_f32.max(reference[r].abs() * 1e-4);
-                    prop_assert!(
-                        (out[r] - reference[r]).abs() <= tol,
-                        "gemv {level:?}/{variant:?} r={r}"
-                    );
-                }
+            let ks = KernelSet::for_level(level);
+            let mut out = vec![f32::NAN; rows];
+            ks.gemv(&arena, stride, &x, &bias, &mut out);
+            for r in 0..rows {
+                let tol = 1e-3_f32.max(reference[r].abs() * 1e-4);
+                prop_assert!(
+                    (out[r] - reference[r]).abs() <= tol,
+                    "gemv {level:?} r={r}"
+                );
             }
         }
     }
@@ -437,7 +429,7 @@ proptest! {
         // Reference 1 (exact): the scalar integer kernel.
         let ptrs: Vec<*const i8> = wq.iter().map(|row| row.as_ptr()).collect();
         let reference: Vec<f32> = {
-            let ks = KernelSet::for_level_variant(SimdLevel::Scalar, KernelVariant::Fused);
+            let ks = KernelSet::for_level(SimdLevel::Scalar);
             let mut out = vec![f32::NAN; rows];
             unsafe { ks.score_rows_i8(&ptrs, &scales, &xq, x_scale, &mut out) };
             out
@@ -460,22 +452,19 @@ proptest! {
             );
         }
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut out = vec![f32::NAN; rows];
-                unsafe { ks.score_rows_i8(&ptrs, &scales, &xq, x_scale, &mut out) };
-                for r in 0..rows {
-                    // Integer accumulation has one right answer.
-                    prop_assert_eq!(
-                        out[r].to_bits(),
-                        reference[r].to_bits(),
-                        "i8 {:?}/{:?} ({:?}) r={}",
-                        level,
-                        variant,
-                        ks.int8_isa(),
-                        r
-                    );
-                }
+            let ks = KernelSet::for_level(level);
+            let mut out = vec![f32::NAN; rows];
+            unsafe { ks.score_rows_i8(&ptrs, &scales, &xq, x_scale, &mut out) };
+            for r in 0..rows {
+                // Integer accumulation has one right answer.
+                prop_assert_eq!(
+                    out[r].to_bits(),
+                    reference[r].to_bits(),
+                    "i8 {:?} ({:?}) r={}",
+                    level,
+                    ks.int8_isa(),
+                    r
+                );
             }
         }
     }
@@ -502,26 +491,23 @@ proptest! {
         let bias: Vec<f32> = (0..rows).map(|r| r as f32 * 0.01 - 0.1).collect();
 
         let reference: Vec<f32> = {
-            let ks = KernelSet::for_level_variant(SimdLevel::Scalar, KernelVariant::Fused);
+            let ks = KernelSet::for_level(SimdLevel::Scalar);
             let mut out = vec![f32::NAN; rows];
             ks.gemv_i8(&arena, stride, &scales, &xq, x_scale, &bias, &mut out);
             out
         };
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            for variant in [KernelVariant::SingleRow, KernelVariant::Blocked, KernelVariant::Fused] {
-                let ks = KernelSet::for_level_variant(level, variant);
-                let mut out = vec![f32::NAN; rows];
-                ks.gemv_i8(&arena, stride, &scales, &xq, x_scale, &bias, &mut out);
-                for r in 0..rows {
-                    prop_assert_eq!(
-                        out[r].to_bits(),
-                        reference[r].to_bits(),
-                        "gemv_i8 {:?}/{:?} r={}",
-                        level,
-                        variant,
-                        r
-                    );
-                }
+            let ks = KernelSet::for_level(level);
+            let mut out = vec![f32::NAN; rows];
+            ks.gemv_i8(&arena, stride, &scales, &xq, x_scale, &bias, &mut out);
+            for r in 0..rows {
+                prop_assert_eq!(
+                    out[r].to_bits(),
+                    reference[r].to_bits(),
+                    "gemv_i8 {:?} r={}",
+                    level,
+                    r
+                );
             }
         }
     }

@@ -1,13 +1,13 @@
 //! Advanced-knobs tour: the extension APIs layered on top of the paper's
 //! system — dataset preprocessing (TF-IDF + L2 normalization, as the real
-//! XC files ship), validation splits, cosine learning-rate schedules,
-//! incremental hash-table maintenance, and multiprobe queries.
+//! XC files ship), validation splits, cosine learning-rate schedules, and
+//! multiprobe queries.
 //!
 //! ```sh
 //! cargo run --release --example advanced_tuning
 //! ```
 
-use slide::core::{LrSchedule, RebuildMode};
+use slide::core::LrSchedule;
 use slide::data::{l2_normalize, tf_idf, train_holdout_split};
 use slide::{
     generate_synthetic, EvalMode, Network, NetworkConfig, SynthConfig, Trainer, TrainerConfig,
@@ -33,8 +33,8 @@ fn main() {
     let (train, val) = train_holdout_split(&train_full, 0.1, 7);
     println!("split: {} train / {} validation", train.len(), val.len());
 
-    // Extension knobs: multiprobe retrieval (half the tables, 2 probes),
-    // incremental table maintenance, cosine LR decay.
+    // Extension knobs: multiprobe retrieval (half the tables, 2 probes) and
+    // cosine LR decay.
     let mut cfg = NetworkConfig::standard(4096, 128, 2048);
     cfg.lsh.tables = 12;
     cfg.lsh.probes = 2;
@@ -49,8 +49,6 @@ fn main() {
         total_epochs: 8,
         min_factor: 0.1,
     };
-    tc.rebuild.mode = RebuildMode::Incremental;
-    tc.rebuild.full_rebuild_every = 4;
 
     let mut trainer =
         Trainer::new(Network::new(cfg).expect("valid config"), tc).expect("valid trainer");

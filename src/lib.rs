@@ -72,6 +72,4 @@ pub use slide_serve::{
     ModelRegistry, ServeBuildError, ServeError, ServeStats, ShardPlan, SnapshotError,
     SnapshotImage, SnapshotPrecision, SnapshotSpec,
 };
-pub use slide_simd::{
-    set_kernel_variant, set_policy, Int8Isa, KernelSet, KernelVariant, SimdLevel, SimdPolicy,
-};
+pub use slide_simd::{set_policy, Int8Isa, KernelSet, SimdLevel, SimdPolicy};
