@@ -17,9 +17,11 @@
 # their exit status. Serving, snapshot and network-hop numbers come from
 # benchmark/ alone: smoke runs all four of its workloads for their checks
 # (every reply bit-equal to the direct engine), the int8 workload again
-# under forced SLIDE_SIMD=avx2, train_w2v again under forced
-# SLIDE_SIMD=scalar and avx2 (the hashing kernels on each ISA), the
-# benchmark's own unit tests, and a soak
+# under forced SLIDE_SIMD=avx2 and SLIDE_SIMD=scalar (the scalar leg builds,
+# saves and mmap-verifies a real image and frames real requests on the
+# byte-at-a-time CRC-32), train_w2v again under forced SLIDE_SIMD=scalar and
+# avx2 (the hashing kernels on each ISA), the benchmark's own unit tests,
+# and a soak
 # (both serve workloads ten times each under a timeout: one hang or failed
 # check on the request path fails CI). Smoke also runs the chaos suite and,
 # twenty times over, the request path's concurrency tests under forced
@@ -358,11 +360,14 @@ if [[ "$MODE" == "smoke" ]]; then
         done
     done
 
-    step "smoke: benchmark serve_net_i8 under forced SLIDE_SIMD=avx2"
+    step "smoke: benchmark serve_net_i8 under forced SLIDE_SIMD=avx2 and scalar"
     # The quantized serving path on the AVX2 maddubs kernels, so the int8
     # leg exercises a fixed integer ISA whatever the runner's AVX-512
-    # support.
+    # support; then on the scalar reference, where every snapshot build,
+    # save, mmap verification and wire frame goes through the byte-at-a-time
+    # CRC-32 instead of the carry-less-multiply fold.
     SLIDE_SIMD=avx2 benchmark/run.sh serve_net_i8 --seconds 2 > /dev/null
+    SLIDE_SIMD=scalar benchmark/run.sh serve_net_i8 --seconds 2 > /dev/null
 
     step "smoke: benchmark train_w2v under forced SLIDE_SIMD=scalar and avx2"
     # The hashing kernels behind every select_active and table rebuild, on
@@ -422,7 +427,11 @@ fi
 # incremental rebuild path (2 trainer tests) and LshTables::remove (1 table
 # test, 1 lsh_props case) — named in CHANGES.md. Added:
 # crates/core/tests/bench_surface.rs (2).
-MIN_TIER1_TESTS=612
+# CRC-32 kernels: 612 + 8 = 620. Added: their equivalence suite (3 tests +
+# 1 proptest in kernel_equivalence.rs), the fold-constant derivation test,
+# the crc32_update doctest, and two registry_durability section-layout
+# cases.
+MIN_TIER1_TESTS=620
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -1,11 +1,12 @@
 //! Kernel micro-benchmarks: the vectorization story of §4.2–§4.4 at the
 //! instruction level — scalar vs AVX2 vs AVX-512 for every hot kernel
-//! (Figures 2–5's operations), plus the bf16 kernels.
+//! (Figures 2–5's operations), plus the bf16 kernels and the CRC-32 behind
+//! every snapshot image and wire frame.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use slide_simd::{
-    adam_step_f32, add_f32, argmax_f32, axpy_f32, bf16, dot_f32, quantize_acts_u8, quantize_row_i8,
-    set_policy, AdamStep, KernelSet, SimdLevel, SimdPolicy,
+    adam_step_f32, add_f32, argmax_f32, axpy_f32, bf16, crc32_update, dot_f32, quantize_acts_u8,
+    quantize_row_i8, set_policy, AdamStep, KernelSet, SimdLevel, SimdPolicy,
 };
 use std::time::Duration;
 
@@ -454,6 +455,38 @@ fn bench_gemv_blocked(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC-32 over a `Predict` frame (584 B), a cache-resident block (64 KiB)
+/// and the paper-shape f32 snapshot image (65 MiB): `scalar` is the
+/// byte-at-a-time table loop, `clmul` the carry-less-multiply fold, run only
+/// where the host has it (DESIGN.md §6, "Checksum kernel").
+fn bench_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checksum");
+    g.measurement_time(Duration::from_millis(900));
+    g.warm_up_time(Duration::from_millis(200));
+    g.sample_size(5);
+    let image: Vec<u8> = (0..65usize << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+        .collect();
+    let mut legs = vec![("scalar", SimdPolicy::Force(SimdLevel::Scalar))];
+    #[cfg(target_arch = "x86_64")]
+    if slide_simd::detected_level() > SimdLevel::Scalar
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+    {
+        legs.push(("clmul", SimdPolicy::Auto));
+    }
+    for (size, len) in [("584B", 584), ("64KiB", 64 << 10), ("65MiB", 65 << 20)] {
+        let bytes = &image[..len];
+        for &(name, policy) in &legs {
+            g.bench_with_input(BenchmarkId::new(size, name), &policy, |bch, &p| {
+                set_policy(p);
+                bch.iter(|| crc32_update(0, black_box(bytes)));
+                set_policy(SimdPolicy::Auto);
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_dot,
@@ -466,6 +499,7 @@ criterion_group!(
     bench_gather_backward,
     bench_gather_score_bf16,
     bench_quant_score,
-    bench_gemv_blocked
+    bench_gemv_blocked,
+    bench_checksum
 );
 criterion_main!(benches);

@@ -1,31 +1,12 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
 //!
-//! Hand-rolled because the environment has no crates.io access; the lookup
-//! table is built in const context. This is the shared integrity checksum
-//! for both the TCP wire protocol (`slide-net` frame headers) and the
-//! on-disk snapshot format (`slide-serve` section table).
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
+//! The shared integrity checksum for both the TCP wire protocol
+//! (`slide-net` frame headers) and the on-disk snapshot format
+//! (`slide-serve` section table). The kernels live in `slide-simd`
+//! ([`slide_simd::crc32_update`]): a byte-at-a-time table loop, which is the
+//! reference and the `SLIDE_SIMD=scalar` path, and a carry-less-multiply fold
+//! on x86-64 hosts with `pclmulqdq`. Both compute the same checksum, so no
+//! image or frame depends on the host or level that wrote it.
 
 /// CRC-32 (IEEE) of `data`.
 ///
@@ -35,11 +16,7 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 /// assert_eq!(slide_mem::crc32(b"a"), 0xE8B7_BE43);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    slide_simd::crc32_update(0, data)
 }
 
 #[cfg(test)]

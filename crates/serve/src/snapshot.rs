@@ -387,7 +387,8 @@ struct SectionEntry {
 /// A verified snapshot image over a [`SharedArena`] (mmapped file or
 /// in-memory build). Construction runs the full verification pass — magic,
 /// version, header CRC, section-table CRC, per-section bounds, alignment,
-/// and payload CRCs — so every later accessor works on trusted offsets.
+/// payloads that start past the section table and share no byte, and
+/// payload CRCs — so every later accessor works on trusted offsets.
 #[derive(Debug)]
 pub struct SnapshotImage {
     arena: SharedArena,
@@ -484,6 +485,11 @@ impl SnapshotImage {
                     "section {kind:?}[{index}] at unaligned offset {offset}"
                 )));
             }
+            if offset < HEADER_LEN + table_len {
+                return Err(corrupt(format!(
+                    "section {kind:?}[{index}] at offset {offset} starts inside the header or section table"
+                )));
+            }
             let end = offset
                 .checked_add(len)
                 .filter(|&e| e <= buf.len())
@@ -507,6 +513,19 @@ impl SnapshotImage {
                 offset,
                 len,
             });
+        }
+        // The writer lays payloads out in ascending, disjoint ranges; two
+        // that share a byte would let one section alias another's data.
+        let mut by_offset: Vec<&SectionEntry> = sections.iter().filter(|s| s.len > 0).collect();
+        by_offset.sort_unstable_by_key(|s| s.offset);
+        for pair in by_offset.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if b.offset < a.offset + a.len {
+                return Err(corrupt(format!(
+                    "section {:?}[{}] overlaps section {:?}[{}]",
+                    b.kind, b.index, a.kind, a.index
+                )));
+            }
         }
         Ok(SnapshotImage {
             arena,

@@ -12,6 +12,7 @@
 use slide_core::{LshConfig, Network, NetworkConfig};
 use slide_mem::SparseVecRef;
 use slide_quant::Snapshot;
+use slide_serve::snapshot::SectionKind;
 use slide_serve::{FrozenModel, ModelRegistry, SnapshotError, SnapshotSpec};
 use std::sync::Arc;
 
@@ -95,6 +96,93 @@ fn torn_and_flipped_files_are_checksum_rejections_not_ub() {
     std::fs::write(&path, &pristine).expect("restore");
     slide_quant::snapshot::load(&path).expect("restored snapshot loads");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+// `.slsnap` header and section-table geometry (DESIGN.md §9).
+const HEADER_LEN: usize = 64;
+const ENTRY_LEN: usize = 32;
+
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn le_u64(b: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// `(table entry position, payload offset, payload length)` of a section.
+fn find_section(image: &[u8], kind: SectionKind, index: u32) -> (usize, usize, usize) {
+    let count = le_u32(image, 20) as usize;
+    let entry = (0..count)
+        .map(|i| HEADER_LEN + i * ENTRY_LEN)
+        .find(|&e| le_u32(image, e) == kind as u32 && le_u32(image, e + 4) == index)
+        .expect("section present");
+    (entry, le_u64(image, entry + 8), le_u64(image, entry + 16))
+}
+
+/// Point section `(kind, index)` at `offset`, then recompute its payload
+/// CRC, the table CRC and the header CRC: every checksum in the result
+/// holds, so only a layout check can refuse it.
+fn retarget(image: &mut [u8], kind: SectionKind, index: u32, offset: usize) {
+    let (entry, _, len) = find_section(image, kind, index);
+    assert!(
+        offset >= HEADER_LEN && (offset >= entry + ENTRY_LEN || offset + len <= entry),
+        "the new range must not cover a byte this function rewrites"
+    );
+    image[entry + 8..entry + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+    let crc = slide_mem::crc32(&image[offset..offset + len]);
+    image[entry + 24..entry + 28].copy_from_slice(&crc.to_le_bytes());
+    let table_len = le_u32(image, 20) as usize * ENTRY_LEN;
+    let table_crc = slide_mem::crc32(&image[HEADER_LEN..HEADER_LEN + table_len]);
+    image[32..36].copy_from_slice(&table_crc.to_le_bytes());
+    let header_crc = slide_mem::crc32(&image[..60]);
+    image[60..64].copy_from_slice(&header_crc.to_le_bytes());
+}
+
+/// Publish an i8 image, apply `craft` to the published file, and return why
+/// loading it failed.
+fn load_crafted(tag: &str, craft: impl FnOnce(&mut Vec<u8>)) -> SnapshotError {
+    let root = tmp_root(tag);
+    let registry = ModelRegistry::open(&root).expect("open registry");
+    let snap = Snapshot::build(&tiny_net(13), &SnapshotSpec::i8()).expect("build snapshot");
+    let path = registry.version_path(registry.publish(snap.bytes()).expect("publish"));
+    let mut bytes = std::fs::read(&path).expect("read published file");
+    craft(&mut bytes);
+    std::fs::write(&path, &bytes).expect("rewrite");
+    let err = slide_quant::snapshot::load(&path).expect_err("crafted image accepted");
+    let _ = std::fs::remove_dir_all(&root);
+    err
+}
+
+#[test]
+fn a_section_inside_the_header_or_table_is_refused_even_with_valid_crcs() {
+    // The input layer's 64-byte bias pointed into the section table, past
+    // its own entry: any 64 bytes read as f32 are a bias the engine takes.
+    let err = load_crafted("alias_table", |image| {
+        let (entry, _, _) = find_section(image, SectionKind::Bias, 0);
+        let into_table = (entry + ENTRY_LEN).next_multiple_of(64);
+        assert!(into_table < HEADER_LEN + le_u32(image, 20) as usize * ENTRY_LEN);
+        retarget(image, SectionKind::Bias, 0, into_table);
+    });
+    assert!(
+        matches!(&err, SnapshotError::Corrupt(m) if m.contains("inside the header or section table")),
+        "expected the layout refusal, got {err}"
+    );
+}
+
+#[test]
+fn overlapping_sections_are_refused_even_with_valid_crcs() {
+    // The input layer's bias pointed at the first 64 bytes of the tables'
+    // item list: u32 row ids, read back as a bias.
+    let err = load_crafted("overlap", |image| {
+        let (_, items, items_len) = find_section(image, SectionKind::TableItems, 0);
+        assert!(items_len >= 64);
+        retarget(image, SectionKind::Bias, 0, items);
+    });
+    assert!(
+        matches!(&err, SnapshotError::Corrupt(m) if m.contains("overlaps")),
+        "expected the overlap refusal, got {err}"
+    );
 }
 
 #[test]

@@ -14,6 +14,10 @@
 //! * [`simhash_sign_bits`] / [`dwta_bin_codes`] — the LSH key kernels
 //!   (§4.3.3): SimHash projections and DWTA bin winners, 8/16 hash slots
 //!   per instruction and bit-identical at every level,
+//! * [`crc32_update`] — the CRC-32 behind every snapshot image and wire
+//!   frame: a byte-at-a-time table loop (the reference) and, on x86-64, a
+//!   carry-less-multiply fold of 64 bytes per step (`pclmulqdq`), the same
+//!   checksum at every level,
 //! * the [`bf16`] module — software brain-float16 (§4.4) with vectorized
 //!   slice conversions and bf16-weight kernels,
 //! * the [`int8`] module — post-training-quantization kernels for i8
@@ -49,6 +53,7 @@
 //! ```
 
 pub mod bf16;
+mod checksum;
 mod extra;
 mod gather;
 mod hashing;
@@ -63,6 +68,7 @@ pub(crate) mod avx2;
 pub(crate) mod avx512;
 
 pub use bf16::Bf16;
+pub use checksum::crc32_update;
 pub use extra::norm_sq_f32;
 pub use gather::{
     backward_rows_fused_f32, score_rows_gather_f32, score_rows_gather_i8, KernelSet, RowGather,

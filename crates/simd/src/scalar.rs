@@ -217,6 +217,38 @@ pub unsafe fn gemv(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &
     }
 }
 
+/// Byte-indexed remainders of the reflected IEEE CRC-32 polynomial
+/// `0xEDB88320`, built in const context.
+static CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 reference: one table lookup per byte. `crc` is the finished
+/// checksum of whatever came before `bytes` (0 for nothing).
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
+    for &b in bytes {
+        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
 #[inline]
 pub fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], step: AdamStep) {
     debug_assert_eq!(w.len(), m.len());

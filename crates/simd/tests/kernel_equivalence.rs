@@ -1,12 +1,12 @@
 //! Property-based equivalence tests: every SIMD tier must agree with the
-//! scalar reference on arbitrary inputs, and bf16 narrowing must satisfy its
-//! IEEE contract.
+//! scalar reference on arbitrary inputs, the exact kernels (hashing, CRC-32)
+//! bit for bit, and bf16 narrowing must satisfy its IEEE contract.
 
 use proptest::prelude::*;
 use slide_simd::{
-    adam_step_f32, argmax_f32, axpy_f32, bf16, dequantize_row_f32, dot_f32, dwta_bin_codes,
-    quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, sum_f32, AdamStep, Bf16,
-    DwtaSources, KernelSet, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
+    adam_step_f32, argmax_f32, axpy_f32, bf16, crc32_update, dequantize_row_f32, dot_f32,
+    dwta_bin_codes, quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, sum_f32,
+    AdamStep, Bf16, DwtaSources, KernelSet, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
 };
 
 /// Tests in this binary mutate the process-wide SIMD policy; serialize them.
@@ -620,6 +620,108 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+// CRC-32: every level equals `Scalar` and `Scalar` equals the definition,
+// bit for bit, at every length, start offset and streaming split. Levels
+// above the host clamp to it, so each forced SLIDE_SIMD leg checks its own
+// path; every level above `Scalar` runs the fold from 64 bytes on.
+
+const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+
+/// CRC-32 (IEEE) from its definition: the reflected register shifted one
+/// bit at a time, no table.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+fn crc_input(len: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed | 1;
+    (0..len).map(|_| (xorshift(&mut s) >> 24) as u8).collect()
+}
+
+#[test]
+fn crc32_known_vectors_at_every_level() {
+    let _g = policy_lock();
+    // The last is zlib's `crc32(b"123456789" * 100)`: 14 four-lane blocks,
+    // one single lane and a 4-byte scalar tail.
+    let long = b"123456789".repeat(100);
+    for level in LEVELS {
+        with_level(level, || {
+            assert_eq!(crc32_update(0, b"123456789"), 0xCBF4_3926, "{level:?}");
+            assert_eq!(crc32_update(0, b""), 0, "{level:?}");
+            assert_eq!(crc32_update(0, b"a"), 0xE8B7_BE43, "{level:?}");
+            assert_eq!(crc32_update(0, &long), 0x09FD_0FD7, "{level:?}");
+        });
+    }
+}
+
+#[test]
+fn crc32_every_length_to_1024_matches_the_definition() {
+    let _g = policy_lock();
+    let buf = crc_input(1024, 0x5EED);
+    for len in 0..=1024 {
+        let expect = crc32_bitwise(&buf[..len]);
+        for level in LEVELS {
+            let got = with_level(level, || crc32_update(0, &buf[..len]));
+            assert_eq!(got, expect, "{level:?} len={len}");
+        }
+    }
+}
+
+#[test]
+fn crc32_every_start_offset_matches_the_definition() {
+    let _g = policy_lock();
+    let buf = crc_input(4096 + 64, 0x0FF5E7);
+    for offset in 0..64 {
+        for len in [
+            1, 15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 255, 256, 257, 321, 1000, 4095, 4096,
+        ] {
+            let bytes = &buf[offset..offset + len];
+            let expect = crc32_bitwise(bytes);
+            for level in LEVELS {
+                let got = with_level(level, || crc32_update(0, bytes));
+                assert_eq!(got, expect, "{level:?} offset={offset} len={len}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn crc32_long_inputs_agree_and_split_anywhere(
+        len in 0usize..(1 << 20) + 1,
+        offset in 0usize..64,
+        split in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let _g = policy_lock();
+        let buf = crc_input(offset + len, seed);
+        let bytes = &buf[offset..];
+        let split = (split % (len as u64 + 1)) as usize;
+        let expect = crc32_bitwise(bytes);
+        for level in LEVELS {
+            let (whole, streamed) = with_level(level, || {
+                let head = crc32_update(0, &bytes[..split]);
+                (crc32_update(0, bytes), crc32_update(head, &bytes[split..]))
+            });
+            prop_assert_eq!(whole, expect, "{:?} len={}", level, len);
+            prop_assert_eq!(streamed, expect, "{:?} len={} split={}", level, len, split);
         }
     }
 }
