@@ -404,6 +404,16 @@ if grep -rnE 'KernelVariant|SLIDE_KERNELS|kernel_variant|_nopf\b|RebuildMode|ref
     exit 1
 fi
 
+step "one output-layer retrieval (slide-core's, no serving copy)"
+# The family, the seed chain, the table fill and the select loop live in
+# crates/core/src/retrieval.rs; serving and the wire call it and restate
+# none of it.
+if grep -rnE '0x0707|0xD1A7|0x51A7|0x9AD5|7AB1|family_for|fn build_tables' \
+    crates/serve crates/net || test -e crates/serve/src/retrieval.rs; then
+    echo "ci.sh: a second copy of the output-layer retrieval is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -431,6 +441,11 @@ fi
 # 1 proptest in kernel_equivalence.rs), the fold-constant derivation test,
 # the crc32_update doctest, and two registry_durability section-layout
 # cases.
+# One retrieval: 620 - 3 + 3 = 620. Deleted with their code: the three
+# LrSchedule tests (config.rs 2, trainer.rs 1). Added: the shared select's
+# two-table-set test and two registry_durability forged-table-id cases.
+# Four select/rebuild tests moved from layer.rs to retrieval.rs unchanged
+# in number.
 MIN_TIER1_TESTS=620
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"

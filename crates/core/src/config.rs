@@ -206,100 +206,14 @@ impl NetworkConfig {
     }
 }
 
-/// Learning-rate schedule applied on top of the base rate (the paper trains
-/// at a constant 1e-4; schedules are an extension for downstream users).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum LrSchedule {
-    /// Constant base rate (the paper's setting).
-    #[default]
-    Constant,
-    /// Multiply the rate by `factor` every `every_epochs` epochs.
-    StepDecay {
-        /// Epochs between decays.
-        every_epochs: u32,
-        /// Multiplier applied at each decay (0 < factor <= 1).
-        factor: f32,
-    },
-    /// Cosine annealing from the base rate down to `base * min_factor`
-    /// over `total_epochs`.
-    Cosine {
-        /// Horizon of the anneal.
-        total_epochs: u32,
-        /// Floor as a fraction of the base rate.
-        min_factor: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The effective learning rate for `epoch` (0-based).
-    pub fn lr_at(&self, base: f32, epoch: u64) -> f32 {
-        match *self {
-            LrSchedule::Constant => base,
-            LrSchedule::StepDecay {
-                every_epochs,
-                factor,
-            } => {
-                let steps = epoch / every_epochs.max(1) as u64;
-                base * factor.powi(steps.min(1_000) as i32)
-            }
-            LrSchedule::Cosine {
-                total_epochs,
-                min_factor,
-            } => {
-                let t = (epoch as f32 / total_epochs.max(1) as f32).min(1.0);
-                let floor = base * min_factor;
-                floor + 0.5 * (base - floor) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-        }
-    }
-
-    /// Validate schedule parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on out-of-range factors or zero horizons.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            LrSchedule::Constant => Ok(()),
-            LrSchedule::StepDecay {
-                every_epochs,
-                factor,
-            } => {
-                if every_epochs == 0 {
-                    return Err("lr_schedule: every_epochs must be positive".into());
-                }
-                if !(factor > 0.0 && factor <= 1.0) {
-                    return Err("lr_schedule: factor must be in (0, 1]".into());
-                }
-                Ok(())
-            }
-            LrSchedule::Cosine {
-                total_epochs,
-                min_factor,
-            } => {
-                if total_epochs == 0 {
-                    return Err("lr_schedule: total_epochs must be positive".into());
-                }
-                if !(0.0..=1.0).contains(&min_factor) {
-                    return Err("lr_schedule: min_factor must be in [0, 1]".into());
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// Optimizer + loop parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainerConfig {
     /// Mini-batch size (paper: 1024 / 256 / 512 per dataset).
     pub batch_size: usize,
-    /// ADAM base learning rate (paper: 1e-4).
+    /// ADAM learning rate (paper: 1e-4).
     pub learning_rate: f32,
-    /// Schedule applied on top of the base rate.
-    pub lr_schedule: LrSchedule,
     /// ADAM β₁.
     pub beta1: f32,
     /// ADAM β₂.
@@ -319,7 +233,6 @@ impl Default for TrainerConfig {
         TrainerConfig {
             batch_size: 256,
             learning_rate: 1e-4,
-            lr_schedule: LrSchedule::Constant,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
@@ -355,7 +268,6 @@ impl TrainerConfig {
         if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
             return Err("learning_rate must be positive".into());
         }
-        self.lr_schedule.validate()?;
         if !(0.0..1.0).contains(&self.beta1) || !(0.0..1.0).contains(&self.beta2) {
             return Err("beta1/beta2 must be in [0, 1)".into());
         }
@@ -430,71 +342,6 @@ mod tests {
         assert_eq!(t.effective_threads(), 3);
         t.threads = 0;
         assert!(t.effective_threads() >= 1);
-    }
-
-    #[test]
-    fn lr_schedules_compute_expected_rates() {
-        let base = 1.0_f32;
-        assert_eq!(LrSchedule::Constant.lr_at(base, 100), 1.0);
-
-        let step = LrSchedule::StepDecay {
-            every_epochs: 2,
-            factor: 0.5,
-        };
-        assert_eq!(step.lr_at(base, 0), 1.0);
-        assert_eq!(step.lr_at(base, 1), 1.0);
-        assert_eq!(step.lr_at(base, 2), 0.5);
-        assert_eq!(step.lr_at(base, 5), 0.25);
-
-        let cosine = LrSchedule::Cosine {
-            total_epochs: 10,
-            min_factor: 0.1,
-        };
-        assert!((cosine.lr_at(base, 0) - 1.0).abs() < 1e-6);
-        assert!((cosine.lr_at(base, 10) - 0.1).abs() < 1e-6);
-        assert!(
-            (cosine.lr_at(base, 20) - 0.1).abs() < 1e-6,
-            "clamped past horizon"
-        );
-        let mid = cosine.lr_at(base, 5);
-        assert!((0.5..0.6).contains(&mid), "midpoint {mid}");
-    }
-
-    #[test]
-    fn lr_schedule_validation() {
-        assert!(LrSchedule::Constant.validate().is_ok());
-        assert!(LrSchedule::StepDecay {
-            every_epochs: 0,
-            factor: 0.5
-        }
-        .validate()
-        .is_err());
-        assert!(LrSchedule::StepDecay {
-            every_epochs: 1,
-            factor: 1.5
-        }
-        .validate()
-        .is_err());
-        assert!(LrSchedule::Cosine {
-            total_epochs: 0,
-            min_factor: 0.5
-        }
-        .validate()
-        .is_err());
-        assert!(LrSchedule::Cosine {
-            total_epochs: 5,
-            min_factor: 2.0
-        }
-        .validate()
-        .is_err());
-        let tc = TrainerConfig {
-            lr_schedule: LrSchedule::StepDecay {
-                every_epochs: 0,
-                factor: 0.5,
-            },
-            ..Default::default()
-        };
-        assert!(tc.validate().is_err());
     }
 
     #[test]

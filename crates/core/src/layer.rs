@@ -15,12 +15,13 @@
 //!   `Wᵀ`).
 
 use crate::activation::{relu, softmax_into};
-use crate::config::{HashFamilyKind, LshConfig, Precision};
+use crate::config::{LshConfig, Precision};
 use crate::params::LayerParams;
+use crate::retrieval::Retrieval;
 use crate::scratch::WorkerScratch;
 use parking_lot::RwLock;
 use slide_data::top_k_indices;
-use slide_hash::{DwtaConfig, LshFamily, LshTables, SimHashConfig, TableStats};
+use slide_hash::{LshFamily, LshTables, TableStats};
 use slide_mem::{ParamLayout, SparseVecRef};
 use slide_simd::{KernelSet, RowGather};
 
@@ -207,12 +208,8 @@ impl DenseLayer {
 #[derive(Debug)]
 pub struct SampledOutputLayer {
     params: LayerParams,
-    family: LshFamily,
+    retrieval: Retrieval,
     tables: RwLock<LshTables>,
-    min_active: usize,
-    max_active: Option<usize>,
-    probes: usize,
-    pad_seed: u64,
 }
 
 impl SampledOutputLayer {
@@ -227,39 +224,13 @@ impl SampledOutputLayer {
         seed: u64,
     ) -> Self {
         let params = LayerParams::new(output_dim, hidden, output_dim, layout, precision, seed);
-        let family = match lsh.family {
-            HashFamilyKind::Dwta { bin_size } => LshFamily::dwta(DwtaConfig {
-                dim: hidden,
-                key_bits: lsh.key_bits,
-                tables: lsh.tables,
-                bin_size,
-                seed: seed ^ 0xD1A7,
-            }),
-            HashFamilyKind::SimHash => LshFamily::simhash(SimHashConfig {
-                dim: hidden,
-                key_bits: lsh.key_bits,
-                tables: lsh.tables,
-                seed: seed ^ 0x51A7,
-            }),
-        };
-        let tables = LshTables::new(
-            lsh.tables,
-            lsh.key_bits,
-            lsh.bucket_cap,
-            lsh.policy,
-            seed ^ 0x7AB1,
-        );
-        let layer = SampledOutputLayer {
+        let retrieval = Retrieval::training(hidden, output_dim, lsh, seed);
+        let tables = RwLock::new(retrieval.tables_from_rows(&params));
+        SampledOutputLayer {
             params,
-            family,
-            tables: RwLock::new(tables),
-            min_active: lsh.min_active.min(output_dim),
-            max_active: lsh.max_active,
-            probes: lsh.probes.max(1),
-            pad_seed: seed ^ 0x9AD5,
-        };
-        layer.rebuild_serial();
-        layer
+            retrieval,
+            tables,
+        }
     }
 
     /// The underlying parameter block.
@@ -274,7 +245,7 @@ impl SampledOutputLayer {
 
     /// The LSH family hashing this layer.
     pub fn family(&self) -> &LshFamily {
-        &self.family
+        self.retrieval.family()
     }
 
     /// Current hash-table occupancy statistics.
@@ -290,25 +261,14 @@ impl SampledOutputLayer {
     /// Compute table keys for neuron `r`'s weight vector into `keys_out`.
     pub fn compute_row_keys(&self, r: usize, scratch: &mut WorkerScratch, keys_out: &mut [u32]) {
         self.params.widen_row_into(r, &mut scratch.widen);
-        let widen = std::mem::take(&mut scratch.widen);
-        self.family.keys_dense(&widen, &mut scratch.lsh, keys_out);
-        scratch.widen = widen;
+        self.family()
+            .keys_dense(&scratch.widen, &mut scratch.lsh, keys_out);
     }
 
-    /// Single-threaded full rebuild (used at construction; the trainer uses
-    /// the parallel two-phase path).
+    /// Single-threaded full rebuild (used at checkpoint restore; the
+    /// trainer uses the parallel two-phase path).
     pub fn rebuild_serial(&self) {
-        let l = self.family.tables();
-        let mut lsh_scratch = self.family.make_scratch();
-        let mut widen = vec![0.0_f32; self.params.cols()];
-        let mut keys = vec![0u32; l];
-        let mut tables = self.tables.write();
-        tables.clear();
-        for r in 0..self.params.rows() {
-            self.params.widen_row_into(r, &mut widen);
-            self.family.keys_dense(&widen, &mut lsh_scratch, &mut keys);
-            tables.insert(&keys, r as u32);
-        }
+        *self.tables.write() = self.retrieval.tables_from_rows(&self.params);
     }
 
     /// Replace table contents from precomputed per-row keys
@@ -318,65 +278,24 @@ impl SampledOutputLayer {
     ///
     /// Panics if `all_keys.len() != rows * L`.
     pub fn rebuild_from_keys(&self, all_keys: &[u32]) {
-        let l = self.family.tables();
+        let l = self.family().tables();
         assert_eq!(
             all_keys.len(),
             self.params.rows() * l,
             "rebuild_from_keys: wrong key buffer size"
         );
-        let mut tables = self.tables.write();
-        tables.clear();
-        for r in 0..self.params.rows() {
-            tables.insert(&all_keys[r * l..(r + 1) * l], r as u32);
-        }
+        self.retrieval.fill(&mut self.tables.write(), |r, keys| {
+            keys.copy_from_slice(&all_keys[r * l..(r + 1) * l])
+        });
     }
 
-    /// Build the active set for input `h` into `scratch.active`:
-    /// forced labels first, then deduplicated table retrievals, then
-    /// deterministic random padding up to `min_active` (capped at
-    /// `max_active` when configured).
+    /// Build the active set for input `h` into `scratch.active`: the
+    /// `labels` forced first, then [`Retrieval::select`]'s retrieve → dedup
+    /// → cap → pad over this layer's tables.
     pub fn select_active(&self, h: &[f32], labels: &[u32], scratch: &mut WorkerScratch, salt: u64) {
-        self.family
-            .keys_dense(h, &mut scratch.lsh, &mut scratch.keys);
-        scratch.candidates.clear();
-        {
-            let tables = self.tables.read();
-            if self.probes > 1 {
-                tables.query_multiprobe_into(&scratch.keys, self.probes, &mut scratch.candidates);
-            } else {
-                tables.query_into(&scratch.keys, &mut scratch.candidates);
-            }
-        }
-
-        scratch.dedup.begin();
-        scratch.active.clear();
-        for &l in labels {
-            if scratch.dedup.insert(l) {
-                scratch.active.push(l);
-            }
-        }
-        let cap = self.max_active.unwrap_or(usize::MAX).max(labels.len());
-        for i in 0..scratch.candidates.len() {
-            if scratch.active.len() >= cap {
-                break;
-            }
-            let c = scratch.candidates[i];
-            if scratch.dedup.insert(c) {
-                scratch.active.push(c);
-            }
-        }
-        // Pad with pseudo-random neurons so early training (tables still
-        // cold) keeps gradients flowing.
-        let n = self.output_dim() as u64;
-        let want = self.min_active.min(cap);
-        let mut attempt = 0u64;
-        while scratch.active.len() < want {
-            let r = (slide_hash::mix::mix3(self.pad_seed, salt, attempt) % n) as u32;
-            attempt += 1;
-            if scratch.dedup.insert(r) {
-                scratch.active.push(r);
-            }
-        }
+        let tables = self.tables.read();
+        self.retrieval
+            .select([&*tables], h, labels, scratch.select_buffers(), salt);
     }
 
     /// Train on one sample: sampled softmax + cross-entropy over the active
@@ -597,63 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn output_layer_retrieves_itself() {
-        // A neuron queried with its own weight vector must appear in its
-        // active set (same hash keys ⇒ same buckets).
-        let lsh = LshConfig {
-            tables: 8,
-            key_bits: 5,
-            min_active: 0,
-            ..Default::default()
-        };
-        let layer =
-            SampledOutputLayer::new(16, 100, &lsh, ParamLayout::Coalesced, Precision::Fp32, 3);
-        let mut scratch = scratch_for(16, 100, &layer);
-        for r in [0usize, 17, 99] {
-            let w = layer.params().row_f32(r);
-            layer.select_active(&w, &[], &mut scratch, 0);
-            assert!(
-                scratch.active.contains(&(r as u32)),
-                "neuron {r} missing from its own active set"
-            );
-        }
-    }
-
-    #[test]
-    fn labels_always_forced_into_active_set() {
-        let lsh = LshConfig {
-            min_active: 4,
-            ..Default::default()
-        };
-        let layer =
-            SampledOutputLayer::new(8, 50, &lsh, ParamLayout::Coalesced, Precision::Fp32, 4);
-        let mut scratch = scratch_for(8, 50, &layer);
-        let h = vec![0.1; 8];
-        layer.select_active(&h, &[42, 7], &mut scratch, 1);
-        assert_eq!(&scratch.active[..2], &[42, 7]);
-        assert!(scratch.active.len() >= 4);
-        // No duplicates.
-        let mut seen = std::collections::HashSet::new();
-        assert!(scratch.active.iter().all(|&a| seen.insert(a)));
-    }
-
-    #[test]
-    fn min_active_pads_cold_tables() {
-        let lsh = LshConfig {
-            min_active: 16,
-            max_active: Some(20),
-            ..Default::default()
-        };
-        let layer =
-            SampledOutputLayer::new(8, 64, &lsh, ParamLayout::Coalesced, Precision::Fp32, 5);
-        let mut scratch = scratch_for(8, 64, &layer);
-        // Zero vector hashes somewhere; padding must still reach min_active.
-        layer.select_active(&[0.0; 8], &[], &mut scratch, 9);
-        assert!(scratch.active.len() >= 16);
-        assert!(scratch.active.len() <= 64);
-    }
-
-    #[test]
     fn train_sample_reduces_loss_on_repeat() {
         let lsh = LshConfig {
             min_active: 16,
@@ -725,30 +587,6 @@ mod tests {
             }
         }
         assert!(agree >= 24, "only {agree}/32 agreements");
-    }
-
-    #[test]
-    fn rebuild_from_keys_matches_serial() {
-        let lsh = LshConfig {
-            tables: 6,
-            key_bits: 5,
-            ..Default::default()
-        };
-        let layer =
-            SampledOutputLayer::new(8, 30, &lsh, ParamLayout::Coalesced, Precision::Fp32, 9);
-        let mut scratch = scratch_for(8, 30, &layer);
-        let l = layer.family().tables();
-        let mut all_keys = vec![0u32; 30 * l];
-        for r in 0..30 {
-            let mut keys = vec![0u32; l];
-            layer.compute_row_keys(r, &mut scratch, &mut keys);
-            all_keys[r * l..(r + 1) * l].copy_from_slice(&keys);
-        }
-        let before = layer.table_stats();
-        layer.rebuild_from_keys(&all_keys);
-        let after = layer.table_stats();
-        assert_eq!(before.stored, after.stored);
-        assert_eq!(before.occupied_buckets, after.occupied_buckets);
     }
 
     #[test]

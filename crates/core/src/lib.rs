@@ -19,6 +19,11 @@
 //! * **BF16 quantization (§4.4)** — [`Precision`] selects fp32, bf16
 //!   activations, or bf16 weights + activations (Table 3's three modes).
 //!
+//! The output layer's LSH retrieval — its hash family and seed chain, the
+//! table fill from rows, and the hash → probe → dedup → cap → pad active-set
+//! [`Retrieval::select`] — is one type, [`Retrieval`]. The trainer's
+//! [`SampledOutputLayer`] and `slide-serve`'s frozen engine both call it.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -56,19 +61,21 @@ mod layer;
 mod network;
 mod params;
 mod pool;
+mod retrieval;
 mod scratch;
 mod trainer;
 
 pub use activation::{relu, relu_backward_mask, softmax_into};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use config::{
-    HashFamilyKind, LrSchedule, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
+    HashFamilyKind, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
     TrainerConfig,
 };
 pub use layer::{DenseLayer, SampledOutputLayer, SparseInputLayer};
 pub use network::Network;
 pub use params::{LayerParams, WeightStorage};
 pub use pool::ThreadPool;
+pub use retrieval::{Retrieval, SelectBuffers};
 pub use scratch::{StampSet, WorkerScratch};
 pub use trainer::{
     ConvergenceLog, ConvergencePoint, EpochStats, EvalMode, PhaseBreakdown, Trainer,

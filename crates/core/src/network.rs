@@ -6,6 +6,7 @@
 use crate::activation::relu_backward_mask;
 use crate::config::{NetworkConfig, Precision};
 use crate::layer::{DenseLayer, SampledOutputLayer, SparseInputLayer};
+use crate::retrieval::output_layer_seed;
 use crate::scratch::WorkerScratch;
 use slide_mem::SparseVecRef;
 
@@ -68,7 +69,7 @@ impl Network {
             &config.lsh,
             layout,
             config.precision,
-            config.seed ^ 0x0707,
+            output_layer_seed(config.seed),
         );
         Ok(Network {
             config,

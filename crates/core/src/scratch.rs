@@ -3,6 +3,7 @@
 //! allocation-free (a §4.1 requirement — allocator churn would re-fragment
 //! the memory the batch/arena layouts just coalesced).
 
+use crate::retrieval::SelectBuffers;
 use slide_data::MeanMetric;
 use slide_hash::LshScratch;
 use slide_simd::{KernelSet, RowGather};
@@ -89,6 +90,9 @@ pub struct WorkerScratch {
     pub active: Vec<u32>,
     /// Active-set dedup filter over output neurons.
     pub dedup: StampSet,
+    /// Where the retrieved rows end in `active` (one table set in training;
+    /// see [`SelectBuffers::bounds`]).
+    pub(crate) bounds: Vec<usize>,
     /// Logits over the active set.
     pub logits: Vec<f32>,
     /// Softmax probabilities over the active set.
@@ -124,6 +128,7 @@ impl WorkerScratch {
             candidates: Vec::with_capacity(1024),
             active: Vec::with_capacity(1024),
             dedup: StampSet::new(output_dim),
+            bounds: Vec::with_capacity(1),
             logits: Vec::with_capacity(1024),
             probs: Vec::with_capacity(1024),
             touched_out: Vec::with_capacity(1024),
@@ -133,6 +138,18 @@ impl WorkerScratch {
             widen: vec![0.0; hidden_dims.last().copied().unwrap_or(0)],
             gather: RowGather::default(),
             kernels: KernelSet::resolve(),
+        }
+    }
+
+    /// Lend the active-set buffers to [`crate::Retrieval::select`].
+    pub(crate) fn select_buffers(&mut self) -> SelectBuffers<'_> {
+        SelectBuffers {
+            lsh: &mut self.lsh,
+            keys: &mut self.keys,
+            candidates: &mut self.candidates,
+            dedup: &mut self.dedup,
+            bounds: &mut self.bounds,
+            active: &mut self.active,
         }
     }
 }

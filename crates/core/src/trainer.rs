@@ -160,7 +160,6 @@ pub struct Trainer {
     touched_in: Vec<u32>,
     rebuild_keys: Vec<u32>,
     epoch_phases: PhaseBreakdown,
-    current_lr: f32,
     total_train_seconds: f64,
 }
 
@@ -186,7 +185,6 @@ impl Trainer {
             touched_in: Vec::new(),
             rebuild_keys: Vec::new(),
             epoch_phases: PhaseBreakdown::default(),
-            current_lr: config.learning_rate,
             total_train_seconds: 0.0,
             network,
             config,
@@ -254,10 +252,6 @@ impl Trainer {
             s.loss = MeanMetric::new();
         }
         self.epoch_phases = PhaseBreakdown::default();
-        self.current_lr = self
-            .config
-            .lr_schedule
-            .lr_at(self.config.learning_rate, epoch);
         let start = Instant::now();
         let plan = EpochBatches::new(
             data.len(),
@@ -338,7 +332,7 @@ impl Trainer {
 
         let t0 = Instant::now();
         let step = AdamStep::bias_corrected(
-            self.current_lr,
+            self.config.learning_rate,
             self.config.beta1,
             self.config.beta2,
             self.config.eps,
@@ -724,32 +718,6 @@ mod tests {
         // Every neuron is inserted into every table both times.
         assert_eq!(stats_before.stored, stats_after.stored);
         assert_eq!(stats_after.stored, 64 * 12);
-    }
-
-    #[test]
-    fn lr_schedule_is_applied_per_epoch() {
-        let data = tiny_data();
-        let mut tc = TrainerConfig {
-            batch_size: 64,
-            learning_rate: 2e-3,
-            threads: 1,
-            ..Default::default()
-        };
-        tc.lr_schedule = crate::config::LrSchedule::StepDecay {
-            every_epochs: 1,
-            factor: 1e-6, // effectively freezes training after epoch 0
-        };
-        let mut t = Trainer::new(tiny_network(), tc).unwrap();
-        t.train_epoch(&data.train, 0);
-        let p_after_first = t.evaluate(&data.test, 1, EvalMode::Exact, None);
-        for epoch in 1..4 {
-            t.train_epoch(&data.train, epoch);
-        }
-        let p_after_frozen = t.evaluate(&data.test, 1, EvalMode::Exact, None);
-        assert!(
-            (p_after_first - p_after_frozen).abs() < 0.06,
-            "decayed lr should freeze accuracy: {p_after_first:.3} vs {p_after_frozen:.3}"
-        );
     }
 
     #[test]

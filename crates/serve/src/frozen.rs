@@ -17,12 +17,11 @@
 
 use crate::error::ServeBuildError;
 use crate::layer::{Act, FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
-use crate::retrieval::{build_tables, Retrieval, RetrievalScratch};
 use crate::shard::{partition_tables, ShardIndexer, ShardPlan};
 use crate::snapshot::SnapshotPrecision;
-use slide_core::{relu, Network, NetworkConfig, Precision};
+use slide_core::{relu, Network, NetworkConfig, Precision, Retrieval, SelectBuffers, StampSet};
 use slide_data::top_k_indices;
-use slide_hash::{LshTables, TableStats};
+use slide_hash::{LshScratch, LshTables, TableStats};
 use slide_mem::{AlignedVec, SparseVecRef};
 use slide_obs::StageSample;
 use slide_simd::{KernelSet, RowGather};
@@ -46,7 +45,8 @@ struct Shard<L> {
 ///   activation `h`;
 /// * **`N ≥ 1` shards** of the output layer, each a row-subset arena in
 ///   layout `L` plus that shard's partition of the LSH tables;
-/// * one LSH family and one pad/cap policy.
+/// * one [`Retrieval`] — the LSH family and pad/cap policy the trainer's
+///   output layer selects with, over tables and a pad stream of its own.
 ///
 /// A query hashes `h` once (and, for lossy layouts, quantizes it once),
 /// probes each shard's tables with the shared keys in shard order, dedups
@@ -137,7 +137,13 @@ pub struct ServeScratch {
     pub acts: Vec<AlignedVec<f32>>,
     /// u8 activation codes, one buffer per activation (lossy layouts only).
     qacts: Vec<AlignedVec<u8>>,
-    sel: RetrievalScratch,
+    /// [`Retrieval::select`]'s buffers besides `active` (see
+    /// [`SelectBuffers`]).
+    lsh: LshScratch,
+    keys: Vec<u32>,
+    candidates: Vec<u32>,
+    dedup: StampSet,
+    bounds: Vec<usize>,
     /// Active output neurons for the current query, in retrieval order
     /// (inspection hook).
     pub active: Vec<u32>,
@@ -233,13 +239,16 @@ impl<L: RowLayout> Engine<L> {
         let mut hidden = Vec::new();
         cut_layers(net, &plan, &mut report, |l| hidden.push(l));
         let shards = hidden.split_off(net.hidden_layers().len());
+        let retrieval = Retrieval::serving(net.config());
+        let tables = retrieval.tables_from_rows(net.output().params());
         Ok(Self::assemble(
             net.config().clone(),
             plan,
             FrozenLayer::from_params(net.input().params()),
             hidden,
             shards,
-            build_tables(net),
+            retrieval,
+            tables,
             report,
         ))
     }
@@ -248,14 +257,16 @@ impl<L: RowLayout> Engine<L> {
     /// (layers just cut from a network) and the load path (layers viewing an
     /// image, tables rebuilt from CSR). `plan` must have passed
     /// [`serving_plan`] and the layers must have the shapes
-    /// `expected_manifest` declares for it; `tables` is the *global* build,
-    /// partitioned here.
+    /// `expected_manifest` declares for it; `tables` is `retrieval`'s
+    /// *global* build, partitioned here.
+    #[allow(clippy::too_many_arguments)] // one per part of an engine
     pub(crate) fn assemble(
         config: NetworkConfig,
         plan: ShardPlan,
         input: FrozenLayer,
         hidden: Vec<L>,
         shard_layers: Vec<L>,
+        retrieval: Retrieval,
         tables: LshTables,
         report: QuantReport,
     ) -> Self {
@@ -271,7 +282,7 @@ impl<L: RowLayout> Engine<L> {
             })
             .collect();
         Engine {
-            retrieval: Retrieval::new(&config),
+            retrieval,
             config,
             plan,
             input,
@@ -367,10 +378,15 @@ impl<L: RowLayout> Engine<L> {
     pub fn make_scratch(&self) -> ServeScratch {
         let mut widths: Vec<usize> = vec![self.input.cols()];
         widths.extend(self.hidden.iter().map(L::rows));
+        let family = self.retrieval.family();
         ServeScratch {
             acts: widths.iter().map(|&w| AlignedVec::zeroed(w)).collect(),
             qacts: widths.iter().map(|&w| AlignedVec::zeroed(w)).collect(),
-            sel: self.retrieval.make_scratch(),
+            lsh: family.make_scratch(),
+            keys: vec![0; family.tables()],
+            candidates: Vec::with_capacity(1024),
+            dedup: StampSet::new(self.output_dim()),
+            bounds: Vec::new(),
             active: Vec::with_capacity(1024),
             logits: Vec::with_capacity(1024),
             locals: Vec::with_capacity(1024),
@@ -442,13 +458,16 @@ impl<L: RowLayout> Engine<L> {
     /// passed separately so it may alias `scratch.acts` through a prior
     /// copy.
     pub fn select_active(&self, h: &[f32], scratch: &mut ServeScratch, salt: u64) {
-        self.retrieval.select(
-            self.shards.iter().map(|s| &s.tables),
-            h,
-            &mut scratch.sel,
-            &mut scratch.active,
-            salt,
-        );
+        let buf = SelectBuffers {
+            lsh: &mut scratch.lsh,
+            keys: &mut scratch.keys,
+            candidates: &mut scratch.candidates,
+            dedup: &mut scratch.dedup,
+            bounds: &mut scratch.bounds,
+            active: &mut scratch.active,
+        };
+        self.retrieval
+            .select(self.shards.iter().map(|s| &s.tables), h, &[], buf, salt);
     }
 
     /// Predict the top-`k` labels for one sparse input, scoring only the
@@ -494,7 +513,11 @@ impl<L: RowLayout> Engine<L> {
         let ServeScratch {
             acts,
             qacts,
-            sel,
+            lsh,
+            keys,
+            candidates,
+            dedup,
+            bounds,
             active,
             logits,
             locals,
@@ -504,8 +527,16 @@ impl<L: RowLayout> Engine<L> {
         } = scratch;
         let h = acts.last().expect("at least one hidden layer").as_slice();
         let t1 = Instant::now();
+        let buf = SelectBuffers {
+            lsh,
+            keys,
+            candidates,
+            dedup,
+            bounds,
+            active,
+        };
         self.retrieval
-            .select(self.shards.iter().map(|s| &s.tables), h, sel, active, salt);
+            .select(self.shards.iter().map(|s| &s.tables), h, &[], buf, salt);
         let t2 = Instant::now();
 
         let q = qacts.last_mut().expect("scratch widths").as_mut_slice();
@@ -514,7 +545,7 @@ impl<L: RowLayout> Engine<L> {
         // once for the gather and the bias pass.
         locals.clear();
         gather.clear();
-        for (shard, run) in self.segments(active, &sel.bounds) {
+        for (shard, run) in self.segments(active, bounds) {
             shard.indexer.locals_into(&active[run.clone()], locals);
             shard.layer.gather(&locals[run], gather);
         }
@@ -524,7 +555,7 @@ impl<L: RowLayout> Engine<L> {
         // arena `self` owns (alive for the call), and shard rows are as wide
         // as `h` (the manifest check at assembly).
         unsafe { L::score(kernels, gather, Act { x: h, q, scale }, logits) };
-        for (shard, run) in self.segments(active, &sel.bounds) {
+        for (shard, run) in self.segments(active, bounds) {
             let bias = shard.layer.bias();
             for (z, &local) in logits[run.clone()].iter_mut().zip(&locals[run]) {
                 *z += bias[local as usize];

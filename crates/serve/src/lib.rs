@@ -11,7 +11,9 @@
 //!   [`slide_core::Network`] with contiguous 64-byte-aligned per-layer weight
 //!   arenas, pre-built hash tables, and a lock-free `&self`
 //!   [`Engine::predict_sparse`] that is safe to share across threads via
-//!   `Arc` (no `HogwildPtr`, no gradient state, no table locks). It is
+//!   `Arc` (no `HogwildPtr`, no gradient state, no table locks). Its tables
+//!   are filled and its active sets picked by [`slide_core::Retrieval`], the
+//!   code the trainer's output layer runs, with no forced labels. It is
 //!   generic over the row storage format ([`RowLayout`]: f32
 //!   [`FrozenLayer`] → [`FrozenNetwork`], int8 [`QuantizedLayer`] →
 //!   [`QuantizedFrozenNetwork`]) and over the shard count `N ≥ 1` of the
@@ -59,7 +61,6 @@ mod frozen;
 mod layer;
 mod model;
 pub mod registry;
-mod retrieval;
 mod server;
 pub mod shard;
 pub mod snapshot;

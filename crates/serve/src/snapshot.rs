@@ -52,9 +52,10 @@ use crate::frozen::{cut_layers, serving_plan, Engine};
 use crate::layer::{FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
 use crate::model::FrozenModel;
 use crate::registry::write_atomic;
-use crate::retrieval::{build_tables, TABLE_SEED_SALT};
 use crate::shard::{ShardPlan, ShardPlanKind};
-use slide_core::{HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision};
+use slide_core::{
+    HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Retrieval,
+};
 use slide_hash::{BucketPolicy, LshTables, TablesCsr};
 use slide_mem::{crc32, pod_bytes, AlignedVec, ArenaView, Pod, SharedArena};
 use std::fmt;
@@ -909,15 +910,13 @@ fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
     writer.section_pod(SectionKind::TableArrivals, 0, &csr.arrivals);
 }
 
-/// Rebuild the global tables from an image's CSR sections: every
-/// table/policy seed is re-derived from `config.seed` exactly as the
-/// original build derived it, and the CSR round trip preserves bucket
-/// contents, order, and reservoir arrival counters — so loaded tables
-/// retrieve bit-identically to the ones that were saved.
-fn decode_tables(
-    image: &SnapshotImage,
-    config: &NetworkConfig,
-) -> Result<LshTables, SnapshotError> {
+/// Rebuild the global tables from an image's CSR sections under
+/// `retrieval`, which re-derives every table/policy seed from the stored
+/// config exactly as the original build derived it. The CSR round trip
+/// preserves bucket contents, order, and reservoir arrival counters — so
+/// loaded tables retrieve bit-identically to the ones that were saved — and
+/// an id outside the output layer is refused here, before any partitioning.
+fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTables, SnapshotError> {
     let csr = TablesCsr {
         offsets: image
             .view::<u32>(SectionKind::TableOffsets, 0)?
@@ -932,15 +931,7 @@ fn decode_tables(
             .as_slice()
             .to_vec(),
     };
-    LshTables::from_csr(
-        config.lsh.tables,
-        config.lsh.key_bits,
-        config.lsh.bucket_cap,
-        config.lsh.policy,
-        config.seed ^ TABLE_SEED_SALT,
-        &csr,
-    )
-    .map_err(corrupt)
+    retrieval.tables_from_csr(&csr).map_err(corrupt)
 }
 
 // ---------------------------------------------------------------------------
@@ -982,7 +973,8 @@ fn encode_as<L: RowLayout>(
         ordinal += 1;
         layer.encode(&mut w, ordinal);
     });
-    encode_tables(&mut w, &build_tables(net));
+    let tables = Retrieval::serving(config).tables_from_rows(net.output().params());
+    encode_tables(&mut w, &tables);
     if spec.shard_plan.is_none() && !report.layers.is_empty() {
         w.section(SectionKind::QuantReport, 0, report.encode());
     }
@@ -1041,7 +1033,8 @@ impl<L: RowLayout> Engine<L> {
             .map(|o| L::decode(image, o as u32, manifest[o]))
             .collect::<Result<_, _>>()?;
         let shards = hidden.split_off(dense_hidden_count(&config));
-        let tables = decode_tables(image, &config)?;
+        let retrieval = Retrieval::serving(&config);
+        let tables = decode_tables(image, &retrieval)?;
         // `.slsnap` v1: the report rides in unsharded lossy images only.
         let report = if L::PRECISION == SnapshotPrecision::I8 && spec.shard_plan.is_none() {
             QuantReport::decode(image.bytes(SectionKind::QuantReport, 0)?)?
@@ -1049,7 +1042,7 @@ impl<L: RowLayout> Engine<L> {
             QuantReport::default()
         };
         Ok(Engine::assemble(
-            config, plan, input, hidden, shards, tables, report,
+            config, plan, input, hidden, shards, retrieval, tables, report,
         ))
     }
 }

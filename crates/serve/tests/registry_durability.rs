@@ -13,7 +13,7 @@ use slide_core::{LshConfig, Network, NetworkConfig};
 use slide_mem::SparseVecRef;
 use slide_quant::Snapshot;
 use slide_serve::snapshot::SectionKind;
-use slide_serve::{FrozenModel, ModelRegistry, SnapshotError, SnapshotSpec};
+use slide_serve::{FrozenModel, ModelRegistry, ShardPlan, SnapshotError, SnapshotSpec};
 use std::sync::Arc;
 
 fn tiny_net(seed: u64) -> Network {
@@ -139,12 +139,12 @@ fn retarget(image: &mut [u8], kind: SectionKind, index: u32, offset: usize) {
     image[60..64].copy_from_slice(&header_crc.to_le_bytes());
 }
 
-/// Publish an i8 image, apply `craft` to the published file, and return why
-/// loading it failed.
-fn load_crafted(tag: &str, craft: impl FnOnce(&mut Vec<u8>)) -> SnapshotError {
+/// Publish an image of `spec`, apply `craft` to the published file, and
+/// return why loading it failed.
+fn load_crafted(tag: &str, spec: &SnapshotSpec, craft: impl FnOnce(&mut Vec<u8>)) -> SnapshotError {
     let root = tmp_root(tag);
     let registry = ModelRegistry::open(&root).expect("open registry");
-    let snap = Snapshot::build(&tiny_net(13), &SnapshotSpec::i8()).expect("build snapshot");
+    let snap = Snapshot::build(&tiny_net(13), spec).expect("build snapshot");
     let path = registry.version_path(registry.publish(snap.bytes()).expect("publish"));
     let mut bytes = std::fs::read(&path).expect("read published file");
     craft(&mut bytes);
@@ -158,7 +158,7 @@ fn load_crafted(tag: &str, craft: impl FnOnce(&mut Vec<u8>)) -> SnapshotError {
 fn a_section_inside_the_header_or_table_is_refused_even_with_valid_crcs() {
     // The input layer's 64-byte bias pointed into the section table, past
     // its own entry: any 64 bytes read as f32 are a bias the engine takes.
-    let err = load_crafted("alias_table", |image| {
+    let err = load_crafted("alias_table", &SnapshotSpec::i8(), |image| {
         let (entry, _, _) = find_section(image, SectionKind::Bias, 0);
         let into_table = (entry + ENTRY_LEN).next_multiple_of(64);
         assert!(into_table < HEADER_LEN + le_u32(image, 20) as usize * ENTRY_LEN);
@@ -174,7 +174,7 @@ fn a_section_inside_the_header_or_table_is_refused_even_with_valid_crcs() {
 fn overlapping_sections_are_refused_even_with_valid_crcs() {
     // The input layer's bias pointed at the first 64 bytes of the tables'
     // item list: u32 row ids, read back as a bias.
-    let err = load_crafted("overlap", |image| {
+    let err = load_crafted("overlap", &SnapshotSpec::i8(), |image| {
         let (_, items, items_len) = find_section(image, SectionKind::TableItems, 0);
         assert!(items_len >= 64);
         retarget(image, SectionKind::Bias, 0, items);
@@ -182,6 +182,40 @@ fn overlapping_sections_are_refused_even_with_valid_crcs() {
     assert!(
         matches!(&err, SnapshotError::Corrupt(m) if m.contains("overlaps")),
         "expected the overlap refusal, got {err}"
+    );
+}
+
+/// Overwrite the first id in the tables' item list with `id`, re-sealing
+/// every CRC, so only a range check on the ids can refuse the image.
+fn forge_table_id(image: &mut [u8], id: u32) {
+    let (_, items, _) = find_section(image, SectionKind::TableItems, 0);
+    image[items..items + 4].copy_from_slice(&id.to_le_bytes());
+    retarget(image, SectionKind::TableItems, 0, items);
+}
+
+#[test]
+fn a_table_id_outside_the_output_layer_is_refused_at_load() {
+    // Were it loaded, the first query probing its bucket would index past
+    // the output layer and panic.
+    let err = load_crafted("forged_id", &SnapshotSpec::f32(), |image| {
+        forge_table_id(image, 60_000)
+    });
+    assert!(
+        matches!(&err, SnapshotError::Corrupt(m) if m.contains("60000")),
+        "expected the id refusal, got {err}"
+    );
+}
+
+#[test]
+fn a_table_id_outside_the_output_layer_is_refused_before_sharding() {
+    // Were it read, partitioning the tables into shards would panic on it.
+    let spec = SnapshotSpec::f32().sharded(ShardPlan::contiguous(3, 64).expect("plan"));
+    let err = load_crafted("forged_id_sharded", &spec, |image| {
+        forge_table_id(image, 64)
+    });
+    assert!(
+        matches!(&err, SnapshotError::Corrupt(m) if m.contains("id 64 ")),
+        "expected the id refusal, got {err}"
     );
 }
 

@@ -1,13 +1,11 @@
 //! Advanced-knobs tour: the extension APIs layered on top of the paper's
 //! system — dataset preprocessing (TF-IDF + L2 normalization, as the real
-//! XC files ship), validation splits, cosine learning-rate schedules, and
-//! multiprobe queries.
+//! XC files ship), validation splits, and multiprobe queries.
 //!
 //! ```sh
 //! cargo run --release --example advanced_tuning
 //! ```
 
-use slide::core::LrSchedule;
 use slide::data::{l2_normalize, tf_idf, train_holdout_split};
 use slide::{
     generate_synthetic, EvalMode, Network, NetworkConfig, SynthConfig, Trainer, TrainerConfig,
@@ -33,21 +31,16 @@ fn main() {
     let (train, val) = train_holdout_split(&train_full, 0.1, 7);
     println!("split: {} train / {} validation", train.len(), val.len());
 
-    // Extension knobs: multiprobe retrieval (half the tables, 2 probes) and
-    // cosine LR decay.
+    // Extension knob: multiprobe retrieval (half the tables, 2 probes).
     let mut cfg = NetworkConfig::standard(4096, 128, 2048);
     cfg.lsh.tables = 12;
     cfg.lsh.probes = 2;
     cfg.lsh.key_bits = 6;
     cfg.lsh.min_active = 96;
-    let mut tc = TrainerConfig {
+    let tc = TrainerConfig {
         batch_size: 128,
         learning_rate: 2e-3,
         ..Default::default()
-    };
-    tc.lr_schedule = LrSchedule::Cosine {
-        total_epochs: 8,
-        min_factor: 0.1,
     };
 
     let mut trainer =
