@@ -201,7 +201,9 @@ if [[ "$MODE" == "smoke" ]]; then
         slide_router_forwarded_total \
         slide_router_breaker_state \
         slide_router_hedges_total \
-        slide_router_deadline_exceeded_total; do
+        slide_router_deadline_exceeded_total \
+        slide_net_connections_active \
+        slide_net_protocol_errors_total; do
         grep -qF "$family" <<< "$ROUTER_SCRAPE" || {
             echo "fleet scrape smoke: router scrape missing family $family" >&2
             kill "$NETD_PID" "$ROUTER_PID" 2> /dev/null || true
@@ -414,6 +416,21 @@ if grep -rnE '0x0707|0xD1A7|0x51A7|0x9AD5|7AB1|family_for|fn build_tables' \
     exit 1
 fi
 
+step "one socket front-end (one accept site, one frame loop in crates/net/src)"
+# Every port in slide-net is a listener::Listener, and the replica and the
+# router serve frames through its one Front loop (DESIGN.md §8); neither a
+# second accept loop nor a per-tier frame loop comes back.
+if grep -rnE 'fn (router_)?(accept|connection)_loop' crates/net/src; then
+    echo "ci.sh: a per-tier accept or connection loop is back in crates/net/src" >&2
+    exit 1
+fi
+ACCEPT_SITES="$(grep -rn '\.accept()' crates/net/src | wc -l)"
+if [[ "$ACCEPT_SITES" -ne 1 ]]; then
+    grep -rn '\.accept()' crates/net/src >&2 || true
+    echo "ci.sh: want exactly one .accept() call site in crates/net/src, got $ACCEPT_SITES" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -446,7 +463,10 @@ fi
 # two-table-set test and two registry_durability forged-table-id cases.
 # Four select/rebuild tests moved from layer.rs to retrieval.rs unchanged
 # in number.
-MIN_TIER1_TESTS=620
+# One socket front-end: 620 + 9 = 629. Added in wire_faults.rs: the seven
+# socket cases again against a router (7), and the connection cap against
+# each tier (2).
+MIN_TIER1_TESTS=629
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

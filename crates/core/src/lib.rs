@@ -77,6 +77,9 @@ pub use params::{LayerParams, WeightStorage};
 pub use pool::ThreadPool;
 pub use retrieval::{Retrieval, SelectBuffers};
 pub use scratch::{StampSet, WorkerScratch};
+/// The SplitMix64 mixers behind every hash family, for the crates above
+/// that draw deterministic numbers from the same function.
+pub use slide_hash::mix;
 pub use trainer::{
     ConvergenceLog, ConvergencePoint, EpochStats, EvalMode, PhaseBreakdown, Trainer,
 };

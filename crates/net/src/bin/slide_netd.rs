@@ -21,9 +21,8 @@
 //! sends a `Drain` frame.
 
 use slide_net::deploy::{wait_for_current, RegistryWatcher};
-use slide_net::{FleetPrecision, FleetSpec, NetConfig, NetServer, WireError};
+use slide_net::{jitter, FleetPrecision, FleetSpec, NetConfig, NetServer, StdinEof, WireError};
 use slide_serve::{BatchConfig, BatchingServer, FrozenModel, ModelRegistry};
-use std::io::Read;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,15 +136,11 @@ fn bind_retrying(addr: &str, patience: Duration) -> std::io::Result<u32> {
                 let base = Duration::from_millis(50)
                     .saturating_mul(1u32 << retries.min(5))
                     .min(Duration::from_secs(1));
-                // splitmix64-style mix of (pid, attempt) → ±25% jitter,
-                // deterministic for a given process so restarts are
-                // reproducible but distinct replicas desynchronize.
-                let mut h = (u64::from(std::process::id()) << 32) ^ u64::from(retries);
-                h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                let frac = 0.75 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
-                std::thread::sleep(base.mul_f64(frac));
+                // Jitter keyed on (pid, attempt): deterministic for a given
+                // process so restarts are reproducible, but distinct
+                // replicas desynchronize.
+                let key = (u64::from(std::process::id()) << 32) ^ u64::from(retries);
+                std::thread::sleep(jitter(base, key));
                 retries += 1;
             }
             Err(e) => return Err(e),
@@ -243,29 +238,8 @@ fn main() {
         }
     };
     println!("SLIDE_NETD LISTENING {}", net.local_addr());
-    // Watch stdin from a helper thread; EOF (or read error) = parent says
-    // shut down.
-    let (tx, rx) = std::sync::mpsc::channel::<()>();
-    std::thread::spawn(move || {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin().lock();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        let _ = tx.send(());
-    });
-    loop {
-        if net.is_draining() {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-        }
-    }
+    let stdin = StdinEof::spawn();
+    while !net.is_draining() && !stdin.wait(Duration::from_millis(50)) {}
     // Stop swapping before draining: a drain must report the stats of the
     // model mix it actually served, not race one last swap.
     if let Some(w) = watcher.as_mut() {

@@ -5,8 +5,7 @@
 //! Prints `SLIDE_ROUTER LISTENING <addr>` once ready. Shuts down on stdin
 //! EOF (the portable SIGTERM-equivalent) or a client `Drain` frame.
 
-use slide_net::{NetConfig, RoutePolicy, Router, RouterConfig};
-use std::io::Read;
+use slide_net::{NetConfig, RoutePolicy, Router, RouterConfig, StdinEof};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -123,27 +122,8 @@ fn main() {
         }
     };
     println!("SLIDE_ROUTER LISTENING {}", router.local_addr());
-    let (tx, rx) = std::sync::mpsc::channel::<()>();
-    std::thread::spawn(move || {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin().lock();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        let _ = tx.send(());
-    });
-    loop {
-        if router.is_draining() {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-        }
-    }
+    let stdin = StdinEof::spawn();
+    while !router.is_draining() && !stdin.wait(Duration::from_millis(50)) {}
     router.drain();
     println!(
         "SLIDE_ROUTER METRICS\n{}",

@@ -19,9 +19,8 @@
 //! portable parent-died convention the other daemons use.
 
 use slide_net::deploy::{GateConfig, GateDecision, TrainerLoop, TrainerLoopConfig};
-use slide_net::{FleetPrecision, FleetSpec};
+use slide_net::{FleetPrecision, FleetSpec, StdinEof};
 use slide_obs::ObsHub;
-use std::io::Read;
 use std::time::Duration;
 
 struct Args {
@@ -144,25 +143,8 @@ fn main() {
         }
     };
 
-    // Stdin watcher: EOF = parent says stop after the current round.
-    let (tx, rx) = std::sync::mpsc::channel::<()>();
-    std::thread::spawn(move || {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin().lock();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        let _ = tx.send(());
-    });
-    let stopped = |timeout: Duration| -> bool {
-        matches!(
-            rx.recv_timeout(timeout),
-            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
-        )
-    };
+    // Stdin EOF = parent says stop after the current round.
+    let stdin = StdinEof::spawn();
 
     for round in 1..=args.rounds {
         let outcome = match looper.run_round() {
@@ -188,7 +170,7 @@ fn main() {
                 );
             }
         }
-        if round < args.rounds && stopped(Duration::from_millis(args.period_ms)) {
+        if round < args.rounds && stdin.wait(Duration::from_millis(args.period_ms)) {
             println!("SLIDE_TRAINERD STOPPED round {round}");
             break;
         }

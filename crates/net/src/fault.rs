@@ -17,10 +17,13 @@
 //! client ◀── FaultProxy ◀── server      (server_to_client rules)
 //! ```
 
+use crate::daemon::unit_fraction;
+use crate::listener::Listener;
 use crate::wire::{FrameHeader, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
+use slide_core::mix::mix64;
 use slide_obs::{Counter, ObsHub};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,18 +89,6 @@ pub struct FaultPlan {
     pub server_to_client: Vec<FaultRule>,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Map a hash to a uniform fraction in [0, 1).
-fn unit_fraction(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl FaultPlan {
     /// The action (if any) for frame `frame_n` (1-based) on connection
     /// `conn` in `dir`. Pure: same inputs, same verdict.
@@ -116,7 +107,7 @@ impl FaultPlan {
                 Trigger::Nth(n) => frame_n == n,
                 Trigger::EveryNth(n) => n > 0 && frame_n.is_multiple_of(n),
                 Trigger::Probability(p) => {
-                    let h = splitmix64(self.seed ^ splitmix64(conn) ^ (frame_n << 1) ^ dir_bit);
+                    let h = mix64(self.seed ^ mix64(conn) ^ (frame_n << 1) ^ dir_bit);
                     unit_fraction(h) < p
                 }
                 Trigger::Always => true,
@@ -128,7 +119,7 @@ impl FaultPlan {
     /// a frame's payload (or within the header CRC field when the payload
     /// is empty).
     fn corrupt_pos(&self, conn: u64, frame_n: u64, payload_len: usize) -> usize {
-        let h = splitmix64(self.seed ^ conn.rotate_left(17) ^ frame_n);
+        let h = mix64(self.seed ^ conn.rotate_left(17) ^ frame_n);
         if payload_len == 0 {
             // No payload bytes to flip: damage the CRC field instead so
             // the mismatch is still a payload-integrity failure.
@@ -187,9 +178,9 @@ impl StatsInner {
 struct ProxyShared {
     plan: FaultPlan,
     upstream: SocketAddr,
-    stop: AtomicBool,
+    /// The listener's stop flag: pumps give up at the next poll once set.
+    stop: Arc<AtomicBool>,
     stats: StatsInner,
-    pumps: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// A frame-aware TCP fault injector: accepts on an OS-assigned loopback
@@ -197,8 +188,7 @@ struct ProxyShared {
 /// listener and joins every pump thread.
 pub struct FaultProxy {
     shared: Arc<ProxyShared>,
-    local_addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl FaultProxy {
@@ -208,32 +198,29 @@ impl FaultProxy {
     ///
     /// Any bind/spawn failure, as `std::io::Error`.
     pub fn start(upstream: SocketAddr, plan: FaultPlan) -> std::io::Result<FaultProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let mut listener = Listener::bind("127.0.0.1:0")?;
         let shared = Arc::new(ProxyShared {
             plan,
             upstream,
-            stop: AtomicBool::new(false),
+            stop: listener.stop_flag(),
             stats: StatsInner::new(ObsHub::shared()),
-            pumps: parking_lot::Mutex::new(Vec::new()),
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("slide-fault-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-        Ok(FaultProxy {
-            shared,
-            local_addr,
-            accept: Some(accept),
-        })
+        let accepting = Arc::clone(&shared);
+        let mut conn_n = 0u64;
+        listener.start("slide-fault", Duration::from_millis(5), move |downstream| {
+            // Numbered in accept order, so a plan hits the same frames of
+            // the same connection on every run.
+            conn_n += 1;
+            let conn_seed = mix64(accepting.plan.seed ^ conn_n);
+            let shared = Arc::clone(&accepting);
+            Some(move || proxy_connection(&shared, conn_seed, downstream))
+        })?;
+        Ok(FaultProxy { shared, listener })
     }
 
     /// The proxy's listening address — point clients (or the router) here.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Snapshot of the fault counters.
@@ -255,63 +242,27 @@ impl FaultProxy {
     }
 }
 
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let pumps: Vec<_> = self.shared.pumps.lock().drain(..).collect();
-        for h in pumps {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
-    let mut conn_n = 0u64;
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((downstream, _)) => {
-                conn_n += 1;
-                let conn_seed = splitmix64(shared.plan.seed ^ conn_n);
-                let upstream =
-                    match TcpStream::connect_timeout(&shared.upstream, Duration::from_secs(1)) {
-                        Ok(s) => s,
-                        Err(_) => continue, // refused upstream = dropped conn
-                    };
-                let pair = [
-                    (
-                        Direction::ClientToServer,
-                        downstream.try_clone(),
-                        upstream.try_clone(),
-                    ),
-                    (Direction::ServerToClient, Ok(upstream), Ok(downstream)),
-                ];
-                for (dir, from, to) in pair {
-                    let (Ok(from), Ok(to)) = (from, to) else {
-                        continue;
-                    };
-                    let shared2 = Arc::clone(shared);
-                    let handle = std::thread::Builder::new()
-                        .name("slide-fault-pump".into())
-                        .spawn(move || pump(&shared2, dir, conn_seed, from, to));
-                    if let Ok(h) = handle {
-                        let mut pumps = shared.pumps.lock();
-                        pumps.retain(|p| !p.is_finished());
-                        pumps.push(h);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
+/// Connect upstream and pump both directions until either side closes. A
+/// refused upstream drops the client connection.
+fn proxy_connection(shared: &ProxyShared, conn_seed: u64, downstream: TcpStream) {
+    let Ok(upstream) = TcpStream::connect_timeout(&shared.upstream, Duration::from_secs(1)) else {
+        return;
+    };
+    let (Ok(down2), Ok(up2)) = (downstream.try_clone(), upstream.try_clone()) else {
+        return;
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            pump(
+                shared,
+                Direction::ServerToClient,
+                conn_seed,
+                upstream,
+                downstream,
+            )
+        });
+        pump(shared, Direction::ClientToServer, conn_seed, down2, up2);
+    });
 }
 
 /// Fill `buf` from a socket whose read timeout is the poll interval,
@@ -349,7 +300,7 @@ fn read_full(
 
 /// Shovel whole frames `from` → `to`, applying the plan's rules for `dir`.
 fn pump(
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
     dir: Direction,
     conn_seed: u64,
     mut from: TcpStream,

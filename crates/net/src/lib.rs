@@ -17,20 +17,25 @@
 //! * [`stream`] — deadline-aware framed I/O: idle polls, slow-loris
 //!   cutoffs ([`WireError::Stalled`]), clean-close vs mid-frame-EOF
 //!   distinction.
-//! * [`server`] — [`NetServer`], the daemon front-end: thread-per-
-//!   connection, bounded admission via
+//! * `listener` (private) — the one socket front-end: every port in the
+//!   crate is one listener, and both wire tiers serve through one frame
+//!   loop on it (connection cap, drain, protocol errors, `Ping`,
+//!   `GetMetrics`); each tier supplies only its `Predict` answer.
+//! * [`server`] — [`NetServer`], the replica tier: bounded admission via
 //!   [`slide_serve::BatchingServer::try_predict`] with explicit
 //!   [`Frame::RetryLater`] shedding, graceful drain; every request is
 //!   counted once, in the batching server's `slide_obs` registry, and
 //!   `GetMetrics` is the only rendering of it.
 //! * [`client`] — [`NetClient`], a blocking request/response client.
-//! * [`router`] — [`Router`], a fleet proxy: consistent-hash or
+//! * [`router`] — [`Router`], the fleet tier: consistent-hash or
 //!   least-load replica selection, per-replica three-state circuit
 //!   breakers (exponential backoff + jittered half-open probes), hedged
 //!   requests, deadline-aware shedding, and failover on replica faults.
 //! * [`fault`] — [`FaultProxy`], a deterministic frame-granular fault
 //!   injector (delay/drop/corrupt/stall/close under a seeded
 //!   [`FaultPlan`]) for the chaos suites and `net_bench`'s fault phase.
+//! * [`daemon`] — [`StdinEof`], the stdin-EOF shutdown every daemon
+//!   binary watches, and [`jitter`], the one ±25 % backoff jitter.
 //! * [`loadgen`] — open-loop (coordinated-omission-free) load generation
 //!   shared by `net_bench` and the chaos tests.
 //! * [`model`] — [`FleetSpec`], deterministic train+freeze fixtures so
@@ -40,14 +45,17 @@
 //!   the registry) and [`RegistryWatcher`] (poll `CURRENT`, mmap-load,
 //!   hot-swap a live `BatchingServer` — `slide_netd --follow`).
 //!
-//! Two binaries ship with the crate: `slide_netd` (one replica daemon) and
-//! `slide_router` (the fleet front door). See DESIGN.md §8 for the frame
+//! Three binaries ship with the crate: `slide_netd` (one replica daemon),
+//! `slide_router` (the fleet front door) and `slide_trainerd` (the trainer
+//! that publishes to a followed registry). See DESIGN.md §8 for the frame
 //! layout and the drain/failover state machines, and §10 for deadline
 //! budget arithmetic, the breaker state machine, and the hedging policy.
 
 pub mod client;
+pub mod daemon;
 pub mod deploy;
 pub mod fault;
+mod listener;
 pub mod loadgen;
 pub mod model;
 pub mod router;
@@ -56,6 +64,7 @@ pub mod stream;
 pub mod wire;
 
 pub use client::{ClientError, NetClient};
+pub use daemon::{jitter, StdinEof};
 pub use deploy::{
     wait_for_current, GateConfig, GateDecision, RegistryWatcher, RoundOutcome, ShadowGate,
     SwapCallback, SwapEvent, TrainerLoop, TrainerLoopConfig,

@@ -39,13 +39,15 @@
 //! replicas shed the stragglers themselves, so a hedged pair dies as a pair.
 
 use crate::client::{ClientError, NetClient};
+use crate::daemon::jitter;
+use crate::listener::{Front, Listener, Reply, Service};
 use crate::server::NetConfig;
-use crate::stream::{read_frame, write_frame, ReadOutcome};
-use crate::wire::{ErrorCode, Frame, PongInfo, PredictRequest, WireError};
+use crate::wire::{ErrorCode, Frame, PredictRequest};
 use parking_lot::Mutex;
+use slide_core::mix::mix64;
 use slide_obs::{Counter, Gauge, Histogram, ObsHub, Stage};
 use slide_serve::stage_histogram;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -88,7 +90,7 @@ pub struct RouterConfig {
     pub breaker_backoff: Duration,
     /// Ceiling on the exponential breaker backoff.
     pub breaker_max_backoff: Duration,
-    /// Listener-side socket knobs.
+    /// Listener-side socket knobs, the connection cap included.
     pub net: NetConfig,
 }
 
@@ -134,9 +136,7 @@ fn breaker_backoff(cfg: &RouterConfig, idx: usize, streak: u32) -> Duration {
         .breaker_backoff
         .saturating_mul(1u32 << exp)
         .min(cfg.breaker_max_backoff);
-    let h = splitmix64(((idx as u64) << 32) ^ u64::from(streak));
-    let frac = 0.75 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
-    base.mul_f64(frac)
+    jitter(base, ((idx as u64) << 32) ^ u64::from(streak))
 }
 
 /// Breaker states as gauge values for `slide_router_breaker_state`.
@@ -307,19 +307,38 @@ struct RouterShared {
     obs: RouterObs,
     replicas: Vec<ReplicaState>,
     ring: Vec<(u64, usize)>,
-    local_addr: SocketAddr,
-    draining: AtomicBool,
-    conn_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+/// A client connection's replica sockets, cached so a steady client reuses
+/// warm sockets end to end; shared with that connection's attempt threads
+/// (hedges run concurrently).
+type ReplicaPool = Arc<Mutex<Vec<Option<NetClient>>>>;
+
+/// The router tier: `Predict` forwarded to the fleet.
+impl Service for Arc<RouterShared> {
+    type Conn = ReplicaPool;
+
+    fn open(&self) -> ReplicaPool {
+        Arc::new(Mutex::new(self.replicas.iter().map(|_| None).collect()))
+    }
+
+    fn predict(&self, pool: &ReplicaPool, req: PredictRequest) -> Reply {
+        Reply::Frame(forward_predict(self, pool, &req))
+    }
+
+    /// The router counts no requests of its own.
+    fn shed_draining(&self) {}
+
+    fn inflight(&self) -> u32 {
+        self.replicas.iter().map(|r| r.inflight.get() as u32).sum()
+    }
+
+    fn precision(&self) -> String {
+        "router".into()
+    }
 }
 
 const VNODES_PER_REPLICA: u64 = 64;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Build the consistent-hash ring: 64 virtual nodes per replica, positions
 /// derived from (replica index, vnode index) so the ring is identical
@@ -328,7 +347,7 @@ fn build_ring(n_replicas: usize) -> Vec<(u64, usize)> {
     let mut ring = Vec::with_capacity(n_replicas * VNODES_PER_REPLICA as usize);
     for r in 0..n_replicas {
         for v in 0..VNODES_PER_REPLICA {
-            ring.push((splitmix64(((r as u64) << 32) | (v + 1)), r));
+            ring.push((mix64(((r as u64) << 32) | (v + 1)), r));
         }
     }
     ring.sort_unstable();
@@ -339,7 +358,7 @@ fn build_ring(n_replicas: usize) -> Vec<(u64, usize)> {
 fn query_ring_key(indices: &[u32]) -> u64 {
     let mut h = 0x5151_5151_5151_5151u64;
     for &i in indices {
-        h = splitmix64(h ^ u64::from(i));
+        h = mix64(h ^ u64::from(i));
     }
     h
 }
@@ -359,12 +378,12 @@ fn ring_pick(ring: &[(u64, usize)], key: u64, is_ok: impl Fn(usize) -> bool) -> 
     None
 }
 
-/// The fleet front-end. Dropping it drains the listener and joins all
-/// threads (replica daemons are left running — they are other processes'
+/// The fleet front-end. Dropping it drains, as [`Router::drain`] does
+/// (replica daemons are left running — they are other processes'
 /// responsibility).
 pub struct Router {
-    shared: Arc<RouterShared>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    front: Arc<Front<Arc<RouterShared>>>,
+    listener: Listener,
     health: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -382,9 +401,7 @@ impl Router {
         replicas: &[SocketAddr],
         cfg: RouterConfig,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let mut listener = Listener::bind(addr)?;
         let obs = RouterObs::new(ObsHub::shared());
         let shared = Arc::new(RouterShared {
             replicas: replicas
@@ -395,9 +412,6 @@ impl Router {
             obs,
             ring: build_ring(replicas.len()),
             cfg,
-            local_addr,
-            draining: AtomicBool::new(false),
-            conn_handles: Mutex::new(Vec::new()),
         });
         // Startup probes run concurrently so the slowest dead replica
         // costs one connect timeout total, not one per replica.
@@ -419,39 +433,37 @@ impl Router {
                 });
             }
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("slide-router-accept".into())
-                .spawn(move || router_accept_loop(&listener, &shared))?
-        };
+        let hub = Arc::clone(&shared.obs.hub);
+        let front = Arc::new(Front::new(Arc::clone(&shared), cfg.net, hub, &listener));
+        front.accept_on(&mut listener, "slide-router")?;
         let health = {
-            let shared = Arc::clone(&shared);
+            let stop = listener.stop_flag();
             std::thread::Builder::new()
                 .name("slide-router-health".into())
-                .spawn(move || health_loop(&shared))?
+                .spawn(move || health_loop(&shared, &stop))?
         };
         Ok(Router {
-            shared,
-            accept: Some(accept),
+            front,
+            listener,
             health: Some(health),
         })
     }
 
     /// The bound listener address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.listener.local_addr()
     }
 
     /// Whether a drain has been requested (by [`Router::drain`] or a
     /// client's `Drain` frame).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.front.is_draining()
     }
 
     /// How many replicas currently have a closed breaker.
     pub fn healthy_replicas(&self) -> usize {
-        self.shared
+        self.front
+            .service
             .replicas
             .iter()
             .filter(|r| r.available())
@@ -461,31 +473,23 @@ impl Router {
     /// The router's observability hub (registry + trace ring) — the same
     /// one a wire `GetMetrics` renders.
     pub fn obs(&self) -> Arc<ObsHub> {
-        Arc::clone(&self.shared.obs.hub)
+        Arc::clone(self.front.hub())
     }
 
     /// The router's metrics exposition (the `GetMetrics` response body).
     pub fn metrics_text(&self) -> String {
-        router_metrics_text(&self.shared)
+        self.front.hub().render()
     }
 
-    /// Stop accepting and join every thread.
+    /// Stop accepting, then join the accept, health and connection
+    /// threads. Attempt threads a connection abandoned at its deadline are
+    /// not joined: each ends within `connect_timeout` + `request_timeout`
+    /// of its launch.
     pub fn drain(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.front.start_draining();
+        self.listener.drain();
         if let Some(h) = self.health.take() {
             let _ = h.join();
-        }
-        loop {
-            let handles: Vec<_> = self.shared.conn_handles.lock().drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
         }
     }
 }
@@ -496,26 +500,11 @@ impl Drop for Router {
     }
 }
 
-/// Render the router's exposition. Breaker-state gauges are refreshed from
-/// the live breakers first, so a scrape never shows a stale state for a
-/// breaker that transitioned without traffic.
-fn router_metrics_text(shared: &RouterShared) -> String {
-    for r in &shared.replicas {
-        let state = match *r.breaker.lock() {
-            Breaker::Closed { .. } => BREAKER_CLOSED,
-            Breaker::HalfOpen { .. } => BREAKER_HALF_OPEN,
-            Breaker::Open { .. } => BREAKER_OPEN,
-        };
-        r.breaker_state.set(state);
-    }
-    shared.obs.hub.render()
-}
-
-fn health_loop(shared: &Arc<RouterShared>) {
+fn health_loop(shared: &RouterShared, stop: &AtomicBool) {
     let mut nonce = 0u64;
     // Health connections are long-lived; reconnect lazily on failure.
     let mut conns: Vec<Option<NetClient>> = shared.replicas.iter().map(|_| None).collect();
-    while !shared.draining.load(Ordering::Acquire) {
+    while !stop.load(Ordering::Acquire) {
         for (i, rep) in shared.replicas.iter().enumerate() {
             if !rep.probe_due(Instant::now()) {
                 continue;
@@ -556,123 +545,6 @@ fn ping_replica(
     }
 }
 
-fn router_accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        if shared.draining.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("slide-router-conn-{peer}"))
-                    .spawn(move || router_connection_loop(stream, &shared2));
-                if let Ok(h) = handle {
-                    let mut handles = shared.conn_handles.lock();
-                    handles.retain(|h| !h.is_finished());
-                    handles.push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.net.poll_interval.min(Duration::from_millis(10)));
-            }
-            Err(_) => std::thread::sleep(shared.cfg.net.poll_interval),
-        }
-    }
-}
-
-fn router_connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    let cfg = &shared.cfg;
-    if stream
-        .set_read_timeout(Some(cfg.net.poll_interval))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(cfg.net.write_timeout))
-            .is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    // Replica connections are cached per client connection so a steady
-    // client reuses warm sockets end to end. The pool is shared with this
-    // connection's attempt threads (hedges run concurrently).
-    let replica_conns: Arc<Mutex<Vec<Option<NetClient>>>> =
-        Arc::new(Mutex::new(shared.replicas.iter().map(|_| None).collect()));
-    loop {
-        if shared.draining.load(Ordering::Acquire) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-        let frame = match read_frame(&mut stream, cfg.net.max_payload, cfg.net.frame_deadline) {
-            Ok(ReadOutcome::Idle) => continue,
-            Ok(ReadOutcome::Closed) => return,
-            Ok(ReadOutcome::Frame(f)) => f,
-            Err(e) => {
-                if !matches!(e, WireError::Stalled | WireError::Io(..)) {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            req_id: 0,
-                            code: ErrorCode::Protocol,
-                            message: e.to_string(),
-                        },
-                    );
-                }
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-        };
-        let keep_going = match frame {
-            Frame::Predict(req) => {
-                let reply = forward_predict(shared, &replica_conns, &req);
-                write_frame(&mut stream, &reply).is_ok()
-            }
-            Frame::Ping { nonce } => write_frame(
-                &mut stream,
-                &Frame::Pong(PongInfo {
-                    nonce,
-                    inflight: shared
-                        .replicas
-                        .iter()
-                        .map(|r| r.inflight.get() as u32)
-                        .sum(),
-                    draining: shared.draining.load(Ordering::Acquire),
-                    precision: "router".into(),
-                }),
-            )
-            .is_ok(),
-            Frame::GetMetrics => write_frame(
-                &mut stream,
-                &Frame::MetricsText(router_metrics_text(shared)),
-            )
-            .is_ok(),
-            Frame::Drain => {
-                shared.draining.store(true, Ordering::Release);
-                let _ = write_frame(&mut stream, &Frame::Drain);
-                false
-            }
-            other => {
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::Error {
-                        req_id: 0,
-                        code: ErrorCode::Protocol,
-                        message: format!(
-                            "client sent a server-only frame (type {})",
-                            other.type_byte()
-                        ),
-                    },
-                );
-                false
-            }
-        };
-        if !keep_going {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-    }
-}
-
 /// Pick a closed-breaker replica for `req`, excluding already-`attempted`
 /// replicas (failed, or still in flight from a hedge).
 fn pick_replica(shared: &RouterShared, indices: &[u32], attempted: &[usize]) -> Option<usize> {
@@ -696,7 +568,7 @@ struct AttemptReport {
 /// forwarding loop abandoned (deadline ran out first) still count.
 fn spawn_attempt(
     shared: &Arc<RouterShared>,
-    conns: &Arc<Mutex<Vec<Option<NetClient>>>>,
+    conns: &ReplicaPool,
     req: &Arc<PredictRequest>,
     i: usize,
     deadline: Option<Instant>,
@@ -743,7 +615,7 @@ fn spawn_attempt(
 
 fn attempt_once(
     shared: &Arc<RouterShared>,
-    conns: &Arc<Mutex<Vec<Option<NetClient>>>>,
+    conns: &ReplicaPool,
     req: &Arc<PredictRequest>,
     i: usize,
     deadline: Option<Instant>,
@@ -793,11 +665,7 @@ fn attempt_once(
 /// req-id. Soft verdicts (`RetryLater`, `DeadlineExceeded` from a
 /// replica) are deferred while another attempt is still in flight and
 /// surfaced only if nothing wins.
-fn forward_predict(
-    shared: &Arc<RouterShared>,
-    conns: &Arc<Mutex<Vec<Option<NetClient>>>>,
-    req: &PredictRequest,
-) -> Frame {
+fn forward_predict(shared: &Arc<RouterShared>, conns: &ReplicaPool, req: &PredictRequest) -> Frame {
     let cfg = &shared.cfg;
     let t_rx = Instant::now();
     let ring = shared.obs.hub.ring();

@@ -1,5 +1,7 @@
-//! Fault-injection battery against a **live** [`NetServer`] (ISSUE
-//! satellite: wire faults).
+//! Fault-injection battery against a **live** wire tier: every socket case
+//! runs once against a [`NetServer`] replica and once against a [`Router`]
+//! in front of one — both serve through the same front-end, so both must
+//! hold the same contract.
 //!
 //! Every malformed-peer scenario — truncated frames, oversized length
 //! prefixes, bad magic/version, corrupted checksums, mid-frame
@@ -10,11 +12,15 @@
 
 use slide_mem::SparseVecRef;
 use slide_net::wire::{crc32, frame_bytes, ErrorCode, Frame, MAGIC, VERSION};
-use slide_net::{ClientError, FleetSpec, NetClient, NetConfig, NetServer};
+use slide_net::{
+    decode_frame, ClientError, FleetSpec, NetClient, NetConfig, NetServer, Router, RouterConfig,
+    DEFAULT_MAX_PAYLOAD,
+};
+use slide_obs::ObsHub;
 use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
 use std::any::Any;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,9 +41,61 @@ fn watchdog<F: FnOnce() + Send + 'static>(name: &str, f: F) {
     t.join().expect("scenario thread panicked");
 }
 
-/// A live server over an untrained (epochs: 0, still deterministic) model,
-/// with a short frame deadline so slow-loris cases resolve quickly.
-fn live_server() -> NetServer {
+/// Which wire tier a case attacks.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Replica,
+    Router,
+}
+
+/// The tier under attack — a replica, or a router in front of one — and the
+/// hub its front-end counts into.
+struct Tier {
+    hub: Arc<ObsHub>,
+    router: Option<Router>,
+    replica: NetServer,
+}
+
+impl Tier {
+    fn local_addr(&self) -> SocketAddr {
+        self.router
+            .as_ref()
+            .map_or(self.replica.local_addr(), Router::local_addr)
+    }
+
+    fn drain(&mut self) {
+        match &mut self.router {
+            Some(router) => router.drain(),
+            None => self.replica.drain(),
+        }
+    }
+
+    fn is_draining(&self) -> bool {
+        self.router
+            .as_ref()
+            .map_or(self.replica.is_draining(), Router::is_draining)
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.hub.registry().counter(name).get()
+    }
+
+    fn gauge(&self, name: &str) -> u64 {
+        self.hub.registry().gauge(name).get()
+    }
+}
+
+/// Short timeouts so slow-loris cases resolve quickly.
+fn test_net() -> NetConfig {
+    NetConfig {
+        poll_interval: Duration::from_millis(20),
+        frame_deadline: Duration::from_millis(300),
+        ..Default::default()
+    }
+}
+
+/// A live server over an untrained (epochs: 0, still deterministic) model.
+fn live_replica(net: NetConfig) -> (NetServer, Arc<ObsHub>) {
     let (model, _) = FleetSpec {
         epochs: 0,
         ..Default::default()
@@ -55,20 +113,65 @@ fn live_server() -> NetServer {
         )
         .expect("batch config"),
     );
-    NetServer::start(
-        batching,
-        "127.0.0.1:0",
-        NetConfig {
-            poll_interval: Duration::from_millis(20),
-            frame_deadline: Duration::from_millis(300),
-            ..Default::default()
-        },
-    )
-    .expect("bind loopback")
+    let hub = batching.obs();
+    let server = NetServer::start(batching, "127.0.0.1:0", net).expect("bind loopback");
+    (server, hub)
+}
+
+/// A live tier of `kind` whose front-end runs with `net`; a router's
+/// replica gets [`test_net`].
+fn live_tier(kind: Kind, net: NetConfig) -> Tier {
+    match kind {
+        Kind::Replica => {
+            let (replica, hub) = live_replica(net);
+            Tier {
+                hub,
+                router: None,
+                replica,
+            }
+        }
+        Kind::Router => {
+            let (replica, _) = live_replica(test_net());
+            let router = Router::start(
+                "127.0.0.1:0",
+                &[replica.local_addr()],
+                RouterConfig {
+                    health_interval: Duration::from_millis(50),
+                    net,
+                    ..Default::default()
+                },
+            )
+            .expect("bind router");
+            Tier {
+                hub: router.obs(),
+                router: Some(router),
+                replica,
+            }
+        }
+    }
+}
+
+fn live_server(kind: Kind) -> Tier {
+    live_tier(kind, test_net())
+}
+
+/// Each case as two tests: against a replica, and against a router.
+macro_rules! both_tiers {
+    ($case:ident: $replica:ident, $router:ident) => {
+        #[test]
+        fn $replica() {
+            $case(Kind::Replica);
+        }
+
+        #[test]
+        fn $router() {
+            $case(Kind::Router);
+        }
+    };
 }
 
 /// A raw attacker socket (no protocol smarts).
-fn raw_conn(server: &NetServer) -> TcpStream {
+fn raw_conn(server: &Tier) -> TcpStream {
     let s = TcpStream::connect(server.local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -90,7 +193,7 @@ fn read_until_close(s: &mut TcpStream) -> Vec<u8> {
 }
 
 /// After a fault, the server must still serve: one good request, checked.
-fn assert_still_serving(server: &NetServer) {
+fn assert_still_serving(server: &Tier) {
     let mut client =
         NetClient::connect(server.local_addr(), Duration::from_secs(5)).expect("reconnect");
     let topk = client
@@ -99,8 +202,8 @@ fn assert_still_serving(server: &NetServer) {
     assert_eq!(topk.len(), 3);
 }
 
-fn total_protocol_errors(server: &NetServer) -> u64 {
-    server.stats().totals.protocol_errors
+fn total_protocol_errors(server: &Tier) -> u64 {
+    server.counter("slide_net_protocol_errors_total")
 }
 
 /// A Frame::Error on the wire starts with type byte 3 at header offset 5
@@ -109,10 +212,14 @@ fn server_sent_error_frame(reply: &[u8]) -> bool {
     reply.len() >= 16 && reply[5] == 3
 }
 
-#[test]
-fn truncated_frame_is_rejected_without_hanging() {
-    watchdog("truncated-frame", || {
-        let server = live_server();
+both_tiers!(
+    truncated_frame: truncated_frame_is_rejected_without_hanging,
+    truncated_frame_is_rejected_without_hanging_at_a_router
+);
+
+fn truncated_frame(kind: Kind) {
+    watchdog(&format!("truncated-frame-{kind:?}"), move || {
+        let server = live_server(kind);
         let mut s = raw_conn(&server);
         let good = frame_bytes(&Frame::Ping { nonce: 1 });
         // Claim the full frame, deliver half, shut down the write side:
@@ -125,10 +232,14 @@ fn truncated_frame_is_rejected_without_hanging() {
     });
 }
 
-#[test]
-fn oversized_length_prefix_is_rejected_at_the_header() {
-    watchdog("oversized-prefix", || {
-        let server = live_server();
+both_tiers!(
+    oversized_prefix: oversized_length_prefix_is_rejected_at_the_header,
+    oversized_length_prefix_is_rejected_at_the_header_at_a_router
+);
+
+fn oversized_prefix(kind: Kind) {
+    watchdog(&format!("oversized-prefix-{kind:?}"), move || {
+        let server = live_server(kind);
         let mut s = raw_conn(&server);
         // A header promising a 64 MiB payload: rejected before any payload
         // bytes are read (we never send any).
@@ -150,10 +261,14 @@ fn oversized_length_prefix_is_rejected_at_the_header() {
     });
 }
 
-#[test]
-fn bad_magic_and_bad_version_are_typed_rejections() {
-    watchdog("bad-magic-version", || {
-        let server = live_server();
+both_tiers!(
+    bad_magic_version: bad_magic_and_bad_version_are_typed_rejections,
+    bad_magic_and_bad_version_are_typed_rejections_at_a_router
+);
+
+fn bad_magic_version(kind: Kind) {
+    watchdog(&format!("bad-magic-version-{kind:?}"), move || {
+        let server = live_server(kind);
         // (what, header offset, byte written there); 2 is a retired
         // version and 7/8 the retired stats pair's type bytes.
         for (label, offset, byte) in [
@@ -178,10 +293,14 @@ fn bad_magic_and_bad_version_are_typed_rejections() {
     });
 }
 
-#[test]
-fn corrupted_checksum_is_detected() {
-    watchdog("corrupt-checksum", || {
-        let server = live_server();
+both_tiers!(
+    corrupt_checksum: corrupted_checksum_is_detected,
+    corrupted_checksum_is_detected_at_a_router
+);
+
+fn corrupt_checksum(kind: Kind) {
+    watchdog(&format!("corrupt-checksum-{kind:?}"), move || {
+        let server = live_server(kind);
         let mut s = raw_conn(&server);
         let mut bytes = frame_bytes(&Frame::Ping { nonce: 3 });
         let last = bytes.len() - 1;
@@ -198,10 +317,14 @@ fn corrupted_checksum_is_detected() {
     });
 }
 
-#[test]
-fn slow_loris_partial_write_is_cut_off_at_the_deadline() {
-    watchdog("slow-loris", || {
-        let server = live_server();
+both_tiers!(
+    slow_loris: slow_loris_partial_write_is_cut_off_at_the_deadline,
+    slow_loris_partial_write_is_cut_off_at_the_deadline_at_a_router
+);
+
+fn slow_loris(kind: Kind) {
+    watchdog(&format!("slow-loris-{kind:?}"), move || {
+        let server = live_server(kind);
         let mut s = raw_conn(&server);
         let bytes = frame_bytes(&Frame::Ping { nonce: 4 });
         // Drip two bytes, then stall well past the 300 ms frame deadline
@@ -220,10 +343,14 @@ fn slow_loris_partial_write_is_cut_off_at_the_deadline() {
     });
 }
 
-#[test]
-fn client_sending_a_server_only_frame_is_rejected() {
-    watchdog("server-only-frame", || {
-        let server = live_server();
+both_tiers!(
+    server_only_frame: client_sending_a_server_only_frame_is_rejected,
+    client_sending_a_server_only_frame_is_rejected_at_a_router
+);
+
+fn server_only_frame(kind: Kind) {
+    watchdog(&format!("server-only-frame-{kind:?}"), move || {
+        let server = live_server(kind);
         let mut s = raw_conn(&server);
         s.write_all(&frame_bytes(&Frame::TopK {
             req_id: 9,
@@ -237,10 +364,14 @@ fn client_sending_a_server_only_frame_is_rejected() {
     });
 }
 
-#[test]
-fn idle_connection_survives_until_drain_then_closes_cleanly() {
-    watchdog("idle-then-drain", || {
-        let mut server = live_server();
+both_tiers!(
+    idle_then_drain: idle_connection_survives_until_drain_then_closes_cleanly,
+    idle_connection_survives_until_drain_then_closes_cleanly_at_a_router
+);
+
+fn idle_then_drain(kind: Kind) {
+    watchdog(&format!("idle-then-drain-{kind:?}"), move || {
+        let mut server = live_server(kind);
         let mut s = raw_conn(&server);
         // Idle well past several poll intervals: the connection must stay
         // open (idleness is not a fault).
@@ -254,6 +385,50 @@ fn idle_connection_survives_until_drain_then_closes_cleanly() {
         server.drain();
         assert!(server.is_draining());
         read_until_close(&mut s);
+        assert_eq!(server.gauge("slide_net_draining"), 1);
+        assert_eq!(server.gauge("slide_net_connections_active"), 0);
+        assert_eq!(total_protocol_errors(&server), 0);
+    });
+}
+
+both_tiers!(
+    connection_cap: connections_over_the_cap_are_refused,
+    connections_over_the_cap_are_refused_at_a_router
+);
+
+fn connection_cap(kind: Kind) {
+    watchdog(&format!("connection-cap-{kind:?}"), move || {
+        let server = live_tier(
+            kind,
+            NetConfig {
+                max_connections: 1,
+                ..test_net()
+            },
+        );
+        // A ping answered means the first connection holds the one slot.
+        let mut first =
+            NetClient::connect(server.local_addr(), Duration::from_secs(5)).expect("connect");
+        first.ping(1).expect("the first connection is served");
+        // The second gets a typed refusal, then the close.
+        let mut second = raw_conn(&server);
+        let reply = read_until_close(&mut second);
+        match decode_frame(&reply, DEFAULT_MAX_PAYLOAD) {
+            Ok((
+                Frame::Error {
+                    code: ErrorCode::Unavailable,
+                    ..
+                },
+                used,
+            )) => assert_eq!(used, reply.len(), "nothing may follow the refusal"),
+            other => panic!("want Error(Unavailable) then a close, got {other:?}"),
+        }
+        assert_eq!(server.counter("slide_net_refused_total"), 1);
+        // Once the first connection closes, its slot frees for a new one.
+        drop(first);
+        while server.gauge("slide_net_connections_active") > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_still_serving(&server);
     });
 }
 
