@@ -11,7 +11,7 @@
 //! ```
 
 use slide_baseline::{DenseBaseline, DenseConfig, Method};
-use slide_bench::{epochs, fmt_secs, model_v100, print_table, scale, Workload};
+use slide_bench::{epochs, fmt_secs, model_v100, print_table, scale, with_preset_policy, Workload};
 use slide_core::{ConvergenceLog, EvalMode, Network, Trainer};
 use std::path::PathBuf;
 
@@ -29,12 +29,12 @@ fn slide_curve(
         Method::OptimizedSlideCpx => slide_baseline::optimized_slide_cpx(&mut cfg),
         _ => unreachable!("dense methods use their own runner"),
     };
-    slide_simd::set_policy(policy);
-    let mut trainer = Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-        .expect("valid trainer");
-    let log = trainer.run_convergence(train, test, n_epochs, EvalMode::Exact, Some(400));
-    slide_simd::set_policy(slide_simd::SimdPolicy::Auto);
-    log
+    with_preset_policy(policy, || {
+        let mut trainer =
+            Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
+                .expect("valid trainer");
+        trainer.run_convergence(train, test, n_epochs, EvalMode::Exact, Some(400))
+    })
 }
 
 fn dense_curve(

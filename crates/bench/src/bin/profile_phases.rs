@@ -14,16 +14,13 @@
 //! block records the resolved SIMD level per row so trajectories stay
 //! comparable across machines and forced CI legs.
 
-use slide_bench::{epochs, print_table, scale, Workload};
+use slide_bench::{epochs, print_table, scale, with_preset_policy, Workload};
 use slide_core::{Network, PhaseBreakdown, Trainer};
 use slide_simd::SimdPolicy;
 
-/// Profile one preset row. A preset returning `SimdPolicy::Auto` defers to
-/// `base_policy` (the process policy at startup, i.e. a forced `SLIDE_SIMD`
-/// CI leg stays forced for the optimized rows); presets that force a level
-/// (naive → scalar) keep their forcing. The prior policy is restored
-/// afterwards — never hard-reset to Auto, which would clobber the env leg
-/// for the rest of the run.
+/// Profile one preset row under the preset's SIMD policy, as
+/// [`with_preset_policy`] applies it (a forced `SLIDE_SIMD` leg stays
+/// forced for the optimized rows; naive → scalar keeps its forcing).
 ///
 /// Returns the per-epoch phase means, the per-epoch seconds, and the SIMD
 /// level the row actually resolved to.
@@ -32,29 +29,27 @@ fn profile(
     train: &slide_data::Dataset,
     preset: impl Fn(&mut slide_core::NetworkConfig) -> SimdPolicy,
     n_epochs: u32,
-    base_policy: SimdPolicy,
 ) -> (PhaseBreakdown, f64, slide_simd::SimdLevel) {
     let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let row_policy = match preset(&mut cfg) {
-        SimdPolicy::Auto => base_policy,
-        forced => forced,
-    };
-    slide_simd::set_policy(row_policy);
-    let level = slide_simd::effective_level();
-    let mut trainer = Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-        .expect("valid trainer");
-    let mut acc = PhaseBreakdown::default();
-    let mut secs = 0.0;
-    for epoch in 0..n_epochs {
-        let stats = trainer.train_epoch(train, epoch as u64);
-        secs += stats.seconds;
-        acc.batch_build += stats.phases.batch_build;
-        acc.forward_backward += stats.phases.forward_backward;
-        acc.output += stats.phases.output;
-        acc.optimizer += stats.phases.optimizer;
-        acc.rebuild += stats.phases.rebuild;
-    }
-    slide_simd::set_policy(base_policy);
+    let policy = preset(&mut cfg);
+    let (acc, secs, level) = with_preset_policy(policy, || {
+        let level = slide_simd::effective_level();
+        let mut trainer =
+            Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
+                .expect("valid trainer");
+        let mut acc = PhaseBreakdown::default();
+        let mut secs = 0.0;
+        for epoch in 0..n_epochs {
+            let stats = trainer.train_epoch(train, epoch as u64);
+            secs += stats.seconds;
+            acc.batch_build += stats.phases.batch_build;
+            acc.forward_backward += stats.phases.forward_backward;
+            acc.output += stats.phases.output;
+            acc.optimizer += stats.phases.optimizer;
+            acc.rebuild += stats.phases.rebuild;
+        }
+        (acc, secs, level)
+    });
     let inv = n_epochs as f64;
     (
         PhaseBreakdown {
@@ -91,10 +86,9 @@ fn phases_json(p: &PhaseBreakdown) -> String {
 fn main() {
     let scale = scale();
     let n_epochs = epochs(4);
-    // The process baseline: whatever SLIDE_SIMD forced (or Auto). Rows that
-    // don't force their own policy run under it, and the top-level JSON
-    // meta is stamped from it.
-    let base_policy = slide_simd::policy();
+    // The process baseline is whatever SLIDE_SIMD forced (or Auto): rows
+    // that don't force their own policy run under it, and the top-level
+    // JSON meta is stamped from it.
     println!(
         "Per-phase epoch breakdown; SLIDE_SCALE={scale}, epochs={n_epochs}, base simd={}",
         slide_simd::effective_level()
@@ -112,7 +106,7 @@ fn main() {
         let mut rows = Vec::new();
         let mut measured: Vec<Row> = Vec::new();
         for (name, preset) in presets {
-            let (p, total, level) = profile(w, &train, preset, n_epochs, base_policy);
+            let (p, total, level) = profile(w, &train, preset, n_epochs);
             let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
             rows.push(vec![
                 name.to_string(),
@@ -141,7 +135,7 @@ fn main() {
                 "epoch",
                 "fwd/bwd",
                 "output",
-                "ADAM in/hid",
+                "ADAM in",
                 "batch copy",
                 "rebuild",
             ],
@@ -170,8 +164,8 @@ fn main() {
     println!(
         "\nExpected shape: the row-owned output pass (scoring, backward and ADAM \
          of the batch-active output rows) and fwd/bwd dominate and shrink most \
-         under AVX-512; the input/hidden ADAM phase shows the Figure 3 \
-         flat-sweep gains; rebuild stays amortized (exponential back-off)."
+         under AVX-512; the input layer's sparse ADAM phase stays small; \
+         rebuild stays amortized (exponential back-off)."
     );
 
     if let Ok(path) = std::env::var("SLIDE_JSON_OUT") {

@@ -169,9 +169,24 @@ pub struct RunResult {
     pub modeled: bool,
 }
 
-/// Train a SLIDE variant and measure it.
-///
-/// Applies `policy` for the duration of the run and restores `Auto` after.
+/// Run `f` under a preset's SIMD policy. A preset's `Auto` defers to the
+/// policy in force on entry, so under a forced `SLIDE_SIMD` leg the
+/// optimized rows stay forced; a preset that forces a level (the naive
+/// rows' scalar) keeps it. The entry policy is restored afterwards — never
+/// reset to `Auto`, which would clobber the forced leg for every later row.
+pub fn with_preset_policy<T>(preset: SimdPolicy, f: impl FnOnce() -> T) -> T {
+    let entry = slide_simd::policy();
+    slide_simd::set_policy(match preset {
+        SimdPolicy::Auto => entry,
+        forced => forced,
+    });
+    let out = f();
+    slide_simd::set_policy(entry);
+    out
+}
+
+/// Train a SLIDE variant and measure it, under `policy` as
+/// [`with_preset_policy`] applies it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_slide(
     mut net_cfg: NetworkConfig,
@@ -186,18 +201,21 @@ pub fn run_slide(
     if let Some(p) = precision_override {
         net_cfg.precision = p;
     }
-    slide_simd::set_policy(policy);
-    let mut trainer = Trainer::new(
-        Network::new(net_cfg).expect("valid network config"),
-        trainer_cfg,
-    )
-    .expect("valid trainer config");
-    let mut secs = 0.0;
-    for epoch in 0..n_epochs {
-        secs += trainer.train_epoch(train, epoch as u64).seconds;
-    }
-    let p1 = trainer.evaluate(test, 1, EvalMode::Exact, Some(eval_samples));
-    slide_simd::set_policy(SimdPolicy::Auto);
+    let (secs, p1) = with_preset_policy(policy, || {
+        let mut trainer = Trainer::new(
+            Network::new(net_cfg).expect("valid network config"),
+            trainer_cfg,
+        )
+        .expect("valid trainer config");
+        let mut secs = 0.0;
+        for epoch in 0..n_epochs {
+            secs += trainer.train_epoch(train, epoch as u64).seconds;
+        }
+        (
+            secs,
+            trainer.evaluate(test, 1, EvalMode::Exact, Some(eval_samples)),
+        )
+    });
     RunResult {
         epoch_seconds: secs / n_epochs as f64,
         p_at_1: p1,
@@ -390,6 +408,44 @@ mod tests {
         assert_eq!(fmt_secs(250.0), "250s");
         assert!(fmt_ratio_vs(10.0, 5.0).contains("2.00x fast"));
         assert!(fmt_ratio_vs(5.0, 10.0).contains("2.00x slow"));
+    }
+
+    #[test]
+    fn run_slide_keeps_a_forced_policy() {
+        use slide_data::{generate_synthetic, SynthConfig};
+        use slide_simd::SimdLevel;
+        let data = generate_synthetic(&SynthConfig {
+            feature_dim: 64,
+            label_dim: 16,
+            n_train: 64,
+            n_test: 16,
+            ..Default::default()
+        });
+        let mut cfg = NetworkConfig::standard(64, 8, 16);
+        cfg.lsh.tables = 4;
+        cfg.lsh.key_bits = 3;
+        let tc = TrainerConfig {
+            batch_size: 32,
+            threads: 1,
+            ..Default::default()
+        };
+        let entry = slide_simd::policy();
+        let forced = SimdPolicy::Force(SimdLevel::Scalar);
+        slide_simd::set_policy(forced);
+        let run = run_slide(
+            cfg,
+            tc,
+            SimdPolicy::Auto,
+            None,
+            &data.train,
+            &data.test,
+            1,
+            16,
+        );
+        let after = slide_simd::policy();
+        slide_simd::set_policy(entry);
+        assert!(run.p_at_1.is_finite());
+        assert_eq!(after, forced, "a preset's Auto reset the forced policy");
     }
 
     #[test]

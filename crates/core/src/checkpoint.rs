@@ -5,7 +5,7 @@
 //! ```text
 //! magic  u32 = 0x511D_E5CB
 //! version u32 = 1
-//! n_layers u32
+//! n_layers u32 = 2 (the input layer, then the output layer)
 //! per layer: rows u64, cols u64, units u64
 //! per layer: the LayerParams::export_into payload (weights, bias, moments)
 //! ```
@@ -63,7 +63,7 @@ impl From<io::Error> for CheckpointError {
 ///
 /// Propagates writer I/O errors.
 pub fn save_checkpoint<W: Write>(network: &Network, mut writer: W) -> io::Result<()> {
-    let params: Vec<_> = layer_params(network);
+    let params = layer_params(network);
     let mut buf =
         Vec::with_capacity(16 + params.iter().map(|p| p.export_len() + 24).sum::<usize>());
     buf.put_u32_le(MAGIC);
@@ -138,26 +138,16 @@ pub fn load_checkpoint<R: Read>(
             }
         }
     }
-    for p in layer_params_mut(network) {
+    for p in network.params_mut() {
         p.import_from(&mut buf).map_err(CheckpointError::Format)?;
     }
     network.output().rebuild_serial();
     Ok(())
 }
 
-fn layer_params(network: &Network) -> Vec<&crate::params::LayerParams> {
-    let mut v = vec![network.input().params()];
-    v.extend(network.hidden_layers().iter().map(|l| l.params()));
-    v.push(network.output().params());
-    v
-}
-
-fn layer_params_mut(network: &mut Network) -> Vec<&mut crate::params::LayerParams> {
-    let (input, hidden, output) = network.layers_mut();
-    let mut v = vec![input.params_mut()];
-    v.extend(hidden.iter_mut().map(|l| l.params_mut()));
-    v.push(output.params_mut());
-    v
+/// The parameter blocks a checkpoint holds, in file order: input, output.
+fn layer_params(network: &Network) -> [&crate::params::LayerParams; 2] {
+    [network.input().params(), network.output().params()]
 }
 
 #[cfg(test)]
@@ -167,8 +157,7 @@ mod tests {
     use slide_mem::SparseVecRef;
 
     fn config() -> NetworkConfig {
-        let mut cfg = NetworkConfig::standard(64, 12, 32);
-        cfg.hidden_dims = vec![12, 8];
+        let mut cfg = NetworkConfig::standard(64, 8, 32);
         cfg.lsh = LshConfig {
             tables: 6,
             key_bits: 4,

@@ -136,9 +136,9 @@ impl MemoryConfig {
 pub struct NetworkConfig {
     /// Sparse input dimensionality (feature space).
     pub input_dim: usize,
-    /// Hidden widths, in order (paper: `[128]` for the XC datasets, `[200]`
+    /// Width of the one hidden layer (paper: 128 for the XC datasets, 200
     /// for Text8).
-    pub hidden_dims: Vec<usize>,
+    pub hidden: usize,
     /// Output dimensionality (label space).
     pub output_dim: usize,
     /// Output-layer LSH sampling parameters.
@@ -157,7 +157,7 @@ impl NetworkConfig {
     pub fn standard(input_dim: usize, hidden: usize, output_dim: usize) -> Self {
         NetworkConfig {
             input_dim,
-            hidden_dims: vec![hidden],
+            hidden,
             output_dim,
             lsh: LshConfig::default(),
             precision: Precision::Fp32,
@@ -170,15 +170,15 @@ impl NetworkConfig {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message if dimensions are zero, the LSH
+    /// Returns a human-readable message if a width is zero, the LSH
     /// parameters are out of range, or an unsupported combination is chosen
     /// (bf16 weights require coalesced parameter arenas).
     pub fn validate(&self) -> Result<(), String> {
         if self.input_dim == 0 || self.output_dim == 0 {
             return Err("input_dim and output_dim must be positive".into());
         }
-        if self.hidden_dims.is_empty() || self.hidden_dims.contains(&0) {
-            return Err("hidden_dims must be non-empty and positive".into());
+        if self.hidden == 0 {
+            return Err("hidden must be positive".into());
         }
         if self.lsh.key_bits == 0 || self.lsh.key_bits > 24 {
             return Err("lsh.key_bits must be in 1..=24".into());
@@ -294,16 +294,21 @@ mod tests {
 
     #[test]
     fn invalid_dims_rejected() {
-        let mut cfg = NetworkConfig::standard(1000, 128, 5000);
-        cfg.hidden_dims = vec![];
-        assert!(cfg.validate().is_err());
-        cfg.hidden_dims = vec![0];
-        assert!(cfg.validate().is_err());
         let mut cfg = NetworkConfig::standard(0, 128, 10);
         assert!(cfg.validate().is_err());
         cfg.input_dim = 10;
         cfg.lsh.key_bits = 30;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn zero_hidden_width_rejected() {
+        let mut cfg = NetworkConfig::standard(1000, 128, 5000);
+        cfg.hidden = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("hidden"), "{err}");
+        cfg.hidden = 1;
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The three SLIDE layer kinds and their vectorized passes.
+//! The two SLIDE layers and their vectorized passes: the paper's network is
+//! sparse input → one hidden layer → sampled softmax output, so the input
+//! layer produces the hidden activation and the output layer consumes it.
 //!
 //! Weight layout follows the paper's Lemmas 1–2 so that *every* matrix
 //! traversal streams contiguous memory:
@@ -6,8 +8,6 @@
 //! * [`SparseInputLayer`] — column-major (one storage row per input
 //!   feature). Forward is Algorithm 2: for each non-zero `(j, v)` of the
 //!   sparse input, `h += v * W[j]` (a contiguous axpy).
-//! * [`DenseLayer`] — row-major. Forward is Algorithm 1: one contiguous dot
-//!   per output unit.
 //! * [`SampledOutputLayer`] — row-major with LSH-sampled activity: the
 //!   input's hash keys retrieve a tiny active set, logits are dots over just
 //!   those rows (Algorithm 1 with sparse output), and the backward pass uses
@@ -23,7 +23,7 @@ use parking_lot::RwLock;
 use slide_data::top_k_indices;
 use slide_hash::{LshFamily, LshTables, TableStats};
 use slide_mem::{ParamLayout, SparseVecRef};
-use slide_simd::{KernelSet, RowGather};
+use slide_simd::KernelSet;
 
 // ---------------------------------------------------------------------------
 // Sparse input layer (Algorithm 2)
@@ -98,101 +98,6 @@ impl SparseInputLayer {
             // SAFETY: HOGWILD contract.
             unsafe { self.params.grad_axpy_ks(ks, j as usize, v * scale, dy) };
             self.params.mark_active(j as usize, stamp, touched);
-        }
-        // SAFETY: HOGWILD contract.
-        unsafe { self.params.grad_bias_axpy_ks(ks, dy, scale) };
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense hidden layer (Algorithm 1, dense output)
-// ---------------------------------------------------------------------------
-
-/// Dense → dense hidden layer with row-major weights.
-#[derive(Debug)]
-pub struct DenseLayer {
-    params: LayerParams,
-}
-
-impl DenseLayer {
-    /// Create with `units` rows of `in_dim` weights each.
-    pub fn new(
-        in_dim: usize,
-        units: usize,
-        layout: ParamLayout,
-        precision: Precision,
-        seed: u64,
-    ) -> Self {
-        DenseLayer {
-            params: LayerParams::new(units, in_dim, units, layout, precision, seed),
-        }
-    }
-
-    /// The underlying parameter block.
-    pub fn params(&self) -> &LayerParams {
-        &self.params
-    }
-
-    /// Exclusive access to the parameter block (checkpoint restore).
-    pub fn params_mut(&mut self) -> &mut LayerParams {
-        &mut self.params
-    }
-
-    /// Forward pass: `out_r = relu(W[r]·x + b_r)` for every unit, as one
-    /// blocked gemv over the weight arena instead of a dispatched dot per
-    /// unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer widths disagree with the layer shape.
-    pub fn forward(&self, x: &[f32], out: &mut [f32], ks: &KernelSet, gather: &mut RowGather) {
-        assert_eq!(out.len(), self.params.units(), "DenseLayer: out width");
-        assert_eq!(x.len(), self.params.cols(), "DenseLayer: in width");
-        // SAFETY: HOGWILD contract.
-        unsafe { self.params.score_all_into(ks, x, gather, out) };
-        relu(out);
-    }
-
-    /// Backward pass: accumulate weight/bias gradients and, if `dx` is
-    /// given, the upstream gradient `dx += Wᵀ dy` (unscaled). The non-zero
-    /// deltas are staged in `gather` and handed to the fused multi-row
-    /// kernel, so each weight row is read once.
-    ///
-    /// `dy` must already be masked by the ReLU derivative.
-    pub fn backward(
-        &self,
-        x: &[f32],
-        dy: &[f32],
-        dx: Option<&mut [f32]>,
-        scale: f32,
-        ks: &KernelSet,
-        gather: &mut RowGather,
-    ) {
-        if let Some(dx) = dx {
-            let mut rows = std::mem::take(&mut gather.rows);
-            let mut deltas = std::mem::take(&mut gather.deltas);
-            rows.clear();
-            deltas.clear();
-            for (r, &d) in dy.iter().enumerate() {
-                if d != 0.0 {
-                    rows.push(r as u32);
-                    deltas.push(d);
-                }
-            }
-            // SAFETY: HOGWILD contract; the row list is duplicate-free.
-            unsafe {
-                self.params
-                    .backward_rows_fused(ks, &rows, &deltas, scale, x, dx, gather)
-            };
-            gather.rows = rows;
-            gather.deltas = deltas;
-        } else {
-            for (r, &d) in dy.iter().enumerate() {
-                if d != 0.0 {
-                    // SAFETY: HOGWILD contract.
-                    unsafe { self.params.grad_axpy_ks(ks, r, d * scale, x) };
-                }
-            }
         }
         // SAFETY: HOGWILD contract.
         unsafe { self.params.grad_bias_axpy_ks(ks, dy, scale) };
@@ -429,9 +334,10 @@ pub(crate) fn softmax_deltas(logits: &[f32], labels: usize, probs: &mut Vec<f32>
 mod tests {
     use super::*;
     use crate::config::LshConfig;
+    use slide_simd::RowGather;
 
     fn scratch_for(hidden: usize, out: usize, layer: &SampledOutputLayer) -> WorkerScratch {
-        WorkerScratch::new(&[hidden], out, layer.family())
+        WorkerScratch::new(hidden, out, layer.family())
     }
 
     #[test]
@@ -451,18 +357,25 @@ mod tests {
         }
     }
 
+    /// Every row of `p` scored against `x` through
+    /// [`LayerParams::score_all_into`]: the blocked strided gemv on
+    /// coalesced f32, the row gather otherwise.
+    fn score_all(p: &LayerParams, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; p.rows()];
+        let (ks, mut gather) = (KernelSet::resolve(), RowGather::default());
+        // SAFETY: single-threaded; nothing else touches `p`.
+        unsafe { p.score_all_into(&ks, x, &mut gather, &mut out) };
+        out
+    }
+
     #[test]
     fn dense_forward_matches_manual() {
-        let layer = DenseLayer::new(6, 3, ParamLayout::Coalesced, Precision::Fp32, 2);
-        let ks = KernelSet::resolve();
-        let mut gather = RowGather::default();
+        let p = LayerParams::new(3, 6, 3, ParamLayout::Coalesced, Precision::Fp32, 2);
         let x: Vec<f32> = (0..6).map(|i| i as f32 * 0.2 - 0.5).collect();
-        let mut out = vec![0.0; 3];
-        layer.forward(&x, &mut out, &ks, &mut gather);
-        for (r, &o) in out.iter().enumerate() {
-            let w = layer.params().row_f32(r);
+        for (r, &o) in score_all(&p, &x).iter().enumerate() {
+            let w = p.row_f32(r);
             let pre: f32 = w.iter().zip(&x).map(|(a, b)| a * b).sum();
-            assert!((o - pre.max(0.0)).abs() < 1e-5);
+            assert!((o - (pre + p.bias_at(r))).abs() < 1e-5);
         }
     }
 
@@ -470,14 +383,10 @@ mod tests {
     fn dense_forward_fragmented_matches_coalesced() {
         // The fragmented layout takes the row-gather fallback instead of the
         // strided gemv; both must agree.
-        let a = DenseLayer::new(10, 7, ParamLayout::Coalesced, Precision::Fp32, 21);
-        let f = DenseLayer::new(10, 7, ParamLayout::Fragmented, Precision::Fp32, 21);
-        let ks = KernelSet::resolve();
-        let mut gather = RowGather::default();
+        let a = LayerParams::new(7, 10, 7, ParamLayout::Coalesced, Precision::Fp32, 21);
+        let f = LayerParams::new(7, 10, 7, ParamLayout::Fragmented, Precision::Fp32, 21);
         let x: Vec<f32> = (0..10).map(|i| (i as f32 * 0.31).sin()).collect();
-        let (mut oa, mut of) = (vec![0.0; 7], vec![0.0; 7]);
-        a.forward(&x, &mut oa, &ks, &mut gather);
-        f.forward(&x, &mut of, &ks, &mut gather);
+        let (oa, of) = (score_all(&a, &x), score_all(&f, &x));
         for r in 0..7 {
             assert!((oa[r] - of[r]).abs() < 1e-5, "r={r}");
         }

@@ -7,8 +7,14 @@
 //! retrieves a few hundred likely-high-activation neurons from hash tables,
 //! computes softmax/cross-entropy over just those, and backpropagates
 //! through just those — roughly `p²` of the weights are touched per update.
-//! Batches are processed by HOGWILD workers sharing the parameters without
-//! locks. This crate layers the paper's CPU optimizations on top:
+//! Batches are processed by workers sharing the parameters without locks.
+//!
+//! The [`Network`] is the paper's, for every workload: a sparse input layer
+//! whose output is the one hidden activation ([`NetworkConfig::hidden`]
+//! wide), and the LSH-sampled softmax output layer over it. The trainer
+//! walks the output layer by row, each batch-active row owned by one worker;
+//! the input layer is updated HOGWILD. This crate layers the paper's CPU
+//! optimizations on top:
 //!
 //! * **Vectorization (§4.2–4.3)** — all dense kernels run on AVX-512 when
 //!   available (via [`slide_simd`]), with the Algorithm 1/2 row/column-major
@@ -72,7 +78,7 @@ pub use config::{
     HashFamilyKind, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
     TrainerConfig,
 };
-pub use layer::{DenseLayer, SampledOutputLayer, SparseInputLayer};
+pub use layer::{SampledOutputLayer, SparseInputLayer};
 pub use network::Network;
 pub use params::{LayerParams, WeightStorage};
 pub use pool::ThreadPool;

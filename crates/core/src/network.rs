@@ -1,11 +1,13 @@
-//! The SLIDE network: sparse input layer → dense hidden stack → LSH-sampled
-//! softmax output, with per-sample forward/backward passes designed to be
-//! driven by many HOGWILD workers concurrently (all methods take `&self`;
-//! parameter mutation goes through the documented racy kernels).
+//! The SLIDE network: sparse input layer → one hidden layer → LSH-sampled
+//! softmax output (the paper's architecture for every workload), with
+//! per-sample forward/backward passes designed to be driven by many HOGWILD
+//! workers concurrently (all methods take `&self`; parameter mutation goes
+//! through the documented racy kernels).
 
 use crate::activation::relu_backward_mask;
 use crate::config::{NetworkConfig, Precision};
-use crate::layer::{DenseLayer, SampledOutputLayer, SparseInputLayer};
+use crate::layer::{SampledOutputLayer, SparseInputLayer};
+use crate::params::LayerParams;
 use crate::retrieval::output_layer_seed;
 use crate::scratch::WorkerScratch;
 use slide_mem::SparseVecRef;
@@ -30,7 +32,6 @@ use slide_mem::SparseVecRef;
 pub struct Network {
     config: NetworkConfig,
     input: SparseInputLayer,
-    hidden: Vec<DenseLayer>,
     output: SampledOutputLayer,
 }
 
@@ -47,24 +48,13 @@ impl Network {
         let layout = config.memory.param_layout();
         let input = SparseInputLayer::new(
             config.input_dim,
-            config.hidden_dims[0],
+            config.hidden,
             layout,
             config.precision,
             config.seed,
         );
-        let mut hidden = Vec::new();
-        for w in config.hidden_dims.windows(2) {
-            hidden.push(DenseLayer::new(
-                w[0],
-                w[1],
-                layout,
-                config.precision,
-                config.seed ^ (0xD5 + hidden.len() as u64),
-            ));
-        }
-        let last_hidden = *config.hidden_dims.last().expect("validated non-empty");
         let output = SampledOutputLayer::new(
-            last_hidden,
+            config.hidden,
             config.output_dim,
             &config.lsh,
             layout,
@@ -74,7 +64,6 @@ impl Network {
         Ok(Network {
             config,
             input,
-            hidden,
             output,
         })
     }
@@ -89,65 +78,41 @@ impl Network {
         &self.input
     }
 
-    /// The dense hidden layers between input and output (empty for the
-    /// paper's standard one-hidden-layer architecture).
-    pub fn hidden_layers(&self) -> &[DenseLayer] {
-        &self.hidden
-    }
-
     /// The LSH-sampled output layer.
     pub fn output(&self) -> &SampledOutputLayer {
         &self.output
     }
 
-    /// Exclusive access to all layers (checkpoint restore).
-    pub(crate) fn layers_mut(
-        &mut self,
-    ) -> (
-        &mut SparseInputLayer,
-        &mut [DenseLayer],
-        &mut SampledOutputLayer,
-    ) {
-        (&mut self.input, &mut self.hidden, &mut self.output)
+    /// Exclusive access to the input and output parameter blocks, in that
+    /// order (checkpoint restore).
+    pub(crate) fn params_mut(&mut self) -> [&mut LayerParams; 2] {
+        [self.input.params_mut(), self.output.params_mut()]
     }
 
     /// Total learnable parameters (Table 1's "# Model Parameters").
     pub fn num_parameters(&self) -> u64 {
-        self.input.params().num_parameters()
-            + self
-                .hidden
-                .iter()
-                .map(|l| l.params().num_parameters())
-                .sum::<u64>()
-            + self.output.params().num_parameters()
+        self.input.params().num_parameters() + self.output.params().num_parameters()
     }
 
     /// Allocate a worker scratch sized for this network.
     pub fn make_scratch(&self) -> WorkerScratch {
         WorkerScratch::new(
-            &self.config.hidden_dims,
+            self.config.hidden,
             self.config.output_dim,
             self.output.family(),
         )
     }
 
-    /// Run the input + hidden stack, filling `scratch.acts`. Applies bf16
-    /// activation quantization per the configured precision (§4.4).
+    /// Run the input layer, leaving the hidden activation in
+    /// `scratch.acts[0]`. Applies bf16 activation quantization per the
+    /// configured precision (§4.4).
     pub fn forward_hidden(&self, x: SparseVecRef<'_>, scratch: &mut WorkerScratch) {
         let ks = scratch.kernels;
-        let mut acts = std::mem::take(&mut scratch.acts);
-        self.input.forward(x, &mut acts[0], &ks);
+        let h = &mut scratch.acts[0];
+        self.input.forward(x, h, &ks);
         if self.config.precision != Precision::Fp32 {
-            slide_simd::bf16::quantize_f32_slice(&mut acts[0]);
+            slide_simd::bf16::quantize_f32_slice(h);
         }
-        for (i, layer) in self.hidden.iter().enumerate() {
-            let (src, dst) = acts.split_at_mut(i + 1);
-            layer.forward(&src[i], &mut dst[0], &ks, &mut scratch.gather);
-            if self.config.precision != Precision::Fp32 {
-                slide_simd::bf16::quantize_f32_slice(&mut dst[0]);
-            }
-        }
-        scratch.acts = acts;
     }
 
     /// Full forward + backward for one training sample. `scale` is the
@@ -166,61 +131,40 @@ impl Network {
         salt: u64,
     ) -> f32 {
         self.forward_hidden(x, scratch);
-        let last = self.config.hidden_dims.len() - 1;
 
-        // Temporarily detach the buffers so the output layer can borrow the
-        // scratch mutably alongside them.
-        let mut grads = std::mem::take(&mut scratch.grads);
+        // Temporarily detach the activation and its gradient so the output
+        // layer can borrow the scratch mutably alongside them.
         let acts = std::mem::take(&mut scratch.acts);
-
-        grads[last].fill(0.0);
-        let loss = self.output.train_sample(
-            &acts[last],
-            labels,
-            scratch,
-            scale,
-            stamp,
-            &mut grads[last],
-            salt,
-        );
-        scratch.grads = grads;
-        scratch.acts = acts;
+        let mut grad = std::mem::take(&mut scratch.grad);
+        grad.fill(0.0);
+        let loss = self
+            .output
+            .train_sample(&acts[0], labels, scratch, scale, stamp, &mut grad, salt);
+        scratch.grad = grad;
 
         if loss != 0.0 {
-            self.backward_hidden(x, scratch, scale, stamp);
+            self.backward_input(x, &acts[0], scratch, scale, stamp);
         }
+        scratch.acts = acts;
         loss
     }
 
-    /// Backward through the hidden stack and the input layer for one
-    /// sample, from `scratch.acts` (its forward activations) and the
-    /// output layer's unmasked, unscaled gradient in the last entry of
-    /// `scratch.grads`; accumulates HOGWILD gradients into the input and
-    /// hidden layers and stamps touched input rows with `stamp`.
-    pub(crate) fn backward_hidden(
+    /// Backward through the ReLU and the input layer for one sample, from
+    /// its hidden activation `h` and the output layer's unmasked, unscaled
+    /// gradient in `scratch.grad`; accumulates HOGWILD gradients into the
+    /// input layer and stamps its touched rows with `stamp`.
+    pub(crate) fn backward_input(
         &self,
         x: SparseVecRef<'_>,
+        h: &[f32],
         scratch: &mut WorkerScratch,
         scale: f32,
         stamp: u32,
     ) {
         let ks = scratch.kernels;
-        let last = self.config.hidden_dims.len() - 1;
-        let mut grads = std::mem::take(&mut scratch.grads);
-        let acts = std::mem::take(&mut scratch.acts);
-        relu_backward_mask(&acts[last], &mut grads[last]);
-        for i in (0..self.hidden.len()).rev() {
-            let (lo, hi) = grads.split_at_mut(i + 1);
-            let dy = &hi[0];
-            let dx = &mut lo[i];
-            dx.fill(0.0);
-            self.hidden[i].backward(&acts[i], dy, Some(dx), scale, &ks, &mut scratch.gather);
-            relu_backward_mask(&acts[i], dx);
-        }
+        relu_backward_mask(h, &mut scratch.grad);
         self.input
-            .backward(x, &grads[0], scale, stamp, &mut scratch.touched_in, &ks);
-        scratch.grads = grads;
-        scratch.acts = acts;
+            .backward(x, &scratch.grad, scale, stamp, &mut scratch.touched_in, &ks);
     }
 
     /// Predict the top-`k` labels for one input. `exact` scores every output
@@ -235,13 +179,11 @@ impl Network {
         salt: u64,
     ) -> Vec<u32> {
         self.forward_hidden(x, scratch);
-        let last = self.config.hidden_dims.len() - 1;
         let acts = std::mem::take(&mut scratch.acts);
         let result = if exact {
-            self.output.predict_topk_full(&acts[last], k, scratch)
+            self.output.predict_topk_full(&acts[0], k, scratch)
         } else {
-            self.output
-                .predict_topk_sampled(&acts[last], k, scratch, salt)
+            self.output.predict_topk_sampled(&acts[0], k, scratch, salt)
         };
         scratch.acts = acts;
         result
@@ -268,23 +210,6 @@ mod tests {
     fn construction_and_parameter_count() {
         let net = Network::new(tiny_config()).unwrap();
         assert_eq!(net.num_parameters(), 64 * 16 + 16 + 16 * 32 + 32);
-        assert!(net.hidden_layers().is_empty());
-    }
-
-    #[test]
-    fn deep_network_builds_and_runs() {
-        let mut cfg = tiny_config();
-        cfg.hidden_dims = vec![16, 12, 8];
-        let net = Network::new(cfg).unwrap();
-        assert_eq!(net.hidden_layers().len(), 2);
-        let mut scratch = net.make_scratch();
-        let idx = [3u32, 40];
-        let val = [1.0f32, -0.5];
-        let x = SparseVecRef::new(&idx, &val);
-        let loss = net.train_sample(x, &[5], &mut scratch, 1.0, 1, 0);
-        assert!(loss.is_finite() && loss > 0.0);
-        let topk = net.predict(x, 3, &mut scratch, true, 0);
-        assert_eq!(topk.len(), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    matrix, and the row, its moments and its bias take their ADAM step in
 //!    the same visit;
 //! 5. each sample's hidden gradient is the worker matrices summed in worker
-//!    order; the hidden stack and the input layer stay HOGWILD.
+//!    order; the input layer's backward stays HOGWILD.
 //!
 //! A row lies in one chunk and a chunk goes to one worker, so the output
 //! layer is written race-free: no atomic stamp, no touched-row merge, no
@@ -58,14 +58,10 @@ struct RowWorker {
 /// The trainer-owned state of one batch, reused across batches.
 #[derive(Debug)]
 pub(crate) struct OutputPass {
-    /// Width of the last hidden layer.
+    /// Width of the hidden layer.
     cols: usize,
-    /// Summed width of the hidden layers before the last.
-    inner_width: usize,
-    /// `n × cols`: every sample's last hidden activation.
+    /// `n × cols`: every sample's hidden activation.
     h: Vec<f32>,
-    /// `n × inner_width`: every sample's earlier hidden activations.
-    inner: Vec<f32>,
     /// Per sample, its active set (labels first); empty without labels.
     active: Vec<Vec<u32>>,
     /// Sample `s`'s pairs are `pair_start[s]..pair_start[s + 1]`, in the
@@ -89,16 +85,9 @@ pub(crate) struct OutputPass {
 impl OutputPass {
     /// Empty state for `net`, trained by `workers` threads.
     pub(crate) fn new(net: &Network, workers: usize) -> Self {
-        let (&cols, earlier) = net
-            .config()
-            .hidden_dims
-            .split_last()
-            .expect("validated non-empty");
         OutputPass {
-            cols,
-            inner_width: earlier.iter().sum(),
+            cols: net.config().hidden,
             h: Vec::new(),
-            inner: Vec::new(),
             active: Vec::new(),
             pair_start: Vec::new(),
             scores: Vec::new(),
@@ -111,8 +100,8 @@ impl OutputPass {
     }
 
     /// Forward every labelled sample `i` of the batch (`store.get(i)`,
-    /// labels of `indices[i]`) through the hidden stack, keep its
-    /// activations, and pick its active set with salt `salt_base | i`.
+    /// labels of `indices[i]`) through the input layer, keep its hidden
+    /// activation, and pick its active set with salt `salt_base | i`.
     #[allow(clippy::too_many_arguments)] // the batch and where it runs
     pub(crate) fn forward(
         &mut self,
@@ -125,40 +114,26 @@ impl OutputPass {
         salt_base: u64,
     ) {
         let n = indices.len();
-        let (cols, inner_width) = (self.cols, self.inner_width);
+        let cols = self.cols;
         self.h.resize(n * cols, 0.0);
-        self.inner.resize(n * inner_width, 0.0);
         self.active.resize_with(n, Vec::new);
         let slots = Disjoint::new(scratches);
         let h = Disjoint::new(&mut self.h);
-        let inner = Disjoint::new(&mut self.inner);
         let active = Disjoint::new(&mut self.active);
         pool.parallel_chunks(n, 1, &|worker, samples| {
             // SAFETY: a worker id belongs to one running worker.
             let scratch = unsafe { slots.get(worker) };
             for i in samples {
                 // SAFETY: sample `i` went to this worker alone; its
-                // activation rows and its active list are its own.
-                let (h_i, inner_i, active_i) = unsafe {
-                    (
-                        h.range(i * cols, cols),
-                        inner.range(i * inner_width, inner_width),
-                        active.get(i),
-                    )
-                };
+                // activation row and its active list are its own.
+                let (h_i, active_i) = unsafe { (h.range(i * cols, cols), active.get(i)) };
                 active_i.clear();
                 let labels = data.labels(indices[i] as usize);
                 if labels.is_empty() {
                     continue;
                 }
                 net.forward_hidden(store.get(i), scratch);
-                let (last, earlier) = scratch.acts.split_last().expect("a hidden layer");
-                h_i.copy_from_slice(last);
-                let mut at = 0;
-                for a in earlier {
-                    inner_i[at..at + a.len()].copy_from_slice(a);
-                    at += a.len();
-                }
+                h_i.copy_from_slice(&scratch.acts[0]);
                 net.output()
                     .select_active(h_i, labels, scratch, salt_base | i as u64);
                 std::mem::swap(&mut scratch.active, active_i);
@@ -327,8 +302,8 @@ impl OutputPass {
 
     /// For every labelled sample: its hidden gradient summed over the
     /// workers' matrices in worker order, then the backward pass through the
-    /// hidden stack and the input layer.
-    pub(crate) fn backward_hidden(
+    /// input layer.
+    pub(crate) fn backward_input(
         &self,
         net: &Network,
         pool: &ThreadPool,
@@ -338,29 +313,20 @@ impl OutputPass {
         stamp: u32,
     ) {
         let slots = Disjoint::new(scratches);
-        let (cols, inner_width) = (self.cols, self.inner_width);
-        let (h, inner, active, workers) = (&self.h, &self.inner, &self.active, &self.workers);
+        let cols = self.cols;
+        let (h, active, workers) = (&self.h, &self.active, &self.workers);
         pool.parallel_chunks(active.len(), 1, &|worker, samples| {
             // SAFETY: a worker id belongs to one running worker.
             let scratch = unsafe { slots.get(worker) };
             for s in samples.filter(|&s| !active[s].is_empty()) {
                 let row = s * cols..(s + 1) * cols;
-                let dy = scratch.grads.last_mut().expect("a hidden layer");
-                dy.copy_from_slice(&workers[0].dx[row.clone()]);
+                scratch.grad.copy_from_slice(&workers[0].dx[row.clone()]);
                 for other in &workers[1..] {
-                    for (d, &x) in dy.iter_mut().zip(&other.dx[row.clone()]) {
+                    for (d, &x) in scratch.grad.iter_mut().zip(&other.dx[row.clone()]) {
                         *d += x;
                     }
                 }
-                let (last, earlier) = scratch.acts.split_last_mut().expect("a hidden layer");
-                last.copy_from_slice(&h[row]);
-                let mut at = s * inner_width;
-                for a in earlier {
-                    let width = a.len();
-                    a.copy_from_slice(&inner[at..at + width]);
-                    at += width;
-                }
-                net.backward_hidden(store.get(s), scratch, scale, stamp);
+                net.backward_input(store.get(s), &h[row], scratch, scale, stamp);
             }
         });
     }

@@ -571,7 +571,8 @@ impl LayerParams {
 
     /// ADAM over a contiguous flat span of the weight arena (the paper's
     /// Figure 3 "2D -> 1D loop" fast path; only valid for coalesced f32
-    /// storage). `range` is in flat element coordinates.
+    /// storage). `range` is in flat element coordinates. Returns `false`,
+    /// touching nothing, for any other storage.
     ///
     /// # Safety
     ///
@@ -593,17 +594,6 @@ impl LayerParams {
         slide_simd::adam_step_f32(ws, ms, vs, gs, step);
         gs.fill(0.0);
         true
-    }
-
-    /// Whether [`LayerParams::adam_flat_span`] is available (coalesced f32).
-    pub fn supports_flat_adam(&self) -> bool {
-        matches!(
-            (&self.weights, &self.grad_w),
-            (
-                WeightStorage::F32(ParamStore::Arena(_)),
-                ParamStore::Arena(_)
-            )
-        )
     }
 
     /// Test/inspection access to a weight row widened to f32.
@@ -850,7 +840,6 @@ mod tests {
     fn flat_adam_matches_row_adam() {
         let a = params(Precision::Fp32, ParamLayout::Coalesced);
         let b = params(Precision::Fp32, ParamLayout::Coalesced);
-        assert!(a.supports_flat_adam());
         let step = AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, 3);
         let ks = KernelSet::resolve();
         unsafe {
@@ -878,7 +867,6 @@ mod tests {
     #[test]
     fn fragmented_layout_rejects_flat_adam() {
         let p = params(Precision::Fp32, ParamLayout::Fragmented);
-        assert!(!p.supports_flat_adam());
         assert!(!unsafe {
             p.adam_flat_span(0, 8, AdamStep::bias_corrected(0.1, 0.9, 0.999, 1e-8, 1))
         });

@@ -82,9 +82,8 @@ impl Retrieval {
     /// The policy a frozen engine of a network of `config` retrieves under:
     /// the trainer's family, with tables and a pad stream of its own.
     pub fn serving(config: &NetworkConfig) -> Self {
-        let hidden = *config.hidden_dims.last().expect("validated non-empty");
         Self::new(
-            hidden,
+            config.hidden,
             config.output_dim,
             &config.lsh,
             output_layer_seed(config.seed),
@@ -301,7 +300,7 @@ mod tests {
             seed,
         );
         let retrieval = Retrieval::training(hidden, rows, lsh, seed);
-        let scratch = WorkerScratch::new(&[hidden], rows, retrieval.family());
+        let scratch = WorkerScratch::new(hidden, rows, retrieval.family());
         (retrieval, params, scratch)
     }
 

@@ -77,10 +77,10 @@ impl StampSet {
 /// All mutable state one worker thread owns during training/evaluation.
 #[derive(Debug)]
 pub struct WorkerScratch {
-    /// Activation buffer per hidden layer (sized to that layer's width).
+    /// The hidden activation, as the one entry of a per-layer list.
     pub acts: Vec<Vec<f32>>,
-    /// Gradient buffer per hidden layer activation.
-    pub grads: Vec<Vec<f32>>,
+    /// Gradient of the hidden activation.
+    pub grad: Vec<f32>,
     /// LSH scratch for the output layer's family.
     pub lsh: LshScratch,
     /// Table keys buffer (`L` entries).
@@ -118,12 +118,12 @@ pub struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    /// Allocate scratch for a network with the given hidden widths, output
+    /// Allocate scratch for a network with the given hidden width, output
     /// size, and LSH family.
-    pub fn new(hidden_dims: &[usize], output_dim: usize, family: &slide_hash::LshFamily) -> Self {
+    pub fn new(hidden: usize, output_dim: usize, family: &slide_hash::LshFamily) -> Self {
         WorkerScratch {
-            acts: hidden_dims.iter().map(|&d| vec![0.0; d]).collect(),
-            grads: hidden_dims.iter().map(|&d| vec![0.0; d]).collect(),
+            acts: vec![vec![0.0; hidden]],
+            grad: vec![0.0; hidden],
             lsh: family.make_scratch(),
             keys: vec![0; family.tables()],
             candidates: Vec::with_capacity(1024),
@@ -136,7 +136,7 @@ impl WorkerScratch {
             touched_in: Vec::with_capacity(1024),
             loss: MeanMetric::new(),
             metric: MeanMetric::new(),
-            widen: vec![0.0; hidden_dims.last().copied().unwrap_or(0)],
+            widen: vec![0.0; hidden],
             gather: RowGather::default(),
             kernels: KernelSet::resolve(),
         }
@@ -251,10 +251,10 @@ mod tests {
             bin_size: 8,
             seed: 1,
         });
-        let s = WorkerScratch::new(&[32, 16], 1000, &family);
-        assert_eq!(s.acts.len(), 2);
-        assert_eq!(s.acts[0].len(), 32);
-        assert_eq!(s.grads[1].len(), 16);
+        let s = WorkerScratch::new(16, 1000, &family);
+        assert_eq!(s.acts.len(), 1);
+        assert_eq!(s.acts[0].len(), 16);
+        assert_eq!(s.grad.len(), 16);
         assert_eq!(s.keys.len(), 7);
         assert_eq!(s.dedup.universe(), 1000);
         assert_eq!(s.widen.len(), 16);

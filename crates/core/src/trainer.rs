@@ -6,16 +6,16 @@
 //!
 //! 1. the batch's sparse instances are copied into one coalesced buffer
 //!    (or per-instance allocations in the naive-layout ablation, §4.1),
-//! 2. workers pull samples off a shared cursor, run the input and hidden
-//!    layers and pick each sample's LSH active set,
+//! 2. workers take samples in chunks, run the input layer to the hidden
+//!    activation and pick each sample's LSH active set,
 //! 3. the output layer is walked by row ([`crate::output_pass`]): each
 //!    batch-active row is scored against all of its samples, and after the
 //!    per-sample softmax it is backpropagated and ADAM-stepped in one visit
 //!    by the one worker that owns it,
-//! 4. workers backpropagate each sample through the hidden stack and the
-//!    input layer, accumulating those gradients HOGWILD,
-//! 5. the input rows stamped active get one fused ADAM step each, and the
-//!    dense hidden layers take the flat 1-D arena sweep of Figure 3,
+//! 4. workers backpropagate each sample through the input layer,
+//!    accumulating its gradients HOGWILD,
+//! 5. the input rows stamped active get one fused ADAM step each, in one
+//!    parallel sweep,
 //! 6. periodically the output layer's hash tables are rebuilt from the
 //!    current weights, with the interval growing exponentially.
 
@@ -35,13 +35,13 @@ use std::time::Instant;
 pub struct PhaseBreakdown {
     /// Copying the batch into its (coalesced or fragmented) store.
     pub batch_build: f64,
-    /// The per-sample work: input and hidden layers forward and backward
-    /// (HOGWILD gradient accumulation), hashing and active sets, softmax.
+    /// The per-sample work: the input layer forward and backward (HOGWILD
+    /// gradient accumulation), hashing and active sets, softmax.
     pub forward_backward: f64,
     /// The row-owned output pass: the row → samples CSR, scoring, and the
     /// output layer's backward and ADAM step.
     pub output: f64,
-    /// The input and hidden layers' sparse/dense ADAM phase.
+    /// The input layer's sparse ADAM phase.
     pub optimizer: f64,
     /// Hash-table rebuild.
     pub rebuild: f64,
@@ -325,7 +325,7 @@ impl Trainer {
         let t3 = Instant::now();
         pass.backward_step(net, pool, &kernels, scale, step);
         let t4 = Instant::now();
-        pass.backward_hidden(net, pool, scratches, &store, scale, stamp);
+        pass.backward_input(net, pool, scratches, &store, scale, stamp);
         let t5 = Instant::now();
         phases.forward_backward = ((t1 - t0) + (t3 - t2) + (t5 - t4)).as_secs_f64();
         phases.output = ((t2 - t1) + (t4 - t3)).as_secs_f64();
@@ -346,19 +346,17 @@ impl Trainer {
         self.epoch_phases.add(phases);
     }
 
-    /// The input and hidden layers' ADAM phase (the output layer took its
-    /// step inside the row-owned pass).
+    /// The input layer's ADAM phase (the output layer took its step inside
+    /// the row-owned pass).
     fn apply_updates(&mut self, step: AdamStep) {
         self.touched_in.clear();
         for s in &mut self.scratches {
             self.touched_in.append(&mut s.touched_in);
         }
-        let net = &self.network;
-
-        // Input layer: rows are features seen in the batch; bias is the
-        // hidden vector, updated densely.
+        // Rows are features seen in the batch; the bias is the hidden
+        // vector, updated densely.
         let rows_in = &self.touched_in;
-        let in_params = net.input().params();
+        let in_params = self.network.input().params();
         self.pool.parallel_for(rows_in.len(), 32, &|i| {
             // SAFETY: the touched list is duplicate-free (atomic stamp swap),
             // so concurrent rows are distinct.
@@ -366,30 +364,6 @@ impl Trainer {
         });
         // SAFETY: single caller; workers are parked.
         unsafe { in_params.adam_bias_full(step) };
-
-        // Dense hidden layers: every row is active; use the flat 1-D arena
-        // sweep when the layout allows (Figure 3), else row-by-row.
-        for layer in net.hidden_layers() {
-            let p = layer.params();
-            let total = p.rows() * p.cols();
-            if p.supports_flat_adam() {
-                let chunk = 16 * 1024;
-                let n_chunks = total.div_ceil(chunk);
-                self.pool.parallel_for(n_chunks, 1, &|c| {
-                    let start = c * chunk;
-                    let len = chunk.min(total - start);
-                    // SAFETY: chunks are disjoint flat spans.
-                    unsafe { p.adam_flat_span(start, len, step) };
-                });
-            } else {
-                self.pool.parallel_for(p.rows(), 8, &|r| {
-                    // SAFETY: rows are distinct.
-                    unsafe { p.adam_row(r, step) };
-                });
-            }
-            // SAFETY: single caller; workers are parked.
-            unsafe { p.adam_bias_full(step) };
-        }
     }
 
     /// Parallel two-phase hash-table rebuild: compute every neuron's keys

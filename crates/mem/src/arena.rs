@@ -8,12 +8,13 @@
 //! along for other threads. Both layouts are implemented here for the §5.7
 //! ablation:
 //!
-//! * [`ParamArena`] — one contiguous [`HogwildArray`] holding all rows,
+//! * [`ParamArena`] — one contiguous [`HogwildArray`] holding all rows, of
+//!   f32 or, as [`ParamArenaBf16`], of bf16 bit patterns for bf16-stored
+//!   weights (§4.4 mode 1),
 //! * [`FragmentedParams`] — one boxed slice per neuron (the naive layout),
-//! * [`ParamStore`] — runtime selector used by the layers,
-//! * [`ParamArenaBf16`] — contiguous `u16` rows for bf16-stored weights
-//!   (§4.4 mode 1).
+//! * [`ParamStore`] — runtime selector used by the layers.
 
+use crate::aligned::Pod;
 use crate::hogwild::{HogwildArray, HogwildPtr};
 
 /// How a layer lays out its parameters in memory — the §5.7 ablation axis.
@@ -27,7 +28,8 @@ pub enum ParamLayout {
 }
 
 /// A dense `rows x cols` parameter matrix in one contiguous, cache-aligned
-/// allocation, shareable across HOGWILD workers.
+/// allocation, shareable across HOGWILD workers: f32 weights and moments
+/// (the default), or bf16 bit patterns ([`ParamArenaBf16`]).
 ///
 /// Row `r` (a neuron's weight vector) occupies `[r*cols, (r+1)*cols)` of the
 /// flat buffer, so Algorithm 1's inner products stream contiguous memory.
@@ -36,19 +38,24 @@ pub enum ParamLayout {
 ///
 /// ```
 /// use slide_mem::ParamArena;
-/// let mut arena = ParamArena::zeroed(4, 8);
+/// let mut arena: ParamArena = ParamArena::zeroed(4, 8);
 /// arena.row_mut(2)[0] = 1.0;
 /// assert_eq!(arena.row(2)[0], 1.0);
 /// assert_eq!(arena.flat().len(), 32);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ParamArena {
-    buf: HogwildArray<f32>,
+pub struct ParamArena<T: Pod = f32> {
+    buf: HogwildArray<T>,
     rows: usize,
     cols: usize,
 }
 
-impl ParamArena {
+/// A `rows x cols` matrix of bf16 bit patterns — weight storage for the
+/// paper's §4.4 mode 1 ("BF16 for both activations and weights"); a zeroed
+/// one holds bf16 +0.0.
+pub type ParamArenaBf16 = ParamArena<u16>;
+
+impl<T: Pod> ParamArena<T> {
     /// Allocate a zeroed `rows x cols` arena.
     pub fn zeroed(rows: usize, cols: usize) -> Self {
         ParamArena {
@@ -59,7 +66,7 @@ impl ParamArena {
     }
 
     /// Allocate and initialize each element with `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut arena = Self::zeroed(rows, cols);
         let flat = arena.buf.as_mut_slice();
         for r in 0..rows {
@@ -85,7 +92,7 @@ impl ParamArena {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub fn row(&self, r: usize) -> &[T] {
         assert!(r < self.rows, "ParamArena: row {r} out of {}", self.rows);
         &self.buf.as_slice()[r * self.cols..(r + 1) * self.cols]
     }
@@ -95,7 +102,7 @@ impl ParamArena {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         assert!(r < self.rows, "ParamArena: row {r} out of {}", self.rows);
         let cols = self.cols;
         &mut self.buf.as_mut_slice()[r * cols..(r + 1) * cols]
@@ -103,17 +110,17 @@ impl ParamArena {
 
     /// The whole matrix as one flat slice (enables the paper's "2D loop to
     /// 1D loop" ADAM vectorization, Figure 3).
-    pub fn flat(&self) -> &[f32] {
+    pub fn flat(&self) -> &[T] {
         self.buf.as_slice()
     }
 
     /// Exclusive flat view.
-    pub fn flat_mut(&mut self) -> &mut [f32] {
+    pub fn flat_mut(&mut self) -> &mut [T] {
         self.buf.as_mut_slice()
     }
 
     /// HOGWILD view for worker threads.
-    pub fn ptr(&self) -> HogwildPtr<f32> {
+    pub fn ptr(&self) -> HogwildPtr<T> {
         self.buf.ptr()
     }
 
@@ -122,7 +129,7 @@ impl ParamArena {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row_ptr(&self, r: usize) -> *mut f32 {
+    pub fn row_ptr(&self, r: usize) -> *mut T {
         assert!(r < self.rows, "ParamArena: row {r} out of {}", self.rows);
         self.buf.ptr().row_ptr(r, self.cols)
     }
@@ -355,111 +362,35 @@ impl ParamStore {
     }
 }
 
-/// A dense `rows x cols` matrix of bf16 bit patterns in one contiguous
-/// allocation — weight storage for the paper's §4.4 mode 1 ("BF16 for both
-/// activations and weights").
-#[derive(Debug, Clone)]
-pub struct ParamArenaBf16 {
-    buf: HogwildArray<u16>,
-    rows: usize,
-    cols: usize,
-}
-
-impl ParamArenaBf16 {
-    /// Allocate a zeroed `rows x cols` bf16 arena (0u16 is bf16 +0.0).
-    pub fn zeroed(rows: usize, cols: usize) -> Self {
-        ParamArenaBf16 {
-            buf: HogwildArray::zeroed(rows * cols),
-            rows,
-            cols,
-        }
-    }
-
-    /// Number of rows (neurons).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (weights per neuron).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Shared read view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[u16] {
-        assert!(
-            r < self.rows,
-            "ParamArenaBf16: row {r} out of {}",
-            self.rows
-        );
-        &self.buf.as_slice()[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Exclusive view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [u16] {
-        assert!(
-            r < self.rows,
-            "ParamArenaBf16: row {r} out of {}",
-            self.rows
-        );
-        let cols = self.cols;
-        &mut self.buf.as_mut_slice()[r * cols..(r + 1) * cols]
-    }
-
-    /// Flat view of all rows.
-    pub fn flat(&self) -> &[u16] {
-        self.buf.as_slice()
-    }
-
-    /// Exclusive flat view.
-    pub fn flat_mut(&mut self) -> &mut [u16] {
-        self.buf.as_mut_slice()
-    }
-
-    /// HOGWILD view for worker threads.
-    pub fn ptr(&self) -> HogwildPtr<u16> {
-        self.buf.ptr()
-    }
-
-    /// Raw pointer to row `r` (see [`HogwildPtr::row_ptr`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_ptr(&self, r: usize) -> *mut u16 {
-        assert!(
-            r < self.rows,
-            "ParamArenaBf16: row {r} out of {}",
-            self.rows
-        );
-        self.buf.ptr().row_ptr(r, self.cols)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
-    #[test]
-    fn arena_rows_are_contiguous() {
-        let arena = ParamArena::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
-        assert_eq!(arena.row(1), &[4.0, 5.0, 6.0, 7.0]);
+    /// The element types the arena stores: f32 weights and moments, bf16
+    /// bit patterns.
+    trait Element: Pod + From<u8> + PartialEq + Debug {}
+    impl Element for f32 {}
+    impl Element for u16 {}
+
+    fn rows_are_contiguous<T: Element>() {
+        let arena = ParamArena::<T>::from_fn(3, 4, |r, c| T::from((r * 4 + c) as u8));
+        let row1: Vec<T> = (4..8).map(T::from).collect();
+        assert_eq!(arena.row(1), &row1[..]);
         let flat = arena.flat();
         assert_eq!(flat.len(), 12);
         // Row i starts exactly cols elements after row i-1: contiguity.
         assert_eq!(flat[4], arena.row(1)[0]);
         assert_eq!(
-            arena.row(0).as_ptr() as usize + 4 * 4,
+            arena.row(0).as_ptr() as usize + 4 * std::mem::size_of::<T>(),
             arena.row(1).as_ptr() as usize
         );
+    }
+
+    #[test]
+    fn arena_rows_are_contiguous() {
+        rows_are_contiguous::<f32>();
+        rows_are_contiguous::<u16>();
     }
 
     #[test]
@@ -518,20 +449,27 @@ mod tests {
         assert_ne!(frag.row(1)[0], 99.0);
     }
 
+    fn roundtrips<T: Element>() {
+        let v = |x: u8| T::from(x);
+        let mut arena = ParamArena::<T>::zeroed(2, 3);
+        arena.row_mut(1).copy_from_slice(&[v(1), v(2), v(3)]);
+        assert_eq!(arena.row(1), &[v(1), v(2), v(3)]);
+        assert_eq!(arena.row(0), &[v(0), v(0), v(0)]);
+        assert_eq!(arena.flat().len(), 6);
+        unsafe { arena.ptr().set(0, v(7)) };
+        assert_eq!(arena.row(0)[0], v(7));
+        assert_eq!(arena.row_ptr(1) as *const T, arena.row(1).as_ptr());
+    }
+
     #[test]
     fn bf16_arena_roundtrips() {
-        let mut arena = ParamArenaBf16::zeroed(2, 3);
-        arena.row_mut(1).copy_from_slice(&[1, 2, 3]);
-        assert_eq!(arena.row(1), &[1, 2, 3]);
-        assert_eq!(arena.row(0), &[0, 0, 0]);
-        assert_eq!(arena.flat().len(), 6);
-        unsafe { arena.ptr().set(0, 7) };
-        assert_eq!(arena.row(0)[0], 7);
+        roundtrips::<u16>();
+        roundtrips::<f32>();
     }
 
     #[test]
     #[should_panic(expected = "out of")]
     fn arena_row_out_of_bounds_panics() {
-        ParamArena::zeroed(2, 2).row(2);
+        ParamArena::<f32>::zeroed(2, 2).row(2);
     }
 }

@@ -22,7 +22,7 @@ pub enum Stage {
     BatchWait,
     /// Replica: LSH bucket probe and active-set selection.
     Retrieval,
-    /// Replica: dense trunk forward plus active-neuron scoring kernels.
+    /// Replica: input-layer forward plus active-neuron scoring kernels.
     Kernel,
     /// Replica: cross-shard dedup/merge and final top-k gather.
     Merge,

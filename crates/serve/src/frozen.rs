@@ -9,11 +9,11 @@
 //! zero allocation on the hot path — safe to share across any number of
 //! threads via `Arc`.
 //!
-//! Every serving variant is this one loop — forward the hidden stack,
-//! LSH-retrieve an active set, gather-score its rows, top-k — so there is
-//! one implementation of it, generic over the row storage format
-//! ([`RowLayout`]: f32 [`FrozenLayer`] or int8 [`QuantizedLayer`]) and over
-//! the shard count `N ≥ 1` of the output layer.
+//! Every serving variant is this one loop — forward the input layer to the
+//! hidden activation, LSH-retrieve an active set, gather-score its rows,
+//! top-k — so there is one implementation of it, generic over the row
+//! storage format ([`RowLayout`]: f32 [`FrozenLayer`] or int8
+//! [`QuantizedLayer`]) and over the shard count `N ≥ 1` of the output layer.
 
 use crate::error::ServeBuildError;
 use crate::layer::{Act, FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
@@ -40,9 +40,8 @@ struct Shard<L> {
 /// An immutable, share-everywhere inference snapshot of a trained
 /// [`Network`]:
 ///
-/// * a **trunk** — the f32 sparse-input layer plus the dense hidden stack
-///   in layout `L` — run once per query to produce the last hidden
-///   activation `h`;
+/// * the f32 **sparse-input layer**, run once per query to produce the
+///   hidden activation `h`;
 /// * **`N ≥ 1` shards** of the output layer, each a row-subset arena in
 ///   layout `L` plus that shard's partition of the LSH tables;
 /// * one [`Retrieval`] — the LSH family and pad/cap policy the trainer's
@@ -112,7 +111,6 @@ pub struct Engine<L: RowLayout> {
     config: NetworkConfig,
     plan: ShardPlan,
     input: FrozenLayer,
-    hidden: Vec<L>,
     shards: Vec<Shard<L>>,
     retrieval: Retrieval,
     report: QuantReport,
@@ -121,7 +119,7 @@ pub struct Engine<L: RowLayout> {
 /// The f32 engine.
 pub type FrozenNetwork = Engine<FrozenLayer>;
 
-/// The int8 engine: hidden and output rows are per-row symmetric i8 codes;
+/// The int8 engine: output rows are per-row symmetric i8 codes;
 /// the sparse-input layer and LSH retrieval stay f32 (see
 /// [`QuantizedLayer`]), so it retrieves exactly what [`FrozenNetwork`] does.
 pub type QuantizedFrozenNetwork = Engine<QuantizedLayer>;
@@ -133,10 +131,11 @@ pub type QuantizedFrozenNetwork = Engine<QuantizedLayer>;
 /// precision hot-swap between same-shape engines.
 #[derive(Debug)]
 pub struct ServeScratch {
-    /// Activation buffer per hidden layer (aligned, layer-width slices).
+    /// The hidden activation (aligned), as the one entry of a per-layer
+    /// list.
     pub acts: Vec<AlignedVec<f32>>,
-    /// u8 activation codes, one buffer per activation (lossy layouts only).
-    qacts: Vec<AlignedVec<u8>>,
+    /// u8 codes of the hidden activation (lossy layouts only).
+    qacts: AlignedVec<u8>,
     /// [`Retrieval::select`]'s buffers besides `active` (see
     /// [`SelectBuffers`]).
     lsh: LshScratch,
@@ -188,20 +187,15 @@ pub(crate) fn serving_plan(
     Ok(plan)
 }
 
-/// Cut `net`'s dense layers in snapshot-ordinal order — the hidden stack,
-/// then one output row-subset per shard of `plan` (the full output arena is
-/// never materialized when `N > 1`) — handing each to `sink` as it is built.
+/// Cut `net`'s output layer in snapshot-ordinal order — one row-subset per
+/// shard of `plan` (the full output arena is never materialized when
+/// `N > 1`) — handing each to `sink` as it is built.
 pub(crate) fn cut_layers<L: RowLayout>(
     net: &Network,
     plan: &ShardPlan,
     report: &mut QuantReport,
     mut sink: impl FnMut(L),
 ) {
-    for (i, l) in net.hidden_layers().iter().enumerate() {
-        let rows: Vec<u32> = (0..l.params().rows() as u32).collect();
-        let name = format!("hidden[{i}]");
-        sink(L::from_params_rows(l.params(), &rows, &name, report));
-    }
     for s in 0..plan.shards() {
         let rows = plan.shard_rows(s);
         sink(L::from_params_rows(
@@ -236,16 +230,14 @@ impl<L: RowLayout> Engine<L> {
     ) -> Result<Self, ServeBuildError> {
         let plan = serving_plan(net.config(), plan.into())?;
         let mut report = QuantReport::default();
-        let mut hidden = Vec::new();
-        cut_layers(net, &plan, &mut report, |l| hidden.push(l));
-        let shards = hidden.split_off(net.hidden_layers().len());
+        let mut shards = Vec::new();
+        cut_layers(net, &plan, &mut report, |l| shards.push(l));
         let retrieval = Retrieval::serving(net.config());
         let tables = retrieval.tables_from_rows(net.output().params());
         Ok(Self::assemble(
             net.config().clone(),
             plan,
             FrozenLayer::from_params(net.input().params()),
-            hidden,
             shards,
             retrieval,
             tables,
@@ -259,12 +251,10 @@ impl<L: RowLayout> Engine<L> {
     /// [`serving_plan`] and the layers must have the shapes
     /// `expected_manifest` declares for it; `tables` is `retrieval`'s
     /// *global* build, partitioned here.
-    #[allow(clippy::too_many_arguments)] // one per part of an engine
     pub(crate) fn assemble(
         config: NetworkConfig,
         plan: ShardPlan,
         input: FrozenLayer,
-        hidden: Vec<L>,
         shard_layers: Vec<L>,
         retrieval: Retrieval,
         tables: LshTables,
@@ -286,7 +276,6 @@ impl<L: RowLayout> Engine<L> {
             config,
             plan,
             input,
-            hidden,
             shards,
             report,
         }
@@ -363,10 +352,10 @@ impl<L: RowLayout> Engine<L> {
         total
     }
 
-    /// Total bytes held in weight/bias/scale arenas across trunk and shards.
+    /// Total bytes held in weight/bias/scale arenas across the input layer
+    /// and the shards.
     pub fn arena_bytes(&self) -> usize {
         self.input.arena_bytes()
-            + self.hidden.iter().map(L::arena_bytes).sum::<usize>()
             + self
                 .shards
                 .iter()
@@ -376,12 +365,11 @@ impl<L: RowLayout> Engine<L> {
 
     /// Allocate query scratch sized for this snapshot.
     pub fn make_scratch(&self) -> ServeScratch {
-        let mut widths: Vec<usize> = vec![self.input.cols()];
-        widths.extend(self.hidden.iter().map(L::rows));
+        let hidden = self.input.cols();
         let family = self.retrieval.family();
         ServeScratch {
-            acts: widths.iter().map(|&w| AlignedVec::zeroed(w)).collect(),
-            qacts: widths.iter().map(|&w| AlignedVec::zeroed(w)).collect(),
+            acts: vec![AlignedVec::zeroed(hidden)],
+            qacts: AlignedVec::zeroed(hidden),
             lsh: family.make_scratch(),
             keys: vec![0; family.tables()],
             candidates: Vec::with_capacity(1024),
@@ -426,10 +414,8 @@ impl<L: RowLayout> Engine<L> {
         Ok(())
     }
 
-    /// Run the trunk, leaving the last hidden activation in
-    /// `scratch.acts.last()`: f32 axpy over the sparse-input arena, then one
-    /// blocked gemv per hidden layer (lossy layouts quantize each incoming
-    /// activation once).
+    /// Run the input layer, leaving the hidden activation in
+    /// `scratch.acts[0]`: f32 axpy over the sparse-input arena, then ReLU.
     ///
     /// # Panics
     ///
@@ -437,20 +423,12 @@ impl<L: RowLayout> Engine<L> {
     /// for a different shape.
     pub fn forward_hidden(&self, x: SparseVecRef<'_>, scratch: &mut ServeScratch) {
         let ks = scratch.kernels;
-        let acts = &mut scratch.acts;
-        acts[0].as_mut_slice().copy_from_slice(self.input.bias());
+        let h = scratch.acts[0].as_mut_slice();
+        h.copy_from_slice(self.input.bias());
         for (j, v) in x.iter() {
-            ks.axpy(v, self.input.row(j as usize), acts[0].as_mut_slice());
+            ks.axpy(v, self.input.row(j as usize), h);
         }
-        relu(acts[0].as_mut_slice());
-        for (i, layer) in self.hidden.iter().enumerate() {
-            let (src, dst) = acts.split_at_mut(i + 1);
-            let (src, dst) = (src[i].as_slice(), dst[0].as_mut_slice());
-            let q = scratch.qacts[i].as_mut_slice();
-            let scale = L::prepare(src, q);
-            layer.gemv(&ks, Act { x: src, q, scale }, dst);
-            relu(dst);
-        }
+        relu(h);
     }
 
     /// Build the active set for hidden activation `h` into `scratch.active`
@@ -495,7 +473,7 @@ impl<L: RowLayout> Engine<L> {
     }
 
     /// [`Engine::predict_sparse`] with per-stage attribution for the
-    /// observability trace path: trunk forward + gather-scoring + top-k
+    /// observability trace path: input-layer forward + gather-scoring + top-k
     /// count as kernel time, hashing + table probes + dedup/cap/pad as
     /// retrieval time. Shard candidates dedup straight into one list as
     /// they are probed, so there is no separate merge pass and `merge_us`
@@ -525,7 +503,7 @@ impl<L: RowLayout> Engine<L> {
             kernels,
             ..
         } = scratch;
-        let h = acts.last().expect("at least one hidden layer").as_slice();
+        let h = acts[0].as_slice();
         let t1 = Instant::now();
         let buf = SelectBuffers {
             lsh,
@@ -539,7 +517,7 @@ impl<L: RowLayout> Engine<L> {
             .select(self.shards.iter().map(|s| &s.tables), h, &[], buf, salt);
         let t2 = Instant::now();
 
-        let q = qacts.last_mut().expect("scratch widths").as_mut_slice();
+        let q = qacts.as_mut_slice();
         let scale = L::prepare(h, q);
         // `locals[i]` is active row i's index in its shard's arena, staged
         // once for the gather and the bias pass.
@@ -613,8 +591,8 @@ impl<L: RowLayout> Engine<L> {
             kernels,
             ..
         } = scratch;
-        let h = acts.last().expect("at least one hidden layer").as_slice();
-        let q = qacts.last_mut().expect("scratch widths").as_mut_slice();
+        let h = acts[0].as_slice();
+        let q = qacts.as_mut_slice();
         let scale = L::prepare(h, q);
         let act = Act { x: h, q, scale };
         logits.clear();
@@ -659,15 +637,6 @@ mod tests {
 
     fn tiny_net() -> Network {
         tiny_net_seeded(NetworkConfig::standard(128, 16, 64).seed)
-    }
-
-    fn deep_net() -> Network {
-        let mut cfg = NetworkConfig::standard(64, 16, 32);
-        cfg.hidden_dims = vec![16, 12, 8];
-        cfg.lsh.tables = 6;
-        cfg.lsh.key_bits = 4;
-        cfg.lsh.min_active = 8;
-        Network::new(cfg).unwrap()
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -850,23 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_network_freezes_and_predicts() {
-        let net = deep_net();
-        let frozen = FrozenNetwork::freeze(&net);
-        let mut scratch = frozen.make_scratch();
-        let idx = [3u32, 40];
-        let val = [1.0f32, -0.5];
-        let topk = frozen.predict_sparse(SparseVecRef::new(&idx, &val), 3, &mut scratch, 0);
-        assert_eq!(topk.len(), 3);
-        // Exact path agrees with the training network's exact path on depth.
-        let mut ts = net.make_scratch();
-        assert_eq!(
-            frozen.predict_full(SparseVecRef::new(&idx, &val), 3, &mut scratch),
-            net.predict(SparseVecRef::new(&idx, &val), 3, &mut ts, true, 0)
-        );
-    }
-
-    #[test]
     fn quantized_arenas_are_smaller_than_f32() {
         // Cache-line row padding needs ≥64-wide rows for the 4x story (a
         // 16-code row pads back up to one line); use the paper-sized hidden
@@ -892,8 +844,7 @@ mod tests {
 
     #[test]
     fn report_covers_every_quantized_layer_within_bounds() {
-        // `standard` has no extra dense hidden layers, so the report is the
-        // output layer alone.
+        // The output layer is the one quantized layer.
         let quant = QuantizedFrozenNetwork::freeze(&tiny_net());
         let report = quant.report();
         assert_eq!(report.layers.len(), 1);
@@ -902,17 +853,6 @@ mod tests {
         assert!(report.layers.iter().all(|l| l.mean_err <= l.max_err));
         let rendered = report.to_string();
         assert!(rendered.contains("output"), "{rendered}");
-    }
-
-    #[test]
-    fn deep_network_quantizes_and_predicts() {
-        let quant = QuantizedFrozenNetwork::freeze(&deep_net());
-        assert_eq!(quant.report().layers.len(), 3); // 2 extra hidden + output
-        let mut scratch = quant.make_scratch();
-        let idx = [3u32, 40];
-        let val = [1.0f32, -0.5];
-        let topk = quant.predict_sparse(SparseVecRef::new(&idx, &val), 3, &mut scratch, 0);
-        assert_eq!(topk.len(), 3);
     }
 
     #[test]
@@ -1008,11 +948,6 @@ mod tests {
     #[test]
     fn sharded_matches_unsharded_i8() {
         assert_sharding_invariant::<QuantizedLayer>(&tiny_net_seeded(21));
-    }
-
-    #[test]
-    fn deep_i8_trunk_matches_unsharded_forward() {
-        assert_sharding_invariant::<QuantizedLayer>(&deep_net());
     }
 
     #[test]

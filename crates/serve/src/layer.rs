@@ -38,7 +38,8 @@ pub struct Act<'a> {
     pub scale: f32,
 }
 
-/// The storage format of one dense layer of a frozen engine.
+/// The storage format of a frozen engine's output layer (or of one shard
+/// of it).
 pub trait RowLayout: Sized + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// The snapshot precision code images of this layout carry.
     const PRECISION: SnapshotPrecision;
@@ -441,7 +442,7 @@ impl RowLayout for QuantizedLayer {
 /// is `slide_quant::p_at_1` parity against the f32 engine).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerQuantStats {
-    /// Layer label (`"hidden[i]"` / `"output"`).
+    /// Layer label (`"output"`).
     pub name: String,
     /// Storage rows.
     pub rows: usize,
@@ -457,7 +458,7 @@ pub struct LayerQuantStats {
 }
 
 /// The quantization-error report of one engine: one entry per lossy layer,
-/// hidden layers first, output last. Empty for the f32 layout. The stats are
+/// which is the output layer alone. Empty for the f32 layout. The stats are
 /// measured against the original f32 weights and cannot be recomputed from
 /// the codes, so unsharded i8 images carry them (`.slsnap` v1 has no report
 /// section in sharded images, so sharded engines report nothing).

@@ -8,8 +8,9 @@
 //! execution model — but strips away everything mutation-related:
 //!
 //! * [`Engine`] — the one frozen engine: a read-only snapshot of a trained
-//!   [`slide_core::Network`] with contiguous 64-byte-aligned per-layer weight
-//!   arenas, pre-built hash tables, and a lock-free `&self`
+//!   [`slide_core::Network`] (its sparse input layer, which yields the one
+//!   hidden activation, and its output layer) with contiguous
+//!   64-byte-aligned weight arenas, pre-built hash tables, and a lock-free `&self`
 //!   [`Engine::predict_sparse`] that is safe to share across threads via
 //!   `Arc` (no `HogwildPtr`, no gradient state, no table locks). Its tables
 //!   are filled and its active sets picked by [`slide_core::Retrieval`], the

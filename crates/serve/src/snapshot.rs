@@ -32,8 +32,8 @@
 //! ```
 //!
 //! Sections are addressed `(kind, index)`; the index is the layer ordinal
-//! (0 = input, `1..=H` = hidden, `H+1+s` = output shard `s` — an unsharded
-//! image is the one-shard case, output at `H+1`). The LSH sections always
+//! (0 = input, `1 + s` = output shard `s` — an unsharded image is the
+//! one-shard case, output at 1). The LSH sections always
 //! hold the **global** tables: a load re-partitions them exactly as the
 //! builder did, which is what makes loaded sharded retrieval bit-equal to
 //! built sharded retrieval.
@@ -609,15 +609,15 @@ impl SnapshotImage {
 
 /// Encode `config` into the [`SectionKind::Config`] payload.
 pub fn encode_config(config: &NetworkConfig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96 + config.hidden_dims.len() * 8);
+    let mut out = Vec::with_capacity(104);
     let w64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
     let w32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
     w64(&mut out, config.input_dim as u64);
     w64(&mut out, config.output_dim as u64);
-    w32(&mut out, config.hidden_dims.len() as u32);
-    for &h in &config.hidden_dims {
-        w64(&mut out, h as u64);
-    }
+    // A hidden-layer count, then one width per layer; this build writes
+    // and reads exactly one.
+    w32(&mut out, 1);
+    w64(&mut out, config.hidden as u64);
     w64(&mut out, config.seed);
     w32(
         &mut out,
@@ -719,20 +719,20 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Corrupt`] on truncation, trailing bytes, unknown
-/// enum codes, or a config that fails validation.
+/// [`SnapshotError::Unsupported`] if the config declares any number of
+/// hidden layers but one; [`SnapshotError::Corrupt`] on truncation,
+/// trailing bytes, unknown enum codes, or a config that fails validation.
 pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
     let mut r = Reader::new(bytes);
     let input_dim = r.usize()?;
     let output_dim = r.usize()?;
-    let hidden_count = r.u32()? as usize;
-    if hidden_count > 1024 {
-        return Err(corrupt(format!("{hidden_count} hidden layers")));
+    let hidden_count = r.u32()?;
+    if hidden_count != 1 {
+        return Err(SnapshotError::Unsupported(format!(
+            "config declares {hidden_count} hidden layers, this build serves one"
+        )));
     }
-    let mut hidden_dims = Vec::with_capacity(hidden_count);
-    for _ in 0..hidden_count {
-        hidden_dims.push(r.usize()?);
-    }
+    let hidden = r.usize()?;
     let seed = r.u64()?;
     let precision = match r.u32()? {
         0 => Precision::Fp32,
@@ -770,7 +770,7 @@ pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
     r.done()?;
     let config = NetworkConfig {
         input_dim,
-        hidden_dims,
+        hidden,
         output_dim,
         lsh: LshConfig {
             family,
@@ -800,8 +800,8 @@ pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
 // ---------------------------------------------------------------------------
 
 /// One layer's declared shape in the [`SectionKind::Manifest`]: layer
-/// ordinals run input (0), hidden (`1..=H`), then output (one entry
-/// unsharded, one per shard sharded).
+/// ordinals run input (0), then output (one entry unsharded, one per shard
+/// sharded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerDims {
     /// Arena rows (features for the transposed input layer, units
@@ -848,40 +848,21 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<LayerDims>, SnapshotError> {
     Ok(layers)
 }
 
-/// Number of dense hidden layers a network of `config` carries: the input
-/// layer already produces `hidden_dims[0]`, so the dense stack covers the
-/// *transitions* between hidden widths — `hidden_dims.len() - 1` layers
-/// (zero for the paper's standard one-hidden-layer architecture). Every
-/// ordinal computation in the format derives from this one definition.
-pub fn dense_hidden_count(config: &NetworkConfig) -> usize {
-    config.hidden_dims.len() - 1
-}
-
 /// The manifest a network of `config` produces under `spec` — derived once
 /// here so the encoder writes it and the decoder cross-checks it. Ordinals:
-/// the transposed input layer (one row per feature, bias per first-hidden
-/// column), the dense hidden stack (one layer per adjacent `hidden_dims`
-/// pair — the input layer already emits `hidden_dims[0]`), then the output
-/// layer — whole, or one entry per shard.
+/// the transposed input layer (one row per feature, bias per hidden
+/// column), then the output layer — whole, or one entry per shard.
 pub fn expected_manifest(config: &NetworkConfig, spec: &SnapshotSpec) -> Vec<LayerDims> {
-    let first_hidden = config.hidden_dims[0];
+    let hidden = config.hidden;
     let mut layers = vec![LayerDims {
         rows: config.input_dim,
-        cols: first_hidden,
-        bias_len: first_hidden,
+        cols: hidden,
+        bias_len: hidden,
     }];
-    for w in config.hidden_dims.windows(2) {
-        layers.push(LayerDims {
-            rows: w[1],
-            cols: w[0],
-            bias_len: w[1],
-        });
-    }
-    let last_hidden = *config.hidden_dims.last().expect("validated non-empty");
     match spec.shard_plan {
         None => layers.push(LayerDims {
             rows: config.output_dim,
-            cols: last_hidden,
+            cols: hidden,
             bias_len: config.output_dim,
         }),
         Some(plan) => {
@@ -889,7 +870,7 @@ pub fn expected_manifest(config: &NetworkConfig, spec: &SnapshotSpec) -> Vec<Lay
                 let rows = plan.shard_rows(s).len();
                 layers.push(LayerDims {
                     rows,
-                    cols: last_hidden,
+                    cols: hidden,
                     bias_len: rows,
                 });
             }
@@ -939,11 +920,11 @@ fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTabl
 // ---------------------------------------------------------------------------
 
 /// Encode `net` as `spec` describes. Layers stream straight from the
-/// training network into the writer one at a time — trunk, then one
-/// row-subset arena per shard — followed by the *global* tables (shard
+/// training network into the writer one at a time — the input layer, then
+/// one row-subset arena per shard — followed by the *global* tables (shard
 /// partitions are recomputed at load) and, for unsharded lossy images, the
 /// quantization report. An unsharded image is the one-shard case: shard
-/// count 1, output layer at ordinal `H + 1`.
+/// count 1, output layer at ordinal 1.
 ///
 /// # Errors
 ///
@@ -1029,10 +1010,9 @@ impl<L: RowLayout> Engine<L> {
         let (config, spec, manifest) = decode_preamble(image)?;
         let plan = serving_plan(&config, spec.shard_plan)?;
         let input = FrozenLayer::decode(image, 0, manifest[0])?;
-        let mut hidden: Vec<L> = (1..manifest.len())
+        let shards: Vec<L> = (1..manifest.len())
             .map(|o| L::decode(image, o as u32, manifest[o]))
             .collect::<Result<_, _>>()?;
-        let shards = hidden.split_off(dense_hidden_count(&config));
         let retrieval = Retrieval::serving(&config);
         let tables = decode_tables(image, &retrieval)?;
         // `.slsnap` v1: the report rides in unsharded lossy images only.
@@ -1042,7 +1022,7 @@ impl<L: RowLayout> Engine<L> {
             QuantReport::default()
         };
         Ok(Engine::assemble(
-            config, plan, input, hidden, shards, retrieval, tables, report,
+            config, plan, input, shards, retrieval, tables, report,
         ))
     }
 }
@@ -1200,8 +1180,7 @@ mod tests {
 
     #[test]
     fn config_round_trips() {
-        let mut cfg = NetworkConfig::standard(512, 64, 1000);
-        cfg.hidden_dims = vec![64, 48, 32];
+        let mut cfg = NetworkConfig::standard(512, 32, 1000);
         cfg.seed = 0xDEAD_BEEF;
         cfg.precision = Precision::Bf16Both;
         cfg.lsh.max_active = Some(77);
@@ -1384,28 +1363,12 @@ mod tests {
         }
     }
 
-    fn deep_net() -> Network {
-        let mut cfg = NetworkConfig::standard(64, 16, 32);
-        cfg.hidden_dims = vec![16, 12, 8];
-        cfg.lsh.tables = 6;
-        cfg.lsh.key_bits = 4;
-        cfg.lsh.min_active = 8;
-        Network::new(cfg).unwrap()
-    }
-
-    #[test]
-    fn deep_network_round_trips() {
-        let plan = Some(ShardPlan::strided(2, 32).unwrap());
-        assert_save_load_bit_identical::<FrozenLayer>(&deep_net(), None);
-        assert_save_load_bit_identical::<QuantizedLayer>(&deep_net(), plan);
-    }
-
     #[test]
     fn report_round_trips_bit_exactly() {
-        let report = Engine::<QuantizedLayer>::freeze(&deep_net())
+        let report = Engine::<QuantizedLayer>::freeze(&tiny_net(3))
             .report()
             .clone();
-        assert_eq!(report.layers.len(), 3);
+        assert_eq!(report.layers.len(), 1);
         assert_eq!(QuantReport::decode(&report.encode()).unwrap(), report);
         assert!(matches!(
             QuantReport::decode(&report.encode()[..7]),

@@ -10,10 +10,12 @@
 //! verify → instantiate path that `slide_netd --snapshot` runs.
 
 use slide_core::{LshConfig, Network, NetworkConfig};
-use slide_mem::SparseVecRef;
+use slide_mem::{AlignedVec, SharedArena, SparseVecRef};
 use slide_quant::Snapshot;
-use slide_serve::snapshot::SectionKind;
-use slide_serve::{FrozenModel, ModelRegistry, ShardPlan, SnapshotError, SnapshotSpec};
+use slide_serve::snapshot::{SectionKind, SnapshotWriter};
+use slide_serve::{
+    FrozenModel, ModelRegistry, ShardPlan, SnapshotError, SnapshotImage, SnapshotSpec,
+};
 use std::sync::Arc;
 
 fn tiny_net(seed: u64) -> Network {
@@ -216,6 +218,66 @@ fn a_table_id_outside_the_output_layer_is_refused_before_sharding() {
     assert!(
         matches!(&err, SnapshotError::Corrupt(m) if m.contains("id 64 ")),
         "expected the id refusal, got {err}"
+    );
+}
+
+/// Re-cut an unsharded f32 image so that its config declares two hidden
+/// layers, both as wide as its one: the manifest agrees, a zero dense layer
+/// sits at ordinal 1 and the output layer moves to ordinal 2. The writer
+/// seals every CRC, so only the config's depth can refuse the image.
+fn forge_two_hidden_widths(image: &mut Vec<u8>) {
+    let mut bytes = AlignedVec::<u8>::zeroed(image.len());
+    bytes.as_mut_slice().copy_from_slice(image);
+    let old = SnapshotImage::from_arena(SharedArena::from_bytes(bytes)).expect("valid image");
+    let section = |kind, index| old.bytes(kind, index).expect("section").to_vec();
+
+    // Config: input u64, output u64, hidden count u32, one u64 per width.
+    let config = section(SectionKind::Config, 0);
+    assert_eq!(le_u32(&config, 16), 1, "one hidden layer");
+    let width = le_u64(&config, 20);
+    let mut forged = config[..16].to_vec();
+    forged.extend_from_slice(&2u32.to_le_bytes());
+    forged.extend_from_slice(&config[20..28]);
+    forged.extend_from_slice(&config[20..]);
+
+    // Manifest: a count u32, then (rows, cols, bias_len) u64s per layer.
+    let manifest = section(SectionKind::Manifest, 0);
+    assert_eq!(le_u32(&manifest, 0), 2, "input and output");
+    let mut layers = 3u32.to_le_bytes().to_vec();
+    layers.extend_from_slice(&manifest[4..28]);
+    for _ in 0..3 {
+        layers.extend_from_slice(&(width as u64).to_le_bytes());
+    }
+    layers.extend_from_slice(&manifest[28..]);
+
+    let mut w = SnapshotWriter::new(&SnapshotSpec::f32());
+    w.section(SectionKind::Config, 0, forged);
+    w.section(SectionKind::Manifest, 0, layers);
+    for kind in [SectionKind::WeightsF32, SectionKind::Bias] {
+        w.section(kind, 0, section(kind, 0));
+        w.section(kind, 2, section(kind, 1));
+    }
+    let stride = width.next_multiple_of(16);
+    w.section_pod(SectionKind::WeightsF32, 1, &vec![0.0f32; width * stride]);
+    w.section_pod(SectionKind::Bias, 1, &vec![0.0f32; width]);
+    for kind in [
+        SectionKind::TableOffsets,
+        SectionKind::TableItems,
+        SectionKind::TableArrivals,
+    ] {
+        w.section(kind, 0, section(kind, 0));
+    }
+    *image = w.finish().as_slice().to_vec();
+}
+
+#[test]
+fn a_config_declaring_two_hidden_layers_is_refused() {
+    // A network is one hidden layer deep; an image of a deeper one is
+    // refused by type, not served and not a panic.
+    let err = load_crafted("two_hidden", &SnapshotSpec::f32(), forge_two_hidden_widths);
+    assert!(
+        matches!(&err, SnapshotError::Unsupported(m) if m.contains("2 hidden layers")),
+        "expected the depth refusal, got {err}"
     );
 }
 
