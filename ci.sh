@@ -20,7 +20,7 @@
 # under forced SLIDE_SIMD=avx2 and SLIDE_SIMD=scalar (the scalar leg builds,
 # saves and mmap-verifies a real image and frames real requests on the
 # byte-at-a-time CRC-32), train_w2v again under forced SLIDE_SIMD=scalar and
-# avx2 (the hashing kernels on each ISA), the trainer's row-owned output
+# avx2 (the hashing kernels on each ISA), the trainer's row-owned batch
 # pass against its per-sample oracle under the same two forced levels, the
 # benchmark's own unit tests,
 # and a soak
@@ -381,11 +381,12 @@ if [[ "$MODE" == "smoke" ]]; then
     SLIDE_SIMD=scalar benchmark/run.sh train_w2v --seconds 2 > /dev/null
     SLIDE_SIMD=avx2 benchmark/run.sh train_w2v --seconds 2 > /dev/null
 
-    step "smoke: row-owned output pass vs the per-sample oracle under forced SLIDE_SIMD=scalar and avx2"
+    step "smoke: row-owned batch pass vs the per-sample oracle under forced SLIDE_SIMD=scalar and avx2"
     # One batch through Trainer::train_batch must leave the output layer
-    # bit-identical to Network::train_sample + adam_row (DESIGN.md §6,
-    # "Row-owned output pass") on the scalar and the 8-lane kernels too,
-    # whatever the runner auto-detects.
+    # bit-identical to Network::train_sample + adam_row, and the input layer
+    # within its stated tolerance (DESIGN.md §6, "Row-owned batch pass"), on
+    # the scalar and the 8-lane kernels too, whatever the runner
+    # auto-detects.
     for simd in scalar avx2; do
         SLIDE_SIMD=$simd cargo test --release -q -p slide-core --test batch_equivalence
     done
@@ -452,6 +453,19 @@ if grep -rnE 'DenseLayer|hidden_dims|hidden_layers\(|dense_hidden_count' \
     exit 1
 fi
 
+step "one write discipline in the trainer (row-owned batch pass, no HOGWILD write)"
+# Trainer::train_batch writes both layers row by row, each row by the one
+# worker that owns it (DESIGN.md §6, "Row-owned batch pass"). No atomic
+# stamp, touched-row list, scattered gradient, racy row view or separate
+# ADAM sweep comes back into the trainer; the per-sample oracle and the
+# baselines keep theirs.
+if grep -nE 'mark_active|grad_axpy|grad_bias_axpy|adam_row|row_racy|parallel_for|touched_' \
+    crates/core/src/trainer.rs crates/core/src/batch_pass.rs ||
+    test -e crates/core/src/output_pass.rs; then
+    echo "ci.sh: a HOGWILD write or a separate ADAM sweep is back in the trainer" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -499,7 +513,10 @@ fi
 # three-hidden-layer case. Added: config::tests::zero_hidden_width_rejected,
 # registry_durability's two-hidden-layer image refusal, and slide-bench's
 # run_slide_keeps_a_forced_policy.
-MIN_TIER1_TESTS=635
+# Row-owned batch pass: 635 + 3 = 638. Added: batch_pass::tests (2: the
+# input-row visit against the per-sample scatter and sweep, the RowCsr
+# order) and end_to_end's resume across a scheduled rebuild.
+MIN_TIER1_TESTS=638
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

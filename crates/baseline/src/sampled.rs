@@ -4,9 +4,12 @@
 //! weights already align with the input — beats *uniform* negative sampling
 //! (Mikolov-style sampled softmax) at the same active-set size. This trainer
 //! is SLIDE with the hash tables ripped out: the active set is the labels
-//! plus uniformly drawn negatives. It shares every other component (layers,
-//! HOGWILD pool, sparse ADAM), so the comparison isolates exactly the
-//! sampling strategy.
+//! plus uniformly drawn negatives. It shares the layers, the worker pool and
+//! the ADAM kernels, and keeps the loop the trainer left: every sample
+//! scatters its gradients HOGWILD, then a sparse ADAM sweep over the rows
+//! the batch stamped (the trainer walks rows instead, each owned by one
+//! worker). The sampling strategy is what the comparison isolates; the
+//! write discipline is the one the paper's SLIDE uses.
 
 use slide_core::{
     relu_backward_mask, softmax_into, LayerParams, Precision, SparseInputLayer, ThreadPool,

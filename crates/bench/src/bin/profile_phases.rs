@@ -45,7 +45,7 @@ fn profile(
             acc.batch_build += stats.phases.batch_build;
             acc.forward_backward += stats.phases.forward_backward;
             acc.output += stats.phases.output;
-            acc.optimizer += stats.phases.optimizer;
+            acc.input += stats.phases.input;
             acc.rebuild += stats.phases.rebuild;
         }
         (acc, secs, level)
@@ -56,7 +56,7 @@ fn profile(
             batch_build: acc.batch_build / inv,
             forward_backward: acc.forward_backward / inv,
             output: acc.output / inv,
-            optimizer: acc.optimizer / inv,
+            input: acc.input / inv,
             rebuild: acc.rebuild / inv,
         },
         secs / inv,
@@ -78,8 +78,8 @@ struct Row {
 fn phases_json(p: &PhaseBreakdown) -> String {
     format!(
         "{{\"batch_build\":{:.6},\"forward_backward\":{:.6},\"output\":{:.6},\
-         \"optimizer\":{:.6},\"rebuild\":{:.6}}}",
-        p.batch_build, p.forward_backward, p.output, p.optimizer, p.rebuild
+         \"input\":{:.6},\"rebuild\":{:.6}}}",
+        p.batch_build, p.forward_backward, p.output, p.input, p.rebuild
     )
 }
 
@@ -117,7 +117,7 @@ fn main() {
                     pct(p.forward_backward)
                 ),
                 format!("{:.0}ms ({})", p.output * 1e3, pct(p.output)),
-                format!("{:.0}ms ({})", p.optimizer * 1e3, pct(p.optimizer)),
+                format!("{:.0}ms ({})", p.input * 1e3, pct(p.input)),
                 format!("{:.1}ms", p.batch_build * 1e3),
                 format!("{:.1}ms", p.rebuild * 1e3),
             ]);
@@ -135,7 +135,7 @@ fn main() {
                 "epoch",
                 "fwd/bwd",
                 "output",
-                "ADAM in",
+                "input",
                 "batch copy",
                 "rebuild",
             ],
@@ -164,8 +164,9 @@ fn main() {
     println!(
         "\nExpected shape: the row-owned output pass (scoring, backward and ADAM \
          of the batch-active output rows) and fwd/bwd dominate and shrink most \
-         under AVX-512; the input layer's sparse ADAM phase stays small; \
-         rebuild stays amortized (exponential back-off)."
+         under AVX-512; the row-owned input pass (backward and ADAM of the \
+         batch's feature rows) stays small; rebuild stays amortized \
+         (exponential back-off)."
     );
 
     if let Ok(path) = std::env::var("SLIDE_JSON_OUT") {

@@ -1,0 +1,121 @@
+//! The row-owned input stage against the per-sample scatter it replaces:
+//! `grad_axpy_ks` per (sample, non-zero) in sample order, `grad_bias_axpy_ks`
+//! per sample, then `adam_row` on every touched row and `adam_bias_full`.
+
+use super::*;
+use crate::config::{LshConfig, NetworkConfig, Precision};
+use slide_mem::SparseBatch;
+
+/// Hidden width: past one 16-lane step and not a multiple of 8, so every
+/// kernel tail runs.
+const COLS: usize = 21;
+
+fn network(precision: Precision, coalesced: bool) -> Network {
+    let mut cfg = NetworkConfig::standard(16, COLS, 32);
+    cfg.lsh = LshConfig {
+        tables: 4,
+        key_bits: 3,
+        min_active: 8,
+        ..Default::default()
+    };
+    cfg.precision = precision;
+    cfg.memory.coalesced_params = coalesced;
+    Network::new(cfg).unwrap()
+}
+
+fn export(p: &LayerParams) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    p.export_into(&mut bytes);
+    bytes
+}
+
+fn value(i: usize) -> f32 {
+    ((i * 37 + 11) % 199) as f32 / 100.0 - 1.0
+}
+
+#[test]
+fn input_rows_match_the_per_sample_scatter_and_sweep() {
+    // Three samples: feature 3 in all of them, feature 7 in sample 1 alone,
+    // sample 2 listing its features out of order.
+    let mut batch = SparseBatch::new();
+    batch.push(&[3, 5], &[0.5, -1.25]);
+    batch.push(&[3, 7, 9], &[2.0, 0.75, -0.5]);
+    batch.push(&[9, 3], &[1.5, -0.25]);
+    let n = batch.len();
+    let ks = KernelSet::resolve();
+    let pool = ThreadPool::new(2);
+    let configs = [
+        (Precision::Fp32, true),
+        (Precision::Bf16Activations, true),
+        (Precision::Bf16Both, true),
+        (Precision::Fp32, false),
+    ];
+    for (precision, coalesced) in configs {
+        let what = format!("{precision:?} coalesced={coalesced}");
+        let store = BatchStore::from_batch(&batch, coalesced);
+        let (net, oracle) = (network(precision, coalesced), network(precision, coalesced));
+        let mut pass = BatchPass::new(&net, pool.workers());
+        // Post-ReLU activations, a quarter of them zero.
+        pass.h = (0..n * COLS)
+            .map(|i| if i % 4 == 0 { 0.0 } else { value(i).abs() })
+            .collect();
+        pass.active = vec![vec![0]; n];
+        for t in 1..=2u64 {
+            for (w, buf) in pass.workers.iter_mut().enumerate() {
+                buf.dx = (0..n * COLS)
+                    .map(|i| value(i + 1000 * w + 97 * t as usize))
+                    .collect();
+            }
+            let scale = 1.0 / (n as f32 + t as f32);
+            let step = AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, t);
+            pass.input_step(&net, &pool, &ks, &store, scale, step);
+
+            let p = oracle.input().params();
+            for s in 0..n {
+                let row = s * COLS..(s + 1) * COLS;
+                let mut dy = pass.workers[0].dx[row.clone()].to_vec();
+                for (d, &x) in dy.iter_mut().zip(&pass.workers[1].dx[row.clone()]) {
+                    *d += x;
+                }
+                relu_backward_mask(&pass.h[row], &mut dy);
+                // SAFETY: single-threaded.
+                unsafe {
+                    for (j, v) in store.get(s).iter() {
+                        p.grad_axpy_ks(&ks, j as usize, v * scale, &dy);
+                    }
+                    p.grad_bias_axpy_ks(&ks, &dy, scale);
+                }
+            }
+            // SAFETY: single-threaded; each row once.
+            unsafe {
+                for r in [3, 5, 7, 9] {
+                    p.adam_row(r, step);
+                }
+                p.adam_bias_full(step);
+            }
+            let (got, want) = (export(net.input().params()), export(p));
+            assert!(got == want, "{what}: step {t} diverged from the oracle");
+        }
+        let fresh = export(network(precision, coalesced).input().params());
+        assert!(
+            export(net.input().params()) != fresh,
+            "{what}: nothing moved"
+        );
+    }
+}
+
+#[test]
+fn row_csr_lists_rows_ascending_with_their_samples_ascending() {
+    let mut csr = RowCsr::default();
+    let lists: [&[u32]; 3] = [&[4, 1], &[], &[1, 9, 4]];
+    for _ in 0..2 {
+        csr.build(10, lists.iter().copied());
+        assert_eq!(csr.rows, [1, 4, 9]);
+        assert_eq!(csr.row_start, [0, 2, 4, 5]);
+        assert_eq!(csr.pair_start, [0, 2, 2, 5]);
+        assert_eq!(csr.samples, [0, 2, 0, 2, 2]);
+        assert_eq!(csr.pairs, [1, 2, 0, 4, 3]);
+        // The counts are zero again, so a second build sees the same batch.
+        assert!(csr.counts.iter().all(|&c| c == 0));
+    }
+}

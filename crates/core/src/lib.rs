@@ -12,9 +12,10 @@
 //! The [`Network`] is the paper's, for every workload: a sparse input layer
 //! whose output is the one hidden activation ([`NetworkConfig::hidden`]
 //! wide), and the LSH-sampled softmax output layer over it. The trainer
-//! walks the output layer by row, each batch-active row owned by one worker;
-//! the input layer is updated HOGWILD. This crate layers the paper's CPU
-//! optimizations on top:
+//! walks both layers by row, each row the batch touches owned by one worker
+//! that sums its gradient and takes its ADAM step; the per-sample HOGWILD
+//! path, [`Network::train_sample`], stays as the oracle it is checked
+//! against. This crate layers the paper's CPU optimizations on top:
 //!
 //! * **Vectorization (§4.2–4.3)** — all dense kernels run on AVX-512 when
 //!   available (via [`slide_simd`]), with the Algorithm 1/2 row/column-major
@@ -61,11 +62,11 @@
 //! ```
 
 mod activation;
+mod batch_pass;
 mod checkpoint;
 mod config;
 mod layer;
 mod network;
-mod output_pass;
 mod params;
 mod pool;
 mod retrieval;

@@ -1,8 +1,9 @@
 //! The SLIDE network: sparse input layer → one hidden layer → LSH-sampled
-//! softmax output (the paper's architecture for every workload), with
-//! per-sample forward/backward passes designed to be driven by many HOGWILD
-//! workers concurrently (all methods take `&self`; parameter mutation goes
-//! through the documented racy kernels).
+//! softmax output (the paper's architecture for every workload), with its
+//! per-sample passes (all methods take `&self`). The forward pass serves
+//! the trainer and inference; [`Network::train_sample`], which accumulates
+//! gradients through the documented racy HOGWILD kernels, is the oracle the
+//! trainer's row-owned batch pass is checked against.
 
 use crate::activation::relu_backward_mask;
 use crate::config::{NetworkConfig, Precision};
@@ -143,28 +144,13 @@ impl Network {
         scratch.grad = grad;
 
         if loss != 0.0 {
-            self.backward_input(x, &acts[0], scratch, scale, stamp);
+            let ks = scratch.kernels;
+            relu_backward_mask(&acts[0], &mut scratch.grad);
+            self.input
+                .backward(x, &scratch.grad, scale, stamp, &mut scratch.touched_in, &ks);
         }
         scratch.acts = acts;
         loss
-    }
-
-    /// Backward through the ReLU and the input layer for one sample, from
-    /// its hidden activation `h` and the output layer's unmasked, unscaled
-    /// gradient in `scratch.grad`; accumulates HOGWILD gradients into the
-    /// input layer and stamps its touched rows with `stamp`.
-    pub(crate) fn backward_input(
-        &self,
-        x: SparseVecRef<'_>,
-        h: &[f32],
-        scratch: &mut WorkerScratch,
-        scale: f32,
-        stamp: u32,
-    ) {
-        let ks = scratch.kernels;
-        relu_backward_mask(h, &mut scratch.grad);
-        self.input
-            .backward(x, &scratch.grad, scale, stamp, &mut scratch.touched_in, &ks);
     }
 
     /// Predict the top-`k` labels for one input. `exact` scores every output

@@ -6,9 +6,9 @@
 //! * **memory layout** — weights/gradients/moments live in [`ParamStore`]s
 //!   that are either contiguous arenas or per-neuron allocations (§4.1),
 //! * **precision** — weights may be stored as bf16 with f32 moments (§4.4),
-//! * **vectorized sparse ADAM** — only rows stamped active in the current
-//!   batch are updated, each with one fused [`slide_simd::adam_step_f32`]
-//!   sweep (§4.3.1), which realizes the paper's "only p² of weights updated".
+//! * **vectorized sparse ADAM** — only rows the current batch touches are
+//!   updated, each with one fused [`slide_simd::adam_step_f32`] sweep
+//!   (§4.3.1), which realizes the paper's "only p² of weights updated".
 
 use crate::config::Precision;
 use slide_mem::{HogwildArray, ParamArenaBf16, ParamLayout, ParamStore};
@@ -203,8 +203,8 @@ impl LayerParams {
     #[inline]
     pub unsafe fn w_axpy_into_ks(&self, ks: &KernelSet, r: usize, alpha: f32, out: &mut [f32]) {
         match &self.weights {
-            WeightStorage::F32(store) => ks.axpy(alpha, store.row_racy(r), out),
-            WeightStorage::Bf16(arena) => ks.axpy_bf16(alpha, arena.ptr().row(r, self.cols), out),
+            WeightStorage::F32(store) => ks.axpy(alpha, store.row(r), out),
+            WeightStorage::Bf16(arena) => ks.axpy_bf16(alpha, arena.row(r), out),
         }
     }
 
@@ -260,7 +260,7 @@ impl LayerParams {
                 gather.w_f32.clear();
                 gather
                     .w_f32
-                    .extend(rows.iter().map(|&r| store.row_racy(r as usize).as_ptr()));
+                    .extend(rows.iter().map(|&r| store.row(r as usize).as_ptr()));
                 ks.score_rows_f32(&gather.w_f32, x, out);
             }
             WeightStorage::Bf16(arena) => {
@@ -309,7 +309,7 @@ impl LayerParams {
                 gather.w_f32.clear();
                 gather
                     .w_f32
-                    .extend((0..self.rows).map(|r| store.row_racy(r).as_ptr()));
+                    .extend((0..self.rows).map(|r| store.row(r).as_ptr()));
                 ks.score_rows_f32(&gather.w_f32, x, out);
             }
             WeightStorage::Bf16(arena) => {
@@ -366,7 +366,7 @@ impl LayerParams {
                 gather.w_f32.clear();
                 gather
                     .w_f32
-                    .extend(rows.iter().map(|&r| store.row_racy(r as usize).as_ptr()));
+                    .extend(rows.iter().map(|&r| store.row(r as usize).as_ptr()));
                 ks.backward_rows_f32(&gather.w_f32, &gather.grad, deltas, scale, h, dx);
             }
             WeightStorage::Bf16(arena) => {
@@ -402,19 +402,9 @@ impl LayerParams {
         samples: &[u32],
         out: &mut [f32],
     ) {
-        let cols = self.cols;
         match &self.weights {
-            WeightStorage::F32(store) => {
-                // SAFETY: row ownership (the caller's contract) makes this
-                // the only reference to `W[r]`; `row_ptr` is bounds-checked.
-                let w = unsafe { std::slice::from_raw_parts(store.row_ptr(r), cols) };
-                ks.score_samples_f32(w, h, samples, out);
-            }
-            WeightStorage::Bf16(arena) => {
-                // SAFETY: as above.
-                let w = unsafe { std::slice::from_raw_parts(arena.row_ptr(r), cols) };
-                ks.score_samples_bf16(w, h, samples, out);
-            }
+            WeightStorage::F32(store) => ks.score_samples_f32(store.row(r), h, samples, out),
+            WeightStorage::Bf16(arena) => ks.score_samples_bf16(arena.row(r), h, samples, out),
         }
         let b = self.bias.as_slice()[r];
         for o in out.iter_mut() {
@@ -467,30 +457,16 @@ impl LayerParams {
         g: &mut [f32],
         step: AdamStep,
     ) {
-        let cols = self.cols;
-        // SAFETY: row ownership (the caller's contract) makes these the only
-        // references to row `r` of the moment arenas; `row_ptr` is
-        // bounds-checked and the arenas are distinct allocations.
-        let (m, v) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.m_w.row_ptr(r), cols),
-                std::slice::from_raw_parts_mut(self.v_w.row_ptr(r), cols),
-            )
-        };
         match &self.weights {
             WeightStorage::F32(store) => {
-                // SAFETY: as above, for the weight row.
-                let w = unsafe { std::slice::from_raw_parts_mut(store.row_ptr(r), cols) };
-                ks.backward_samples_f32(w, h, samples, deltas, scale, dx, g);
-                slide_simd::adam_step_f32(w, m, v, g, step);
+                ks.backward_samples_f32(store.row(r), h, samples, deltas, scale, dx, g)
             }
             WeightStorage::Bf16(arena) => {
-                // SAFETY: as above, for the weight row.
-                let w = unsafe { std::slice::from_raw_parts_mut(arena.row_ptr(r), cols) };
-                ks.backward_samples_bf16(w, h, samples, deltas, scale, dx, g);
-                slide_simd::bf16::adam_step_bf16(w, m, v, g, step);
+                ks.backward_samples_bf16(arena.row(r), h, samples, deltas, scale, dx, g)
             }
         }
+        // SAFETY: row ownership (the caller's contract); `g` is the caller's.
+        unsafe { self.step_row(r, g, step) };
         let gb = deltas.iter().fold(0.0_f32, |acc, &d| acc + d * scale);
         // SAFETY: row ownership covers bias unit `r` of an output layer.
         unsafe { self.adam_bias_with(r, gb, step) };
@@ -505,25 +481,50 @@ impl LayerParams {
         }
     }
 
-    /// Apply one fused ADAM step to weight row `r` and zero its gradient.
+    /// One fused ADAM step of weight row `r` (either precision) and its
+    /// moments with the gradient `g`: the row step of
+    /// [`LayerParams::adam_row`], [`LayerParams::train_row_samples`] and the
+    /// trainer's input-row visit.
     ///
     /// # Safety
     ///
-    /// Rows processed concurrently must be distinct (the trainer partitions
-    /// the touched-row list across workers).
-    pub unsafe fn adam_row(&self, r: usize, step: AdamStep) {
-        let g = self.grad_w.row_racy(r);
-        let m = self.m_w.row_racy(r);
-        let v = self.v_w.row_racy(r);
+    /// The calling thread owns row `r` for the call: no other thread reads
+    /// or writes `W[r]` or its moments meanwhile, and `g` is none of them.
+    pub(crate) unsafe fn step_row(&self, r: usize, g: &[f32], step: AdamStep) {
+        let cols = self.cols;
+        // SAFETY: row ownership (the caller's contract) makes these the only
+        // references to row `r` of the weight and moment arenas; `row_ptr`
+        // is bounds-checked and the arenas are distinct allocations.
+        let (m, v) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.m_w.row_ptr(r), cols),
+                std::slice::from_raw_parts_mut(self.v_w.row_ptr(r), cols),
+            )
+        };
         match &self.weights {
             WeightStorage::F32(store) => {
-                slide_simd::adam_step_f32(store.row_racy(r), m, v, g, step);
+                // SAFETY: as above.
+                let w = unsafe { std::slice::from_raw_parts_mut(store.row_ptr(r), cols) };
+                slide_simd::adam_step_f32(w, m, v, g, step);
             }
             WeightStorage::Bf16(arena) => {
-                let w = arena.ptr().row_mut(r, self.cols);
+                // SAFETY: as above.
+                let w = unsafe { std::slice::from_raw_parts_mut(arena.row_ptr(r), cols) };
                 slide_simd::bf16::adam_step_bf16(w, m, v, g, step);
             }
         }
+    }
+
+    /// Apply one fused ADAM step to weight row `r` from its accumulated
+    /// gradient, and zero that gradient.
+    ///
+    /// # Safety
+    ///
+    /// Rows processed concurrently must be distinct.
+    pub unsafe fn adam_row(&self, r: usize, step: AdamStep) {
+        let g = self.grad_w.row_racy(r);
+        // SAFETY: distinct rows (the caller's contract); `g` is another arena.
+        self.step_row(r, g, step);
         g.fill(0.0);
     }
 
@@ -554,19 +555,30 @@ impl LayerParams {
         b.set(u, b.get(u) - step.lr_t * mi / (vi.sqrt() + step.eps));
     }
 
-    /// ADAM over the whole bias vector (dense layers), vectorized.
+    /// ADAM over the whole bias vector from its accumulated gradient,
+    /// vectorized, then zero that gradient.
     ///
     /// # Safety
     ///
     /// Must not race with other bias updates.
     pub unsafe fn adam_bias_full(&self, step: AdamStep) {
+        let g = self.grad_b.ptr().slice_mut(0, self.units);
+        // SAFETY: no racing bias update (the caller's contract).
+        self.step_bias(g, step);
+        g.fill(0.0);
+    }
+
+    /// ADAM over the whole bias vector with the gradient `g`, vectorized.
+    ///
+    /// # Safety
+    ///
+    /// Must not race with other bias updates.
+    pub(crate) unsafe fn step_bias(&self, g: &[f32], step: AdamStep) {
         let n = self.units;
         let b = self.bias.ptr().slice_mut(0, n);
         let m = self.m_b.ptr().slice_mut(0, n);
         let v = self.v_b.ptr().slice_mut(0, n);
-        let g = self.grad_b.ptr().slice_mut(0, n);
         slide_simd::adam_step_f32(b, m, v, g, step);
-        g.fill(0.0);
     }
 
     /// ADAM over a contiguous flat span of the weight arena (the paper's

@@ -98,9 +98,9 @@ pub struct WorkerScratch {
     pub logits: Vec<f32>,
     /// Softmax probabilities over the active set.
     pub probs: Vec<f32>,
-    /// Output rows this worker first-touched in the current batch.
+    /// Output rows the per-sample oracle first-touched in its batch.
     pub touched_out: Vec<u32>,
-    /// Input-feature rows this worker first-touched in the current batch.
+    /// Input-feature rows the per-sample oracle first-touched in its batch.
     pub touched_in: Vec<u32>,
     /// Per-worker loss accumulator for the current epoch.
     pub loss: MeanMetric,

@@ -1,4 +1,4 @@
-//! The training loop: batch parallelism, the row-owned output pass,
+//! The training loop: batch parallelism, the row-owned batch pass,
 //! vectorized sparse ADAM, and the exponential hash-table rebuild schedule
 //! (§2, §4.1.1, §4.3.1).
 //!
@@ -8,20 +8,19 @@
 //!    (or per-instance allocations in the naive-layout ablation, §4.1),
 //! 2. workers take samples in chunks, run the input layer to the hidden
 //!    activation and pick each sample's LSH active set,
-//! 3. the output layer is walked by row ([`crate::output_pass`]): each
+//! 3. the output layer is walked by row ([`crate::batch_pass`]): each
 //!    batch-active row is scored against all of its samples, and after the
 //!    per-sample softmax it is backpropagated and ADAM-stepped in one visit
 //!    by the one worker that owns it,
-//! 4. workers backpropagate each sample through the input layer,
-//!    accumulating its gradients HOGWILD,
-//! 5. the input rows stamped active get one fused ADAM step each, in one
-//!    parallel sweep,
-//! 6. periodically the output layer's hash tables are rebuilt from the
+//! 4. from each sample's hidden gradient, the input layer is walked by row
+//!    the same way: each feature row the batch touches sums its gradient
+//!    and takes its ADAM step in one visit by the one worker that owns it,
+//! 5. periodically the output layer's hash tables are rebuilt from the
 //!    current weights, with the interval growing exponentially.
 
+use crate::batch_pass::BatchPass;
 use crate::config::TrainerConfig;
 use crate::network::Network;
-use crate::output_pass::OutputPass;
 use crate::pool::ThreadPool;
 use crate::scratch::{Disjoint, WorkerScratch};
 use slide_data::{precision_at_k, Dataset, EpochBatches, MeanMetric};
@@ -35,14 +34,15 @@ use std::time::Instant;
 pub struct PhaseBreakdown {
     /// Copying the batch into its (coalesced or fragmented) store.
     pub batch_build: f64,
-    /// The per-sample work: the input layer forward and backward (HOGWILD
-    /// gradient accumulation), hashing and active sets, softmax.
+    /// The per-sample work: the input layer forward, hashing and active
+    /// sets, softmax.
     pub forward_backward: f64,
     /// The row-owned output pass: the row → samples CSR, scoring, and the
     /// output layer's backward and ADAM step.
     pub output: f64,
-    /// The input layer's sparse ADAM phase.
-    pub optimizer: f64,
+    /// The row-owned input pass: the hidden gradients, the row → samples
+    /// CSR, and the input layer's backward and ADAM step.
+    pub input: f64,
     /// Hash-table rebuild.
     pub rebuild: f64,
 }
@@ -52,13 +52,13 @@ impl PhaseBreakdown {
         self.batch_build += other.batch_build;
         self.forward_backward += other.forward_backward;
         self.output += other.output;
-        self.optimizer += other.optimizer;
+        self.input += other.input;
         self.rebuild += other.rebuild;
     }
 
     /// Total accounted seconds.
     pub fn total(&self) -> f64 {
-        self.batch_build + self.forward_backward + self.output + self.optimizer + self.rebuild
+        self.batch_build + self.forward_backward + self.output + self.input + self.rebuild
     }
 }
 
@@ -144,11 +144,9 @@ pub struct Trainer {
     pool: ThreadPool,
     scratches: Vec<WorkerScratch>,
     adam_t: u64,
-    batch_stamp: u32,
     batches_until_rebuild: u32,
     rebuild_period: f32,
-    pass: OutputPass,
-    touched_in: Vec<u32>,
+    pass: BatchPass,
     rebuild_keys: Vec<u32>,
     epoch_phases: PhaseBreakdown,
     total_train_seconds: f64,
@@ -169,11 +167,9 @@ impl Trainer {
             pool: ThreadPool::new(threads),
             scratches,
             adam_t: 0,
-            batch_stamp: 0,
             batches_until_rebuild: config.rebuild.initial_period,
             rebuild_period: config.rebuild.initial_period as f32,
-            pass: OutputPass::new(&network, threads),
-            touched_in: Vec::new(),
+            pass: BatchPass::new(&network, threads),
             rebuild_keys: Vec::new(),
             epoch_phases: PhaseBreakdown::default(),
             total_train_seconds: 0.0,
@@ -209,18 +205,40 @@ impl Trainer {
 
     /// ADAM steps (batches) applied so far. Together with
     /// [`Trainer::set_adam_steps`] this lets a resumed-from-checkpoint
-    /// trainer continue bit-identically: the step count drives both the
-    /// ADAM bias correction and the per-batch active-set padding salt, so a
-    /// fresh trainer that restores a [`crate::load_checkpoint`] snapshot
-    /// must also restore the step count to reproduce an uninterrupted run.
+    /// trainer continue bit-identically: the step count drives the ADAM bias
+    /// correction, the per-batch active-set padding salt and the table
+    /// rebuild schedule, so a fresh trainer that restores a
+    /// [`crate::load_checkpoint`] snapshot must also restore the step count
+    /// to reproduce an uninterrupted run.
     pub fn adam_steps(&self) -> u64 {
         self.adam_t
     }
 
     /// Resume the optimizer clock at `t` applied batches (see
-    /// [`Trainer::adam_steps`]).
+    /// [`Trainer::adam_steps`]): the rebuild schedule is replayed from its
+    /// start over `t` batches, so the next rebuild falls on the batch an
+    /// uninterrupted run rebuilds at.
     pub fn set_adam_steps(&mut self, t: u64) {
         self.adam_t = t;
+        self.batches_until_rebuild = self.config.rebuild.initial_period;
+        self.rebuild_period = self.config.rebuild.initial_period as f32;
+        for _ in 0..t {
+            self.rebuild_due();
+        }
+    }
+
+    /// Count one batch against the rebuild schedule; `true` when the tables
+    /// are due for a rebuild, the period then growing by the configured
+    /// factor up to its ceiling.
+    fn rebuild_due(&mut self) -> bool {
+        self.batches_until_rebuild = self.batches_until_rebuild.saturating_sub(1);
+        if self.batches_until_rebuild != 0 {
+            return false;
+        }
+        self.rebuild_period = (self.rebuild_period * self.config.rebuild.growth)
+            .min(self.config.rebuild.max_period as f32);
+        self.batches_until_rebuild = self.rebuild_period.round().max(1.0) as u32;
+        true
     }
 
     /// Train one epoch (shuffled batches) and return its stats.
@@ -276,11 +294,6 @@ impl Trainer {
             return;
         }
         self.adam_t += 1;
-        self.batch_stamp = self.batch_stamp.wrapping_add(1);
-        if self.batch_stamp == 0 {
-            self.batch_stamp = 1;
-        }
-        let stamp = self.batch_stamp;
         let scale = 1.0 / indices.len() as f32;
         let step = AdamStep::bias_corrected(
             self.config.learning_rate,
@@ -325,45 +338,18 @@ impl Trainer {
         let t3 = Instant::now();
         pass.backward_step(net, pool, &kernels, scale, step);
         let t4 = Instant::now();
-        pass.backward_input(net, pool, scratches, &store, scale, stamp);
+        pass.input_step(net, pool, &kernels, &store, scale, step);
         let t5 = Instant::now();
-        phases.forward_backward = ((t1 - t0) + (t3 - t2) + (t5 - t4)).as_secs_f64();
+        phases.forward_backward = ((t1 - t0) + (t3 - t2)).as_secs_f64();
         phases.output = ((t2 - t1) + (t4 - t3)).as_secs_f64();
+        phases.input = (t5 - t4).as_secs_f64();
 
         let t0 = Instant::now();
-        self.apply_updates(step);
-        phases.optimizer = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        self.batches_until_rebuild = self.batches_until_rebuild.saturating_sub(1);
-        if self.batches_until_rebuild == 0 {
+        if self.rebuild_due() {
             self.rebuild_tables();
-            self.rebuild_period = (self.rebuild_period * self.config.rebuild.growth)
-                .min(self.config.rebuild.max_period as f32);
-            self.batches_until_rebuild = self.rebuild_period.round().max(1.0) as u32;
         }
         phases.rebuild = t0.elapsed().as_secs_f64();
         self.epoch_phases.add(phases);
-    }
-
-    /// The input layer's ADAM phase (the output layer took its step inside
-    /// the row-owned pass).
-    fn apply_updates(&mut self, step: AdamStep) {
-        self.touched_in.clear();
-        for s in &mut self.scratches {
-            self.touched_in.append(&mut s.touched_in);
-        }
-        // Rows are features seen in the batch; the bias is the hidden
-        // vector, updated densely.
-        let rows_in = &self.touched_in;
-        let in_params = self.network.input().params();
-        self.pool.parallel_for(rows_in.len(), 32, &|i| {
-            // SAFETY: the touched list is duplicate-free (atomic stamp swap),
-            // so concurrent rows are distinct.
-            unsafe { in_params.adam_row(rows_in[i] as usize, step) };
-        });
-        // SAFETY: single caller; workers are parked.
-        unsafe { in_params.adam_bias_full(step) };
     }
 
     /// Parallel two-phase hash-table rebuild: compute every neuron's keys
@@ -669,7 +655,7 @@ mod tests {
         let p = stats.phases;
         assert!(p.forward_backward > 0.0);
         assert!(p.output > 0.0);
-        assert!(p.optimizer > 0.0);
+        assert!(p.input > 0.0);
         assert!(p.batch_build >= 0.0);
         // The phases should account for the bulk of the epoch.
         assert!(

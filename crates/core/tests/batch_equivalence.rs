@@ -1,4 +1,4 @@
-//! The trainer's row-owned output pass against the per-sample oracle.
+//! The trainer's row-owned batch pass against the per-sample oracle.
 //!
 //! From identical state, one batch at one thread through
 //! `Trainer::train_batch` must leave the output layer — weights, ADAM
@@ -6,9 +6,11 @@
 //! `Network::train_sample` over the same samples in batch order followed by
 //! `adam_row` / `adam_bias_at` on every touched row: the logits, the
 //! row gradients (each row's samples ascending) and the ADAM step are the
-//! same operations in the same order. The input layer sees a hidden
-//! gradient summed in a different order (row by row instead of active slot
-//! by active slot), so it agrees within `TOLERANCE` only.
+//! same operations in the same order. The input layer is walked by row too,
+//! but from a hidden gradient summed in a different order (row by row
+//! instead of active slot by active slot), so it agrees within `TOLERANCE`
+//! only; `batch_pass::tests` checks its row visit bit for bit from the same
+//! hidden gradient.
 //!
 //! Covered: f32 and bf16 weights, coalesced and fragmented layouts, and
 //! label-less samples in the batch. The hidden layer is 72 wide: past one

@@ -17,6 +17,12 @@
 //! Single-threaded use (all tests, deterministic mode) never aliases and is
 //! fully sound. This mirrors the paper's C++ implementation, which relies on
 //! the identical benign-race argument.
+//!
+//! Only the per-sample oracle (`slide_core::Network::train_sample`) and the
+//! baselines in `slide-baseline` still write through these views
+//! concurrently. `slide_core::Trainer` gives every row a batch touches to one
+//! worker, which writes it through a raw row pointer and no other thread
+//! reaches it meanwhile.
 
 use crate::aligned::{AlignedVec, Pod};
 

@@ -15,7 +15,9 @@
 //! * [`AlignedVec`] — 64-byte-aligned fixed buffers (cache-line/AVX-512
 //!   friendly),
 //! * [`HogwildArray`] / [`HogwildPtr`] — lock-free shared parameter views for
-//!   HOGWILD-style batch parallelism,
+//!   HOGWILD-style batch parallelism (written concurrently only by the
+//!   per-sample oracle and the baselines; the trainer owns each row it
+//!   writes),
 //! * [`ParamArenaBf16`] — contiguous bf16 weight storage for §4.4 mode 1,
 //! * [`IndexBatch`] — coalesced multi-hot label sets,
 //! * [`SharedArena`] / [`ArenaView`] — shared read-only byte images (heap

@@ -248,8 +248,85 @@ fn checkpoint_resume_continues_bit_identically() {
 }
 
 #[test]
+fn resume_across_a_scheduled_rebuild_continues_bit_identically() {
+    // `set_adam_steps` restores the rebuild schedule with the clock: tables
+    // rebuilt after batch 3 and batch 6 (growth 1.05 keeps the period at 3),
+    // a checkpoint after batch 5, and both runs continue through batch 8.
+    // A resumed schedule that restarted from its first period would rebuild
+    // after batch 8 instead, and batches 7 and 8 would retrieve from stale
+    // tables.
+    let _g = policy_guard();
+    let data = dataset();
+    let mut tc = TrainerConfig {
+        batch_size: 64,
+        learning_rate: 2e-3,
+        threads: 1,
+        ..Default::default()
+    };
+    tc.rebuild.initial_period = 3;
+    let batch_of = |b: usize| -> Vec<u32> { ((b * 64) as u32..((b + 1) * 64) as u32).collect() };
+
+    let mut t1 = Trainer::new(network(Precision::Fp32, true), tc).expect("valid trainer");
+    for b in 0..5 {
+        t1.train_batch(&data.train, &batch_of(b));
+    }
+    let mut checkpoint = Vec::new();
+    save_checkpoint(t1.network(), &mut checkpoint).unwrap();
+    // Tables refreshed as a restore would (see the test above).
+    t1.network().output().rebuild_serial();
+
+    // Probe hidden vectors, fixed here, so only the tables move their
+    // active sets.
+    let net = t1.network();
+    let mut scratch = net.make_scratch();
+    let probes: Vec<Vec<f32>> = (0..32)
+        .map(|i| {
+            net.forward_hidden(data.test.features(i), &mut scratch);
+            scratch.acts[0].clone()
+        })
+        .collect();
+    let active_sets = |net: &Network, scratch: &mut slide::core::WorkerScratch| -> Vec<Vec<u32>> {
+        probes
+            .iter()
+            .map(|h| {
+                net.output().select_active(h, &[], scratch, 7);
+                scratch.active.clone()
+            })
+            .collect()
+    };
+    let before = active_sets(t1.network(), &mut scratch);
+    t1.train_batch(&data.train, &batch_of(5));
+    let after = active_sets(t1.network(), &mut scratch);
+    assert_ne!(
+        before, after,
+        "the batch-6 rebuild changed no probe's active set: the test is vacuous"
+    );
+    for b in 6..8 {
+        t1.train_batch(&data.train, &batch_of(b));
+    }
+    let mut uninterrupted = Vec::new();
+    save_checkpoint(t1.network(), &mut uninterrupted).unwrap();
+
+    let mut restored_net = network(Precision::Fp32, true);
+    load_checkpoint(&mut restored_net, &checkpoint[..]).unwrap();
+    let mut t2 = Trainer::new(restored_net, tc).expect("valid trainer");
+    t2.set_adam_steps(5);
+    for b in 5..8 {
+        t2.train_batch(&data.train, &batch_of(b));
+    }
+    let mut resumed = Vec::new();
+    save_checkpoint(t2.network(), &mut resumed).unwrap();
+    assert!(
+        uninterrupted == resumed,
+        "a resume across the batch-6 rebuild diverged from the uninterrupted run"
+    );
+}
+
+#[test]
 fn thread_counts_agree_on_quality() {
-    // HOGWILD races must not change where training lands (statistically).
+    // Above one thread the row → worker assignment is dynamic, which moves
+    // the last bits of each sample's hidden gradient; that must not change
+    // where training lands (statistically).
     let data = dataset();
     let score_with = |threads: usize| {
         let mut tc = TrainerConfig {
