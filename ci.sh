@@ -466,6 +466,17 @@ if grep -nE 'mark_active|grad_axpy|grad_bias_axpy|adam_row|row_racy|parallel_for
     exit 1
 fi
 
+step "one table shape (CSR from build to .slsnap, no bucket objects or policy knob)"
+# LshTables is built by one counting sort (LshTables::from_keys) and loaded
+# as validated views over a snapshot's sections (DESIGN.md §4); no
+# per-bucket object, incremental insert, CSR conversion, whole-table clone
+# or bucket-policy knob comes back.
+if grep -rnE 'struct Bucket\b|BucketPolicy|fn to_csr|fn from_csr|fn retained|fn clear\(|pub fn insert\(' \
+    crates/hash/src crates/core/src/retrieval.rs; then
+    echo "ci.sh: a second LSH table shape or the bucket-policy knob is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -516,7 +527,18 @@ fi
 # Row-owned batch pass: 635 + 3 = 638. Added: batch_pass::tests (2: the
 # input-row visit against the per-sample scatter and sweep, the RowCsr
 # order) and end_to_end's resume across a scheduled rebuild.
-MIN_TIER1_TESTS=638
+# CSR tables: 638 - 3 + 4 = 639. Deleted with their code: the FIFO policy
+# and LshTables::clear (table::tests::{fifo_evicts_oldest,
+# clear_empties_everything}); moved with `retained` to the shard split:
+# table::tests::retained_partitions_exactly. Added:
+# lsh_props::from_keys_equals_sequential_reservoir_inserts,
+# shard::tests::partition_tables_splits_every_bucket_stably and
+# registry_durability's two forged bucket-policy words (0 Unsupported,
+# 2 Corrupt). Ported to from_keys / from_views under their names:
+# wrong_key_count_panics, csr_round_trip_is_bit_identical,
+# bucket_cap_is_respected_under_both_policies and lsh_props'
+# bucket_never_exceeds_cap (both now reservoir-only).
+MIN_TIER1_TESTS=639
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -1,9 +1,9 @@
 //! LSH micro-benchmarks: DWTA (vectorized vs scalar, §4.3.3), SimHash, and
 //! table operations at SLIDE's operating point (hash a 128-dim activation,
-//! query L tables, rebuild all neurons).
+//! build and query L tables, rehash all neurons).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use slide_hash::{BucketPolicy, DwtaConfig, DwtaHash, LshTables, SimHash, SimHashConfig};
+use slide_hash::{DwtaConfig, DwtaHash, LshTables, SimHash, SimHashConfig};
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
 use std::time::Duration;
 
@@ -67,22 +67,16 @@ fn bench_tables(c: &mut Criterion) {
     let l = 24;
     let keys: Vec<u32> = (0..l as u32).map(|t| (t * 13) % 64).collect();
 
-    g.bench_function("insert_l24", |b| {
-        let mut tables = LshTables::new(l, 6, 64, BucketPolicy::Reservoir, 3);
-        let mut id = 0u32;
-        b.iter(|| {
-            tables.insert(black_box(&keys), id);
-            id = id.wrapping_add(1);
+    let all_keys: Vec<u32> = (0..8192u32)
+        .flat_map(|id| {
+            (0..l as u64).map(move |t| (slide_hash::mix::mix2(t, id as u64) % 64) as u32)
         })
+        .collect();
+    g.bench_function("build_8192_rows_l24", |b| {
+        b.iter(|| LshTables::from_keys(l, 6, 64, 3, black_box(&all_keys)))
     });
 
-    let mut tables = LshTables::new(l, 6, 64, BucketPolicy::Reservoir, 3);
-    for id in 0..8192u32 {
-        let ks: Vec<u32> = (0..l as u64)
-            .map(|t| (slide_hash::mix::mix2(t, id as u64) % 64) as u32)
-            .collect();
-        tables.insert(&ks, id);
-    }
+    let tables = LshTables::from_keys(l, 6, 64, 3, &all_keys);
     let mut out = Vec::with_capacity(4096);
     g.bench_function("query_l24_full_buckets", |b| {
         b.iter(|| {

@@ -1,13 +1,12 @@
 //! LSH design-choice ablations beyond the paper's headline tables: table
-//! count `L` and bucket policy (FIFO vs reservoir) — the design decisions
-//! DESIGN.md flags for ablation.
+//! count `L` and multiprobe — the design decisions DESIGN.md flags for
+//! ablation.
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin ablation_lsh
 //! ```
 
 use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
-use slide_hash::BucketPolicy;
 use slide_simd::SimdPolicy;
 
 fn main() {
@@ -75,36 +74,5 @@ fn main() {
         &["Configuration", "s/epoch", "P@1"],
         &rows,
         &[22, 10, 7],
-    );
-
-    // --- Bucket policy: FIFO vs reservoir ---
-    let mut rows = Vec::new();
-    for (name, policy) in [
-        ("reservoir", BucketPolicy::Reservoir),
-        ("fifo", BucketPolicy::Fifo),
-    ] {
-        let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-        cfg.lsh.policy = policy;
-        let r = run_slide(
-            cfg,
-            w.trainer_config(),
-            SimdPolicy::Auto,
-            None,
-            &train,
-            &test,
-            n_epochs,
-            300,
-        );
-        rows.push(vec![
-            name.to_string(),
-            fmt_secs(r.epoch_seconds),
-            format!("{:.3}", r.p_at_1),
-        ]);
-    }
-    print_table(
-        "Bucket policy (full buckets keep a uniform sample vs newest)",
-        &["Policy", "s/epoch", "P@1"],
-        &rows,
-        &[10, 10, 7],
     );
 }

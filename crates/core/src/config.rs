@@ -3,7 +3,6 @@
 //! rebuild schedule) is a field here, so the benchmark harness can flip one
 //! switch per ablation.
 
-use slide_hash::BucketPolicy;
 use slide_mem::ParamLayout;
 
 /// Numeric precision mode — the three columns of the paper's Table 3.
@@ -48,8 +47,6 @@ pub struct LshConfig {
     pub tables: usize,
     /// Max neuron ids per bucket.
     pub bucket_cap: usize,
-    /// Full-bucket insertion policy.
-    pub policy: BucketPolicy,
     /// Minimum active-set size; if the query retrieves fewer, random neurons
     /// pad the set (keeps gradients flowing early in training).
     pub min_active: usize,
@@ -67,7 +64,6 @@ impl Default for LshConfig {
             key_bits: 6,
             tables: 16,
             bucket_cap: 128,
-            policy: BucketPolicy::Reservoir,
             min_active: 64,
             max_active: None,
             probes: 1,

@@ -173,11 +173,13 @@ impl SampledOutputLayer {
     /// Single-threaded full rebuild (used at checkpoint restore; the
     /// trainer uses the parallel two-phase path).
     pub fn rebuild_serial(&self) {
-        *self.tables.write() = self.retrieval.tables_from_rows(&self.params);
+        let tables = self.retrieval.tables_from_rows(&self.params);
+        *self.tables.write() = tables;
     }
 
-    /// Replace table contents from precomputed per-row keys
-    /// (`all_keys[r*L..][..L]` are row `r`'s keys).
+    /// Replace the tables with a build from precomputed per-row keys
+    /// (`all_keys[r*L..][..L]` are row `r`'s keys). The new tables are built
+    /// before the write lock is taken.
     ///
     /// # Panics
     ///
@@ -189,9 +191,8 @@ impl SampledOutputLayer {
             self.params.rows() * l,
             "rebuild_from_keys: wrong key buffer size"
         );
-        self.retrieval.fill(&mut self.tables.write(), |r, keys| {
-            keys.copy_from_slice(&all_keys[r * l..(r + 1) * l])
-        });
+        let tables = self.retrieval.tables_from_keys(all_keys);
+        *self.tables.write() = tables;
     }
 
     /// Build the active set for input `h` into `scratch.active`: the

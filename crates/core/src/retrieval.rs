@@ -6,7 +6,7 @@
 //! its tables: hash the activation **once**, probe each table set with the
 //! shared keys in order, dedup into one list behind the forced ids (the
 //! labels, in training), stop at `max_active`, then pad deterministically up
-//! to `min_active`. It is also the one place that fills tables from rows and
+//! to `min_active`. It is also the one place that builds tables from rows and
 //! that knows the output layer's seed chain, from the network seed `s`:
 //!
 //! | derived from | seed |
@@ -28,9 +28,8 @@ use crate::config::{HashFamilyKind, LshConfig, NetworkConfig};
 use crate::params::LayerParams;
 use crate::scratch::StampSet;
 use slide_hash::mix::mix3;
-use slide_hash::{
-    BucketPolicy, DwtaConfig, LshFamily, LshScratch, LshTables, SimHashConfig, TablesCsr,
-};
+use slide_hash::{DwtaConfig, LshFamily, LshScratch, LshTables, SimHashConfig};
+use slide_mem::{AlignedVec, ArenaView};
 
 /// The output layer's seed in a network seeded `seed`.
 pub(crate) fn output_layer_seed(seed: u64) -> u64 {
@@ -38,7 +37,7 @@ pub(crate) fn output_layer_seed(seed: u64) -> u64 {
 }
 
 /// The output layer's LSH family, the shape and seed of the tables it
-/// fills, and the pad/cap policy its active sets are picked under. Built
+/// builds, and the pad/cap policy its active sets are picked under. Built
 /// once; `&self` thereafter.
 #[derive(Debug)]
 pub struct Retrieval {
@@ -49,7 +48,6 @@ pub struct Retrieval {
     pad_seed: u64,
     rows: usize,
     bucket_cap: usize,
-    policy: BucketPolicy,
     table_seed: u64,
 }
 
@@ -123,7 +121,6 @@ impl Retrieval {
             pad_seed,
             rows,
             bucket_cap: lsh.bucket_cap,
-            policy: lsh.policy,
             table_seed,
         }
     }
@@ -133,67 +130,65 @@ impl Retrieval {
         &self.family
     }
 
-    fn empty_tables(&self) -> LshTables {
-        LshTables::new(
-            self.family.tables(),
-            self.family.key_bits(),
-            self.bucket_cap,
-            self.policy,
-            self.table_seed,
-        )
-    }
-
     /// Tables holding every row of `params`, widened to f32 and hashed in
     /// row order — bucket-cap eviction included, so a serving build matches
     /// what the trainer's last full rebuild would hold.
+    ///
+    /// The `rows × L` key buffer is an [`AlignedVec`], so a large one is its
+    /// own mapping and its pages go back to the kernel when the build ends;
+    /// a heap block of that size stays resident after the free and lifts
+    /// the peak of whatever is allocated next.
     pub fn tables_from_rows(&self, params: &LayerParams) -> LshTables {
-        let mut tables = self.empty_tables();
+        let l = self.family.tables();
+        let mut keys = AlignedVec::zeroed(self.rows * l);
         let mut lsh = self.family.make_scratch();
         let mut widen = vec![0.0; params.cols()];
-        self.fill(&mut tables, |r, keys| {
+        for (r, row_keys) in keys.chunks_exact_mut(l).enumerate() {
             params.widen_row_into(r, &mut widen);
-            self.family.keys_dense(&widen, &mut lsh, keys);
-        });
-        tables
+            self.family.keys_dense(&widen, &mut lsh, row_keys);
+        }
+        self.tables_from_keys(&keys)
     }
 
-    /// Tables restored from [`LshTables::to_csr`] output, under this
-    /// policy's shape and seed.
+    /// Tables holding row `r` under the keys `keys[r * L..][..L]`, under
+    /// this policy's shape and seed.
+    pub(crate) fn tables_from_keys(&self, keys: &[u32]) -> LshTables {
+        LshTables::from_keys(
+            self.family.tables(),
+            self.family.key_bits(),
+            self.bucket_cap,
+            self.table_seed,
+            keys,
+        )
+    }
+
+    /// Tables over a snapshot's CSR sections, under this policy's shape:
+    /// validated, not copied.
     ///
     /// # Errors
     ///
-    /// Returns a message when an id names no output row or the CSR shape
-    /// disagrees with the tables' (see [`LshTables::from_csr`]).
-    pub fn tables_from_csr(&self, csr: &TablesCsr) -> Result<LshTables, String> {
-        if let Some(&id) = csr.items.iter().find(|&&id| id as usize >= self.rows) {
+    /// Returns a message when an id names no output row or the arrays
+    /// disagree with the tables' shape (see [`LshTables::from_views`]).
+    pub fn tables_from_csr(
+        &self,
+        offsets: ArenaView<u32>,
+        items: ArenaView<u32>,
+        arrivals: ArenaView<u64>,
+    ) -> Result<LshTables, String> {
+        if let Some(&id) = items.iter().find(|&&id| id as usize >= self.rows) {
             return Err(format!(
                 "LshTables csr: id {id} outside the {} output rows",
                 self.rows
             ));
         }
-        LshTables::from_csr(
+        LshTables::from_views(
             self.family.tables(),
             self.family.key_bits(),
             self.bucket_cap,
-            self.policy,
-            self.table_seed,
-            csr,
+            offsets,
+            items,
+            arrivals,
         )
-    }
-
-    /// Empty `tables`, then insert every row `r` under the keys
-    /// `keys_into(r, ..)` writes, in row order.
-    pub(crate) fn fill(
-        &self,
-        tables: &mut LshTables,
-        mut keys_into: impl FnMut(usize, &mut [u32]),
-    ) {
-        let mut keys = vec![0; self.family.tables()];
-        tables.clear();
-        for r in 0..self.rows {
-            keys_into(r, &mut keys);
-            tables.insert(&keys, r as u32);
-        }
     }
 
     /// Build the active set for activation `h` into `buf.active`: the
@@ -281,6 +276,7 @@ mod tests {
     use super::*;
     use crate::config::Precision;
     use crate::scratch::WorkerScratch;
+    use crate::SampledOutputLayer;
     use slide_mem::ParamLayout;
 
     /// A training retrieval for a `hidden` → `rows` output layer seeded
@@ -357,29 +353,27 @@ mod tests {
 
     #[test]
     fn rebuild_from_keys_matches_serial() {
-        // The trainer's two-phase rebuild (every row's keys first, then one
-        // fill) must leave exactly the tables a serial build does, bucket
-        // order and reservoir history included — also over tables that are
-        // not empty when the fill starts.
+        // The trainer's rebuild (every row's keys from `compute_row_keys`,
+        // then one build) must leave exactly the tables a serial build
+        // does, bucket order and reservoir history included.
         let lsh = LshConfig {
             tables: 6,
             key_bits: 5,
             bucket_cap: 4,
             ..Default::default()
         };
-        let (r, params, mut s) = layer(8, 30, &lsh, 9);
-        let serial = r.tables_from_rows(&params);
+        let out = SampledOutputLayer::new(8, 30, &lsh, ParamLayout::Coalesced, Precision::Fp32, 9);
+        let r = Retrieval::training(8, 30, &lsh, 9);
+        let mut s = WorkerScratch::new(8, 30, r.family());
         let l = r.family().tables();
         let mut all_keys = vec![0u32; 30 * l];
         for (row, keys) in all_keys.chunks_exact_mut(l).enumerate() {
-            params.widen_row_into(row, &mut s.widen);
-            r.family().keys_dense(&s.widen, &mut s.lsh, keys);
+            out.compute_row_keys(row, &mut s, keys);
         }
-        let mut from_keys = serial.clone();
-        r.fill(&mut from_keys, |row, keys| {
-            keys.copy_from_slice(&all_keys[row * l..(row + 1) * l])
-        });
-        assert_eq!(from_keys.to_csr(), serial.to_csr());
+        assert_eq!(
+            r.tables_from_keys(&all_keys),
+            r.tables_from_rows(out.params())
+        );
     }
 
     #[test]
@@ -395,15 +389,19 @@ mod tests {
         let h: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
         // Two table sets holding rows under the query's own keys, so every
         // id comes back once per table; 3 is in both sets, 5 is also forced.
+        // Every other row hashes one bucket over in every table.
         let mut keys = vec![0; 4];
         r.family().keys_dense(&h, &mut s.lsh, &mut keys);
-        let (mut a, mut b) = (r.empty_tables(), r.empty_tables());
-        for id in [1, 2, 3, 5] {
-            a.insert(&keys, id);
-        }
-        for id in [3, 4, 6] {
-            b.insert(&keys, id);
-        }
+        let set = |ids: &[u32]| {
+            let all: Vec<u32> = (0..7)
+                .flat_map(|row| {
+                    keys.iter()
+                        .map(move |&k| k ^ u32::from(!ids.contains(&row)))
+                })
+                .collect();
+            r.tables_from_keys(&all)
+        };
+        let (a, b) = (set(&[1, 2, 3, 5]), set(&[3, 4, 6]));
 
         // Forced ids first, then each set's new rows in set order, then one
         // pad row up to the cap of 8, replayed from the pad stream.

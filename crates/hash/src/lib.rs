@@ -14,8 +14,9 @@
 //! * [`SimHash`] — signed random projection, used for Text8
 //!   (`K = 9, L = 50`),
 //! * [`LshFamily`] — runtime selector between the two,
-//! * [`LshTables`] — the `L x 2^K` bounded-bucket index with FIFO and
-//!   reservoir insertion policies, insert/query/rebuild,
+//! * [`LshTables`] — the `L x 2^K` bounded-bucket index, built in one
+//!   counting sort from every neuron's keys (full buckets keep a reservoir
+//!   sample) and held as the CSR arrays a snapshot stores,
 //! * [`mix`] — the universal integer-hash family underlying all of it.
 //!
 //! # Examples
@@ -24,25 +25,26 @@
 //! a query:
 //!
 //! ```
-//! use slide_hash::{BucketPolicy, DwtaConfig, LshFamily, LshTables};
+//! use slide_hash::{DwtaConfig, LshFamily, LshTables};
 //!
 //! let family = LshFamily::dwta(DwtaConfig { dim: 32, key_bits: 6, tables: 8, ..Default::default() });
-//! let mut tables = LshTables::new(8, 6, 64, BucketPolicy::Reservoir, 7);
 //! let mut scratch = family.make_scratch();
-//! let mut keys = vec![0u32; 8];
 //!
 //! let neuron_weights: Vec<Vec<f32>> = (0..10)
 //!     .map(|n| (0..32).map(|c| ((n * 13 + c * 7) % 11) as f32).collect())
 //!     .collect();
-//! for (id, w) in neuron_weights.iter().enumerate() {
-//!     family.keys_dense(w, &mut scratch, &mut keys);
-//!     tables.insert(&keys, id as u32);
+//! // Every neuron's 8 keys, row-major, then one build.
+//! let mut keys = vec![0u32; 10 * 8];
+//! for (w, row_keys) in neuron_weights.iter().zip(keys.chunks_exact_mut(8)) {
+//!     family.keys_dense(w, &mut scratch, row_keys);
 //! }
+//! let tables = LshTables::from_keys(8, 6, 64, 7, &keys);
 //!
 //! // Querying with neuron 3's own weights must retrieve neuron 3.
-//! family.keys_dense(&neuron_weights[3], &mut scratch, &mut keys);
+//! let mut query = vec![0u32; 8];
+//! family.keys_dense(&neuron_weights[3], &mut scratch, &mut query);
 //! let mut candidates = Vec::new();
-//! tables.query_into(&keys, &mut candidates);
+//! tables.query_into(&query, &mut candidates);
 //! assert!(candidates.contains(&3));
 //! ```
 
@@ -55,4 +57,4 @@ mod table;
 pub use dwta::{DwtaConfig, DwtaHash, DwtaScratch};
 pub use family::{LshFamily, LshScratch};
 pub use srp::{SimHash, SimHashConfig, SimHashScratch};
-pub use table::{BucketPolicy, LshTables, TableStats, TablesCsr};
+pub use table::{LshTables, TableStats};

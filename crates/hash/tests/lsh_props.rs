@@ -1,10 +1,12 @@
-//! Property tests for the LSH substrate: table bookkeeping invariants,
+//! Property tests for the LSH substrate: the table build against the
+//! sequential reservoir insert it replays, table bookkeeping invariants,
 //! hash determinism/range guarantees on arbitrary inputs, and exact equality
 //! of the vectorised dense key paths with the scalar level and the sparse
 //! oracle.
 
 use proptest::prelude::*;
-use slide_hash::{BucketPolicy, DwtaConfig, DwtaHash, LshTables, SimHash, SimHashConfig};
+use slide_hash::mix::{mix2, mix3, reduce};
+use slide_hash::{DwtaConfig, DwtaHash, LshTables, SimHash, SimHashConfig};
 use slide_mem::SparseVecRef;
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
 
@@ -159,39 +161,88 @@ proptest! {
     }
 
     #[test]
-    fn tables_query_returns_inserted_id(
-        ids in prop::collection::btree_set(0u32..10_000, 1..50),
-        seed in any::<u64>(),
-    ) {
-        let mut tables = LshTables::new(4, 6, 1024, BucketPolicy::Reservoir, seed);
-        let key_of = |id: u32, t: u64| (slide_hash::mix::mix2(seed ^ t, id as u64) % 64) as u32;
-        for &id in &ids {
-            let keys: Vec<u32> = (0..4).map(|t| key_of(id, t)).collect();
-            tables.insert(&keys, id);
-        }
-        // Bucket cap 1024 > #ids, so every id must be retrievable.
-        for &id in &ids {
-            let keys: Vec<u32> = (0..4).map(|t| key_of(id, t)).collect();
+    fn tables_query_returns_inserted_id(rows in 1u32..50, seed in any::<u64>()) {
+        let key_of = |id: u32, t: u64| (mix2(seed ^ t, id as u64) % 64) as u32;
+        let keys: Vec<u32> = (0..rows)
+            .flat_map(|id| (0..4).map(move |t| key_of(id, t)))
+            .collect();
+        let tables = LshTables::from_keys(4, 6, 1024, seed, &keys);
+        // Bucket cap 1024 > #rows, so every row must be retrievable.
+        for (id, keys) in keys.chunks_exact(4).enumerate() {
             let mut out = Vec::new();
-            tables.query_into(&keys, &mut out);
-            prop_assert!(out.contains(&id));
+            tables.query_into(keys, &mut out);
+            prop_assert!(out.contains(&(id as u32)));
         }
         let stats = tables.stats();
-        prop_assert_eq!(stats.stored, ids.len() * 4);
+        prop_assert_eq!(stats.stored, rows as usize * 4);
     }
 
     #[test]
-    fn bucket_never_exceeds_cap(
-        inserts in prop::collection::vec((0u32..8, 0u32..100_000), 0..300),
-        policy_fifo in any::<bool>(),
-    ) {
-        let policy = if policy_fifo { BucketPolicy::Fifo } else { BucketPolicy::Reservoir };
-        let mut tables = LshTables::new(1, 3, 5, policy, 77);
-        for (key, id) in inserts {
-            tables.insert(&[key], id);
-        }
+    fn bucket_never_exceeds_cap(keys in prop::collection::vec(0u32..8, 0..300)) {
+        let tables = LshTables::from_keys(1, 3, 5, 77, &keys);
         for key in 0..8u32 {
-            prop_assert!(tables.bucket(0, key).len() <= 5);
+            let want = keys.iter().filter(|&&k| k == key).count().min(5);
+            prop_assert_eq!(tables.bucket(0, key).len(), want);
         }
     }
+
+    #[test]
+    fn from_keys_equals_sequential_reservoir_inserts(
+        l in 1usize..6,
+        key_bits in 1u32..8,
+        cap in 1usize..12,
+        seed in any::<u64>(),
+        raw in prop::collection::vec(any::<u32>(), 0..1500),
+    ) {
+        // Few buckets, small caps and up to 1500 / L rows: most buckets
+        // overflow and go through the reservoir.
+        let rows = raw.len() / l;
+        let keys: Vec<u32> = raw[..rows * l].iter().map(|k| k & ((1 << key_bits) - 1)).collect();
+        let tables = LshTables::from_keys(l, key_bits, cap, seed, &keys);
+        let (offsets, items, arrivals) = reservoir_inserts(l, key_bits, cap, seed, &keys);
+        prop_assert_eq!(tables.offsets().as_slice(), offsets.as_slice());
+        prop_assert_eq!(tables.items().as_slice(), items.as_slice());
+        prop_assert_eq!(tables.arrivals().as_slice(), arrivals.as_slice());
+        prop_assert!(tables.stats().max_bucket <= cap);
+    }
+}
+
+/// The oracle for [`LshTables::from_keys`]: insert row after row, in order,
+/// into `L · 2^K` growable buckets — the sequential reservoir insert the
+/// counting sort must replay exactly. A full bucket's `a`-th
+/// arrival replaces slot `reduce(mix3(seed ^ t << 32, key, a), a)` when that
+/// is below `cap`. Returns the CSR offsets, items and arrival counts.
+fn reservoir_inserts(
+    l: usize,
+    key_bits: u32,
+    cap: usize,
+    seed: u64,
+    keys: &[u32],
+) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+    let mut buckets = vec![(Vec::new(), 0u64); l << key_bits];
+    for (id, row) in keys.chunks_exact(l).enumerate() {
+        for (t, &key) in row.iter().enumerate() {
+            let (items, arrivals) = &mut buckets[(t << key_bits) | key as usize];
+            *arrivals += 1;
+            if items.len() < cap {
+                items.push(id as u32);
+            } else {
+                let r = reduce(
+                    mix3(seed ^ (t as u64) << 32, key as u64, *arrivals),
+                    *arrivals as usize,
+                );
+                if r < cap {
+                    items[r] = id as u32;
+                }
+            }
+        }
+    }
+    let mut offsets = vec![0u32];
+    let mut items = Vec::new();
+    for (bucket, _) in &buckets {
+        items.extend_from_slice(bucket);
+        offsets.push(items.len() as u32);
+    }
+    let arrivals = buckets.iter().map(|&(_, a)| a).collect();
+    (offsets, items, arrivals)
 }

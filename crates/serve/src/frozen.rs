@@ -229,11 +229,13 @@ impl<L: RowLayout> Engine<L> {
         plan: impl Into<Option<ShardPlan>>,
     ) -> Result<Self, ServeBuildError> {
         let plan = serving_plan(net.config(), plan.into())?;
+        // Tables first: their transient key buffer is freed before any
+        // arena is cut.
+        let retrieval = Retrieval::serving(net.config());
+        let tables = retrieval.tables_from_rows(net.output().params());
         let mut report = QuantReport::default();
         let mut shards = Vec::new();
         cut_layers(net, &plan, &mut report, |l| shards.push(l));
-        let retrieval = Retrieval::serving(net.config());
-        let tables = retrieval.tables_from_rows(net.output().params());
         Ok(Self::assemble(
             net.config().clone(),
             plan,
@@ -247,7 +249,7 @@ impl<L: RowLayout> Engine<L> {
 
     /// Put an engine together from its parts — shared by the build path
     /// (layers just cut from a network) and the load path (layers viewing an
-    /// image, tables rebuilt from CSR). `plan` must have passed
+    /// image, tables viewing its CSR sections). `plan` must have passed
     /// [`serving_plan`] and the layers must have the shapes
     /// `expected_manifest` declares for it; `tables` is `retrieval`'s
     /// *global* build, partitioned here.

@@ -56,7 +56,7 @@ use crate::shard::{ShardPlan, ShardPlanKind};
 use slide_core::{
     HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Retrieval,
 };
-use slide_hash::{BucketPolicy, LshTables, TablesCsr};
+use slide_hash::LshTables;
 use slide_mem::{crc32, pod_bytes, AlignedVec, ArenaView, Pod, SharedArena};
 use std::fmt;
 use std::path::Path;
@@ -640,13 +640,8 @@ pub fn encode_config(config: &NetworkConfig) -> Vec<u8> {
     w32(&mut out, config.lsh.key_bits);
     w64(&mut out, config.lsh.tables as u64);
     w64(&mut out, config.lsh.bucket_cap as u64);
-    w32(
-        &mut out,
-        match config.lsh.policy {
-            BucketPolicy::Fifo => 0,
-            BucketPolicy::Reservoir => 1,
-        },
-    );
+    // The bucket-policy word: 1 = reservoir, the only policy tables have.
+    w32(&mut out, 1);
     w64(&mut out, config.lsh.min_active as u64);
     match config.lsh.max_active {
         None => {
@@ -750,11 +745,15 @@ pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
     let key_bits = r.u32()?;
     let tables = r.usize()?;
     let bucket_cap = r.usize()?;
-    let policy = match r.u32()? {
-        0 => BucketPolicy::Fifo,
-        1 => BucketPolicy::Reservoir,
+    match r.u32()? {
+        1 => {}
+        0 => {
+            return Err(SnapshotError::Unsupported(
+                "bucket policy 0 (FIFO): this build serves reservoir tables only".into(),
+            ))
+        }
         p => return Err(corrupt(format!("bucket policy code {p}"))),
-    };
+    }
     let min_active = r.usize()?;
     let max_active = match r.u32()? {
         0 => {
@@ -777,7 +776,6 @@ pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
             key_bits,
             tables,
             bucket_cap,
-            policy,
             min_active,
             max_active,
             probes,
@@ -885,34 +883,24 @@ pub fn expected_manifest(config: &NetworkConfig, spec: &SnapshotSpec) -> Vec<Lay
 
 /// Write the global frozen tables as the three CSR sections.
 fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
-    let csr = tables.to_csr();
-    writer.section_pod(SectionKind::TableOffsets, 0, &csr.offsets);
-    writer.section_pod(SectionKind::TableItems, 0, &csr.items);
-    writer.section_pod(SectionKind::TableArrivals, 0, &csr.arrivals);
+    writer.section_pod(SectionKind::TableOffsets, 0, tables.offsets());
+    writer.section_pod(SectionKind::TableItems, 0, tables.items());
+    writer.section_pod(SectionKind::TableArrivals, 0, tables.arrivals());
 }
 
-/// Rebuild the global tables from an image's CSR sections under
-/// `retrieval`, which re-derives every table/policy seed from the stored
-/// config exactly as the original build derived it. The CSR round trip
-/// preserves bucket contents, order, and reservoir arrival counters — so
-/// loaded tables retrieve bit-identically to the ones that were saved — and
-/// an id outside the output layer is refused here, before any partitioning.
+/// The global tables over an image's CSR sections, validated under
+/// `retrieval` — which re-derives the tables' shape from the stored config
+/// exactly as the original build did — and never copied: loaded tables are
+/// the saved bytes, so they retrieve bit-identically. An id outside the
+/// output layer is refused here, before any partitioning.
 fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTables, SnapshotError> {
-    let csr = TablesCsr {
-        offsets: image
-            .view::<u32>(SectionKind::TableOffsets, 0)?
-            .as_slice()
-            .to_vec(),
-        items: image
-            .view::<u32>(SectionKind::TableItems, 0)?
-            .as_slice()
-            .to_vec(),
-        arrivals: image
-            .view::<u64>(SectionKind::TableArrivals, 0)?
-            .as_slice()
-            .to_vec(),
-    };
-    retrieval.tables_from_csr(&csr).map_err(corrupt)
+    retrieval
+        .tables_from_csr(
+            image.view(SectionKind::TableOffsets, 0)?,
+            image.view(SectionKind::TableItems, 0)?,
+            image.view(SectionKind::TableArrivals, 0)?,
+        )
+        .map_err(corrupt)
 }
 
 // ---------------------------------------------------------------------------
@@ -943,6 +931,9 @@ fn encode_as<L: RowLayout>(
 ) -> Result<AlignedVec<u8>, SnapshotError> {
     let config = net.config();
     let plan = serving_plan(config, spec.shard_plan)?;
+    // Tables first: their transient key buffer is freed before the image
+    // grows.
+    let tables = Retrieval::serving(config).tables_from_rows(net.output().params());
     let mut w = SnapshotWriter::new(spec);
     w.section(SectionKind::Config, 0, encode_config(config));
     let manifest = expected_manifest(config, spec);
@@ -954,7 +945,6 @@ fn encode_as<L: RowLayout>(
         ordinal += 1;
         layer.encode(&mut w, ordinal);
     });
-    let tables = Retrieval::serving(config).tables_from_rows(net.output().params());
     encode_tables(&mut w, &tables);
     if spec.shard_plan.is_none() && !report.layers.is_empty() {
         w.section(SectionKind::QuantReport, 0, report.encode());
@@ -990,9 +980,9 @@ fn decode_preamble(
 
 impl<L: RowLayout> Engine<L> {
     /// Instantiate the engine an image of this layout describes: every
-    /// arena is a view into the image (zero weight copies), the tables are
-    /// rebuilt from the CSR sections and re-partitioned exactly as the
-    /// builder partitioned them.
+    /// arena and the global tables are views into the image (zero copies),
+    /// and the tables are re-partitioned exactly as the builder partitioned
+    /// them.
     ///
     /// # Errors
     ///
@@ -1184,7 +1174,6 @@ mod tests {
         cfg.seed = 0xDEAD_BEEF;
         cfg.precision = Precision::Bf16Both;
         cfg.lsh.max_active = Some(77);
-        cfg.lsh.policy = BucketPolicy::Fifo;
         cfg.lsh.family = HashFamilyKind::SimHash;
         let back = decode_config(&encode_config(&cfg)).unwrap();
         assert_eq!(back, cfg);

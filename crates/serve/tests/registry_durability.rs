@@ -221,6 +221,42 @@ fn a_table_id_outside_the_output_layer_is_refused_before_sharding() {
     );
 }
 
+/// Overwrite the config's bucket-policy word with `word`, re-sealing every
+/// CRC, so only the config decoder can refuse the image.
+fn forge_policy_word(image: &mut [u8], word: u32) {
+    // Config: input u64, output u64, hidden count u32, width u64, seed u64,
+    // precision u32, family tag u32, bin size u64, key bits u32, tables
+    // u64, bucket cap u64, then the policy word.
+    let (_, config, _) = find_section(image, SectionKind::Config, 0);
+    let at = config + 72;
+    assert_eq!(le_u32(image, at), 1, "reservoir");
+    image[at..at + 4].copy_from_slice(&word.to_le_bytes());
+    retarget(image, SectionKind::Config, 0, config);
+}
+
+#[test]
+fn a_fifo_bucket_policy_is_refused_as_unsupported() {
+    // Policy 0 named FIFO buckets, which no table is built with any more.
+    let err = load_crafted("fifo_policy", &SnapshotSpec::f32(), |image| {
+        forge_policy_word(image, 0)
+    });
+    assert!(
+        matches!(&err, SnapshotError::Unsupported(m) if m.contains("FIFO")),
+        "expected the policy refusal, got {err}"
+    );
+}
+
+#[test]
+fn an_unknown_bucket_policy_is_corrupt() {
+    let err = load_crafted("unknown_policy", &SnapshotSpec::i8(), |image| {
+        forge_policy_word(image, 2)
+    });
+    assert!(
+        matches!(&err, SnapshotError::Corrupt(m) if m.contains("bucket policy code 2")),
+        "expected the corruption refusal, got {err}"
+    );
+}
+
 /// Re-cut an unsharded f32 image so that its config declares two hidden
 /// layers, both as wide as its one: the manifest agrees, a zero dense layer
 /// sits at ordinal 1 and the output layer moves to ordinal 2. The writer
