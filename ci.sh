@@ -21,7 +21,7 @@
 # saves and mmap-verifies a real image and frames real requests on the
 # byte-at-a-time CRC-32), train_w2v again under forced SLIDE_SIMD=scalar and
 # avx2 (the hashing kernels on each ISA), the trainer's row-owned batch
-# pass against its per-sample oracle under the same two forced levels, the
+# pass against its per-sample reference under the same two forced levels, the
 # benchmark's own unit tests,
 # and a soak
 # (both serve workloads ten times each under a timeout: one hang or failed
@@ -381,12 +381,12 @@ if [[ "$MODE" == "smoke" ]]; then
     SLIDE_SIMD=scalar benchmark/run.sh train_w2v --seconds 2 > /dev/null
     SLIDE_SIMD=avx2 benchmark/run.sh train_w2v --seconds 2 > /dev/null
 
-    step "smoke: row-owned batch pass vs the per-sample oracle under forced SLIDE_SIMD=scalar and avx2"
+    step "smoke: row-owned batch pass vs the per-sample reference under forced SLIDE_SIMD=scalar and avx2"
     # One batch through Trainer::train_batch must leave the output layer
-    # bit-identical to Network::train_sample + adam_row, and the input layer
-    # within its stated tolerance (DESIGN.md §6, "Row-owned batch pass"), on
-    # the scalar and the 8-lane kernels too, whatever the runner
-    # auto-detects.
+    # bit-identical to the test's per-sample reference (row gradients summed
+    # in batch order, one ADAM step per row), and the input layer within its
+    # stated tolerance (DESIGN.md §6, "Row-owned batch pass"), on the scalar
+    # and the 8-lane kernels too, whatever the runner auto-detects.
     for simd in scalar avx2; do
         SLIDE_SIMD=$simd cargo test --release -q -p slide-core --test batch_equivalence
     done
@@ -457,12 +457,22 @@ step "one write discipline in the trainer (row-owned batch pass, no HOGWILD writ
 # Trainer::train_batch writes both layers row by row, each row by the one
 # worker that owns it (DESIGN.md §6, "Row-owned batch pass"). No atomic
 # stamp, touched-row list, scattered gradient, racy row view or separate
-# ADAM sweep comes back into the trainer; the per-sample oracle and the
-# baselines keep theirs.
+# ADAM sweep comes back into the trainer.
 if grep -nE 'mark_active|grad_axpy|grad_bias_axpy|adam_row|row_racy|parallel_for|touched_' \
     crates/core/src/trainer.rs crates/core/src/batch_pass.rs ||
     test -e crates/core/src/output_pass.rs; then
     echo "ci.sh: a HOGWILD write or a separate ADAM sweep is back in the trainer" >&2
+    exit 1
+fi
+
+step "one training path (baselines are active-set policies, no HOGWILD scatter)"
+# The dense and uniform baselines are ActiveSets policies of the trainer's
+# row-owned pass (DESIGN.md §6), and Network::train_sample writes nothing.
+# No second training loop, racy parameter view, dense gradient arena,
+# touched-row stamp or per-row ADAM sweep comes back anywhere in the product.
+if grep -rnE 'HogwildPtr|row_racy|grad_w|grad_b\b|mark_active|grad_axpy|adam_row|adam_bias_full|adam_flat_span|touched_(out|in)|DenseBaseline|SampledSoftmaxBaseline' \
+    crates/*/src src; then
+    echo "ci.sh: a HOGWILD scatter or a second training loop is back" >&2
     exit 1
 fi
 
@@ -538,7 +548,29 @@ fi
 # wrong_key_count_panics, csr_round_trip_is_bit_identical,
 # bucket_cap_is_respected_under_both_policies and lsh_props'
 # bucket_never_exceeds_cap (both now reservoir-only).
-MIN_TIER1_TESTS=639
+# One training path: 639 - 21 + 8 = 626. Deleted with their code (named in
+# CHANGES.md): the DenseBaseline, SampledSoftmaxBaseline and HogwildArray
+# doctests (3); dense::tests::{convergence_log_shape,
+# parameter_count_matches_formula} (2); hogwild::tests (5); the other
+# three tests of hogwild_stress.rs (3); params::tests::{flat_adam_matches_row_adam,
+# fragmented_layout_rejects_flat_adam, mark_active_dedups_within_batch} (3);
+# and, ported under new names, dense::tests::{learns_synthetic_task,
+# loss_decreases_over_epochs} and sampled::tests::{learns_synthetic_task,
+# active_set_is_labels_plus_negatives} to the trainer (4), and
+# hogwild_stress's disjoint_row_writes_land_exactly_under_contention to the
+# arena (1).
+# Added: trainer::tests::{dense_policy_learns_synthetic_task,
+# dense_policy_loss_decreases_over_epochs, uniform_policy_learns_synthetic_task,
+# dense_and_uniform_policies_leave_the_tables_alone},
+# batch_pass::tests::uniform_active_sets_are_labels_plus_negatives_at_any_thread_count,
+# retrieval::tests::{select_all_lists_the_labels_then_every_other_row_once,
+# select_uniform_draws_distinct_rows_deterministically_in_the_salt} and
+# arena::tests::row_ptr_writes_of_disjoint_owners_land_exactly. Renamed in
+# place: params::tests::adam_row_moves_weights_against_gradient_and_clears
+# -> step_row_moves_weights_against_gradient and core_props'
+# zero_scale_training_probe_leaves_weights_unchanged ->
+# train_sample_leaves_every_exported_byte_unchanged.
+MIN_TIER1_TESTS=626
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -1,8 +1,9 @@
 //! Baselines for the SLIDE reproduction — the comparison points of §5:
 //!
-//! * [`DenseBaseline`] — a dense full-softmax trainer (the "TF FullSoftmax"
-//!   CPU stand-in) sharing SLIDE's SIMD substrate so the measured gap
-//!   isolates the LSH-sampling algorithm,
+//! * the "TF FullSoftmax" CPU stand-in and uniform sampled softmax are not
+//!   here: they are `slide_core::Trainer` runs under
+//!   `slide_core::ActiveSets::All` / `ActiveSets::Uniform`, so the measured
+//!   gap isolates which output rows are active,
 //! * [`DeviceModel`] — the analytic V100 epoch-time model (the only
 //!   *modeled* number in the reproduction; everything CPU-side is measured),
 //! * [`Method`] and the `naive_slide` / `optimized_slide_*` presets — the
@@ -19,12 +20,8 @@
 //! assert_eq!(Method::all().len(), 5);
 //! ```
 
-mod dense;
 mod device_model;
 mod presets;
-mod sampled;
 
-pub use dense::{DenseBaseline, DenseConfig, DENSE_EVAL_MODE};
 pub use device_model::DeviceModel;
 pub use presets::{naive_slide, optimized_slide_clx, optimized_slide_cpx, Method};
-pub use sampled::{SampledSoftmaxBaseline, SampledSoftmaxConfig};

@@ -7,8 +7,8 @@
 //! cargo run -p slide-bench --release --bin ablation_sampling
 //! ```
 
-use slide_baseline::{SampledSoftmaxBaseline, SampledSoftmaxConfig};
 use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
+use slide_core::{ActiveSets, TrainerConfig};
 use slide_simd::SimdPolicy;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     let slide_cfg = w.network_config(train.feature_dim(), train.label_dim());
     let budget = slide_cfg.lsh.min_active;
     let slide = run_slide(
-        slide_cfg,
+        slide_cfg.clone(),
         w.trainer_config(),
         SimdPolicy::Auto,
         None,
@@ -36,32 +36,32 @@ fn main() {
         400,
     );
 
-    // Uniform sampled softmax at a few budgets around SLIDE's.
+    // Uniform sampled softmax at a few budgets around SLIDE's: the same
+    // network and trainer, every sample's active set its labels plus a
+    // uniform draw.
     let mut rows = vec![vec![
         format!("SLIDE (LSH retrieval, min_active={budget})"),
         fmt_secs(slide.epoch_seconds),
         format!("{:.3}", slide.p_at_1),
     ]];
     for negatives in [budget, budget * 4, budget * 16] {
-        let mut b = SampledSoftmaxBaseline::new(SampledSoftmaxConfig {
-            input_dim: train.feature_dim(),
-            hidden: w.hidden(),
-            output_dim: train.label_dim(),
-            negatives,
-            batch_size: w.batch_size(),
-            learning_rate: w.learning_rate(),
-            threads: 0,
-            seed: 9,
-        });
-        let mut secs = 0.0;
-        for epoch in 0..n_epochs {
-            secs += b.train_epoch(&train, epoch as u64).0;
-        }
-        let p1 = b.evaluate(&test, 1, Some(400));
+        let uniform = run_slide(
+            slide_cfg.clone(),
+            TrainerConfig {
+                active_sets: ActiveSets::Uniform { negatives },
+                ..w.trainer_config()
+            },
+            SimdPolicy::Auto,
+            None,
+            &train,
+            &test,
+            n_epochs,
+            400,
+        );
         rows.push(vec![
             format!("uniform negatives = {negatives}"),
-            fmt_secs(secs / n_epochs as f64),
-            format!("{p1:.3}"),
+            fmt_secs(uniform.epoch_seconds),
+            format!("{:.3}", uniform.p_at_1),
         ]);
     }
     print_table(

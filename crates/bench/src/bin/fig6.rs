@@ -10,8 +10,10 @@
 //! cargo run -p slide-bench --release --bin fig6 -- --barchart   # summary only
 //! ```
 
-use slide_baseline::{DenseBaseline, DenseConfig, Method};
-use slide_bench::{epochs, fmt_secs, model_v100, print_table, scale, with_preset_policy, Workload};
+use slide_baseline::Method;
+use slide_bench::{
+    dense_configs, epochs, fmt_secs, model_v100, print_table, scale, with_preset_policy, Workload,
+};
 use slide_core::{ConvergenceLog, EvalMode, Network, Trainer};
 use std::path::PathBuf;
 
@@ -27,7 +29,7 @@ fn slide_curve(
         Method::NaiveSlide => slide_baseline::naive_slide(&mut cfg),
         Method::OptimizedSlideClx => slide_baseline::optimized_slide_clx(&mut cfg),
         Method::OptimizedSlideCpx => slide_baseline::optimized_slide_cpx(&mut cfg),
-        _ => unreachable!("dense methods use their own runner"),
+        _ => unreachable!("dense methods use dense_curve"),
     };
     with_preset_policy(policy, || {
         let mut trainer =
@@ -43,16 +45,10 @@ fn dense_curve(
     test: &slide_data::Dataset,
     n_epochs: u32,
 ) -> ConvergenceLog {
-    let mut dense = DenseBaseline::new(DenseConfig {
-        input_dim: train.feature_dim(),
-        hidden: w.hidden(),
-        output_dim: train.label_dim(),
-        batch_size: w.batch_size(),
-        learning_rate: w.learning_rate(),
-        threads: 0,
-        seed: 7,
-    });
-    dense.run_convergence(train, test, n_epochs, Some(400))
+    let (cfg, tc) = dense_configs(w, train.feature_dim(), train.label_dim());
+    let mut dense =
+        Trainer::new(Network::new(cfg).expect("valid config"), tc).expect("valid trainer");
+    dense.run_convergence(train, test, n_epochs, EvalMode::Exact, Some(400))
 }
 
 /// Rescale a measured dense curve's time axis by the modeled V100/CPU ratio.

@@ -6,9 +6,9 @@
 //! printing. Scale up with `SLIDE_SCALE=<n>`; absolute numbers grow, the
 //! ratios are the reproducible signal.
 
-use slide_baseline::{DenseBaseline, DenseConfig, DeviceModel, Method};
+use slide_baseline::{DeviceModel, Method};
 use slide_core::{
-    EvalMode, HashFamilyKind, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
+    ActiveSets, EvalMode, HashFamilyKind, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
 };
 use slide_data::{generate_synthetic, generate_text, Dataset, SynthConfig, TextConfig};
 use slide_simd::SimdPolicy;
@@ -223,6 +223,21 @@ pub fn run_slide(
     }
 }
 
+/// The dense full-softmax baseline (the TF-CPU stand-in) on `workload`:
+/// SLIDE's network (fp32, coalesced) and trainer with every output row
+/// active, so no table is queried or rebuilt.
+pub fn dense_configs(
+    workload: Workload,
+    feature_dim: usize,
+    label_dim: usize,
+) -> (NetworkConfig, TrainerConfig) {
+    let trainer_cfg = TrainerConfig {
+        active_sets: ActiveSets::All,
+        ..workload.trainer_config()
+    };
+    (workload.network_config(feature_dim, label_dim), trainer_cfg)
+}
+
 /// Train the dense full-softmax baseline and measure it.
 pub fn run_dense(
     workload: Workload,
@@ -231,25 +246,17 @@ pub fn run_dense(
     n_epochs: u32,
     eval_samples: usize,
 ) -> RunResult {
-    let mut dense = DenseBaseline::new(DenseConfig {
-        input_dim: train.feature_dim(),
-        hidden: workload.hidden(),
-        output_dim: train.label_dim(),
-        batch_size: workload.batch_size(),
-        learning_rate: workload.learning_rate(),
-        threads: 0,
-        seed: 7,
-    });
-    let mut secs = 0.0;
-    for epoch in 0..n_epochs {
-        secs += dense.train_epoch(train, epoch as u64).0;
-    }
-    let p1 = dense.evaluate(test, 1, Some(eval_samples));
-    RunResult {
-        epoch_seconds: secs / n_epochs as f64,
-        p_at_1: p1,
-        modeled: false,
-    }
+    let (net_cfg, trainer_cfg) = dense_configs(workload, train.feature_dim(), train.label_dim());
+    run_slide(
+        net_cfg,
+        trainer_cfg,
+        SimdPolicy::Auto,
+        None,
+        train,
+        test,
+        n_epochs,
+        eval_samples,
+    )
 }
 
 /// Model the V100 epoch time for this workload at our scale, carrying the

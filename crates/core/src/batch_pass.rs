@@ -12,11 +12,17 @@
 //!
 //! A row lies in one chunk and a chunk goes to one worker, so both layers
 //! are written race-free: no atomic stamp, no touched-row merge, no dense
-//! gradient arena. At one thread every row gradient and step is
-//! bit-identical to [`crate::Network::train_sample`]'s scatter followed by
-//! its per-row ADAM sweep; only `dh`'s summation order differs.
+//! gradient arena. At one thread every output row's gradient and step is
+//! bit-identical to summing its samples' `δ·scale·h` in batch order and
+//! stepping once (the reference in `tests/batch_equivalence.rs`); only
+//! `dh`'s summation order differs.
+//!
+//! Which rows a sample activates is the trainer's [`ActiveSets`] policy:
+//! LSH retrieval for SLIDE, every row for the full-softmax baseline, a
+//! uniform draw for sampled softmax. The pass after that is the same.
 
 use crate::activation::relu_backward_mask;
+use crate::config::ActiveSets;
 use crate::layer::softmax_deltas;
 use crate::network::Network;
 use crate::params::LayerParams;
@@ -177,8 +183,9 @@ impl BatchPass {
 
     /// Forward every labelled sample `i` of the batch (`store.get(i)`,
     /// labels of `indices[i]`) through the input layer, keep its hidden
-    /// activation, and pick its active set with salt `salt_base | i`.
-    #[allow(clippy::too_many_arguments)] // the batch and where it runs
+    /// activation, and pick its active set under `sets` with salt
+    /// `salt_base | i`.
+    #[allow(clippy::too_many_arguments)] // the batch, its policy and where it runs
     pub(crate) fn forward(
         &mut self,
         net: &Network,
@@ -187,6 +194,7 @@ impl BatchPass {
         store: &BatchStore,
         data: &Dataset,
         indices: &[u32],
+        sets: ActiveSets,
         salt_base: u64,
     ) {
         let n = indices.len();
@@ -211,7 +219,7 @@ impl BatchPass {
                 net.forward_hidden(store.get(i), scratch);
                 h_i.copy_from_slice(&scratch.acts[0]);
                 net.output()
-                    .select_active(h_i, labels, scratch, salt_base | i as u64);
+                    .select_training(sets, h_i, labels, scratch, salt_base | i as u64);
                 std::mem::swap(&mut scratch.active, active_i);
             }
         });
@@ -229,8 +237,7 @@ impl BatchPass {
         let (rows, workers) = (&self.out_rows, &mut self.workers);
         for_each_row(pool, rows, workers, out, false, |buf, r, samples, pairs| {
             buf.row.resize(samples.len(), 0.0);
-            // SAFETY: `for_each_row` hands row `r` to this worker alone.
-            unsafe { out.score_row_samples(ks, r, h, samples, &mut buf.row) };
+            out.score_row_samples(ks, r, h, samples, &mut buf.row);
             for (&pair, &z) in pairs.iter().zip(&buf.row) {
                 // SAFETY: a pair is one (sample, active slot) and is listed
                 // under exactly one row, which this worker owns.

@@ -1,10 +1,13 @@
-//! The row-owned input stage against the per-sample scatter it replaces:
-//! `grad_axpy_ks` per (sample, non-zero) in sample order, `grad_bias_axpy_ks`
-//! per sample, then `adam_row` on every touched row and `adam_bias_full`.
+//! The row-owned input stage against a per-sample scatter kept here: every
+//! (sample, non-zero) added into its row's gradient in sample order, every
+//! sample into the bias gradient, then one ADAM step per touched row and
+//! one for the bias. Also the forward stage under the uniform policy.
 
 use super::*;
 use crate::config::{LshConfig, NetworkConfig, Precision};
+use slide_data::generate_synthetic;
 use slide_mem::SparseBatch;
+use std::collections::BTreeMap;
 
 /// Hidden width: past one 16-lane step and not a multiple of 8, so every
 /// kernel tail runs.
@@ -71,6 +74,8 @@ fn input_rows_match_the_per_sample_scatter_and_sweep() {
             pass.input_step(&net, &pool, &ks, &store, scale, step);
 
             let p = oracle.input().params();
+            let mut grads: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+            let mut gb = vec![0.0; COLS];
             for s in 0..n {
                 let row = s * COLS..(s + 1) * COLS;
                 let mut dy = pass.workers[0].dx[row.clone()].to_vec();
@@ -78,20 +83,19 @@ fn input_rows_match_the_per_sample_scatter_and_sweep() {
                     *d += x;
                 }
                 relu_backward_mask(&pass.h[row], &mut dy);
-                // SAFETY: single-threaded.
-                unsafe {
-                    for (j, v) in store.get(s).iter() {
-                        p.grad_axpy_ks(&ks, j as usize, v * scale, &dy);
-                    }
-                    p.grad_bias_axpy_ks(&ks, &dy, scale);
+                for (j, v) in store.get(s).iter() {
+                    let g = grads.entry(j).or_insert_with(|| vec![0.0; COLS]);
+                    ks.axpy(v * scale, &dy, g);
                 }
+                ks.axpy(scale, &dy, &mut gb);
             }
+            assert_eq!(grads.keys().copied().collect::<Vec<_>>(), [3, 5, 7, 9]);
             // SAFETY: single-threaded; each row once.
             unsafe {
-                for r in [3, 5, 7, 9] {
-                    p.adam_row(r, step);
+                for (&r, g) in &grads {
+                    p.step_row(r as usize, g, step);
                 }
-                p.adam_bias_full(step);
+                p.step_bias(&gb, step);
             }
             let (got, want) = (export(net.input().params()), export(p));
             assert!(got == want, "{what}: step {t} diverged from the oracle");
@@ -102,6 +106,56 @@ fn input_rows_match_the_per_sample_scatter_and_sweep() {
             "{what}: nothing moved"
         );
     }
+}
+
+#[test]
+fn uniform_active_sets_are_labels_plus_negatives_at_any_thread_count() {
+    let data = generate_synthetic(&slide_data::SynthConfig {
+        feature_dim: 16,
+        label_dim: 32,
+        n_train: 24,
+        n_test: 1,
+        labels_per_sample: 2,
+        ..Default::default()
+    })
+    .train;
+    let indices: Vec<u32> = (0..data.len() as u32).collect();
+    let mut batch = SparseBatch::new();
+    for &i in &indices {
+        let x = data.features(i as usize);
+        batch.push(x.indices, x.values);
+    }
+    let store = BatchStore::from_batch(&batch, true);
+    let net = network(Precision::Fp32, true);
+    let sets = ActiveSets::Uniform { negatives: 5 };
+    let run = |threads: usize, salt_base: u64| {
+        let pool = ThreadPool::new(threads);
+        let mut scratches: Vec<_> = (0..threads).map(|_| net.make_scratch()).collect();
+        let mut pass = BatchPass::new(&net, threads);
+        pass.forward(
+            &net,
+            &pool,
+            &mut scratches,
+            &store,
+            &data,
+            &indices,
+            sets,
+            salt_base,
+        );
+        pass.active
+    };
+    let one = run(1, 1 << 20);
+    for (i, active) in one.iter().enumerate() {
+        let labels = data.labels(i);
+        assert_eq!(&active[..labels.len()], labels, "sample {i}: labels first");
+        assert_eq!(active.len(), labels.len() + 5, "sample {i}: plus 5");
+        let mut rows = active.clone();
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(rows.len(), active.len(), "sample {i}: distinct rows");
+    }
+    assert_eq!(run(2, 1 << 20), one, "the draw depends on the salt alone");
+    assert_ne!(run(1, 2 << 20), one, "another batch draws other rows");
 }
 
 #[test]

@@ -153,7 +153,10 @@ fn layer_params(network: &Network) -> [&crate::params::LayerParams; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LshConfig, NetworkConfig, Precision};
+    use crate::config::{LshConfig, NetworkConfig, Precision, TrainerConfig};
+    use crate::params::LayerParams;
+    use crate::trainer::Trainer;
+    use slide_data::Dataset;
     use slide_mem::SparseVecRef;
 
     fn config() -> NetworkConfig {
@@ -167,20 +170,44 @@ mod tests {
         cfg
     }
 
-    fn perturb(net: &Network) {
-        // Make the state distinctive before saving.
-        let mut scratch = net.make_scratch();
-        let idx = [1u32, 30];
-        let val = [1.0f32, -2.0];
-        for t in 1..10 {
-            net.train_sample(SparseVecRef::new(&idx, &val), &[3], &mut scratch, 1.0, t, 0);
+    /// A network of `cfg` after nine training batches, so its weights,
+    /// biases and moments are all distinctive.
+    fn perturbed(cfg: NetworkConfig) -> Network {
+        let mut data = Dataset::new(64, 32);
+        data.push(&[1, 30], &[1.0, -2.0], &[3]);
+        data.push(&[7, 30, 50], &[0.5, 1.0, 0.25], &[3, 17]);
+        let tc = TrainerConfig {
+            batch_size: 2,
+            learning_rate: 1e-2,
+            threads: 1,
+            ..Default::default()
+        };
+        let mut trainer = Trainer::new(Network::new(cfg).unwrap(), tc).unwrap();
+        for _ in 1..10 {
+            trainer.train_batch(&data, &[0, 1]);
         }
+        trainer.into_network()
+    }
+
+    fn export(p: &LayerParams) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.export_into(&mut bytes);
+        bytes
     }
 
     #[test]
     fn roundtrip_restores_predictions() {
-        let net = Network::new(config()).unwrap();
-        perturb(&net);
+        let net = perturbed(config());
+        // What is saved is not a fresh network's state: in both layers the
+        // weights and the ADAM moments moved.
+        let fresh = Network::new(config()).unwrap();
+        for (p, f) in layer_params(&net).into_iter().zip(layer_params(&fresh)) {
+            let (a, b) = (export(p), export(f));
+            let weights = p.rows() * p.cols() * 4;
+            let moments = weights + p.units() * 4;
+            assert_ne!(a[..weights], b[..weights], "weights moved");
+            assert_ne!(a[moments..], b[moments..], "moments moved");
+        }
         let mut bytes = Vec::new();
         save_checkpoint(&net, &mut bytes).unwrap();
 
@@ -196,12 +223,9 @@ mod tests {
             net.predict(x, 5, &mut s1, true, 0),
             restored.predict(x, 5, &mut s2, true, 0)
         );
-        // Weights bit-identical.
-        for r in 0..32 {
-            assert_eq!(
-                net.output().params().row_f32(r),
-                restored.output().params().row_f32(r)
-            );
+        // Weights, biases and moments bit-identical.
+        for (p, q) in layer_params(&net).into_iter().zip(layer_params(&restored)) {
+            assert!(export(p) == export(q));
         }
     }
 
@@ -209,8 +233,12 @@ mod tests {
     fn bf16_checkpoint_roundtrips_into_fp32_network() {
         let mut cfg = config();
         cfg.precision = Precision::Bf16Both;
-        let net = Network::new(cfg).unwrap();
-        perturb(&net);
+        let net = perturbed(cfg.clone());
+        assert_ne!(
+            export(net.output().params()),
+            export(Network::new(cfg).unwrap().output().params()),
+            "the bf16 network trained"
+        );
         let mut bytes = Vec::new();
         save_checkpoint(&net, &mut bytes).unwrap();
 

@@ -202,6 +202,29 @@ impl NetworkConfig {
     }
 }
 
+/// Which output rows a training sample's softmax runs over: the one
+/// difference between SLIDE and the paper's comparison points (full softmax
+/// for TF, a uniform draw for sampled softmax). Every variant puts the
+/// sample's labels first and goes through the same row-owned batch pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum ActiveSets {
+    /// SLIDE: the rows the LSH tables retrieve, capped and padded per
+    /// [`LshConfig`]; the tables are rebuilt on the [`RebuildSchedule`].
+    #[default]
+    Retrieval,
+    /// Full softmax (the TF-CPU stand-in): the labels, then every other row
+    /// in ascending order. No table is queried or rebuilt.
+    All,
+    /// Sampled softmax: the labels plus `negatives` distinct rows from the
+    /// uniform pad stream (all rows if fewer remain). No table is queried
+    /// or rebuilt.
+    Uniform {
+        /// Rows drawn per sample beside its labels.
+        negatives: usize,
+    },
+}
+
 /// Optimizer + loop parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -216,12 +239,14 @@ pub struct TrainerConfig {
     pub beta2: f32,
     /// ADAM ε.
     pub eps: f32,
-    /// HOGWILD worker threads (0 = all available cores).
+    /// Worker threads of the batch pass (0 = all available cores).
     pub threads: usize,
     /// Hash-table rebuild schedule.
     pub rebuild: RebuildSchedule,
     /// Seed for epoch shuffling and active-set padding.
     pub shuffle_seed: u64,
+    /// How each sample's active set is chosen.
+    pub active_sets: ActiveSets,
 }
 
 impl Default for TrainerConfig {
@@ -235,6 +260,7 @@ impl Default for TrainerConfig {
             threads: 0,
             rebuild: RebuildSchedule::default(),
             shuffle_seed: 0x7EA1,
+            active_sets: ActiveSets::Retrieval,
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   `Wᵀ`).
 
 use crate::activation::{relu, softmax_into};
-use crate::config::{LshConfig, Precision};
+use crate::config::{ActiveSets, LshConfig, Precision};
 use crate::params::LayerParams;
 use crate::retrieval::Retrieval;
 use crate::scratch::WorkerScratch;
@@ -75,32 +75,9 @@ impl SparseInputLayer {
         );
         out.copy_from_slice(self.params.bias_slice());
         for (j, v) in x.iter() {
-            // SAFETY: HOGWILD contract — the layer outlives the call.
-            unsafe { self.params.w_axpy_into_ks(ks, j as usize, v, out) };
+            self.params.w_axpy_into_ks(ks, j as usize, v, out);
         }
         relu(out);
-    }
-
-    /// Backward pass: accumulate `∇W[j] += v_j · dy · scale` for each
-    /// non-zero and `∇b += dy · scale`; stamps touched feature rows.
-    ///
-    /// `dy` must already be masked by the ReLU derivative.
-    pub fn backward(
-        &self,
-        x: SparseVecRef<'_>,
-        dy: &[f32],
-        scale: f32,
-        stamp: u32,
-        touched: &mut Vec<u32>,
-        ks: &KernelSet,
-    ) {
-        for (j, v) in x.iter() {
-            // SAFETY: HOGWILD contract.
-            unsafe { self.params.grad_axpy_ks(ks, j as usize, v * scale, dy) };
-            self.params.mark_active(j as usize, stamp, touched);
-        }
-        // SAFETY: HOGWILD contract.
-        unsafe { self.params.grad_bias_axpy_ks(ks, dy, scale) };
     }
 }
 
@@ -204,21 +181,38 @@ impl SampledOutputLayer {
             .select([&*tables], h, labels, scratch.select_buffers(), salt);
     }
 
-    /// Train on one sample: sampled softmax + cross-entropy over the active
-    /// set, gradient accumulation into this layer, and the hidden gradient
-    /// `dx += Wᵀδ` (unscaled — the upstream layer applies `scale` when it
-    /// accumulates its own gradients).
-    ///
-    /// Returns the sample's cross-entropy loss. Samples with no labels
-    /// return 0 and touch nothing.
-    #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's full argument list
-    pub fn train_sample(
+    /// A training sample's active set under `sets` into `scratch.active`,
+    /// the `labels` first: [`SampledOutputLayer::select_active`] for
+    /// [`ActiveSets::Retrieval`]; every row, or a uniform draw, for the
+    /// baselines, which read no table.
+    pub(crate) fn select_training(
+        &self,
+        sets: ActiveSets,
+        h: &[f32],
+        labels: &[u32],
+        scratch: &mut WorkerScratch,
+        salt: u64,
+    ) {
+        let (dedup, active) = (&mut scratch.dedup, &mut scratch.active);
+        match sets {
+            ActiveSets::Retrieval => self.select_active(h, labels, scratch, salt),
+            ActiveSets::All => self.retrieval.select_all(labels, dedup, active),
+            ActiveSets::Uniform { negatives } => self
+                .retrieval
+                .select_uniform(labels, negatives, dedup, active, salt),
+        }
+    }
+
+    /// One sample's sampled softmax, writing no parameter: select its
+    /// active set (`scratch.active`), score it, leave the cross-entropy
+    /// deltas `p − t` in `scratch.probs`, and add the hidden gradient
+    /// `Wᵀδ` into `dx`. Returns the loss; a sample without labels returns 0
+    /// and touches nothing.
+    pub(crate) fn sample_deltas(
         &self,
         h: &[f32],
         labels: &[u32],
         scratch: &mut WorkerScratch,
-        scale: f32,
-        stamp: u32,
         dx: &mut [f32],
         salt: u64,
     ) -> f32 {
@@ -227,41 +221,18 @@ impl SampledOutputLayer {
         }
         let ks = scratch.kernels;
         self.select_active(h, labels, scratch, salt);
-        let active_len = scratch.active.len();
         scratch.logits.clear();
-        scratch.logits.resize(active_len, 0.0);
-        // SAFETY: HOGWILD contract; one fused multi-row scoring call over
-        // the gathered active set replaces a dispatched dot per row.
-        unsafe {
-            self.params.score_rows_into(
-                &ks,
-                &scratch.active,
-                h,
-                &mut scratch.gather,
-                &mut scratch.logits,
-            )
-        };
+        scratch.logits.resize(scratch.active.len(), 0.0);
+        self.params.score_rows_into(
+            &ks,
+            &scratch.active,
+            h,
+            &mut scratch.gather,
+            &mut scratch.logits,
+        );
         let loss = softmax_deltas(&scratch.logits, labels.len(), &mut scratch.probs);
-
-        // The fused backward: one pass per row computes both `dx += δ·W[r]`
-        // and `grad[r] += δ·scale·h`.
-        // SAFETY: HOGWILD contract; the active list is duplicate-free.
-        unsafe {
-            self.params.backward_rows_fused(
-                &ks,
-                &scratch.active,
-                &scratch.probs,
-                scale,
-                h,
-                dx,
-                &mut scratch.gather,
-            )
-        };
-        for i in 0..active_len {
-            let r = scratch.active[i] as usize;
-            // SAFETY: HOGWILD contract; rows marked for the sparse ADAM pass.
-            unsafe { self.params.grad_bias_add(r, scratch.probs[i] * scale) };
-            self.params.mark_active(r, stamp, &mut scratch.touched_out);
+        for (&r, &delta) in scratch.active.iter().zip(&scratch.probs) {
+            self.params.w_axpy_into_ks(&ks, r as usize, delta, dx);
         }
         loss
     }
@@ -279,16 +250,13 @@ impl SampledOutputLayer {
         self.select_active(h, &[], scratch, salt);
         scratch.logits.clear();
         scratch.logits.resize(scratch.active.len(), 0.0);
-        // SAFETY: HOGWILD contract.
-        unsafe {
-            self.params.score_rows_into(
-                &ks,
-                &scratch.active,
-                h,
-                &mut scratch.gather,
-                &mut scratch.logits,
-            )
-        };
+        self.params.score_rows_into(
+            &ks,
+            &scratch.active,
+            h,
+            &mut scratch.gather,
+            &mut scratch.logits,
+        );
         top_k_indices(&scratch.logits, k)
             .into_iter()
             .map(|i| scratch.active[i as usize])
@@ -296,19 +264,16 @@ impl SampledOutputLayer {
     }
 
     /// Predict the top-`k` labels scoring *every* output unit (exact
-    /// full-softmax argmax; used for accuracy parity checks and the dense
-    /// baseline comparison).
+    /// full-softmax argmax; used for accuracy parity checks and exact
+    /// evaluation).
     pub fn predict_topk_full(&self, h: &[f32], k: usize, scratch: &mut WorkerScratch) -> Vec<u32> {
         let ks = scratch.kernels;
         let n = self.output_dim();
         scratch.logits.clear();
         scratch.logits.resize(n, 0.0);
-        // SAFETY: HOGWILD contract; coalesced f32 storage takes the blocked
-        // strided-gemv fast path.
-        unsafe {
-            self.params
-                .score_all_into(&ks, h, &mut scratch.gather, &mut scratch.logits)
-        };
+        // Coalesced f32 storage takes the blocked strided-gemv fast path.
+        self.params
+            .score_all_into(&ks, h, &mut scratch.gather, &mut scratch.logits);
         top_k_indices(&scratch.logits, k)
     }
 }
@@ -364,8 +329,7 @@ mod tests {
     fn score_all(p: &LayerParams, x: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0; p.rows()];
         let (ks, mut gather) = (KernelSet::resolve(), RowGather::default());
-        // SAFETY: single-threaded; nothing else touches `p`.
-        unsafe { p.score_all_into(&ks, x, &mut gather, &mut out) };
+        p.score_all_into(&ks, x, &mut gather, &mut out);
         out
     }
 
@@ -393,11 +357,19 @@ mod tests {
         }
     }
 
+    /// Plain SGD on the rows `sample_deltas` last scored: `W[r] -= lr·δ·h`,
+    /// through `&mut`.
+    fn sgd_step(layer: &mut SampledOutputLayer, scratch: &WorkerScratch, h: &[f32], lr: f32) {
+        for (&r, &delta) in scratch.active.iter().zip(&scratch.probs) {
+            layer.params_mut().add_to_row(r as usize, -lr * delta, h);
+        }
+    }
+
     #[test]
     fn train_sample_at_detected_level_matches_scalar_table() {
         // The vector kernels and the scalar table must produce the same
-        // loss, hidden gradient, and accumulated weight gradients (up to
-        // float reassociation).
+        // active set, loss, deltas and hidden gradient (up to float
+        // reassociation).
         let lsh = LshConfig {
             min_active: 24,
             ..Default::default()
@@ -410,23 +382,18 @@ mod tests {
             let mut scratch = scratch_for(16, 48, &layer);
             scratch.kernels = KernelSet::for_level(level);
             let mut dx = vec![0.0; 16];
-            let loss = layer.train_sample(&h, &labels, &mut scratch, 0.5, 1, &mut dx, 9);
-            let grads: Vec<f32> = scratch
-                .touched_out
-                .iter()
-                .map(|&r| layer.params().grad_at(r as usize, 5))
-                .collect();
-            (loss, dx, scratch.touched_out.clone(), grads)
+            let loss = layer.sample_deltas(&h, &labels, &mut scratch, &mut dx, 9);
+            (loss, dx, scratch.active.clone(), scratch.probs.clone())
         };
-        let (loss_v, dx_v, touched_v, grads_v) = run(slide_simd::detected_level());
-        let (loss_s, dx_s, touched_s, grads_s) = run(slide_simd::SimdLevel::Scalar);
-        assert_eq!(touched_v, touched_s, "active sets must be identical");
+        let (loss_v, dx_v, active_v, deltas_v) = run(slide_simd::detected_level());
+        let (loss_s, dx_s, active_s, deltas_s) = run(slide_simd::SimdLevel::Scalar);
+        assert_eq!(active_v, active_s, "active sets must be identical");
         assert!((loss_v - loss_s).abs() < 1e-5, "{loss_v} vs {loss_s}");
         for i in 0..16 {
             assert!((dx_v[i] - dx_s[i]).abs() < 1e-4, "dx[{i}]");
         }
-        for (i, (a, b)) in grads_v.iter().zip(&grads_s).enumerate() {
-            assert!((a - b).abs() < 1e-5, "grad[{i}]");
+        for (i, (a, b)) in deltas_v.iter().zip(&deltas_s).enumerate() {
+            assert!((a - b).abs() < 1e-5, "delta[{i}]");
         }
     }
 
@@ -436,23 +403,16 @@ mod tests {
             min_active: 16,
             ..Default::default()
         };
-        let layer =
+        let mut layer =
             SampledOutputLayer::new(8, 40, &lsh, ParamLayout::Coalesced, Precision::Fp32, 6);
         let mut scratch = scratch_for(8, 40, &layer);
         let h: Vec<f32> = (0..8).map(|i| 0.3 + i as f32 * 0.1).collect();
         let labels = [5u32];
         let mut dx = vec![0.0; 8];
-        let first = layer.train_sample(&h, &labels, &mut scratch, 1.0, 1, &mut dx, 0);
-        // Apply the accumulated gradients.
-        let step = slide_simd::AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, 1);
-        for &r in scratch.touched_out.clone().iter() {
-            unsafe {
-                layer.params().adam_row(r as usize, step);
-                layer.params().adam_bias_at(r as usize, step);
-            }
-        }
+        let first = layer.sample_deltas(&h, &labels, &mut scratch, &mut dx, 0);
+        sgd_step(&mut layer, &scratch, &h, 0.5);
         let mut dx2 = vec![0.0; 8];
-        let second = layer.train_sample(&h, &labels, &mut scratch, 1.0, 2, &mut dx2, 0);
+        let second = layer.sample_deltas(&h, &labels, &mut scratch, &mut dx2, 0);
         assert!(
             second < first,
             "loss should drop after an update: {first} -> {second}"
@@ -472,9 +432,9 @@ mod tests {
         );
         let mut scratch = scratch_for(4, 10, &layer);
         let mut dx = vec![0.0; 4];
-        let loss = layer.train_sample(&[1.0; 4], &[], &mut scratch, 1.0, 1, &mut dx, 0);
+        let loss = layer.sample_deltas(&[1.0; 4], &[], &mut scratch, &mut dx, 0);
         assert_eq!(loss, 0.0);
-        assert!(scratch.touched_out.is_empty());
+        assert!(scratch.active.is_empty());
         assert!(dx.iter().all(|&v| v == 0.0));
     }
 
@@ -510,12 +470,19 @@ mod tests {
             min_active: 8,
             ..Default::default()
         };
-        let layer =
+        let mut layer =
             SampledOutputLayer::new(8, 20, &lsh, ParamLayout::Coalesced, Precision::Bf16Both, 10);
         assert!(layer.params().is_bf16());
         let mut scratch = scratch_for(8, 20, &layer);
         let mut dx = vec![0.0; 8];
-        let loss = layer.train_sample(&[0.5; 8], &[3], &mut scratch, 1.0, 1, &mut dx, 0);
+        let h = [0.5; 8];
+        let loss = layer.sample_deltas(&h, &[3], &mut scratch, &mut dx, 0);
         assert!(loss.is_finite() && loss > 0.0);
+        sgd_step(&mut layer, &scratch, &h, 0.5);
+        let again = layer.sample_deltas(&h, &[3], &mut scratch, &mut dx, 0);
+        assert!(
+            again < loss,
+            "bf16 step lowered the loss: {loss} -> {again}"
+        );
     }
 }

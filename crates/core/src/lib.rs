@@ -13,9 +13,11 @@
 //! whose output is the one hidden activation ([`NetworkConfig::hidden`]
 //! wide), and the LSH-sampled softmax output layer over it. The trainer
 //! walks both layers by row, each row the batch touches owned by one worker
-//! that sums its gradient and takes its ADAM step; the per-sample HOGWILD
-//! path, [`Network::train_sample`], stays as the oracle it is checked
-//! against. This crate layers the paper's CPU optimizations on top:
+//! that sums its gradient and takes its ADAM step; nothing else writes
+//! parameters. The paper's baselines train on the same path: an
+//! [`ActiveSets`] policy picks every row (full softmax) or a uniform draw
+//! (sampled softmax) instead of the LSH retrieval. This crate layers the
+//! paper's CPU optimizations on top:
 //!
 //! * **Vectorization (§4.2–4.3)** — all dense kernels run on AVX-512 when
 //!   available (via [`slide_simd`]), with the Algorithm 1/2 row/column-major
@@ -76,7 +78,7 @@ mod trainer;
 pub use activation::{relu, relu_backward_mask, softmax_into};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use config::{
-    HashFamilyKind, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
+    ActiveSets, HashFamilyKind, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
     TrainerConfig,
 };
 pub use layer::{SampledOutputLayer, SparseInputLayer};

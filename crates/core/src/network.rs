@@ -1,9 +1,9 @@
 //! The SLIDE network: sparse input layer → one hidden layer → LSH-sampled
 //! softmax output (the paper's architecture for every workload), with its
-//! per-sample passes (all methods take `&self`). The forward pass serves
-//! the trainer and inference; [`Network::train_sample`], which accumulates
-//! gradients through the documented racy HOGWILD kernels, is the oracle the
-//! trainer's row-owned batch pass is checked against.
+//! per-sample passes. All of them take `&self` and write no parameter: the
+//! forward pass serves the trainer and inference, and
+//! [`Network::train_sample`] computes one sample's loss and gradients for
+//! tests and the benchmark. Only [`crate::Trainer`] writes parameters.
 
 use crate::activation::relu_backward_mask;
 use crate::config::{NetworkConfig, Precision};
@@ -116,19 +116,26 @@ impl Network {
         }
     }
 
-    /// Full forward + backward for one training sample. `scale` is the
-    /// inverse batch size (gradients accumulate batch means); `stamp`
-    /// identifies the batch for sparse-row marking; `salt` decorrelates
-    /// active-set padding across samples.
+    /// One training sample's forward and backward, writing no parameter:
+    /// the hidden activation (`scratch.acts[0]`), the sample's retrieved
+    /// active set (`scratch.active`, labels first), the softmax deltas
+    /// `p − t` over it (`scratch.probs`), and the hidden gradient `Wᵀδ`
+    /// masked by the ReLU derivative (`scratch.grad`). `salt` decorrelates
+    /// active-set padding across samples. A weight row's gradient is its
+    /// delta times the activation; the trainer sums those per row.
     ///
-    /// Returns the sample's cross-entropy loss.
+    /// Returns the sample's cross-entropy loss; a sample without labels
+    /// returns 0 and leaves `scratch.grad` zero.
+    ///
+    /// `scale` and `stamp` are ignored. They are kept only because the
+    /// benchmark in `benchmark/` compiles against this signature.
     pub fn train_sample(
         &self,
         x: SparseVecRef<'_>,
         labels: &[u32],
         scratch: &mut WorkerScratch,
-        scale: f32,
-        stamp: u32,
+        _scale: f32,
+        _stamp: u32,
         salt: u64,
     ) -> f32 {
         self.forward_hidden(x, scratch);
@@ -140,15 +147,9 @@ impl Network {
         grad.fill(0.0);
         let loss = self
             .output
-            .train_sample(&acts[0], labels, scratch, scale, stamp, &mut grad, salt);
+            .sample_deltas(&acts[0], labels, scratch, &mut grad, salt);
+        relu_backward_mask(&acts[0], &mut grad);
         scratch.grad = grad;
-
-        if loss != 0.0 {
-            let ks = scratch.kernels;
-            relu_backward_mask(&acts[0], &mut scratch.grad);
-            self.input
-                .backward(x, &scratch.grad, scale, stamp, &mut scratch.touched_in, &ks);
-        }
         scratch.acts = acts;
         loss
     }
@@ -205,31 +206,30 @@ mod tests {
         assert!(Network::new(cfg).is_err());
     }
 
+    /// Plain SGD from the gradients `train_sample` leaves in `scratch`,
+    /// applied through `&mut`: `W_out[r] -= lr·δ_r·h` over the active set,
+    /// `W_in[j] -= lr·v_j·dh` over the input's non-zeros.
+    fn sgd_step(net: &mut Network, scratch: &WorkerScratch, x: SparseVecRef<'_>, lr: f32) {
+        let [input, output] = net.params_mut();
+        for (&r, &delta) in scratch.active.iter().zip(&scratch.probs) {
+            output.add_to_row(r as usize, -lr * delta, &scratch.acts[0]);
+        }
+        for (j, v) in x.iter() {
+            input.add_to_row(j as usize, -lr * v, &scratch.grad);
+        }
+    }
+
     #[test]
     fn training_reduces_loss_single_sample() {
-        let net = Network::new(tiny_config()).unwrap();
+        let mut net = Network::new(tiny_config()).unwrap();
         let mut scratch = net.make_scratch();
         let idx = [1u32, 5, 20];
         let val = [1.0f32, 0.5, 0.25];
         let x = SparseVecRef::new(&idx, &val);
-        let step = slide_simd::AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, 1);
         let mut losses = Vec::new();
         for t in 1..=20u32 {
-            let loss = net.train_sample(x, &[7], &mut scratch, 1.0, t, 0);
-            losses.push(loss);
-            // Apply updates for touched rows.
-            for &r in scratch.touched_out.clone().iter() {
-                unsafe {
-                    net.output().params().adam_row(r as usize, step);
-                    net.output().params().adam_bias_at(r as usize, step);
-                }
-            }
-            for &r in scratch.touched_in.clone().iter() {
-                unsafe { net.input().params().adam_row(r as usize, step) };
-            }
-            unsafe { net.input().params().adam_bias_full(step) };
-            scratch.touched_out.clear();
-            scratch.touched_in.clear();
+            losses.push(net.train_sample(x, &[7], &mut scratch, 1.0, t, 0));
+            sgd_step(&mut net, &scratch, x, 0.2);
         }
         assert!(
             losses.last().unwrap() < &(losses[0] * 0.5),
@@ -240,31 +240,37 @@ mod tests {
     #[test]
     fn gradient_check_output_layer() {
         // Finite-difference check of dL/dW for an output row on the active
-        // path: perturb one weight, compare loss delta to the accumulated
-        // gradient. Uses min_active == output_dim so the softmax is exact.
+        // path: perturb one weight, compare the loss delta to the analytic
+        // gradient δ·h. Uses min_active == output_dim so the softmax is
+        // exact.
         let mut cfg = tiny_config();
         cfg.lsh.min_active = 32; // full softmax
-        let net = Network::new(cfg).unwrap();
+        let mut net = Network::new(cfg).unwrap();
         let mut scratch = net.make_scratch();
         let idx = [2u32, 9];
         let val = [0.8f32, -0.3];
         let x = SparseVecRef::new(&idx, &val);
         let labels = [4u32];
 
-        // Analytic gradient: train_sample with scale 1 accumulates dL/dW.
+        // Analytic gradient of (row 4, col c), the label row at the
+        // activation's largest column: its delta times that activation.
         let _ = net.train_sample(x, &labels, &mut scratch, 1.0, 1, 0);
-        // Read the accumulated gradient for (row 4, col 0) — the label row.
-        let g_analytic = net.output().params().grad_at(4, 0);
+        let h = &scratch.acts[0];
+        let c = (0..16).max_by(|&a, &b| h[a].total_cmp(&h[b])).unwrap();
+        let slot = scratch.active.iter().position(|&r| r == 4).unwrap();
+        let g_analytic = scratch.probs[slot] * h[c];
+        assert!(g_analytic != 0.0, "the label row has a gradient");
 
-        // Numeric gradient via central differences on the same loss
-        // (scale 0 so the probes accumulate nothing).
+        // Numeric gradient via central differences on the same loss.
         let eps = 1e-3;
-        let loss_with = |delta: f32| {
-            unsafe { net.output().params().nudge_weight(4, 0, delta) };
+        let mut unit = vec![0.0; 16];
+        unit[c] = 1.0;
+        let mut loss_with = |delta: f32| {
+            net.params_mut()[1].add_to_row(4, delta, &unit);
             let mut s = net.make_scratch();
             // min_active == output_dim ⇒ deterministic full active set.
-            let l = net.train_sample(x, &labels, &mut s, 0.0, 2, 0);
-            unsafe { net.output().params().nudge_weight(4, 0, -delta) };
+            let l = net.train_sample(x, &labels, &mut s, 1.0, 2, 0);
+            net.params_mut()[1].add_to_row(4, -delta, &unit);
             l
         };
         let lp = loss_with(eps);

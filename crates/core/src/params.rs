@@ -1,19 +1,23 @@
-//! Per-layer parameter block: weights (f32 or bf16), bias, gradient
-//! accumulators, ADAM moments, and batch-activity stamps.
+//! Per-layer parameter block: weights (f32 or bf16), bias, and their ADAM
+//! moments.
 //!
 //! This is where the paper's three optimization axes meet:
 //!
-//! * **memory layout** — weights/gradients/moments live in [`ParamStore`]s
-//!   that are either contiguous arenas or per-neuron allocations (§4.1),
+//! * **memory layout** — weights and moments live in [`ParamStore`]s that
+//!   are either contiguous arenas or per-neuron allocations (§4.1),
 //! * **precision** — weights may be stored as bf16 with f32 moments (§4.4),
 //! * **vectorized sparse ADAM** — only rows the current batch touches are
-//!   updated, each with one fused [`slide_simd::adam_step_f32`] sweep
-//!   (§4.3.1), which realizes the paper's "only p² of weights updated".
+//!   updated, each with one fused [`slide_simd::adam_step_f32`] sweep by the
+//!   worker that owns the row (§4.3.1), which realizes the paper's "only p²
+//!   of weights updated".
+//!
+//! Reads take `&self` and are safe. The writes ([`LayerParams::step_row`]
+//! and its callers) are `unsafe`: the caller owns the row, so no other
+//! thread reads or writes it meanwhile.
 
 use crate::config::Precision;
-use slide_mem::{HogwildArray, ParamArenaBf16, ParamLayout, ParamStore};
+use slide_mem::{ParamArena, ParamArenaBf16, ParamLayout, ParamStore};
 use slide_simd::{AdamStep, KernelSet, RowGather};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Weight matrix storage: full-precision or brain-float16.
 #[derive(Debug, Clone)]
@@ -25,24 +29,22 @@ pub enum WeightStorage {
     Bf16(ParamArenaBf16),
 }
 
-/// One layer's learnable state plus optimizer state.
+/// One layer's learnable state plus its ADAM moments.
 ///
 /// `rows x cols` is the *storage* shape: row-major layers store one row per
 /// output unit, the column-major sparse-input layer stores one row per input
 /// feature (Lemma 1/2 of the paper — the transpose duality that keeps both
 /// passes contiguous). `units` is the layer's output width, which owns the
-/// bias vector.
+/// bias vector. The bias and its moments are `units × 1` arenas, so a unit's
+/// bias is reached as a row, like a weight row.
 #[derive(Debug)]
 pub struct LayerParams {
     weights: WeightStorage,
-    bias: HogwildArray<f32>,
-    grad_w: ParamStore,
-    grad_b: HogwildArray<f32>,
+    bias: ParamArena,
     m_w: ParamStore,
     v_w: ParamStore,
-    m_b: HogwildArray<f32>,
-    v_b: HogwildArray<f32>,
-    stamps: Vec<AtomicU32>,
+    m_b: ParamArena,
+    v_b: ParamArena,
     rows: usize,
     cols: usize,
     units: usize,
@@ -81,14 +83,11 @@ impl LayerParams {
         };
         LayerParams {
             weights,
-            bias: HogwildArray::zeroed(units),
-            grad_w: ParamStore::zeroed(layout, rows, cols),
-            grad_b: HogwildArray::zeroed(units),
+            bias: ParamArena::zeroed(units, 1),
             m_w: ParamStore::zeroed(layout, rows, cols),
             v_w: ParamStore::zeroed(layout, rows, cols),
-            m_b: HogwildArray::zeroed(units),
-            v_b: HogwildArray::zeroed(units),
-            stamps: (0..rows).map(|_| AtomicU32::new(0)).collect(),
+            m_b: ParamArena::zeroed(units, 1),
+            v_b: ParamArena::zeroed(units, 1),
             rows,
             cols,
             units,
@@ -123,12 +122,12 @@ impl LayerParams {
     /// Bias value of unit `u` (shared read).
     #[inline]
     pub fn bias_at(&self, u: usize) -> f32 {
-        self.bias.as_slice()[u]
+        self.bias.flat()[u]
     }
 
     /// Read-only view of the bias vector.
     pub fn bias_slice(&self) -> &[f32] {
-        self.bias.as_slice()
+        self.bias.flat()
     }
 
     /// Copy weight row `r` into an f32 buffer (widening bf16 if needed) —
@@ -177,59 +176,20 @@ impl LayerParams {
     /// Panics if `out.len() != rows.len()` or any row id is out of range.
     pub fn bias_gather_into(&self, rows: &[u32], out: &mut [f32]) {
         assert_eq!(out.len(), rows.len(), "bias_gather_into: out width");
-        let bias = self.bias.as_slice();
+        let bias = self.bias.flat();
         for (o, &r) in out.iter_mut().zip(rows) {
             *o = bias[r as usize];
         }
     }
 
-    /// `grad_b[u] += delta`.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract, as [`LayerParams::grad_axpy_ks`].
-    #[inline]
-    pub unsafe fn grad_bias_add(&self, u: usize, delta: f32) {
-        self.grad_b.ptr().add(u, delta);
-    }
-
     /// `out += alpha * W[r]` through a pre-resolved kernel table —
     /// Algorithm 2's kernel and the backward `∇x = Wᵀ∇y` accumulation.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract (see [`slide_mem::HogwildPtr`]): the layer must
-    /// outlive the call; racing writers may make the result slightly stale.
     #[inline]
-    pub unsafe fn w_axpy_into_ks(&self, ks: &KernelSet, r: usize, alpha: f32, out: &mut [f32]) {
+    pub fn w_axpy_into_ks(&self, ks: &KernelSet, r: usize, alpha: f32, out: &mut [f32]) {
         match &self.weights {
             WeightStorage::F32(store) => ks.axpy(alpha, store.row(r), out),
             WeightStorage::Bf16(arena) => ks.axpy_bf16(alpha, arena.row(r), out),
         }
-    }
-
-    /// `grad_w[r] += alpha * x` through a pre-resolved kernel table
-    /// (gradient accumulation; always f32).
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract: concurrent accumulation into the same row may lose
-    /// an addend — SLIDE's benign-race design.
-    #[inline]
-    pub unsafe fn grad_axpy_ks(&self, ks: &KernelSet, r: usize, alpha: f32, x: &[f32]) {
-        ks.axpy(alpha, x, self.grad_w.row_racy(r));
-    }
-
-    /// `grad_b += scale * dy` over the whole bias vector through a
-    /// pre-resolved kernel table.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract, as [`LayerParams::grad_axpy_ks`].
-    #[inline]
-    pub unsafe fn grad_bias_axpy_ks(&self, ks: &KernelSet, dy: &[f32], scale: f32) {
-        let gb = self.grad_b.ptr().slice_mut(0, self.units);
-        ks.axpy(scale, dy, gb);
     }
 
     /// Score the gathered weight rows `rows` against `x` into `out`
@@ -239,13 +199,9 @@ impl LayerParams {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != rows.len()` or `x.len() != self.cols()`.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract: the layer must outlive the call; racing writers may
-    /// make the scores slightly stale.
-    pub unsafe fn score_rows_into(
+    /// Panics if `out.len() != rows.len()`, `x.len() != self.cols()` or a
+    /// row is out of range.
+    pub fn score_rows_into(
         &self,
         ks: &KernelSet,
         rows: &[u32],
@@ -261,18 +217,20 @@ impl LayerParams {
                 gather
                     .w_f32
                     .extend(rows.iter().map(|&r| store.row(r as usize).as_ptr()));
-                ks.score_rows_f32(&gather.w_f32, x, out);
+                // SAFETY: every pointer starts a full `cols`-wide row of this
+                // layer, which `&self` keeps alive.
+                unsafe { ks.score_rows_f32(&gather.w_f32, x, out) };
             }
             WeightStorage::Bf16(arena) => {
-                let p = arena.ptr();
                 gather.w_bf16.clear();
                 gather
                     .w_bf16
-                    .extend(rows.iter().map(|&r| p.row(r as usize, self.cols).as_ptr()));
-                ks.score_rows_bf16(&gather.w_bf16, x, out);
+                    .extend(rows.iter().map(|&r| arena.row(r as usize).as_ptr()));
+                // SAFETY: as above.
+                unsafe { ks.score_rows_bf16(&gather.w_bf16, x, out) };
             }
         }
-        let bias = self.bias.as_slice();
+        let bias = self.bias.flat();
         for (o, &r) in out.iter_mut().zip(rows) {
             *o += bias[r as usize];
         }
@@ -286,11 +244,7 @@ impl LayerParams {
     /// # Panics
     ///
     /// Panics if `out.len() != self.rows()` or `x.len() != self.cols()`.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract, as [`LayerParams::score_rows_into`].
-    pub unsafe fn score_all_into(
+    pub fn score_all_into(
         &self,
         ks: &KernelSet,
         x: &[f32],
@@ -300,8 +254,7 @@ impl LayerParams {
         assert_eq!(out.len(), self.rows, "score_all_into: out width");
         assert_eq!(x.len(), self.cols, "score_all_into: x width");
         if let WeightStorage::F32(ParamStore::Arena(a)) = &self.weights {
-            let flat = a.ptr().slice(0, self.rows * self.cols);
-            ks.gemv(flat, self.cols, x, self.bias.as_slice(), out);
+            ks.gemv(a.flat(), self.cols, x, self.bias.flat(), out);
             return;
         }
         match &self.weights {
@@ -310,73 +263,22 @@ impl LayerParams {
                 gather
                     .w_f32
                     .extend((0..self.rows).map(|r| store.row(r).as_ptr()));
-                ks.score_rows_f32(&gather.w_f32, x, out);
+                // SAFETY: every pointer starts a full `cols`-wide row of this
+                // layer, which `&self` keeps alive.
+                unsafe { ks.score_rows_f32(&gather.w_f32, x, out) };
             }
             WeightStorage::Bf16(arena) => {
-                let p = arena.ptr();
                 gather.w_bf16.clear();
                 gather
                     .w_bf16
-                    .extend((0..self.rows).map(|r| p.row(r, self.cols).as_ptr()));
-                ks.score_rows_bf16(&gather.w_bf16, x, out);
+                    .extend((0..self.rows).map(|r| arena.row(r).as_ptr()));
+                // SAFETY: as above.
+                unsafe { ks.score_rows_bf16(&gather.w_bf16, x, out) };
             }
         }
-        let bias = self.bias.as_slice();
+        let bias = self.bias.flat();
         for (o, &b) in out.iter_mut().zip(bias) {
             *o += b;
-        }
-    }
-
-    /// Fused backward over the gathered rows: for every `rows[i]`, one pass
-    /// reading `W[rows[i]]` once computes both `dx += deltas[i] · W[rows[i]]`
-    /// and `grad[rows[i]] += deltas[i] · scale · h` (previously two separate
-    /// dispatched sweeps per row over disjoint arenas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas.len() != rows.len()` or `h`/`dx` widths disagree
-    /// with the layer.
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract: concurrent accumulation into the same gradient row
-    /// may lose an addend (the documented benign race); `rows` must be
-    /// duplicate-free within the call.
-    #[allow(clippy::too_many_arguments)] // mirrors the fused kernel's operand list
-    pub unsafe fn backward_rows_fused(
-        &self,
-        ks: &KernelSet,
-        rows: &[u32],
-        deltas: &[f32],
-        scale: f32,
-        h: &[f32],
-        dx: &mut [f32],
-        gather: &mut RowGather,
-    ) {
-        assert_eq!(deltas.len(), rows.len(), "backward_rows_fused: deltas");
-        assert_eq!(h.len(), self.cols, "backward_rows_fused: h width");
-        assert_eq!(dx.len(), self.cols, "backward_rows_fused: dx width");
-        gather.grad.clear();
-        gather.grad.extend(
-            rows.iter()
-                .map(|&r| self.grad_w.row_racy(r as usize).as_mut_ptr()),
-        );
-        match &self.weights {
-            WeightStorage::F32(store) => {
-                gather.w_f32.clear();
-                gather
-                    .w_f32
-                    .extend(rows.iter().map(|&r| store.row(r as usize).as_ptr()));
-                ks.backward_rows_f32(&gather.w_f32, &gather.grad, deltas, scale, h, dx);
-            }
-            WeightStorage::Bf16(arena) => {
-                let p = arena.ptr();
-                gather.w_bf16.clear();
-                gather
-                    .w_bf16
-                    .extend(rows.iter().map(|&r| p.row(r as usize, self.cols).as_ptr()));
-                ks.backward_rows_bf16(&gather.w_bf16, &gather.grad, deltas, scale, h, dx);
-            }
         }
     }
 
@@ -389,12 +291,7 @@ impl LayerParams {
     /// # Panics
     ///
     /// Panics if `out.len() != samples.len()` or a sample lies past `h`.
-    ///
-    /// # Safety
-    ///
-    /// The calling thread owns row `r` for the call: no other thread writes
-    /// `W[r]` or `b[r]` meanwhile.
-    pub(crate) unsafe fn score_row_samples(
+    pub(crate) fn score_row_samples(
         &self,
         ks: &KernelSet,
         r: usize,
@@ -406,7 +303,7 @@ impl LayerParams {
             WeightStorage::F32(store) => ks.score_samples_f32(store.row(r), h, samples, out),
             WeightStorage::Bf16(arena) => ks.score_samples_bf16(arena.row(r), h, samples, out),
         }
-        let b = self.bias.as_slice()[r];
+        let b = self.bias.flat()[r];
         for o in out.iter_mut() {
             *o += b;
         }
@@ -428,12 +325,11 @@ impl LayerParams {
     /// Backward and ADAM for weight row `r` in one visit: accumulate the
     /// row's gradient `g = Σ_j deltas[j]·scale·h[samples[j]]` in the
     /// row-local buffer `g`, add `deltas[j]·W[r]` into the batch's `n × cols`
-    /// hidden-gradient matrix `dx` (unscaled, as
-    /// [`LayerParams::backward_rows_fused`]), then step `W[r]`, its moments
-    /// and its bias. The dense gradient arena is not touched. With `samples`
-    /// in ascending order the update is bit-identical to accumulating the
-    /// same samples one by one into a zeroed gradient row, then
-    /// [`LayerParams::adam_row`] and [`LayerParams::adam_bias_at`].
+    /// hidden-gradient matrix `dx` (unscaled), then step `W[r]`, its moments
+    /// and its bias. `g` is bit-identical to feeding the same samples in the
+    /// same order, one call each, to [`KernelSet::backward_rows_f32`] (or
+    /// `_bf16`) on a zeroed row, and the bias gradient to summing
+    /// `deltas[j]·scale` in that order.
     ///
     /// # Panics
     ///
@@ -472,19 +368,9 @@ impl LayerParams {
         unsafe { self.adam_bias_with(r, gb, step) };
     }
 
-    /// Mark row `r` active in batch `stamp`; pushes `r` to `touched` exactly
-    /// once per batch across all threads (atomic swap dedup).
-    #[inline]
-    pub fn mark_active(&self, r: usize, stamp: u32, touched: &mut Vec<u32>) {
-        if self.stamps[r].swap(stamp, Ordering::Relaxed) != stamp {
-            touched.push(r as u32);
-        }
-    }
-
     /// One fused ADAM step of weight row `r` (either precision) and its
     /// moments with the gradient `g`: the row step of
-    /// [`LayerParams::adam_row`], [`LayerParams::train_row_samples`] and the
-    /// trainer's input-row visit.
+    /// [`LayerParams::train_row_samples`] and the trainer's input-row visit.
     ///
     /// # Safety
     ///
@@ -515,97 +401,59 @@ impl LayerParams {
         }
     }
 
-    /// Apply one fused ADAM step to weight row `r` from its accumulated
-    /// gradient, and zero that gradient.
-    ///
-    /// # Safety
-    ///
-    /// Rows processed concurrently must be distinct.
-    pub unsafe fn adam_row(&self, r: usize, step: AdamStep) {
-        let g = self.grad_w.row_racy(r);
-        // SAFETY: distinct rows (the caller's contract); `g` is another arena.
-        self.step_row(r, g, step);
-        g.fill(0.0);
-    }
-
-    /// Apply one scalar ADAM step to bias `u` and zero its gradient.
-    ///
-    /// # Safety
-    ///
-    /// Units processed concurrently must be distinct.
-    pub unsafe fn adam_bias_at(&self, u: usize, step: AdamStep) {
-        let g = self.grad_b.ptr();
-        self.adam_bias_with(u, g.get(u), step);
-        g.set(u, 0.0);
-    }
-
     /// One scalar ADAM step of bias `u` with gradient `gi`.
     ///
     /// # Safety
     ///
-    /// Units processed concurrently must be distinct.
+    /// The calling thread owns unit `u` for the call: no other thread reads
+    /// or writes its bias or moments meanwhile.
     unsafe fn adam_bias_with(&self, u: usize, gi: f32, step: AdamStep) {
-        let m = self.m_b.ptr();
-        let v = self.v_b.ptr();
-        let b = self.bias.ptr();
-        let mi = step.beta1 * m.get(u) + (1.0 - step.beta1) * gi;
-        let vi = step.beta2 * v.get(u) + (1.0 - step.beta2) * gi * gi;
-        m.set(u, mi);
-        v.set(u, vi);
-        b.set(u, b.get(u) - step.lr_t * mi / (vi.sqrt() + step.eps));
-    }
-
-    /// ADAM over the whole bias vector from its accumulated gradient,
-    /// vectorized, then zero that gradient.
-    ///
-    /// # Safety
-    ///
-    /// Must not race with other bias updates.
-    pub unsafe fn adam_bias_full(&self, step: AdamStep) {
-        let g = self.grad_b.ptr().slice_mut(0, self.units);
-        // SAFETY: no racing bias update (the caller's contract).
-        self.step_bias(g, step);
-        g.fill(0.0);
+        // SAFETY: unit ownership (the caller's contract); `row_ptr` is
+        // bounds-checked and the three arenas are distinct allocations.
+        let (b, m, v) = unsafe {
+            (
+                &mut *self.bias.row_ptr(u),
+                &mut *self.m_b.row_ptr(u),
+                &mut *self.v_b.row_ptr(u),
+            )
+        };
+        *m = step.beta1 * *m + (1.0 - step.beta1) * gi;
+        *v = step.beta2 * *v + (1.0 - step.beta2) * gi * gi;
+        *b -= step.lr_t * *m / (v.sqrt() + step.eps);
     }
 
     /// ADAM over the whole bias vector with the gradient `g`, vectorized.
     ///
     /// # Safety
     ///
-    /// Must not race with other bias updates.
+    /// No other thread reads or writes the bias or its moments meanwhile.
     pub(crate) unsafe fn step_bias(&self, g: &[f32], step: AdamStep) {
         let n = self.units;
-        let b = self.bias.ptr().slice_mut(0, n);
-        let m = self.m_b.ptr().slice_mut(0, n);
-        let v = self.v_b.ptr().slice_mut(0, n);
+        // SAFETY: the `units × 1` arenas hold `n` contiguous elements from
+        // row 0; exclusivity is the caller's contract.
+        let (b, m, v) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.bias.row_ptr(0), n),
+                std::slice::from_raw_parts_mut(self.m_b.row_ptr(0), n),
+                std::slice::from_raw_parts_mut(self.v_b.row_ptr(0), n),
+            )
+        };
         slide_simd::adam_step_f32(b, m, v, g, step);
     }
 
-    /// ADAM over a contiguous flat span of the weight arena (the paper's
-    /// Figure 3 "2D -> 1D loop" fast path; only valid for coalesced f32
-    /// storage). `range` is in flat element coordinates. Returns `false`,
-    /// touching nothing, for any other storage.
-    ///
-    /// # Safety
-    ///
-    /// Spans processed concurrently must be disjoint.
-    pub unsafe fn adam_flat_span(&self, start: usize, len: usize, step: AdamStep) -> bool {
-        let (
-            WeightStorage::F32(ParamStore::Arena(w)),
-            ParamStore::Arena(m),
-            ParamStore::Arena(v),
-            ParamStore::Arena(g),
-        ) = (&self.weights, &self.m_w, &self.v_w, &self.grad_w)
-        else {
-            return false;
-        };
-        let ws = w.ptr().slice_mut(start, len);
-        let ms = m.ptr().slice_mut(start, len);
-        let vs = v.ptr().slice_mut(start, len);
-        let gs = g.ptr().slice_mut(start, len);
-        slide_simd::adam_step_f32(ws, ms, vs, gs, step);
-        gs.fill(0.0);
-        true
+    /// `W[r] += alpha · x` through `&mut` (bf16 weights widen, add and
+    /// narrow): how tests nudge or step a layer by hand.
+    #[cfg(test)]
+    pub(crate) fn add_to_row(&mut self, r: usize, alpha: f32, x: &[f32]) {
+        match &mut self.weights {
+            WeightStorage::F32(store) => slide_simd::axpy_f32(alpha, x, store.row_mut(r)),
+            WeightStorage::Bf16(arena) => {
+                let mut row = vec![0.0; self.cols];
+                slide_simd::bf16::bf16_to_f32_slice(arena.row(r), &mut row);
+                slide_simd::axpy_f32(alpha, x, &mut row);
+                slide_simd::bf16::f32_to_bf16_slice(&row, arena.row_mut(r));
+            }
+        }
     }
 
     /// Test/inspection access to a weight row widened to f32.
@@ -626,7 +474,7 @@ impl LayerParams {
                 buf.put_f32_le(w);
             }
         }
-        for &b in self.bias.as_slice() {
+        for &b in self.bias.flat() {
             buf.put_f32_le(b);
         }
         for store in [&self.m_w, &self.v_w] {
@@ -637,7 +485,7 @@ impl LayerParams {
             }
         }
         for arr in [&self.m_b, &self.v_b] {
-            for &m in arr.as_slice() {
+            for &m in arr.flat() {
                 buf.put_f32_le(m);
             }
         }
@@ -673,7 +521,7 @@ impl LayerParams {
                 }
             }
         }
-        for b in self.bias.as_mut_slice() {
+        for b in self.bias.flat_mut() {
             *b = buf.get_f32_le();
         }
         for store in [&mut self.m_w, &mut self.v_w] {
@@ -684,35 +532,11 @@ impl LayerParams {
             }
         }
         for arr in [&mut self.m_b, &mut self.v_b] {
-            for m in arr.as_mut_slice() {
+            for m in arr.flat_mut() {
                 *m = buf.get_f32_le();
             }
         }
         Ok(())
-    }
-
-    /// Raw accumulated-gradient readback (gradient-check support).
-    #[doc(hidden)]
-    pub fn grad_at(&self, r: usize, c: usize) -> f32 {
-        self.grad_w.row(r)[c]
-    }
-
-    /// Add `delta` to weight `(r, c)` in place (gradient-check support).
-    ///
-    /// # Safety
-    ///
-    /// HOGWILD contract: must not race with conflicting writers.
-    #[doc(hidden)]
-    pub unsafe fn nudge_weight(&self, r: usize, c: usize, delta: f32) {
-        match &self.weights {
-            WeightStorage::F32(store) => store.row_racy(r)[c] += delta,
-            WeightStorage::Bf16(arena) => {
-                let p = arena.ptr();
-                let i = r * self.cols + c;
-                let w = slide_simd::Bf16::from_bits(p.get(i)).to_f32();
-                p.set(i, slide_simd::Bf16::from_f32(w + delta).to_bits());
-            }
-        }
     }
 }
 
@@ -797,11 +621,11 @@ mod tests {
             let expect = slide_simd::dot_f32(&row, &x);
             // Biases start at zero, so the gathered score is the bare dot.
             let mut got = [f32::NAN];
-            unsafe { p.score_rows_into(&ks, &[3], &x, &mut RowGather::default(), &mut got) };
+            p.score_rows_into(&ks, &[3], &x, &mut RowGather::default(), &mut got);
             assert!((got[0] - expect).abs() < 1e-4, "{precision:?}");
 
             let mut out = vec![0.0f32; 32];
-            unsafe { p.w_axpy_into_ks(&ks, 3, 2.0, &mut out) };
+            p.w_axpy_into_ks(&ks, 3, 2.0, &mut out);
             for c in 0..32 {
                 assert!((out[c] - 2.0 * row[c]).abs() < 1e-5);
             }
@@ -809,22 +633,21 @@ mod tests {
     }
 
     #[test]
-    fn adam_row_moves_weights_against_gradient_and_clears() {
+    fn step_row_moves_weights_against_gradient() {
         for precision in [Precision::Fp32, Precision::Bf16Both] {
             let p = params(precision, ParamLayout::Coalesced);
             let before = p.row_f32(2);
-            unsafe {
-                p.grad_axpy_ks(&KernelSet::resolve(), 2, 1.0, &[1.0f32; 32]);
-                p.adam_row(2, AdamStep::bias_corrected(0.01, 0.9, 0.999, 1e-8, 1));
-            }
+            let step = AdamStep::bias_corrected(0.01, 0.9, 0.999, 1e-8, 1);
+            // SAFETY: single-threaded; nothing else touches `p`.
+            unsafe { p.step_row(2, &[1.0f32; 32], step) };
             let after = p.row_f32(2);
             // Positive gradient ⇒ weights decrease.
             let decreased = (0..32).filter(|&c| after[c] < before[c]).count();
             assert!(decreased >= 30, "{precision:?}: only {decreased} decreased");
-            // Gradient cleared.
-            unsafe {
-                p.adam_row(2, AdamStep::bias_corrected(0.01, 0.9, 0.999, 1e-8, 2));
-            }
+            assert_eq!(
+                p.row_f32(3),
+                params(precision, ParamLayout::Coalesced).row_f32(3)
+            );
         }
     }
 
@@ -833,67 +656,17 @@ mod tests {
         let a = params(Precision::Fp32, ParamLayout::Coalesced);
         let b = params(Precision::Fp32, ParamLayout::Coalesced);
         let step = AdamStep::bias_corrected(0.1, 0.9, 0.999, 1e-8, 1);
+        let g: Vec<f32> = (0..8).map(|u| 0.25 - u as f32 * 0.1).collect();
+        // SAFETY: single-threaded; nothing else touches `a` or `b`.
         unsafe {
-            for u in 0..8 {
-                a.grad_bias_add(u, 0.25);
-                b.grad_bias_add(u, 0.25);
+            for (u, &gu) in g.iter().enumerate() {
+                a.adam_bias_with(u, gu, step);
             }
-            for u in 0..8 {
-                a.adam_bias_at(u, step);
-            }
-            b.adam_bias_full(step);
+            b.step_bias(&g, step);
         }
         for u in 0..8 {
-            assert!((a.bias_at(u) - b.bias_at(u)).abs() < 1e-6);
+            assert!((a.bias_at(u) - b.bias_at(u)).abs() < 1e-6, "unit {u}");
+            assert_ne!(a.bias_at(u), 0.0, "unit {u} moved");
         }
-    }
-
-    #[test]
-    fn flat_adam_matches_row_adam() {
-        let a = params(Precision::Fp32, ParamLayout::Coalesced);
-        let b = params(Precision::Fp32, ParamLayout::Coalesced);
-        let step = AdamStep::bias_corrected(0.05, 0.9, 0.999, 1e-8, 3);
-        let ks = KernelSet::resolve();
-        unsafe {
-            for r in 0..8 {
-                let g: Vec<f32> = (0..32)
-                    .map(|c| ((r * 32 + c) as f32 * 0.01) - 1.0)
-                    .collect();
-                a.grad_axpy_ks(&ks, r, 1.0, &g);
-                b.grad_axpy_ks(&ks, r, 1.0, &g);
-            }
-            for r in 0..8 {
-                a.adam_row(r, step);
-            }
-            assert!(b.adam_flat_span(0, 8 * 32, step));
-        }
-        for r in 0..8 {
-            let ra = a.row_f32(r);
-            let rb = b.row_f32(r);
-            for c in 0..32 {
-                assert!((ra[c] - rb[c]).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn fragmented_layout_rejects_flat_adam() {
-        let p = params(Precision::Fp32, ParamLayout::Fragmented);
-        assert!(!unsafe {
-            p.adam_flat_span(0, 8, AdamStep::bias_corrected(0.1, 0.9, 0.999, 1e-8, 1))
-        });
-    }
-
-    #[test]
-    fn mark_active_dedups_within_batch() {
-        let p = params(Precision::Fp32, ParamLayout::Coalesced);
-        let mut touched = Vec::new();
-        p.mark_active(3, 1, &mut touched);
-        p.mark_active(3, 1, &mut touched);
-        p.mark_active(5, 1, &mut touched);
-        assert_eq!(touched, vec![3, 5]);
-        // New batch stamp re-admits the row.
-        p.mark_active(3, 2, &mut touched);
-        assert_eq!(touched, vec![3, 5, 3]);
     }
 }

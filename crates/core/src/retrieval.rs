@@ -240,8 +240,41 @@ impl Retrieval {
         }
         // Pseudo-random padding keeps gradients flowing while the tables
         // are still cold.
+        self.pad(salt, self.min_active.min(cap), dedup, active);
+    }
+
+    /// Full softmax's active set into `active`: the `forced` ids, then
+    /// every other row in ascending order. No table is read.
+    pub(crate) fn select_all(&self, forced: &[u32], dedup: &mut StampSet, active: &mut Vec<u32>) {
+        dedup.begin();
+        active.clear();
+        admit(forced, usize::MAX, dedup, active);
+        active.extend((0..self.rows as u32).filter(|&r| !dedup.contains(r)));
+    }
+
+    /// Sampled softmax's active set into `active`: the `forced` ids, then
+    /// `negatives` distinct rows of the pad stream [`Retrieval::select`]
+    /// pads from (every remaining row, if fewer remain). No table is read.
+    pub(crate) fn select_uniform(
+        &self,
+        forced: &[u32],
+        negatives: usize,
+        dedup: &mut StampSet,
+        active: &mut Vec<u32>,
+        salt: u64,
+    ) {
+        dedup.begin();
+        active.clear();
+        admit(forced, usize::MAX, dedup, active);
+        let want = active.len().saturating_add(negatives).min(self.rows);
+        self.pad(salt, want, dedup, active);
+    }
+
+    /// Append rows replayed from `mix3(pad_seed, salt, attempt) % rows`,
+    /// skipping those already in `dedup`, until `active` holds `want`
+    /// (at most `rows`): the one uniform sampler.
+    fn pad(&self, salt: u64, want: usize, dedup: &mut StampSet, active: &mut Vec<u32>) {
         let n = self.rows as u64;
-        let want = self.min_active.min(cap);
         let mut attempt = 0u64;
         while active.len() < want {
             let r = (mix3(self.pad_seed, salt, attempt) % n) as u32;
@@ -349,6 +382,64 @@ mod tests {
         // Zero vector hashes somewhere; padding must still reach min_active.
         r.select([&tables], &[0.0; 8], &[], s.select_buffers(), 9);
         assert!((16..=20).contains(&s.active.len()), "{}", s.active.len());
+    }
+
+    #[test]
+    fn select_all_lists_the_labels_then_every_other_row_once() {
+        let (r, _, mut s) = layer(8, 40, &LshConfig::default(), 12);
+        for labels in [&[][..], &[7], &[39, 2, 7, 2]] {
+            r.select_all(labels, &mut s.dedup, &mut s.active);
+            let distinct: Vec<u32> = labels.iter().fold(Vec::new(), |mut v, &l| {
+                if !v.contains(&l) {
+                    v.push(l);
+                }
+                v
+            });
+            assert_eq!(&s.active[..distinct.len()], &distinct[..], "labels first");
+            let rest = &s.active[distinct.len()..];
+            assert!(rest.windows(2).all(|w| w[0] < w[1]), "the rest ascending");
+            let mut all = s.active.clone();
+            all.sort_unstable();
+            assert_eq!(all, (0..40).collect::<Vec<u32>>(), "every row once");
+        }
+    }
+
+    #[test]
+    fn select_uniform_draws_distinct_rows_deterministically_in_the_salt() {
+        let (r, _, mut s) = layer(8, 64, &LshConfig::default(), 13);
+        let draw = |s: &mut WorkerScratch, negatives, salt| {
+            r.select_uniform(&[5, 60], negatives, &mut s.dedup, &mut s.active, salt);
+            s.active.clone()
+        };
+        for negatives in [0, 1, 9, 62] {
+            let a = draw(&mut s, negatives, 3);
+            assert_eq!(a.len(), 2 + negatives, "labels plus {negatives}");
+            assert_eq!(&a[..2], &[5, 60]);
+            let mut sorted = a.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), a.len(), "distinct rows");
+            assert_eq!(draw(&mut s, negatives, 3), a, "same salt, same rows");
+        }
+        assert_ne!(draw(&mut s, 9, 3), draw(&mut s, 9, 4), "the salt matters");
+        // More negatives than rows left: every row, once.
+        assert_eq!(draw(&mut s, 500, 3).len(), 64);
+        // The draw is the pad stream `select` pads from.
+        let pad: Vec<u32> = draw(&mut s, 4, 8)[2..].to_vec();
+        let lsh = LshConfig {
+            min_active: 6,
+            max_active: Some(6),
+            ..Default::default()
+        };
+        let padded = Retrieval::training(8, 64, &lsh, 13);
+        padded.select(
+            std::iter::empty(),
+            &[0.0; 8],
+            &[5, 60],
+            s.select_buffers(),
+            8,
+        );
+        assert_eq!(&s.active[2..], &pad[..]);
     }
 
     #[test]

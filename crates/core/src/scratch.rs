@@ -1,4 +1,4 @@
-//! Per-worker scratch state: every allocation a HOGWILD worker needs is made
+//! Per-worker scratch state: every allocation a pool worker needs is made
 //! once and reused across batches, so the steady-state training loop is
 //! allocation-free (a §4.1 requirement — allocator churn would re-fragment
 //! the memory the batch/arena layouts just coalesced).
@@ -98,10 +98,6 @@ pub struct WorkerScratch {
     pub logits: Vec<f32>,
     /// Softmax probabilities over the active set.
     pub probs: Vec<f32>,
-    /// Output rows the per-sample oracle first-touched in its batch.
-    pub touched_out: Vec<u32>,
-    /// Input-feature rows the per-sample oracle first-touched in its batch.
-    pub touched_in: Vec<u32>,
     /// Per-worker loss accumulator for the current epoch.
     pub loss: MeanMetric,
     /// Per-worker metric accumulator for evaluation.
@@ -132,8 +128,6 @@ impl WorkerScratch {
             bounds: Vec::with_capacity(1),
             logits: Vec::with_capacity(1024),
             probs: Vec::with_capacity(1024),
-            touched_out: Vec::with_capacity(1024),
-            touched_in: Vec::with_capacity(1024),
             loss: MeanMetric::new(),
             metric: MeanMetric::new(),
             widen: vec![0.0; hidden],

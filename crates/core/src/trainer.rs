@@ -7,7 +7,9 @@
 //! 1. the batch's sparse instances are copied into one coalesced buffer
 //!    (or per-instance allocations in the naive-layout ablation, §4.1),
 //! 2. workers take samples in chunks, run the input layer to the hidden
-//!    activation and pick each sample's LSH active set,
+//!    activation and pick each sample's active set under the configured
+//!    [`ActiveSets`] policy (LSH retrieval for SLIDE; every row or a
+//!    uniform draw for the baselines),
 //! 3. the output layer is walked by row ([`crate::batch_pass`]): each
 //!    batch-active row is scored against all of its samples, and after the
 //!    per-sample softmax it is backpropagated and ADAM-stepped in one visit
@@ -15,11 +17,12 @@
 //! 4. from each sample's hidden gradient, the input layer is walked by row
 //!    the same way: each feature row the batch touches sums its gradient
 //!    and takes its ADAM step in one visit by the one worker that owns it,
-//! 5. periodically the output layer's hash tables are rebuilt from the
-//!    current weights, with the interval growing exponentially.
+//! 5. under retrieval, periodically the output layer's hash tables are
+//!    rebuilt from the current weights, with the interval growing
+//!    exponentially.
 
 use crate::batch_pass::BatchPass;
-use crate::config::TrainerConfig;
+use crate::config::{ActiveSets, TrainerConfig};
 use crate::network::Network;
 use crate::pool::ThreadPool;
 use crate::scratch::{Disjoint, WorkerScratch};
@@ -329,6 +332,7 @@ impl Trainer {
             &store,
             data,
             indices,
+            self.config.active_sets,
             self.adam_t << 20,
         );
         let t1 = Instant::now();
@@ -345,7 +349,8 @@ impl Trainer {
         phases.input = (t5 - t4).as_secs_f64();
 
         let t0 = Instant::now();
-        if self.rebuild_due() {
+        // Only retrieval reads the tables, so only it rebuilds them.
+        if self.config.active_sets == ActiveSets::Retrieval && self.rebuild_due() {
             self.rebuild_tables();
         }
         phases.rebuild = t0.elapsed().as_secs_f64();
@@ -501,10 +506,15 @@ mod tests {
     }
 
     fn trainer(threads: usize) -> Trainer {
+        trainer_with(threads, ActiveSets::Retrieval)
+    }
+
+    fn trainer_with(threads: usize, active_sets: ActiveSets) -> Trainer {
         let mut tc = TrainerConfig {
             batch_size: 64,
             learning_rate: 2e-3,
             threads,
+            active_sets,
             ..Default::default()
         };
         tc.rebuild.initial_period = 5;
@@ -555,6 +565,76 @@ mod tests {
             sampled > exact * 0.5,
             "sampled {sampled:.3} vs exact {exact:.3}"
         );
+    }
+
+    #[test]
+    fn dense_policy_learns_synthetic_task() {
+        let data = tiny_data();
+        for threads in [1, 2] {
+            let mut t = trainer_with(threads, ActiveSets::All);
+            let before = t.evaluate(&data.test, 1, EvalMode::Exact, None);
+            for epoch in 0..8 {
+                t.train_epoch(&data.train, epoch);
+            }
+            let after = t.evaluate(&data.test, 1, EvalMode::Exact, None);
+            assert!(
+                after > before + 0.25,
+                "full softmax, {threads} threads: {before:.3} -> {after:.3}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_policy_loss_decreases_over_epochs() {
+        let data = tiny_data();
+        for threads in [1, 2] {
+            let mut t = trainer_with(threads, ActiveSets::All);
+            let first = t.train_epoch(&data.train, 0).mean_loss;
+            let mut last = first;
+            for epoch in 1..10 {
+                last = t.train_epoch(&data.train, epoch).mean_loss;
+            }
+            assert!(
+                last < first * 0.9,
+                "full softmax, {threads} threads: loss {first:.4} -> {last:.4}"
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_policy_learns_synthetic_task() {
+        let data = tiny_data();
+        for threads in [1, 2] {
+            let mut t = trainer_with(threads, ActiveSets::Uniform { negatives: 16 });
+            let before = t.evaluate(&data.test, 1, EvalMode::Exact, None);
+            for epoch in 0..8 {
+                t.train_epoch(&data.train, epoch);
+            }
+            let after = t.evaluate(&data.test, 1, EvalMode::Exact, None);
+            assert!(
+                after > before + 0.2,
+                "sampled softmax, {threads} threads: {before:.3} -> {after:.3}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_and_uniform_policies_leave_the_tables_alone() {
+        // Over one epoch (12 batches, rebuilds due from batch 5 on) the
+        // retrieval trainer's tables change; the baselines' do not.
+        let data = tiny_data();
+        let stats_over_an_epoch = |sets| {
+            let mut t = trainer_with(2, sets);
+            let before = t.network().output().table_stats();
+            t.train_epoch(&data.train, 0);
+            (before, t.network().output().table_stats())
+        };
+        let (before, after) = stats_over_an_epoch(ActiveSets::Retrieval);
+        assert_ne!(before, after, "retrieval rebuilt its tables");
+        for sets in [ActiveSets::All, ActiveSets::Uniform { negatives: 16 }] {
+            let (before, after) = stats_over_an_epoch(sets);
+            assert_eq!(before, after, "{sets:?} left the tables as built");
+        }
     }
 
     #[test]
@@ -676,7 +756,8 @@ mod tests {
     fn label_less_samples_do_not_lower_the_loss() {
         // One batch of 64 samples, every other one without labels: the
         // epoch loss is the mean over the 32 labelled samples alone, each
-        // scored by the per-sample oracle on an untouched copy of the net.
+        // scored by the write-free `train_sample` on an untouched copy of the
+        // net.
         let data = tiny_data();
         let mut d = Dataset::new(256, 64);
         for i in 0..64 {

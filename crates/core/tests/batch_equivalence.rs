@@ -1,27 +1,34 @@
-//! The trainer's row-owned batch pass against the per-sample oracle.
+//! The trainer's row-owned batch pass against a per-sample reference kept
+//! here.
 //!
 //! From identical state, one batch at one thread through
 //! `Trainer::train_batch` must leave the output layer — weights, ADAM
-//! moments, bias and its moments — bit-identical to
-//! `Network::train_sample` over the same samples in batch order followed by
-//! `adam_row` / `adam_bias_at` on every touched row: the logits, the
-//! row gradients (each row's samples ascending) and the ADAM step are the
-//! same operations in the same order. The input layer is walked by row too,
-//! but from a hidden gradient summed in a different order (row by row
-//! instead of active slot by active slot), so it agrees within `TOLERANCE`
-//! only; `batch_pass::tests` checks its row visit bit for bit from the same
-//! hidden gradient.
+//! moments, bias and its moments — bit-identical to the reference: each
+//! sample's forward pass and softmax deltas from the write-free
+//! `Network::train_sample`, each output row's gradient `Σ δ·scale·h` and
+//! bias gradient `Σ δ·scale` accumulated over its samples in batch order
+//! (the weight gradient through the public fused row kernel
+//! `KernelSet::backward_rows_{f32,bf16}`, one sample per call), then one
+//! `adam_step_f32` /
+//! `bf16::adam_step_bf16` per touched row on a copy of the parameters taken
+//! with `LayerParams::export_into`. The logits, the row gradients and the
+//! ADAM step are the same operations in the same order. The input layer is
+//! walked by row too, but from a hidden gradient summed in a different order
+//! (row by row instead of active slot by active slot), so it agrees within
+//! `TOLERANCE` only; `batch_pass::tests` checks its row visit bit for bit
+//! from the same hidden gradient.
 //!
 //! Covered: f32 and bf16 weights, coalesced and fragmented layouts, and
 //! label-less samples in the batch. The hidden layer is 72 wide: past one
 //! 64-column step and not a multiple of 16, so a kernel that sums a row in
-//! another order than its oracle shows.
+//! another order than its reference shows.
 
 use slide_core::{
     LayerParams, LshConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
 };
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
-use slide_simd::AdamStep;
+use slide_simd::{adam_step_f32, bf16, AdamStep, Bf16, KernelSet};
+use std::collections::BTreeMap;
 
 /// Bound on `|a − b| / max(1, |a|)` for every input-layer weight, moment
 /// and bias after one batch. One ADAM step moves a weight by
@@ -43,7 +50,7 @@ fn data() -> Dataset {
         seed: 5,
     });
     // Every fifth sample loses its labels: the pass must skip it exactly as
-    // the oracle does.
+    // the reference does.
     let mut out = Dataset::new(256, 64);
     for i in 0..d.train.len() {
         let x = d.train.features(i);
@@ -89,35 +96,166 @@ fn export(p: &LayerParams) -> Vec<f32> {
         .collect()
 }
 
-/// The first batch of `Trainer::train_batch`, one sample at a time: the
-/// trainer's batch 1 uses stamp 1, salt `1 << 20 | i`, scale `1/n`, and
-/// the step of ADAM time 1.
-fn oracle_batch(net: &Network, data: &Dataset, batch: &[u32], tc: &TrainerConfig) {
-    let mut scratch = net.make_scratch();
+/// A copy of one layer's parameters in `LayerParams::export_into`'s order:
+/// weights, bias, the weights' moments, the bias's moments. bf16 weights are
+/// kept as bf16 bits, so they step exactly as the layer's do.
+struct Reference {
+    cols: usize,
+    w: Vec<f32>,
+    w_bf16: Option<Vec<u16>>,
+    b: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+    mb: Vec<f32>,
+    vb: Vec<f32>,
+}
+
+impl Reference {
+    fn of(p: &LayerParams) -> Self {
+        let all = export(p);
+        let (weights, units) = (p.rows() * p.cols(), p.units());
+        let mut parts = [weights, units, weights, weights, units, units]
+            .into_iter()
+            .scan(0, |at, len| {
+                *at += len;
+                Some(all[*at - len..*at].to_vec())
+            });
+        let mut next = || parts.next().unwrap();
+        let w = next();
+        let w_bf16 = p
+            .is_bf16()
+            .then(|| w.iter().map(|&x| Bf16::from_f32(x).to_bits()).collect());
+        Reference {
+            cols: p.cols(),
+            w,
+            w_bf16,
+            b: next(),
+            m: next(),
+            v: next(),
+            mb: next(),
+            vb: next(),
+        }
+    }
+
+    /// `g += delta·scale·h` for weight row `r` through the public fused row
+    /// kernel, whose gradient bits the batch pass's row × samples kernels
+    /// are specified to reproduce (bf16 rows sum their tail unfused).
+    fn accumulate(
+        &self,
+        ks: &KernelSet,
+        r: usize,
+        delta: f32,
+        scale: f32,
+        h: &[f32],
+        g: &mut [f32],
+    ) {
+        // The kernel's hidden-gradient output; the reference takes `dh`
+        // from `train_sample` instead.
+        let mut dx = vec![0.0; self.cols];
+        let (at, grad) = (r * self.cols, [g.as_mut_ptr()]);
+        assert!(at + self.cols <= self.w.len() && g.len() == self.cols);
+        // SAFETY: each pointer starts `cols` elements of row `r` of this
+        // copy or of `g`; `dx` aliases neither.
+        unsafe {
+            match &self.w_bf16 {
+                Some(w) => {
+                    ks.backward_rows_bf16(&[w[at..].as_ptr()], &grad, &[delta], scale, h, &mut dx)
+                }
+                None => ks.backward_rows_f32(
+                    &[self.w[at..].as_ptr()],
+                    &grad,
+                    &[delta],
+                    scale,
+                    h,
+                    &mut dx,
+                ),
+            }
+        }
+    }
+
+    /// One ADAM step of weight row `r` with gradient `g`.
+    fn step_row(&mut self, r: usize, g: &[f32], step: AdamStep) {
+        let row = r * self.cols..(r + 1) * self.cols;
+        let (m, v) = (&mut self.m[row.clone()], &mut self.v[row.clone()]);
+        match &mut self.w_bf16 {
+            Some(w) => bf16::adam_step_bf16(&mut w[row], m, v, g, step),
+            None => adam_step_f32(&mut self.w[row], m, v, g, step),
+        }
+    }
+
+    /// One ADAM step of the bias units `units` with gradient `g`.
+    fn step_bias(&mut self, units: std::ops::Range<usize>, g: &[f32], step: AdamStep) {
+        let (b, m, v) = (&mut self.b, &mut self.mb, &mut self.vb);
+        let (b, m, v) = (&mut b[units.clone()], &mut m[units.clone()], &mut v[units]);
+        adam_step_f32(b, m, v, g, step);
+    }
+
+    /// The state in `export`'s order (bf16 weights widened).
+    fn export(&self) -> Vec<f32> {
+        let w = match &self.w_bf16 {
+            Some(w) => w.iter().map(|&b| Bf16::from_bits(b).to_f32()).collect(),
+            None => self.w.clone(),
+        };
+        [w, self.b.clone(), self.m.clone(), self.v.clone()]
+            .into_iter()
+            .chain([self.mb.clone(), self.vb.clone()])
+            .flatten()
+            .collect()
+    }
+}
+
+/// The trainer's first batch, one sample at a time on a fresh `net`: salt
+/// `1 << 20 | i`, scale `1/n`, the step of ADAM time 1. Returns the input
+/// and output layers after it.
+fn reference_batch(
+    net: &Network,
+    data: &Dataset,
+    batch: &[u32],
+    tc: &TrainerConfig,
+) -> (Reference, Reference) {
+    let ks = KernelSet::resolve();
+    let cols = net.config().hidden;
     let scale = 1.0 / batch.len() as f32;
+    // Per output row: its weight gradient and its bias gradient. Per input
+    // row: its weight gradient. Plus the hidden bias's gradient.
+    let mut out_g: BTreeMap<u32, (Vec<f32>, f32)> = BTreeMap::new();
+    let mut in_g: BTreeMap<u32, Vec<f32>> = BTreeMap::new();
+    let mut in_gb = vec![0.0; cols];
+    let (mut inp, mut out) = (
+        Reference::of(net.input().params()),
+        Reference::of(net.output().params()),
+    );
+    let mut scratch = net.make_scratch();
     for (i, &s) in batch.iter().enumerate() {
-        let x = data.features(s as usize);
-        net.train_sample(
-            x,
-            data.labels(s as usize),
-            &mut scratch,
-            scale,
-            1,
-            1 << 20 | i as u64,
-        );
+        let (x, labels) = (data.features(s as usize), data.labels(s as usize));
+        net.train_sample(x, labels, &mut scratch, scale, 1, 1 << 20 | i as u64);
+        if labels.is_empty() {
+            continue;
+        }
+        let h = &scratch.acts[0];
+        for (&r, &delta) in scratch.active.iter().zip(&scratch.probs) {
+            let (g, gb) = out_g.entry(r).or_insert_with(|| (vec![0.0; cols], 0.0));
+            out.accumulate(&ks, r as usize, delta, scale, h, g);
+            *gb += delta * scale;
+        }
+        for (j, v) in x.iter() {
+            let g = in_g.entry(j).or_insert_with(|| vec![0.0; cols]);
+            ks.axpy(v * scale, &scratch.grad, g);
+        }
+        ks.axpy(scale, &scratch.grad, &mut in_gb);
     }
+
     let step = AdamStep::bias_corrected(tc.learning_rate, tc.beta1, tc.beta2, tc.eps, 1);
-    // SAFETY: single-threaded; each touched list is duplicate-free.
-    unsafe {
-        for &r in &scratch.touched_out {
-            net.output().params().adam_row(r as usize, step);
-            net.output().params().adam_bias_at(r as usize, step);
-        }
-        for &r in &scratch.touched_in {
-            net.input().params().adam_row(r as usize, step);
-        }
-        net.input().params().adam_bias_full(step);
+    for (&r, (g, gb)) in &out_g {
+        let r = r as usize;
+        out.step_row(r, g, step);
+        out.step_bias(r..r + 1, &[*gb], step);
     }
+    for (&j, g) in &in_g {
+        inp.step_row(j as usize, g, step);
+    }
+    inp.step_bias(0..cols, &in_gb, step);
+    (inp, out)
 }
 
 fn check(hidden: usize, precision: Precision, coalesced: bool) {
@@ -132,21 +270,17 @@ fn check(hidden: usize, precision: Precision, coalesced: bool) {
     )
     .unwrap();
     trainer.train_batch(&data, &batch);
-    let oracle = Network::new(config(hidden, precision, coalesced)).unwrap();
-    oracle_batch(&oracle, &data, &batch, &tc);
+    let start = Network::new(config(hidden, precision, coalesced)).unwrap();
+    let (inp, out) = reference_batch(&start, &data, &batch, &tc);
     let net = trainer.network();
 
-    let (got, want) = (
-        export(net.output().params()),
-        export(oracle.output().params()),
+    let (got, want) = (export(net.output().params()), out.export());
+    assert_eq!(got.len(), want.len(), "{what}: output layer shape");
+    assert_ne!(
+        want,
+        export(start.output().params()),
+        "{what}: the batch moved the output layer"
     );
-    let fresh = export(
-        Network::new(config(hidden, precision, coalesced))
-            .unwrap()
-            .output()
-            .params(),
-    );
-    assert_ne!(want, fresh, "{what}: the batch moved the output layer");
     for (i, (a, b)) in got.iter().zip(&want).enumerate() {
         assert_eq!(
             a.to_bits(),
@@ -155,8 +289,9 @@ fn check(hidden: usize, precision: Precision, coalesced: bool) {
         );
     }
 
-    let (a, b) = (net.input().params(), oracle.input().params());
-    for (i, (x, y)) in export(a).iter().zip(&export(b)).enumerate() {
+    let (a, b) = (export(net.input().params()), inp.export());
+    assert_eq!(a.len(), b.len(), "{what}: input layer shape");
+    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         let err = (x - y).abs() / x.abs().max(1.0);
         assert!(
             err <= TOLERANCE,

@@ -1,6 +1,7 @@
 //! The training-side and micro-benchmark API `benchmark/` compiles against,
 //! pinned inside tier-1 (`crates/quant/tests/bench_surface.rs` pins the
-//! serving tier).
+//! serving tier). `Network::train_sample` is kept in the product only for
+//! this pin: `benchmark/src/layers.rs` still times it.
 //!
 //! The benchmark package lives outside the root workspace, so root
 //! `cargo test` never builds it and a rename here would break it silently.

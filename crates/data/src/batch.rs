@@ -1,7 +1,7 @@
 //! Shuffled mini-batch iteration over a [`Dataset`].
 //!
-//! SLIDE processes a batch of instances in parallel (one HOGWILD thread per
-//! instance); the batcher hands the trainer per-epoch shuffled index chunks
+//! SLIDE processes a batch of instances in parallel (workers take the
+//! instances in chunks); the batcher hands the trainer per-epoch shuffled index chunks
 //! so data order differs across epochs but is reproducible under a seed.
 
 use crate::dataset::Dataset;

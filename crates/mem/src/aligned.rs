@@ -49,7 +49,7 @@ impl Pod for i8 {}
 /// A fixed-length, 64-byte-aligned, zero-initialized heap buffer.
 ///
 /// Unlike `Vec<T>` it guarantees cache-line alignment of element 0 and never
-/// reallocates, so raw pointers handed to SIMD kernels and HOGWILD threads
+/// reallocates, so raw pointers handed to SIMD kernels and worker threads
 /// stay valid for the buffer's lifetime. A large zeroed buffer costs no
 /// resident memory until its pages are written.
 ///
@@ -158,7 +158,7 @@ impl<T: Pod> AlignedVec<T> {
     }
 
     /// Raw base pointer (cache-line aligned). Stable for the buffer's
-    /// lifetime — used by the HOGWILD parameter cells.
+    /// lifetime — the base of [`crate::ParamArena::row_ptr`].
     pub fn as_ptr(&self) -> *const T {
         self.ptr.as_ptr()
     }

@@ -8,14 +8,13 @@
 //! along for other threads. Both layouts are implemented here for the §5.7
 //! ablation:
 //!
-//! * [`ParamArena`] — one contiguous [`HogwildArray`] holding all rows, of
+//! * [`ParamArena`] — one contiguous [`AlignedVec`] holding all rows, of
 //!   f32 or, as [`ParamArenaBf16`], of bf16 bit patterns for bf16-stored
 //!   weights (§4.4 mode 1),
 //! * [`FragmentedParams`] — one boxed slice per neuron (the naive layout),
 //! * [`ParamStore`] — runtime selector used by the layers.
 
-use crate::aligned::Pod;
-use crate::hogwild::{HogwildArray, HogwildPtr};
+use crate::aligned::{AlignedVec, Pod};
 
 /// How a layer lays out its parameters in memory — the §5.7 ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,8 +27,9 @@ pub enum ParamLayout {
 }
 
 /// A dense `rows x cols` parameter matrix in one contiguous, cache-aligned
-/// allocation, shareable across HOGWILD workers: f32 weights and moments
-/// (the default), or bf16 bit patterns ([`ParamArenaBf16`]).
+/// allocation: f32 weights and moments (the default), or bf16 bit patterns
+/// ([`ParamArenaBf16`]). Shared, it is written only through
+/// [`ParamArena::row_ptr`] by a pass that owns the row.
 ///
 /// Row `r` (a neuron's weight vector) occupies `[r*cols, (r+1)*cols)` of the
 /// flat buffer, so Algorithm 1's inner products stream contiguous memory.
@@ -45,7 +45,7 @@ pub enum ParamLayout {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParamArena<T: Pod = f32> {
-    buf: HogwildArray<T>,
+    buf: AlignedVec<T>,
     rows: usize,
     cols: usize,
 }
@@ -59,7 +59,7 @@ impl<T: Pod> ParamArena<T> {
     /// Allocate a zeroed `rows x cols` arena.
     pub fn zeroed(rows: usize, cols: usize) -> Self {
         ParamArena {
-            buf: HogwildArray::zeroed(rows * cols),
+            buf: AlignedVec::zeroed(rows * cols),
             rows,
             cols,
         }
@@ -119,19 +119,18 @@ impl<T: Pod> ParamArena<T> {
         self.buf.as_mut_slice()
     }
 
-    /// HOGWILD view for worker threads.
-    pub fn ptr(&self) -> HogwildPtr<T> {
-        self.buf.ptr()
-    }
-
-    /// Raw pointer to row `r` (see [`HogwildPtr::row_ptr`]).
+    /// Raw pointer to row `r`'s `cols` elements, for a pass that owns the
+    /// row: writing through it is sound only while no other reference to
+    /// the row is live. The buffer never moves, so the pointer is stable.
     ///
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
     pub fn row_ptr(&self, r: usize) -> *mut T {
         assert!(r < self.rows, "ParamArena: row {r} out of {}", self.rows);
-        self.buf.ptr().row_ptr(r, self.cols)
+        // In bounds by the assert; the base pointer carries the whole
+        // allocation's provenance.
+        self.buf.as_ptr().cast_mut().wrapping_add(r * self.cols)
     }
 }
 
@@ -149,7 +148,8 @@ pub struct FragmentedParams {
 }
 
 // SAFETY: row pointers target heap blocks owned by `rows_data`, which lives
-// exactly as long as the struct; access follows the HOGWILD contract.
+// exactly as long as the struct; writes through them follow
+// `FragmentedParams::row_ptr`'s one-owner contract.
 unsafe impl Send for FragmentedParams {}
 unsafe impl Sync for FragmentedParams {}
 
@@ -209,21 +209,8 @@ impl FragmentedParams {
         &mut self.rows_data[r]
     }
 
-    /// Racy HOGWILD view of row `r` for worker threads.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`HogwildPtr::row_mut`]: the struct must outlive the
-    /// slice and concurrent overlap follows the benign-race model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub unsafe fn row_racy<'a>(&self, r: usize) -> &'a mut [f32] {
-        std::slice::from_raw_parts_mut(self.row_ptrs[r], self.cols)
-    }
-
-    /// Raw pointer to row `r`'s `cols` elements.
+    /// Raw pointer to row `r`'s `cols` elements, under the contract of
+    /// [`ParamArena::row_ptr`].
     ///
     /// # Panics
     ///
@@ -322,24 +309,8 @@ impl ParamStore {
         }
     }
 
-    /// Racy HOGWILD view of row `r`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`HogwildPtr::row_mut`].
-    #[inline]
-    pub unsafe fn row_racy<'a>(&self, r: usize) -> &'a mut [f32] {
-        match self {
-            ParamStore::Arena(a) => {
-                let cols = a.cols();
-                a.ptr().row_mut(r, cols)
-            }
-            ParamStore::Fragmented(f) => f.row_racy(r),
-        }
-    }
-
-    /// Raw pointer to row `r`'s `cols` elements, for a pass that owns the
-    /// row exclusively and so needs no racy view.
+    /// Raw pointer to row `r`'s `cols` elements, under the contract of
+    /// [`ParamArena::row_ptr`].
     ///
     /// # Panics
     ///
@@ -428,7 +399,8 @@ mod tests {
             assert_eq!(store.row(3), &[3.0, 3.0]);
             store.row_mut(3)[1] = 9.0;
             assert_eq!(store.row(3), &[3.0, 9.0]);
-            unsafe { store.row_racy(0)[0] = 5.0 };
+            // SAFETY: single-threaded; no reference to row 0 is live.
+            unsafe { *store.row_ptr(0) = 5.0 };
             assert_eq!(store.row(0)[0], 5.0);
             assert_eq!(store.row_ptr(2) as *const f32, store.row(2).as_ptr());
             assert_eq!(store.flat().is_some(), layout == ParamLayout::Coalesced);
@@ -444,7 +416,8 @@ mod tests {
             assert_eq!(frag.row(r), clone.row(r));
             assert_ne!(frag.row(r).as_ptr(), clone.row(r).as_ptr());
         }
-        unsafe { clone.row_racy(1)[0] = 99.0 };
+        // SAFETY: single-threaded; no reference to row 1 is live.
+        unsafe { *clone.row_ptr(1) = 99.0 };
         assert_eq!(clone.row(1)[0], 99.0);
         assert_ne!(frag.row(1)[0], 99.0);
     }
@@ -456,7 +429,8 @@ mod tests {
         assert_eq!(arena.row(1), &[v(1), v(2), v(3)]);
         assert_eq!(arena.row(0), &[v(0), v(0), v(0)]);
         assert_eq!(arena.flat().len(), 6);
-        unsafe { arena.ptr().set(0, v(7)) };
+        // SAFETY: single-threaded; no reference to row 0 is live.
+        unsafe { *arena.row_ptr(0) = v(7) };
         assert_eq!(arena.row(0)[0], v(7));
         assert_eq!(arena.row_ptr(1) as *const T, arena.row(1).as_ptr());
     }
@@ -465,6 +439,36 @@ mod tests {
     fn bf16_arena_roundtrips() {
         roundtrips::<u16>();
         roundtrips::<f32>();
+    }
+
+    #[test]
+    fn row_ptr_writes_of_disjoint_owners_land_exactly() {
+        // Each thread owns the rows `r % threads == t` and writes them
+        // through `row_ptr` alone, as the trainer's row-owned pass does.
+        let (rows, cols, threads) = (64, 256, 4);
+        for layout in [ParamLayout::Coalesced, ParamLayout::Fragmented] {
+            let store = ParamStore::zeroed(layout, rows, cols);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let store = &store;
+                    s.spawn(move || {
+                        for r in (t..rows).step_by(threads) {
+                            // SAFETY: row `r` belongs to this thread alone and
+                            // nothing reads the store until the scope ends.
+                            let row =
+                                unsafe { std::slice::from_raw_parts_mut(store.row_ptr(r), cols) };
+                            for (c, slot) in row.iter_mut().enumerate() {
+                                *slot = (r * cols + c) as f32;
+                            }
+                        }
+                    });
+                }
+            });
+            for r in 0..rows {
+                let want: Vec<f32> = (0..cols).map(|c| (r * cols + c) as f32).collect();
+                assert_eq!(store.row(r), &want[..], "{layout:?} row {r}");
+            }
+        }
     }
 
     #[test]

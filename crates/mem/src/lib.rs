@@ -14,10 +14,10 @@
 //!
 //! * [`AlignedVec`] — 64-byte-aligned fixed buffers (cache-line/AVX-512
 //!   friendly),
-//! * [`HogwildArray`] / [`HogwildPtr`] — lock-free shared parameter views for
-//!   HOGWILD-style batch parallelism (written concurrently only by the
-//!   per-sample oracle and the baselines; the trainer owns each row it
-//!   writes),
+//! * [`ParamArena::row_ptr`] / [`ParamStore::row_ptr`] — the one write path
+//!   into shared parameters: the trainer hands every row a batch touches to
+//!   one worker, which writes it through this pointer while no other thread
+//!   reaches it,
 //! * [`ParamArenaBf16`] — contiguous bf16 weight storage for §4.4 mode 1,
 //! * [`IndexBatch`] — coalesced multi-hot label sets,
 //! * [`SharedArena`] / [`ArenaView`] — shared read-only byte images (heap
@@ -45,7 +45,6 @@
 mod aligned;
 mod arena;
 mod checksum;
-mod hogwild;
 mod shared;
 mod sparse;
 mod sys;
@@ -53,7 +52,6 @@ mod sys;
 pub use aligned::{AlignedVec, Pod, BUFFER_ALIGN};
 pub use arena::{FragmentedParams, ParamArena, ParamArenaBf16, ParamLayout, ParamStore};
 pub use checksum::crc32;
-pub use hogwild::{HogwildArray, HogwildPtr};
 pub use shared::{pod_bytes, ArenaView, SharedArena};
 pub use sparse::{
     clear_densified, densify_into, BatchStore, FragmentedBatch, IndexBatch, SparseBatch,

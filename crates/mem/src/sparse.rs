@@ -3,7 +3,7 @@
 //! §4.1 of the paper replaces the per-instance `vector<pair<int,float>>`
 //! layout (one heap allocation per data instance, scattered across DRAM) with
 //! *one long contiguous vector* holding every instance's non-zero indices and
-//! values back to back, plus an offsets array. When hundreds of HOGWILD
+//! values back to back, plus an offsets array. When hundreds of worker
 //! threads walk a batch, the first DRAM fetch pulls neighbouring instances
 //! into the shared L3 for everyone else.
 //!

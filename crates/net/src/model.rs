@@ -4,9 +4,9 @@
 //! client cannot tell the difference.
 //!
 //! Determinism is by construction: a fixed-seed synthetic dataset, a
-//! fixed-seed network init, and single-threaded training (HOGWILD with one
-//! worker is sequential SGD — the PR 5 determinism battery proved the
-//! whole pipeline reproducible under `threads: 1`).
+//! fixed-seed network init, and single-threaded training (the row-owned
+//! batch pass with one worker is bit-reproducible, so the whole pipeline
+//! is under `threads: 1`).
 
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};

@@ -1,6 +1,6 @@
 //! The one frozen inference engine.
 //!
-//! Training needs racy HOGWILD parameter views, gradient/moment arenas, and
+//! Training needs row-owned writes into its parameters, ADAM moments, and
 //! locked hash tables that follow the drifting weights. Serving needs none
 //! of that: an [`Engine`] copies the weights into contiguous, 64-byte-aligned,
 //! row-padded arenas (the Figure-3 flat-layout discipline, minus every

@@ -12,7 +12,7 @@
 //!   hidden activation, and its output layer) with contiguous
 //!   64-byte-aligned weight arenas, pre-built hash tables, and a lock-free `&self`
 //!   [`Engine::predict_sparse`] that is safe to share across threads via
-//!   `Arc` (no `HogwildPtr`, no gradient state, no table locks). Its tables
+//!   `Arc` (no writable parameter view, no optimizer state, no table locks). Its tables
 //!   are filled and its active sets picked by [`slide_core::Retrieval`], the
 //!   code the trainer's output layer runs, with no forced labels. It is
 //!   generic over the row storage format ([`RowLayout`]: f32

@@ -39,9 +39,9 @@ use crate::scalar;
 /// worker/serve scratch; the pointers are only valid for the duration of a
 /// single kernel call and are re-gathered every time.
 ///
-/// The raw pointers follow the HOGWILD contract of the arenas they point
-/// into; `Send`/`Sync` are sound because the buffers carry no ownership and
-/// every use re-fills them from a live `&self` borrow of the owning layer.
+/// `Send`/`Sync` are sound because the buffers carry no ownership and every
+/// use re-fills them from a live `&self` borrow of the owning layer, whose
+/// rows no other thread writes during the call.
 #[derive(Debug, Default)]
 pub struct RowGather {
     /// Gathered f32 weight-row pointers.
@@ -53,18 +53,11 @@ pub struct RowGather {
     /// Per-row f32 dequantization scales staged alongside
     /// [`RowGather::w_i8`].
     pub scales: Vec<f32>,
-    /// Gathered (always-f32) gradient-row pointers.
-    pub grad: Vec<*mut f32>,
-    /// Row ids staged by callers that filter rows before gathering
-    /// (e.g. the dense backward pass skips zero deltas).
-    pub rows: Vec<u32>,
-    /// Per-row coefficients staged alongside [`RowGather::rows`].
-    pub deltas: Vec<f32>,
 }
 
 // SAFETY: the vectors are plain reusable buffers; the pointees' thread-safety
-// is governed by the HOGWILD contract of the arena each pointer was gathered
-// from, exactly as for the raw-pointer scratch wrappers in slide-core.
+// is governed by the layer each pointer was gathered from, which no thread
+// writes while a gathered kernel call reads it.
 unsafe impl Send for RowGather {}
 unsafe impl Sync for RowGather {}
 
@@ -75,9 +68,6 @@ impl RowGather {
         self.w_bf16.clear();
         self.w_i8.clear();
         self.scales.clear();
-        self.grad.clear();
-        self.rows.clear();
-        self.deltas.clear();
     }
 }
 
@@ -1041,13 +1031,12 @@ mod tests {
     #[test]
     fn row_gather_clear_keeps_capacity() {
         let mut g = RowGather::default();
-        g.rows.extend([1, 2, 3]);
-        g.deltas.extend([0.1, 0.2, 0.3]);
+        g.scales.extend([0.1, 0.2, 0.3]);
         let v = [1.0_f32; 2];
         g.w_f32.push(v.as_ptr());
-        let cap = g.rows.capacity();
+        let cap = g.scales.capacity();
         g.clear();
-        assert!(g.rows.is_empty() && g.w_f32.is_empty() && g.deltas.is_empty());
-        assert_eq!(g.rows.capacity(), cap);
+        assert!(g.scales.is_empty() && g.w_f32.is_empty());
+        assert_eq!(g.scales.capacity(), cap);
     }
 }

@@ -1,14 +1,15 @@
 //! Recommendation workload (Amazon-670K stand-in): Optimized SLIDE vs the
 //! dense full-softmax baseline on the same data — the core comparison of
-//! the paper's evaluation, at laptop scale.
+//! the paper's evaluation, at laptop scale. Both run on the same trainer;
+//! the baseline's active sets are every output row.
 //!
 //! ```sh
 //! cargo run --release --example amazon670k_sim
 //! ```
 
 use slide::{
-    generate_synthetic, DenseBaseline, DenseConfig, EvalMode, Network, NetworkConfig, SynthConfig,
-    Trainer, TrainerConfig,
+    generate_synthetic, ActiveSets, EvalMode, Network, NetworkConfig, SynthConfig, Trainer,
+    TrainerConfig,
 };
 
 fn main() {
@@ -27,15 +28,13 @@ fn main() {
     net_cfg.lsh.tables = 32;
     net_cfg.lsh.key_bits = 6;
     net_cfg.lsh.min_active = 128;
-    let mut slide = Trainer::new(
-        Network::new(net_cfg).expect("valid config"),
-        TrainerConfig {
-            batch_size: 256,
-            learning_rate: 1e-3,
-            ..Default::default()
-        },
-    )
-    .expect("valid trainer");
+    let tc = TrainerConfig {
+        batch_size: 256,
+        learning_rate: 1e-3,
+        ..Default::default()
+    };
+    let mut slide = Trainer::new(Network::new(net_cfg.clone()).expect("valid config"), tc)
+        .expect("valid trainer");
 
     println!("\n== Optimized SLIDE ==");
     let mut slide_epoch_time = 0.0;
@@ -54,24 +53,23 @@ fn main() {
     slide_epoch_time /= epochs as f64;
 
     // --- Dense full-softmax baseline (TF-CPU stand-in) ---
-    let mut dense = DenseBaseline::new(DenseConfig {
-        input_dim: cfg.feature_dim,
-        hidden,
-        output_dim: cfg.label_dim,
-        batch_size: 256,
-        learning_rate: 1e-3,
-        ..Default::default()
-    });
+    let dense_tc = TrainerConfig {
+        active_sets: ActiveSets::All,
+        ..tc
+    };
+    let mut dense = Trainer::new(Network::new(net_cfg).expect("valid config"), dense_tc)
+        .expect("valid trainer");
     println!("\n== Dense full-softmax (TF-CPU stand-in) ==");
     let mut dense_epoch_time = 0.0;
     for epoch in 0..epochs {
-        let (seconds, loss) = dense.train_epoch(&data.train, epoch as u64);
-        dense_epoch_time += seconds;
-        let p1 = dense.evaluate(&data.test, 1, Some(400));
+        let stats = dense.train_epoch(&data.train, epoch as u64);
+        dense_epoch_time += stats.seconds;
+        let p1 = dense.evaluate(&data.test, 1, EvalMode::Exact, Some(400));
         println!(
-            "epoch {}: {:.3}s  loss {loss:.4}  P@1 {p1:.3}",
+            "epoch {}: {:.3}s  loss {:.4}  P@1 {p1:.3}",
             epoch + 1,
-            seconds
+            stats.seconds,
+            stats.mean_loss
         );
     }
     dense_epoch_time /= epochs as f64;

@@ -6,7 +6,7 @@
 //!
 //! | module | crate | what it is |
 //! |---|---|---|
-//! | [`core`] | `slide-core` | the SLIDE engine: LSH-sampled sparse training, HOGWILD batch parallelism, bf16 modes, rebuild schedules |
+//! | [`core`] | `slide-core` | the SLIDE engine: LSH-sampled sparse training, row-owned batch parallelism, bf16 modes, rebuild schedules, and the dense/uniform baselines as active-set policies |
 //! | [`simd`] | `slide-simd` | runtime-dispatched scalar/AVX2/AVX-512 kernels and software bf16 (§4.2–4.4) |
 //! | [`mem`] | `slide-mem` | coalesced batch/parameter memory layouts and their naive counterparts (§4.1) |
 //! | [`hash`] | `slide-hash` | DWTA + SimHash LSH families and the multi-table bucket index (§2, §4.3.3) |
@@ -14,7 +14,7 @@
 //! | [`serve`] | `slide-serve` | frozen-inference snapshots and the caller-runs request path |
 //! | [`quant`] | `slide-quant` | post-training int8 quantized serving snapshots over VNNI-class integer kernels |
 //! | [`net`] | `slide-net` | TCP wire protocol, `slide_netd` replica daemon, `slide_router` fleet front-end |
-//! | [`baseline`] | `slide-baseline` | dense full-softmax baseline and the modeled V100 column |
+//! | [`baseline`] | `slide-baseline` | the method presets and the modeled V100 column |
 //!
 //! The most common types are re-exported at the top level.
 //!
@@ -53,10 +53,10 @@ pub use slide_quant as quant;
 pub use slide_serve as serve;
 pub use slide_simd as simd;
 
-pub use slide_baseline::{DenseBaseline, DenseConfig, DeviceModel, Method};
+pub use slide_baseline::{DeviceModel, Method};
 pub use slide_core::{
-    load_checkpoint, save_checkpoint, ConvergenceLog, EvalMode, HashFamilyKind, LshConfig,
-    MemoryConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
+    load_checkpoint, save_checkpoint, ActiveSets, ConvergenceLog, EvalMode, HashFamilyKind,
+    LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
 };
 pub use slide_data::{
     generate_synthetic, generate_text, parse_xc, write_xc, Dataset, DatasetStats, SynthConfig,

@@ -1,10 +1,11 @@
-//! SLIDE vs the dense full-softmax baseline: same data, same architecture —
-//! SLIDE must match accuracy (the paper's "pretty similar P@1") while doing
-//! far less output-layer work per sample.
+//! SLIDE vs the dense full-softmax baseline: same data, same architecture,
+//! same trainer — only the active sets differ (`ActiveSets::All` scores
+//! every output row). SLIDE must match accuracy (the paper's "pretty
+//! similar P@1") while doing far less output-layer work per sample.
 
 use slide::{
-    generate_synthetic, DenseBaseline, DenseConfig, EvalMode, Network, NetworkConfig, SynthConfig,
-    Trainer, TrainerConfig,
+    generate_synthetic, ActiveSets, EvalMode, Network, NetworkConfig, SynthConfig, Trainer,
+    TrainerConfig,
 };
 
 fn dataset(label_dim: usize) -> slide::data::SynthDataset {
@@ -38,25 +39,21 @@ fn slide_matches_dense_accuracy() {
         ..Default::default()
     };
     tc.rebuild.initial_period = 8;
-    let mut slide = Trainer::new(Network::new(cfg).unwrap(), tc).unwrap();
+    let mut slide = Trainer::new(Network::new(cfg.clone()).unwrap(), tc).unwrap();
     for epoch in 0..epochs {
         slide.train_epoch(&data.train, epoch as u64);
     }
     let slide_p1 = slide.evaluate(&data.test, 1, EvalMode::Exact, None);
 
-    let mut dense = DenseBaseline::new(DenseConfig {
-        input_dim: 1024,
-        hidden: 32,
-        output_dim: 256,
-        batch_size: 64,
-        learning_rate: 2e-3,
-        threads: 4,
-        seed: 1,
-    });
+    let dense_tc = TrainerConfig {
+        active_sets: ActiveSets::All,
+        ..tc
+    };
+    let mut dense = Trainer::new(Network::new(cfg).unwrap(), dense_tc).unwrap();
     for epoch in 0..epochs {
         dense.train_epoch(&data.train, epoch as u64);
     }
-    let dense_p1 = dense.evaluate(&data.test, 1, None);
+    let dense_p1 = dense.evaluate(&data.test, 1, EvalMode::Exact, None);
 
     assert!(
         dense_p1 > 0.35,
@@ -86,24 +83,20 @@ fn slide_epoch_is_faster_with_huge_output_layer() {
         threads: 8,
         ..Default::default()
     };
-    let mut slide = Trainer::new(Network::new(cfg).unwrap(), tc).unwrap();
+    let mut slide = Trainer::new(Network::new(cfg.clone()).unwrap(), tc).unwrap();
     let mut slide_secs = 0.0;
     for epoch in 0..epochs {
         slide_secs += slide.train_epoch(&data.train, epoch as u64).seconds;
     }
 
-    let mut dense = DenseBaseline::new(DenseConfig {
-        input_dim: 1024,
-        hidden: 32,
-        output_dim: 4096,
-        batch_size: 128,
-        learning_rate: 1e-3,
-        threads: 8,
-        seed: 1,
-    });
+    let dense_tc = TrainerConfig {
+        active_sets: ActiveSets::All,
+        ..tc
+    };
+    let mut dense = Trainer::new(Network::new(cfg).unwrap(), dense_tc).unwrap();
     let mut dense_secs = 0.0;
     for epoch in 0..epochs {
-        dense_secs += dense.train_epoch(&data.train, epoch as u64).0;
+        dense_secs += dense.train_epoch(&data.train, epoch as u64).seconds;
     }
 
     assert!(

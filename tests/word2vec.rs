@@ -61,28 +61,23 @@ fn one_hot_embedding_rows_update_sparsely() {
     net_cfg.lsh.family = HashFamilyKind::SimHash;
     net_cfg.lsh.key_bits = 5;
     net_cfg.lsh.tables = 8;
-    let net = Network::new(net_cfg).unwrap();
+    let tc = TrainerConfig {
+        batch_size: 1,
+        learning_rate: 1e-2,
+        threads: 1,
+        ..Default::default()
+    };
+    let mut trainer = Trainer::new(Network::new(net_cfg).unwrap(), tc).unwrap();
 
-    let initial: Vec<Vec<f32>> = (0..64).map(|r| net.input().params().row_f32(r)).collect();
-    let mut scratch = net.make_scratch();
-    // Train one sample with center word = features(0).
-    let center = data.train.features(0).indices[0];
-    let loss = net.train_sample(
-        data.train.features(0),
-        data.train.labels(0),
-        &mut scratch,
-        1.0,
-        1,
-        0,
-    );
-    assert!(loss > 0.0);
-    let step = slide::simd::AdamStep::bias_corrected(0.01, 0.9, 0.999, 1e-8, 1);
-    for &r in &scratch.touched_in {
-        unsafe { net.input().params().adam_row(r as usize, step) };
-    }
-    assert_eq!(scratch.touched_in, vec![center]);
+    let input = |t: &Trainer, r: u32| t.network().input().params().row_f32(r as usize);
+    let initial: Vec<Vec<f32>> = (0..64).map(|r| input(&trainer, r)).collect();
+    // Train one batch of one sample, center word = features(0).
+    let x = data.train.features(0);
+    assert_eq!(x.indices.len(), 1, "one-hot input");
+    let center = x.indices[0];
+    trainer.train_batch(&data.train, &[0]);
     for r in 0..64u32 {
-        let row = net.input().params().row_f32(r as usize);
+        let row = input(&trainer, r);
         if r == center {
             assert_ne!(row, initial[r as usize], "center row must move");
         } else {
