@@ -570,7 +570,7 @@ fi
 # -> step_row_moves_weights_against_gradient and core_props'
 # zero_scale_training_probe_leaves_weights_unchanged ->
 # train_sample_leaves_every_exported_byte_unchanged.
-MIN_TIER1_TESTS=626
+MIN_TIER1_TESTS=628
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -2,13 +2,17 @@
 //! (DESIGN.md §6, "Row-owned batch pass").
 //!
 //! After every sample's forward pass and active set, a counting sort builds
-//! the row → (sample, pair) CSR ([`RowCsr`]) of the output rows. Workers
-//! take chunks of rows: each touched `W[r]` is scored against all of its
-//! samples; after the per-sample softmax, its gradient is summed in a
-//! row-local buffer, `δ·W[r]` goes into the worker's hidden-gradient matrix,
-//! and the row takes its ADAM step in the same visit. The input layer is
-//! walked the same way, from each sample's hidden gradient `dh[s]` (the
-//! worker matrices summed, masked by the ReLU derivative).
+//! the row → sample CSR ([`RowCsr`]) of the output rows. The batch's logits
+//! live in that CSR's entry order, so a row's logits and deltas are one
+//! contiguous slice. Workers take chunks of rows: each touched `W[r]` is
+//! scored against all of its samples straight into its slice; the
+//! per-sample softmax gathers a sample's logits through
+//! [`RowCsr::entry_of`] and scatters its deltas back; then the row's
+//! gradient is summed in a row-local buffer, `δ·W[r]` goes into the
+//! worker's hidden-gradient matrix, and the row takes its ADAM step in the
+//! same visit. The input layer is walked the same way, from each sample's
+//! hidden gradient `dh[s]` (the worker matrices summed, masked by the ReLU
+//! derivative), with every non-zero's value placed at its entry first.
 //!
 //! A row lies in one chunk and a chunk goes to one worker, so both layers
 //! are written race-free: no atomic stamp, no touched-row merge, no dense
@@ -31,6 +35,7 @@ use crate::scratch::{Disjoint, WorkerScratch};
 use slide_data::Dataset;
 use slide_mem::BatchStore;
 use slide_simd::{AdamStep, KernelSet};
+use std::ops::Range;
 
 /// Rows per work item of the row-owned stages.
 const ROW_CHUNK: usize = 64;
@@ -39,11 +44,12 @@ const ROW_CHUNK: usize = 64;
 /// that row's lines (rows are visited in ascending order).
 const PREFETCH_ROWS: usize = 4;
 
-/// One batch's row → (sample, pair) CSR over one layer's rows, built by a
-/// counting sort from one row list per sample: the rows the batch touches,
-/// ascending, and under each the samples that list it, ascending, with the
-/// pair each one lists it at. Pair `pair_start[s] + k` is entry `k` of
-/// sample `s`'s list.
+/// One batch's row → sample CSR over one layer's rows, built by a counting
+/// sort from one row list per sample: the rows the batch touches,
+/// ascending, and under each the samples that list it, ascending. Pair
+/// `pair_start[s] + k` is item `k` of sample `s`'s list, and `entry_of`
+/// says which entry holds it; per-pair values kept in entry order give each
+/// row one contiguous slice.
 #[derive(Debug, Default)]
 struct RowCsr {
     /// Per layer row: its entry count, then its fill cursor. All zero
@@ -55,8 +61,8 @@ struct RowCsr {
     row_start: Vec<u32>,
     /// Per entry, its sample.
     samples: Vec<u32>,
-    /// Per entry, its pair.
-    pairs: Vec<u32>,
+    /// Per pair, its entry: a permutation of the entries.
+    entry_of: Vec<u32>,
     /// Sample `s`'s pairs are `pair_start[s]..pair_start[s + 1]`.
     pair_start: Vec<usize>,
 }
@@ -94,19 +100,23 @@ impl RowCsr {
         self.row_start.push(at);
 
         self.samples.resize(pairs, 0);
-        self.pairs.resize(pairs, 0);
+        self.entry_of.clear();
         for (s, list) in lists.enumerate() {
-            let first = self.pair_start[s];
-            for (k, &r) in list.iter().enumerate() {
+            for &r in list {
                 let slot = &mut self.counts[r as usize];
                 self.samples[*slot as usize] = s as u32;
-                self.pairs[*slot as usize] = (first + k) as u32;
+                self.entry_of.push(*slot);
                 *slot += 1;
             }
         }
         for &r in &self.rows {
             self.counts[r as usize] = 0;
         }
+    }
+
+    /// Sample `s`'s entries, in the order of its list.
+    fn entries_of(&self, s: usize) -> &[u32] {
+        &self.entry_of[self.pair_start[s]..self.pair_start[s + 1]]
     }
 }
 
@@ -115,14 +125,12 @@ impl RowCsr {
 struct RowWorker {
     /// `n × cols`: this worker's share of the batch's hidden gradient.
     dx: Vec<f32>,
-    /// One row's scores, then its deltas, one per sample of the row.
-    row: Vec<f32>,
     /// One row's weight gradient.
     g: Vec<f32>,
 }
 
-/// Visit every row of `csr` — its id, samples and pairs — on the one worker
-/// whose chunk holds it, asking `layer` for the lines of the row
+/// Visit every row of `csr` — its id, samples and entry range — on the one
+/// worker whose chunk holds it, asking `layer` for the lines of the row
 /// [`PREFETCH_ROWS`] ahead (with its ADAM moments when `moments`).
 fn for_each_row(
     pool: &ThreadPool,
@@ -130,7 +138,7 @@ fn for_each_row(
     workers: &mut [RowWorker],
     layer: &LayerParams,
     moments: bool,
-    visit: impl Fn(&mut RowWorker, usize, &[u32], &[u32]) + Sync,
+    visit: impl Fn(&mut RowWorker, usize, &[u32], Range<usize>) + Sync,
 ) {
     let workers = Disjoint::new(workers);
     pool.parallel_chunks(csr.rows.len(), ROW_CHUNK, &|worker, chunk| {
@@ -141,8 +149,8 @@ fn for_each_row(
                 layer.prefetch_row(ahead as usize, moments);
             }
             let entries = csr.row_start[i] as usize..csr.row_start[i + 1] as usize;
-            let (samples, pairs) = (&csr.samples[entries.clone()], &csr.pairs[entries]);
-            visit(buf, csr.rows[i] as usize, samples, pairs);
+            let samples = &csr.samples[entries.clone()];
+            visit(buf, csr.rows[i] as usize, samples, entries);
         }
     });
 }
@@ -156,14 +164,17 @@ pub(crate) struct BatchPass {
     h: Vec<f32>,
     /// Per sample, its active set (labels first); empty without labels.
     active: Vec<Vec<u32>>,
-    /// Per output pair: the logit, and after the softmax the delta.
+    /// Per output entry (row-major): the logit, and after the softmax the
+    /// delta.
     scores: Vec<f32>,
-    /// The output layer's row → (sample, active slot) CSR.
+    /// The output layer's row → sample CSR; its pairs are active slots.
     out_rows: RowCsr,
     /// `n × cols`: every labelled sample's masked hidden gradient.
     dh: Vec<f32>,
-    /// The input layer's row → (sample, non-zero) CSR.
+    /// The input layer's row → sample CSR; its pairs are non-zeros.
     in_rows: RowCsr,
+    /// Per input entry (row-major): the non-zero's value.
+    values: Vec<f32>,
     /// The hidden bias's gradient.
     gb: Vec<f32>,
     workers: Vec<RowWorker>,
@@ -226,28 +237,26 @@ impl BatchPass {
     }
 
     /// Build the output CSR, then score every touched output row against all
-    /// of its samples: each `W[r]` is read once, by the one worker owning it.
+    /// of its samples into the row's entries: each `W[r]` is read once, by
+    /// the one worker owning it.
     pub(crate) fn score(&mut self, net: &Network, pool: &ThreadPool, ks: &KernelSet) {
         let (out, active) = (net.output().params(), &self.active);
         self.out_rows
             .build(out.rows(), active.iter().map(Vec::as_slice));
-        self.scores.resize(self.out_rows.pairs.len(), 0.0);
+        self.scores.resize(self.out_rows.samples.len(), 0.0);
         let h = &self.h;
         let scores = Disjoint::new(&mut self.scores);
         let (rows, workers) = (&self.out_rows, &mut self.workers);
-        for_each_row(pool, rows, workers, out, false, |buf, r, samples, pairs| {
-            buf.row.resize(samples.len(), 0.0);
-            out.score_row_samples(ks, r, h, samples, &mut buf.row);
-            for (&pair, &z) in pairs.iter().zip(&buf.row) {
-                // SAFETY: a pair is one (sample, active slot) and is listed
-                // under exactly one row, which this worker owns.
-                unsafe { *scores.get(pair as usize) = z };
-            }
+        for_each_row(pool, rows, workers, out, false, |_, r, samples, range| {
+            // SAFETY: a row's entries are its own, and this worker owns it.
+            let z = unsafe { scores.range(range.start, range.len()) };
+            out.score_row_samples(ks, r, h, samples, z);
         });
     }
 
-    /// Turn every labelled sample's scores into softmax deltas in place and
-    /// push its loss into the worker's epoch accumulator.
+    /// Turn every labelled sample's scores into softmax deltas in place —
+    /// gathered from its entries in list order, scattered back the same way
+    /// — and push its loss into the worker's epoch accumulator.
     pub(crate) fn softmax(
         &mut self,
         pool: &ThreadPool,
@@ -256,18 +265,23 @@ impl BatchPass {
         indices: &[u32],
     ) {
         let slots = Disjoint::new(scratches);
-        let (active, pair_start) = (&self.active, &self.out_rows.pair_start);
+        let (active, csr) = (&self.active, &self.out_rows);
         let scores = Disjoint::new(&mut self.scores);
         pool.parallel_chunks(active.len(), 1, &|worker, samples| {
             // SAFETY: a worker id belongs to one running worker.
             let scratch = unsafe { slots.get(worker) };
             for s in samples.filter(|&s| !active[s].is_empty()) {
-                // SAFETY: sample `s`, and with it its pair range, went to
-                // this worker alone.
-                let z = unsafe { scores.range(pair_start[s], active[s].len()) };
+                let entries = csr.entries_of(s);
+                // SAFETY: an entry holds one pair, and sample `s`, with
+                // every pair of it, went to this worker alone.
+                let score = |e: u32| unsafe { scores.get(e as usize) };
+                scratch.logits.clear();
+                scratch.logits.extend(entries.iter().map(|&e| *score(e)));
                 let labels = data.labels(indices[s] as usize).len();
-                let loss = softmax_deltas(z, labels, &mut scratch.probs);
-                z.copy_from_slice(&scratch.probs);
+                let loss = softmax_deltas(&scratch.logits, labels, &mut scratch.probs);
+                for (&e, &d) in entries.iter().zip(&scratch.probs) {
+                    *score(e) = d;
+                }
                 scratch.loss.push(loss);
             }
         });
@@ -293,12 +307,10 @@ impl BatchPass {
         let out = net.output().params();
         let (h, scores) = (&self.h, &self.scores);
         let (rows, workers) = (&self.out_rows, &mut self.workers);
-        for_each_row(pool, rows, workers, out, true, |buf, r, samples, pairs| {
-            let RowWorker { dx, row, g } = buf;
-            row.clear();
-            row.extend(pairs.iter().map(|&pair| scores[pair as usize]));
+        for_each_row(pool, rows, workers, out, true, |buf, r, samples, range| {
+            let (RowWorker { dx, g }, deltas) = (buf, &scores[range]);
             // SAFETY: `for_each_row` hands row `r` to this worker alone.
-            unsafe { out.train_row_samples(ks, r, h, samples, row, scale, dx, g, step) };
+            unsafe { out.train_row_samples(ks, r, h, samples, deltas, scale, dx, g, step) };
         });
     }
 
@@ -335,14 +347,19 @@ impl BatchPass {
         let features = |s: usize| (!active[s].is_empty()).then(|| store.get(s).indices);
         self.in_rows
             .build(inp.rows(), (0..n).map(|s| features(s).unwrap_or_default()));
-        let (dh, pair_start) = (&self.dh, &self.in_rows.pair_start);
+        self.values.resize(self.in_rows.samples.len(), 0.0);
+        for s in 0..n {
+            for (&e, &v) in self.in_rows.entries_of(s).iter().zip(store.get(s).values) {
+                self.values[e as usize] = v;
+            }
+        }
+        let (dh, values) = (&self.dh, &self.values);
         let (rows, workers) = (&self.in_rows, &mut self.workers);
-        for_each_row(pool, rows, workers, inp, true, |buf, r, samples, pairs| {
+        for_each_row(pool, rows, workers, inp, true, |buf, r, samples, range| {
             buf.g.clear();
             buf.g.resize(cols, 0.0);
-            for (&s, &pair) in samples.iter().zip(pairs) {
+            for (&s, &v) in samples.iter().zip(&values[range]) {
                 let s = s as usize;
-                let v = store.get(s).values[pair as usize - pair_start[s]];
                 ks.axpy(v * scale, &dh[s * cols..(s + 1) * cols], &mut buf.g);
             }
             // SAFETY: `for_each_row` hands row `r` to this worker alone.

@@ -168,8 +168,49 @@ fn row_csr_lists_rows_ascending_with_their_samples_ascending() {
         assert_eq!(csr.row_start, [0, 2, 4, 5]);
         assert_eq!(csr.pair_start, [0, 2, 2, 5]);
         assert_eq!(csr.samples, [0, 2, 0, 2, 2]);
-        assert_eq!(csr.pairs, [1, 2, 0, 4, 3]);
+        assert_eq!(csr.entry_of, [2, 0, 1, 4, 3]);
+        assert_entries_hold_their_pairs(&csr, &lists);
         // The counts are zero again, so a second build sees the same batch.
         assert!(csr.counts.iter().all(|&c| c == 0));
+    }
+}
+
+/// `entry_of` is a permutation of the entries, and pair `p` (item `k` of
+/// sample `s`'s list, row `r`) sits at an entry of sample `s` inside row
+/// `r`'s range.
+fn assert_entries_hold_their_pairs(csr: &RowCsr, lists: &[&[u32]]) {
+    let mut seen = vec![false; csr.samples.len()];
+    assert_eq!(csr.entry_of.len(), seen.len(), "one entry per pair");
+    for (s, list) in lists.iter().enumerate() {
+        assert_eq!(csr.entries_of(s).len(), list.len(), "sample {s}'s pairs");
+        for (&e, &r) in csr.entries_of(s).iter().zip(list.iter()) {
+            let e = e as usize;
+            assert!(!std::mem::replace(&mut seen[e], true), "entry {e} twice");
+            assert_eq!(csr.samples[e] as usize, s, "entry {e}'s sample");
+            let i = csr.rows.binary_search(&r).expect("a listed row is touched");
+            let range = csr.row_start[i] as usize..csr.row_start[i + 1] as usize;
+            assert!(range.contains(&e), "entry {e} outside row {r}'s {range:?}");
+        }
+    }
+}
+
+#[test]
+fn row_csr_entry_of_places_every_pair_in_its_row() {
+    let mut state = 0x9e37_79b9_u32;
+    let mut next = |below: u32| {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 8) % below
+    };
+    // 40 samples of up to 11 rows out of 50, some of them empty.
+    let lists: Vec<Vec<u32>> = (0..40)
+        .map(|_| (0..next(12)).map(|_| next(50)).collect())
+        .collect();
+    let lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+    let mut csr = RowCsr::default();
+    csr.build(50, lists.iter().copied());
+    assert_entries_hold_their_pairs(&csr, &lists);
+    for (&r, at) in csr.rows.iter().zip(csr.row_start.windows(2)) {
+        let samples = &csr.samples[at[0] as usize..at[1] as usize];
+        assert!(samples.is_sorted(), "row {r}: samples ascending");
     }
 }

@@ -19,7 +19,9 @@
 //! from the same hidden gradient.
 //!
 //! Covered: f32 and bf16 weights, coalesced and fragmented layouts, and
-//! label-less samples in the batch. The hidden layer is 72 wide: past one
+//! label-less samples in the batch. The output layer must also come out
+//! bit-identical at 2–4 threads, where workers scatter softmax deltas into
+//! each other's rows' entries. The hidden layer is 72 wide: past one
 //! 64-column step and not a multiple of 16, so a kernel that sums a row in
 //! another order than its reference shows.
 
@@ -314,4 +316,30 @@ fn one_batch_matches_the_per_sample_oracle_bf16() {
 #[test]
 fn one_batch_matches_the_per_sample_oracle_fragmented() {
     check(72, Precision::Fp32, false);
+}
+
+#[test]
+fn one_batch_leaves_the_output_layer_independent_of_thread_count() {
+    let data = data();
+    let batch: Vec<u32> = (0..data.len() as u32).collect();
+    for precision in [Precision::Fp32, Precision::Bf16Both] {
+        let run = |threads: usize| {
+            let tc = TrainerConfig {
+                threads,
+                ..trainer_config()
+            };
+            let net = Network::new(config(72, precision, true)).unwrap();
+            let mut trainer = Trainer::new(net, tc).unwrap();
+            trainer.train_batch(&data, &batch);
+            let out = export(trainer.network().output().params());
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let one = run(1);
+        for threads in 2..=4 {
+            assert!(
+                run(threads) == one,
+                "{precision:?}: the output layer at {threads} threads differs from 1 thread"
+            );
+        }
+    }
 }

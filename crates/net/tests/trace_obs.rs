@@ -66,6 +66,16 @@ fn count_stage(hub: &slide_obs::ObsHub, trace_id: u64, stage: Stage) -> usize {
         .count()
 }
 
+/// Wait a bounded moment for `hub`'s encode span of `trace_id`: a listener
+/// records it after the reply is on the wire, so a client already holding
+/// the reply may get here first.
+fn await_encode_span(hub: &slide_obs::ObsHub, trace_id: u64) {
+    let give_up = Instant::now() + Duration::from_secs(1);
+    while count_stage(hub, trace_id, Stage::Encode) != 1 && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
+}
+
 /// One traced request through router + forced hedge: every hop reports
 /// exactly once, and the winning replica's stage starts are monotone in
 /// pipeline order.
@@ -125,14 +135,9 @@ fn traced_request_reports_every_hop_exactly_once() {
     );
 
     // Winning replica: all five serve-side stages plus the socket encode,
-    // each exactly once. The replica records its encode span after the
-    // reply is on the wire, so a client already holding the reply may be
-    // here first: give that last span a bounded moment to land.
+    // each exactly once.
     let fast_hub = b_fast.obs();
-    let give_up = Instant::now() + Duration::from_secs(1);
-    while count_stage(&fast_hub, trace_id, Stage::Encode) != 1 && Instant::now() < give_up {
-        std::thread::yield_now();
-    }
+    await_encode_span(&fast_hub, trace_id);
     let expect = [
         Stage::Admission,
         Stage::BatchWait,
@@ -165,7 +170,10 @@ fn traced_request_reports_every_hop_exactly_once() {
         "stage starts must be monotone in pipeline order: {starts:?}"
     );
 
-    // Untraced traffic must record no further spans in the router ring.
+    // Untraced traffic must record no further spans in the router ring,
+    // counted once the router's own encode span has landed.
+    await_encode_span(&router_hub, trace_id);
+    assert_eq!(count_stage(&router_hub, trace_id, Stage::Encode), 1);
     let before = router_hub.ring().snapshot().len();
     client.predict(idx, val, K).expect("untraced predict");
     assert_eq!(
