@@ -78,6 +78,16 @@ if [[ "$MODE" == "smoke" ]]; then
     step "smoke: table1"
     SLIDE_SCALE=1 ./target/release/table1 > /dev/null
 
+    # Every paper binary trains its runs through slide-bench's one runner;
+    # run each at the smallest configuration (~2.5 min in all on 2 vCPUs).
+    # fig6 --barchart prints its summary and writes no fig6_out/.
+    for bin in table2 table3 table4 ablation_memory ablation_lsh ablation_sampling; do
+        step "smoke: $bin (1 epoch)"
+        SLIDE_SCALE=1 SLIDE_EPOCHS=1 "./target/release/$bin" > /dev/null
+    done
+    step "smoke: fig6 --barchart (1 epoch)"
+    SLIDE_SCALE=1 SLIDE_EPOCHS=1 ./target/release/fig6 --barchart > /dev/null
+
     step "smoke: profile_phases (1 epoch, emits BENCH_train.json)"
     SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
         ./target/release/profile_phases > /dev/null
@@ -487,6 +497,15 @@ if grep -rnE 'struct Bucket\b|BucketPolicy|fn to_csr|fn from_csr|fn retained|fn 
     exit 1
 fi
 
+step "one experiment harness (no slide-baseline crate beside slide-bench)"
+# Every table and figure lists slide-bench Runs measured by its one runner;
+# the method lineup and the modeled V100 column live in slide-bench
+# (DESIGN.md §3). No second presets crate comes back.
+if grep -rnE 'slide[-_]baseline' crates src tests examples Cargo.toml; then
+    echo "ci.sh: the slide-baseline crate is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -570,7 +589,17 @@ fi
 # -> step_row_moves_weights_against_gradient and core_props'
 # zero_scale_training_probe_leaves_weights_unchanged ->
 # train_sample_leaves_every_exported_byte_unchanged.
-MIN_TIER1_TESTS=628
+# Row-ordered logits: 626 + 2 = 628. Added: batch_equivalence's output
+# layer thread-count test and batch_pass::tests' entry_of property check.
+# One run description: 628 - 2 + 1 = 627. Deleted with slide_simd's
+# sum_f32: kernels::tests::sum_all_levels_agree and kernel_equivalence.rs's
+# sum_levels_agree (scale_f32's half of scale_and_add_all_levels_agree went
+# with scale_f32; its add half stays as add_all_levels_agree). Added:
+# slide-bench's presets::tests::every_named_run_trains_its_pinned_configuration.
+# Moved into slide-bench unchanged in number: slide-baseline's 4 preset and
+# 4 DeviceModel tests and its doctest, and baseline_parity.rs's
+# v100_model_is_plausible_for_our_scale.
+MIN_TIER1_TESTS=627
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -1,15 +1,11 @@
-//! End-to-end training-step benchmarks: one full batch (forward + HOGWILD
-//! backward + sparse ADAM) under the naive and optimized configurations —
-//! the microscopic version of Table 2's per-epoch comparison.
+//! End-to-end training-step benchmarks: one full batch (forward, the
+//! row-owned backward and sparse ADAM of both layers) under the naive and
+//! optimized runs — the microscopic version of Table 2's per-epoch
+//! comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use slide_bench::Workload;
-use slide_core::{Network, Trainer};
-use slide_simd::SimdPolicy;
+use slide_bench::{with_preset_policy, Workload};
 use std::time::Duration;
-
-/// A named preset: mutates the config and returns the SIMD policy to force.
-type Preset = Box<dyn Fn(&mut slide_core::NetworkConfig) -> SimdPolicy>;
 
 fn bench_train_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("train_batch_amazon_sim");
@@ -21,25 +17,18 @@ fn bench_train_batch(c: &mut Criterion) {
     let (train, _test) = w.dataset(1);
     let indices: Vec<u32> = (0..w.batch_size() as u32).collect();
 
-    let variants: Vec<(&str, Preset)> = vec![
-        ("optimized", Box::new(slide_baseline::optimized_slide_clx)),
-        (
-            "optimized_bf16",
-            Box::new(slide_baseline::optimized_slide_cpx),
-        ),
-        ("naive", Box::new(slide_baseline::naive_slide)),
-    ];
-    for (name, preset) in variants {
-        let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-        let policy = preset(&mut cfg);
-        slide_simd::set_policy(policy);
-        let mut trainer =
-            Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-                .expect("valid trainer");
-        g.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            b.iter(|| trainer.train_batch(&train, &indices))
+    for run in [
+        w.run("optimized", &train),
+        w.run("optimized_bf16", &train).cpx(),
+        w.run("naive", &train).naive(),
+    ] {
+        // A forced SLIDE_SIMD leg stays forced for the optimized runs.
+        with_preset_policy(run.simd, || {
+            let mut trainer = run.build();
+            g.bench_with_input(BenchmarkId::from_parameter(&run.label), &(), |b, _| {
+                b.iter(|| trainer.train_batch(&train, &indices))
+            });
         });
-        slide_simd::set_policy(SimdPolicy::Auto);
     }
     g.finish();
 }
@@ -52,9 +41,7 @@ fn bench_evaluate(c: &mut Criterion) {
 
     let w = Workload::Amazon670k;
     let (train, test) = w.dataset(1);
-    let cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let mut trainer = Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-        .expect("valid trainer");
+    let mut trainer = w.run("optimized", &train).build();
     trainer.train_epoch(&train, 0);
 
     g.bench_function("sampled_lsh_200", |b| {

@@ -7,8 +7,8 @@
 //! cargo run -p slide-bench --release --bin ablation_memory
 //! ```
 
-use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
-use slide_core::Precision;
+use slide_bench::{epochs, fmt_secs, measure, print_table, scale, Run, Workload};
+use slide_core::MemoryConfig;
 use slide_simd::{SimdLevel, SimdPolicy};
 
 fn main() {
@@ -21,39 +21,36 @@ fn main() {
          SLIDE_SCALE={scale}, epochs={n_epochs}",
         w.name()
     );
+    let run = |run: &Run| measure(run, &train, &test, n_epochs, 300);
 
-    let combos = [
+    let layouts = [
         ("coalesced data + params (optimized)", true, true),
         ("coalesced params only", false, true),
         ("coalesced data only", true, false),
         ("fragmented both (naive layout)", false, false),
-    ];
-    let mut times = Vec::new();
-    for (label, data_c, param_c) in combos {
-        let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-        cfg.memory.coalesced_data = data_c;
-        cfg.memory.coalesced_params = param_c;
-        let r = run_slide(
-            cfg,
-            w.trainer_config(),
-            SimdPolicy::Auto,
-            None,
-            &train,
-            &test,
-            n_epochs,
-            300,
-        );
-        times.push((label, r));
-    }
-    let optimized = times[0].1.epoch_seconds;
+    ]
+    .map(|(label, coalesced_data, coalesced_params)| {
+        let mut layout = w.run(label, &train);
+        layout.net.memory = MemoryConfig {
+            coalesced_params,
+            coalesced_data,
+        };
+        layout
+    });
+    let times: Vec<_> = layouts
+        .iter()
+        .map(|layout| (&layout.label, run(layout)))
+        .collect();
+    let optimized = &layouts[0];
+    let avx_coalesced = times[0].1.epoch_seconds();
     let rows: Vec<Vec<String>> = times
         .iter()
-        .map(|(label, r)| {
+        .map(|(label, m)| {
             vec![
                 label.to_string(),
-                fmt_secs(r.epoch_seconds),
-                format!("{:.2}x", r.epoch_seconds / optimized),
-                format!("{:.3}", r.p_at_1),
+                fmt_secs(m.epoch_seconds()),
+                format!("{:.2}x", m.epoch_seconds() / avx_coalesced),
+                format!("{:.3}", m.p_at_1()),
             ]
         })
         .collect();
@@ -65,53 +62,19 @@ fn main() {
     );
 
     // The paper's §5.7 accounting: total = naive/optimized; AVX and bf16
-    // contributions measured separately; memory gets the remainder.
-    let mut naive_cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let policy = slide_baseline::naive_slide(&mut naive_cfg);
-    let naive_full = run_slide(
-        naive_cfg,
-        w.trainer_config(),
-        policy,
-        None,
-        &train,
-        &test,
-        n_epochs,
-        300,
-    );
-    let scalar_coalesced = run_slide(
-        w.network_config(train.feature_dim(), train.label_dim()),
-        w.trainer_config(),
-        SimdPolicy::Force(SimdLevel::Scalar),
-        None,
-        &train,
-        &test,
-        n_epochs,
-        300,
-    );
-    let avx_coalesced = run_slide(
-        w.network_config(train.feature_dim(), train.label_dim()),
-        w.trainer_config(),
-        SimdPolicy::Auto,
-        None,
-        &train,
-        &test,
-        n_epochs,
-        300,
-    );
-    let bf16 = run_slide(
-        w.network_config(train.feature_dim(), train.label_dim()),
-        w.trainer_config(),
-        SimdPolicy::Auto,
-        Some(Precision::Bf16Both),
-        &train,
-        &test,
-        n_epochs,
-        300,
-    );
+    // contributions measured separately; memory gets the remainder. The
+    // coalesced AVX-512 run is the optimized layout row above.
+    let naive_full = run(&optimized.clone().naive()).epoch_seconds();
+    let scalar_coalesced = run(&Run {
+        simd: SimdPolicy::Force(SimdLevel::Scalar),
+        ..optimized.clone()
+    })
+    .epoch_seconds();
+    let bf16 = run(&optimized.clone().cpx()).epoch_seconds();
 
-    let total = naive_full.epoch_seconds / bf16.epoch_seconds;
-    let avx_gain = scalar_coalesced.epoch_seconds / avx_coalesced.epoch_seconds;
-    let bf16_gain = avx_coalesced.epoch_seconds / bf16.epoch_seconds;
+    let total = naive_full / bf16;
+    let avx_gain = scalar_coalesced / avx_coalesced;
+    let bf16_gain = avx_coalesced / bf16;
     let memory_gain = total / (avx_gain * bf16_gain);
     println!("\n§5.7 accounting (all measured):");
     println!("  total speedup, naive -> fully optimized : {total:.2}x");

@@ -7,9 +7,7 @@
 //! cargo run -p slide-bench --release --bin ablation_sampling
 //! ```
 
-use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
-use slide_core::{ActiveSets, TrainerConfig};
-use slide_simd::SimdPolicy;
+use slide_bench::{epochs, fmt_secs, measure, print_table, scale, Workload};
 
 fn main() {
     let scale = scale();
@@ -21,49 +19,33 @@ fn main() {
         w.name()
     );
 
-    // SLIDE: measure its typical active-set budget via min_active and the
-    // retrieval-heavy configuration used everywhere else.
-    let slide_cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let budget = slide_cfg.lsh.min_active;
-    let slide = run_slide(
-        slide_cfg.clone(),
-        w.trainer_config(),
-        SimdPolicy::Auto,
-        None,
-        &train,
-        &test,
-        n_epochs,
-        400,
-    );
-
-    // Uniform sampled softmax at a few budgets around SLIDE's: the same
-    // network and trainer, every sample's active set its labels plus a
-    // uniform draw.
-    let mut rows = vec![vec![
+    // SLIDE with the retrieval-heavy configuration used everywhere else,
+    // then uniform sampled softmax at a few budgets around its min_active
+    // floor: the same network and trainer, every sample's active set its
+    // labels plus a uniform draw.
+    let budget = w
+        .network_config(train.feature_dim(), train.label_dim())
+        .lsh
+        .min_active;
+    let slide = w.run(
         format!("SLIDE (LSH retrieval, min_active={budget})"),
-        fmt_secs(slide.epoch_seconds),
-        format!("{:.3}", slide.p_at_1),
-    ]];
-    for negatives in [budget, budget * 4, budget * 16] {
-        let uniform = run_slide(
-            slide_cfg.clone(),
-            TrainerConfig {
-                active_sets: ActiveSets::Uniform { negatives },
-                ..w.trainer_config()
-            },
-            SimdPolicy::Auto,
-            None,
-            &train,
-            &test,
-            n_epochs,
-            400,
-        );
-        rows.push(vec![
-            format!("uniform negatives = {negatives}"),
-            fmt_secs(uniform.epoch_seconds),
-            format!("{:.3}", uniform.p_at_1),
-        ]);
-    }
+        &train,
+    );
+    let uniform = [budget, budget * 4, budget * 16].map(|negatives| {
+        w.run(format!("uniform negatives = {negatives}"), &train)
+            .uniform(negatives)
+    });
+    let rows: Vec<Vec<String>> = std::iter::once(&slide)
+        .chain(&uniform)
+        .map(|run| {
+            let m = measure(run, &train, &test, n_epochs, 400);
+            vec![
+                run.label.clone(),
+                fmt_secs(m.epoch_seconds()),
+                format!("{:.3}", m.p_at_1()),
+            ]
+        })
+        .collect();
     print_table(
         "Sampling strategy at matched budgets (Amazon-670K sim)",
         &["Strategy", "s/epoch", "P@1"],

@@ -10,50 +10,13 @@
 //! cargo run -p slide-bench --release --bin fig6 -- --barchart   # summary only
 //! ```
 
-use slide_baseline::Method;
-use slide_bench::{
-    dense_configs, epochs, fmt_secs, model_v100, print_table, scale, with_preset_policy, Workload,
-};
-use slide_core::{ConvergenceLog, EvalMode, Network, Trainer};
+use slide_bench::{epochs, fmt_secs, measure, print_table, scale, Method, Workload};
+use slide_core::ConvergenceLog;
 use std::path::PathBuf;
-
-fn slide_curve(
-    method: Method,
-    w: Workload,
-    train: &slide_data::Dataset,
-    test: &slide_data::Dataset,
-    n_epochs: u32,
-) -> ConvergenceLog {
-    let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let policy = match method {
-        Method::NaiveSlide => slide_baseline::naive_slide(&mut cfg),
-        Method::OptimizedSlideClx => slide_baseline::optimized_slide_clx(&mut cfg),
-        Method::OptimizedSlideCpx => slide_baseline::optimized_slide_cpx(&mut cfg),
-        _ => unreachable!("dense methods use dense_curve"),
-    };
-    with_preset_policy(policy, || {
-        let mut trainer =
-            Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-                .expect("valid trainer");
-        trainer.run_convergence(train, test, n_epochs, EvalMode::Exact, Some(400))
-    })
-}
-
-fn dense_curve(
-    w: Workload,
-    train: &slide_data::Dataset,
-    test: &slide_data::Dataset,
-    n_epochs: u32,
-) -> ConvergenceLog {
-    let (cfg, tc) = dense_configs(w, train.feature_dim(), train.label_dim());
-    let mut dense =
-        Trainer::new(Network::new(cfg).expect("valid config"), tc).expect("valid trainer");
-    dense.run_convergence(train, test, n_epochs, EvalMode::Exact, Some(400))
-}
 
 /// Rescale a measured dense curve's time axis by the modeled V100/CPU ratio.
 fn v100_curve(w: Workload, train: &slide_data::Dataset, cpu: &ConvergenceLog) -> ConvergenceLog {
-    let modeled = model_v100(w, train, cpu.final_p_at_1()).epoch_seconds;
+    let modeled = w.v100_epoch_seconds(train);
     let cpu_epoch = cpu.avg_epoch_seconds().max(1e-12);
     let ratio = modeled / cpu_epoch;
     let mut out = cpu.clone();
@@ -79,48 +42,31 @@ fn main() {
     for w in Workload::all() {
         let (train, test) = w.dataset(scale);
         println!("\n--- {} ---", w.name());
-        let mut summary: Vec<(Method, f64, f64, bool)> = Vec::new();
-        let mut curves: Vec<(Method, ConvergenceLog)> = Vec::new();
-
-        let dense = dense_curve(w, &train, &test, n_epochs);
-        let v100 = v100_curve(w, &train, &dense);
-        summary.push((
-            Method::TfV100,
-            v100.avg_epoch_seconds(),
-            v100.final_p_at_1(),
-            true,
-        ));
-        summary.push((
-            Method::TfCpu,
-            dense.avg_epoch_seconds(),
-            dense.final_p_at_1(),
-            false,
-        ));
-        curves.push((Method::TfV100, v100));
-        curves.push((Method::TfCpu, dense));
-
-        for method in [
-            Method::NaiveSlide,
-            Method::OptimizedSlideClx,
-            Method::OptimizedSlideCpx,
-        ] {
-            let log = slide_curve(method, w, &train, &test, n_epochs);
-            summary.push((method, log.avg_epoch_seconds(), log.final_p_at_1(), false));
-            curves.push((method, log));
-        }
+        let mut curves: Vec<(Method, ConvergenceLog)> = Method::all()
+            .into_iter()
+            .filter_map(|m| {
+                Some((
+                    m,
+                    measure(&m.run(w, &train)?, &train, &test, n_epochs, 400).curve,
+                ))
+            })
+            .collect();
+        // The first measured method is TF-CPU, whose curve the V100 row rescales.
+        let v100 = v100_curve(w, &train, &curves[0].1);
+        curves.insert(0, (Method::TfV100, v100));
 
         // Bottom row: bar chart data.
-        let rows: Vec<Vec<String>> = summary
+        let rows: Vec<Vec<String>> = curves
             .iter()
-            .map(|(m, secs, p1, modeled)| {
+            .map(|(m, log)| {
                 vec![
                     m.label().to_string(),
                     format!(
                         "{}{}",
-                        fmt_secs(*secs),
-                        if *modeled { " [model]" } else { "" }
+                        fmt_secs(log.avg_epoch_seconds()),
+                        if *m == Method::TfV100 { " [model]" } else { "" }
                     ),
-                    format!("{p1:.3}"),
+                    format!("{:.3}", log.final_p_at_1()),
                 ]
             })
             .collect();

@@ -14,66 +14,8 @@
 //! block records the resolved SIMD level per row so trajectories stay
 //! comparable across machines and forced CI legs.
 
-use slide_bench::{epochs, print_table, scale, with_preset_policy, Workload};
-use slide_core::{Network, PhaseBreakdown, Trainer};
-use slide_simd::SimdPolicy;
-
-/// Profile one preset row under the preset's SIMD policy, as
-/// [`with_preset_policy`] applies it (a forced `SLIDE_SIMD` leg stays
-/// forced for the optimized rows; naive → scalar keeps its forcing).
-///
-/// Returns the per-epoch phase means, the per-epoch seconds, and the SIMD
-/// level the row actually resolved to.
-fn profile(
-    w: Workload,
-    train: &slide_data::Dataset,
-    preset: impl Fn(&mut slide_core::NetworkConfig) -> SimdPolicy,
-    n_epochs: u32,
-) -> (PhaseBreakdown, f64, slide_simd::SimdLevel) {
-    let mut cfg = w.network_config(train.feature_dim(), train.label_dim());
-    let policy = preset(&mut cfg);
-    let (acc, secs, level) = with_preset_policy(policy, || {
-        let level = slide_simd::effective_level();
-        let mut trainer =
-            Trainer::new(Network::new(cfg).expect("valid config"), w.trainer_config())
-                .expect("valid trainer");
-        let mut acc = PhaseBreakdown::default();
-        let mut secs = 0.0;
-        for epoch in 0..n_epochs {
-            let stats = trainer.train_epoch(train, epoch as u64);
-            secs += stats.seconds;
-            acc.batch_build += stats.phases.batch_build;
-            acc.forward_backward += stats.phases.forward_backward;
-            acc.output += stats.phases.output;
-            acc.input += stats.phases.input;
-            acc.rebuild += stats.phases.rebuild;
-        }
-        (acc, secs, level)
-    });
-    let inv = n_epochs as f64;
-    (
-        PhaseBreakdown {
-            batch_build: acc.batch_build / inv,
-            forward_backward: acc.forward_backward / inv,
-            output: acc.output / inv,
-            input: acc.input / inv,
-            rebuild: acc.rebuild / inv,
-        },
-        secs / inv,
-        level,
-    )
-}
-
-/// A named preset: mutates the config and returns the SIMD policy to force.
-type Preset = fn(&mut slide_core::NetworkConfig) -> SimdPolicy;
-
-/// One measured row, kept for the optional JSON artifact.
-struct Row {
-    name: &'static str,
-    simd_level: slide_simd::SimdLevel,
-    epoch_seconds: f64,
-    phases: PhaseBreakdown,
-}
+use slide_bench::{epochs, measure, print_table, scale, Workload};
+use slide_core::PhaseBreakdown;
 
 fn phases_json(p: &PhaseBreakdown) -> String {
     format!(
@@ -94,40 +36,39 @@ fn main() {
         slide_simd::effective_level()
     );
 
-    let presets: [(&'static str, Preset); 3] = [
-        ("optimized (CLX)", slide_baseline::optimized_slide_clx),
-        ("optimized+bf16 (CPX)", slide_baseline::optimized_slide_cpx),
-        ("naive", slide_baseline::naive_slide),
-    ];
-
     let mut workload_docs = Vec::new();
     for w in Workload::all() {
-        let (train, _test) = w.dataset(scale);
-        let mut rows = Vec::new();
-        let mut measured: Vec<Row> = Vec::new();
-        for (name, preset) in presets {
-            let (p, total, level) = profile(w, &train, preset, n_epochs);
-            let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
-            rows.push(vec![
-                name.to_string(),
-                format!("{:.0}ms", total * 1e3),
-                format!(
-                    "{:.0}ms ({})",
-                    p.forward_backward * 1e3,
-                    pct(p.forward_backward)
-                ),
-                format!("{:.0}ms ({})", p.output * 1e3, pct(p.output)),
-                format!("{:.0}ms ({})", p.input * 1e3, pct(p.input)),
-                format!("{:.1}ms", p.batch_build * 1e3),
-                format!("{:.1}ms", p.rebuild * 1e3),
-            ]);
-            measured.push(Row {
-                name,
-                simd_level: level,
-                epoch_seconds: total,
-                phases: p,
-            });
-        }
+        let (train, test) = w.dataset(scale);
+        let runs = [
+            w.run("optimized (CLX)", &train),
+            w.run("optimized+bf16 (CPX)", &train).cpx(),
+            w.run("naive", &train).naive(),
+        ];
+        // No P@1 here (0 evaluation samples): the phase split is the row.
+        let measured: Vec<_> = runs
+            .iter()
+            .map(|run| (&run.label, measure(run, &train, &test, n_epochs, 0)))
+            .collect();
+        let rows: Vec<Vec<String>> = measured
+            .iter()
+            .map(|(label, m)| {
+                let (p, total) = (&m.phases, m.epoch_seconds());
+                let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
+                vec![
+                    label.to_string(),
+                    format!("{:.0}ms", total * 1e3),
+                    format!(
+                        "{:.0}ms ({})",
+                        p.forward_backward * 1e3,
+                        pct(p.forward_backward)
+                    ),
+                    format!("{:.0}ms ({})", p.output * 1e3, pct(p.output)),
+                    format!("{:.0}ms ({})", p.input * 1e3, pct(p.input)),
+                    format!("{:.1}ms", p.batch_build * 1e3),
+                    format!("{:.1}ms", p.rebuild * 1e3),
+                ]
+            })
+            .collect();
         print_table(
             &format!("Phase breakdown: {}", w.name()),
             &[
@@ -144,14 +85,14 @@ fn main() {
         );
         let row_docs: Vec<String> = measured
             .iter()
-            .map(|r| {
+            .map(|(label, m)| {
                 format!(
                     "{{\"variant\":\"{}\",\"simd_level\":\"{}\",\
                      \"epoch_seconds\":{:.6},\"phases\":{}}}",
-                    r.name,
-                    r.simd_level,
-                    r.epoch_seconds,
-                    phases_json(&r.phases)
+                    label,
+                    m.simd,
+                    m.epoch_seconds(),
+                    phases_json(&m.phases)
                 )
             })
             .collect();

@@ -6,17 +6,27 @@
 //! cargo run -p slide-bench --release --bin table2
 //! ```
 
-use slide_baseline::Method;
-use slide_bench::{epochs, fmt_ratio_vs, fmt_secs, print_table, run_method, scale, Workload};
+use slide_bench::{epochs, fmt_ratio_vs, fmt_secs, measure, print_table, scale, Method, Workload};
 
 /// The paper's Table 2 headline factors for each dataset:
 /// (opt-CLX vs V100, opt-CPX vs V100, opt-CLX vs TF-CLX, opt-CPX vs TF-CPX,
 ///  opt-CLX vs naive-CLX, opt-CPX vs naive-CPX).
-fn paper_factors(w: Workload) -> (f64, f64, f64, f64, f64, f64) {
+fn paper_factors(w: Workload) -> [f64; 6] {
     match w {
-        Workload::Amazon670k => (3.5, 7.8, 4.0, 7.9, 4.4, 7.2),
-        Workload::WikiLsh325k => (2.04, 4.19, 2.55, 5.2, 2.0, 3.0),
-        Workload::Text8 => (9.2, 15.5, 11.6, 17.36, 3.5, 3.0),
+        Workload::Amazon670k => [3.5, 7.8, 4.0, 7.9, 4.4, 7.2],
+        Workload::WikiLsh325k => [2.04, 4.19, 2.55, 5.2, 2.0, 3.0],
+        Workload::Text8 => [9.2, 15.5, 11.6, 17.36, 3.5, 3.0],
+    }
+}
+
+/// A method's name in the paper's comparison rows.
+fn short(m: Method) -> &'static str {
+    match m {
+        Method::TfV100 => "TF V100*",
+        Method::TfCpu => "TF-CPU",
+        Method::NaiveSlide => "Naive SLIDE",
+        Method::OptimizedSlideClx => "Opt SLIDE (CLX)",
+        Method::OptimizedSlideCpx => "Opt SLIDE (CPX)",
     }
 }
 
@@ -39,58 +49,47 @@ fn main() {
             train.feature_dim(),
             train.label_dim()
         );
-        let mut results = Vec::new();
-        for method in Method::all() {
-            let r = run_method(method, w, &train, &test, n_epochs, eval_samples);
+        // (method, epoch seconds, P@1) in lineup order; the modeled V100 row
+        // carries the TF-CPU run's P@1, and TF-CPU is the first one measured.
+        let mut measured: Vec<(Method, f64, f64)> = Method::all()
+            .into_iter()
+            .filter_map(|m| {
+                let r = measure(&m.run(w, &train)?, &train, &test, n_epochs, eval_samples);
+                Some((m, r.epoch_seconds(), r.p_at_1()))
+            })
+            .collect();
+        measured.insert(
+            0,
+            (Method::TfV100, w.v100_epoch_seconds(&train), measured[0].2),
+        );
+        for &(method, secs, p1) in &measured {
             println!(
                 "  measured {:<44} {:>9}/epoch  P@1 {:.3}{}",
                 method.label(),
-                fmt_secs(r.epoch_seconds),
-                r.p_at_1,
-                if r.modeled { "  [modeled]" } else { "" }
+                fmt_secs(secs),
+                p1,
+                if method == Method::TfV100 {
+                    "  [modeled]"
+                } else {
+                    ""
+                }
             );
-            results.push((method, r));
         }
-        let get = |m: Method| results.iter().find(|(x, _)| *x == m).unwrap().1;
-        let v100 = get(Method::TfV100);
-        let tf_cpu = get(Method::TfCpu);
-        let naive = get(Method::NaiveSlide);
-        let clx = get(Method::OptimizedSlideClx);
-        let cpx = get(Method::OptimizedSlideCpx);
-        let pf = paper_factors(w);
-
-        let rows = vec![
-            vec![
-                "Opt SLIDE (CLX) vs TF V100*".into(),
-                fmt_ratio_vs(v100.epoch_seconds, clx.epoch_seconds),
-                format!("{:.1}x fast", pf.0),
-            ],
-            vec![
-                "Opt SLIDE (CPX) vs TF V100*".into(),
-                fmt_ratio_vs(v100.epoch_seconds, cpx.epoch_seconds),
-                format!("{:.1}x fast", pf.1),
-            ],
-            vec![
-                "Opt SLIDE (CLX) vs TF-CPU".into(),
-                fmt_ratio_vs(tf_cpu.epoch_seconds, clx.epoch_seconds),
-                format!("{:.1}x fast", pf.2),
-            ],
-            vec![
-                "Opt SLIDE (CPX) vs TF-CPU".into(),
-                fmt_ratio_vs(tf_cpu.epoch_seconds, cpx.epoch_seconds),
-                format!("{:.1}x fast", pf.3),
-            ],
-            vec![
-                "Opt SLIDE (CLX) vs Naive SLIDE".into(),
-                fmt_ratio_vs(naive.epoch_seconds, clx.epoch_seconds),
-                format!("{:.1}x fast", pf.4),
-            ],
-            vec![
-                "Opt SLIDE (CPX) vs Naive SLIDE".into(),
-                fmt_ratio_vs(naive.epoch_seconds, cpx.epoch_seconds),
-                format!("{:.1}x fast", pf.5),
-            ],
-        ];
+        let secs = |m: Method| measured.iter().find(|r| r.0 == m).unwrap().1;
+        // Each optimized run against each reference, in paper_factors' order.
+        let optimized = [Method::OptimizedSlideClx, Method::OptimizedSlideCpx];
+        let rows: Vec<Vec<String>> = [Method::TfV100, Method::TfCpu, Method::NaiveSlide]
+            .into_iter()
+            .flat_map(|reference| optimized.map(|method| (reference, method)))
+            .zip(paper_factors(w))
+            .map(|((reference, method), paper)| {
+                vec![
+                    format!("{} vs {}", short(method), short(reference)),
+                    fmt_ratio_vs(secs(reference), secs(method)),
+                    format!("{paper:.1}x fast"),
+                ]
+            })
+            .collect();
         print_table(
             &format!("Table 2 rows: {}", w.name()),
             &["Comparison", "Measured", "Paper"],

@@ -6,9 +6,8 @@
 //! cargo run -p slide-bench --release --bin table3
 //! ```
 
-use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
+use slide_bench::{epochs, fmt_secs, measure, print_table, scale, Workload};
 use slide_core::Precision;
-use slide_simd::SimdPolicy;
 
 /// Paper Table 3 ratios, phrased relative to each row's baseline column:
 /// (both-vs-baseline, act-only-vs-baseline, none-vs-baseline) where the
@@ -42,38 +41,32 @@ fn main() {
 
     for w in Workload::all() {
         let (train, test) = w.dataset(scale);
-        let mut measured = Vec::new();
-        for (label, precision) in modes {
-            let r = run_slide(
-                w.network_config(train.feature_dim(), train.label_dim()),
-                w.trainer_config(),
-                SimdPolicy::Auto,
-                Some(precision),
-                &train,
-                &test,
-                n_epochs,
-                400,
-            );
-            measured.push((label, r));
-        }
+        let measured: Vec<_> = modes
+            .into_iter()
+            .map(|(label, precision)| {
+                let mut run = w.run(label, &train);
+                run.net.precision = precision;
+                (label, measure(&run, &train, &test, n_epochs, 400))
+            })
+            .collect();
         let fastest = measured
             .iter()
-            .map(|(_, r)| r.epoch_seconds)
+            .map(|(_, m)| m.epoch_seconds())
             .fold(f64::INFINITY, f64::min);
         let paper = paper_row(w);
         let rows: Vec<Vec<String>> = measured
             .iter()
             .zip(paper)
-            .map(|((label, r), paper_cell)| {
+            .map(|((label, m), paper_cell)| {
                 vec![
                     label.to_string(),
-                    fmt_secs(r.epoch_seconds),
-                    if r.epoch_seconds <= fastest * 1.02 {
+                    fmt_secs(m.epoch_seconds()),
+                    if m.epoch_seconds() <= fastest * 1.02 {
                         "baseline".into()
                     } else {
-                        format!("{:.2}x slower", r.epoch_seconds / fastest)
+                        format!("{:.2}x slower", m.epoch_seconds() / fastest)
                     },
-                    format!("{:.3}", r.p_at_1),
+                    format!("{:.3}", m.p_at_1()),
                     paper_cell.to_string(),
                 ]
             })

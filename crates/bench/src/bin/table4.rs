@@ -5,7 +5,7 @@
 //! cargo run -p slide-bench --release --bin table4
 //! ```
 
-use slide_bench::{epochs, fmt_secs, print_table, run_slide, scale, Workload};
+use slide_bench::{epochs, fmt_secs, measure, print_table, scale, Run, Workload};
 use slide_simd::{SimdLevel, SimdPolicy};
 
 fn paper_slowdown(w: Workload) -> &'static str {
@@ -27,40 +27,29 @@ fn main() {
 
     for w in Workload::all() {
         let (train, test) = w.dataset(scale);
-        let net_cfg = w.network_config(train.feature_dim(), train.label_dim());
-        let with = run_slide(
-            net_cfg.clone(),
-            w.trainer_config(),
-            SimdPolicy::Auto,
-            None,
-            &train,
-            &test,
-            n_epochs,
-            400,
-        );
-        let without = run_slide(
-            net_cfg,
-            w.trainer_config(),
-            SimdPolicy::Force(SimdLevel::Scalar),
-            None,
-            &train,
-            &test,
-            n_epochs,
-            400,
-        );
+        let avx = w.run("With AVX-512", &train);
+        let scalar = Run {
+            label: "Without AVX-512 (scalar)".into(),
+            simd: SimdPolicy::Force(SimdLevel::Scalar),
+            ..avx.clone()
+        };
+        let [with, without] = [&avx, &scalar].map(|run| measure(run, &train, &test, n_epochs, 400));
         let rows = vec![
             vec![
-                "With AVX-512".to_string(),
-                fmt_secs(with.epoch_seconds),
+                avx.label,
+                fmt_secs(with.epoch_seconds()),
                 "baseline".into(),
-                format!("{:.3}", with.p_at_1),
+                format!("{:.3}", with.p_at_1()),
                 "baseline".into(),
             ],
             vec![
-                "Without AVX-512 (scalar)".to_string(),
-                fmt_secs(without.epoch_seconds),
-                format!("{:.2}x slower", without.epoch_seconds / with.epoch_seconds),
-                format!("{:.3}", without.p_at_1),
+                scalar.label,
+                fmt_secs(without.epoch_seconds()),
+                format!(
+                    "{:.2}x slower",
+                    without.epoch_seconds() / with.epoch_seconds()
+                ),
+                format!("{:.3}", without.p_at_1()),
                 paper_slowdown(w).into(),
             ],
         ];

@@ -12,6 +12,17 @@
 //! in the reproduction are measured.
 
 /// Analytic device model for dense full-softmax training throughput.
+///
+/// # Examples
+///
+/// ```
+/// use slide_bench::{DeviceModel, Method};
+///
+/// let v100 = DeviceModel::v100();
+/// let secs = v100.epoch_seconds(103_000_000, 490_449, 1024);
+/// assert!(secs > 0.0);
+/// assert_eq!(Method::all().len(), 5);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     /// Device name used in reports.
@@ -88,5 +99,14 @@ mod tests {
         let coarse = m.epoch_seconds(1_000_000, 10_000, 1000);
         let fine = m.epoch_seconds(1_000_000, 10_000, 10);
         assert!(fine > coarse, "more batches must cost more overhead");
+    }
+
+    #[test]
+    fn v100_model_is_plausible_for_our_scale() {
+        let model = DeviceModel::v100();
+        let params = slide_data::model_parameters(1024, 32, 4096);
+        let t = model.epoch_seconds(params, 2_000, 128);
+        // Tiny model + V100: milliseconds to low seconds.
+        assert!(t > 0.0 && t < 5.0, "modeled {t}s");
     }
 }

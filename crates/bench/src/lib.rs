@@ -1,17 +1,25 @@
 //! Shared harness for the paper-reproduction experiment binaries.
 //!
 //! One binary per table/figure lives in `src/bin/` (see DESIGN.md §3 for the
-//! index); this library provides the common pieces: the three workloads at a
-//! bench-friendly scale, the method lineup, timing runners, and table
+//! index). Every measured row is a [`Run`] and [`measure`] is the one
+//! runner, so a binary is a list of runs plus their printing. This library
+//! holds the three workloads at a bench-friendly scale, the runs and their
+//! runner, Table 2's method lineup, the modeled V100 column, and table
 //! printing. Scale up with `SLIDE_SCALE=<n>`; absolute numbers grow, the
 //! ratios are the reproducible signal.
 
-use slide_baseline::{DeviceModel, Method};
+mod device_model;
+mod presets;
+
+pub use device_model::DeviceModel;
+pub use presets::Method;
+
 use slide_core::{
-    ActiveSets, EvalMode, HashFamilyKind, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
+    ActiveSets, ConvergenceLog, ConvergencePoint, EvalMode, HashFamilyKind, MemoryConfig, Network,
+    NetworkConfig, PhaseBreakdown, Precision, Trainer, TrainerConfig,
 };
 use slide_data::{generate_synthetic, generate_text, Dataset, SynthConfig, TextConfig};
-use slide_simd::SimdPolicy;
+use slide_simd::{SimdLevel, SimdPolicy};
 
 /// The paper's three workloads (§5.1, Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,6 +146,24 @@ impl Workload {
             ..Default::default()
         }
     }
+
+    /// The optimized (CLX) run on `train`'s shape: this workload's network
+    /// (coalesced memory, fp32) and trainer, SIMD auto.
+    pub fn run(self, label: impl Into<String>, train: &Dataset) -> Run {
+        Run {
+            label: label.into(),
+            net: self.network_config(train.feature_dim(), train.label_dim()),
+            trainer: self.trainer_config(),
+            simd: SimdPolicy::Auto,
+        }
+    }
+
+    /// The modeled V100 epoch time of dense training on `train`.
+    pub fn v100_epoch_seconds(self, train: &Dataset) -> f64 {
+        let params =
+            slide_data::model_parameters(train.feature_dim(), self.hidden(), train.label_dim());
+        DeviceModel::v100().epoch_seconds(params, train.len(), self.batch_size())
+    }
 }
 
 /// Read `SLIDE_SCALE` (default 1).
@@ -158,15 +184,85 @@ pub fn epochs(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-/// Result of one measured method on one workload.
-#[derive(Debug, Clone, Copy)]
-pub struct RunResult {
+/// One measured row of a table or figure: the network and trainer it
+/// trains, and the SIMD policy it trains them under.
+///
+/// [`Workload::run`] builds the optimized (CLX) run; [`Run::naive`],
+/// [`Run::cpx`], [`Run::tf_cpu`] and [`Run::uniform`] rewrite it into the
+/// paper's other methods, and an ablation sets any other field directly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The row's label, as its table prints it.
+    pub label: String,
+    /// The network to train.
+    pub net: NetworkConfig,
+    /// The trainer to train it with.
+    pub trainer: TrainerConfig,
+    /// The SIMD policy, applied by [`with_preset_policy`].
+    pub simd: SimdPolicy,
+}
+
+impl Run {
+    /// A fresh trainer for this run's network and trainer.
+    pub fn build(&self) -> Trainer {
+        let network = Network::new(self.net.clone()).expect("valid network config");
+        Trainer::new(network, self.trainer).expect("valid trainer config")
+    }
+
+    /// **Naive SLIDE**, the original implementation's profile: fragmented
+    /// data and parameters, fp32, scalar kernels (no explicit vectorization).
+    pub fn naive(mut self) -> Run {
+        self.net.memory = MemoryConfig {
+            coalesced_params: false,
+            coalesced_data: false,
+        };
+        self.net.precision = Precision::Fp32;
+        self.simd = SimdPolicy::Force(SimdLevel::Scalar);
+        self
+    }
+
+    /// **Optimized SLIDE (CPX)**: bf16 weights and activations.
+    pub fn cpx(mut self) -> Run {
+        self.net.precision = Precision::Bf16Both;
+        self
+    }
+
+    /// The **TF full-softmax** CPU stand-in: every output row active, so no
+    /// table is queried or rebuilt.
+    pub fn tf_cpu(mut self) -> Run {
+        self.trainer.active_sets = ActiveSets::All;
+        self
+    }
+
+    /// **Uniform sampled softmax**: each sample's labels plus `negatives`
+    /// uniformly drawn rows.
+    pub fn uniform(mut self, negatives: usize) -> Run {
+        self.trainer.active_sets = ActiveSets::Uniform { negatives };
+        self
+    }
+}
+
+/// What [`measure`] observed of one run.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// Training seconds and test P@1 after every epoch (Figure 6's curve).
+    pub curve: ConvergenceLog,
+    /// The mean per-epoch phase split.
+    pub phases: PhaseBreakdown,
+    /// The SIMD level the run resolved to.
+    pub simd: SimdLevel,
+}
+
+impl Measurement {
     /// Mean wall-clock seconds per epoch.
-    pub epoch_seconds: f64,
-    /// Final P@1 on (a subset of) the test split.
-    pub p_at_1: f64,
-    /// Whether the number is modeled rather than measured.
-    pub modeled: bool,
+    pub fn epoch_seconds(&self) -> f64 {
+        self.curve.avg_epoch_seconds()
+    }
+
+    /// P@1 after the last epoch.
+    pub fn p_at_1(&self) -> f64 {
+        self.curve.final_p_at_1()
+    }
 }
 
 /// Run `f` under a preset's SIMD policy. A preset's `Auto` defers to the
@@ -185,153 +281,47 @@ pub fn with_preset_policy<T>(preset: SimdPolicy, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Train a SLIDE variant and measure it, under `policy` as
-/// [`with_preset_policy`] applies it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_slide(
-    mut net_cfg: NetworkConfig,
-    trainer_cfg: TrainerConfig,
-    policy: SimdPolicy,
-    precision_override: Option<Precision>,
+/// The one runner: train `run` for `epochs` epochs under its SIMD policy
+/// (as [`with_preset_policy`] applies it), scoring exact P@1 on the first
+/// `eval_samples` test samples after each epoch (0 skips the evaluation).
+/// Evaluation time is not training time.
+pub fn measure(
+    run: &Run,
     train: &Dataset,
     test: &Dataset,
-    n_epochs: u32,
+    epochs: u32,
     eval_samples: usize,
-) -> RunResult {
-    if let Some(p) = precision_override {
-        net_cfg.precision = p;
-    }
-    let (secs, p1) = with_preset_policy(policy, || {
-        let mut trainer = Trainer::new(
-            Network::new(net_cfg).expect("valid network config"),
-            trainer_cfg,
-        )
-        .expect("valid trainer config");
-        let mut secs = 0.0;
-        for epoch in 0..n_epochs {
-            secs += trainer.train_epoch(train, epoch as u64).seconds;
+) -> Measurement {
+    with_preset_policy(run.simd, || {
+        let simd = slide_simd::effective_level();
+        let mut trainer = run.build();
+        let mut curve = ConvergenceLog::default();
+        let mut sum = PhaseBreakdown::default();
+        for epoch in 0..epochs {
+            let stats = trainer.train_epoch(train, epoch as u64);
+            sum.add(stats.phases);
+            curve.points.push(ConvergencePoint {
+                epoch: epoch + 1,
+                elapsed_seconds: trainer.total_train_seconds(),
+                epoch_seconds: stats.seconds,
+                p_at_1: trainer.evaluate(test, 1, EvalMode::Exact, Some(eval_samples)),
+                mean_loss: stats.mean_loss,
+            });
         }
-        (
-            secs,
-            trainer.evaluate(test, 1, EvalMode::Exact, Some(eval_samples)),
-        )
-    });
-    RunResult {
-        epoch_seconds: secs / n_epochs as f64,
-        p_at_1: p1,
-        modeled: false,
-    }
-}
-
-/// The dense full-softmax baseline (the TF-CPU stand-in) on `workload`:
-/// SLIDE's network (fp32, coalesced) and trainer with every output row
-/// active, so no table is queried or rebuilt.
-pub fn dense_configs(
-    workload: Workload,
-    feature_dim: usize,
-    label_dim: usize,
-) -> (NetworkConfig, TrainerConfig) {
-    let trainer_cfg = TrainerConfig {
-        active_sets: ActiveSets::All,
-        ..workload.trainer_config()
-    };
-    (workload.network_config(feature_dim, label_dim), trainer_cfg)
-}
-
-/// Train the dense full-softmax baseline and measure it.
-pub fn run_dense(
-    workload: Workload,
-    train: &Dataset,
-    test: &Dataset,
-    n_epochs: u32,
-    eval_samples: usize,
-) -> RunResult {
-    let (net_cfg, trainer_cfg) = dense_configs(workload, train.feature_dim(), train.label_dim());
-    run_slide(
-        net_cfg,
-        trainer_cfg,
-        SimdPolicy::Auto,
-        None,
-        train,
-        test,
-        n_epochs,
-        eval_samples,
-    )
-}
-
-/// Model the V100 epoch time for this workload at our scale, carrying the
-/// dense baseline's accuracy (same algorithm, different device).
-pub fn model_v100(workload: Workload, train: &Dataset, dense_p1: f64) -> RunResult {
-    let params =
-        slide_data::model_parameters(train.feature_dim(), workload.hidden(), train.label_dim());
-    let secs = DeviceModel::v100().epoch_seconds(params, train.len(), workload.batch_size());
-    RunResult {
-        epoch_seconds: secs,
-        p_at_1: dense_p1,
-        modeled: true,
-    }
-}
-
-/// Run one named method end to end on a workload.
-pub fn run_method(
-    method: Method,
-    workload: Workload,
-    train: &Dataset,
-    test: &Dataset,
-    n_epochs: u32,
-    eval_samples: usize,
-) -> RunResult {
-    let net_cfg = workload.network_config(train.feature_dim(), train.label_dim());
-    let trainer_cfg = workload.trainer_config();
-    match method {
-        Method::TfV100 => {
-            let dense = run_dense(workload, train, test, n_epochs, eval_samples);
-            model_v100(workload, train, dense.p_at_1)
+        let n = f64::from(epochs.max(1));
+        let phases = PhaseBreakdown {
+            batch_build: sum.batch_build / n,
+            forward_backward: sum.forward_backward / n,
+            output: sum.output / n,
+            input: sum.input / n,
+            rebuild: sum.rebuild / n,
+        };
+        Measurement {
+            curve,
+            phases,
+            simd,
         }
-        Method::TfCpu => run_dense(workload, train, test, n_epochs, eval_samples),
-        Method::NaiveSlide => {
-            let mut cfg = net_cfg;
-            let policy = slide_baseline::naive_slide(&mut cfg);
-            run_slide(
-                cfg,
-                trainer_cfg,
-                policy,
-                None,
-                train,
-                test,
-                n_epochs,
-                eval_samples,
-            )
-        }
-        Method::OptimizedSlideClx => {
-            let mut cfg = net_cfg;
-            let policy = slide_baseline::optimized_slide_clx(&mut cfg);
-            run_slide(
-                cfg,
-                trainer_cfg,
-                policy,
-                None,
-                train,
-                test,
-                n_epochs,
-                eval_samples,
-            )
-        }
-        Method::OptimizedSlideCpx => {
-            let mut cfg = net_cfg;
-            let policy = slide_baseline::optimized_slide_cpx(&mut cfg);
-            run_slide(
-                cfg,
-                trainer_cfg,
-                policy,
-                None,
-                train,
-                test,
-                n_epochs,
-                eval_samples,
-            )
-        }
-    }
+    })
 }
 
 /// Print a fixed-width table.
@@ -418,9 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn run_slide_keeps_a_forced_policy() {
-        use slide_data::{generate_synthetic, SynthConfig};
-        use slide_simd::SimdLevel;
+    fn measure_keeps_a_forced_policy() {
         let data = generate_synthetic(&SynthConfig {
             feature_dim: 64,
             label_dim: 16,
@@ -428,30 +416,31 @@ mod tests {
             n_test: 16,
             ..Default::default()
         });
-        let mut cfg = NetworkConfig::standard(64, 8, 16);
-        cfg.lsh.tables = 4;
-        cfg.lsh.key_bits = 3;
-        let tc = TrainerConfig {
-            batch_size: 32,
-            threads: 1,
-            ..Default::default()
+        let mut net = NetworkConfig::standard(64, 8, 16);
+        net.lsh.tables = 4;
+        net.lsh.key_bits = 3;
+        let run = Run {
+            label: "tiny".into(),
+            net,
+            trainer: TrainerConfig {
+                batch_size: 32,
+                threads: 1,
+                ..Default::default()
+            },
+            simd: SimdPolicy::Auto,
         };
         let entry = slide_simd::policy();
         let forced = SimdPolicy::Force(SimdLevel::Scalar);
         slide_simd::set_policy(forced);
-        let run = run_slide(
-            cfg,
-            tc,
-            SimdPolicy::Auto,
-            None,
-            &data.train,
-            &data.test,
-            1,
-            16,
-        );
+        let m = measure(&run, &data.train, &data.test, 1, 16);
         let after = slide_simd::policy();
         slide_simd::set_policy(entry);
-        assert!(run.p_at_1.is_finite());
+        assert!(m.p_at_1().is_finite());
+        assert_eq!(
+            m.simd,
+            SimdLevel::Scalar,
+            "the run did not train under the forced leg"
+        );
         assert_eq!(after, forced, "a preset's Auto reset the forced policy");
     }
 

@@ -51,7 +51,8 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    fn add(&mut self, other: PhaseBreakdown) {
+    /// Add `other`'s seconds phase by phase.
+    pub fn add(&mut self, other: PhaseBreakdown) {
         self.batch_build += other.batch_build;
         self.forward_backward += other.forward_backward;
         self.output += other.output;

@@ -84,23 +84,6 @@ pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn scale(alpha: f32, x: &mut [f32]) {
-    let n = x.len();
-    let px = x.as_mut_ptr();
-    let va = _mm256_set1_ps(alpha);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let xv = _mm256_loadu_ps(px.add(i));
-        _mm256_storeu_ps(px.add(i), _mm256_mul_ps(va, xv));
-        i += LANES;
-    }
-    while i < n {
-        *px.add(i) *= alpha;
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
 pub unsafe fn add(x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     let n = x.len();
@@ -117,24 +100,6 @@ pub unsafe fn add(x: &[f32], y: &mut [f32]) {
         *py.add(i) += *px.add(i);
         i += 1;
     }
-}
-
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn sum(x: &[f32]) -> f32 {
-    let n = x.len();
-    let px = x.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        acc = _mm256_add_ps(acc, _mm256_loadu_ps(px.add(i)));
-        i += LANES;
-    }
-    let mut total = hsum256(acc);
-    while i < n {
-        total += *px.add(i);
-        i += 1;
-    }
-    total
 }
 
 /// Rows per block in the multi-row gather kernels; also the prefetch

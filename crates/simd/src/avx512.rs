@@ -92,24 +92,6 @@ pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx512f")]
-pub unsafe fn scale(alpha: f32, x: &mut [f32]) {
-    let n = x.len();
-    let px = x.as_mut_ptr();
-    let va = _mm512_set1_ps(alpha);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let xv = _mm512_loadu_ps(px.add(i));
-        _mm512_storeu_ps(px.add(i), _mm512_mul_ps(va, xv));
-        i += LANES;
-    }
-    if i < n {
-        let k = tail_mask(n - i);
-        let xv = _mm512_maskz_loadu_ps(k, px.add(i));
-        _mm512_mask_storeu_ps(px.add(i), k, _mm512_mul_ps(va, xv));
-    }
-}
-
-#[target_feature(enable = "avx512f")]
 pub unsafe fn add(x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     let n = x.len();
@@ -128,23 +110,6 @@ pub unsafe fn add(x: &[f32], y: &mut [f32]) {
         let yv = _mm512_maskz_loadu_ps(k, py.add(i));
         _mm512_mask_storeu_ps(py.add(i), k, _mm512_add_ps(xv, yv));
     }
-}
-
-#[target_feature(enable = "avx512f")]
-pub unsafe fn sum(x: &[f32]) -> f32 {
-    let n = x.len();
-    let px = x.as_ptr();
-    let mut acc = _mm512_setzero_ps();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        acc = _mm512_add_ps(acc, _mm512_loadu_ps(px.add(i)));
-        i += LANES;
-    }
-    if i < n {
-        let k = tail_mask(n - i);
-        acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(k, px.add(i)));
-    }
-    _mm512_reduce_add_ps(acc)
 }
 
 /// Rows per block in the multi-row gather kernels. Four interleaved

@@ -110,16 +110,6 @@ pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
     )
 }
 
-/// In-place `x *= alpha`.
-#[inline]
-pub fn scale_f32(alpha: f32, x: &mut [f32]) {
-    dispatch!(
-        scalar::scale(alpha, x),
-        crate::avx2::scale(alpha, x),
-        crate::avx512::scale(alpha, x)
-    )
-}
-
 /// Element-wise `y += x` (Figure 2's pairwise-add example, widened to f32).
 #[inline]
 pub fn add_f32(x: &[f32], y: &mut [f32]) {
@@ -129,12 +119,6 @@ pub fn add_f32(x: &[f32], y: &mut [f32]) {
         crate::avx2::add(x, y),
         crate::avx512::add(x, y)
     )
-}
-
-/// Horizontal sum of a slice.
-#[inline]
-pub fn sum_f32(x: &[f32]) -> f32 {
-    dispatch!(scalar::sum(x), crate::avx2::sum(x), crate::avx512::sum(x))
 }
 
 /// First-wins argmax: smallest index attaining the maximum value, or `None`
@@ -256,37 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add_all_levels_agree() {
+    fn add_all_levels_agree() {
         for &n in SIZES {
             let x = pseudo_random(n, 5);
             let y0 = pseudo_random(n, 6);
             for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-                let mut a = x.clone();
-                with_level(level, || scale_f32(-1.5, &mut a));
-                let mut b = x.clone();
-                with_level(SimdLevel::Scalar, || scale_f32(-1.5, &mut b));
-                assert_eq!(a, b, "scale n={n} level={level:?}");
-
                 let mut ya = y0.clone();
                 with_level(level, || add_f32(&x, &mut ya));
                 let mut yb = y0.clone();
                 with_level(SimdLevel::Scalar, || add_f32(&x, &mut yb));
                 assert_eq!(ya, yb, "add n={n} level={level:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_all_levels_agree() {
-        for &n in SIZES {
-            let x = pseudo_random(n, 7);
-            let reference = with_level(SimdLevel::Scalar, || sum_f32(&x));
-            for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-                let got = with_level(level, || sum_f32(&x));
-                assert!(
-                    (got - reference).abs() <= 1e-4 * (n.max(1) as f32),
-                    "n={n} level={level:?}"
-                );
             }
         }
     }

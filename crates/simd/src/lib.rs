@@ -79,9 +79,7 @@ pub use int8::{
     dequantize_row_f32, int8_isa, quantize_acts_u8, quantize_row_i8, Int8Isa, I8_WEIGHT_MAX,
     U8_ACT_MAX,
 };
-pub use kernels::{
-    adam_step_f32, add_f32, argmax_f32, axpy_f32, dot_f32, scale_f32, sum_f32, AdamStep,
-};
+pub use kernels::{adam_step_f32, add_f32, argmax_f32, axpy_f32, dot_f32, AdamStep};
 pub use policy::{
     apply_env_policy, detected_level, effective_level, parse_policy, policy, set_policy, SimdLevel,
     SimdPolicy,

@@ -28,27 +28,11 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 #[inline]
-pub fn scale(alpha: f32, x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
-}
-
-#[inline]
 pub fn add(x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for i in 0..x.len() {
         y[i] += x[i];
     }
-}
-
-#[inline]
-pub fn sum(x: &[f32]) -> f32 {
-    let mut acc = 0.0_f32;
-    for &v in x {
-        acc += v;
-    }
-    acc
 }
 
 /// First-wins argmax: returns the smallest index attaining the maximum.

@@ -14,7 +14,6 @@
 //! | [`serve`] | `slide-serve` | frozen-inference snapshots and the caller-runs request path |
 //! | [`quant`] | `slide-quant` | post-training int8 quantized serving snapshots over VNNI-class integer kernels |
 //! | [`net`] | `slide-net` | TCP wire protocol, `slide_netd` replica daemon, `slide_router` fleet front-end |
-//! | [`baseline`] | `slide-baseline` | the method presets and the modeled V100 column |
 //!
 //! The most common types are re-exported at the top level.
 //!
@@ -43,7 +42,6 @@
 
 pub mod cli;
 
-pub use slide_baseline as baseline;
 pub use slide_core as core;
 pub use slide_data as data;
 pub use slide_hash as hash;
@@ -53,7 +51,6 @@ pub use slide_quant as quant;
 pub use slide_serve as serve;
 pub use slide_simd as simd;
 
-pub use slide_baseline::{DeviceModel, Method};
 pub use slide_core::{
     load_checkpoint, save_checkpoint, ActiveSets, ConvergenceLog, EvalMode, HashFamilyKind,
     LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig,

@@ -104,12 +104,3 @@ fn slide_epoch_is_faster_with_huge_output_layer() {
         "SLIDE ({slide_secs:.3}s) should beat dense ({dense_secs:.3}s) at 4096 labels"
     );
 }
-
-#[test]
-fn v100_model_is_plausible_for_our_scale() {
-    let model = slide::DeviceModel::v100();
-    let params = slide::data::model_parameters(1024, 32, 4096);
-    let t = model.epoch_seconds(params, 2_000, 128);
-    // Tiny model + V100: milliseconds to low seconds.
-    assert!(t > 0.0 && t < 5.0, "modeled {t}s");
-}
