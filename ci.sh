@@ -591,15 +591,16 @@ fi
 # train_sample_leaves_every_exported_byte_unchanged.
 # Row-ordered logits: 626 + 2 = 628. Added: batch_equivalence's output
 # layer thread-count test and batch_pass::tests' entry_of property check.
-# One run description: 628 - 2 + 1 = 627. Deleted with slide_simd's
+# One run description: 628 - 2 + 2 = 628. Deleted with slide_simd's
 # sum_f32: kernels::tests::sum_all_levels_agree and kernel_equivalence.rs's
 # sum_levels_agree (scale_f32's half of scale_and_add_all_levels_agree went
 # with scale_f32; its add half stays as add_all_levels_agree). Added:
-# slide-bench's presets::tests::every_named_run_trains_its_pinned_configuration.
+# slide-bench's presets::tests::every_named_run_trains_its_pinned_configuration
+# and trainer::tests::evaluating_between_epochs_leaves_training_unchanged.
 # Moved into slide-bench unchanged in number: slide-baseline's 4 preset and
 # 4 DeviceModel tests and its doctest, and baseline_parity.rs's
 # v100_model_is_plausible_for_our_scale.
-MIN_TIER1_TESTS=627
+MIN_TIER1_TESTS=628
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -52,7 +52,7 @@ fn main() {
         let rows: Vec<Vec<String>> = measured
             .iter()
             .map(|(label, m)| {
-                let (p, total) = (&m.phases, m.epoch_seconds());
+                let (p, total) = (m.phases(), m.epoch_seconds());
                 let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
                 vec![
                     label.to_string(),
@@ -92,7 +92,7 @@ fn main() {
                     label,
                     m.simd,
                     m.epoch_seconds(),
-                    phases_json(&m.phases)
+                    phases_json(&m.phases())
                 )
             })
             .collect();

@@ -8,25 +8,46 @@
 
 use slide_bench::{epochs, fmt_ratio_vs, fmt_secs, measure, print_table, scale, Method, Workload};
 
-/// The paper's Table 2 headline factors for each dataset:
-/// (opt-CLX vs V100, opt-CPX vs V100, opt-CLX vs TF-CLX, opt-CPX vs TF-CPX,
-///  opt-CLX vs naive-CLX, opt-CPX vs naive-CPX).
+/// Table 2's comparison rows: (label, optimized method, reference method).
+const COMPARISONS: [(&str, Method, Method); 6] = [
+    (
+        "Opt SLIDE (CLX) vs TF V100*",
+        Method::OptimizedSlideClx,
+        Method::TfV100,
+    ),
+    (
+        "Opt SLIDE (CPX) vs TF V100*",
+        Method::OptimizedSlideCpx,
+        Method::TfV100,
+    ),
+    (
+        "Opt SLIDE (CLX) vs TF-CPU",
+        Method::OptimizedSlideClx,
+        Method::TfCpu,
+    ),
+    (
+        "Opt SLIDE (CPX) vs TF-CPU",
+        Method::OptimizedSlideCpx,
+        Method::TfCpu,
+    ),
+    (
+        "Opt SLIDE (CLX) vs Naive SLIDE",
+        Method::OptimizedSlideClx,
+        Method::NaiveSlide,
+    ),
+    (
+        "Opt SLIDE (CPX) vs Naive SLIDE",
+        Method::OptimizedSlideCpx,
+        Method::NaiveSlide,
+    ),
+];
+
+/// The paper's Table 2 factor for each of [`COMPARISONS`] on `w`.
 fn paper_factors(w: Workload) -> [f64; 6] {
     match w {
         Workload::Amazon670k => [3.5, 7.8, 4.0, 7.9, 4.4, 7.2],
         Workload::WikiLsh325k => [2.04, 4.19, 2.55, 5.2, 2.0, 3.0],
         Workload::Text8 => [9.2, 15.5, 11.6, 17.36, 3.5, 3.0],
-    }
-}
-
-/// A method's name in the paper's comparison rows.
-fn short(m: Method) -> &'static str {
-    match m {
-        Method::TfV100 => "TF V100*",
-        Method::TfCpu => "TF-CPU",
-        Method::NaiveSlide => "Naive SLIDE",
-        Method::OptimizedSlideClx => "Opt SLIDE (CLX)",
-        Method::OptimizedSlideCpx => "Opt SLIDE (CPX)",
     }
 }
 
@@ -76,15 +97,12 @@ fn main() {
             );
         }
         let secs = |m: Method| measured.iter().find(|r| r.0 == m).unwrap().1;
-        // Each optimized run against each reference, in paper_factors' order.
-        let optimized = [Method::OptimizedSlideClx, Method::OptimizedSlideCpx];
-        let rows: Vec<Vec<String>> = [Method::TfV100, Method::TfCpu, Method::NaiveSlide]
+        let rows: Vec<Vec<String>> = COMPARISONS
             .into_iter()
-            .flat_map(|reference| optimized.map(|method| (reference, method)))
             .zip(paper_factors(w))
-            .map(|((reference, method), paper)| {
+            .map(|((label, method, reference), paper)| {
                 vec![
-                    format!("{} vs {}", short(method), short(reference)),
+                    label.to_string(),
                     fmt_ratio_vs(secs(reference), secs(method)),
                     format!("{paper:.1}x fast"),
                 ]

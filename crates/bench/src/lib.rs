@@ -15,8 +15,8 @@ pub use device_model::DeviceModel;
 pub use presets::Method;
 
 use slide_core::{
-    ActiveSets, ConvergenceLog, ConvergencePoint, EvalMode, HashFamilyKind, MemoryConfig, Network,
-    NetworkConfig, PhaseBreakdown, Precision, Trainer, TrainerConfig,
+    ActiveSets, ConvergenceLog, EvalMode, HashFamilyKind, MemoryConfig, Network, NetworkConfig,
+    PhaseBreakdown, Precision, Trainer, TrainerConfig,
 };
 use slide_data::{generate_synthetic, generate_text, Dataset, SynthConfig, TextConfig};
 use slide_simd::{SimdLevel, SimdPolicy};
@@ -245,10 +245,9 @@ impl Run {
 /// What [`measure`] observed of one run.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Training seconds and test P@1 after every epoch (Figure 6's curve).
+    /// Training seconds, phase split and test P@1 after every epoch
+    /// (Figure 6's curve).
     pub curve: ConvergenceLog,
-    /// The mean per-epoch phase split.
-    pub phases: PhaseBreakdown,
     /// The SIMD level the run resolved to.
     pub simd: SimdLevel,
 }
@@ -262,6 +261,22 @@ impl Measurement {
     /// P@1 after the last epoch.
     pub fn p_at_1(&self) -> f64 {
         self.curve.final_p_at_1()
+    }
+
+    /// The mean per-epoch phase split.
+    pub fn phases(&self) -> PhaseBreakdown {
+        let mut sum = PhaseBreakdown::default();
+        for p in &self.curve.points {
+            sum.add(p.phases);
+        }
+        let n = self.curve.points.len().max(1) as f64;
+        PhaseBreakdown {
+            batch_build: sum.batch_build / n,
+            forward_backward: sum.forward_backward / n,
+            output: sum.output / n,
+            input: sum.input / n,
+            rebuild: sum.rebuild / n,
+        }
     }
 }
 
@@ -282,7 +297,8 @@ pub fn with_preset_policy<T>(preset: SimdPolicy, f: impl FnOnce() -> T) -> T {
 }
 
 /// The one runner: train `run` for `epochs` epochs under its SIMD policy
-/// (as [`with_preset_policy`] applies it), scoring exact P@1 on the first
+/// (as [`with_preset_policy`] applies it) through
+/// [`Trainer::run_convergence`], scoring exact P@1 on the first
 /// `eval_samples` test samples after each epoch (0 skips the evaluation).
 /// Evaluation time is not training time.
 pub fn measure(
@@ -292,35 +308,15 @@ pub fn measure(
     epochs: u32,
     eval_samples: usize,
 ) -> Measurement {
-    with_preset_policy(run.simd, || {
-        let simd = slide_simd::effective_level();
-        let mut trainer = run.build();
-        let mut curve = ConvergenceLog::default();
-        let mut sum = PhaseBreakdown::default();
-        for epoch in 0..epochs {
-            let stats = trainer.train_epoch(train, epoch as u64);
-            sum.add(stats.phases);
-            curve.points.push(ConvergencePoint {
-                epoch: epoch + 1,
-                elapsed_seconds: trainer.total_train_seconds(),
-                epoch_seconds: stats.seconds,
-                p_at_1: trainer.evaluate(test, 1, EvalMode::Exact, Some(eval_samples)),
-                mean_loss: stats.mean_loss,
-            });
-        }
-        let n = f64::from(epochs.max(1));
-        let phases = PhaseBreakdown {
-            batch_build: sum.batch_build / n,
-            forward_backward: sum.forward_backward / n,
-            output: sum.output / n,
-            input: sum.input / n,
-            rebuild: sum.rebuild / n,
-        };
-        Measurement {
-            curve,
-            phases,
-            simd,
-        }
+    with_preset_policy(run.simd, || Measurement {
+        simd: slide_simd::effective_level(),
+        curve: run.build().run_convergence(
+            train,
+            test,
+            epochs,
+            EvalMode::Exact,
+            Some(eval_samples),
+        ),
     })
 }
 

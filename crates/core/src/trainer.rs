@@ -34,6 +34,7 @@ use std::time::Instant;
 /// Where an epoch's wall-clock time went — the breakdown behind the paper's
 /// §5.5–§5.7 attribution of the overall speedup to individual optimizations.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseBreakdown {
     /// Copying the batch into its (coalesced or fragmented) store.
     pub batch_build: f64,
@@ -95,6 +96,8 @@ pub struct ConvergencePoint {
     pub p_at_1: f64,
     /// Mean training loss during this epoch.
     pub mean_loss: f64,
+    /// Where this epoch's seconds went.
+    pub phases: PhaseBreakdown,
 }
 
 /// A whole convergence curve: the series plotted in Figure 6.
@@ -450,6 +453,7 @@ impl Trainer {
                 epoch_seconds: stats.seconds,
                 p_at_1: p1,
                 mean_loss: stats.mean_loss,
+                phases: stats.phases,
             });
         }
         log
@@ -649,6 +653,7 @@ mod tests {
             .windows(2)
             .all(|w| w[1].elapsed_seconds >= w[0].elapsed_seconds));
         assert!(log.avg_epoch_seconds() > 0.0);
+        assert!(log.points.iter().all(|p| p.phases.total() > 0.0));
         let csv = log.to_csv();
         assert!(csv.lines().count() == 4 && csv.starts_with("epoch,"));
     }
@@ -664,6 +669,24 @@ mod tests {
             t.evaluate(&data.test, 1, EvalMode::Exact, None)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn evaluating_between_epochs_leaves_training_unchanged() {
+        // run_convergence scores P@1 after every epoch; the curve's last
+        // point must read what training alone, scored once, reads.
+        let data = tiny_data();
+        let log = trainer(1).run_convergence(&data.train, &data.test, 3, EvalMode::Exact, None);
+        let mut plain = trainer(1);
+        let losses: Vec<f64> = (0..3)
+            .map(|epoch| plain.train_epoch(&data.train, epoch).mean_loss)
+            .collect();
+        let curve_losses: Vec<f64> = log.points.iter().map(|p| p.mean_loss).collect();
+        assert_eq!(curve_losses, losses);
+        assert_eq!(
+            log.final_p_at_1(),
+            plain.evaluate(&data.test, 1, EvalMode::Exact, None)
+        );
     }
 
     #[test]
