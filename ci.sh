@@ -506,6 +506,32 @@ if grep -rnE 'slide[-_]baseline' crates src tests examples Cargo.toml; then
     exit 1
 fi
 
+step "one shard plan (contiguous ranges only, no strided plan or indexer)"
+# A shard owns one contiguous row range and keeps its first global row, so
+# local = global - start (DESIGN.md §4). A .slsnap naming plan kind 2 is
+# refused as Unsupported; no second partitioning policy comes back.
+if grep -rnE 'Strided|ShardPlanKind|ShardPlan::strided' crates src tests examples; then
+    echo "ci.sh: a second shard-plan policy is back" >&2
+    exit 1
+fi
+
+step "no quant cycle (slide-quant is the benchmark's shim, and nothing else names it)"
+# The int8 engine, p_at_1 and the snapshot API live in slide-serve
+# (DESIGN.md §7). slide-quant only re-exports what benchmark/ imports; no
+# workspace code, and no serve, bench or facade manifest, depends on it.
+QUANT_USES="$(grep -rl --include='*.rs' --exclude-dir=target --exclude-dir=.git \
+    --exclude-dir=.bench_build 'slide_quant' . | grep -vE '^\./(crates/quant|benchmark)/' || true)"
+if [[ -n "$QUANT_USES" ]]; then
+    echo "$QUANT_USES" >&2
+    echo "ci.sh: slide_quant is named outside crates/quant and benchmark/" >&2
+    exit 1
+fi
+if grep -nE 'slide-quant' crates/serve/Cargo.toml crates/bench/Cargo.toml ||
+    sed -n '/^\[dependencies\]/,/^\[/p' Cargo.toml | grep -n 'slide-quant'; then
+    echo "ci.sh: slide-quant is a dependency of serve, bench or the facade again" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -600,7 +626,13 @@ fi
 # Moved into slide-bench unchanged in number: slide-baseline's 4 preset and
 # 4 DeviceModel tests and its doctest, and baseline_parity.rs's
 # v100_model_is_plausible_for_our_scale.
-MIN_TIER1_TESTS=628
+# One shard plan: 628 - 0 + 1 = 629. Deleted: none (the two strided golden
+# digests were rows of golden_slsnap_digests_hold, which stays). Added:
+# registry_durability's a_strided_plan_is_refused_as_unsupported. Moved
+# unchanged in number: quant_props.rs and snapshot_parity.rs from
+# crates/quant/tests to crates/serve/tests, and slide-quant's crate doctest
+# to the QuantizedFrozenNetwork doctest in slide-serve.
+MIN_TIER1_TESTS=629
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

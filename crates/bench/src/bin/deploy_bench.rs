@@ -122,8 +122,7 @@ fn main() {
         r1.train_time.as_millis()
     );
     let registry = looper.registry().clone();
-    let model =
-        slide_quant::snapshot::load(&registry.version_path(v1)).expect("cold-start from v1");
+    let model = slide_serve::load(&registry.version_path(v1)).expect("cold-start from v1");
     let server = Arc::new(
         BatchingServer::start(
             model,

@@ -141,7 +141,7 @@ pub fn load_checkpoint<R: Read>(
     for p in network.params_mut() {
         p.import_from(&mut buf).map_err(CheckpointError::Format)?;
     }
-    network.output().rebuild_serial();
+    network.output_mut().rebuild_serial();
     Ok(())
 }
 

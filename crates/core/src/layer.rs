@@ -19,7 +19,6 @@ use crate::config::{ActiveSets, LshConfig, Precision};
 use crate::params::LayerParams;
 use crate::retrieval::Retrieval;
 use crate::scratch::WorkerScratch;
-use parking_lot::RwLock;
 use slide_data::top_k_indices;
 use slide_hash::{LshFamily, LshTables, TableStats};
 use slide_mem::{ParamLayout, SparseVecRef};
@@ -91,7 +90,7 @@ impl SparseInputLayer {
 pub struct SampledOutputLayer {
     params: LayerParams,
     retrieval: Retrieval,
-    tables: RwLock<LshTables>,
+    tables: LshTables,
 }
 
 impl SampledOutputLayer {
@@ -107,7 +106,7 @@ impl SampledOutputLayer {
     ) -> Self {
         let params = LayerParams::new(output_dim, hidden, output_dim, layout, precision, seed);
         let retrieval = Retrieval::training(hidden, output_dim, lsh, seed);
-        let tables = RwLock::new(retrieval.tables_from_rows(&params));
+        let tables = retrieval.tables_from_rows(&params);
         SampledOutputLayer {
             params,
             retrieval,
@@ -132,7 +131,7 @@ impl SampledOutputLayer {
 
     /// Current hash-table occupancy statistics.
     pub fn table_stats(&self) -> TableStats {
-        self.tables.read().stats()
+        self.tables.stats()
     }
 
     /// Number of output units.
@@ -149,36 +148,32 @@ impl SampledOutputLayer {
 
     /// Single-threaded full rebuild (used at checkpoint restore; the
     /// trainer uses the parallel two-phase path).
-    pub fn rebuild_serial(&self) {
-        let tables = self.retrieval.tables_from_rows(&self.params);
-        *self.tables.write() = tables;
+    pub fn rebuild_serial(&mut self) {
+        self.tables = self.retrieval.tables_from_rows(&self.params);
     }
 
     /// Replace the tables with a build from precomputed per-row keys
-    /// (`all_keys[r*L..][..L]` are row `r`'s keys). The new tables are built
-    /// before the write lock is taken.
+    /// (`all_keys[r*L..][..L]` are row `r`'s keys).
     ///
     /// # Panics
     ///
     /// Panics if `all_keys.len() != rows * L`.
-    pub fn rebuild_from_keys(&self, all_keys: &[u32]) {
+    pub fn rebuild_from_keys(&mut self, all_keys: &[u32]) {
         let l = self.family().tables();
         assert_eq!(
             all_keys.len(),
             self.params.rows() * l,
             "rebuild_from_keys: wrong key buffer size"
         );
-        let tables = self.retrieval.tables_from_keys(all_keys);
-        *self.tables.write() = tables;
+        self.tables = self.retrieval.tables_from_keys(all_keys);
     }
 
     /// Build the active set for input `h` into `scratch.active`: the
     /// `labels` forced first, then [`Retrieval::select`]'s retrieve → dedup
     /// → cap → pad over this layer's tables.
     pub fn select_active(&self, h: &[f32], labels: &[u32], scratch: &mut WorkerScratch, salt: u64) {
-        let tables = self.tables.read();
         self.retrieval
-            .select([&*tables], h, labels, scratch.select_buffers(), salt);
+            .select([&self.tables], h, labels, scratch.select_buffers(), salt);
     }
 
     /// A training sample's active set under `sets` into `scratch.active`,

@@ -84,6 +84,11 @@ impl Network {
         &self.output
     }
 
+    /// Exclusive access to the output layer (table rebuilds).
+    pub(crate) fn output_mut(&mut self) -> &mut SampledOutputLayer {
+        &mut self.output
+    }
+
     /// Exclusive access to the input and output parameter blocks, in that
     /// order (checkpoint restore).
     pub(crate) fn params_mut(&mut self) -> [&mut LayerParams; 2] {

@@ -364,9 +364,8 @@ impl Trainer {
     /// Parallel two-phase hash-table rebuild: compute every neuron's keys
     /// (parallel, disjoint output chunks), then repopulate the tables.
     pub fn rebuild_tables(&mut self) {
-        let out = self.network.output();
-        let l = out.family().tables();
-        let rows = out.output_dim();
+        let l = self.network.output().family().tables();
+        let rows = self.network.output().output_dim();
         self.rebuild_keys.resize(rows * l, 0);
         let keys = Disjoint::new(&mut self.rebuild_keys);
         let slots = Disjoint::new(&mut self.scratches);
@@ -380,7 +379,9 @@ impl Trainer {
                 net.output().compute_row_keys(r, scratch, keys);
             }
         });
-        out.rebuild_from_keys(&self.rebuild_keys);
+        self.network
+            .output_mut()
+            .rebuild_from_keys(&self.rebuild_keys);
     }
 
     /// Evaluate P@k over (up to `max_samples` of) a dataset, in parallel.

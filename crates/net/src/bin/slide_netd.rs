@@ -111,8 +111,7 @@ fn load_registry_model(
             .ok_or_else(|| format!("registry {dir:?} has no published version"))?
     };
     let path = registry.version_path(version);
-    let model =
-        slide_quant::snapshot::load(&path).map_err(|e| format!("snapshot {path:?}: {e}"))?;
+    let model = slide_serve::load(&path).map_err(|e| format!("snapshot {path:?}: {e}"))?;
     Ok((model, registry, version))
 }
 

@@ -249,7 +249,7 @@ impl TrainerLoop {
             .map_err(|e| SnapshotError::Corrupt(format!("fleet trainer config: {e}")))?;
         let gate = ShadowGate::new(hub, cfg.gate);
         if let Some(path) = registry.current_path()? {
-            let live = slide_quant::snapshot::load(&path)?;
+            let live = slide_serve::load(&path)?;
             gate.seed_baseline(gate.shadow_p_at_k(&live, &synth.test));
         }
         Ok(TrainerLoop {
@@ -397,7 +397,7 @@ impl RegistryWatcher {
                                 // mtime *before* the load so slow loads
                                 // count toward staleness, not against it.
                                 let mtime = std::fs::metadata(&path).and_then(|m| m.modified());
-                                match slide_quant::snapshot::load(&path) {
+                                match slide_serve::load(&path) {
                                     Ok(model) => {
                                         server.publish(model);
                                         live = Some(version);

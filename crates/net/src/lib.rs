@@ -3,7 +3,7 @@
 //!
 //! The paper ("Accelerating SLIDE Deep Learning on Modern CPUs", MLSys
 //! 2021) ends at the socket boundary; this crate crosses it. It puts the
-//! frozen-serving engines of `slide-serve`/`slide-quant` behind a
+//! frozen-serving engines of `slide-serve` (f32 and int8) behind a
 //! length-prefixed, checksummed binary protocol over `std::net` TCP and
 //! scales them out to a replicated fleet:
 //!

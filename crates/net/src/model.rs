@@ -10,8 +10,7 @@
 
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
-use slide_quant::Snapshot;
-use slide_serve::{FrozenModel, ShardPlan, SnapshotSpec};
+use slide_serve::{FrozenModel, ShardPlan, Snapshot, SnapshotSpec};
 use std::sync::Arc;
 
 /// Which frozen engine a fleet runs.
@@ -19,7 +18,7 @@ use std::sync::Arc;
 pub enum FleetPrecision {
     /// Full-precision [`slide_serve::FrozenNetwork`].
     F32,
-    /// Post-training int8 [`slide_quant::QuantizedFrozenNetwork`].
+    /// Post-training int8 [`slide_serve::QuantizedFrozenNetwork`].
     I8,
 }
 

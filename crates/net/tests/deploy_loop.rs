@@ -263,7 +263,7 @@ fn live_fleet_hot_swaps_every_published_version_with_zero_hard_errors() {
     assert!(ok > 50, "client barely ran ({ok} ok answers)");
     let mut per_version: Vec<Vec<Vec<u32>>> = Vec::new();
     for v in registry.versions().expect("versions") {
-        let model = slide_quant::snapshot::load(&registry.version_path(v)).expect("load version");
+        let model = slide_serve::load(&registry.version_path(v)).expect("load version");
         let mut scratch = model.make_scratch_any();
         per_version.push(
             queries

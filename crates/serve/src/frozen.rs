@@ -1,7 +1,7 @@
 //! The one frozen inference engine.
 //!
 //! Training needs row-owned writes into its parameters, ADAM moments, and
-//! locked hash tables that follow the drifting weights. Serving needs none
+//! hash tables rebuilt to follow the drifting weights. Serving needs none
 //! of that: an [`Engine`] copies the weights into contiguous, 64-byte-aligned,
 //! row-padded arenas (the Figure-3 flat-layout discipline, minus every
 //! mutable companion array), builds its LSH tables once from the frozen
@@ -17,10 +17,10 @@
 
 use crate::error::ServeBuildError;
 use crate::layer::{Act, FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
-use crate::shard::{partition_tables, ShardIndexer, ShardPlan};
+use crate::shard::{partition_tables, ShardPlan};
 use crate::snapshot::SnapshotPrecision;
 use slide_core::{relu, Network, NetworkConfig, Precision, Retrieval, SelectBuffers, StampSet};
-use slide_data::top_k_indices;
+use slide_data::{top_k_indices, Dataset};
 use slide_hash::{LshScratch, LshTables, TableStats};
 use slide_mem::{AlignedVec, SparseVecRef};
 use slide_obs::StageSample;
@@ -29,12 +29,13 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// One output-layer shard: the arena of the rows it owns, its partition of
-/// the frozen LSH tables, and the O(1) global→local row arithmetic.
+/// the frozen LSH tables, and its first global row (global row `g` is arena
+/// row `g - start`).
 #[derive(Debug)]
 struct Shard<L> {
     layer: L,
     tables: LshTables,
-    indexer: ShardIndexer,
+    start: u32,
 }
 
 /// An immutable, share-everywhere inference snapshot of a trained
@@ -122,6 +123,25 @@ pub type FrozenNetwork = Engine<FrozenLayer>;
 /// The int8 engine: output rows are per-row symmetric i8 codes;
 /// the sparse-input layer and LSH retrieval stay f32 (see
 /// [`QuantizedLayer`]), so it retrieves exactly what [`FrozenNetwork`] does.
+///
+/// # Examples
+///
+/// ```
+/// use slide_core::{Network, NetworkConfig};
+/// use slide_serve::QuantizedFrozenNetwork;
+///
+/// let net = Network::new(NetworkConfig::standard(256, 16, 64)).unwrap();
+/// let quant = QuantizedFrozenNetwork::freeze(&net);
+/// assert!(quant.arena_bytes() > 0);
+/// let mut scratch = quant.make_scratch();
+/// let idx = [1u32, 17];
+/// let val = [1.0f32, 0.5];
+/// let topk = quant.predict_sparse(slide_mem::SparseVecRef::new(&idx, &val), 5, &mut scratch, 0);
+/// assert_eq!(topk.len(), 5);
+/// // The error report was filled in at freeze time (one entry per
+/// // quantized layer; `standard` has just the output layer):
+/// assert!(quant.report().within_theoretical_bounds());
+/// ```
 pub type QuantizedFrozenNetwork = Engine<QuantizedLayer>;
 
 /// Per-caller mutable state for [`Engine`] queries. Allocate one per serving
@@ -149,9 +169,6 @@ pub struct ServeScratch {
     logits: Vec<f32>,
     /// Arena row index of every active row within the shard that owns it.
     locals: Vec<u32>,
-    /// One strided shard's logits in [`Engine::predict_full`], before they
-    /// scatter to global row ids.
-    part: Vec<f32>,
     /// Row-gather pointer list for the fused active-set scoring kernel.
     gather: RowGather,
     /// Kernel dispatch table, resolved once per scratch (≈ once per serving
@@ -197,7 +214,7 @@ pub(crate) fn cut_layers<L: RowLayout>(
     mut sink: impl FnMut(L),
 ) {
     for s in 0..plan.shards() {
-        let rows = plan.shard_rows(s);
+        let rows: Vec<u32> = plan.shard_rows(s).collect();
         sink(L::from_params_rows(
             net.output().params(),
             &rows,
@@ -270,7 +287,7 @@ impl<L: RowLayout> Engine<L> {
             .map(|(s, (layer, tables))| Shard {
                 layer,
                 tables,
-                indexer: plan.indexer(s),
+                start: plan.shard_rows(s).start,
             })
             .collect();
         Engine {
@@ -380,7 +397,6 @@ impl<L: RowLayout> Engine<L> {
             active: Vec::with_capacity(1024),
             logits: Vec::with_capacity(1024),
             locals: Vec::with_capacity(1024),
-            part: Vec::new(),
             gather: RowGather::default(),
             kernels: KernelSet::resolve(),
         }
@@ -526,7 +542,7 @@ impl<L: RowLayout> Engine<L> {
         locals.clear();
         gather.clear();
         for (shard, run) in self.segments(active, bounds) {
-            shard.indexer.locals_into(&active[run.clone()], locals);
+            locals.extend(active[run.clone()].iter().map(|&g| g - shard.start));
             shard.layer.gather(&locals[run], gather);
         }
         logits.clear();
@@ -575,9 +591,9 @@ impl<L: RowLayout> Engine<L> {
 
     /// Predict the top-`k` labels scoring *every* output row (exact argmax;
     /// the accuracy reference for [`Engine::predict_sparse`] and the
-    /// cross-level equivalence tests). Each shard sweeps its arena into one
-    /// dense global buffer, so tie-breaking follows global row order for
-    /// every `N`.
+    /// cross-level equivalence tests). Each shard sweeps its arena into its
+    /// range of one dense global buffer, so tie-breaking follows global row
+    /// order for every `N`.
     pub fn predict_full(
         &self,
         x: SparseVecRef<'_>,
@@ -589,7 +605,6 @@ impl<L: RowLayout> Engine<L> {
             acts,
             qacts,
             logits,
-            part,
             kernels,
             ..
         } = scratch;
@@ -600,23 +615,38 @@ impl<L: RowLayout> Engine<L> {
         logits.clear();
         logits.resize(self.plan.rows(), 0.0);
         for shard in &self.shards {
-            match shard.indexer {
-                ShardIndexer::Contiguous { start, len } => {
-                    let range = start as usize..(start + len) as usize;
-                    shard.layer.gemv(kernels, act, &mut logits[range]);
-                }
-                ShardIndexer::Strided { .. } => {
-                    part.clear();
-                    part.resize(shard.layer.rows(), 0.0);
-                    shard.layer.gemv(kernels, act, part);
-                    for (local, &z) in part.iter().enumerate() {
-                        logits[shard.indexer.global_of(local) as usize] = z;
-                    }
-                }
-            }
+            let start = shard.start as usize;
+            let range = start..start + shard.layer.rows();
+            shard.layer.gemv(kernels, act, &mut logits[range]);
         }
         top_k_indices(logits, k)
     }
+}
+
+/// P@1 of `engine`'s sampled path over a labelled dataset, `salt = i` per
+/// sample so two engines of one network pad identically on cold tables.
+/// Every parity comparison (f32 vs i8, sharded vs not) runs through this one
+/// loop so it can never silently measure two different protocols (skip
+/// rule, salt scheme, hit test).
+pub fn p_at_1<L: RowLayout>(engine: &Engine<L>, data: &Dataset) -> f64 {
+    let mut scratch = engine.make_scratch();
+    let mut hits = 0usize;
+    let mut total = 0usize;
+    for i in 0..data.len() {
+        let labels = data.labels(i);
+        if labels.is_empty() {
+            continue;
+        }
+        let topk = engine.predict_sparse(data.features(i), 1, &mut scratch, i as u64);
+        total += 1;
+        if topk.first().is_some_and(|p| labels.contains(p)) {
+            hits += 1;
+        }
+    }
+    if total == 0 {
+        return 0.0;
+    }
+    hits as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -904,40 +934,34 @@ mod tests {
     }
 
     /// Sharded vs one-shard for one layout: sparse and exact top-k, every
-    /// shard count and plan.
+    /// shard count.
     fn assert_sharding_invariant<L: RowLayout>(net: &Network) {
         let (rows, input_dim) = (net.config().output_dim, net.config().input_dim as u32);
         let whole = Engine::<L>::freeze(net);
         let mut ws = whole.make_scratch();
         for shards in [1usize, 2, 4, 8] {
-            for plan in [
-                ShardPlan::contiguous(shards, rows).unwrap(),
-                ShardPlan::strided(shards, rows).unwrap(),
-            ] {
-                let sharded = Engine::<L>::freeze_sharded(net, plan).unwrap();
-                assert_eq!(sharded.precision_label(), whole.precision_label());
-                let mut ss = sharded.make_scratch();
-                for s in 0..24u32 {
-                    let idx = [
-                        s % input_dim,
-                        (s * 7 + 3) % input_dim,
-                        (s * 31 + 11) % input_dim,
-                    ];
-                    let val = [1.0f32, -0.5, 0.25];
-                    let x = SparseVecRef::new(&idx, &val);
-                    assert_eq!(
-                        sharded.predict_sparse(x, 4, &mut ss, s as u64),
-                        whole.predict_sparse(x, 4, &mut ws, s as u64),
-                        "sparse diverged: {shards} shards {} sample {s}",
-                        plan.kind_label()
-                    );
-                    assert_eq!(
-                        sharded.predict_full(x, 4, &mut ss),
-                        whole.predict_full(x, 4, &mut ws),
-                        "full diverged: {shards} shards {} sample {s}",
-                        plan.kind_label()
-                    );
-                }
+            let plan = ShardPlan::contiguous(shards, rows).unwrap();
+            let sharded = Engine::<L>::freeze_sharded(net, plan).unwrap();
+            assert_eq!(sharded.precision_label(), whole.precision_label());
+            let mut ss = sharded.make_scratch();
+            for s in 0..24u32 {
+                let idx = [
+                    s % input_dim,
+                    (s * 7 + 3) % input_dim,
+                    (s * 31 + 11) % input_dim,
+                ];
+                let val = [1.0f32, -0.5, 0.25];
+                let x = SparseVecRef::new(&idx, &val);
+                assert_eq!(
+                    sharded.predict_sparse(x, 4, &mut ss, s as u64),
+                    whole.predict_sparse(x, 4, &mut ws, s as u64),
+                    "sparse diverged: {shards} shards sample {s}"
+                );
+                assert_eq!(
+                    sharded.predict_full(x, 4, &mut ss),
+                    whole.predict_full(x, 4, &mut ws),
+                    "full diverged: {shards} shards sample {s}"
+                );
             }
         }
     }
@@ -956,7 +980,7 @@ mod tests {
     fn sharded_active_set_equals_unsharded() {
         let net = tiny_net_seeded(9);
         let frozen = FrozenNetwork::freeze(&net);
-        let plan = ShardPlan::strided(4, 64).unwrap();
+        let plan = ShardPlan::contiguous(4, 64).unwrap();
         let sharded = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
         let mut fs = frozen.make_scratch();
         let mut ss = sharded.make_scratch();
@@ -1031,7 +1055,7 @@ mod tests {
             FrozenNetwork::freeze_sharded(&net, ShardPlan::contiguous(2, 64).unwrap()).unwrap_err();
         assert_eq!(err, ServeBuildError::MaxActiveUnsupported);
         assert!(err.to_string().contains("max_active"), "{err}");
-        assert!(FrozenNetwork::freeze_sharded(&net, ShardPlan::strided(1, 64).unwrap()).is_ok());
+        assert!(FrozenNetwork::freeze_sharded(&net, ShardPlan::contiguous(1, 64).unwrap()).is_ok());
     }
 
     #[test]
@@ -1039,7 +1063,7 @@ mod tests {
         let net = tiny_net_seeded(5); // 64 outputs
         for plan in [
             ShardPlan::contiguous(2, 32).unwrap(),
-            ShardPlan::strided(4, 128).unwrap(),
+            ShardPlan::contiguous(4, 128).unwrap(),
         ] {
             let err = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap_err();
             assert!(err.to_string().contains("64"), "{err}");

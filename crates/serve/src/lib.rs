@@ -67,12 +67,12 @@ pub mod shard;
 pub mod snapshot;
 
 pub use error::{ServeBuildError, ServeError};
-pub use frozen::{Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
+pub use frozen::{p_at_1, Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
 pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, RowLayout};
 pub use model::{FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
 pub use server::{
     percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, ServeStats,
 };
-pub use shard::{ShardIndexer, ShardPlan, ShardPlanKind};
+pub use shard::ShardPlan;
 pub use snapshot::{load, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};

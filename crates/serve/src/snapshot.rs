@@ -19,7 +19,8 @@
 //!      0     4  magic "SLSN"
 //!      4     4  format version (1)
 //!      8     4  precision code (0 = f32, 1 = i8)
-//!     12     4  plan kind (0 = unsharded, 1 = contiguous, 2 = strided)
+//!     12     4  plan kind (0 = unsharded, 1 = contiguous; 2, the retired
+//!               strided plan, and any other value are refused)
 //!     16     4  shard count (1 when unsharded)
 //!     20     4  section count
 //!     24     8  total image length in bytes
@@ -52,7 +53,7 @@ use crate::frozen::{cut_layers, serving_plan, Engine};
 use crate::layer::{FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
 use crate::model::FrozenModel;
 use crate::registry::write_atomic;
-use crate::shard::{ShardPlan, ShardPlanKind};
+use crate::shard::ShardPlan;
 use slide_core::{
     HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Retrieval,
 };
@@ -299,13 +300,7 @@ impl SnapshotWriter {
     pub fn new(spec: &SnapshotSpec) -> Self {
         let (plan_kind, shards) = match spec.shard_plan {
             None => (0, 1),
-            Some(p) => (
-                match p.kind() {
-                    ShardPlanKind::Contiguous => 1,
-                    ShardPlanKind::Strided => 2,
-                },
-                p.shards() as u32,
-            ),
+            Some(p) => (1, p.shards() as u32),
         };
         SnapshotWriter {
             precision: spec.precision,
@@ -394,7 +389,7 @@ struct SectionEntry {
 pub struct SnapshotImage {
     arena: SharedArena,
     precision: SnapshotPrecision,
-    plan: Option<(ShardPlanKind, usize)>,
+    plan: Option<usize>,
     sections: Vec<SectionEntry>,
 }
 
@@ -448,8 +443,7 @@ impl SnapshotImage {
                 }
                 None
             }
-            1 => Some((ShardPlanKind::Contiguous, shards)),
-            2 => Some((ShardPlanKind::Strided, shards)),
+            1 => Some(shards),
             k => return Err(SnapshotError::Unsupported(format!("plan kind {k}"))),
         };
         if plan.is_some() && shards == 0 {
@@ -541,8 +535,9 @@ impl SnapshotImage {
         self.precision
     }
 
-    /// `(plan kind, shard count)` for sharded images, `None` when unsharded.
-    pub fn plan(&self) -> Option<(ShardPlanKind, usize)> {
+    /// The shard count of a sharded (contiguous-plan) image, `None` when
+    /// unsharded.
+    pub fn plan(&self) -> Option<usize> {
         self.plan
     }
 
@@ -962,7 +957,7 @@ fn decode_preamble(
     let config = decode_config(image.bytes(SectionKind::Config, 0)?)?;
     let shard_plan = image
         .plan()
-        .map(|(kind, shards)| ShardPlan::new(kind, shards, config.output_dim))
+        .map(|shards| ShardPlan::contiguous(shards, config.output_dim))
         .transpose()
         .map_err(|e| corrupt(format!("stored plan unbuildable: {e}")))?;
     let spec = SnapshotSpec {
@@ -1296,7 +1291,7 @@ mod tests {
         let original = Engine::<L>::freeze_sharded(net, plan).unwrap();
         let image = image_of(net, &spec);
         assert_eq!(image.precision(), L::PRECISION);
-        assert_eq!(image.plan(), plan.map(|p| (p.kind(), p.shards())));
+        assert_eq!(image.plan(), plan.map(|p| p.shards()));
         let loaded = Engine::<L>::from_image(&image).unwrap();
         assert_eq!(loaded.config(), original.config());
         if plan.is_none() {
@@ -1321,11 +1316,8 @@ mod tests {
         }
     }
 
-    fn sharded_plans() -> [Option<ShardPlan>; 2] {
-        [
-            Some(ShardPlan::contiguous(3, 64).unwrap()),
-            Some(ShardPlan::strided(4, 64).unwrap()),
-        ]
+    fn sharded_plans() -> [Option<ShardPlan>; 1] {
+        [Some(ShardPlan::contiguous(3, 64).unwrap())]
     }
 
     #[test]

@@ -15,10 +15,9 @@ use proptest::prelude::*;
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, SynthConfig};
 use slide_mem::SparseVecRef;
-use slide_quant::{p_at_1, QuantizedFrozenNetwork, Snapshot};
 use slide_serve::{
-    BatchConfig, BatchingServer, FrozenNetwork, ServeBuildError, ShardPlan, SnapshotError,
-    SnapshotSpec,
+    p_at_1, BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork, ServeBuildError,
+    ShardPlan, Snapshot, SnapshotError, SnapshotSpec,
 };
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,7 +128,7 @@ fn max_active_is_honoured_at_one_shard_in_both_layouts() {
             std::process::id()
         ));
         Snapshot::build(&net, spec).unwrap().save(&path).unwrap();
-        let model = slide_quant::load(&path).unwrap();
+        let model = slide_serve::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let scratch = model.make_scratch_any();
         (model, scratch)
@@ -172,7 +171,7 @@ fn max_active_is_refused_beyond_one_shard() {
     let net = capped_net(40);
     for plan in [
         ShardPlan::contiguous(2, 128).unwrap(),
-        ShardPlan::strided(3, 128).unwrap(),
+        ShardPlan::contiguous(3, 128).unwrap(),
     ] {
         assert_eq!(
             FrozenNetwork::freeze_sharded(&net, plan).unwrap_err(),

@@ -1,20 +1,18 @@
-//! Registry durability (ISSUE satellite): the `.slsnap` + `ModelRegistry`
+//! Registry durability: the `.slsnap` + `ModelRegistry`
 //! combination must degrade *loudly* — a torn or bit-flipped file is a
 //! checksum rejection, never undefined behavior — and publish must be
 //! atomic from a concurrent loader's point of view: the loader sees the
 //! old model or the new model, never a hybrid.
 //!
 //! The snapshots here are real engines built through the unified
-//! `slide_quant::Snapshot` API (dev-only dependency cycle, same as the
-//! shard-invariance suite), so a "load" below is the full mmap → CRC
+//! `slide_serve::Snapshot` API, so a "load" below is the full mmap → CRC
 //! verify → instantiate path that `slide_netd --snapshot` runs.
 
 use slide_core::{LshConfig, Network, NetworkConfig};
 use slide_mem::{AlignedVec, SharedArena, SparseVecRef};
-use slide_quant::Snapshot;
 use slide_serve::snapshot::{SectionKind, SnapshotWriter};
 use slide_serve::{
-    FrozenModel, ModelRegistry, ShardPlan, SnapshotError, SnapshotImage, SnapshotSpec,
+    FrozenModel, ModelRegistry, ShardPlan, Snapshot, SnapshotError, SnapshotImage, SnapshotSpec,
 };
 use std::sync::Arc;
 
@@ -65,12 +63,12 @@ fn torn_and_flipped_files_are_checksum_rejections_not_ub() {
     let pristine = std::fs::read(&path).expect("read published file");
 
     // Sanity: the pristine file loads.
-    slide_quant::snapshot::load(&path).expect("pristine snapshot loads");
+    slide_serve::load(&path).expect("pristine snapshot loads");
 
     // Torn writes: every truncation point must be a typed rejection.
     for cut in [0, 1, 37, 64, pristine.len() / 2, pristine.len() - 1] {
         std::fs::write(&path, &pristine[..cut]).expect("truncate");
-        let err = slide_quant::snapshot::load(&path).expect_err("truncated file accepted");
+        let err = slide_serve::load(&path).expect_err("truncated file accepted");
         assert!(
             matches!(err, SnapshotError::Corrupt(_)),
             "cut at {cut}: expected Corrupt, got {err}"
@@ -84,7 +82,7 @@ fn torn_and_flipped_files_are_checksum_rejections_not_ub() {
         let mut bytes = pristine.clone();
         bytes[flip] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let err = slide_quant::snapshot::load(&path).expect_err("flipped byte accepted");
+        let err = slide_serve::load(&path).expect_err("flipped byte accepted");
         assert!(
             matches!(
                 err,
@@ -96,7 +94,7 @@ fn torn_and_flipped_files_are_checksum_rejections_not_ub() {
 
     // The pristine bytes still load after all that abuse.
     std::fs::write(&path, &pristine).expect("restore");
-    slide_quant::snapshot::load(&path).expect("restored snapshot loads");
+    slide_serve::load(&path).expect("restored snapshot loads");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -151,7 +149,7 @@ fn load_crafted(tag: &str, spec: &SnapshotSpec, craft: impl FnOnce(&mut Vec<u8>)
     let mut bytes = std::fs::read(&path).expect("read published file");
     craft(&mut bytes);
     std::fs::write(&path, &bytes).expect("rewrite");
-    let err = slide_quant::snapshot::load(&path).expect_err("crafted image accepted");
+    let err = slide_serve::load(&path).expect_err("crafted image accepted");
     let _ = std::fs::remove_dir_all(&root);
     err
 }
@@ -243,6 +241,24 @@ fn a_fifo_bucket_policy_is_refused_as_unsupported() {
     assert!(
         matches!(&err, SnapshotError::Unsupported(m) if m.contains("FIFO")),
         "expected the policy refusal, got {err}"
+    );
+}
+
+#[test]
+fn a_strided_plan_is_refused_as_unsupported() {
+    // Plan kind 2 named strided shards, which no engine is built with any
+    // more. The header CRC is re-sealed, so only the plan-kind check can
+    // refuse the image.
+    let spec = SnapshotSpec::f32().sharded(ShardPlan::contiguous(4, 64).expect("plan"));
+    let err = load_crafted("strided_plan", &spec, |image| {
+        assert_eq!(le_u32(image, 12), 1, "contiguous");
+        image[12..16].copy_from_slice(&2u32.to_le_bytes());
+        let header_crc = slide_mem::crc32(&image[..60]);
+        image[60..64].copy_from_slice(&header_crc.to_le_bytes());
+    });
+    assert!(
+        matches!(&err, SnapshotError::Unsupported(m) if m.contains("plan kind 2")),
+        "expected the plan refusal, got {err}"
     );
 }
 
@@ -343,7 +359,7 @@ fn publish_is_atomic_under_a_concurrent_loader() {
                     .expect("published before the loader started");
                 // The loader may race a publish: the version file itself is
                 // immutable once the pointer lands, so load must succeed.
-                let model = slide_quant::snapshot::load(&path).expect("mid-publish load");
+                let model = slide_serve::load(&path).expect("mid-publish load");
                 let got = answers(&model);
                 if got == want_a {
                     seen_a += 1;
@@ -398,9 +414,8 @@ fn crashed_publish_is_swept_on_open_and_registry_state_is_unaffected() {
     assert!(!orphan_cur.exists(), "orphaned CURRENT temp not swept");
     assert_eq!(registry.versions().expect("versions"), vec![1]);
     assert_eq!(registry.current_version().expect("current"), Some(1));
-    let model =
-        slide_quant::snapshot::load(&registry.current_path().expect("path").expect("published"))
-            .expect("v1 still loads after sweep");
+    let model = slide_serve::load(&registry.current_path().expect("path").expect("published"))
+        .expect("v1 still loads after sweep");
     assert_eq!(answers(&model), want, "sweep must not disturb v1's bytes");
 
     // The next publish after the crash allocates v2 cleanly.
@@ -422,7 +437,7 @@ fn rollback_round_trips_to_the_previous_models_answers() {
             .current_path()
             .expect("current readable")
             .expect("something published");
-        slide_quant::snapshot::load(&path).expect("load current")
+        slide_serve::load(&path).expect("load current")
     };
 
     registry.publish(snap_a.bytes()).expect("publish a");

@@ -1,7 +1,7 @@
-//! Shard-invariance property suite (ISSUE 5 acceptance battery).
+//! Shard-invariance property suite.
 //!
-//! * On a *trained* snapshot, for N ∈ {1, 2, 3, 7} shards, contiguous and
-//!   strided plans, f32 and i8 precisions: `predict_sparse` top-k ids and
+//! * On a *trained* snapshot, for N ∈ {1, 2, 3, 7} contiguous shards, f32
+//!   and i8 precisions: `predict_sparse` top-k ids and
 //!   P@1 are **identical** to the unsharded engine of the same precision.
 //! * Proptest generalization: arbitrary (untrained) network seeds and
 //!   query batteries keep the sharded/unsharded top-k equal.
@@ -18,19 +18,18 @@ use proptest::prelude::*;
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
 use slide_mem::SparseVecRef;
-use slide_quant::{p_at_1, QuantizedFrozenNetwork};
-use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork, ShardPlan};
+use slide_serve::{
+    p_at_1, query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork,
+    QuantizedFrozenNetwork, ShardPlan,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
-fn plans(shards: usize, rows: usize) -> [ShardPlan; 2] {
-    [
-        ShardPlan::contiguous(shards, rows).unwrap(),
-        ShardPlan::strided(shards, rows).unwrap(),
-    ]
+fn plans(shards: usize, rows: usize) -> [ShardPlan; 1] {
+    [ShardPlan::contiguous(shards, rows).unwrap()]
 }
 
 fn untrained_net(seed: u64, hidden: usize) -> Network {
@@ -138,17 +137,11 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
                 assert_eq!(
                     sharded.predict_sparse(x, 5, &mut ss, i as u64),
                     frozen.predict_sparse(x, 5, &mut fs, i as u64),
-                    "top-5 diverged: {shards} shards {} sample {i}",
-                    plan.kind_label()
+                    "top-5 diverged: {shards} shards sample {i}"
                 );
             }
             let sharded_p1 = p_at_1(&sharded, test);
-            assert_eq!(
-                sharded_p1,
-                reference_p1,
-                "P@1 diverged: {shards} shards {}",
-                plan.kind_label()
-            );
+            assert_eq!(sharded_p1, reference_p1, "P@1 diverged: {shards} shards");
         }
     }
 }
@@ -169,17 +162,11 @@ fn trained_i8_sharding_is_invariant_in_topk_and_p_at_1() {
                 assert_eq!(
                     sharded.predict_sparse(x, 5, &mut ss, i as u64),
                     quant.predict_sparse(x, 5, &mut qs, i as u64),
-                    "i8 top-5 diverged: {shards} shards {} sample {i}",
-                    plan.kind_label()
+                    "i8 top-5 diverged: {shards} shards sample {i}"
                 );
             }
             let sharded_p1 = p_at_1_sharded_any(&sharded, test);
-            assert_eq!(
-                sharded_p1,
-                reference_p1,
-                "i8 P@1 diverged: {shards} shards {}",
-                plan.kind_label()
-            );
+            assert_eq!(sharded_p1, reference_p1, "i8 P@1 diverged: {shards} shards");
         }
     }
 }
@@ -188,7 +175,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     // Generative coverage beyond the trained snapshot: arbitrary network
-    // seeds and hidden widths, every shard count and plan, both
+    // seeds and hidden widths, every shard count, both
     // precisions — the scatter-gather merge must reproduce the unsharded
     // top-k exactly.
     #[test]
@@ -218,12 +205,12 @@ proptest! {
                     prop_assert_eq!(
                         sharded_f32.predict_sparse(x, 4, &mut sf, s as u64),
                         frozen.predict_sparse(x, 4, &mut fs, s as u64),
-                        "f32 {} shards {} sample {}", shards, plan.kind_label(), s
+                        "f32 {} shards sample {}", shards, s
                     );
                     prop_assert_eq!(
                         sharded_i8.predict_sparse(x, 4, &mut si, s as u64),
                         quant.predict_sparse(x, 4, &mut qs, s as u64),
-                        "i8 {} shards {} sample {}", shards, plan.kind_label(), s
+                        "i8 {} shards sample {}", shards, s
                     );
                 }
             }

@@ -11,8 +11,7 @@
 //! | [`mem`] | `slide-mem` | coalesced batch/parameter memory layouts and their naive counterparts (§4.1) |
 //! | [`hash`] | `slide-hash` | DWTA + SimHash LSH families and the multi-table bucket index (§2, §4.3.3) |
 //! | [`data`] | `slide-data` | synthetic Amazon-670K/WikiLSH/Text8 stand-ins, XC-format parsing, P@k metrics |
-//! | [`serve`] | `slide-serve` | frozen-inference snapshots and the caller-runs request path |
-//! | [`quant`] | `slide-quant` | post-training int8 quantized serving snapshots over VNNI-class integer kernels |
+//! | [`serve`] | `slide-serve` | frozen-inference f32 and int8 snapshots and the caller-runs request path |
 //! | [`net`] | `slide-net` | TCP wire protocol, `slide_netd` replica daemon, `slide_router` fleet front-end |
 //!
 //! The most common types are re-exported at the top level.
@@ -47,7 +46,6 @@ pub use slide_data as data;
 pub use slide_hash as hash;
 pub use slide_mem as mem;
 pub use slide_net as net;
-pub use slide_quant as quant;
 pub use slide_serve as serve;
 pub use slide_simd as simd;
 
@@ -63,10 +61,9 @@ pub use slide_net::{
     FleetSpec, Frame, GateConfig, GateDecision, NetClient, NetConfig, NetServer, RegistryWatcher,
     RoutePolicy, Router, RouterConfig, ShadowGate, TrainerLoop, TrainerLoopConfig, WireError,
 };
-pub use slide_quant::{QuantReport, QuantizedFrozenNetwork, Snapshot};
 pub use slide_serve::{
     BatchConfig, BatchingServer, Engine, FrozenModel, FrozenNetwork, IntoFrozenModel,
-    ModelRegistry, ServeBuildError, ServeError, ServeStats, ShardPlan, SnapshotError,
-    SnapshotImage, SnapshotPrecision, SnapshotSpec,
+    ModelRegistry, QuantReport, QuantizedFrozenNetwork, ServeBuildError, ServeError, ServeStats,
+    ShardPlan, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec,
 };
 pub use slide_simd::{set_policy, Int8Isa, KernelSet, SimdLevel, SimdPolicy};

@@ -222,7 +222,7 @@ fn checkpoint_resume_continues_bit_identically() {
     assert_eq!(t1.adam_steps(), 5);
 
     // Uninterrupted continuation (tables refreshed as a restore would).
-    t1.network().output().rebuild_serial();
+    t1.rebuild_tables();
     t1.train_batch(&data.train, &batch_of(5));
     let mut uninterrupted = Vec::new();
     save_checkpoint(t1.network(), &mut uninterrupted).unwrap();
@@ -273,7 +273,7 @@ fn resume_across_a_scheduled_rebuild_continues_bit_identically() {
     let mut checkpoint = Vec::new();
     save_checkpoint(t1.network(), &mut checkpoint).unwrap();
     // Tables refreshed as a restore would (see the test above).
-    t1.network().output().rebuild_serial();
+    t1.rebuild_tables();
 
     // Probe hidden vectors, fixed here, so only the tables move their
     // active sets.
