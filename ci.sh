@@ -632,7 +632,12 @@ fi
 # unchanged in number: quant_props.rs and snapshot_parity.rs from
 # crates/quant/tests to crates/serve/tests, and slide-quant's crate doctest
 # to the QuantizedFrozenNetwork doctest in slide-serve.
-MIN_TIER1_TESTS=629
+# The caller is worker 0: 629 + 5 = 634. Added: pool::tests::{the_caller_is_worker_zero,
+# a_caller_panic_unwinds_after_the_spawned_workers_return},
+# config::tests::{trainer_validation_refuses_a_zero_or_non_finite_eps,
+# trainer_validation_refuses_a_non_finite_learning_rate} and
+# trainer::tests::the_epoch_loss_does_not_depend_on_the_thread_count.
+MIN_TIER1_TESTS=634
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

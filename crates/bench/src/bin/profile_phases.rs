@@ -18,11 +18,12 @@ use slide_bench::{epochs, measure, print_table, scale, Workload};
 use slide_core::PhaseBreakdown;
 
 fn phases_json(p: &PhaseBreakdown) -> String {
-    format!(
-        "{{\"batch_build\":{:.6},\"forward_backward\":{:.6},\"output\":{:.6},\
-         \"input\":{:.6},\"rebuild\":{:.6}}}",
-        p.batch_build, p.forward_backward, p.output, p.input, p.rebuild
-    )
+    let fields: Vec<String> = p
+        .named()
+        .iter()
+        .map(|(name, seconds)| format!("\"{name}\":{seconds:.6}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn main() {
@@ -53,35 +54,27 @@ fn main() {
             .iter()
             .map(|(label, m)| {
                 let (p, total) = (m.phases(), m.epoch_seconds());
-                let pct = |x: f64| format!("{:.0}%", 100.0 * x / total.max(1e-12));
-                vec![
-                    label.to_string(),
-                    format!("{:.0}ms", total * 1e3),
-                    format!(
-                        "{:.0}ms ({})",
-                        p.forward_backward * 1e3,
-                        pct(p.forward_backward)
-                    ),
-                    format!("{:.0}ms ({})", p.output * 1e3, pct(p.output)),
-                    format!("{:.0}ms ({})", p.input * 1e3, pct(p.input)),
-                    format!("{:.1}ms", p.batch_build * 1e3),
-                    format!("{:.1}ms", p.rebuild * 1e3),
-                ]
+                let cell =
+                    |x: f64| format!("{:.1}ms ({:.0}%)", x * 1e3, 100.0 * x / total.max(1e-12));
+                let mut row = vec![label.to_string(), format!("{:.0}ms", total * 1e3)];
+                row.extend(p.named().iter().map(|&(_, seconds)| cell(seconds)));
+                row
             })
             .collect();
+        let mut headers = vec!["Variant", "epoch"];
+        headers.extend(
+            PhaseBreakdown::default()
+                .named()
+                .iter()
+                .map(|&(name, _)| name),
+        );
+        let mut widths = vec![24, 8];
+        widths.resize(headers.len(), 15);
         print_table(
             &format!("Phase breakdown: {}", w.name()),
-            &[
-                "Variant",
-                "epoch",
-                "fwd/bwd",
-                "output",
-                "input",
-                "batch copy",
-                "rebuild",
-            ],
+            &headers,
             &rows,
-            &[24, 8, 16, 16, 16, 11, 9],
+            &widths,
         );
         let row_docs: Vec<String> = measured
             .iter()
@@ -103,8 +96,8 @@ fn main() {
         ));
     }
     println!(
-        "\nExpected shape: the row-owned output pass (scoring, backward and ADAM \
-         of the batch-active output rows) and fwd/bwd dominate and shrink most \
+        "\nExpected shape: the output layer's stages (csr, score, softmax, \
+         backward_adam) dominate, and score and backward_adam shrink most \
          under AVX-512; the row-owned input pass (backward and ADAM of the \
          batch's feature rows) stays small; rebuild stays amortized \
          (exponential back-off)."

@@ -270,13 +270,7 @@ impl Measurement {
             sum.add(p.phases);
         }
         let n = self.curve.points.len().max(1) as f64;
-        PhaseBreakdown {
-            batch_build: sum.batch_build / n,
-            forward_backward: sum.forward_backward / n,
-            output: sum.output / n,
-            input: sum.input / n,
-            rebuild: sum.rebuild / n,
-        }
+        sum.map(|seconds| seconds / n)
     }
 }
 

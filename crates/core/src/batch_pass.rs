@@ -32,7 +32,7 @@ use crate::network::Network;
 use crate::params::LayerParams;
 use crate::pool::ThreadPool;
 use crate::scratch::{Disjoint, WorkerScratch};
-use slide_data::Dataset;
+use slide_data::{Dataset, MeanMetric};
 use slide_mem::BatchStore;
 use slide_simd::{AdamStep, KernelSet};
 use std::ops::Range;
@@ -167,6 +167,8 @@ pub(crate) struct BatchPass {
     /// Per output entry (row-major): the logit, and after the softmax the
     /// delta.
     scores: Vec<f32>,
+    /// Per labelled sample, its cross-entropy loss.
+    loss: Vec<f32>,
     /// The output layer's row → sample CSR; its pairs are active slots.
     out_rows: RowCsr,
     /// `n × cols`: every labelled sample's masked hidden gradient.
@@ -236,13 +238,17 @@ impl BatchPass {
         });
     }
 
-    /// Build the output CSR, then score every touched output row against all
-    /// of its samples into the row's entries: each `W[r]` is read once, by
-    /// the one worker owning it.
-    pub(crate) fn score(&mut self, net: &Network, pool: &ThreadPool, ks: &KernelSet) {
-        let (out, active) = (net.output().params(), &self.active);
+    /// Build the output layer's row → sample CSR from the active sets.
+    pub(crate) fn output_csr(&mut self, net: &Network) {
+        let rows = net.output().params().rows();
         self.out_rows
-            .build(out.rows(), active.iter().map(Vec::as_slice));
+            .build(rows, self.active.iter().map(Vec::as_slice));
+    }
+
+    /// Score every touched output row against all of its samples into the
+    /// row's entries: each `W[r]` is read once, by the one worker owning it.
+    pub(crate) fn score(&mut self, net: &Network, pool: &ThreadPool, ks: &KernelSet) {
+        let out = net.output().params();
         self.scores.resize(self.out_rows.samples.len(), 0.0);
         let h = &self.h;
         let scores = Disjoint::new(&mut self.scores);
@@ -256,7 +262,7 @@ impl BatchPass {
 
     /// Turn every labelled sample's scores into softmax deltas in place —
     /// gathered from its entries in list order, scattered back the same way
-    /// — and push its loss into the worker's epoch accumulator.
+    /// — and keep its loss in its own slot.
     pub(crate) fn softmax(
         &mut self,
         pool: &ThreadPool,
@@ -264,27 +270,37 @@ impl BatchPass {
         data: &Dataset,
         indices: &[u32],
     ) {
+        self.loss.resize(self.active.len(), 0.0);
         let slots = Disjoint::new(scratches);
         let (active, csr) = (&self.active, &self.out_rows);
         let scores = Disjoint::new(&mut self.scores);
+        let losses = Disjoint::new(&mut self.loss);
         pool.parallel_chunks(active.len(), 1, &|worker, samples| {
             // SAFETY: a worker id belongs to one running worker.
             let scratch = unsafe { slots.get(worker) };
             for s in samples.filter(|&s| !active[s].is_empty()) {
                 let entries = csr.entries_of(s);
-                // SAFETY: an entry holds one pair, and sample `s`, with
-                // every pair of it, went to this worker alone.
-                let score = |e: u32| unsafe { scores.get(e as usize) };
+                // SAFETY: an entry holds one pair, and sample `s`, with its
+                // loss slot and every pair of it, went to this worker alone.
+                let (loss, score) = unsafe { (losses.get(s), |e: u32| scores.get(e as usize)) };
                 scratch.logits.clear();
                 scratch.logits.extend(entries.iter().map(|&e| *score(e)));
                 let labels = data.labels(indices[s] as usize).len();
-                let loss = softmax_deltas(&scratch.logits, labels, &mut scratch.probs);
+                *loss = softmax_deltas(&scratch.logits, labels, &mut scratch.probs);
                 for (&e, &d) in entries.iter().zip(&scratch.probs) {
                     *score(e) = d;
                 }
-                scratch.loss.push(loss);
             }
         });
+    }
+
+    /// Push every labelled sample's loss into `metric`, in sample order.
+    pub(crate) fn push_losses(&self, metric: &mut MeanMetric) {
+        for (loss, active) in self.loss.iter().zip(&self.active) {
+            if !active.is_empty() {
+                metric.push(*loss);
+            }
+        }
     }
 
     /// Backward and ADAM for every touched output row, each by the one

@@ -239,7 +239,9 @@ pub struct TrainerConfig {
     pub beta2: f32,
     /// ADAM ε.
     pub eps: f32,
-    /// Worker threads of the batch pass (0 = all available cores).
+    /// Workers of the batch pass, the calling thread included: it runs
+    /// worker 0's share of every parallel stage, and `threads − 1` threads
+    /// are spawned (0 = all available cores).
     pub threads: usize,
     /// Hash-table rebuild schedule.
     pub rebuild: RebuildSchedule,
@@ -287,8 +289,13 @@ impl TrainerConfig {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
-        if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
-            return Err("learning_rate must be positive".into());
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err("learning_rate must be positive and finite".into());
+        }
+        // ADAM divides by `√v + eps`; a row's column with `v = 0` (a
+        // ReLU-masked hidden unit) would take 0 / 0 at `eps = 0`.
+        if !(self.eps.is_finite() && self.eps > 0.0) {
+            return Err("eps must be positive and finite".into());
         }
         if !(0.0..1.0).contains(&self.beta1) || !(0.0..1.0).contains(&self.beta2) {
             return Err("beta1/beta2 must be in [0, 1)".into());
@@ -358,6 +365,30 @@ mod tests {
         t = TrainerConfig::default();
         t.rebuild.growth = 0.5;
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn trainer_validation_refuses_a_zero_or_non_finite_eps() {
+        for eps in [0.0, -1e-8, f32::NAN, f32::INFINITY] {
+            let t = TrainerConfig {
+                eps,
+                ..Default::default()
+            };
+            let err = t.validate().unwrap_err();
+            assert!(err.contains("eps"), "eps {eps}: {err}");
+        }
+    }
+
+    #[test]
+    fn trainer_validation_refuses_a_non_finite_learning_rate() {
+        for learning_rate in [f32::INFINITY, f32::NAN, f32::NEG_INFINITY] {
+            let t = TrainerConfig {
+                learning_rate,
+                ..Default::default()
+            };
+            let err = t.validate().unwrap_err();
+            assert!(err.contains("learning_rate"), "lr {learning_rate}: {err}");
+        }
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! The paper's implementation relies on OpenMP's long-lived worker threads
 //! (§2, §4.1.1); spawning fresh threads per batch would bury SLIDE's
-//! sub-millisecond per-batch compute in thread start-up latency. This pool
-//! keeps `n` workers parked on a condition variable and runs *borrowed*
-//! closures: `run` does not return until every worker has finished, which is
-//! what makes handing the closure to the workers by raw pointer sound.
+//! sub-millisecond per-batch compute in thread start-up latency. As in
+//! OpenMP, the caller is worker 0: a pool of `n` workers keeps `n − 1`
+//! threads parked on a condition variable, and `run` hands them a
+//! *borrowed* closure, runs worker 0's share itself, and does not return
+//! (or unwind) until every spawned worker has finished, which is what makes
+//! handing the closure to them by raw pointer sound. A 1-worker pool spawns
+//! nothing: its `run` is a plain call on the calling thread.
 
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,8 +22,11 @@ struct PoolShared {
     /// Current job pointer + generation; guarded by `lock`.
     job: Mutex<(Option<Job>, u64)>,
     start: Condvar,
+    /// Spawned workers done with the current job.
     done_lock: Mutex<usize>,
     done: Condvar,
+    /// Spawned workers: the caller waits for this many done signals.
+    spawned: usize,
     panicked: AtomicBool,
     shutdown: AtomicBool,
 }
@@ -30,7 +36,8 @@ struct PoolShared {
 unsafe impl Send for PoolShared {}
 unsafe impl Sync for PoolShared {}
 
-/// A fixed-size pool of parked worker threads executing borrowed closures.
+/// A fixed-size pool of workers executing borrowed closures: the calling
+/// thread is worker 0, and workers `1..n` are parked threads.
 ///
 /// # Examples
 ///
@@ -49,11 +56,11 @@ unsafe impl Sync for PoolShared {}
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
 }
 
 impl ThreadPool {
-    /// Spawn `workers` parked threads (at least 1).
+    /// A pool of `workers` workers (at least 1): the caller of
+    /// [`ThreadPool::run`] and `workers − 1` spawned, parked threads.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -61,10 +68,11 @@ impl ThreadPool {
             start: Condvar::new(),
             done_lock: Mutex::new(0),
             done: Condvar::new(),
+            spawned: workers - 1,
             panicked: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
-        let handles = (0..workers)
+        let handles = (1..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -73,28 +81,29 @@ impl ThreadPool {
                     .expect("spawn slide worker")
             })
             .collect();
-        ThreadPool {
-            shared,
-            handles,
-            workers,
-        }
+        ThreadPool { shared, handles }
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.spawned + 1
     }
 
-    /// Execute `f(worker_id)` once on every worker concurrently, blocking
-    /// until all calls return.
+    /// Execute `f(worker_id)` once per worker concurrently — `f(0)` on the
+    /// calling thread, `f(1..n)` on the spawned ones — blocking until all
+    /// calls return.
     ///
     /// # Panics
     ///
-    /// Re-panics on the caller if any worker's closure panicked.
+    /// Re-panics on the caller if any worker's closure panicked, once every
+    /// spawned worker has returned.
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        // Publish the job. The pointer stays valid because we do not return
-        // until every worker reports done; the lifetime erasure below is
-        // sound for the same reason.
+        if self.shared.spawned == 0 {
+            return f(0);
+        }
+        // Publish the job. The pointer stays valid because we neither return
+        // nor unwind until every spawned worker reports done; the lifetime
+        // erasure below is sound for the same reason.
         let ptr: *const (dyn Fn(usize) + Sync) = f;
         // SAFETY: same-layout fat-pointer transmute, erasing the borrow
         // lifetime; the referent outlives all uses (we block below).
@@ -110,9 +119,11 @@ impl ThreadPool {
             guard.1 = guard.1.wrapping_add(1);
             self.shared.start.notify_all();
         }
-        // Wait for all workers.
+        // Worker 0's share, caught so that a panic here cannot unwind past
+        // the wait below while a spawned worker still holds `job`.
+        let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
         let mut done = self.shared.done_lock.lock();
-        while *done < self.workers {
+        while *done < self.shared.spawned {
             self.shared.done.wait(&mut done);
         }
         *done = 0;
@@ -121,7 +132,11 @@ impl ThreadPool {
         self.shared.job.lock().0 = None;
         // Re-raise after full cleanup; the flag is also reset at the next
         // job publication, so the pool stays reusable either way.
-        if self.shared.panicked.swap(false, Ordering::SeqCst) {
+        let spawned_panicked = self.shared.panicked.swap(false, Ordering::SeqCst);
+        if let Err(payload) = caller {
+            resume_unwind(payload);
+        }
+        if spawned_panicked {
             panic!("ThreadPool: a worker closure panicked");
         }
     }
@@ -206,8 +221,8 @@ fn worker_loop(worker_id: usize, shared: &PoolShared) {
             }
             let mut done = shared.done_lock.lock();
             *done += 1;
-            if *done >= 1 {
-                shared.done.notify_all();
+            if *done == shared.spawned {
+                shared.done.notify_one();
             }
         }
     }
@@ -329,6 +344,48 @@ mod tests {
             flags[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        let caller = std::thread::current().id();
+        let inline = ThreadPool::new(1);
+        inline.run(&|id| {
+            assert_eq!(id, 0);
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        inline.parallel_chunks(100, 7, &|worker, _| {
+            assert_eq!(worker, 0);
+            assert_eq!(std::thread::current().id(), caller);
+        });
+
+        let pool = ThreadPool::new(3);
+        let ids = Mutex::new(vec![None; 3]);
+        pool.run(&|id| ids.lock()[id] = Some(std::thread::current().id()));
+        let ids: Vec<_> = ids.into_inner().into_iter().map(Option::unwrap).collect();
+        assert_eq!(ids[0], caller);
+        assert!(ids[1] != caller && ids[2] != caller && ids[1] != ids[2]);
+    }
+
+    #[test]
+    fn a_caller_panic_unwinds_after_the_spawned_workers_return() {
+        // The caller panics only once worker 1 is inside the closure, which
+        // then outlasts the caller's share by ~20 ms.
+        let pool = ThreadPool::new(2);
+        let inside = std::sync::Barrier::new(2);
+        let finished = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&|id| {
+                inside.wait();
+                if id == 0 {
+                    panic!("caller boom");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.store(true, Ordering::SeqCst);
+            });
+        }));
+        assert!(result.is_err());
+        assert!(finished.load(Ordering::SeqCst));
     }
 
     #[test]

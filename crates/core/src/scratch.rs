@@ -98,8 +98,6 @@ pub struct WorkerScratch {
     pub logits: Vec<f32>,
     /// Softmax probabilities over the active set.
     pub probs: Vec<f32>,
-    /// Per-worker loss accumulator for the current epoch.
-    pub loss: MeanMetric,
     /// Per-worker metric accumulator for evaluation.
     pub metric: MeanMetric,
     /// Scratch for widening bf16 rows during table rebuilds.
@@ -128,7 +126,6 @@ impl WorkerScratch {
             bounds: Vec::with_capacity(1),
             logits: Vec::with_capacity(1024),
             probs: Vec::with_capacity(1024),
-            loss: MeanMetric::new(),
             metric: MeanMetric::new(),
             widen: vec![0.0; hidden],
             gather: RowGather::default(),

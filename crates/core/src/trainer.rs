@@ -38,12 +38,16 @@ use std::time::Instant;
 pub struct PhaseBreakdown {
     /// Copying the batch into its (coalesced or fragmented) store.
     pub batch_build: f64,
-    /// The per-sample work: the input layer forward, hashing and active
-    /// sets, softmax.
-    pub forward_backward: f64,
-    /// The row-owned output pass: the row → samples CSR, scoring, and the
-    /// output layer's backward and ADAM step.
-    pub output: f64,
+    /// Per sample: the input layer forward, hashing and the active set.
+    pub forward: f64,
+    /// The output layer's row → samples CSR.
+    pub csr: f64,
+    /// Scoring every touched output row against its samples.
+    pub score: f64,
+    /// Per sample: the softmax over its active set, into deltas and loss.
+    pub softmax: f64,
+    /// The output layer's row-owned backward and ADAM step.
+    pub backward_adam: f64,
     /// The row-owned input pass: the hidden gradients, the row → samples
     /// CSR, and the input layer's backward and ADAM step.
     pub input: f64,
@@ -52,18 +56,49 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// Every phase's seconds, in batch order, under its field name.
+    pub fn named(&self) -> [(&'static str, f64); 8] {
+        [
+            ("batch_build", self.batch_build),
+            ("forward", self.forward),
+            ("csr", self.csr),
+            ("score", self.score),
+            ("softmax", self.softmax),
+            ("backward_adam", self.backward_adam),
+            ("input", self.input),
+            ("rebuild", self.rebuild),
+        ]
+    }
+
+    /// Apply `f` to every phase's seconds.
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> PhaseBreakdown {
+        PhaseBreakdown {
+            batch_build: f(self.batch_build),
+            forward: f(self.forward),
+            csr: f(self.csr),
+            score: f(self.score),
+            softmax: f(self.softmax),
+            backward_adam: f(self.backward_adam),
+            input: f(self.input),
+            rebuild: f(self.rebuild),
+        }
+    }
+
     /// Add `other`'s seconds phase by phase.
     pub fn add(&mut self, other: PhaseBreakdown) {
         self.batch_build += other.batch_build;
-        self.forward_backward += other.forward_backward;
-        self.output += other.output;
+        self.forward += other.forward;
+        self.csr += other.csr;
+        self.score += other.score;
+        self.softmax += other.softmax;
+        self.backward_adam += other.backward_adam;
         self.input += other.input;
         self.rebuild += other.rebuild;
     }
 
     /// Total accounted seconds.
     pub fn total(&self) -> f64 {
-        self.batch_build + self.forward_backward + self.output + self.input + self.rebuild
+        self.named().iter().map(|(_, s)| s).sum()
     }
 }
 
@@ -155,12 +190,16 @@ pub struct Trainer {
     rebuild_period: f32,
     pass: BatchPass,
     rebuild_keys: Vec<u32>,
+    epoch_loss: MeanMetric,
     epoch_phases: PhaseBreakdown,
     total_train_seconds: f64,
 }
 
 impl Trainer {
-    /// Create a trainer (spawns the worker pool and per-worker scratch).
+    /// Create a trainer on `config.threads` workers: the calling thread,
+    /// which runs worker 0's share of every parallel stage, and
+    /// `threads − 1` spawned ones. At 1 thread nothing is spawned and the
+    /// whole batch runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -178,6 +217,7 @@ impl Trainer {
             rebuild_period: config.rebuild.initial_period as f32,
             pass: BatchPass::new(&network, threads),
             rebuild_keys: Vec::new(),
+            epoch_loss: MeanMetric::new(),
             epoch_phases: PhaseBreakdown::default(),
             total_train_seconds: 0.0,
             network,
@@ -200,7 +240,7 @@ impl Trainer {
         &self.config
     }
 
-    /// Worker threads in use.
+    /// Workers in use, the calling thread included.
     pub fn threads(&self) -> usize {
         self.pool.workers()
     }
@@ -264,9 +304,7 @@ impl Trainer {
             self.network.config().output_dim,
             "Trainer: dataset label_dim mismatch"
         );
-        for s in &mut self.scratches {
-            s.loss = MeanMetric::new();
-        }
+        self.epoch_loss = MeanMetric::new();
         self.epoch_phases = PhaseBreakdown::default();
         let start = Instant::now();
         let plan = EpochBatches::new(
@@ -282,13 +320,9 @@ impl Trainer {
         }
         let seconds = start.elapsed().as_secs_f64();
         self.total_train_seconds += seconds;
-        let mut loss = MeanMetric::new();
-        for s in &self.scratches {
-            loss.merge(s.loss);
-        }
         EpochStats {
             seconds,
-            mean_loss: loss.mean(),
+            mean_loss: self.epoch_loss.mean(),
             batches,
             samples: data.len(),
             phases: self.epoch_phases,
@@ -340,17 +374,23 @@ impl Trainer {
             self.adam_t << 20,
         );
         let t1 = Instant::now();
-        pass.score(net, pool, &kernels);
+        pass.output_csr(net);
         let t2 = Instant::now();
-        pass.softmax(pool, scratches, data, indices);
+        pass.score(net, pool, &kernels);
         let t3 = Instant::now();
-        pass.backward_step(net, pool, &kernels, scale, step);
+        pass.softmax(pool, scratches, data, indices);
         let t4 = Instant::now();
-        pass.input_step(net, pool, &kernels, &store, scale, step);
+        pass.backward_step(net, pool, &kernels, scale, step);
         let t5 = Instant::now();
-        phases.forward_backward = ((t1 - t0) + (t3 - t2)).as_secs_f64();
-        phases.output = ((t2 - t1) + (t4 - t3)).as_secs_f64();
-        phases.input = (t5 - t4).as_secs_f64();
+        pass.input_step(net, pool, &kernels, &store, scale, step);
+        let t6 = Instant::now();
+        pass.push_losses(&mut self.epoch_loss);
+        phases.forward = (t1 - t0).as_secs_f64();
+        phases.csr = (t2 - t1).as_secs_f64();
+        phases.score = (t3 - t2).as_secs_f64();
+        phases.softmax = (t4 - t3).as_secs_f64();
+        phases.backward_adam = (t5 - t4).as_secs_f64();
+        phases.input = (t6 - t5).as_secs_f64();
 
         let t0 = Instant::now();
         // Only retrieval reads the tables, so only it rebuilds them.
@@ -758,9 +798,11 @@ mod tests {
         let mut t = trainer(2);
         let stats = t.train_epoch(&data.train, 0);
         let p = stats.phases;
-        assert!(p.forward_backward > 0.0);
-        assert!(p.output > 0.0);
-        assert!(p.input > 0.0);
+        for (name, seconds) in p.named() {
+            if !matches!(name, "batch_build" | "rebuild") {
+                assert!(seconds > 0.0, "{name} took no time");
+            }
+        }
         assert!(p.batch_build >= 0.0);
         // The phases should account for the bulk of the epoch.
         assert!(
@@ -818,6 +860,21 @@ mod tests {
         }
         assert_eq!(expect.count(), 32);
         assert_eq!(stats.mean_loss, expect.mean());
+    }
+
+    #[test]
+    fn the_epoch_loss_does_not_depend_on_the_thread_count() {
+        // One batch: the output layer, and so every sample's loss, is the
+        // same at any thread count (`batch_equivalence`); the epoch loss
+        // sums them in sample order, not per worker.
+        let data = tiny_data();
+        let mut d = Dataset::new(256, 64);
+        for i in 0..64 {
+            let x = data.train.features(i);
+            d.push(x.indices, x.values, data.train.labels(i));
+        }
+        let loss = |threads| trainer(threads).train_epoch(&d, 0).mean_loss;
+        assert_eq!(loss(1).to_bits(), loss(3).to_bits());
     }
 
     #[test]
