@@ -35,9 +35,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use slide_data::{precision_at_k, ZipfDrift};
 use slide_net::deploy::{GateConfig, RegistryWatcher, TrainerLoop, TrainerLoopConfig};
-use slide_net::{FleetPrecision, FleetSpec};
+use slide_net::FleetSpec;
 use slide_obs::ObsHub;
-use slide_serve::{percentile_us, BatchConfig, BatchingServer, ServeError};
+use slide_serve::{percentile_us, BatchConfig, BatchingServer, ServeError, SnapshotPrecision};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,14 +82,11 @@ fn main() {
     let rounds = env_usize("SLIDE_DEPLOY_ROUNDS", 4).max(3);
     let epochs = env_usize("SLIDE_EPOCHS", 4);
     let threads = env_usize("SLIDE_DEPLOY_THREADS", 2);
-    let precision = match std::env::var("SLIDE_PRECISION").as_deref() {
-        Ok("i8") => FleetPrecision::I8,
-        _ => FleetPrecision::F32,
-    };
-    let precision_label = match precision {
-        FleetPrecision::F32 => "f32",
-        FleetPrecision::I8 => "i8",
-    };
+    let precision = std::env::var("SLIDE_PRECISION")
+        .ok()
+        .and_then(|v| SnapshotPrecision::parse(&v).ok())
+        .unwrap_or(SnapshotPrecision::F32);
+    let precision_label = precision.label();
     println!(
         "deploy_bench: {rounds} rounds ({epochs} epochs each), {offered_qps:.0} qps offered, \
          {clients} clients, {} ms load, precision {precision_label}",
@@ -212,7 +209,7 @@ fn main() {
                     }
                     let (idx, val, labels) = &battery[drift.sample_at(&mut rng, arrival)];
                     let t0 = Instant::now();
-                    match server.try_predict(idx, val, K) {
+                    match server.try_predict(idx, val, K, None, 0) {
                         Ok(top) => samples.push(Sample {
                             at: started.elapsed(),
                             latency_us: t0.elapsed().as_micros() as u64,

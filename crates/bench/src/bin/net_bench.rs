@@ -21,10 +21,10 @@
 //! ```
 
 use slide_net::{
-    FaultAction, FaultPlan, FaultProxy, FaultRule, FleetPrecision, FleetSpec, LoadgenConfig,
-    NetClient, NetConfig, NetServer, RoutePolicy, Router, RouterConfig, SubmitOutcome, Trigger,
+    FaultAction, FaultPlan, FaultProxy, FaultRule, FleetSpec, LoadgenConfig, NetClient, NetConfig,
+    NetServer, Router, RouterConfig, SubmitOutcome, Trigger,
 };
-use slide_serve::{BatchConfig, BatchingServer, FrozenModel};
+use slide_serve::{BatchConfig, BatchingServer, FrozenModel, SnapshotPrecision};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,19 +74,16 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0usize);
-    let precision = match std::env::var("SLIDE_PRECISION").as_deref() {
-        Ok("i8") => FleetPrecision::I8,
-        _ => FleetPrecision::F32,
-    };
+    let precision = std::env::var("SLIDE_PRECISION")
+        .ok()
+        .and_then(|v| SnapshotPrecision::parse(&v).ok())
+        .unwrap_or(SnapshotPrecision::F32);
     let spec = FleetSpec {
         precision,
         shards,
         ..Default::default()
     };
-    let precision_label = match precision {
-        FleetPrecision::F32 => "f32",
-        FleetPrecision::I8 => "i8",
-    };
+    let precision_label = precision.label();
     println!(
         "net_bench: {replicas} replicas, {clients} clients, {offered_qps:.0} qps offered \
          for {} ms, precision {precision_label}, shards {shards}",
@@ -143,7 +140,6 @@ fn main() {
         "127.0.0.1:0",
         &fault_addrs,
         RouterConfig {
-            policy: RoutePolicy::LeastLoad,
             health_interval: Duration::from_millis(50),
             request_timeout: Duration::from_millis(250),
             eject_after: 1,
@@ -163,6 +159,7 @@ fn main() {
             val,
             k,
             deadline_us,
+            0,
         ) {
             Ok(ids) => SubmitOutcome::Ok(ids),
             Err(slide_net::ClientError::RetryLater { .. }) => SubmitOutcome::RetryLater,

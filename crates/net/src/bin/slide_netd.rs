@@ -21,8 +21,8 @@
 //! sends a `Drain` frame.
 
 use slide_net::deploy::{wait_for_current, RegistryWatcher};
-use slide_net::{jitter, FleetPrecision, FleetSpec, NetConfig, NetServer, StdinEof, WireError};
-use slide_serve::{BatchConfig, BatchingServer, FrozenModel, ModelRegistry};
+use slide_net::{jitter, FleetSpec, NetConfig, NetServer, StdinEof, WireError};
+use slide_serve::{BatchConfig, BatchingServer, FrozenModel, ModelRegistry, SnapshotPrecision};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 struct Args {
     addr: String,
     seed: u64,
-    precision: FleetPrecision,
+    precision: SnapshotPrecision,
     shards: usize,
     epochs: usize,
     threads: usize,
@@ -45,7 +45,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".into(),
         seed: FleetSpec::default().seed,
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 0,
         epochs: 1,
         threads: 2,
@@ -64,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = val()?,
             "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--precision" => args.precision = FleetPrecision::parse(&val()?)?,
+            "--precision" => args.precision = SnapshotPrecision::parse(&val()?)?,
             "--shards" => args.shards = val()?.parse().map_err(|e| format!("--shards: {e}"))?,
             "--epochs" => args.epochs = val()?.parse().map_err(|e| format!("--epochs: {e}"))?,
             "--threads" => args.threads = val()?.parse().map_err(|e| format!("--threads: {e}"))?,

@@ -1,11 +1,20 @@
 //! `slide_router` — the fleet front door: speaks the wire protocol to
-//! clients and spreads predicts across replica daemons with per-replica
-//! circuit breakers, hedged requests, and deadline-aware shedding.
+//! clients and sends each predict to the least-loaded closed-breaker
+//! replica, with per-replica circuit breakers, hedged requests, and
+//! deadline-aware shedding. Routing has no policy flag: least-load is the
+//! one rule.
+//!
+//! ```text
+//! slide_router --replica <addr> [--replica <addr> ...] [--addr <addr>]
+//!     [--health-interval-ms N] [--eject-after N] [--request-timeout-ms N]
+//!     [--hedge on|off] [--hedge-fraction F] [--hedge-delay-ms N]
+//!     [--breaker-backoff-ms N] [--breaker-max-backoff-ms N]
+//! ```
 //!
 //! Prints `SLIDE_ROUTER LISTENING <addr>` once ready. Shuts down on stdin
 //! EOF (the portable SIGTERM-equivalent) or a client `Drain` frame.
 
-use slide_net::{NetConfig, RoutePolicy, Router, RouterConfig, StdinEof};
+use slide_net::{NetConfig, Router, RouterConfig, StdinEof};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -32,17 +41,6 @@ fn parse_args() -> Result<Args, String> {
             "--replica" => args
                 .replicas
                 .push(val()?.parse().map_err(|e| format!("--replica: {e}"))?),
-            "--policy" => {
-                args.cfg.policy = match val()?.as_str() {
-                    "least-load" => RoutePolicy::LeastLoad,
-                    "consistent-hash" => RoutePolicy::ConsistentHash,
-                    other => {
-                        return Err(format!(
-                            "unknown policy '{other}' (want least-load or consistent-hash)"
-                        ))
-                    }
-                }
-            }
             "--health-interval-ms" => {
                 args.cfg.health_interval = Duration::from_millis(
                     val()?

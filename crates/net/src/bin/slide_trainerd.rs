@@ -5,6 +5,13 @@
 //! `slide_serve::ModelRegistry` for a `slide_netd --follow` fleet to
 //! hot-swap onto.
 //!
+//! ```text
+//! slide_trainerd --registry <dir> [--rounds N] [--epochs-per-round N]
+//!     [--seed N] [--precision f32|i8] [--shards N] [--period-ms N]
+//!     [--gate-k N] [--gate-regression F] [--holdout N] [--retain N]
+//!     [--inject-regression-at N]
+//! ```
+//!
 //! Per round it prints one of (machine-parseable, like `slide_netd`'s
 //! tags):
 //!
@@ -19,8 +26,9 @@
 //! portable parent-died convention the other daemons use.
 
 use slide_net::deploy::{GateConfig, GateDecision, TrainerLoop, TrainerLoopConfig};
-use slide_net::{FleetPrecision, FleetSpec, StdinEof};
+use slide_net::{FleetSpec, StdinEof};
 use slide_obs::ObsHub;
+use slide_serve::SnapshotPrecision;
 use std::time::Duration;
 
 struct Args {
@@ -28,7 +36,7 @@ struct Args {
     rounds: usize,
     epochs_per_round: usize,
     seed: u64,
-    precision: FleetPrecision,
+    precision: SnapshotPrecision,
     shards: usize,
     period_ms: u64,
     gate_k: usize,
@@ -36,7 +44,6 @@ struct Args {
     holdout: usize,
     retain: usize,
     inject_regression_at: Option<usize>,
-    rebuild_max_period: Option<u32>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -45,7 +52,7 @@ fn parse_args() -> Result<Args, String> {
         rounds: 4,
         epochs_per_round: 4,
         seed: FleetSpec::default().seed,
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 0,
         period_ms: 0,
         gate_k: 1,
@@ -53,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         holdout: 0,
         retain: 0,
         inject_regression_at: None,
-        rebuild_max_period: None,
     };
     let mut seen_registry = false;
     let mut it = std::env::args().skip(1);
@@ -74,7 +80,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--epochs-per-round: {e}"))?;
             }
             "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--precision" => args.precision = FleetPrecision::parse(&val()?)?,
+            "--precision" => args.precision = SnapshotPrecision::parse(&val()?)?,
             "--shards" => args.shards = val()?.parse().map_err(|e| format!("--shards: {e}"))?,
             "--period-ms" => {
                 args.period_ms = val()?.parse().map_err(|e| format!("--period-ms: {e}"))?;
@@ -92,13 +98,6 @@ fn parse_args() -> Result<Args, String> {
                     val()?
                         .parse()
                         .map_err(|e| format!("--inject-regression-at: {e}"))?,
-                );
-            }
-            "--rebuild-max-period" => {
-                args.rebuild_max_period = Some(
-                    val()?
-                        .parse()
-                        .map_err(|e| format!("--rebuild-max-period: {e}"))?,
                 );
             }
             other => return Err(format!("unknown flag {other}")),
@@ -133,7 +132,6 @@ fn main() {
         },
         retain: args.retain,
         inject_regression_at: args.inject_regression_at,
-        rebuild_max_period: args.rebuild_max_period,
     };
     let mut looper = match TrainerLoop::new(&args.registry, cfg, &hub) {
         Ok(l) => l,

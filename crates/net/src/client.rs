@@ -156,38 +156,22 @@ impl NetClient {
         values: &[f32],
         k: usize,
     ) -> Result<Vec<u32>, ClientError> {
-        self.predict_within(indices, values, k, 0)
+        self.predict_within(indices, values, k, 0, 0)
     }
 
-    /// [`NetClient::predict`] with a deadline budget: `deadline_us` is the
-    /// remaining time (µs) the caller will wait for an answer; `0` means no
-    /// deadline. Every hop downstream decrements the
-    /// budget and sheds the request with a typed `DeadlineExceeded` frame
-    /// once it runs out.
+    /// [`NetClient::predict`] with a deadline budget and a trace id.
+    /// `deadline_us` is the remaining time (µs) the caller will wait for an
+    /// answer; every hop downstream decrements the budget and sheds the
+    /// request with a typed `DeadlineExceeded` frame once it runs out. A
+    /// nonzero `trace_id` is propagated unchanged through every hop (router
+    /// → replica), where each hop records its per-stage spans under that id.
+    /// `0` means no deadline, or no trace.
     ///
     /// # Errors
     ///
     /// [`ClientError::DeadlineExceeded`] when a hop shed the request;
     /// otherwise as [`NetClient::predict`].
     pub fn predict_within(
-        &mut self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-        deadline_us: u64,
-    ) -> Result<Vec<u32>, ClientError> {
-        self.predict_traced_within(indices, values, k, deadline_us, 0)
-    }
-
-    /// [`NetClient::predict_within`] for a traced request: a nonzero
-    /// `trace_id` is propagated unchanged through every hop (router →
-    /// replica), where each hop records its per-stage spans under that id.
-    /// `0` traces nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetClient::predict_within`].
-    pub fn predict_traced_within(
         &mut self,
         indices: &[u32],
         values: &[f32],

@@ -8,11 +8,12 @@
 //! and serving (PRs 2–9) finally share a clock. Three pieces:
 //!
 //! * [`ShadowGate`] — a P@k regression gate. Every candidate replays the
-//!   held-out query stream through the *candidate* engine (the same
-//!   `predict_any` + `query_salt` path serving uses, so gate accuracy is
-//!   serving accuracy, not training-eval accuracy); a candidate whose P@k
-//!   drops more than `max_regression` below the best accepted so far is
-//!   rejected and the registry pointer does not move.
+//!   held-out query stream through the *candidate* engine with
+//!   [`slide_serve::p_at_k`] (the same `predict_any` + `query_salt` path
+//!   serving uses, so gate accuracy is serving accuracy, not training-eval
+//!   accuracy); a candidate whose P@k drops more than `max_regression`
+//!   below the best accepted so far is rejected and the registry pointer
+//!   does not move.
 //! * [`TrainerLoop`] — owns a persistent [`Trainer`] (SGD continues
 //!   across rounds; the paper's §4.3.1 exponential rebuild schedule keeps
 //!   amortizing as steps accumulate) and drives train → snapshot → gate →
@@ -32,11 +33,10 @@
 //! `slide_deploy_load_errors_total`.
 
 use crate::model::FleetSpec;
-use slide_core::{Network, Trainer, TrainerConfig};
-use slide_data::{generate_synthetic, precision_at_k, Dataset};
-use slide_mem::SparseVecRef;
+use slide_core::{Network, Trainer};
+use slide_data::{generate_synthetic, Dataset};
 use slide_obs::{Counter, ObsHub};
-use slide_serve::{query_salt, BatchingServer, FrozenModel, ModelRegistry, SnapshotError};
+use slide_serve::{p_at_k, BatchingServer, ModelRegistry, SnapshotError};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,8 +75,9 @@ pub enum GateDecision {
     },
 }
 
-/// P@k regression gate: replays a held-out stream through each candidate
-/// and refuses to let a regressed model reach the registry.
+/// P@k regression gate: judges each candidate by its held-out P@k
+/// ([`slide_serve::p_at_k`], computed by the caller) and refuses to let a
+/// regressed model reach the registry.
 ///
 /// The baseline ratchets: it is the best P@k among *accepted* candidates
 /// (a model that merely clears the bar without beating it does not lower
@@ -118,34 +119,6 @@ impl ShadowGate {
         *guard = Some(guard.map_or(p_at_k, |b: f64| b.max(p_at_k)));
     }
 
-    /// Shadow-validate: replay the held-out stream through `model` via the
-    /// exact serving path (`predict_any` + content-derived `query_salt`)
-    /// and return mean P@k.
-    pub fn shadow_p_at_k(&self, model: &Arc<dyn FrozenModel>, holdout: &Dataset) -> f64 {
-        let n = if self.cfg.holdout == 0 {
-            holdout.len()
-        } else {
-            self.cfg.holdout.min(holdout.len())
-        };
-        if n == 0 {
-            return 0.0;
-        }
-        let mut scratch = model.make_scratch_any();
-        let mut total = 0.0f64;
-        for i in 0..n {
-            let x = holdout.features(i);
-            let salt = query_salt(x.indices, x.values, self.cfg.k);
-            let top = model.predict_any(
-                SparseVecRef::new(x.indices, x.values),
-                self.cfg.k,
-                &mut *scratch,
-                salt,
-            );
-            total += f64::from(precision_at_k(&top, holdout.labels(i), self.cfg.k));
-        }
-        total / n as f64
-    }
-
     /// Decide a candidate's fate from its shadow P@k, bump the matching
     /// counter, and (on accept) ratchet the baseline. The first candidate
     /// ever is always accepted — there is nothing to regress against.
@@ -179,11 +152,6 @@ pub struct TrainerLoopConfig {
     /// freshly initialized (untrained) network instead of the trainer's —
     /// a guaranteed regression the gate must catch.
     pub inject_regression_at: Option<usize>,
-    /// Cap the §4.3.1 exponential rebuild period (`None` = library
-    /// default). A lower cap keeps hash tables fresher between publishes
-    /// at more rebuild cost — the paper's training knob become a serving
-    /// freshness knob.
-    pub rebuild_max_period: Option<u32>,
 }
 
 /// What one [`TrainerLoop::run_round`] did.
@@ -233,24 +201,11 @@ impl TrainerLoop {
     ) -> Result<Self, SnapshotError> {
         let registry = ModelRegistry::open(root.as_ref())?;
         let synth = generate_synthetic(&cfg.spec.synth_config());
-        let net = Network::new(cfg.spec.network_config())
-            .map_err(|e| SnapshotError::Corrupt(format!("fleet network config: {e}")))?;
-        let mut train_cfg = TrainerConfig {
-            batch_size: 128,
-            threads: 1, // sequential SGD ⇒ bit-reproducible candidates
-            shuffle_seed: cfg.spec.seed ^ 0x5467,
-            ..Default::default()
-        };
-        if let Some(cap) = cfg.rebuild_max_period {
-            train_cfg.rebuild.max_period = cap.max(1);
-            train_cfg.rebuild.initial_period = train_cfg.rebuild.initial_period.min(cap.max(1));
-        }
-        let trainer = Trainer::new(net, train_cfg)
-            .map_err(|e| SnapshotError::Corrupt(format!("fleet trainer config: {e}")))?;
+        let trainer = cfg.spec.trainer();
         let gate = ShadowGate::new(hub, cfg.gate);
         if let Some(path) = registry.current_path()? {
             let live = slide_serve::load(&path)?;
-            gate.seed_baseline(gate.shadow_p_at_k(&live, &synth.test));
+            gate.seed_baseline(p_at_k(&*live, &synth.test, cfg.gate.k, cfg.gate.holdout));
         }
         Ok(TrainerLoop {
             cfg,
@@ -307,7 +262,8 @@ impl TrainerLoop {
         let train_time = train_started.elapsed();
 
         let candidate = snapshot.model()?;
-        let p_at_k = self.gate.shadow_p_at_k(&candidate, &self.holdout);
+        let gate = &self.cfg.gate;
+        let p_at_k = p_at_k(&*candidate, &self.holdout, gate.k, gate.holdout);
         let decision = self.gate.admit(p_at_k);
         let published = match decision {
             GateDecision::Accepted => {
@@ -489,7 +445,8 @@ pub fn wait_for_current(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FleetPrecision;
+    use slide_mem::SparseVecRef;
+    use slide_serve::{query_salt, SnapshotPrecision};
 
     fn tmp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -539,7 +496,7 @@ mod tests {
             spec: FleetSpec {
                 epochs: 8, // per round; the fixture needs a few dozen SGD
                 // steps before P@1 clears chance (~0.01) decisively
-                precision: FleetPrecision::F32,
+                precision: SnapshotPrecision::F32,
                 ..Default::default()
             },
             inject_regression_at: Some(2),

@@ -27,10 +27,10 @@
 //!   counted once, in the batching server's `slide_obs` registry, and
 //!   `GetMetrics` is the only rendering of it.
 //! * [`client`] — [`NetClient`], a blocking request/response client.
-//! * [`router`] — [`Router`], the fleet tier: consistent-hash or
-//!   least-load replica selection, per-replica three-state circuit
-//!   breakers (exponential backoff + jittered half-open probes), hedged
-//!   requests, deadline-aware shedding, and failover on replica faults.
+//! * [`router`] — [`Router`], the fleet tier: least-load replica
+//!   selection, per-replica three-state circuit breakers (exponential
+//!   backoff + jittered half-open probes), hedged requests, deadline-aware
+//!   shedding, and failover on replica faults.
 //! * [`fault`] — [`FaultProxy`], a deterministic frame-granular fault
 //!   injector (delay/drop/corrupt/stall/close under a seeded
 //!   [`FaultPlan`]) for the chaos suites and `net_bench`'s fault phase.
@@ -71,9 +71,9 @@ pub use deploy::{
 };
 pub use fault::{Direction, FaultAction, FaultPlan, FaultProxy, FaultRule, FaultStats, Trigger};
 pub use loadgen::{query_battery, run_open_loop, LoadReport, LoadgenConfig, SubmitOutcome};
-pub use model::{FleetPrecision, FleetSpec};
-pub use router::{RoutePolicy, Router, RouterConfig};
-pub use server::{ClientCounters, NetConfig, NetServer, NetStats};
+pub use model::FleetSpec;
+pub use router::{Router, RouterConfig};
+pub use server::{NetConfig, NetServer};
 pub use stream::{read_frame, read_frame_timeout, write_frame, ReadOutcome};
 pub use wire::{
     crc32, decode_frame, decode_payload, encode_frame, frame_bytes, ErrorCode, Frame, FrameHeader,

@@ -153,11 +153,11 @@ pub(crate) trait Service: Send + Sync + 'static {
 }
 
 /// The frame loop's own instruments.
-pub(crate) struct FrontObs {
-    pub(crate) conns_opened: Arc<Counter>,
-    pub(crate) conns_active: Arc<Gauge>,
-    pub(crate) refused: Arc<Counter>,
-    pub(crate) protocol_errors: Arc<Counter>,
+struct FrontObs {
+    conns_opened: Arc<Counter>,
+    conns_active: Arc<Gauge>,
+    refused: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
     draining: Arc<Gauge>,
     stage_encode: Arc<Histogram>,
 }
@@ -169,7 +169,7 @@ pub(crate) struct Front<S> {
     cfg: NetConfig,
     hub: Arc<ObsHub>,
     draining: Arc<AtomicBool>,
-    pub(crate) obs: FrontObs,
+    obs: FrontObs,
 }
 
 /// Holds one slot of `slide_net_connections_active`; frees it when the

@@ -10,32 +10,8 @@
 
 use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
-use slide_serve::{FrozenModel, ShardPlan, Snapshot, SnapshotSpec};
+use slide_serve::{FrozenModel, ShardPlan, Snapshot, SnapshotPrecision, SnapshotSpec};
 use std::sync::Arc;
-
-/// Which frozen engine a fleet runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetPrecision {
-    /// Full-precision [`slide_serve::FrozenNetwork`].
-    F32,
-    /// Post-training int8 [`slide_serve::QuantizedFrozenNetwork`].
-    I8,
-}
-
-impl FleetPrecision {
-    /// Parse a `--precision` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "f32" => Ok(FleetPrecision::F32),
-            "i8" => Ok(FleetPrecision::I8),
-            other => Err(format!("unknown precision '{other}' (want f32 or i8)")),
-        }
-    }
-}
 
 /// Everything needed to reproduce one replica's model bit-for-bit.
 #[derive(Debug, Clone, Copy)]
@@ -43,7 +19,7 @@ pub struct FleetSpec {
     /// Master seed for data generation and network init.
     pub seed: u64,
     /// Frozen-engine precision.
-    pub precision: FleetPrecision,
+    pub precision: SnapshotPrecision,
     /// Output-layer shards (0 or 1 = unsharded).
     pub shards: usize,
     /// Training epochs (single-threaded; keep small).
@@ -54,7 +30,7 @@ impl Default for FleetSpec {
     fn default() -> Self {
         FleetSpec {
             seed: 0xF1EE7,
-            precision: FleetPrecision::F32,
+            precision: SnapshotPrecision::F32,
             shards: 0,
             epochs: 1,
         }
@@ -94,6 +70,24 @@ impl FleetSpec {
         cfg
     }
 
+    /// A fresh trainer over this spec's network: single-threaded, fixed
+    /// seeds, so every trainer built from one spec takes the same steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fixed spec constants are rejected by config
+    /// validation — impossible unless the spec itself is broken.
+    pub(crate) fn trainer(&self) -> Trainer {
+        let net = Network::new(self.network_config()).expect("fleet spec network config");
+        let cfg = TrainerConfig {
+            batch_size: 128,
+            threads: 1, // sequential SGD ⇒ bit-reproducible weights
+            shuffle_seed: self.seed ^ 0x5467,
+            ..Default::default()
+        };
+        Trainer::new(net, cfg).expect("fleet spec trainer config")
+    }
+
     /// Train the deterministic network (single-threaded, fixed seeds).
     ///
     /// # Panics
@@ -102,17 +96,7 @@ impl FleetSpec {
     /// validation — impossible unless the spec itself is broken.
     pub fn train(&self) -> (Network, Dataset) {
         let synth = generate_synthetic(&self.synth_config());
-        let net = Network::new(self.network_config()).expect("fleet spec network config");
-        let mut trainer = Trainer::new(
-            net,
-            TrainerConfig {
-                batch_size: 128,
-                threads: 1, // sequential SGD ⇒ bit-reproducible weights
-                shuffle_seed: self.seed ^ 0x5467,
-                ..Default::default()
-            },
-        )
-        .expect("fleet spec trainer config");
+        let mut trainer = self.trainer();
         for epoch in 0..self.epochs as u64 {
             trainer.train_epoch(&synth.train, epoch);
         }
@@ -126,9 +110,9 @@ impl FleetSpec {
     /// Panics if the shard count is invalid for the fixed label dimension —
     /// impossible unless the spec itself is broken.
     pub fn snapshot_spec(&self) -> SnapshotSpec {
-        let base = match self.precision {
-            FleetPrecision::F32 => SnapshotSpec::f32(),
-            FleetPrecision::I8 => SnapshotSpec::i8(),
+        let base = SnapshotSpec {
+            precision: self.precision,
+            shard_plan: None,
         };
         match self.shards {
             0 | 1 => base,
@@ -202,10 +186,10 @@ mod tests {
     fn precision_and_shard_axes_build() {
         let (net, _) = FleetSpec::default().train();
         for (precision, shards, label) in [
-            (FleetPrecision::F32, 0, "f32"),
-            (FleetPrecision::I8, 0, "i8"),
-            (FleetPrecision::F32, 3, "f32"),
-            (FleetPrecision::I8, 3, "i8"),
+            (SnapshotPrecision::F32, 0, "f32"),
+            (SnapshotPrecision::I8, 0, "i8"),
+            (SnapshotPrecision::F32, 3, "f32"),
+            (SnapshotPrecision::I8, 3, "i8"),
         ] {
             let spec = FleetSpec {
                 precision,
@@ -216,12 +200,5 @@ mod tests {
             assert_eq!(model.precision(), label);
             assert_eq!(model.output_dim(), 96);
         }
-    }
-
-    #[test]
-    fn precision_flag_parses() {
-        assert_eq!(FleetPrecision::parse("f32").unwrap(), FleetPrecision::F32);
-        assert_eq!(FleetPrecision::parse("i8").unwrap(), FleetPrecision::I8);
-        assert!(FleetPrecision::parse("fp16").is_err());
     }
 }

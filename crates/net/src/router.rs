@@ -44,7 +44,6 @@ use crate::listener::{Front, Listener, Reply, Service};
 use crate::server::NetConfig;
 use crate::wire::{ErrorCode, Frame, PredictRequest};
 use parking_lot::Mutex;
-use slide_core::mix::mix64;
 use slide_obs::{Counter, Gauge, Histogram, ObsHub, Stage};
 use slide_serve::stage_histogram;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -52,24 +51,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How the router picks a replica for a predict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Fewest in-flight forwards among healthy replicas (power of all
-    /// choices — replica counts are small).
-    LeastLoad,
-    /// Hash the query's feature indices onto a 64-vnode-per-replica ring;
-    /// walk clockwise to the first healthy replica. Keeps a given query on
-    /// a stable replica (cache/NUMA affinity) with minimal disruption when
-    /// replicas come and go.
-    ConsistentHash,
-}
-
 /// Router tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Replica-selection policy.
-    pub policy: RoutePolicy,
     /// Health-ping period.
     pub health_interval: Duration,
     /// Per-attempt request timeout.
@@ -97,7 +81,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            policy: RoutePolicy::LeastLoad,
             health_interval: Duration::from_millis(200),
             request_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_millis(500),
@@ -306,7 +289,6 @@ struct RouterShared {
     cfg: RouterConfig,
     obs: RouterObs,
     replicas: Vec<ReplicaState>,
-    ring: Vec<(u64, usize)>,
 }
 
 /// A client connection's replica sockets, cached so a steady client reuses
@@ -336,46 +318,6 @@ impl Service for Arc<RouterShared> {
     fn precision(&self) -> String {
         "router".into()
     }
-}
-
-const VNODES_PER_REPLICA: u64 = 64;
-
-/// Build the consistent-hash ring: 64 virtual nodes per replica, positions
-/// derived from (replica index, vnode index) so the ring is identical
-/// across router restarts.
-fn build_ring(n_replicas: usize) -> Vec<(u64, usize)> {
-    let mut ring = Vec::with_capacity(n_replicas * VNODES_PER_REPLICA as usize);
-    for r in 0..n_replicas {
-        for v in 0..VNODES_PER_REPLICA {
-            ring.push((mix64(((r as u64) << 32) | (v + 1)), r));
-        }
-    }
-    ring.sort_unstable();
-    ring
-}
-
-/// Hash a query's feature indices to a ring position.
-fn query_ring_key(indices: &[u32]) -> u64 {
-    let mut h = 0x5151_5151_5151_5151u64;
-    for &i in indices {
-        h = mix64(h ^ u64::from(i));
-    }
-    h
-}
-
-/// Walk the ring from `key` to the first replica passing `is_ok`.
-fn ring_pick(ring: &[(u64, usize)], key: u64, is_ok: impl Fn(usize) -> bool) -> Option<usize> {
-    if ring.is_empty() {
-        return None;
-    }
-    let start = ring.partition_point(|&(pos, _)| pos < key);
-    for off in 0..ring.len() {
-        let (_, r) = ring[(start + off) % ring.len()];
-        if is_ok(r) {
-            return Some(r);
-        }
-    }
-    None
 }
 
 /// The fleet front-end. Dropping it drains, as [`Router::drain`] does
@@ -410,7 +352,6 @@ impl Router {
                 .map(|(idx, &addr)| ReplicaState::new(idx, addr, &obs.hub))
                 .collect(),
             obs,
-            ring: build_ring(replicas.len()),
             cfg,
         });
         // Startup probes run concurrently so the slowest dead replica
@@ -545,16 +486,13 @@ fn ping_replica(
     }
 }
 
-/// Pick a closed-breaker replica for `req`, excluding already-`attempted`
-/// replicas (failed, or still in flight from a hedge).
-fn pick_replica(shared: &RouterShared, indices: &[u32], attempted: &[usize]) -> Option<usize> {
-    let ok = |i: usize| !attempted.contains(&i) && shared.replicas[i].available();
-    match shared.cfg.policy {
-        RoutePolicy::LeastLoad => (0..shared.replicas.len())
-            .filter(|&i| ok(i))
-            .min_by_key(|&i| shared.replicas[i].inflight.get()),
-        RoutePolicy::ConsistentHash => ring_pick(&shared.ring, query_ring_key(indices), ok),
-    }
+/// Pick the closed-breaker replica with the fewest in-flight forwards,
+/// excluding already-`attempted` replicas (failed, or still in flight from
+/// a hedge). Replica counts are small, so every candidate is compared.
+fn pick_replica(shared: &RouterShared, attempted: &[usize]) -> Option<usize> {
+    (0..shared.replicas.len())
+        .filter(|&i| !attempted.contains(&i) && shared.replicas[i].available())
+        .min_by_key(|&i| shared.replicas[i].inflight.get())
 }
 
 /// One resolved attempt, reported back to the forwarding loop.
@@ -642,7 +580,7 @@ fn attempt_once(
     let mut c = conn.expect("just connected");
     // The trace id rides the forwarded frame unchanged, so the replica's
     // spans land under the same id the client chose.
-    let result = c.predict_traced_within(
+    let result = c.predict_within(
         &req.indices,
         &req.values,
         req.k as usize,
@@ -680,7 +618,7 @@ fn forward_predict(shared: &Arc<RouterShared>, conns: &ReplicaPool, req: &Predic
     let req = Arc::new(req.clone());
     let (tx, rx) = mpsc::channel();
     let mut attempted: Vec<usize> = Vec::new();
-    let Some(first) = pick_replica(shared, &req.indices, &attempted) else {
+    let Some(first) = pick_replica(shared, &attempted) else {
         // No closed breaker anywhere: soft-shed so clients back off and
         // retry once health returns.
         return Frame::RetryLater {
@@ -771,7 +709,7 @@ fn forward_predict(shared: &Arc<RouterShared>, conns: &ReplicaPool, req: &Predic
                         // thread): fail over immediately if this was the
                         // last attempt standing.
                         if in_flight == 0 && attempted.len() < MAX_ATTEMPTS {
-                            if let Some(j) = pick_replica(shared, &req.indices, &attempted) {
+                            if let Some(j) = pick_replica(shared, &attempted) {
                                 shared.obs.failovers.inc();
                                 spawn_attempt(shared, conns, &req, j, deadline, false, &tx);
                                 attempted.push(j);
@@ -793,7 +731,7 @@ fn forward_predict(shared: &Arc<RouterShared>, conns: &ReplicaPool, req: &Predic
         if let Some(h) = hedge_at {
             if Instant::now() >= h && in_flight >= 1 && attempted.len() < MAX_ATTEMPTS {
                 hedge_at = None;
-                if let Some(j) = pick_replica(shared, &req.indices, &attempted) {
+                if let Some(j) = pick_replica(shared, &attempted) {
                     shared.obs.hedges.inc();
                     // Receipt → hedge launch: how long the primary was
                     // given before we paid for a backup attempt.
@@ -812,38 +750,6 @@ fn forward_predict(shared: &Arc<RouterShared>, conns: &ReplicaPool, req: &Predic
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_is_deterministic_and_covers_all_replicas() {
-        let ring = build_ring(3);
-        assert_eq!(ring, build_ring(3));
-        assert_eq!(ring.len(), 3 * VNODES_PER_REPLICA as usize);
-        for r in 0..3 {
-            assert!(ring.iter().any(|&(_, i)| i == r));
-        }
-        // Positions are strictly sorted (splitmix collisions at 192 points
-        // would be astronomically unlikely).
-        assert!(ring.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn ring_pick_walks_past_excluded_replicas() {
-        let ring = build_ring(3);
-        let key = query_ring_key(&[1, 2, 3]);
-        let first = ring_pick(&ring, key, |_| true).unwrap();
-        let second = ring_pick(&ring, key, |r| r != first).unwrap();
-        assert_ne!(first, second);
-        assert!(ring_pick(&ring, key, |_| false).is_none());
-        // Same key, same pick: routing is stable.
-        assert_eq!(ring_pick(&ring, key, |_| true).unwrap(), first);
-    }
-
-    #[test]
-    fn query_ring_key_depends_on_indices() {
-        assert_eq!(query_ring_key(&[5, 9]), query_ring_key(&[5, 9]));
-        assert_ne!(query_ring_key(&[5, 9]), query_ring_key(&[9, 5]));
-        assert_ne!(query_ring_key(&[]), query_ring_key(&[0]));
-    }
 
     fn test_cfg() -> RouterConfig {
         RouterConfig {
@@ -923,5 +829,29 @@ mod tests {
         assert_eq!(breaker_backoff(&cfg, 0, 1), b1);
         // ...and desynchronizes distinct replicas.
         assert_ne!(breaker_backoff(&cfg, 1, 1), b1);
+    }
+
+    #[test]
+    fn pick_replica_takes_the_least_loaded_closed_breaker_replica() {
+        let cfg = test_cfg();
+        let shared = RouterShared {
+            cfg,
+            obs: RouterObs::new(ObsHub::shared()),
+            replicas: (0..3).map(replica).collect(),
+        };
+        let [a, b, c] = [0, 1, 2].map(|i| &shared.replicas[i]);
+        a.inflight.set(2);
+        b.inflight.set(1);
+        c.inflight.set(1);
+        // Fewest in flight, ties by index.
+        assert_eq!(pick_replica(&shared, &[]), Some(1));
+        assert_eq!(pick_replica(&shared, &[1]), Some(2));
+        assert_eq!(pick_replica(&shared, &[1, 2]), Some(0));
+        // An open breaker takes no traffic, however idle its replica.
+        a.inflight.set(0);
+        a.record_failure(&cfg);
+        a.record_failure(&cfg);
+        assert_eq!(pick_replica(&shared, &[]), Some(1));
+        assert_eq!(pick_replica(&shared, &[1, 2]), None);
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::listener::{Front, Listener, Reply, Service};
 use crate::wire::{ErrorCode, Frame, PredictRequest};
-use slide_obs::{Counter, Gauge, Histogram, HistogramSnapshot};
+use slide_obs::{Counter, Gauge, Histogram};
 use slide_serve::{BatchingServer, ServeError};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,35 +59,15 @@ impl Default for NetConfig {
     }
 }
 
-/// Request counters since start. Every `Predict` frame lands in `requests`
-/// and in exactly one outcome, so once traffic quiesces `requests == ok +
-/// invalid + retry_later + deadline_exceeded + unavailable`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientCounters {
-    /// Predict frames received.
-    pub requests: u64,
-    /// Answered with a top-k.
-    pub ok: u64,
-    /// Answered with an `Invalid` error.
-    pub invalid: u64,
-    /// Shed with `RetryLater`.
-    pub retry_later: u64,
-    /// Shed with `DeadlineExceeded` (budget ran out at admission or in the
-    /// batch queue).
-    pub deadline_exceeded: u64,
-    /// Answered with an `Unavailable` error (engine closed, or its model
-    /// panicked).
-    pub unavailable: u64,
-    /// Wire-level faults (bad frames, stalls, server-only frames).
-    pub protocol_errors: u64,
-}
-
 /// The replica's request instruments, registered in the **batching
 /// server's** hub beside the front-end's connection instruments, so one
 /// `GetMetrics` scrape exposes socket-, serve-, and stage-level series from
-/// a single rendering pass. They are the only place a request is counted
-/// ([`NetStats`] is a typed read of them), and they belong to the hub:
-/// front-ends sharing one batching server share them.
+/// a single rendering pass. Every `Predict` frame lands in
+/// `slide_net_requests_total` and in exactly one outcome counter, so once
+/// traffic quiesces `requests == ok + invalid + retry_later +
+/// deadline_exceeded + unavailable`. They are the only place a request is
+/// counted, and they belong to the hub: front-ends sharing one batching
+/// server share them.
 struct ReplicaObs {
     requests: Arc<Counter>,
     ok: Arc<Counter>,
@@ -140,7 +120,7 @@ impl Service for Replica {
         // here. It has already closed the engine: answer it as `Closed`
         // rather than die without a reply and leave the gauges stuck.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.batching.try_predict_traced(
+            self.batching.try_predict(
                 &req.indices,
                 &req.values,
                 req.k as usize,
@@ -201,26 +181,6 @@ impl Service for Replica {
     }
 }
 
-/// A point-in-time read of the network tier's registry instruments.
-#[derive(Debug, Clone)]
-pub struct NetStats {
-    /// Whether the server is draining.
-    pub draining: bool,
-    /// Connections accepted over the server's lifetime.
-    pub connections_opened: u64,
-    /// Connections currently open.
-    pub connections_active: usize,
-    /// Connections refused at the `max_connections` cap.
-    pub refused: u64,
-    /// Predict requests currently in flight.
-    pub inflight: usize,
-    /// Request totals since start.
-    pub totals: ClientCounters,
-    /// Socket-measured request latency in µs (frame decoded → response
-    /// written).
-    pub latency: HistogramSnapshot,
-}
-
 /// The TCP serving front-end: accepts wire-protocol connections and answers
 /// them from a shared [`BatchingServer`].
 ///
@@ -260,29 +220,6 @@ impl NetServer {
     /// client's `Drain` frame).
     pub fn is_draining(&self) -> bool {
         self.front.is_draining()
-    }
-
-    /// Read the network-tier instruments.
-    pub fn stats(&self) -> NetStats {
-        let f = &self.front.obs;
-        let o = &self.front.service.obs;
-        NetStats {
-            draining: self.is_draining(),
-            connections_opened: f.conns_opened.get(),
-            connections_active: f.conns_active.get() as usize,
-            refused: f.refused.get(),
-            inflight: o.inflight.get() as usize,
-            totals: ClientCounters {
-                requests: o.requests.get(),
-                ok: o.ok.get(),
-                invalid: o.invalid.get(),
-                retry_later: o.retry_later.get(),
-                deadline_exceeded: o.deadline_exceeded.get(),
-                unavailable: o.unavailable.get(),
-                protocol_errors: f.protocol_errors.get(),
-            },
-            latency: o.latency_us.snapshot(),
-        }
     }
 
     /// Graceful drain: stop accepting, let every in-flight request finish

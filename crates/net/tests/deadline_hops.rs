@@ -77,7 +77,7 @@ fn generous_deadline_answers_bit_equal_to_no_deadline() {
     for (idx, val) in &queries {
         let want = plain.predict(idx, val, K).expect("deadline-free predict");
         let got = budgeted
-            .predict_within(idx, val, K, 5_000_000)
+            .predict_within(idx, val, K, 5_000_000, 0)
             .expect("budgeted predict");
         assert_eq!(got, want, "a 5s budget must not change the answer");
     }
@@ -104,7 +104,7 @@ fn microscopic_deadline_is_shed_with_typed_frame() {
         NetClient::connect(router.local_addr(), Duration::from_secs(5)).expect("router client");
     let (idx, val) = &queries[0];
     let t0 = Instant::now();
-    match via_router.predict_within(idx, val, K, 1) {
+    match via_router.predict_within(idx, val, K, 1, 0) {
         Err(ClientError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded via router, got {other:?}"),
     }
@@ -116,7 +116,7 @@ fn microscopic_deadline_is_shed_with_typed_frame() {
     // ...and straight at the daemon.
     let mut direct =
         NetClient::connect(net.local_addr(), Duration::from_secs(5)).expect("direct client");
-    match direct.predict_within(idx, val, K, 1) {
+    match direct.predict_within(idx, val, K, 1, 0) {
         Err(ClientError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded direct, got {other:?}"),
     }
@@ -161,7 +161,7 @@ fn deadline_expiring_mid_hedge_cancels_both_attempts() {
         NetClient::connect(router.local_addr(), Duration::from_secs(5)).expect("client");
     let (idx, val) = &queries[0];
     let t0 = Instant::now();
-    match client.predict_within(idx, val, K, 120_000) {
+    match client.predict_within(idx, val, K, 120_000, 0) {
         Err(ClientError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded mid-hedge, got {other:?}"),
     }

@@ -163,7 +163,7 @@ fn seeded_fault_plan_chaos_run_full_accounting_and_bit_equality() {
             // 100 ms budget: enough for a healthy replica (sub-ms), short
             // enough that a stalled primary + stalled hedge is shed well
             // before the router's 250 ms per-attempt timeout.
-            match client.predict_within(idx, val, k, 100_000) {
+            match client.predict_within(idx, val, k, 100_000, 0) {
                 Ok(ids) => {
                     let key = (idx.to_vec(), val.iter().map(|v| v.to_bits()).collect());
                     match expected.get(&key) {

@@ -10,10 +10,11 @@
 
 use slide_mem::SparseVecRef;
 use slide_net::{
-    ClientError, ErrorCode, FleetPrecision, FleetSpec, NetClient, NetConfig, NetServer, Router,
-    RouterConfig,
+    ClientError, ErrorCode, FleetSpec, NetClient, NetConfig, NetServer, Router, RouterConfig,
 };
-use slide_serve::{query_salt, BatchConfig, BatchingServer, FrozenModel, ServeError};
+use slide_serve::{
+    query_salt, BatchConfig, BatchingServer, FrozenModel, ServeError, SnapshotPrecision,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,7 +76,7 @@ fn assert_socket_parity(spec: FleetSpec) {
 #[test]
 fn socket_topk_is_bit_equal_to_in_process_f32() {
     assert_socket_parity(FleetSpec {
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 0,
         ..Default::default()
     });
@@ -84,7 +85,7 @@ fn socket_topk_is_bit_equal_to_in_process_f32() {
 #[test]
 fn socket_topk_is_bit_equal_to_in_process_i8() {
     assert_socket_parity(FleetSpec {
-        precision: FleetPrecision::I8,
+        precision: SnapshotPrecision::I8,
         shards: 0,
         ..Default::default()
     });
@@ -93,7 +94,7 @@ fn socket_topk_is_bit_equal_to_in_process_i8() {
 #[test]
 fn socket_topk_is_bit_equal_to_in_process_sharded() {
     assert_socket_parity(FleetSpec {
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 3,
         ..Default::default()
     });
@@ -108,13 +109,13 @@ fn socket_topk_is_bit_equal_to_in_process_sharded() {
 #[test]
 fn sharded_answers_stay_bit_identical_under_connection_contention() {
     let spec = FleetSpec {
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 3,
         ..Default::default()
     };
     let (model, queries) = battery(&spec, 16);
     let expected = expected_topk(&model, &queries);
-    let (_batching, net) = serve(model, 4);
+    let (batching, net) = serve(model, 4);
     let addr = net.local_addr();
     std::thread::scope(|scope| {
         for conn in 0..8 {
@@ -139,11 +140,25 @@ fn sharded_answers_stay_bit_identical_under_connection_contention() {
             });
         }
     });
-    let t = net.stats().totals;
-    assert_eq!(t.ok, 8 * 6 * 16, "every request must be answered");
+    let hub = batching.obs();
+    let registry = hub.registry();
+    let [requests, ok, invalid, retry_later, deadline_exceeded, unavailable] = [
+        "requests",
+        "ok",
+        "invalid",
+        "retry_later",
+        "deadline_exceeded",
+        "unavailable",
+    ]
+    .map(|outcome| {
+        registry
+            .counter(&format!("slide_net_{outcome}_total"))
+            .get()
+    });
+    assert_eq!(ok, 8 * 6 * 16, "every request must be answered");
     assert_eq!(
-        t.requests,
-        t.ok + t.invalid + t.retry_later + t.deadline_exceeded + t.unavailable
+        requests,
+        ok + invalid + retry_later + deadline_exceeded + unavailable
     );
 }
 
@@ -154,7 +169,7 @@ fn sharded_answers_stay_bit_identical_under_connection_contention() {
 /// costing the connection.
 #[test]
 fn non_finite_values_are_invalid_in_process_and_over_the_socket() {
-    for precision in [FleetPrecision::F32, FleetPrecision::I8] {
+    for precision in [SnapshotPrecision::F32, SnapshotPrecision::I8] {
         let spec = FleetSpec {
             precision,
             ..Default::default()
@@ -192,7 +207,7 @@ fn non_finite_values_are_invalid_in_process_and_over_the_socket() {
 #[test]
 fn router_parity_over_two_in_process_replicas() {
     let spec = FleetSpec {
-        precision: FleetPrecision::F32,
+        precision: SnapshotPrecision::F32,
         shards: 0,
         ..Default::default()
     };

@@ -9,8 +9,8 @@ mod daemon;
 
 use daemon::spawn_replica_from_registry;
 use slide_mem::SparseVecRef;
-use slide_net::{FleetPrecision, FleetSpec, NetClient};
-use slide_serve::{query_salt, ModelRegistry};
+use slide_net::{FleetSpec, NetClient};
+use slide_serve::{query_salt, ModelRegistry, SnapshotPrecision};
 use std::time::Duration;
 
 const K: usize = 5;
@@ -21,7 +21,7 @@ fn registry_root(tag: &str) -> std::path::PathBuf {
 
 /// Train the fixture, publish its snapshot, cold-start a daemon from the
 /// registry, and check every socket answer against the in-process engine.
-fn assert_cold_start_parity(tag: &str, precision: FleetPrecision, shards: usize) {
+fn assert_cold_start_parity(tag: &str, precision: SnapshotPrecision, shards: usize) {
     let spec = FleetSpec {
         seed: 42,
         epochs: 0,
@@ -67,12 +67,12 @@ fn assert_cold_start_parity(tag: &str, precision: FleetPrecision, shards: usize)
 
 #[test]
 fn netd_cold_start_is_bit_equal_f32() {
-    assert_cold_start_parity("f32", FleetPrecision::F32, 0);
+    assert_cold_start_parity("f32", SnapshotPrecision::F32, 0);
 }
 
 #[test]
 fn netd_cold_start_is_bit_equal_i8_sharded() {
-    assert_cold_start_parity("i8x3", FleetPrecision::I8, 3);
+    assert_cold_start_parity("i8x3", SnapshotPrecision::I8, 3);
 }
 
 /// An empty registry is a startup error, not a silent retrain: the daemon

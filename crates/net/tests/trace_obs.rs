@@ -117,7 +117,7 @@ fn traced_request_reports_every_hop_exactly_once() {
     let (idx, val) = &queries[0];
     let trace_id = 0xC0FF_EE00_DEAD_BEEF;
     let ids = client
-        .predict_traced_within(idx, val, K, 0, trace_id)
+        .predict_within(idx, val, K, 0, trace_id)
         .expect("traced predict");
     assert!(!ids.is_empty());
 
@@ -205,7 +205,7 @@ fn get_metrics_exposes_promised_families_over_the_wire() {
     let (idx, val) = &queries[0];
     for t in 0..4u64 {
         client
-            .predict_traced_within(idx, val, K, 0, 0x1000 + t)
+            .predict_within(idx, val, K, 0, 0x1000 + t)
             .expect("predict");
     }
 

@@ -479,9 +479,10 @@ fn a_model_panic_is_answered_as_unavailable_and_leaves_no_gauge_stuck() {
             ..Default::default()
         }
         .build();
-        let batching =
-            BatchingServer::start(PanicsOn(model, 7), BatchConfig::default()).expect("config");
-        let server = NetServer::start(Arc::new(batching), "127.0.0.1:0", NetConfig::default())
+        let batching = Arc::new(
+            BatchingServer::start(PanicsOn(model, 7), BatchConfig::default()).expect("config"),
+        );
+        let server = NetServer::start(Arc::clone(&batching), "127.0.0.1:0", NetConfig::default())
             .expect("bind loopback");
         let mut client =
             NetClient::connect(server.local_addr(), Duration::from_secs(5)).expect("connect");
@@ -496,18 +497,31 @@ fn a_model_panic_is_answered_as_unavailable_and_leaves_no_gauge_stuck() {
         assert_eq!(again.ping(1).expect("still answering pings").inflight, 0);
         assert!(again.predict(&[1, 5], &[1.0, 0.5], 3).is_err());
         drop((client, again));
-        while server.stats().connections_active > 0 {
+        let hub = batching.obs();
+        let registry = hub.registry();
+        while registry.gauge("slide_net_connections_active").get() > 0 {
             std::thread::yield_now();
         }
-        let stats = server.stats();
-        assert_eq!(stats.inflight, 0);
+        assert_eq!(registry.gauge("slide_net_inflight").get(), 0);
         // Every Predict frame has exactly one outcome, the panicked one and
         // the one refused after it included.
-        let t = stats.totals;
-        assert_eq!((t.requests, t.ok, t.unavailable), (3, 1, 2), "{t:?}");
+        let [requests, ok, invalid, retry_later, deadline_exceeded, unavailable] = [
+            "requests",
+            "ok",
+            "invalid",
+            "retry_later",
+            "deadline_exceeded",
+            "unavailable",
+        ]
+        .map(|outcome| {
+            registry
+                .counter(&format!("slide_net_{outcome}_total"))
+                .get()
+        });
+        assert_eq!((requests, ok, unavailable), (3, 1, 2));
         assert_eq!(
-            t.requests,
-            t.ok + t.invalid + t.retry_later + t.deadline_exceeded + t.unavailable
+            requests,
+            ok + invalid + retry_later + deadline_exceeded + unavailable
         );
     });
 }

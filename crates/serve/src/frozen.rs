@@ -20,7 +20,7 @@ use crate::layer::{Act, FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
 use crate::shard::{partition_tables, ShardPlan};
 use crate::snapshot::SnapshotPrecision;
 use slide_core::{relu, Network, NetworkConfig, Precision, Retrieval, SelectBuffers, StampSet};
-use slide_data::{top_k_indices, Dataset};
+use slide_data::top_k_indices;
 use slide_hash::{LshScratch, LshTables, TableStats};
 use slide_mem::{AlignedVec, SparseVecRef};
 use slide_obs::StageSample;
@@ -621,32 +621,6 @@ impl<L: RowLayout> Engine<L> {
         }
         top_k_indices(logits, k)
     }
-}
-
-/// P@1 of `engine`'s sampled path over a labelled dataset, `salt = i` per
-/// sample so two engines of one network pad identically on cold tables.
-/// Every parity comparison (f32 vs i8, sharded vs not) runs through this one
-/// loop so it can never silently measure two different protocols (skip
-/// rule, salt scheme, hit test).
-pub fn p_at_1<L: RowLayout>(engine: &Engine<L>, data: &Dataset) -> f64 {
-    let mut scratch = engine.make_scratch();
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for i in 0..data.len() {
-        let labels = data.labels(i);
-        if labels.is_empty() {
-            continue;
-        }
-        let topk = engine.predict_sparse(data.features(i), 1, &mut scratch, i as u64);
-        total += 1;
-        if topk.first().is_some_and(|p| labels.contains(p)) {
-            hits += 1;
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    hits as f64 / total as f64
 }
 
 #[cfg(test)]

@@ -439,7 +439,7 @@ impl RowLayout for QuantizedLayer {
 
 /// Per-layer quantization error, recorded when the layer is quantized — the
 /// reconstruction half of the quantization-error harness (the accuracy half
-/// is [`crate::p_at_1`] parity against the f32 engine).
+/// is [`crate::p_at_k`] parity against the f32 engine).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerQuantStats {
     /// Layer label (`"output"`).

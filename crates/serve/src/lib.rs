@@ -67,9 +67,9 @@ pub mod shard;
 pub mod snapshot;
 
 pub use error::{ServeBuildError, ServeError};
-pub use frozen::{p_at_1, Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
+pub use frozen::{Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
 pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, RowLayout};
-pub use model::{FrozenModel, IntoFrozenModel};
+pub use model::{p_at_k, FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
 pub use server::{
     percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, ServeStats,

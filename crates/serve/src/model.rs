@@ -13,6 +13,8 @@
 
 use crate::frozen::{Engine, ServeScratch};
 use crate::layer::RowLayout;
+use crate::server::query_salt;
+use slide_data::{precision_at_k, Dataset};
 use slide_mem::SparseVecRef;
 use slide_obs::StageSample;
 use std::any::Any;
@@ -165,11 +167,40 @@ impl<L: RowLayout> FrozenModel for Engine<L> {
     }
 }
 
+/// Mean P@k of `model` over the first `cap` samples of `data` (0 = all of
+/// them), each query answered as the batching server answers it:
+/// `predict_any` with the content-derived [`query_salt`]. Samples without
+/// labels are skipped, not counted as misses. The deploy gate and every
+/// parity comparison (f32 vs i8, sharded vs not) measure through this one
+/// loop, so they cannot drift into two protocols.
+pub fn p_at_k(model: &dyn FrozenModel, data: &Dataset, k: usize, cap: usize) -> f64 {
+    let n = if cap == 0 {
+        data.len()
+    } else {
+        cap.min(data.len())
+    };
+    let mut scratch = model.make_scratch_any();
+    let (mut total, mut scored) = (0.0f64, 0usize);
+    for i in 0..n {
+        let labels = data.labels(i);
+        if labels.is_empty() {
+            continue;
+        }
+        let x = data.features(i);
+        let salt = query_salt(x.indices, x.values, k);
+        let top = model.predict_any(x, k, scratch.as_mut(), salt);
+        total += f64::from(precision_at_k(&top, labels, k));
+        scored += 1;
+    }
+    total / scored.max(1) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FrozenNetwork, QuantizedFrozenNetwork};
-    use slide_core::{Network, NetworkConfig};
+    use crate::{BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork};
+    use slide_core::{Network, NetworkConfig, Trainer, TrainerConfig};
+    use slide_data::{generate_synthetic, SynthConfig};
 
     fn assert_serves(model: Box<dyn FrozenModel>, precision: &str) {
         assert_eq!(model.precision(), precision);
@@ -205,5 +236,61 @@ mod tests {
         let idx = [1u32];
         let val = [1.0f32];
         frozen.predict_any(SparseVecRef::new(&idx, &val), 1, bogus.as_mut(), 0);
+    }
+
+    #[test]
+    fn p_at_k_skips_unlabelled_samples_and_matches_the_batching_server() {
+        let data = generate_synthetic(&SynthConfig {
+            feature_dim: 128,
+            label_dim: 64,
+            n_train: 512,
+            n_test: 96,
+            ..Default::default()
+        });
+        let tc = TrainerConfig {
+            batch_size: 64,
+            threads: 1,
+            ..Default::default()
+        };
+        let net = Network::new(NetworkConfig::standard(128, 16, 64)).unwrap();
+        let mut trainer = Trainer::new(net, tc).unwrap();
+        for epoch in 0..3 {
+            trainer.train_epoch(&data.train, epoch);
+        }
+        let model = FrozenNetwork::freeze(trainer.network());
+        let test = &data.test;
+        let p1 = p_at_k(&model, test, 1, 0);
+        assert!(p1 > 0.0, "a trained model hits something");
+
+        // Label-less samples are skipped, not scored as misses.
+        let mut padded = test.clone();
+        for i in 0..8 {
+            let x = test.features(i);
+            padded.push(x.indices, x.values, &[]);
+        }
+        assert_eq!(p_at_k(&model, &padded, 1, 0), p1);
+        assert_eq!(p_at_k(&model, &padded, 3, 0), p_at_k(&model, test, 3, 0));
+
+        // The same queries through the batching server hit as often.
+        let server = BatchingServer::start(
+            model,
+            BatchConfig {
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let labelled: Vec<usize> = (0..test.len())
+            .filter(|&i| !test.labels(i).is_empty())
+            .collect();
+        let hits = labelled
+            .iter()
+            .filter(|&&i| {
+                let x = test.features(i);
+                let top = server.predict(x.indices, x.values, 1).unwrap();
+                test.labels(i).contains(&top[0])
+            })
+            .count();
+        assert_eq!(p1, hits as f64 / labelled.len() as f64);
     }
 }

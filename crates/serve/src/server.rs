@@ -127,8 +127,7 @@ struct Ticket {
     k: usize,
     enqueued: Instant,
     /// Absolute point past which the answer is worthless to the caller;
-    /// `None` = wait forever. Checked at admission, while parked on a full
-    /// queue, and at pickup.
+    /// `None` = wait forever. Checked at admission and at pickup.
     deadline: Option<Instant>,
     /// Nonzero for traced requests: per-stage spans land in the server's
     /// trace ring under this id (0 = untraced, spans skipped).
@@ -188,11 +187,11 @@ struct ServeObs {
     served: Arc<Counter>,
     errors: Arc<Counter>,
     /// Requests shed because their deadline expired before compute (at
-    /// admission, parked on a full queue, or at pickup). Kept separate from
-    /// `served`/`errors`: a shed request was never answered with a
-    /// prediction or a validation verdict.
+    /// admission or at pickup). Kept separate from `served`/`errors`: a
+    /// shed request was never answered with a prediction or a validation
+    /// verdict.
     deadline_exceeded: Arc<Counter>,
-    /// Requests shed by `try_predict*` on a full queue.
+    /// Requests shed by `try_predict` on a full queue.
     overloaded: Arc<Counter>,
     /// Requests scored by their own thread without queueing.
     inline: Arc<Counter>,
@@ -451,80 +450,30 @@ impl BatchingServer {
         self.submit(indices, values, k, true, None, 0)
     }
 
-    /// [`BatchingServer::predict`] with a deadline: if `deadline` passes
-    /// before the request reaches compute it is shed with
-    /// [`ServeError::DeadlineExceeded`] — at admission when it arrives
-    /// already expired or expires while parked on a full queue (no compute,
-    /// no queue slot), or at pickup when it expires while queued. A request
-    /// already being scored runs to completion (compute is never cancelled);
-    /// the deadline bounds *queueing*, which is where overload latency
-    /// lives.
+    /// The network front-end's call: [`BatchingServer::predict`] with
+    /// non-blocking admission, a deadline and a trace id.
+    ///
+    /// * If the submission queue is full the request is **shed** with
+    ///   [`ServeError::Overloaded`] instead of blocking the caller, so a
+    ///   front-end answers `RETRY_LATER` under overload rather than
+    ///   buffering without bound. An admitted request still blocks until
+    ///   its response is ready.
+    /// * If `deadline` passes before the request reaches compute it is shed
+    ///   with [`ServeError::DeadlineExceeded`]: at admission when it arrives
+    ///   already expired (no compute, no queue slot), or at pickup when it
+    ///   expires while queued. A request already being scored runs to
+    ///   completion; the deadline bounds *queueing*, which is where overload
+    ///   latency lives. `None` = no deadline.
+    /// * A nonzero `trace_id` makes every stage this request passes through
+    ///   (admission, batch wait, retrieval, kernel, merge) record a span in
+    ///   the server's trace ring under that id; `0` traces nothing.
     ///
     /// # Errors
     ///
-    /// [`ServeError::DeadlineExceeded`] when the budget runs out pre-compute;
-    /// otherwise as [`BatchingServer::predict`].
-    pub fn predict_within(
-        &self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<u32>, ServeError> {
-        self.submit(indices, values, k, true, deadline, 0)
-    }
-
-    /// Non-blocking-admission variant of [`BatchingServer::predict`]: if the
-    /// submission queue is full the request is **shed** with
-    /// [`ServeError::Overloaded`] instead of blocking the caller — the hook
-    /// a network front-end needs to answer `RETRY_LATER` under overload
-    /// rather than buffering without bound. Admission is the only
-    /// difference: an admitted request still blocks until its response is
-    /// ready.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is at capacity; otherwise
-    /// as [`BatchingServer::predict`].
+    /// [`ServeError::Overloaded`] when the queue is at capacity,
+    /// [`ServeError::DeadlineExceeded`] when the budget runs out
+    /// pre-compute; otherwise as [`BatchingServer::predict`].
     pub fn try_predict(
-        &self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-    ) -> Result<Vec<u32>, ServeError> {
-        self.submit(indices, values, k, false, None, 0)
-    }
-
-    /// Non-blocking-admission variant of [`BatchingServer::predict_within`]:
-    /// sheds on a full queue ([`ServeError::Overloaded`]) *and* on an
-    /// exhausted deadline ([`ServeError::DeadlineExceeded`]) — the pair a
-    /// network front-end needs to map overload to `RETRY_LATER` and stale
-    /// requests to a typed deadline reply.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchingServer::try_predict`] plus
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn try_predict_within(
-        &self,
-        indices: &[u32],
-        values: &[f32],
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<u32>, ServeError> {
-        self.submit(indices, values, k, false, deadline, 0)
-    }
-
-    /// [`BatchingServer::try_predict_within`] for a traced request: a
-    /// nonzero `trace_id` makes every stage this request passes through
-    /// (admission, batch wait, retrieval, kernel, merge) record a span in
-    /// the server's trace ring under that id. `trace_id == 0` is exactly
-    /// `try_predict_within`.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchingServer::try_predict_within`].
-    pub fn try_predict_traced(
         &self,
         indices: &[u32],
         values: &[f32],
@@ -535,7 +484,9 @@ impl BatchingServer {
         self.submit(indices, values, k, false, deadline, trace_id)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Admit and answer one request. A blocking one (`block`, from
+    /// `predict`) carries no deadline and parks on a full queue; a
+    /// non-blocking one (`try_predict`) is shed there.
     fn submit(
         &self,
         indices: &[u32],
@@ -595,21 +546,8 @@ impl BatchingServer {
                     obs.overloaded.inc();
                     return Err(ServeError::Overloaded(st.queue.len()));
                 }
-                // The budget bounds the park too: a request that never got
-                // a queue place is shed when it lapses, not when the queue
-                // happens to drain.
-                let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if budget.is_some_and(|b| b.is_zero()) {
-                    obs.deadline_exceeded.inc();
-                    return Err(ServeError::DeadlineExceeded);
-                }
                 st.parked += 1;
-                match budget {
-                    None => shared.not_full.wait(&mut st),
-                    Some(b) => {
-                        shared.not_full.wait_for(&mut st, b);
-                    }
-                }
+                shared.not_full.wait(&mut st);
                 st.parked -= 1;
             }
         };
@@ -1268,7 +1206,7 @@ mod tests {
         );
         let deadline = Instant::now() + Duration::from_millis(250);
         let doomed = park(&server, move |s| {
-            s.predict_within(&[1], &[1.0], 2, Some(deadline))
+            s.try_predict(&[1], &[1.0], 2, Some(deadline), 0)
         });
         let behind = park_queries(&server, 2..=2);
         wait_until("the deadline", &|| Instant::now() > deadline);
@@ -1310,7 +1248,7 @@ mod tests {
         let doomed: Vec<_> = (1..=2)
             .map(|q| {
                 park(&server, move |s| {
-                    s.predict_within(&[q], &[1.0], 2, Some(deadline))
+                    s.try_predict(&[q], &[1.0], 2, Some(deadline), 0)
                 })
             })
             .collect();
@@ -1446,7 +1384,7 @@ mod tests {
                 let (sheds, oks) = (&sheds, &oks);
                 scope.spawn(move || {
                     for i in 0..6u32 {
-                        match server.try_predict(&[(c * 7 + i) % 128], &[1.0], 2) {
+                        match server.try_predict(&[(c * 7 + i) % 128], &[1.0], 2, None, 0) {
                             Ok(ids) => {
                                 assert_eq!(ids.len(), 2);
                                 oks.fetch_add(1, Ordering::Relaxed);
@@ -1475,7 +1413,7 @@ mod tests {
         let server = small_server(1, Duration::from_micros(100));
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
-            server.predict_within(&[1], &[1.0], 2, Some(past)),
+            server.try_predict(&[1], &[1.0], 2, Some(past), 0),
             Err(ServeError::DeadlineExceeded)
         );
         let stats = server.stats();
@@ -1484,11 +1422,12 @@ mod tests {
         assert_eq!(stats.errors, 0);
         // A live deadline is honoured normally.
         let topk = server
-            .predict_within(
+            .try_predict(
                 &[1],
                 &[1.0],
                 2,
                 Some(Instant::now() + Duration::from_secs(5)),
+                0,
             )
             .unwrap();
         assert_eq!(topk.len(), 2);
@@ -1519,11 +1458,12 @@ mod tests {
             // Let the blocker reach the worker before queueing the doomed
             // request behind it.
             std::thread::sleep(Duration::from_millis(8));
-            let doomed = server.predict_within(
+            let doomed = server.try_predict(
                 &[2],
                 &[1.0],
                 2,
                 Some(Instant::now() + Duration::from_millis(2)),
+                0,
             );
             assert_eq!(doomed, Err(ServeError::DeadlineExceeded));
             assert_eq!(blocker.join().unwrap().unwrap().len(), 2);
@@ -1533,61 +1473,6 @@ mod tests {
         assert!(stats.deadline_exceeded >= 1);
         // The server is still healthy after shedding.
         assert_eq!(server.predict(&[3], &[1.0], 2).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn deadline_expiring_while_parked_on_a_full_queue_is_shed_without_a_slot() {
-        // One worker, 40ms per prediction, batches of 1, queue depth 2, eight
-        // undeadlined submitters: one is being scored, two hold the queue
-        // slots, the rest are parked — the queue stays full. A blocking
-        // request with a 5ms budget must come back when the budget lapses,
-        // not when a 40ms prediction finally frees a slot.
-        let predict_time = Duration::from_millis(40);
-        let server = Arc::new(
-            BatchingServer::start(
-                SlowModel(tiny_frozen(5), predict_time),
-                BatchConfig {
-                    max_batch: 1,
-                    max_wait: Duration::ZERO,
-                    queue_cap: 2,
-                    threads: 1,
-                },
-            )
-            .unwrap(),
-        );
-        let blockers = 8u32;
-        std::thread::scope(|scope| {
-            for c in 0..blockers {
-                let server = Arc::clone(&server);
-                scope.spawn(move || server.predict(&[c], &[1.0], 2).unwrap());
-            }
-            // Submit right after a prediction starts (a batch is counted
-            // before fan-out) with the queue refilled by a parked submitter:
-            // the next slot is then a whole prediction away.
-            wait_until("a full queue", &|| server.queue_len() == 2);
-            let batches = server.stats().batches;
-            wait_until("the next batch", &|| server.stats().batches > batches);
-            wait_until("the queue refill", &|| server.queue_len() == 2);
-            let submitted = Instant::now();
-            let doomed = server.predict_within(
-                &[100],
-                &[1.0],
-                2,
-                Some(submitted + Duration::from_millis(5)),
-            );
-            let took = submitted.elapsed();
-            assert_eq!(doomed, Err(ServeError::DeadlineExceeded));
-            assert!(
-                took < predict_time,
-                "blocked {took:?} on a 5ms budget: bounded by queue drain, not by the deadline"
-            );
-        });
-        let stats = stats_when_served(&server, blockers as u64);
-        assert_eq!(
-            stats.served, blockers as u64,
-            "the shed request was counted"
-        );
-        assert_eq!(stats.deadline_exceeded, 1);
     }
 
     #[test]
@@ -1685,7 +1570,7 @@ mod tests {
         let server = small_server(1, Duration::from_micros(100));
         let trace = slide_obs::derive_trace_id(0xA5A5, 1);
         let topk = server
-            .try_predict_traced(&[1, 17], &[1.0, 0.5], 3, None, trace)
+            .try_predict(&[1, 17], &[1.0, 0.5], 3, None, trace)
             .unwrap();
         assert_eq!(topk.len(), 3);
         let spans = server.obs().ring().spans_for(trace);

@@ -111,6 +111,18 @@ impl SnapshotPrecision {
             SnapshotPrecision::I8 => "i8",
         }
     }
+
+    /// Parse a `--precision` flag value: a [`SnapshotPrecision::label`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted values.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        [SnapshotPrecision::F32, SnapshotPrecision::I8]
+            .into_iter()
+            .find(|p| p.label() == s)
+            .ok_or_else(|| format!("unknown precision '{s}' (want f32 or i8)"))
+    }
 }
 
 /// What to snapshot a network *as*: a row layout and a shard plan. Build
@@ -1448,5 +1460,12 @@ mod tests {
         );
         let b = loaded.input_layer().bias().as_ptr() as usize;
         assert!((lo..hi).contains(&b), "input bias escaped the image");
+    }
+
+    #[test]
+    fn precision_flag_parses() {
+        assert_eq!(SnapshotPrecision::parse("f32"), Ok(SnapshotPrecision::F32));
+        assert_eq!(SnapshotPrecision::parse("i8"), Ok(SnapshotPrecision::I8));
+        assert!(SnapshotPrecision::parse("fp16").is_err());
     }
 }

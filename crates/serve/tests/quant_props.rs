@@ -16,7 +16,7 @@ use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, SynthConfig};
 use slide_mem::SparseVecRef;
 use slide_serve::{
-    p_at_1, BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork, ServeBuildError,
+    p_at_k, BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork, ServeBuildError,
     ShardPlan, Snapshot, SnapshotError, SnapshotSpec,
 };
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
@@ -335,8 +335,8 @@ fn trained_snapshot_p_at_1_parity_within_half_point() {
     let quant = QuantizedFrozenNetwork::freeze(trainer.network());
     assert!(quant.report().within_theoretical_bounds());
 
-    let f32_p1 = p_at_1(&frozen, &data.test);
-    let i8_p1 = p_at_1(&quant, &data.test);
+    let f32_p1 = p_at_k(&frozen, &data.test, 1, 0);
+    let i8_p1 = p_at_k(&quant, &data.test, 1, 0);
     println!("parity: f32 P@1 {f32_p1:.4}, i8 P@1 {i8_p1:.4}");
     assert!(
         f32_p1 > 0.3,

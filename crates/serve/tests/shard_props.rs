@@ -19,7 +19,7 @@ use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
 use slide_mem::SparseVecRef;
 use slide_serve::{
-    p_at_1, query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork,
+    p_at_k, query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork,
     QuantizedFrozenNetwork, ShardPlan,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,30 +102,12 @@ fn trained() -> &'static (Network, Dataset) {
     })
 }
 
-fn p_at_1_sharded_any(model: &dyn FrozenModel, data: &Dataset) -> f64 {
-    // Same loop through the type-erased entry point (what the server runs).
-    let mut scratch = model.make_scratch_any();
-    let (mut hits, mut total) = (0usize, 0usize);
-    for i in 0..data.len() {
-        let labels = data.labels(i);
-        if labels.is_empty() {
-            continue;
-        }
-        let topk = model.predict_any(data.features(i), 1, scratch.as_mut(), i as u64);
-        total += 1;
-        if topk.first().is_some_and(|p| labels.contains(p)) {
-            hits += 1;
-        }
-    }
-    hits as f64 / total.max(1) as f64
-}
-
 #[test]
 fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
     let (net, test) = trained();
     let frozen = FrozenNetwork::freeze(net);
     let mut fs = frozen.make_scratch();
-    let reference_p1 = p_at_1(&frozen, test);
+    let reference_p1 = p_at_k(&frozen, test, 1, 0);
     assert!(reference_p1 > 0.3, "f32 reference P@1 {reference_p1:.3}");
 
     for shards in SHARD_COUNTS {
@@ -140,7 +122,7 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
                     "top-5 diverged: {shards} shards sample {i}"
                 );
             }
-            let sharded_p1 = p_at_1(&sharded, test);
+            let sharded_p1 = p_at_k(&sharded, test, 1, 0);
             assert_eq!(sharded_p1, reference_p1, "P@1 diverged: {shards} shards");
         }
     }
@@ -151,7 +133,7 @@ fn trained_i8_sharding_is_invariant_in_topk_and_p_at_1() {
     let (net, test) = trained();
     let quant = QuantizedFrozenNetwork::freeze(net);
     let mut qs = quant.make_scratch();
-    let reference_p1 = p_at_1(&quant, test);
+    let reference_p1 = p_at_k(&quant, test, 1, 0);
 
     for shards in SHARD_COUNTS {
         for plan in plans(shards, 64) {
@@ -165,7 +147,7 @@ fn trained_i8_sharding_is_invariant_in_topk_and_p_at_1() {
                     "i8 top-5 diverged: {shards} shards sample {i}"
                 );
             }
-            let sharded_p1 = p_at_1_sharded_any(&sharded, test);
+            let sharded_p1 = p_at_k(&sharded, test, 1, 0);
             assert_eq!(sharded_p1, reference_p1, "i8 P@1 diverged: {shards} shards");
         }
     }

@@ -84,7 +84,6 @@ type DotF32 = unsafe fn(&[f32], &[f32]) -> f32;
 type AxpyF32 = unsafe fn(f32, &[f32], &mut [f32]);
 type DotBf16 = unsafe fn(&[u16], &[f32]) -> f32;
 type AxpyBf16 = unsafe fn(f32, &[u16], &mut [f32]);
-type DotI8 = unsafe fn(&[i8], &[u8]) -> i32;
 type ScoreI8 = unsafe fn(&[*const i8], &[f32], &[u8], f32, &mut [f32]);
 type GemvI8 = unsafe fn(*const i8, usize, &[f32], &[u8], f32, &[f32], &mut [f32]);
 
@@ -115,7 +114,6 @@ pub struct KernelSet {
     axpy: AxpyF32,
     dot_bf16: DotBf16,
     axpy_bf16: AxpyBf16,
-    dot_i8: DotI8,
     score_f32: ScoreF32,
     score_bf16: ScoreBf16,
     score_i8: ScoreI8,
@@ -164,7 +162,6 @@ impl KernelSet {
             axpy: scalar::axpy as AxpyF32,
             dot_bf16: dot_bf16_scalar_shim as DotBf16,
             axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
-            dot_i8: crate::int8::dot_i8_scalar_shim as DotI8,
             score_f32: scalar::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
             score_i8: crate::int8::score_rows_i8_scalar,
@@ -192,7 +189,6 @@ impl KernelSet {
             // the portable reference, exactly as the dispatched entry points.
             dot_bf16: dot_bf16_scalar_shim as DotBf16,
             axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
-            dot_i8: i8x::dot_i8,
             score_f32: avx2::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
             score_i8: i8x::score_rows,
@@ -216,15 +212,14 @@ impl KernelSet {
         // probe vnni/bw once here and fall back to the 256-bit maddubs path
         // on F-only hosts (correct everywhere, fastest where supported).
         let int8_isa = crate::int8::int8_isa(SimdLevel::Avx512);
-        let (dot_i8, score_i8, gemv_i8): (DotI8, ScoreI8, GemvI8) = match int8_isa {
-            Int8Isa::Avx512Vnni => (i8x::vnni::dot_i8, i8x::vnni::score_rows, i8x::vnni::gemv),
-            Int8Isa::Avx512Bw => (i8x::bw::dot_i8, i8x::bw::score_rows, i8x::bw::gemv),
-            _ => (i8x::dot_i8, i8x::score_rows, i8x::gemv),
+        let (score_i8, gemv_i8): (ScoreI8, GemvI8) = match int8_isa {
+            Int8Isa::Avx512Vnni => (i8x::vnni::score_rows, i8x::vnni::gemv),
+            Int8Isa::Avx512Bw => (i8x::bw::score_rows, i8x::bw::gemv),
+            _ => (i8x::score_rows, i8x::gemv),
         };
         KernelSet {
             level: SimdLevel::Avx512,
             int8_isa,
-            dot_i8,
             score_i8,
             gemv_i8,
             dot: avx512::dot as DotF32,
@@ -253,22 +248,6 @@ impl KernelSet {
     /// see [`crate::int8::int8_isa`]).
     pub fn int8_isa(&self) -> crate::int8::Int8Isa {
         self.int8_isa
-    }
-
-    /// Exact integer dot product `Σ x[i]·w[i]` (u8 activations × i8
-    /// weights) through the resolved tier. Bit-identical across tiers for
-    /// 7-bit activation codes (the quantizer's contract — see
-    /// [`crate::int8`]'s saturation policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn dot_i8(&self, w: &[i8], x: &[u8]) -> i32 {
-        assert_eq!(w.len(), x.len(), "KernelSet::dot_i8: length mismatch");
-        // SAFETY: construction clamps the level to the detected capability
-        // and probes the avx512 sub-features at table build time.
-        unsafe { (self.dot_i8)(w, x) }
     }
 
     /// Score a gathered i8 row list:

@@ -121,12 +121,6 @@ pub fn dot_i8_scalar(w: &[i8], x: &[u8]) -> i32 {
     acc
 }
 
-/// Free-function shim with the `DotI8` unsafe-fn signature used by the
-/// dispatch table.
-pub(crate) fn dot_i8_scalar_shim(w: &[i8], x: &[u8]) -> i32 {
-    dot_i8_scalar(w, x)
-}
-
 /// Multi-row gathered int8 scoring:
 /// `out[i] = (Σ_j x[j] · rows[i][j]) · scales[i] · x_scale`. Rows walk in
 /// 4-row blocks with independent i32 accumulators, mirroring the f32

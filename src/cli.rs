@@ -349,7 +349,7 @@ pub fn cmd_snapshot(args: &CliArgs) -> Result<String, CliError> {
 
     let spec = crate::net::FleetSpec {
         seed: args.get_usize("seed", crate::net::FleetSpec::default().seed as usize)? as u64,
-        precision: crate::net::FleetPrecision::parse(&args.get_str("precision", "f32"))
+        precision: crate::serve::SnapshotPrecision::parse(&args.get_str("precision", "f32"))
             .map_err(CliError)?,
         shards: args.get_usize("shards", 0)?,
         epochs: args.get_usize("train-epochs", 1)?,

@@ -59,7 +59,7 @@ pub use slide_data::{
 };
 pub use slide_net::{
     FleetSpec, Frame, GateConfig, GateDecision, NetClient, NetConfig, NetServer, RegistryWatcher,
-    RoutePolicy, Router, RouterConfig, ShadowGate, TrainerLoop, TrainerLoopConfig, WireError,
+    Router, RouterConfig, ShadowGate, TrainerLoop, TrainerLoopConfig, WireError,
 };
 pub use slide_serve::{
     BatchConfig, BatchingServer, Engine, FrozenModel, FrozenNetwork, IntoFrozenModel,
