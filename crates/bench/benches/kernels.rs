@@ -1,12 +1,12 @@
 //! Kernel micro-benchmarks: the vectorization story of §4.2–§4.4 at the
-//! instruction level — scalar vs AVX2 vs AVX-512 for every hot kernel
-//! (Figures 2–5's operations), plus the bf16 kernels and the CRC-32 behind
-//! every snapshot image and wire frame.
+//! instruction level — scalar vs AVX2 vs AVX-512 for every hot kernel, plus
+//! the bf16 kernels and the CRC-32 behind every snapshot image and wire
+//! frame.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use slide_simd::{
-    adam_step_f32, add_f32, argmax_f32, axpy_f32, bf16, crc32_update, dot_f32, quantize_acts_u8,
-    quantize_row_i8, set_policy, AdamStep, KernelSet, SimdLevel, SimdPolicy,
+    adam_step_f32, axpy_f32, bf16, crc32_update, dot_f32, quantize_acts_u8, quantize_row_i8,
+    set_policy, AdamStep, KernelSet, SimdLevel, SimdPolicy,
 };
 use std::time::Duration;
 
@@ -63,23 +63,6 @@ fn bench_axpy(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_simd_add(c: &mut Criterion) {
-    // Figure 2's illustrative pairwise add, at cache-resident size.
-    let mut g = c.benchmark_group("simd_add_fig2");
-    g.measurement_time(Duration::from_millis(700));
-    g.warm_up_time(Duration::from_millis(200));
-    g.sample_size(20);
-    let (x, mut y) = vecs(4096);
-    for (name, policy) in levels() {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &policy, |bch, &p| {
-            set_policy(p);
-            bch.iter(|| add_f32(black_box(&x), black_box(&mut y)));
-            set_policy(SimdPolicy::Auto);
-        });
-    }
-    g.finish();
-}
-
 fn bench_adam(c: &mut Criterion) {
     // Figure 3: the fused flat ADAM sweep.
     let mut g = c.benchmark_group("adam_step_fig3");
@@ -108,31 +91,11 @@ fn bench_adam(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_argmax(c: &mut Criterion) {
-    // The DWTA bin reduction (§4.3.3).
-    let mut g = c.benchmark_group("argmax_dwta_bins");
-    g.measurement_time(Duration::from_millis(700));
-    g.warm_up_time(Duration::from_millis(200));
-    g.sample_size(20);
-    let (x, _) = vecs(2048);
-    for (name, policy) in levels() {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &policy, |bch, &p| {
-            set_policy(p);
-            bch.iter(|| argmax_f32(black_box(&x)));
-            set_policy(SimdPolicy::Auto);
-        });
-    }
-    g.finish();
-}
-
 fn bench_bf16(c: &mut Criterion) {
     let mut g = c.benchmark_group("bf16_kernels");
     g.measurement_time(Duration::from_millis(700));
     g.warm_up_time(Duration::from_millis(200));
     g.sample_size(20);
-    let (x, _) = vecs(HIDDEN);
-    let mut wq = vec![0u16; HIDDEN];
-    bf16::f32_to_bf16_slice(&x, &mut wq);
     let (big, _) = vecs(FLAT);
     let mut bigq = vec![0u16; FLAT];
 
@@ -142,12 +105,6 @@ fn bench_bf16(c: &mut Criterion) {
     let mut wide = vec![0f32; FLAT];
     g.bench_function("widen_64k", |b| {
         b.iter(|| bf16::bf16_to_f32_slice(black_box(&bigq), black_box(&mut wide)))
-    });
-    g.bench_function("dot_bf16_128", |b| {
-        b.iter(|| bf16::dot_bf16_f32(black_box(&wq), black_box(&x)))
-    });
-    g.bench_function("dot_f32_128_reference", |b| {
-        b.iter(|| dot_f32(black_box(&x), black_box(&x)))
     });
     let mut m = vec![0.01_f32; FLAT];
     let mut v = vec![0.02_f32; FLAT];
@@ -312,15 +269,6 @@ fn bench_gather_score_bf16(c: &mut Criterion) {
             let (x, _) = vecs(cols);
             let mut out = vec![0.0_f32; rows];
             let id = format!("{rows}x{cols}");
-            g.bench_function(BenchmarkId::new(&id, "single_row"), |b| {
-                b.iter(|| {
-                    for (o, &p) in out.iter_mut().zip(black_box(&ptrs)) {
-                        // SAFETY: every pointer addresses `cols` codes of `arena`.
-                        *o = ks.dot_bf16(unsafe { std::slice::from_raw_parts(p, cols) }, &x);
-                    }
-                    black_box(&mut out);
-                })
-            });
             g.bench_function(BenchmarkId::new(&id, "kernel"), |b| {
                 b.iter(|| unsafe {
                     ks.score_rows_bf16(black_box(&ptrs), black_box(&x), black_box(&mut out))
@@ -491,9 +439,7 @@ criterion_group!(
     benches,
     bench_dot,
     bench_axpy,
-    bench_simd_add,
     bench_adam,
-    bench_argmax,
     bench_bf16,
     bench_gather_score,
     bench_gather_backward,

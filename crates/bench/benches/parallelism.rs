@@ -1,6 +1,6 @@
-//! Parallelism-substrate benchmarks: the persistent worker pool's dispatch
+//! Parallelism-substrate benchmark: the persistent worker pool's dispatch
 //! latency against per-batch thread spawning (why SLIDE keeps OpenMP-style
-//! long-lived workers), and dynamic-cursor load balancing over skewed work.
+//! long-lived workers).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use slide_core::ThreadPool;
@@ -42,41 +42,5 @@ fn bench_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_for(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pool_parallel_for");
-    g.measurement_time(Duration::from_secs(1));
-    g.warm_up_time(Duration::from_millis(300));
-    g.sample_size(15);
-    let pool = ThreadPool::new(8);
-    // Skewed per-item cost, like SLIDE's variable active-set sizes.
-    let work = |i: usize| {
-        let n = 100 + (i % 37) * 50;
-        let mut acc = 0.0f32;
-        for j in 0..n {
-            acc += (j as f32).sqrt();
-        }
-        acc
-    };
-    g.bench_function("dynamic_grain16_1024_items", |b| {
-        b.iter(|| {
-            let sink = AtomicUsize::new(0);
-            pool.parallel_for(1024, 16, &|i| {
-                sink.fetch_add(work(i) as usize, Ordering::Relaxed);
-            });
-            black_box(sink.load(Ordering::Relaxed))
-        })
-    });
-    g.bench_function("serial_1024_items", |b| {
-        b.iter(|| {
-            let mut sink = 0usize;
-            for i in 0..1024 {
-                sink += work(i) as usize;
-            }
-            black_box(sink)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_dispatch, bench_parallel_for);
+criterion_group!(benches, bench_dispatch);
 criterion_main!(benches);

@@ -80,9 +80,9 @@ impl Default for LshConfig {
 pub struct RebuildSchedule {
     /// Batches before the first rebuild.
     pub initial_period: u32,
-    /// Multiplier applied to the period after every rebuild.
+    /// Multiplier applied to the period after every rebuild (finite, ≥ 1).
     pub growth: f32,
-    /// Ceiling for the period.
+    /// Ceiling for the period (positive).
     pub max_period: u32,
 }
 
@@ -283,8 +283,8 @@ impl TrainerConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message if the batch size is zero or the optimizer
-    /// constants are outside their valid ranges.
+    /// Returns a message if the batch size is zero, or the optimizer
+    /// constants or the rebuild schedule are outside their valid ranges.
     pub fn validate(&self) -> Result<(), String> {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
@@ -303,8 +303,13 @@ impl TrainerConfig {
         if self.rebuild.initial_period == 0 {
             return Err("rebuild.initial_period must be positive".into());
         }
-        if self.rebuild.growth < 1.0 {
-            return Err("rebuild.growth must be >= 1.0".into());
+        // `(period * NaN).min(max)` is `max`: a NaN or infinite factor would
+        // jump the schedule to its ceiling after the first rebuild.
+        if !(self.rebuild.growth.is_finite() && self.rebuild.growth >= 1.0) {
+            return Err("rebuild.growth must be finite and >= 1.0".into());
+        }
+        if self.rebuild.max_period == 0 {
+            return Err("rebuild.max_period must be positive".into());
         }
         Ok(())
     }
@@ -389,6 +394,20 @@ mod tests {
             let err = t.validate().unwrap_err();
             assert!(err.contains("learning_rate"), "lr {learning_rate}: {err}");
         }
+    }
+
+    #[test]
+    fn trainer_validation_refuses_a_non_finite_growth_or_a_zero_max_period() {
+        for growth in [f32::NAN, f32::INFINITY] {
+            let mut t = TrainerConfig::default();
+            t.rebuild.growth = growth;
+            let err = t.validate().unwrap_err();
+            assert!(err.contains("rebuild.growth"), "growth {growth}: {err}");
+        }
+        let mut t = TrainerConfig::default();
+        t.rebuild.max_period = 0;
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("rebuild.max_period"), "{err}");
     }
 
     #[test]

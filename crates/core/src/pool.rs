@@ -141,20 +141,11 @@ impl ThreadPool {
         }
     }
 
-    /// Parallel loop over `0..n`: workers pull `grain`-sized index chunks
-    /// from a shared counter (dynamic load balancing, like OpenMP's
-    /// `schedule(dynamic)` which SLIDE uses for its skewed workloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grain == 0`, and re-panics if `f` panics on any worker.
-    pub fn parallel_for(&self, n: usize, grain: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.parallel_chunks(n, grain, &|_worker, chunk| chunk.for_each(f));
-    }
-
-    /// [`ThreadPool::parallel_for`] by chunk: `f(worker, chunk)` runs once
-    /// per `grain`-sized chunk of `0..n`, each chunk on exactly one worker,
-    /// so `f` may take that worker's own state by its id.
+    /// Parallel loop over `0..n` by chunk: workers pull `grain`-sized
+    /// chunks from a shared counter (dynamic load balancing, like OpenMP's
+    /// `schedule(dynamic)` which SLIDE uses for its skewed workloads), and
+    /// `f(worker, chunk)` runs once per chunk, each chunk on exactly one
+    /// worker, so `f` may take that worker's own state by its id.
     ///
     /// # Panics
     ///
@@ -256,17 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_all_indices() {
-        let pool = ThreadPool::new(4);
-        let n = 10_007;
-        let flags: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(n, 64, &|i| {
-            flags[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn parallel_chunks_hand_each_chunk_to_one_worker() {
         let pool = ThreadPool::new(3);
         let owner: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(usize::MAX)).collect();
@@ -280,9 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_empty_is_noop() {
+    fn parallel_chunks_empty_is_noop() {
         let pool = ThreadPool::new(2);
-        pool.parallel_for(0, 8, &|_| panic!("should not run"));
+        pool.parallel_chunks(0, 8, &|_, _| panic!("should not run"));
     }
 
     #[test]
@@ -329,19 +309,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_panic_leaves_pool_reusable() {
+    fn parallel_chunks_panic_leaves_pool_reusable() {
         let pool = ThreadPool::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for(100, 8, &|i| {
-                if i == 57 {
+            pool.parallel_chunks(100, 8, &|_, chunk| {
+                if chunk.contains(&57) {
                     panic!("item boom");
                 }
             });
         }));
         assert!(result.is_err());
         let flags: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(64, 4, &|i| {
-            flags[i].fetch_add(1, Ordering::Relaxed);
+        pool.parallel_chunks(64, 4, &|_, chunk| {
+            for i in chunk {
+                flags[i].fetch_add(1, Ordering::Relaxed);
+            }
         });
         assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
     }

@@ -192,7 +192,6 @@ pub struct Trainer {
     rebuild_keys: Vec<u32>,
     epoch_loss: MeanMetric,
     epoch_phases: PhaseBreakdown,
-    total_train_seconds: f64,
 }
 
 impl Trainer {
@@ -219,7 +218,6 @@ impl Trainer {
             rebuild_keys: Vec::new(),
             epoch_loss: MeanMetric::new(),
             epoch_phases: PhaseBreakdown::default(),
-            total_train_seconds: 0.0,
             network,
             config,
         })
@@ -243,11 +241,6 @@ impl Trainer {
     /// Workers in use, the calling thread included.
     pub fn threads(&self) -> usize {
         self.pool.workers()
-    }
-
-    /// Cumulative training wall-clock seconds so far.
-    pub fn total_train_seconds(&self) -> f64 {
-        self.total_train_seconds
     }
 
     /// ADAM steps (batches) applied so far. Together with
@@ -318,10 +311,8 @@ impl Trainer {
             self.train_batch(data, batch);
             batches += 1;
         }
-        let seconds = start.elapsed().as_secs_f64();
-        self.total_train_seconds += seconds;
         EpochStats {
-            seconds,
+            seconds: start.elapsed().as_secs_f64(),
             mean_loss: self.epoch_loss.mean(),
             batches,
             samples: data.len(),
@@ -882,7 +873,7 @@ mod tests {
         let data = tiny_data();
         let mut t = trainer(1);
         t.train_batch(&data.train, &[]);
-        assert_eq!(t.total_train_seconds(), 0.0);
+        assert_eq!(t.adam_steps(), 0);
     }
 
     #[test]

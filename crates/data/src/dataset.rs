@@ -91,16 +91,6 @@ impl Dataset {
         self.labels.get(i)
     }
 
-    /// The underlying coalesced feature batch.
-    pub fn feature_batch(&self) -> &SparseBatch {
-        &self.features
-    }
-
-    /// The underlying coalesced label batch.
-    pub fn label_batch(&self) -> &IndexBatch {
-        &self.labels
-    }
-
     /// Mean non-zeros per sample.
     pub fn avg_nnz(&self) -> f64 {
         if self.is_empty() {

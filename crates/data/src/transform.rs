@@ -66,7 +66,7 @@ pub fn l2_normalize(ds: &Dataset) -> Dataset {
     let mut values = Vec::new();
     for i in 0..ds.len() {
         let x = ds.features(i);
-        let norm = slide_simd::norm_sq_f32(x.values).sqrt();
+        let norm = slide_simd::dot_f32(x.values, x.values).sqrt();
         values.clear();
         if norm > 0.0 {
             let inv = 1.0 / norm;
@@ -117,7 +117,8 @@ mod tests {
     fn l2_normalize_yields_unit_norms() {
         let normalized = l2_normalize(&toy());
         for i in 0..normalized.len() {
-            let n = slide_simd::norm_sq_f32(normalized.features(i).values).sqrt();
+            let v = normalized.features(i).values;
+            let n = slide_simd::dot_f32(v, v).sqrt();
             assert!((n - 1.0).abs() < 1e-5, "sample {i}: {n}");
         }
     }
@@ -136,7 +137,8 @@ mod tests {
     fn pipeline_tfidf_then_normalize() {
         let out = l2_normalize(&tf_idf(&toy()));
         assert_eq!(out.len(), 3);
-        let n = slide_simd::norm_sq_f32(out.features(0).values).sqrt();
+        let v = out.features(0).values;
+        let n = slide_simd::dot_f32(v, v).sqrt();
         assert!((n - 1.0).abs() < 1e-5);
     }
 }

@@ -20,7 +20,7 @@
 //! [`slide_simd::dwta_bin_codes`], which gathers 8/16 slots per instruction
 //! and needs no per-input state. [`DwtaHash::keys_sparse`] is the scalar
 //! oracle: it scatters the non-zeros through the forward map into scratch
-//! slots and reduces each bin with [`slide_simd::argmax_f32`]. Both visit a
+//! slots and reduces each bin with a first-wins scalar argmax. Both visit a
 //! slot's coordinates in the same order and only compare, so the codes are
 //! identical; densification and key assembly are shared.
 
@@ -215,7 +215,7 @@ impl DwtaHash {
         let bin_size = self.config.bin_size;
         for (b, code) in scratch.codes.iter_mut().enumerate() {
             let bin = &scratch.slot_vals[b * bin_size..(b + 1) * bin_size];
-            let (winner, best) = slide_simd::argmax_f32(bin).expect("bin_size > 0");
+            let (winner, best) = argmax(bin).expect("bin_size > 0");
             *code = if best == f32::NEG_INFINITY {
                 NO_CODE
             } else {
@@ -280,6 +280,25 @@ impl DwtaHash {
     }
 }
 
+/// First-wins argmax: the smallest index attaining the maximum, or `None`
+/// for an empty slice. NaN values never win a comparison.
+fn argmax(x: &[f32]) -> Option<(usize, f32)> {
+    if x.is_empty() {
+        return None;
+    }
+    let mut best = f32::NEG_INFINITY;
+    let mut best_idx = 0usize;
+    let mut seen_finite = false;
+    for (i, &v) in x.iter().enumerate() {
+        if v > best || !seen_finite && !v.is_nan() {
+            best = v;
+            best_idx = i;
+            seen_finite = true;
+        }
+    }
+    Some((best_idx, best))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +318,21 @@ mod tests {
         let mut keys = vec![0u32; h.tables()];
         h.keys_sparse(x, &mut scratch, &mut keys);
         keys
+    }
+
+    #[test]
+    fn argmax_first_wins_on_ties() {
+        assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), Some((1, 5.0)));
+        assert_eq!(argmax(&[]), None);
+        assert_eq!(argmax(&[-3.0]), Some((0, -3.0)));
+    }
+
+    #[test]
+    fn argmax_ignores_nan() {
+        assert_eq!(argmax(&[f32::NAN, 2.0, 1.0]), Some((1, 2.0)));
+        // All-NaN input: nothing wins, so index 0 is reported.
+        let (idx, _) = argmax(&[f32::NAN, f32::NAN]).unwrap();
+        assert_eq!(idx, 0);
     }
 
     #[test]

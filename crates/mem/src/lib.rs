@@ -53,7 +53,4 @@ pub use aligned::{AlignedVec, Pod, BUFFER_ALIGN};
 pub use arena::{FragmentedParams, ParamArena, ParamArenaBf16, ParamLayout, ParamStore};
 pub use checksum::crc32;
 pub use shared::{pod_bytes, ArenaView, SharedArena};
-pub use sparse::{
-    clear_densified, densify_into, BatchStore, FragmentedBatch, IndexBatch, SparseBatch,
-    SparseVecRef,
-};
+pub use sparse::{BatchStore, FragmentedBatch, IndexBatch, SparseBatch, SparseVecRef};

@@ -13,8 +13,6 @@
 //! * [`SparseBatch`] — coalesced (optimized SLIDE),
 //! * [`FragmentedBatch`] — one allocation pair per instance (naive SLIDE).
 
-use crate::aligned::AlignedVec;
-
 /// Borrowed view of one sparse instance: parallel `indices`/`values` slices.
 ///
 /// Indices are `u32` (the paper's datasets top out at ~1.6M features) and are
@@ -64,24 +62,6 @@ impl<'a> SparseVecRef<'a> {
     /// Whether indices are strictly increasing.
     pub fn is_sorted(&self) -> bool {
         self.indices.windows(2).all(|w| w[0] < w[1])
-    }
-
-    /// Sum of squared values.
-    pub fn squared_norm(&self) -> f32 {
-        self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Inner product against a dense vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if an index is out of bounds for `dense`.
-    pub fn dot_dense(&self, dense: &[f32]) -> f32 {
-        let mut acc = 0.0;
-        for (i, v) in self.iter() {
-            acc += dense[i as usize] * v;
-        }
-        acc
     }
 }
 
@@ -392,24 +372,6 @@ impl<'a> FromIterator<&'a [u32]> for IndexBatch {
     }
 }
 
-/// Densify a sparse instance into a reusable scratch buffer.
-///
-/// The scratch must already be zeroed; on return, call
-/// [`clear_densified`] with the same instance to re-zero only the touched
-/// entries (cheaper than a full `fill` for very sparse inputs).
-pub fn densify_into(x: SparseVecRef<'_>, scratch: &mut AlignedVec<f32>) {
-    for (i, v) in x.iter() {
-        scratch[i as usize] = v;
-    }
-}
-
-/// Undo [`densify_into`], zeroing exactly the entries the instance touched.
-pub fn clear_densified(x: SparseVecRef<'_>, scratch: &mut AlignedVec<f32>) {
-    for (i, _) in x.iter() {
-        scratch[i as usize] = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,11 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_vec_dot_dense() {
+    fn sparse_vec_is_sorted_means_strictly_increasing() {
         let x = SparseVecRef::new(&[0, 3], &[2.0, 4.0]);
-        let dense = [1.0, 9.0, 9.0, 0.5];
-        assert_eq!(x.dot_dense(&dense), 4.0);
-        assert_eq!(x.squared_norm(), 20.0);
         assert!(x.is_sorted());
         assert!(!SparseVecRef::new(&[3, 3], &[1.0, 1.0]).is_sorted());
     }
@@ -498,18 +457,6 @@ mod tests {
         assert_eq!(l.total_len(), 4);
         let collected: IndexBatch = [&[9u32][..]].into_iter().collect();
         assert_eq!(collected.get(0), &[9]);
-    }
-
-    #[test]
-    fn densify_and_clear_are_inverse() {
-        let mut scratch = AlignedVec::<f32>::zeroed(10);
-        let x = SparseVecRef::new(&[2, 7], &[1.5, -2.5]);
-        densify_into(x, &mut scratch);
-        assert_eq!(scratch[2], 1.5);
-        assert_eq!(scratch[7], -2.5);
-        assert_eq!(scratch[0], 0.0);
-        clear_densified(x, &mut scratch);
-        assert!(scratch.iter().all(|&v| v == 0.0));
     }
 
     #[test]

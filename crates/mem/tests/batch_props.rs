@@ -3,10 +3,7 @@
 //! row contents under any access pattern.
 
 use proptest::prelude::*;
-use slide_mem::{
-    clear_densified, densify_into, AlignedVec, FragmentedBatch, IndexBatch, ParamArena,
-    ParamLayout, ParamStore, SparseBatch, SparseVecRef,
-};
+use slide_mem::{FragmentedBatch, IndexBatch, ParamArena, ParamLayout, ParamStore, SparseBatch};
 
 fn instances() -> impl Strategy<Value = Vec<(Vec<u32>, Vec<f32>)>> {
     prop::collection::vec(
@@ -65,21 +62,6 @@ proptest! {
         let expect_val: Vec<f32> = insts.iter().flat_map(|(_, v)| v.clone()).collect();
         prop_assert_eq!(b.flat_indices(), &expect_idx[..]);
         prop_assert_eq!(b.flat_values(), &expect_val[..]);
-    }
-
-    #[test]
-    fn densify_clear_restores_zero(idx in prop::collection::btree_set(0u32..256, 0..40)) {
-        let indices: Vec<u32> = idx.into_iter().collect();
-        let values: Vec<f32> = indices.iter().map(|&i| i as f32 + 0.5).collect();
-        let x = SparseVecRef::new(&indices, &values);
-        let mut scratch = AlignedVec::<f32>::zeroed(256);
-        densify_into(x, &mut scratch);
-        for (i, v) in x.iter() {
-            prop_assert_eq!(scratch[i as usize], v);
-        }
-        prop_assert!((x.dot_dense(scratch.as_slice()) - x.squared_norm()).abs() < 1e-3);
-        clear_densified(x, &mut scratch);
-        prop_assert!(scratch.iter().all(|&v| v == 0.0));
     }
 
     #[test]

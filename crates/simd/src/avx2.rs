@@ -83,25 +83,6 @@ pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn add(x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let xv = _mm256_loadu_ps(px.add(i));
-        let yv = _mm256_loadu_ps(py.add(i));
-        _mm256_storeu_ps(py.add(i), _mm256_add_ps(xv, yv));
-        i += LANES;
-    }
-    while i < n {
-        *py.add(i) += *px.add(i);
-        i += 1;
-    }
-}
-
 /// Rows per block in the multi-row gather kernels; also the prefetch
 /// distance (see the AVX-512 sibling for the rationale — at 8 f32 lanes one
 /// prefetch per row every *other* step would suffice, but redundant
@@ -413,63 +394,6 @@ pub unsafe fn gemv(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &
         out[r] = dot(core::slice::from_raw_parts(w.add(r * stride), cols), x) + bias[r];
         r += 1;
     }
-}
-
-/// Vectorized first-wins argmax. Lane-wise strict `>` keeps the earliest
-/// index within a lane; the horizontal pass breaks cross-lane ties by index.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn argmax(x: &[f32]) -> Option<(usize, f32)> {
-    let n = x.len();
-    if n == 0 {
-        return None;
-    }
-    if n < LANES {
-        return crate::scalar::argmax(x);
-    }
-    let px = x.as_ptr();
-    let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
-    let mut best_idx = _mm256_setzero_si256();
-    let mut cur_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let stride = _mm256_set1_epi32(LANES as i32);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let v = _mm256_loadu_ps(px.add(i));
-        let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(v, best);
-        best = _mm256_blendv_ps(best, v, gt);
-        best_idx = _mm256_blendv_epi8(best_idx, cur_idx, _mm256_castps_si256(gt));
-        cur_idx = _mm256_add_epi32(cur_idx, stride);
-        i += LANES;
-    }
-    let mut vals = [0.0_f32; LANES];
-    let mut idxs = [0_i32; LANES];
-    _mm256_storeu_ps(vals.as_mut_ptr(), best);
-    _mm256_storeu_si256(idxs.as_mut_ptr() as *mut __m256i, best_idx);
-    let mut best_v = f32::NEG_INFINITY;
-    let mut best_i = 0usize;
-    let mut found = false;
-    for lane in 0..LANES {
-        let (v, ix) = (vals[lane], idxs[lane] as usize);
-        if v > best_v || (v == best_v && found && ix < best_i) {
-            best_v = v;
-            best_i = ix;
-            found = true;
-        } else if !found && v == f32::NEG_INFINITY && ix == 0 {
-            // lane never matched anything (all-NaN column); keep defaults
-        }
-    }
-    if !found {
-        // Entire vector body was NaN; fall back to scalar semantics.
-        return crate::scalar::argmax(x);
-    }
-    while i < n {
-        let v = *px.add(i);
-        if v > best_v {
-            best_v = v;
-            best_i = i;
-        }
-        i += 1;
-    }
-    Some((best_i, best_v))
 }
 
 #[target_feature(enable = "avx2,fma")]

@@ -91,27 +91,6 @@ pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-#[target_feature(enable = "avx512f")]
-pub unsafe fn add(x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let xv = _mm512_loadu_ps(px.add(i));
-        let yv = _mm512_loadu_ps(py.add(i));
-        _mm512_storeu_ps(py.add(i), _mm512_add_ps(xv, yv));
-        i += LANES;
-    }
-    if i < n {
-        let k = tail_mask(n - i);
-        let xv = _mm512_maskz_loadu_ps(k, px.add(i));
-        let yv = _mm512_maskz_loadu_ps(k, py.add(i));
-        _mm512_mask_storeu_ps(py.add(i), k, _mm512_add_ps(xv, yv));
-    }
-}
-
 /// Rows per block in the multi-row gather kernels. Four interleaved
 /// accumulators keep the FMA pipes busy without spilling zmm registers, and
 /// one block is also the software-prefetch distance: while block `b` is
@@ -428,64 +407,6 @@ pub unsafe fn gemv(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &
     }
 }
 
-/// Vectorized first-wins argmax (the reduction at the heart of DWTA hashing,
-/// §4.3.3): strict `>` per lane keeps the earliest index within a lane, and
-/// the horizontal pass breaks cross-lane value ties toward the smaller index.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn argmax(x: &[f32]) -> Option<(usize, f32)> {
-    let n = x.len();
-    if n == 0 {
-        return None;
-    }
-    if n < LANES {
-        return crate::scalar::argmax(x);
-    }
-    let px = x.as_ptr();
-    let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
-    let mut best_idx = _mm512_setzero_si512();
-    let mut cur_idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let stride = _mm512_set1_epi32(LANES as i32);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let v = _mm512_loadu_ps(px.add(i));
-        let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
-        best = _mm512_mask_blend_ps(gt, best, v);
-        best_idx = _mm512_mask_blend_epi32(gt, best_idx, cur_idx);
-        cur_idx = _mm512_add_epi32(cur_idx, stride);
-        i += LANES;
-    }
-    let mut vals = [0.0_f32; LANES];
-    let mut idxs = [0_i32; LANES];
-    _mm512_storeu_ps(vals.as_mut_ptr(), best);
-    _mm512_storeu_si512(idxs.as_mut_ptr() as *mut __m512i, best_idx);
-    let mut best_v = f32::NEG_INFINITY;
-    let mut best_i = 0usize;
-    let mut found = false;
-    for lane in 0..LANES {
-        let (v, ix) = (vals[lane], idxs[lane] as usize);
-        if v > best_v || (found && v == best_v && ix < best_i) {
-            best_v = v;
-            best_i = ix;
-            found = true;
-        }
-    }
-    if !found {
-        // Vector body was all NaN / -inf; defer to scalar for exact semantics.
-        return crate::scalar::argmax(x);
-    }
-    while i < n {
-        let v = *px.add(i);
-        if v > best_v {
-            best_v = v;
-            best_i = i;
-        }
-        i += 1;
-    }
-    Some((best_i, best_v))
-}
-
-/// Fused ADAM update (§4.3.1, Figure 3): one linear pass over the weight,
-/// momentum, velocity, and gradient arrays in 16-lane steps.
 #[target_feature(enable = "avx512f")]
 pub unsafe fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], step: AdamStep) {
     debug_assert_eq!(w.len(), m.len());

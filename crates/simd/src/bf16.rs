@@ -111,6 +111,7 @@ pub fn f32_to_bf16_slice(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "f32_to_bf16_slice: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if effective_level() == SimdLevel::Avx512 {
+        // SAFETY: the AVX-512 level is only effective on a host that has it.
         unsafe { x86::f32_to_bf16_slice(src, dst) };
         return;
     }
@@ -130,6 +131,7 @@ pub fn bf16_to_f32_slice(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "bf16_to_f32_slice: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if effective_level() == SimdLevel::Avx512 {
+        // SAFETY: as in `f32_to_bf16_slice`.
         unsafe { x86::bf16_to_f32_slice(src, dst) };
         return;
     }
@@ -144,6 +146,7 @@ pub fn bf16_to_f32_slice(src: &[u16], dst: &mut [f32]) {
 pub fn quantize_f32_slice(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if effective_level() == SimdLevel::Avx512 {
+        // SAFETY: as in `f32_to_bf16_slice`.
         unsafe { x86::quantize_f32_slice(x) };
         return;
     }
@@ -157,24 +160,8 @@ pub fn quantize_f32_slice(x: &mut [f32]) {
 // ---------------------------------------------------------------------------
 
 /// Inner product of bf16 weights against f32 activations (Algorithm 1 with a
-/// bf16 weight matrix): weights are widened on the fly, halving weight-array
-/// memory traffic.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot_bf16_f32(w: &[u16], x: &[f32]) -> f32 {
-    assert_eq!(w.len(), x.len(), "dot_bf16_f32: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if effective_level() == SimdLevel::Avx512 {
-        return unsafe { x86::dot_bf16_f32(w, x) };
-    }
-    dot_bf16_scalar(w, x)
-}
-
-/// Portable reference for [`dot_bf16_f32`] (also the `KernelSet` tier below
-/// AVX-512, where no vector widen exists).
+/// bf16 weight matrix), weights widened on the fly: the portable row body of
+/// the bf16 scoring kernels below.
 #[inline]
 pub(crate) fn dot_bf16_scalar(w: &[u16], x: &[f32]) -> f32 {
     debug_assert_eq!(w.len(), x.len());
@@ -185,23 +172,8 @@ pub(crate) fn dot_bf16_scalar(w: &[u16], x: &[f32]) -> f32 {
     acc
 }
 
-/// `y += alpha * widen(x)` with bf16 `x` (Algorithm 2 with bf16 weights).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy_bf16_f32(alpha: f32, x: &[u16], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy_bf16_f32: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if effective_level() == SimdLevel::Avx512 {
-        unsafe { x86::axpy_bf16_f32(alpha, x, y) };
-        return;
-    }
-    axpy_bf16_scalar(alpha, x, y)
-}
-
-/// Portable reference for [`axpy_bf16_f32`].
+/// `y += alpha * widen(x)` with bf16 `x` (Algorithm 2 with bf16 weights):
+/// the portable tier of [`crate::KernelSet::axpy_bf16`].
 #[inline]
 pub(crate) fn axpy_bf16_scalar(alpha: f32, x: &[u16], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
@@ -221,6 +193,7 @@ pub(crate) unsafe fn score_rows_bf16_scalar(rows: &[*const u16], x: &[f32], out:
     debug_assert_eq!(rows.len(), out.len());
     let cols = x.len();
     for (o, &p) in out.iter_mut().zip(rows) {
+        // SAFETY: the caller guarantees `cols` readable codes behind every row.
         *o = dot_bf16_scalar(unsafe { core::slice::from_raw_parts(p, cols) }, x);
     }
 }
@@ -249,6 +222,8 @@ pub(crate) unsafe fn backward_rows_bf16_scalar(
         let gc = d * scale;
         let (wp, gp) = (w_rows[r], g_rows[r]);
         for i in 0..cols {
+            // SAFETY: `i < cols` and the caller guarantees `cols` readable weights
+            // and writable gradients behind the gathered rows.
             dx[i] += d * f32::from_bits((unsafe { *wp.add(i) } as u32) << 16);
             unsafe { *gp.add(i) += gc * h[i] };
         }
@@ -328,6 +303,7 @@ pub fn adam_step_bf16(w: &mut [u16], m: &mut [f32], v: &mut [f32], g: &[f32], st
     assert_eq!(w.len(), g.len(), "adam_step_bf16: g length mismatch");
     #[cfg(target_arch = "x86_64")]
     if effective_level() == SimdLevel::Avx512 {
+        // SAFETY: as in `f32_to_bf16_slice`; the lengths are asserted above.
         unsafe { x86::adam_step_bf16(w, m, v, g, step) };
         return;
     }
@@ -440,36 +416,7 @@ pub(crate) mod x86 {
     }
 
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot_bf16_f32(w: &[u16], x: &[f32]) -> f32 {
-        let n = w.len();
-        let pw = w.as_ptr();
-        let px = x.as_ptr();
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut i = 0usize;
-        while i + 2 * LANES <= n {
-            acc0 = _mm512_fmadd_ps(widen_lanes(pw.add(i)), _mm512_loadu_ps(px.add(i)), acc0);
-            acc1 = _mm512_fmadd_ps(
-                widen_lanes(pw.add(i + LANES)),
-                _mm512_loadu_ps(px.add(i + LANES)),
-                acc1,
-            );
-            i += 2 * LANES;
-        }
-        while i + LANES <= n {
-            acc0 = _mm512_fmadd_ps(widen_lanes(pw.add(i)), _mm512_loadu_ps(px.add(i)), acc0);
-            i += LANES;
-        }
-        let mut total = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-        while i < n {
-            total += f32::from_bits((*pw.add(i) as u32) << 16) * *px.add(i);
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy_bf16_f32(alpha: f32, x: &[u16], y: &mut [f32]) {
+    pub unsafe fn axpy_bf16(alpha: f32, x: &[u16], y: &mut [f32]) {
         let n = x.len();
         let px = x.as_ptr();
         let py = y.as_mut_ptr();
@@ -731,7 +678,7 @@ pub(crate) mod x86 {
         // in the vector body, multiply-then-add in the tail), so a gradient
         // row's bits never depend on its position in the list.
         while r < n {
-            axpy_bf16_f32(deltas[r], core::slice::from_raw_parts(w_rows[r], cols), dx);
+            axpy_bf16(deltas[r], core::slice::from_raw_parts(w_rows[r], cols), dx);
             let gp = g_rows[r];
             let gc = deltas[r] * scale;
             let vg = _mm512_set1_ps(gc);
@@ -904,22 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_bf16_vector_matches_scalar() {
-        for n in [0usize, 1, 16, 31, 64, 100] {
-            let wf = vals(n);
-            let x = vals(n).iter().map(|v| v * 0.5).collect::<Vec<_>>();
-            let mut w = vec![0u16; n];
-            f32_to_bf16_slice(&wf, &mut w);
-            let a = with_level(crate::SimdLevel::Scalar, || dot_bf16_f32(&w, &x));
-            let b = with_level(crate::SimdLevel::Avx512, || dot_bf16_f32(&w, &x));
-            assert!(
-                (a - b).abs() <= 1e-3 * (n.max(1) as f32),
-                "n={n}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
     fn axpy_bf16_vector_matches_scalar() {
         for n in [0usize, 1, 16, 31, 64] {
             let xf = vals(n);
@@ -928,8 +859,8 @@ mod tests {
             let y0 = vals(n).iter().map(|v| v * 0.1).collect::<Vec<_>>();
             let mut ya = y0.clone();
             let mut yb = y0.clone();
-            with_level(crate::SimdLevel::Scalar, || axpy_bf16_f32(1.3, &x, &mut ya));
-            with_level(crate::SimdLevel::Avx512, || axpy_bf16_f32(1.3, &x, &mut yb));
+            crate::KernelSet::for_level(crate::SimdLevel::Scalar).axpy_bf16(1.3, &x, &mut ya);
+            crate::KernelSet::for_level(crate::SimdLevel::Avx512).axpy_bf16(1.3, &x, &mut yb);
             for i in 0..n {
                 assert!((ya[i] - yb[i]).abs() < 1e-5, "n={n} i={i}");
             }

@@ -82,18 +82,9 @@ type BackwardSamplesF32 = unsafe fn(&[f32], *const f32, *mut f32, &[u32], &[f32]
 type BackwardSamplesBf16 = unsafe fn(&[u16], *const f32, *mut f32, &[u32], &[f32], f32, &mut [f32]);
 type DotF32 = unsafe fn(&[f32], &[f32]) -> f32;
 type AxpyF32 = unsafe fn(f32, &[f32], &mut [f32]);
-type DotBf16 = unsafe fn(&[u16], &[f32]) -> f32;
 type AxpyBf16 = unsafe fn(f32, &[u16], &mut [f32]);
 type ScoreI8 = unsafe fn(&[*const i8], &[f32], &[u8], f32, &mut [f32]);
 type GemvI8 = unsafe fn(*const i8, usize, &[f32], &[u8], f32, &[f32], &mut [f32]);
-
-fn dot_bf16_scalar_shim(w: &[u16], x: &[f32]) -> f32 {
-    crate::bf16::dot_bf16_scalar(w, x)
-}
-
-fn axpy_bf16_scalar_shim(alpha: f32, x: &[u16], y: &mut [f32]) {
-    crate::bf16::axpy_bf16_scalar(alpha, x, y)
-}
 
 /// A dispatch table of the hot-loop kernels, resolved once from the global
 /// SIMD policy. Copy it into per-worker state and call through it: the only
@@ -112,7 +103,6 @@ pub struct KernelSet {
     int8_isa: crate::int8::Int8Isa,
     dot: DotF32,
     axpy: AxpyF32,
-    dot_bf16: DotBf16,
     axpy_bf16: AxpyBf16,
     score_f32: ScoreF32,
     score_bf16: ScoreBf16,
@@ -160,8 +150,7 @@ impl KernelSet {
             int8_isa: crate::int8::Int8Isa::Scalar,
             dot: scalar::dot as DotF32,
             axpy: scalar::axpy as AxpyF32,
-            dot_bf16: dot_bf16_scalar_shim as DotBf16,
-            axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
+            axpy_bf16: crate::bf16::axpy_bf16_scalar as AxpyBf16,
             score_f32: scalar::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
             score_i8: crate::int8::score_rows_i8_scalar,
@@ -186,9 +175,8 @@ impl KernelSet {
             dot: avx2::dot as DotF32,
             axpy: avx2::axpy as AxpyF32,
             // bf16 widening is only vectorized at AVX-512; lower tiers use
-            // the portable reference, exactly as the dispatched entry points.
-            dot_bf16: dot_bf16_scalar_shim as DotBf16,
-            axpy_bf16: axpy_bf16_scalar_shim as AxpyBf16,
+            // the portable reference.
+            axpy_bf16: crate::bf16::axpy_bf16_scalar as AxpyBf16,
             score_f32: avx2::score_rows,
             score_bf16: crate::bf16::score_rows_bf16_scalar,
             score_i8: i8x::score_rows,
@@ -224,8 +212,7 @@ impl KernelSet {
             gemv_i8,
             dot: avx512::dot as DotF32,
             axpy: avx512::axpy as AxpyF32,
-            dot_bf16: bf16x::dot_bf16_f32 as DotBf16,
-            axpy_bf16: bf16x::axpy_bf16_f32 as AxpyBf16,
+            axpy_bf16: bf16x::axpy_bf16 as AxpyBf16,
             score_f32: avx512::score_rows,
             score_bf16: bf16x::score_rows_bf16,
             backward_f32: avx512::backward_rows,
@@ -353,18 +340,6 @@ impl KernelSet {
         assert_eq!(x.len(), y.len(), "KernelSet::axpy: length mismatch");
         // SAFETY: as `dot`.
         unsafe { (self.axpy)(alpha, x, y) }
-    }
-
-    /// bf16-weight inner product through the resolved tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn dot_bf16(&self, w: &[u16], x: &[f32]) -> f32 {
-        assert_eq!(w.len(), x.len(), "KernelSet::dot_bf16: length mismatch");
-        // SAFETY: as `dot`.
-        unsafe { (self.dot_bf16)(w, x) }
     }
 
     /// `y += alpha * widen(x)` with bf16 `x` through the resolved tier.
@@ -685,6 +660,7 @@ fn check_backward(
 ///
 /// As [`KernelSet::score_rows_f32`].
 pub unsafe fn score_rows_gather_f32(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
+    // SAFETY: the pointers are the caller's contract, forwarded unchanged.
     unsafe { KernelSet::resolve().score_rows_f32(rows, x, out) }
 }
 
@@ -701,6 +677,7 @@ pub unsafe fn backward_rows_fused_f32(
     h: &[f32],
     dx: &mut [f32],
 ) {
+    // SAFETY: the pointers are the caller's contract, forwarded unchanged.
     unsafe { KernelSet::resolve().backward_rows_f32(w_rows, g_rows, deltas, scale, h, dx) }
 }
 
@@ -716,6 +693,7 @@ pub unsafe fn score_rows_gather_i8(
     x_scale: f32,
     out: &mut [f32],
 ) {
+    // SAFETY: the pointers are the caller's contract, forwarded unchanged.
     unsafe { KernelSet::resolve().score_rows_i8(rows, scales, x, x_scale, out) }
 }
 
@@ -776,6 +754,7 @@ mod tests {
             let ptrs: Vec<*const f32> = m.iter().map(|row| row.as_ptr()).collect();
             for ks in tables() {
                 let mut out = vec![f32::NAN; rows];
+                // SAFETY: every pointer addresses a live `cols`-wide row of `m`.
                 unsafe { ks.score_rows_f32(&ptrs, &x, &mut out) };
                 for r in 0..rows {
                     let tol = 1e-4 * (cols.max(1) as f32).sqrt();
@@ -816,6 +795,7 @@ mod tests {
             let ptrs: Vec<*const u16> = mq.iter().map(|row| row.as_ptr()).collect();
             for ks in tables() {
                 let mut out = vec![f32::NAN; rows];
+                // SAFETY: every pointer addresses a live `cols`-wide row of `mq`.
                 unsafe { ks.score_rows_bf16(&ptrs, &x, &mut out) };
                 for r in 0..rows {
                     let tol = 1e-3 * (cols.max(1) as f32).sqrt();
@@ -854,6 +834,8 @@ mod tests {
                 let mut g = g0.clone();
                 let mut dx = dx0.clone();
                 let g_ptrs: Vec<*mut f32> = g.iter_mut().map(|row| row.as_mut_ptr()).collect();
+                // SAFETY: the rows of `w` and `g` are live, `cols` wide and disjoint
+                // from `dx`.
                 unsafe { ks.backward_rows_f32(&w_ptrs, &g_ptrs, &deltas, scale, &h, &mut dx) };
                 for i in 0..cols {
                     assert!(
@@ -909,6 +891,8 @@ mod tests {
                 let mut g = g0.clone();
                 let mut dx = dx0.clone();
                 let g_ptrs: Vec<*mut f32> = g.iter_mut().map(|row| row.as_mut_ptr()).collect();
+                // SAFETY: the rows of `wq` and `g` are live, `cols` wide and disjoint
+                // from `dx`.
                 unsafe { ks.backward_rows_bf16(&w_ptrs, &g_ptrs, &deltas, scale, &h, &mut dx) };
                 for i in 0..cols {
                     assert!(
@@ -972,6 +956,7 @@ mod tests {
         for ks in tables() {
             let x = [1.0_f32, 2.0];
             let mut out: [f32; 0] = [];
+            // SAFETY: empty row lists dereference nothing.
             unsafe { ks.score_rows_f32(&[], &x, &mut out) };
             unsafe { ks.score_rows_bf16(&[], &x, &mut out) };
             let mut dx = [0.5_f32, -0.5];
@@ -1004,6 +989,7 @@ mod tests {
         let row = [1.0_f32; 4];
         let ptrs = [row.as_ptr()];
         let mut out = [0.0_f32; 2];
+        // SAFETY: the one pointer addresses `row`; the length check panics first.
         unsafe { ks.score_rows_f32(&ptrs, &row, &mut out) };
     }
 

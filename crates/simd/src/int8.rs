@@ -148,6 +148,7 @@ pub unsafe fn score_rows_i8_scalar(
         let (mut a0, mut a1, mut a2, mut a3) = (0i32, 0i32, 0i32, 0i32);
         for (i, &xv) in x.iter().enumerate() {
             let xv = xv as i32;
+            // SAFETY: `i < cols`; the caller guarantees `cols` codes per row.
             a0 += unsafe { *p0.add(i) } as i32 * xv;
             a1 += unsafe { *p1.add(i) } as i32 * xv;
             a2 += unsafe { *p2.add(i) } as i32 * xv;
@@ -160,6 +161,7 @@ pub unsafe fn score_rows_i8_scalar(
         r += 4;
     }
     while r < n {
+        // SAFETY: as in the block above.
         let acc = dot_i8_scalar(unsafe { core::slice::from_raw_parts(rows[r], cols) }, x);
         out[r] = acc as f32 * scales[r] * x_scale;
         r += 1;
@@ -186,6 +188,7 @@ pub unsafe fn gemv_i8_scalar(
     debug_assert!(stride >= x.len());
     for (r, o) in out.iter_mut().enumerate() {
         let acc = dot_i8_scalar(
+            // SAFETY: row `r < out.len()` lies inside the arena the caller guarantees.
             unsafe { core::slice::from_raw_parts(w.add(r * stride), x.len()) },
             x,
         );
@@ -741,10 +744,12 @@ mod tests {
             let x: Vec<u8> = (0..cols).map(|i| ((i * 41) % 128) as u8).collect();
             let expect = dot_i8_scalar(&w, &x);
             if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected just above.
                 assert_eq!(unsafe { x86::dot_i8(&w, &x) }, expect, "avx2 cols={cols}");
             }
             if std::arch::is_x86_feature_detected!("avx512bw") {
                 assert_eq!(
+                    // SAFETY: AVX-512BW was detected just above.
                     unsafe { x86::bw::dot_i8(&w, &x) },
                     expect,
                     "avx512bw cols={cols}"
@@ -754,6 +759,7 @@ mod tests {
                 && std::arch::is_x86_feature_detected!("avx512bw")
             {
                 assert_eq!(
+                    // SAFETY: AVX-512 VNNI and BW were detected just above.
                     unsafe { x86::vnni::dot_i8(&w, &x) },
                     expect,
                     "vnni cols={cols}"

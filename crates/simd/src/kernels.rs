@@ -50,6 +50,7 @@ macro_rules! dispatch {
         #[cfg(target_arch = "x86_64")]
         {
             match effective_level() {
+                // SAFETY: `effective_level` never exceeds the detected ISA.
                 SimdLevel::Avx512 => unsafe { $avx512 },
                 SimdLevel::Avx2 => unsafe { $avx2 },
                 SimdLevel::Scalar => $scalar,
@@ -107,36 +108,6 @@ pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
         scalar::axpy(alpha, x, y),
         crate::avx2::axpy(alpha, x, y),
         crate::avx512::axpy(alpha, x, y)
-    )
-}
-
-/// Element-wise `y += x` (Figure 2's pairwise-add example, widened to f32).
-#[inline]
-pub fn add_f32(x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "add_f32: length mismatch");
-    dispatch!(
-        scalar::add(x, y),
-        crate::avx2::add(x, y),
-        crate::avx512::add(x, y)
-    )
-}
-
-/// First-wins argmax: smallest index attaining the maximum value, or `None`
-/// for an empty slice. NaN elements never win a comparison. This is the bin
-/// reduction used by DWTA hashing (§4.3.3).
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(slide_simd::argmax_f32(&[1.0, 9.0, 9.0]), Some((1, 9.0)));
-/// assert_eq!(slide_simd::argmax_f32(&[]), None);
-/// ```
-#[inline]
-pub fn argmax_f32(x: &[f32]) -> Option<(usize, f32)> {
-    dispatch!(
-        scalar::argmax(x),
-        crate::avx2::argmax(x),
-        crate::avx512::argmax(x)
     )
 }
 
@@ -236,56 +207,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn add_all_levels_agree() {
-        for &n in SIZES {
-            let x = pseudo_random(n, 5);
-            let y0 = pseudo_random(n, 6);
-            for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-                let mut ya = y0.clone();
-                with_level(level, || add_f32(&x, &mut ya));
-                let mut yb = y0.clone();
-                with_level(SimdLevel::Scalar, || add_f32(&x, &mut yb));
-                assert_eq!(ya, yb, "add n={n} level={level:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn argmax_all_levels_agree_exactly() {
-        for &n in SIZES {
-            let x = pseudo_random(n, 8);
-            let reference = with_level(SimdLevel::Scalar, || argmax_f32(&x));
-            for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-                let got = with_level(level, || argmax_f32(&x));
-                assert_eq!(got, reference, "n={n} level={level:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn argmax_with_duplicated_max_prefers_first() {
-        let mut x = vec![0.0_f32; 100];
-        x[17] = 5.0;
-        x[63] = 5.0;
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            assert_eq!(
-                with_level(level, || argmax_f32(&x)),
-                Some((17, 5.0)),
-                "{level:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn argmax_max_in_tail_found() {
-        let mut x = vec![0.0_f32; 37];
-        x[36] = 9.0;
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-            assert_eq!(with_level(level, || argmax_f32(&x)), Some((36, 9.0)));
         }
     }
 

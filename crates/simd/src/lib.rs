@@ -9,8 +9,6 @@
 //! * [`axpy_f32`] — the scaled accumulate of Algorithm 2 (sparse input,
 //!   column-major weights, dense output),
 //! * [`adam_step_f32`] — the fused ADAM parameter update of §4.3.1,
-//! * [`argmax_f32`] / reductions — the bin reduction of the sparse DWTA
-//!   oracle,
 //! * [`simhash_sign_bits`] / [`dwta_bin_codes`] — the LSH key kernels
 //!   (§4.3.3): SimHash projections and DWTA bin winners, 8/16 hash slots
 //!   per instruction and bit-identical at every level,
@@ -54,7 +52,6 @@
 
 pub mod bf16;
 mod checksum;
-mod extra;
 mod gather;
 mod hashing;
 pub mod int8;
@@ -69,7 +66,6 @@ pub(crate) mod avx512;
 
 pub use bf16::Bf16;
 pub use checksum::crc32_update;
-pub use extra::norm_sq_f32;
 pub use gather::{
     backward_rows_fused_f32, prefetch, score_rows_gather_f32, score_rows_gather_i8, KernelSet,
     RowGather,
@@ -79,7 +75,7 @@ pub use int8::{
     dequantize_row_f32, int8_isa, quantize_acts_u8, quantize_row_i8, Int8Isa, I8_WEIGHT_MAX,
     U8_ACT_MAX,
 };
-pub use kernels::{adam_step_f32, add_f32, argmax_f32, axpy_f32, dot_f32, AdamStep};
+pub use kernels::{adam_step_f32, axpy_f32, dot_f32, AdamStep};
 pub use policy::{
     apply_env_policy, detected_level, effective_level, parse_policy, policy, set_policy, SimdLevel,
     SimdPolicy,
@@ -90,6 +86,3 @@ pub use policy::{
 /// Used by `slide-mem` to align parameter arenas and batch buffers so that
 /// SIMD loads do not split lines.
 pub const CACHE_LINE_BYTES: usize = 64;
-
-/// Number of f32 lanes in one AVX-512 register (the paper's "16 at a time").
-pub const AVX512_LANES_F32: usize = 16;

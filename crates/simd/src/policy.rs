@@ -24,22 +24,6 @@ pub enum SimdLevel {
     Avx512,
 }
 
-impl SimdLevel {
-    /// Number of f32 lanes processed per vector operation at this level.
-    ///
-    /// ```
-    /// use slide_simd::SimdLevel;
-    /// assert_eq!(SimdLevel::Avx512.lanes_f32(), 16);
-    /// ```
-    pub fn lanes_f32(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Avx2 => 8,
-            SimdLevel::Avx512 => 16,
-        }
-    }
-}
-
 impl std::fmt::Display for SimdLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -199,13 +183,6 @@ mod tests {
     fn levels_are_ordered() {
         assert!(SimdLevel::Scalar < SimdLevel::Avx2);
         assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
-    }
-
-    #[test]
-    fn lanes_match_register_width() {
-        assert_eq!(SimdLevel::Scalar.lanes_f32(), 1);
-        assert_eq!(SimdLevel::Avx2.lanes_f32(), 8);
-        assert_eq!(SimdLevel::Avx512.lanes_f32(), 16);
     }
 
     #[test]

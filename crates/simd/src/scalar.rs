@@ -27,34 +27,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-#[inline]
-pub fn add(x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        y[i] += x[i];
-    }
-}
-
-/// First-wins argmax: returns the smallest index attaining the maximum.
-/// NaN values never win a comparison.
-#[inline]
-pub fn argmax(x: &[f32]) -> Option<(usize, f32)> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = f32::NEG_INFINITY;
-    let mut best_idx = 0usize;
-    let mut seen_finite = false;
-    for (i, &v) in x.iter().enumerate() {
-        if v > best || !seen_finite && !v.is_nan() {
-            best = v;
-            best_idx = i;
-            seen_finite = true;
-        }
-    }
-    Some((best_idx, best))
-}
-
 /// SimHash reference: up to four hyperplane words (256 projections) per pass
 /// over `x`, each projection summing `±x[i]` over the non-zero coordinates
 /// in ascending `i` — the order every vector level reproduces. The 64 adds
@@ -133,6 +105,7 @@ pub unsafe fn score_rows(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
         let (p0, p1, p2, p3) = (rows[r], rows[r + 1], rows[r + 2], rows[r + 3]);
         let (mut a0, mut a1, mut a2, mut a3) = (0.0_f32, 0.0_f32, 0.0_f32, 0.0_f32);
         for (i, &xv) in x.iter().enumerate() {
+            // SAFETY: `i < cols`; the caller guarantees `cols` values per row.
             a0 += unsafe { *p0.add(i) } * xv;
             a1 += unsafe { *p1.add(i) } * xv;
             a2 += unsafe { *p2.add(i) } * xv;
@@ -145,6 +118,7 @@ pub unsafe fn score_rows(rows: &[*const f32], x: &[f32], out: &mut [f32]) {
         r += 4;
     }
     while r < n {
+        // SAFETY: as in the block above.
         out[r] = dot(unsafe { core::slice::from_raw_parts(rows[r], cols) }, x);
         r += 1;
     }
@@ -176,6 +150,8 @@ pub unsafe fn backward_rows(
         let gc = d * scale;
         let (wp, gp) = (w_rows[r], g_rows[r]);
         for i in 0..cols {
+            // SAFETY: `i < cols` and the caller guarantees `cols` readable weights
+            // and writable gradients behind the gathered rows.
             dx[i] += d * unsafe { *wp.add(i) };
             unsafe { *gp.add(i) += gc * h[i] };
         }
@@ -251,6 +227,7 @@ pub unsafe fn gemv(w: *const f32, stride: usize, x: &[f32], bias: &[f32], out: &
     debug_assert!(stride >= x.len());
     for (r, o) in out.iter_mut().enumerate() {
         *o = dot(
+            // SAFETY: row `r < out.len()` lies inside the arena the caller guarantees.
             unsafe { core::slice::from_raw_parts(w.add(r * stride), x.len()) },
             x,
         ) + bias[r];
@@ -327,22 +304,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn argmax_first_wins_on_ties() {
-        assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), Some((1, 5.0)));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[-3.0]), Some((0, -3.0)));
-    }
-
-    #[test]
-    fn argmax_ignores_nan() {
-        assert_eq!(argmax(&[f32::NAN, 2.0, 1.0]), Some((1, 2.0)));
-        // All-NaN input: index 0 reported with NEG_INFINITY sentinel never set,
-        // falls back to first element position.
-        let (idx, _) = argmax(&[f32::NAN, f32::NAN]).unwrap();
-        assert_eq!(idx, 0);
     }
 
     #[test]

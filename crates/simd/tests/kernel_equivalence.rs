@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use slide_simd::{
-    adam_step_f32, argmax_f32, axpy_f32, bf16, crc32_update, dequantize_row_f32, dot_f32,
-    dwta_bin_codes, quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, AdamStep,
-    Bf16, DwtaSources, KernelSet, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
+    adam_step_f32, axpy_f32, bf16, crc32_update, dequantize_row_f32, dot_f32, dwta_bin_codes,
+    quantize_acts_u8, quantize_row_i8, set_policy, simhash_sign_bits, AdamStep, Bf16, DwtaSources,
+    KernelSet, SimdLevel, SimdPolicy, DWTA_EMPTY_BIN,
 };
 
 /// Tests in this binary mutate the process-wide SIMD policy; serialize them.
@@ -103,16 +103,6 @@ proptest! {
             for i in 0..x.len() {
                 prop_assert!((y[i] - expect[i]).abs() <= 1e-2, "{level:?} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn argmax_levels_agree_exactly(x in finite_vec(400)) {
-        let _g = policy_lock();
-        let reference = with_level(SimdLevel::Scalar, || argmax_f32(&x));
-        for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-            let got = with_level(level, || argmax_f32(&x));
-            prop_assert_eq!(got, reference, "{:?}", level);
         }
     }
 
@@ -255,7 +245,13 @@ proptest! {
             .collect();
         let x: Vec<f32> = (0..cols).map(|c| ((c * 53 + 7) % 211) as f32 / 100.0 - 1.0).collect();
         let reference: Vec<f32> = with_level(SimdLevel::Scalar, || {
-            m.iter().map(|row| bf16::dot_bf16_f32(row, &x)).collect()
+            m.iter()
+                .map(|row| {
+                    let mut wide = vec![0.0_f32; cols];
+                    bf16::bf16_to_f32_slice(row, &mut wide);
+                    dot_f32(&wide, &x)
+                })
+                .collect()
         });
         let ptrs: Vec<*const u16> = m.iter().map(|row| row.as_ptr()).collect();
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
@@ -622,7 +618,9 @@ proptest! {
         let mut wq = vec![0u16; w.len()];
         bf16::f32_to_bf16_slice(&w, &mut wq);
         let exact = dot_f32(&w, &x);
-        let approx = bf16::dot_bf16_f32(&wq, &x);
+        let mut approx = [f32::NAN];
+        unsafe { KernelSet::resolve().score_rows_bf16(&[wq.as_ptr()], &x, &mut approx) };
+        let approx = approx[0];
         // Each weight is off by at most 2^-9 relative; the dot inherits that
         // plus accumulation noise.
         let budget: f32 = w
