@@ -538,6 +538,16 @@ if grep -rnE 'Strided|ShardPlanKind|ShardPlan::strided' crates src tests example
     exit 1
 fi
 
+step "one table set per engine (shards split the output arena, not retrieval)"
+# Every engine probes one global LshTables, whatever its shard count, so
+# the active list, max_active and exact ties do not depend on N (DESIGN.md
+# §4). No per-shard table partition, and no refusal of max_active at N > 1,
+# comes back.
+if grep -rnE 'partition_tables|MaxActiveUnsupported' crates src tests examples; then
+    echo "ci.sh: per-shard table partitions are back" >&2
+    exit 1
+fi
+
 step "one routing rule (least-load over closed breakers, no hash ring)"
 # The router sends each attempt to the closed-breaker replica with the
 # fewest inflight forwards (DESIGN.md §8); no second routing policy, ring
@@ -706,7 +716,20 @@ fi
 # sparse_vec_is_sorted_means_strictly_increasing and pool::tests'
 # parallel_for_{empty_is_noop,panic_leaves_pool_reusable} ->
 # parallel_chunks_{empty_is_noop,panic_leaves_pool_reusable}.
-MIN_TIER1_TESTS=620
+# One table set per engine: 620 - 3 + 1 = 618. Deleted with the code they
+# tested: shard::tests::partition_tables_splits_every_bucket_stably
+# (partition_tables), config::tests::{trainer_validation_refuses_a_zero_or_non_finite_eps,
+# trainer_validation_refuses_a_non_finite_growth_or_a_zero_max_period}
+# (the eps, growth and max_period settings, now constants). Added:
+# snapshot::tests::loaded_sharded_tables_view_the_image_not_copies.
+# Renamed in place: frozen::tests::shard_tables_partition_the_global_tables
+# -> sharded_engines_hold_the_unsharded_tables,
+# frozen::tests::max_active_is_rejected_only_beyond_one_shard and
+# quant_props' max_active_is_refused_beyond_one_shard ->
+# max_active_is_honoured_beyond_one_shard, and
+# retrieval::tests::select_over_two_sets_forces_dedups_caps_and_pads ->
+# select_forces_dedups_caps_and_pads.
+MIN_TIER1_TESTS=618
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

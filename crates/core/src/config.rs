@@ -7,7 +7,6 @@ use slide_mem::ParamLayout;
 
 /// Numeric precision mode — the three columns of the paper's Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Precision {
     /// Everything in f32 ("Without BF16").
     #[default]
@@ -22,7 +21,6 @@ pub enum Precision {
 
 /// Which LSH family samples the output layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HashFamilyKind {
     /// Densified winner-take-all (used for Amazon-670K / WikiLSH-325K),
     /// with the given WTA bin width (power of two).
@@ -37,7 +35,6 @@ pub enum HashFamilyKind {
 /// LSH sampling parameters for the output layer (paper §5.3: `K`, `L`, and
 /// per-dataset family choice).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LshConfig {
     /// Hash family.
     pub family: HashFamilyKind,
@@ -71,34 +68,37 @@ impl Default for LshConfig {
     }
 }
 
+/// ADAM's β₁.
+pub const ADAM_BETA1: f32 = 0.9;
+/// ADAM's β₂.
+pub const ADAM_BETA2: f32 = 0.999;
+/// ADAM's ε.
+pub const ADAM_EPS: f32 = 1e-8;
+/// Multiplier applied to the rebuild period after every rebuild.
+pub(crate) const REBUILD_GROWTH: f32 = 1.05;
+/// Ceiling for the rebuild period, in batches.
+pub(crate) const REBUILD_MAX_PERIOD: u32 = 1000;
+
 /// Hash-table rebuild schedule (§2: tables are refreshed as weights drift;
 /// SLIDE grows the interval exponentially because early weights change fast
-/// and late weights change slowly). Every rebuild clears the tables and
-/// re-inserts every neuron (parallel two-phase).
+/// and late weights change slowly). The period starts at `initial_period`
+/// batches and grows 5 % after every rebuild, up to 1 000 batches (the
+/// crate's `REBUILD_GROWTH` and `REBUILD_MAX_PERIOD`). Every rebuild clears
+/// the tables and re-inserts every neuron (parallel two-phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RebuildSchedule {
     /// Batches before the first rebuild.
     pub initial_period: u32,
-    /// Multiplier applied to the period after every rebuild (finite, ≥ 1).
-    pub growth: f32,
-    /// Ceiling for the period (positive).
-    pub max_period: u32,
 }
 
 impl Default for RebuildSchedule {
     fn default() -> Self {
-        RebuildSchedule {
-            initial_period: 50,
-            growth: 1.05,
-            max_period: 1000,
-        }
+        RebuildSchedule { initial_period: 50 }
     }
 }
 
 /// Memory-layout switches — the §4.1 / §5.7 optimization axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryConfig {
     /// Contiguous per-layer parameter arenas vs per-neuron allocations.
     pub coalesced_params: bool,
@@ -128,7 +128,6 @@ impl MemoryConfig {
 
 /// Full architecture + engineering configuration of a SLIDE network.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkConfig {
     /// Sparse input dimensionality (feature space).
     pub input_dim: usize,
@@ -207,7 +206,6 @@ impl NetworkConfig {
 /// for TF, a uniform draw for sampled softmax). Every variant puts the
 /// sample's labels first and goes through the same row-owned batch pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ActiveSets {
     /// SLIDE: the rows the LSH tables retrieve, capped and padded per
     /// [`LshConfig`]; the tables are rebuilt on the [`RebuildSchedule`].
@@ -225,20 +223,14 @@ pub enum ActiveSets {
     },
 }
 
-/// Optimizer + loop parameters.
+/// Optimizer + loop parameters. ADAM's other constants are
+/// [`ADAM_BETA1`], [`ADAM_BETA2`] and [`ADAM_EPS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainerConfig {
     /// Mini-batch size (paper: 1024 / 256 / 512 per dataset).
     pub batch_size: usize,
     /// ADAM learning rate (paper: 1e-4).
     pub learning_rate: f32,
-    /// ADAM β₁.
-    pub beta1: f32,
-    /// ADAM β₂.
-    pub beta2: f32,
-    /// ADAM ε.
-    pub eps: f32,
     /// Workers of the batch pass, the calling thread included: it runs
     /// worker 0's share of every parallel stage, and `threads − 1` threads
     /// are spawned (0 = all available cores).
@@ -256,9 +248,6 @@ impl Default for TrainerConfig {
         TrainerConfig {
             batch_size: 256,
             learning_rate: 1e-4,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             threads: 0,
             rebuild: RebuildSchedule::default(),
             shuffle_seed: 0x7EA1,
@@ -283,8 +272,8 @@ impl TrainerConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message if the batch size is zero, or the optimizer
-    /// constants or the rebuild schedule are outside their valid ranges.
+    /// Returns a message if the batch size or the first rebuild period is
+    /// zero, or the learning rate is not positive and finite.
     pub fn validate(&self) -> Result<(), String> {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
@@ -292,24 +281,8 @@ impl TrainerConfig {
         if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             return Err("learning_rate must be positive and finite".into());
         }
-        // ADAM divides by `√v + eps`; a row's column with `v = 0` (a
-        // ReLU-masked hidden unit) would take 0 / 0 at `eps = 0`.
-        if !(self.eps.is_finite() && self.eps > 0.0) {
-            return Err("eps must be positive and finite".into());
-        }
-        if !(0.0..1.0).contains(&self.beta1) || !(0.0..1.0).contains(&self.beta2) {
-            return Err("beta1/beta2 must be in [0, 1)".into());
-        }
         if self.rebuild.initial_period == 0 {
             return Err("rebuild.initial_period must be positive".into());
-        }
-        // `(period * NaN).min(max)` is `max`: a NaN or infinite factor would
-        // jump the schedule to its ceiling after the first rebuild.
-        if !(self.rebuild.growth.is_finite() && self.rebuild.growth >= 1.0) {
-            return Err("rebuild.growth must be finite and >= 1.0".into());
-        }
-        if self.rebuild.max_period == 0 {
-            return Err("rebuild.max_period must be positive".into());
         }
         Ok(())
     }
@@ -362,26 +335,9 @@ mod tests {
             ..Default::default()
         };
         assert!(t.validate().is_err());
-        t = TrainerConfig {
-            beta1: 1.0,
-            ..Default::default()
-        };
-        assert!(t.validate().is_err());
         t = TrainerConfig::default();
-        t.rebuild.growth = 0.5;
+        t.rebuild.initial_period = 0;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn trainer_validation_refuses_a_zero_or_non_finite_eps() {
-        for eps in [0.0, -1e-8, f32::NAN, f32::INFINITY] {
-            let t = TrainerConfig {
-                eps,
-                ..Default::default()
-            };
-            let err = t.validate().unwrap_err();
-            assert!(err.contains("eps"), "eps {eps}: {err}");
-        }
     }
 
     #[test]
@@ -394,20 +350,6 @@ mod tests {
             let err = t.validate().unwrap_err();
             assert!(err.contains("learning_rate"), "lr {learning_rate}: {err}");
         }
-    }
-
-    #[test]
-    fn trainer_validation_refuses_a_non_finite_growth_or_a_zero_max_period() {
-        for growth in [f32::NAN, f32::INFINITY] {
-            let mut t = TrainerConfig::default();
-            t.rebuild.growth = growth;
-            let err = t.validate().unwrap_err();
-            assert!(err.contains("rebuild.growth"), "growth {growth}: {err}");
-        }
-        let mut t = TrainerConfig::default();
-        t.rebuild.max_period = 0;
-        let err = t.validate().unwrap_err();
-        assert!(err.contains("rebuild.max_period"), "{err}");
     }
 
     #[test]

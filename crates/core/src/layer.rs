@@ -173,7 +173,7 @@ impl SampledOutputLayer {
     /// → cap → pad over this layer's tables.
     pub fn select_active(&self, h: &[f32], labels: &[u32], scratch: &mut WorkerScratch, salt: u64) {
         self.retrieval
-            .select([&self.tables], h, labels, scratch.select_buffers(), salt);
+            .select(&self.tables, h, labels, scratch.select_buffers(), salt);
     }
 
     /// A training sample's active set under `sets` into `scratch.active`,

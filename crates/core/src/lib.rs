@@ -79,7 +79,7 @@ pub use activation::{relu, relu_backward_mask, softmax_into};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use config::{
     ActiveSets, HashFamilyKind, LshConfig, MemoryConfig, NetworkConfig, Precision, RebuildSchedule,
-    TrainerConfig,
+    TrainerConfig, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
 };
 pub use layer::{SampledOutputLayer, SparseInputLayer};
 pub use network::Network;

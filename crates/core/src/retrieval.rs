@@ -3,10 +3,10 @@
 //! (`slide-serve`) both call.
 //!
 //! A [`Retrieval`] is the output layer's hash family plus the policy around
-//! its tables: hash the activation **once**, probe each table set with the
-//! shared keys in order, dedup into one list behind the forced ids (the
-//! labels, in training), stop at `max_active`, then pad deterministically up
-//! to `min_active`. It is also the one place that builds tables from rows and
+//! its tables: hash the activation **once**, probe the one table set with
+//! those keys, dedup into one list behind the forced ids (the labels, in
+//! training), stop at `max_active`, then pad deterministically up to
+//! `min_active`. It is also the one place that builds tables from rows and
 //! that knows the output layer's seed chain, from the network seed `s`:
 //!
 //! | derived from | seed |
@@ -59,13 +59,10 @@ pub struct SelectBuffers<'s> {
     pub lsh: &'s mut LshScratch,
     /// The query's `L` table keys.
     pub keys: &'s mut [u32],
-    /// Raw candidates of the last table set probed, duplicates included.
+    /// Raw candidates of the table probe, duplicates included.
     pub candidates: &'s mut Vec<u32>,
     /// Dedup filter over the output rows.
     pub dedup: &'s mut StampSet,
-    /// `bounds[s]` is where table set `s`'s rows end in `active`: the forced
-    /// ids precede set 0's rows, padding follows the last set's.
-    pub bounds: &'s mut Vec<usize>,
     /// The active set: forced ids, retrieved rows, padding.
     pub active: &'s mut Vec<u32>,
 }
@@ -192,9 +189,9 @@ impl Retrieval {
     }
 
     /// Build the active set for activation `h` into `buf.active`: the
-    /// `forced` ids first, then the rows each of the table `sets` retrieves,
-    /// in set order, deduplicated and capped at `max(max_active,
-    /// forced.len())`; then padding replayed from `mix3(pad_seed, salt,
+    /// `forced` ids first, then the rows `tables` retrieves, in table
+    /// order, deduplicated and capped at `max(max_active, forced.len())`;
+    /// then padding replayed from `mix3(pad_seed, salt,
     /// attempt) % rows` up to `min_active` (within the cap). `salt`
     /// decorrelates the padding across queries.
     ///
@@ -206,9 +203,9 @@ impl Retrieval {
     ///
     /// Panics if a forced id is not an output row.
     #[inline(never)]
-    pub fn select<'a>(
+    pub fn select(
         &self,
-        sets: impl IntoIterator<Item = &'a LshTables>,
+        tables: &LshTables,
         h: &[f32],
         forced: &[u32],
         buf: SelectBuffers<'_>,
@@ -219,25 +216,20 @@ impl Retrieval {
             keys,
             candidates,
             dedup,
-            bounds,
             active,
         } = buf;
         self.family.keys_dense(h, lsh, keys);
         dedup.begin();
-        bounds.clear();
         active.clear();
         let cap = self.max_active.unwrap_or(usize::MAX).max(forced.len());
         admit(forced, cap, dedup, active);
-        for tables in sets {
-            candidates.clear();
-            if self.probes > 1 {
-                tables.query_multiprobe_into(keys, self.probes, candidates);
-            } else {
-                tables.query_into(keys, candidates);
-            }
-            admit(candidates, cap, dedup, active);
-            bounds.push(active.len());
+        candidates.clear();
+        if self.probes > 1 {
+            tables.query_multiprobe_into(keys, self.probes, candidates);
+        } else {
+            tables.query_into(keys, candidates);
         }
+        admit(candidates, cap, dedup, active);
         // Pseudo-random padding keeps gradients flowing while the tables
         // are still cold.
         self.pad(salt, self.min_active.min(cap), dedup, active);
@@ -347,7 +339,7 @@ mod tests {
         let tables = r.tables_from_rows(&params);
         for row in [0usize, 17, 99] {
             let w = params.row_f32(row);
-            r.select([&tables], &w, &[], s.select_buffers(), 0);
+            r.select(&tables, &w, &[], s.select_buffers(), 0);
             assert!(
                 s.active.contains(&(row as u32)),
                 "neuron {row} missing from its own active set"
@@ -363,7 +355,7 @@ mod tests {
         };
         let (r, params, mut s) = layer(8, 50, &lsh, 4);
         let tables = r.tables_from_rows(&params);
-        r.select([&tables], &[0.1; 8], &[42, 7], s.select_buffers(), 1);
+        r.select(&tables, &[0.1; 8], &[42, 7], s.select_buffers(), 1);
         assert_eq!(&s.active[..2], &[42, 7]);
         assert!(s.active.len() >= 4);
         let mut seen = std::collections::HashSet::new();
@@ -380,7 +372,7 @@ mod tests {
         let (r, params, mut s) = layer(8, 64, &lsh, 5);
         let tables = r.tables_from_rows(&params);
         // Zero vector hashes somewhere; padding must still reach min_active.
-        r.select([&tables], &[0.0; 8], &[], s.select_buffers(), 9);
+        r.select(&tables, &[0.0; 8], &[], s.select_buffers(), 9);
         assert!((16..=20).contains(&s.active.len()), "{}", s.active.len());
     }
 
@@ -432,13 +424,8 @@ mod tests {
             ..Default::default()
         };
         let padded = Retrieval::training(8, 64, &lsh, 13);
-        padded.select(
-            std::iter::empty(),
-            &[0.0; 8],
-            &[5, 60],
-            s.select_buffers(),
-            8,
-        );
+        let empty = padded.tables_from_keys(&[]);
+        padded.select(&empty, &[0.0; 8], &[5, 60], s.select_buffers(), 8);
         assert_eq!(&s.active[2..], &pad[..]);
     }
 
@@ -468,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn select_over_two_sets_forces_dedups_caps_and_pads() {
+    fn select_forces_dedups_caps_and_pads() {
         let lsh = LshConfig {
             tables: 4,
             key_bits: 4,
@@ -478,37 +465,30 @@ mod tests {
         };
         let (r, _, mut s) = layer(8, 64, &lsh, 11);
         let h: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
-        // Two table sets holding rows under the query's own keys, so every
-        // id comes back once per table; 3 is in both sets, 5 is also forced.
-        // Every other row hashes one bucket over in every table.
+        // Rows 1..=6 sit under the query's own keys, so each comes back once
+        // per table; 5 is also forced. Row 0 hashes one bucket over in every
+        // table.
         let mut keys = vec![0; 4];
         r.family().keys_dense(&h, &mut s.lsh, &mut keys);
-        let set = |ids: &[u32]| {
-            let all: Vec<u32> = (0..7)
-                .flat_map(|row| {
-                    keys.iter()
-                        .map(move |&k| k ^ u32::from(!ids.contains(&row)))
-                })
-                .collect();
-            r.tables_from_keys(&all)
-        };
-        let (a, b) = (set(&[1, 2, 3, 5]), set(&[3, 4, 6]));
+        let all: Vec<u32> = (0..7)
+            .flat_map(|row| keys.iter().map(move |&k| k ^ u32::from(row == 0)))
+            .collect();
+        let tables = r.tables_from_keys(&all);
 
-        // Forced ids first, then each set's new rows in set order, then one
+        // Forced ids first, then the retrieved rows in table order, then one
         // pad row up to the cap of 8, replayed from the pad stream.
-        r.select([&a, &b], &h, &[5, 40], s.select_buffers(), 7);
+        r.select(&tables, &h, &[5, 40], s.select_buffers(), 7);
         assert_eq!(&s.active[..7], &[5, 40, 1, 2, 3, 4, 6]);
-        assert_eq!(s.bounds, [5, 7]);
         let pad = (0..)
             .map(|attempt| (mix3(r.pad_seed, 7, attempt) % 64) as u32)
             .find(|id| !s.active[..7].contains(id))
             .expect("the pad stream covers every row");
         assert_eq!(&s.active[7..], &[pad]);
         let first = s.active.clone();
-        r.select([&a, &b], &h, &[5, 40], s.select_buffers(), 7);
+        r.select(&tables, &h, &[5, 40], s.select_buffers(), 7);
         assert_eq!(s.active, first, "the pad replay is deterministic");
 
-        // A cap of 4 truncates inside set 0 and leaves no room to pad.
+        // A cap of 4 truncates the retrieved rows and leaves no room to pad.
         let capped = |max_active| {
             let lsh = LshConfig {
                 max_active: Some(max_active),
@@ -516,12 +496,10 @@ mod tests {
             };
             Retrieval::training(8, 64, &lsh, 11)
         };
-        capped(4).select([&a, &b], &h, &[5, 40], s.select_buffers(), 7);
+        capped(4).select(&tables, &h, &[5, 40], s.select_buffers(), 7);
         assert_eq!(s.active, [5, 40, 1, 2]);
-        assert_eq!(s.bounds, [4, 4]);
         // A cap below the forced count keeps every forced id and adds none.
-        capped(1).select([&a, &b], &h, &[5, 40, 9], s.select_buffers(), 7);
+        capped(1).select(&tables, &h, &[5, 40, 9], s.select_buffers(), 7);
         assert_eq!(s.active, [5, 40, 9]);
-        assert_eq!(s.bounds, [3, 3]);
     }
 }

@@ -91,9 +91,6 @@ pub struct WorkerScratch {
     pub active: Vec<u32>,
     /// Active-set dedup filter over output neurons.
     pub dedup: StampSet,
-    /// Where the retrieved rows end in `active` (one table set in training;
-    /// see [`SelectBuffers::bounds`]).
-    pub(crate) bounds: Vec<usize>,
     /// Logits over the active set.
     pub logits: Vec<f32>,
     /// Softmax probabilities over the active set.
@@ -123,7 +120,6 @@ impl WorkerScratch {
             candidates: Vec::with_capacity(1024),
             active: Vec::with_capacity(1024),
             dedup: StampSet::new(output_dim),
-            bounds: Vec::with_capacity(1),
             logits: Vec::with_capacity(1024),
             probs: Vec::with_capacity(1024),
             metric: MeanMetric::new(),
@@ -140,7 +136,6 @@ impl WorkerScratch {
             keys: &mut self.keys,
             candidates: &mut self.candidates,
             dedup: &mut self.dedup,
-            bounds: &mut self.bounds,
             active: &mut self.active,
         }
     }

@@ -22,7 +22,9 @@
 //!    exponentially.
 
 use crate::batch_pass::BatchPass;
-use crate::config::{ActiveSets, TrainerConfig};
+use crate::config::{
+    ActiveSets, TrainerConfig, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, REBUILD_GROWTH, REBUILD_MAX_PERIOD,
+};
 use crate::network::Network;
 use crate::pool::ThreadPool;
 use crate::scratch::{Disjoint, WorkerScratch};
@@ -34,7 +36,6 @@ use std::time::Instant;
 /// Where an epoch's wall-clock time went — the breakdown behind the paper's
 /// §5.5–§5.7 attribution of the overall speedup to individual optimizations.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseBreakdown {
     /// Copying the batch into its (coalesced or fragmented) store.
     pub batch_build: f64,
@@ -119,7 +120,6 @@ pub struct EpochStats {
 
 /// One point of a Figure 6 convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvergencePoint {
     /// Epoch index (1-based after the epoch completes).
     pub epoch: u32,
@@ -137,7 +137,6 @@ pub struct ConvergencePoint {
 
 /// A whole convergence curve: the series plotted in Figure 6.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvergenceLog {
     /// Curve points in epoch order.
     pub points: Vec<ConvergencePoint>,
@@ -268,15 +267,14 @@ impl Trainer {
     }
 
     /// Count one batch against the rebuild schedule; `true` when the tables
-    /// are due for a rebuild, the period then growing by the configured
-    /// factor up to its ceiling.
+    /// are due for a rebuild, the period then growing by [`REBUILD_GROWTH`]
+    /// up to [`REBUILD_MAX_PERIOD`].
     fn rebuild_due(&mut self) -> bool {
         self.batches_until_rebuild = self.batches_until_rebuild.saturating_sub(1);
         if self.batches_until_rebuild != 0 {
             return false;
         }
-        self.rebuild_period = (self.rebuild_period * self.config.rebuild.growth)
-            .min(self.config.rebuild.max_period as f32);
+        self.rebuild_period = (self.rebuild_period * REBUILD_GROWTH).min(REBUILD_MAX_PERIOD as f32);
         self.batches_until_rebuild = self.rebuild_period.round().max(1.0) as u32;
         true
     }
@@ -329,9 +327,9 @@ impl Trainer {
         let scale = 1.0 / indices.len() as f32;
         let step = AdamStep::bias_corrected(
             self.config.learning_rate,
-            self.config.beta1,
-            self.config.beta2,
-            self.config.eps,
+            ADAM_BETA1,
+            ADAM_BETA2,
+            ADAM_EPS,
             self.adam_t,
         );
         let mut phases = PhaseBreakdown::default();

@@ -26,7 +26,8 @@
 //! another order than its reference shows.
 
 use slide_core::{
-    LayerParams, LshConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig,
+    LayerParams, LshConfig, Network, NetworkConfig, Precision, Trainer, TrainerConfig, ADAM_BETA1,
+    ADAM_BETA2, ADAM_EPS,
 };
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
 use slide_simd::{adam_step_f32, bf16, AdamStep, Bf16, KernelSet};
@@ -247,7 +248,7 @@ fn reference_batch(
         ks.axpy(scale, &scratch.grad, &mut in_gb);
     }
 
-    let step = AdamStep::bias_corrected(tc.learning_rate, tc.beta1, tc.beta2, tc.eps, 1);
+    let step = AdamStep::bias_corrected(tc.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 1);
     for (&r, (g, gb)) in &out_g {
         let r = r as usize;
         out.step_row(r, g, step);

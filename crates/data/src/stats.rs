@@ -5,7 +5,6 @@ use crate::dataset::Dataset;
 /// The Table 1 row for one workload: dimensions, sparsity, split sizes, and
 /// the parameter count of the paper's standard architecture on it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DatasetStats {
     /// Workload name (e.g. "Amazon-670K (sim)").
     pub name: String,

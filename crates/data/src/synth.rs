@@ -19,7 +19,6 @@ use slide_hash::mix::{mix3, reduce};
 
 /// Configuration for the planted-prototype extreme-classification generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthConfig {
     /// Feature-space dimensionality (Amazon-670K: 135,909).
     pub feature_dim: usize,

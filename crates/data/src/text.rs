@@ -18,7 +18,6 @@ use slide_hash::mix::{mix3, reduce};
 
 /// Configuration for the synthetic skip-gram corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TextConfig {
     /// Vocabulary size (Text8: 253,855).
     pub vocab: usize,

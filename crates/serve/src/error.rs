@@ -67,8 +67,6 @@ pub enum ServeBuildError {
         /// The network's output dimensionality.
         output_dim: usize,
     },
-    /// More than one shard cannot honour a global `lsh.max_active` cap.
-    MaxActiveUnsupported,
 }
 
 impl fmt::Display for ServeBuildError {
@@ -88,11 +86,6 @@ impl fmt::Display for ServeBuildError {
             } => write!(
                 f,
                 "ShardPlan covers {plan_rows} rows, network outputs {output_dim}"
-            ),
-            ServeBuildError::MaxActiveUnsupported => write!(
-                f,
-                "sharded serving requires lsh.max_active = None: the global cap truncates \
-                 in table-encounter order, which a scatter-gather merge cannot reproduce"
             ),
         }
     }
@@ -128,8 +121,5 @@ mod tests {
         for (err, expect) in cases {
             assert_eq!(err.to_string(), expect);
         }
-        assert!(ServeBuildError::MaxActiveUnsupported
-            .to_string()
-            .contains("max_active"));
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! Extreme-classification output layers put 10⁵–10⁶ rows behind one arena;
 //! a [`ShardPlan`] splits them row-wise into `N` shards, each owning its own
-//! 64-byte-aligned arena and its partition of the frozen LSH tables inside
-//! one [`crate::Engine`]. Unsharded serving is the one-shard plan. How the
-//! engine retrieves, scores, and merges across shards — and why the result
-//! is bit-equal for every `N` — is documented on [`crate::Engine`].
+//! 64-byte-aligned arena inside one [`crate::Engine`]. The plan splits the
+//! arena only: the engine keeps one set of LSH tables over every row, so
+//! retrieval never sees the shards. Unsharded serving is the one-shard plan.
+//! How the engine scores across shards — and why the result is bit-equal
+//! for every `N` — is documented on [`crate::Engine`].
 
 use crate::error::ServeBuildError;
-use slide_hash::LshTables;
-use slide_mem::{AlignedVec, ArenaView};
 use std::ops::Range;
 
 /// A row-partitioning plan: `rows` output units split across `shards`
@@ -85,43 +84,6 @@ impl ShardPlan {
     }
 }
 
-/// Split the global frozen tables into one partition per shard of `plan`:
-/// shard `s` keeps exactly the ids it owns, in their original bucket order.
-/// Filtering one global build (rather than re-building per shard) means
-/// bucket-cap eviction happened once, globally, so the union of the shards'
-/// retrievals is bit-for-bit the global retrieval set. One pass over the
-/// CSR writes every shard's `offsets`/`items`; the arrival counts are
-/// shared. One shard keeps the tables as they are.
-pub(crate) fn partition_tables(tables: LshTables, plan: &ShardPlan) -> Vec<LshTables> {
-    if plan.shards() == 1 {
-        return vec![tables];
-    }
-    let mut parts = vec![(vec![0u32], Vec::new()); plan.shards()];
-    for span in tables.offsets().windows(2) {
-        for &id in &tables.items()[span[0] as usize..span[1] as usize] {
-            parts[plan.shard_of(id)].1.push(id);
-        }
-        for (offsets, items) in &mut parts {
-            offsets.push(items.len() as u32);
-        }
-    }
-    let view = |v: Vec<u32>| ArenaView::from_vec(AlignedVec::from_slice(&v));
-    parts
-        .into_iter()
-        .map(|(offsets, items)| {
-            LshTables::from_views(
-                tables.tables(),
-                tables.key_bits(),
-                tables.bucket_cap(),
-                view(offsets),
-                view(items),
-                tables.arrivals().clone(),
-            )
-            .expect("a filtered partition of valid tables is valid")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,37 +109,6 @@ mod tests {
                 assert!(max - min <= 1, "{plan:?} unbalanced: {sizes:?}");
             }
         }
-    }
-
-    #[test]
-    fn partition_tables_splits_every_bucket_stably() {
-        // Overflowing buckets force reservoir eviction; the two-range
-        // partition of the built tables must still union back to the
-        // original retrieval set, in order.
-        let keys: Vec<u32> = (0..64u32).flat_map(|r| [r % 4, (r + 1) % 4]).collect();
-        let tables = LshTables::from_keys(2, 2, 4, 77, &keys);
-        let plan = ShardPlan::contiguous(2, 64).unwrap();
-        let parts = partition_tables(tables.clone(), &plan);
-        for table in 0..2 {
-            for key in 0..4u32 {
-                let mut cursors = [0usize; 2];
-                for &id in tables.bucket(table, key) {
-                    let s = plan.shard_of(id);
-                    assert_eq!(parts[s].bucket(table, key)[cursors[s]], id);
-                    cursors[s] += 1;
-                }
-                for (part, cursor) in parts.iter().zip(cursors) {
-                    assert_eq!(cursor, part.bucket(table, key).len());
-                }
-            }
-        }
-        assert_eq!(
-            parts[0].stats().stored + parts[1].stats().stored,
-            tables.stats().stored,
-            "partition must cover every stored id exactly once"
-        );
-        let one = ShardPlan::contiguous(1, 64).unwrap();
-        assert_eq!(partition_tables(tables.clone(), &one), [tables]);
     }
 
     #[test]

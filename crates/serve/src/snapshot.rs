@@ -34,10 +34,9 @@
 //!
 //! Sections are addressed `(kind, index)`; the index is the layer ordinal
 //! (0 = input, `1 + s` = output shard `s` — an unsharded image is the
-//! one-shard case, output at 1). The LSH sections always
-//! hold the **global** tables: a load re-partitions them exactly as the
-//! builder did, which is what makes loaded sharded retrieval bit-equal to
-//! built sharded retrieval.
+//! one-shard case, output at 1). The LSH sections hold the one global table
+//! set whatever the shard count, and a load views them in place: loaded
+//! retrieval is the built retrieval, byte for byte.
 //!
 //! One codec serves every engine: [`encode`] writes the image of any
 //! [`SnapshotSpec`] (layout × shard plan), [`decode`] instantiates whatever
@@ -899,7 +898,7 @@ fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
 /// `retrieval` — which re-derives the tables' shape from the stored config
 /// exactly as the original build did — and never copied: loaded tables are
 /// the saved bytes, so they retrieve bit-identically. An id outside the
-/// output layer is refused here, before any partitioning.
+/// output layer is refused here, before any query can probe it.
 fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTables, SnapshotError> {
     retrieval
         .tables_from_csr(
@@ -916,15 +915,15 @@ fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTabl
 
 /// Encode `net` as `spec` describes. Layers stream straight from the
 /// training network into the writer one at a time — the input layer, then
-/// one row-subset arena per shard — followed by the *global* tables (shard
-/// partitions are recomputed at load) and, for unsharded lossy images, the
+/// one row-subset arena per shard — followed by the one global table set
+/// and, for unsharded lossy images, the
 /// quantization report. An unsharded image is the one-shard case: shard
 /// count 1, output layer at ordinal 1.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Build`] if the spec is unservable for this network
-/// (plan row mismatch, `max_active` with more than one shard).
+/// (plan row mismatch).
 pub fn encode(net: &Network, spec: &SnapshotSpec) -> Result<AlignedVec<u8>, SnapshotError> {
     match spec.precision {
         SnapshotPrecision::F32 => encode_as::<FrozenLayer>(net, spec),
@@ -987,9 +986,8 @@ fn decode_preamble(
 
 impl<L: RowLayout> Engine<L> {
     /// Instantiate the engine an image of this layout describes: every
-    /// arena and the global tables are views into the image (zero copies),
-    /// and the tables are re-partitioned exactly as the builder partitioned
-    /// them.
+    /// arena and the one global table set are views into the image (zero
+    /// copies), whatever the shard count.
     ///
     /// # Errors
     ///
@@ -1460,6 +1458,28 @@ mod tests {
         );
         let b = loaded.input_layer().bias().as_ptr() as usize;
         assert!((lo..hi).contains(&b), "input bias escaped the image");
+    }
+
+    #[test]
+    fn loaded_sharded_tables_view_the_image_not_copies() {
+        let net = tiny_net(5);
+        let plan = ShardPlan::contiguous(3, 64).unwrap();
+        let image = image_of(&net, &SnapshotSpec::i8().sharded(plan));
+        let lo = image.arena().as_slice().as_ptr() as usize;
+        let hi = lo + image.arena().len();
+        let loaded = Engine::<QuantizedLayer>::from_image(&image).unwrap();
+        let tables = &loaded.tables;
+        for (name, at) in [
+            ("offsets", tables.offsets().as_ptr() as usize),
+            ("items", tables.items().as_ptr() as usize),
+            ("arrivals", tables.arrivals().as_ptr() as usize),
+        ] {
+            assert!(
+                (lo..hi).contains(&at),
+                "table {name} {at:#x} escaped image [{lo:#x}, {hi:#x})"
+            );
+        }
+        assert_eq!(*tables, Engine::<QuantizedLayer>::freeze(&net).tables);
     }
 
     #[test]

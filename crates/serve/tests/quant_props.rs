@@ -16,8 +16,8 @@ use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, SynthConfig};
 use slide_mem::SparseVecRef;
 use slide_serve::{
-    p_at_k, BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork, ServeBuildError,
-    ShardPlan, Snapshot, SnapshotError, SnapshotSpec,
+    p_at_k, BatchConfig, BatchingServer, FrozenNetwork, QuantizedFrozenNetwork, ShardPlan,
+    Snapshot, SnapshotSpec,
 };
 use slide_simd::{set_policy, SimdLevel, SimdPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -164,30 +164,76 @@ fn max_active_is_honoured_at_one_shard_in_both_layouts() {
     assert!(truncated > 0, "the cap never bit: the test proves nothing");
 }
 
-/// `lsh.max_active` with more than one shard: every spec is refused, by the
-/// direct constructor and by the snapshot builder alike.
+/// `lsh.max_active` with more than one shard, both layouts: the N-shard
+/// engine, built directly and saved → `load`ed, selects the one-shard
+/// engine's capped active set and answers bit-equal to it.
 #[test]
-fn max_active_is_refused_beyond_one_shard() {
-    let net = capped_net(40);
-    for plan in [
-        ShardPlan::contiguous(2, 128).unwrap(),
-        ShardPlan::contiguous(3, 128).unwrap(),
-    ] {
-        assert_eq!(
-            FrozenNetwork::freeze_sharded(&net, plan).unwrap_err(),
-            ServeBuildError::MaxActiveUnsupported
-        );
-        assert_eq!(
-            QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap_err(),
-            ServeBuildError::MaxActiveUnsupported
-        );
-        for spec in [SnapshotSpec::f32(), SnapshotSpec::i8()] {
-            assert!(matches!(
-                Snapshot::build(&net, &spec.sharded(plan)),
-                Err(SnapshotError::Build(ServeBuildError::MaxActiveUnsupported))
-            ));
+fn max_active_is_honoured_beyond_one_shard() {
+    let _g = policy_guard();
+    let cap = 40; // above min_active = 24: truncation and padding both live
+    let net = capped_net(cap);
+    let frozen = FrozenNetwork::freeze(&net);
+    let quant = QuantizedFrozenNetwork::freeze(&net);
+    let (mut fs, mut qs) = (frozen.make_scratch(), quant.make_scratch());
+    let queries = test_queries(32, 256);
+    let mut truncated = 0usize;
+    for shards in [2usize, 3] {
+        let plan = ShardPlan::contiguous(shards, 128).unwrap();
+        let sharded_f32 = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let sharded_i8 = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let (mut sf, mut si) = (sharded_f32.make_scratch(), sharded_i8.make_scratch());
+        let mut loaded: Vec<_> = [SnapshotSpec::f32(), SnapshotSpec::i8()]
+            .iter()
+            .map(|spec| {
+                let path = std::env::temp_dir().join(format!(
+                    "slide_max_active_{}x{shards}_{}.slsnap",
+                    spec.precision.label(),
+                    std::process::id()
+                ));
+                Snapshot::build(&net, &spec.sharded(plan))
+                    .unwrap()
+                    .save(&path)
+                    .unwrap();
+                let model = slide_serve::load(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                let scratch = model.make_scratch_any();
+                (model, scratch)
+            })
+            .collect();
+        for (s, (idx, val)) in queries.iter().enumerate() {
+            let x = SparseVecRef::new(idx, val);
+            let direct = [
+                frozen.predict_sparse(x, 5, &mut fs, s as u64),
+                quant.predict_sparse(x, 5, &mut qs, s as u64),
+            ];
+            assert!(
+                fs.active.len() <= cap,
+                "query {s}: {} active",
+                fs.active.len()
+            );
+            truncated += usize::from(fs.active.len() == cap);
+            assert_eq!(
+                sharded_f32.predict_sparse(x, 5, &mut sf, s as u64),
+                direct[0],
+                "query {s}: f32 {shards} shards"
+            );
+            assert_eq!(sf.active, fs.active, "query {s}: f32 {shards} shards");
+            assert_eq!(
+                sharded_i8.predict_sparse(x, 5, &mut si, s as u64),
+                direct[1],
+                "query {s}: i8 {shards} shards"
+            );
+            assert_eq!(si.active, qs.active, "query {s}: i8 {shards} shards");
+            for (i, (model, scratch)) in loaded.iter_mut().enumerate() {
+                assert_eq!(
+                    model.predict_any(x, 5, scratch.as_mut(), s as u64),
+                    direct[i],
+                    "query {s}: loaded {shards}-shard spec {i} diverged"
+                );
+            }
         }
     }
+    assert!(truncated > 0, "the cap never bit: the test proves nothing");
 }
 
 /// Scalar vs best-available SIMD on the quantized path: integer scoring is

@@ -208,7 +208,8 @@ fn a_table_id_outside_the_output_layer_is_refused_at_load() {
 
 #[test]
 fn a_table_id_outside_the_output_layer_is_refused_before_sharding() {
-    // Were it read, partitioning the tables into shards would panic on it.
+    // A sharded engine holds the same one table set: were it loaded, the
+    // first query probing its bucket would panic on the id.
     let spec = SnapshotSpec::f32().sharded(ShardPlan::contiguous(3, 64).expect("plan"));
     let err = load_crafted("forged_id_sharded", &spec, |image| {
         forge_table_id(image, 64)
