@@ -4,8 +4,8 @@
 #   ./ci.sh            # full gate: fmt, clippy, release build, tests, docs
 #   ./ci.sh full       # same, explicitly
 #   ./ci.sh quick      # skip the workspace release build (debug build +
-#                      # tests; still release-builds the one profile_phases
-#                      # binary that emits BENCH_train.json)
+#                      # tests; still release-builds the `paper` binary,
+#                      # whose `phases` section emits BENCH_train.json)
 #   ./ci.sh smoke      # release-build + run the experiment binaries with
 #                      # tiny configs (seconds, not minutes) to catch bin rot
 #
@@ -75,24 +75,16 @@ if [[ "$MODE" == "smoke" ]]; then
     step "cargo build --release -p slide-bench --bins"
     cargo build --release -p slide-bench --bins
 
-    step "smoke: table1"
-    SLIDE_SCALE=1 ./target/release/table1 > /dev/null
-
-    # Every paper binary trains its runs through slide-bench's one runner;
-    # run each at the smallest configuration (~2.5 min in all on 2 vCPUs).
-    # fig6 --barchart prints its summary and writes no fig6_out/.
-    for bin in table2 table3 table4 ablation_memory ablation_lsh ablation_sampling; do
-        step "smoke: $bin (1 epoch)"
-        SLIDE_SCALE=1 SLIDE_EPOCHS=1 "./target/release/$bin" > /dev/null
-    done
-    step "smoke: fig6 --barchart (1 epoch)"
-    SLIDE_SCALE=1 SLIDE_EPOCHS=1 ./target/release/fig6 --barchart > /dev/null
-
-    step "smoke: profile_phases (1 epoch, emits BENCH_train.json)"
+    # Every section of `paper` (each table, figure and ablation) at the
+    # smallest configuration, each distinct run trained once: 51-54 s on
+    # 2 vCPUs, against 124 s for the nine per-table programs it replaced
+    # (EXPERIMENTS.md §20). --barchart keeps fig6 from writing fig6_out/;
+    # the phases section writes BENCH_train.json.
+    step "smoke: paper --barchart (every section, 1 epoch, emits BENCH_train.json)"
     SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
-        ./target/release/profile_phases > /dev/null
+        ./target/release/paper --barchart > /dev/null
     grep -q '"simd_level"' BENCH_train.json || {
-        echo "profile_phases smoke: BENCH_train.json missing simd_level meta" >&2
+        echo "paper smoke: BENCH_train.json missing simd_level meta" >&2
         exit 1
     }
 
@@ -476,6 +468,17 @@ if [[ "$ACCEPT_SITES" -ne 1 ]]; then
     exit 1
 fi
 
+step "one paper binary (no per-table program), no always-zero merge stage"
+# Every table, figure and ablation is a section of `paper` over one
+# memoised run set (DESIGN.md §3); a per-table binary would train its own
+# copy of runs the set already has. Retrieval builds one global active
+# list, so the trace stages have no merge step to time.
+if grep -nE '^name = "(table[1-4]|fig6|ablation_(memory|lsh|sampling)|profile_phases)"' \
+    crates/bench/Cargo.toml || grep -rn 'Stage::Merge' crates src tests examples; then
+    echo "ci.sh: a per-table experiment binary or Stage::Merge is back" >&2
+    exit 1
+fi
+
 step "one hidden layer (no dense hidden stack in training, serving or snapshots)"
 # The network is the paper's: sparse input -> one hidden layer -> sampled
 # softmax output (DESIGN.md §4). NetworkConfig carries one width, `hidden`;
@@ -729,7 +732,10 @@ fi
 # max_active_is_honoured_beyond_one_shard, and
 # retrieval::tests::select_over_two_sets_forces_dedups_caps_and_pads ->
 # select_forces_dedups_caps_and_pads.
-MIN_TIER1_TESTS=618
+# One paper binary over memoised runs: 618 + 2 = 620. Added: slide-bench's
+# tests::{lab_trains_each_configuration_once, lab_runs_keep_a_forced_policy}.
+# The nine deleted binaries and examples/ablation.rs had no tests.
+MIN_TIER1_TESTS=620
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"
@@ -748,17 +754,17 @@ cargo test --doc -q
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-# Emit the training-perf trajectory artifact (table1/profile_phases tiny
-# config) so every gate leg leaves a BENCH_train.json behind: the meta block
+# Emit the training-perf trajectory artifact (`paper phases`, tiny config)
+# so every gate leg leaves a BENCH_train.json behind: the meta block
 # stamps the leg's resolved SIMD level, making PR-over-PR perf visible per
 # forced-SLIDE_SIMD leg. The quick mode builds just the one
 # release binary it needs; full mode already built everything.
-step "bench trajectory: BENCH_train.json (profile_phases, tiny config)"
-cargo build --release -q -p slide-bench --bin profile_phases
+step "bench trajectory: BENCH_train.json (paper phases, tiny config)"
+cargo build --release -q -p slide-bench --bin paper
 SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
-    ./target/release/profile_phases > /dev/null
+    ./target/release/paper phases > /dev/null
 grep -q '"simd_level"' BENCH_train.json || {
-    echo "profile_phases: BENCH_train.json missing simd_level meta" >&2
+    echo "paper phases: BENCH_train.json missing simd_level meta" >&2
     exit 1
 }
 

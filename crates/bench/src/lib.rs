@@ -1,12 +1,14 @@
-//! Shared harness for the paper-reproduction experiment binaries.
+//! Shared harness for the paper-reproduction binary `paper`.
 //!
-//! One binary per table/figure lives in `src/bin/` (see DESIGN.md §3 for the
-//! index). Every measured row is a [`Run`] and [`measure`] is the one
-//! runner, so a binary is a list of runs plus their printing. This library
-//! holds the three workloads at a bench-friendly scale, the runs and their
-//! runner, Table 2's method lineup, the modeled V100 column, and table
-//! printing. Scale up with `SLIDE_SCALE=<n>`; absolute numbers grow, the
-//! ratios are the reproducible signal.
+//! Every table, figure and ablation is a section of `src/bin/paper.rs` (see
+//! DESIGN.md §3 for the index). Every measured row is a [`Run`], [`measure`]
+//! is the one runner, and a [`Lab`] per workload memoises it, so a section
+//! is a list of runs plus their printing and a configuration that several
+//! sections share trains once. This library holds the three workloads at a
+//! bench-friendly scale, the runs, their runner and its memo, Table 2's
+//! method lineup, the modeled V100 column, and table printing. Scale up
+//! with `SLIDE_SCALE=<n>`; absolute numbers grow, the ratios are the
+//! reproducible signal.
 
 mod device_model;
 mod presets;
@@ -175,13 +177,19 @@ pub fn scale() -> usize {
         .unwrap_or(1)
 }
 
-/// Read `SLIDE_EPOCHS` (default `default`).
-pub fn epochs(default: u32) -> u32 {
+/// Epochs every run trains for unless `SLIDE_EPOCHS` says otherwise.
+pub const DEFAULT_EPOCHS: u32 = 8;
+
+/// Test samples scored for exact P@1 after every epoch of every run.
+pub const EVAL_SAMPLES: usize = 400;
+
+/// Read `SLIDE_EPOCHS` (default [`DEFAULT_EPOCHS`]).
+pub fn epochs() -> u32 {
     std::env::var("SLIDE_EPOCHS")
         .ok()
         .and_then(|s| s.parse().ok())
         .filter(|&e| e >= 1)
-        .unwrap_or(default)
+        .unwrap_or(DEFAULT_EPOCHS)
 }
 
 /// One measured row of a table or figure: the network and trainer it
@@ -314,6 +322,75 @@ pub fn measure(
     })
 }
 
+/// One workload's datasets and every run measured on them so far.
+///
+/// [`Lab::measure`] memoises [`measure`] by the run's network, trainer and
+/// SIMD policy (not its label), so each distinct configuration trains once
+/// per lab however many rows ask for it. Every run trains for the epochs
+/// given to [`Lab::new`] and scores [`EVAL_SAMPLES`] test samples. The key
+/// holds while the process's entry policy (a `SLIDE_SIMD` leg, read once)
+/// stays put, so that a run's `Auto` resolves alike on every call.
+pub struct Lab {
+    /// The workload the datasets stand in for.
+    pub workload: Workload,
+    /// Training split.
+    pub train: Dataset,
+    /// Test split.
+    pub test: Dataset,
+    epochs: u32,
+    /// Every distinct run trained so far, under its first row's label.
+    trained: Vec<(Run, Measurement)>,
+    requested: usize,
+}
+
+impl Lab {
+    /// Generate `workload`'s datasets at `scale`; runs train for `epochs`
+    /// and score [`EVAL_SAMPLES`] test samples.
+    pub fn new(workload: Workload, scale: usize, epochs: u32) -> Lab {
+        let (train, test) = workload.dataset(scale);
+        Lab {
+            workload,
+            train,
+            test,
+            epochs,
+            trained: Vec::new(),
+            requested: 0,
+        }
+    }
+
+    /// The workload's optimized (CLX) run on this lab's training split.
+    pub fn run(&self, label: impl Into<String>) -> Run {
+        self.workload.run(label, &self.train)
+    }
+
+    /// What [`measure`] observes of `run`, training it only if no earlier
+    /// run had the same network, trainer and SIMD policy.
+    pub fn measure(&mut self, run: &Run) -> Measurement {
+        self.requested += 1;
+        let key = (&run.net, run.trainer, run.simd);
+        if let Some((_, m)) = self
+            .trained
+            .iter()
+            .find(|(r, _)| (&r.net, r.trainer, r.simd) == key)
+        {
+            return m.clone();
+        }
+        let m = measure(run, &self.train, &self.test, self.epochs, EVAL_SAMPLES);
+        self.trained.push((run.clone(), m.clone()));
+        m
+    }
+
+    /// Distinct runs trained so far.
+    pub fn trained(&self) -> usize {
+        self.trained.len()
+    }
+
+    /// Rows [`Lab::measure`] has been asked for so far.
+    pub fn requested(&self) -> usize {
+        self.requested
+    }
+}
+
 /// Print a fixed-width table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>], widths: &[usize]) {
     println!("\n=== {title} ===");
@@ -397,8 +474,9 @@ mod tests {
         assert!(fmt_ratio_vs(5.0, 10.0).contains("2.00x slow"));
     }
 
-    #[test]
-    fn measure_keeps_a_forced_policy() {
+    /// A lab on a 64-feature, 16-label synthetic dataset (1 epoch, 16 test
+    /// samples) and a 4-table run small enough to train in milliseconds.
+    fn tiny_lab() -> (Lab, Run) {
         let data = generate_synthetic(&SynthConfig {
             feature_dim: 64,
             label_dim: 16,
@@ -419,10 +497,24 @@ mod tests {
             },
             simd: SimdPolicy::Auto,
         };
+        let lab = Lab {
+            workload: Workload::Amazon670k,
+            train: data.train,
+            test: data.test,
+            epochs: 1,
+            trained: Vec::new(),
+            requested: 0,
+        };
+        (lab, run)
+    }
+
+    #[test]
+    fn measure_keeps_a_forced_policy() {
+        let (lab, run) = tiny_lab();
         let entry = slide_simd::policy();
         let forced = SimdPolicy::Force(SimdLevel::Scalar);
         slide_simd::set_policy(forced);
-        let m = measure(&run, &data.train, &data.test, 1, 16);
+        let m = measure(&run, &lab.train, &lab.test, 1, 16);
         let after = slide_simd::policy();
         slide_simd::set_policy(entry);
         assert!(m.p_at_1().is_finite());
@@ -432,6 +524,44 @@ mod tests {
             "the run did not train under the forced leg"
         );
         assert_eq!(after, forced, "a preset's Auto reset the forced policy");
+    }
+
+    #[test]
+    fn lab_trains_each_configuration_once() {
+        let (mut lab, run) = tiny_lab();
+        let first = lab.measure(&run);
+        let relabelled = lab.measure(&Run {
+            label: "same run, another row".into(),
+            ..run.clone()
+        });
+        assert_eq!((lab.trained(), lab.requested()), (1, 2));
+        assert_eq!(
+            first.curve, relabelled.curve,
+            "a relabelled run must return the memoised curve"
+        );
+        lab.measure(&Run {
+            simd: SimdPolicy::Force(SimdLevel::Scalar),
+            ..run
+        });
+        assert_eq!((lab.trained(), lab.requested()), (2, 3));
+    }
+
+    #[test]
+    fn lab_runs_keep_a_forced_policy() {
+        let (mut lab, run) = tiny_lab();
+        let entry = slide_simd::policy();
+        let forced = SimdPolicy::Force(SimdLevel::Scalar);
+        slide_simd::set_policy(forced);
+        let levels = [run.clone(), run.cpx()].map(|run| lab.measure(&run).simd);
+        let after = slide_simd::policy();
+        slide_simd::set_policy(entry);
+        assert_eq!(lab.trained(), 2);
+        assert_eq!(
+            levels,
+            [SimdLevel::Scalar; 2],
+            "a lab run left the forced leg"
+        );
+        assert_eq!(after, forced, "a lab run reset the forced policy");
     }
 
     #[test]

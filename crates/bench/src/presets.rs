@@ -125,11 +125,12 @@ mod tests {
         assert_eq!(labels.len(), 5);
     }
 
-    /// The fields every named run of `table2`, `fig6`, `profile_phases` and
-    /// the `end_to_end` bench trains with, written out in full: only the
-    /// memory layout, the precision, the active sets and the SIMD policy
-    /// differ from the workload's own network and trainer. The lineup and
-    /// the rewrites the other binaries call must agree.
+    /// The fields every named run of `paper`'s sections and the
+    /// `end_to_end` bench trains with, written out in full: only the memory
+    /// layout, the precision, the active sets and the SIMD policy differ
+    /// from the workload's own network and trainer. The lineup and the
+    /// rewrites the other sections call must agree, or a `Lab` would train
+    /// one method twice.
     #[test]
     fn every_named_run_trains_its_pinned_configuration() {
         let train = tiny_train();
@@ -187,8 +188,8 @@ mod tests {
                 "the V100 row is modeled"
             );
 
-            // profile_phases and the end_to_end bench call the rewrites on
-            // `Workload::run` directly.
+            // The phases and ladder sections and the end_to_end bench call
+            // the rewrites on `Workload::run` directly.
             let direct = |m: Method| w.run(m.label(), &train);
             assert_eq!(direct(Method::OptimizedSlideClx), clx);
             assert_eq!(direct(Method::OptimizedSlideCpx).cpx(), cpx);

@@ -9,7 +9,7 @@
 //! * the router ring reports `router_queue` and `hedge_wait` exactly once
 //!   for the traced id;
 //! * the winning replica's ring reports `admission`, `batch_wait`,
-//!   `retrieval`, `kernel`, `merge`, and `encode` exactly once each, with
+//!   `retrieval`, `kernel` and `encode` exactly once each, with
 //!   monotone (non-decreasing) stage start timestamps in pipeline order;
 //! * untraced traffic records no spans at all;
 //! * `GetMetrics` over the wire returns the families the scrape contract
@@ -134,7 +134,7 @@ fn traced_request_reports_every_hop_exactly_once() {
             .get()
     );
 
-    // Winning replica: all five serve-side stages plus the socket encode,
+    // Winning replica: all four serve-side stages plus the socket encode,
     // each exactly once.
     let fast_hub = b_fast.obs();
     await_encode_span(&fast_hub, trace_id);
@@ -143,7 +143,6 @@ fn traced_request_reports_every_hop_exactly_once() {
         Stage::BatchWait,
         Stage::Retrieval,
         Stage::Kernel,
-        Stage::Merge,
         Stage::Encode,
     ];
     for stage in expect {

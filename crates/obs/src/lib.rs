@@ -16,7 +16,7 @@
 //!   Prometheus-style exposition text ([`Registry::render`]).
 //! * [`TraceRing`] + [`Stage`] — a fixed-size per-process ring of
 //!   per-request stage spans (router queue, admission, batch wait, LSH
-//!   retrieval, kernel compute, shard merge, encode), keyed by a
+//!   retrieval, kernel compute, encode), keyed by a
 //!   splitmix64-derived trace id ([`derive_trace_id`]) that the wire
 //!   protocol carries hop to hop.
 //! * [`ObsHub`] — one registry + one trace ring, the per-process handle a

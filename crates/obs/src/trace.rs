@@ -24,8 +24,6 @@ pub enum Stage {
     Retrieval,
     /// Replica: input-layer forward plus active-neuron scoring kernels.
     Kernel,
-    /// Replica: cross-shard dedup/merge and final top-k gather.
-    Merge,
     /// Replica: reply frame encode and socket write/flush.
     Encode,
 }
@@ -40,20 +38,18 @@ impl Stage {
             Stage::BatchWait => "batch_wait",
             Stage::Retrieval => "retrieval",
             Stage::Kernel => "kernel",
-            Stage::Merge => "merge",
             Stage::Encode => "encode",
         }
     }
 
     /// All stages in canonical pipeline order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 7] = [
         Stage::RouterQueue,
         Stage::HedgeWait,
         Stage::Admission,
         Stage::BatchWait,
         Stage::Retrieval,
         Stage::Kernel,
-        Stage::Merge,
         Stage::Encode,
     ];
 }
@@ -203,7 +199,9 @@ pub struct StageSample {
     pub retrieval_us: u64,
     /// Dense forward + scoring kernel time, µs.
     pub kernel_us: u64,
-    /// Cross-shard merge / top-k gather time, µs.
+    /// Cross-shard merge time, µs: always 0, since retrieval builds one
+    /// global active list. The field goes when the benchmark retires
+    /// `quant.shard_merge_us`, its one reader.
     pub merge_us: u64,
 }
 

@@ -207,7 +207,6 @@ struct ServeObs {
     stage_batch_wait: Arc<Histogram>,
     stage_retrieval: Arc<Histogram>,
     stage_kernel: Arc<Histogram>,
-    stage_merge: Arc<Histogram>,
 }
 
 /// Get-or-create the shared `slide_stage_us{stage=...}` histogram for one
@@ -236,7 +235,6 @@ impl ServeObs {
             stage_batch_wait: stage_histogram(&hub, Stage::BatchWait),
             stage_retrieval: stage_histogram(&hub, Stage::Retrieval),
             stage_kernel: stage_histogram(&hub, Stage::Kernel),
-            stage_merge: stage_histogram(&hub, Stage::Merge),
             hub,
         }
     }
@@ -255,7 +253,6 @@ impl ServeObs {
         self.stage_batch_wait.reset();
         self.stage_retrieval.reset();
         self.stage_kernel.reset();
-        self.stage_merge.reset();
     }
 }
 
@@ -465,7 +462,7 @@ impl BatchingServer {
     ///   completion; the deadline bounds *queueing*, which is where overload
     ///   latency lives. `None` = no deadline.
     /// * A nonzero `trace_id` makes every stage this request passes through
-    ///   (admission, batch wait, retrieval, kernel, merge) record a span in
+    ///   (admission, batch wait, retrieval, kernel) record a span in
     ///   the server's trace ring under that id; `0` traces nothing.
     ///
     /// # Errors
@@ -756,7 +753,6 @@ impl Session<'_> {
         };
         obs.stage_retrieval.record(stages.retrieval_us);
         obs.stage_kernel.record(stages.kernel_us);
-        obs.stage_merge.record(stages.merge_us);
         // Spans in canonical pipeline order with synthesized sequential
         // starts from pickup — monotone by construction (attribution is by
         // stage, not by wall-clock interleaving). The ring ignores id 0.
@@ -765,7 +761,6 @@ impl Session<'_> {
             (Stage::BatchWait, wait_us),
             (Stage::Retrieval, stages.retrieval_us),
             (Stage::Kernel, stages.kernel_us),
-            (Stage::Merge, stages.merge_us),
         ] {
             let ring = obs.hub.ring();
             ring.record(ticket.trace_id, stage, start_us, dur_us);
@@ -1580,7 +1575,6 @@ mod tests {
             Stage::BatchWait,
             Stage::Retrieval,
             Stage::Kernel,
-            Stage::Merge,
         ] {
             assert_eq!(
                 spans.iter().filter(|s| s.stage == stage).count(),
