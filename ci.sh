@@ -586,6 +586,15 @@ if grep -nE 'slide-quant' crates/serve/Cargo.toml crates/bench/Cargo.toml ||
     exit 1
 fi
 
+step "one byte reader (slide_mem::ByteReader, no bytes shim)"
+# Wire frames, .slsnap images and checkpoints are parsed through the one
+# bounds-checked reader in slide-mem, and writers append to_le_bytes()
+# (DESIGN.md §9); the bytes shim and its Buf/BufMut traits stay gone.
+if grep -rnE '\bbytes::|\bBufMut\b|shims/bytes' crates src tests examples Cargo.toml; then
+    echo "ci.sh: the bytes shim or a Buf/BufMut codec is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -735,7 +744,12 @@ fi
 # One paper binary over memoised runs: 618 + 2 = 620. Added: slide-bench's
 # tests::{lab_trains_each_configuration_once, lab_runs_keep_a_forced_policy}.
 # The nine deleted binaries and examples/ablation.rs had no tests.
-MIN_TIER1_TESTS=620
+# One byte reader: 620 - 2 + 8 = 626. Deleted with the bytes shim:
+# its tests::{roundtrip_le, underflow_panics}. Added: slide-mem's
+# reader_props.rs (3) and the ByteReader doctest,
+# wire::tests::golden_frame_bytes and checkpoint::tests::{golden_checkpoint_digest,
+# truncated_output_layer_leaves_network_untouched, trailing_bytes_rejected}.
+MIN_TIER1_TESTS=626
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

@@ -15,7 +15,7 @@
 //! one precision mode can be reloaded into another for comparison.
 
 use crate::network::Network;
-use bytes::{Buf, BufMut};
+use slide_mem::{ByteReader, ReadError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -55,6 +55,12 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        CheckpointError::Format(e.to_string())
+    }
+}
+
 /// Serialize a network's learnable + optimizer state.
 ///
 /// A mutable reference works too (`save_checkpoint(&net, &mut writer)`).
@@ -65,14 +71,14 @@ impl From<io::Error> for CheckpointError {
 pub fn save_checkpoint<W: Write>(network: &Network, mut writer: W) -> io::Result<()> {
     let params = layer_params(network);
     let mut buf =
-        Vec::with_capacity(16 + params.iter().map(|p| p.export_len() + 24).sum::<usize>());
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(params.len() as u32);
+        Vec::with_capacity(12 + params.iter().map(|p| p.export_len() + 24).sum::<usize>());
+    for word in [MAGIC, VERSION, params.len() as u32] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
     for p in &params {
-        buf.put_u64_le(p.rows() as u64);
-        buf.put_u64_le(p.cols() as u64);
-        buf.put_u64_le(p.units() as u64);
+        for dim in [p.rows(), p.cols(), p.units()] {
+            buf.extend_from_slice(&(dim as u64).to_le_bytes());
+        }
     }
     for p in &params {
         p.export_into(&mut buf);
@@ -84,62 +90,57 @@ pub fn save_checkpoint<W: Write>(network: &Network, mut writer: W) -> io::Result
 /// [`save_checkpoint`]. The network must have the same architecture; hash
 /// tables are rebuilt from the restored weights.
 ///
+/// All or nothing: the header, the shapes and the exact file length are
+/// checked before any layer is written, so a refused checkpoint leaves the
+/// network as it was.
+///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Format`] on a shape/magic mismatch and
-/// [`CheckpointError::Io`] on read failure.
+/// Returns [`CheckpointError::Format`] on a shape/magic mismatch, a short
+/// file or trailing bytes, and [`CheckpointError::Io`] on read failure.
 pub fn load_checkpoint<R: Read>(
     network: &mut Network,
     mut reader: R,
 ) -> Result<(), CheckpointError> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    if buf.remaining() < 12 {
-        return Err(CheckpointError::Format("header truncated".into()));
-    }
-    if buf.get_u32_le() != MAGIC {
+    let mut r = ByteReader::new(&raw);
+    if r.u32("checkpoint magic")? != MAGIC {
         return Err(CheckpointError::Format("bad magic".into()));
     }
-    let version = buf.get_u32_le();
+    let version = r.u32("checkpoint version")?;
     if version != VERSION {
         return Err(CheckpointError::Format(format!(
             "unsupported version {version}"
         )));
     }
-    let n_layers = buf.get_u32_le() as usize;
-    {
-        let params = layer_params(network);
-        if n_layers != params.len() {
+    let n_layers = r.u32("layer count")? as usize;
+    let params = layer_params(network);
+    if n_layers != params.len() {
+        return Err(CheckpointError::Format(format!(
+            "layer count mismatch: checkpoint {n_layers}, network {}",
+            params.len()
+        )));
+    }
+    for p in &params {
+        let (rows, cols, units) = (r.u64("rows")?, r.u64("cols")?, r.u64("units")?);
+        if [rows, cols, units] != [p.rows(), p.cols(), p.units()].map(|d| d as u64) {
             return Err(CheckpointError::Format(format!(
-                "layer count mismatch: checkpoint {n_layers}, network {}",
-                params.len()
+                "shape mismatch: checkpoint {rows}x{cols}/{units}, network {}x{}/{}",
+                p.rows(),
+                p.cols(),
+                p.units()
             )));
         }
-        if buf.remaining() < n_layers * 24 {
-            return Err(CheckpointError::Format("shape table truncated".into()));
-        }
-        let mut shapes = Vec::with_capacity(n_layers);
-        for _ in 0..n_layers {
-            shapes.push((
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-            ));
-        }
-        for (p, &(rows, cols, units)) in params.iter().zip(&shapes) {
-            if p.rows() != rows || p.cols() != cols || p.units() != units {
-                return Err(CheckpointError::Format(format!(
-                    "shape mismatch: checkpoint {rows}x{cols}/{units}, network {}x{}/{}",
-                    p.rows(),
-                    p.cols(),
-                    p.units()
-                )));
-            }
-        }
     }
+    let payload = r.take(
+        params.iter().map(|p| p.export_len()).sum(),
+        "layer payloads",
+    )?;
+    r.finish("checkpoint")?;
+    let mut payload = ByteReader::new(payload);
     for p in network.params_mut() {
-        p.import_from(&mut buf).map_err(CheckpointError::Format)?;
+        p.import_from(&mut payload)?;
     }
     network.output_mut().rebuild_serial();
     Ok(())
@@ -229,6 +230,26 @@ mod tests {
         }
     }
 
+    /// The checkpoint of the nine-batch network, pinned as (length, CRC-32)
+    /// per kernel tier: the tiers round differently, so each trains its own
+    /// bits, but within a tier the bytes on disk must never move.
+    #[test]
+    fn golden_checkpoint_digest() {
+        let mut bytes = Vec::new();
+        save_checkpoint(&perturbed(config()), &mut bytes).unwrap();
+        let level = slide_simd::effective_level();
+        let want = match level {
+            slide_simd::SimdLevel::Scalar => (9756, 225623436),
+            slide_simd::SimdLevel::Avx2 => (9756, 896320620),
+            slide_simd::SimdLevel::Avx512 => (9756, 3336575821),
+        };
+        assert_eq!(
+            (bytes.len(), slide_mem::crc32(&bytes)),
+            want,
+            "{level:?}: checkpoint layout drifted"
+        );
+    }
+
     #[test]
     fn bf16_checkpoint_roundtrips_into_fp32_network() {
         let mut cfg = config();
@@ -271,6 +292,39 @@ mod tests {
         let mut net = Network::new(config()).unwrap();
         let err = load_checkpoint(&mut net, &b"nope"[..]).unwrap_err();
         assert!(err.to_string().contains("invalid checkpoint"));
+    }
+
+    /// A file cut inside the output layer's payload is refused before any
+    /// layer is written: the network keeps every byte it had.
+    #[test]
+    fn truncated_output_layer_leaves_network_untouched() {
+        let mut bytes = Vec::new();
+        save_checkpoint(&perturbed(config()), &mut bytes).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        let mut net = Network::new(config()).unwrap();
+        let before: Vec<Vec<u8>> = layer_params(&net).into_iter().map(export).collect();
+        match load_checkpoint(&mut net, &bytes[..]) {
+            Err(CheckpointError::Format(_)) => {}
+            other => panic!("expected format error, got {other:?}"),
+        }
+        let after: Vec<Vec<u8>> = layer_params(&net).into_iter().map(export).collect();
+        assert!(
+            before == after,
+            "a refused checkpoint wrote into the network"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let net = Network::new(config()).unwrap();
+        let mut bytes = Vec::new();
+        save_checkpoint(&net, &mut bytes).unwrap();
+        bytes.push(0);
+        let mut other = Network::new(config()).unwrap();
+        match load_checkpoint(&mut other, &bytes[..]) {
+            Err(CheckpointError::Format(_)) => {}
+            other => panic!("expected format error, got {other:?}"),
+        }
     }
 
     #[test]

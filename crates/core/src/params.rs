@@ -16,7 +16,7 @@
 //! thread reads or writes it meanwhile.
 
 use crate::config::Precision;
-use slide_mem::{ParamArena, ParamArenaBf16, ParamLayout, ParamStore};
+use slide_mem::{ByteReader, ParamArena, ParamArenaBf16, ParamLayout, ParamStore, ReadError};
 use slide_simd::{AdamStep, KernelSet, RowGather};
 
 /// Weight matrix storage: full-precision or brain-float16.
@@ -466,28 +466,24 @@ impl LayerParams {
     /// Serialize weights, bias, and ADAM moments as little-endian f32 bytes
     /// (bf16 weights are widened; they re-quantize losslessly on import).
     pub fn export_into(&self, buf: &mut Vec<u8>) {
-        use bytes::BufMut;
+        let mut put = |xs: &[f32]| {
+            for x in xs {
+                buf.extend_from_slice(&x.to_le_bytes());
+            }
+        };
         let mut row_buf = vec![0.0_f32; self.cols];
         for r in 0..self.rows {
             self.widen_row_into(r, &mut row_buf);
-            for &w in &row_buf {
-                buf.put_f32_le(w);
-            }
+            put(&row_buf);
         }
-        for &b in self.bias.flat() {
-            buf.put_f32_le(b);
-        }
+        put(self.bias.flat());
         for store in [&self.m_w, &self.v_w] {
             for r in 0..self.rows {
-                for &m in store.row(r) {
-                    buf.put_f32_le(m);
-                }
+                put(store.row(r));
             }
         }
         for arr in [&self.m_b, &self.v_b] {
-            for &m in arr.flat() {
-                buf.put_f32_le(m);
-            }
+            put(arr.flat());
         }
     }
 
@@ -496,45 +492,46 @@ impl LayerParams {
         (3 * self.rows * self.cols + 3 * self.units) * 4
     }
 
-    /// Restore state written by [`LayerParams::export_into`].
+    /// Restore state written by [`LayerParams::export_into`], reading
+    /// [`LayerParams::export_len`] bytes from `r`.
     ///
     /// # Errors
     ///
-    /// Returns a message if the buffer is too short.
-    pub fn import_from(&mut self, buf: &mut impl bytes::Buf) -> Result<(), String> {
-        if buf.remaining() < self.export_len() {
-            return Err(format!(
-                "checkpoint truncated: need {} bytes, have {}",
-                self.export_len(),
-                buf.remaining()
-            ));
+    /// [`ReadError::Truncated`] if fewer bytes remain; the layer is left
+    /// untouched then.
+    pub fn import_from(&mut self, r: &mut ByteReader<'_>) -> Result<(), ReadError> {
+        fn get(
+            r: &mut ByteReader<'_>,
+            out: &mut [f32],
+            what: &'static str,
+        ) -> Result<(), ReadError> {
+            let words = r.words(out.len(), what)?;
+            for (o, w) in out.iter_mut().zip(words) {
+                *o = f32::from_bits(w);
+            }
+            Ok(())
         }
+        // Take the whole block under one check, so every read below is in
+        // bounds and a short input writes nothing.
+        let r = &mut ByteReader::new(r.take(self.export_len(), "layer parameters")?);
         let mut row_buf = vec![0.0_f32; self.cols];
-        for r in 0..self.rows {
-            for w in row_buf.iter_mut() {
-                *w = buf.get_f32_le();
-            }
+        for row in 0..self.rows {
+            get(r, &mut row_buf, "weight row")?;
             match &mut self.weights {
-                WeightStorage::F32(store) => store.row_mut(r).copy_from_slice(&row_buf),
+                WeightStorage::F32(store) => store.row_mut(row).copy_from_slice(&row_buf),
                 WeightStorage::Bf16(arena) => {
-                    slide_simd::bf16::f32_to_bf16_slice(&row_buf, arena.row_mut(r))
+                    slide_simd::bf16::f32_to_bf16_slice(&row_buf, arena.row_mut(row))
                 }
             }
         }
-        for b in self.bias.flat_mut() {
-            *b = buf.get_f32_le();
-        }
+        get(r, self.bias.flat_mut(), "bias")?;
         for store in [&mut self.m_w, &mut self.v_w] {
-            for r in 0..self.rows {
-                for m in store.row_mut(r) {
-                    *m = buf.get_f32_le();
-                }
+            for row in 0..self.rows {
+                get(r, store.row_mut(row), "weight moment row")?;
             }
         }
         for arr in [&mut self.m_b, &mut self.v_b] {
-            for m in arr.flat_mut() {
-                *m = buf.get_f32_le();
-            }
+            get(r, arr.flat_mut(), "bias moment")?;
         }
         Ok(())
     }

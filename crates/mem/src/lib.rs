@@ -24,7 +24,9 @@
 //!   or mmap) with typed zero-copy views, the substrate of the snapshot
 //!   persistence format,
 //! * [`crc32`] — the CRC-32 integrity checksum shared by the wire protocol
-//!   and the snapshot section table.
+//!   and the snapshot section table,
+//! * [`ByteReader`] — the one bounds-checked little-endian reader that wire
+//!   frames, `.slsnap` images and checkpoints are parsed through.
 //!
 //! # Examples
 //!
@@ -45,6 +47,7 @@
 mod aligned;
 mod arena;
 mod checksum;
+mod reader;
 mod shared;
 mod sparse;
 mod sys;
@@ -52,5 +55,6 @@ mod sys;
 pub use aligned::{AlignedVec, Pod, BUFFER_ALIGN};
 pub use arena::{FragmentedParams, ParamArena, ParamArenaBf16, ParamLayout, ParamStore};
 pub use checksum::crc32;
+pub use reader::{ByteReader, ReadError};
 pub use shared::{pod_bytes, ArenaView, SharedArena};
 pub use sparse::{BatchStore, FragmentedBatch, IndexBatch, SparseBatch, SparseVecRef};

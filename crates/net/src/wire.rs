@@ -31,11 +31,13 @@
 //! Decoding is **total**: [`decode_frame`] (and every payload parser under
 //! it) returns `Result` for arbitrary input bytes and never panics — the
 //! protocol-fuzz battery in `tests/wire_props.rs` feeds it random garbage
-//! and byte-flipped valid frames to hold that line. Encoding goes through
-//! the workspace's `bytes` shim ([`BufMut`]) exactly like the checkpoint
-//! serializer does.
+//! and byte-flipped valid frames to hold that line. Header and payloads are
+//! read through `slide-mem`'s checked [`ByteReader`], the reader the
+//! checkpoint and `.slsnap` parsers share; a short or over-long payload is
+//! [`WireError::Malformed`] naming the field. Encoding appends
+//! `to_le_bytes()`.
 
-use bytes::{Buf, BufMut};
+use slide_mem::{ByteReader, ReadError};
 
 /// Frame magic: `b"SLW1"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"SLW1");
@@ -132,6 +134,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e.kind(), e.to_string())
+    }
+}
+
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        WireError::Malformed(e.to_string())
     }
 }
 
@@ -293,25 +301,29 @@ impl Frame {
 // ---------------------------------------------------------------------------
 
 fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
+    let text = |out: &mut Vec<u8>, s: &str| {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    };
     match frame {
         Frame::Predict(req) => {
-            out.put_u64_le(req.req_id);
-            out.put_u32_le(req.k);
-            out.put_u64_le(req.deadline_us);
-            out.put_u64_le(req.trace_id);
-            out.put_u32_le(req.indices.len() as u32);
+            out.extend_from_slice(&req.req_id.to_le_bytes());
+            out.extend_from_slice(&req.k.to_le_bytes());
+            out.extend_from_slice(&req.deadline_us.to_le_bytes());
+            out.extend_from_slice(&req.trace_id.to_le_bytes());
+            out.extend_from_slice(&(req.indices.len() as u32).to_le_bytes());
             for &i in &req.indices {
-                out.put_u32_le(i);
+                out.extend_from_slice(&i.to_le_bytes());
             }
             for &v in &req.values {
-                out.put_f32_le(v);
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         Frame::TopK { req_id, ids } => {
-            out.put_u64_le(*req_id);
-            out.put_u32_le(ids.len() as u32);
+            out.extend_from_slice(&req_id.to_le_bytes());
+            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
             for &id in ids {
-                out.put_u32_le(id);
+                out.extend_from_slice(&id.to_le_bytes());
             }
         }
         Frame::Error {
@@ -319,29 +331,27 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             code,
             message,
         } => {
-            out.put_u64_le(*req_id);
-            out.put_u8(*code as u8);
-            out.put_u32_le(message.len() as u32);
-            out.put_slice(message.as_bytes());
+            out.extend_from_slice(&req_id.to_le_bytes());
+            out.push(*code as u8);
+            text(out, message);
         }
         Frame::RetryLater {
             req_id,
             queue_depth,
         } => {
-            out.put_u64_le(*req_id);
-            out.put_u32_le(*queue_depth);
+            out.extend_from_slice(&req_id.to_le_bytes());
+            out.extend_from_slice(&queue_depth.to_le_bytes());
         }
-        Frame::Ping { nonce } => out.put_u64_le(*nonce),
+        Frame::Ping { nonce } => out.extend_from_slice(&nonce.to_le_bytes()),
         Frame::Pong(info) => {
-            out.put_u64_le(info.nonce);
-            out.put_u32_le(info.inflight);
-            out.put_u8(info.draining as u8);
-            out.put_u32_le(info.precision.len() as u32);
-            out.put_slice(info.precision.as_bytes());
+            out.extend_from_slice(&info.nonce.to_le_bytes());
+            out.extend_from_slice(&info.inflight.to_le_bytes());
+            out.push(info.draining as u8);
+            text(out, &info.precision);
         }
         Frame::Drain | Frame::GetMetrics => {}
-        Frame::DeadlineExceeded { req_id } => out.put_u64_le(*req_id),
-        Frame::MetricsText(text) => out.put_slice(text.as_bytes()),
+        Frame::DeadlineExceeded { req_id } => out.extend_from_slice(&req_id.to_le_bytes()),
+        Frame::MetricsText(body) => out.extend_from_slice(body.as_bytes()),
     }
 }
 
@@ -349,14 +359,12 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
     encode_payload(frame, &mut payload);
-    out.put_u32_le(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(frame.type_byte());
-    out.put_u8(0); // reserved
-    out.put_u8(0); // reserved
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(crc32(&payload));
-    out.put_slice(&payload);
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    // Version, frame type, then the two reserved bytes.
+    out.extend_from_slice(&[VERSION, frame.type_byte(), 0, 0]);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
 }
 
 /// Encode `frame` into a fresh buffer.
@@ -369,67 +377,6 @@ pub fn frame_bytes(frame: &Frame) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 // Decoding (total: never panics, whatever the bytes)
 // ---------------------------------------------------------------------------
-
-/// Checked little-endian reader over a payload slice — every accessor
-/// verifies `remaining()` before touching the `bytes` shim (whose `get_*`
-/// panic on underflow, matching upstream).
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize, what: &str) -> Result<(), WireError> {
-        if self.0.remaining() < n {
-            return Err(WireError::Malformed(format!(
-                "payload ends inside {what}: need {n} bytes, have {}",
-                self.0.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        self.need(1, what)?;
-        Ok(self.0.get_u8())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        self.need(4, what)?;
-        Ok(self.0.get_u32_le())
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        self.need(8, what)?;
-        Ok(self.0.get_u64_le())
-    }
-
-    /// `n` little-endian 32-bit words under one bounds check, so a count
-    /// the payload cannot hold is refused before anything is allocated.
-    fn words(&mut self, n: usize, what: &str) -> Result<impl Iterator<Item = u32> + 'a, WireError> {
-        self.need(n.saturating_mul(4), what)?;
-        let (head, tail) = self.0.split_at(n * 4);
-        self.0 = tail;
-        Ok(head
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])))
-    }
-
-    fn utf8(&mut self, len: usize, what: &str) -> Result<String, WireError> {
-        self.need(len, what)?;
-        let mut bytes = vec![0u8; len];
-        self.0.copy_to_slice(&mut bytes);
-        String::from_utf8(bytes)
-            .map_err(|_| WireError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    fn finish(self, what: &str) -> Result<(), WireError> {
-        if self.0.remaining() != 0 {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after {what}",
-                self.0.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
 
 /// A parsed frame header, validated field by field in wire order (so the
 /// first corrupt field is the one reported).
@@ -453,31 +400,33 @@ impl FrameHeader {
     /// [`WireError::BadFrameType`] / [`WireError::BadReserved`] /
     /// [`WireError::Oversized`] in wire order.
     pub fn parse(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Self, WireError> {
-        let mut r = &bytes[..];
-        let magic = r.get_u32_le();
+        let mut r = ByteReader::new(bytes);
+        let magic = r.u32("header.magic")?;
         if magic != MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = r.get_u8();
+        let version = r.u8("header.version")?;
         if version != VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let frame_type = r.get_u8();
+        let frame_type = r.u8("header.frame_type")?;
         if !matches!(frame_type, 1..=6 | 9..=12) {
             return Err(WireError::BadFrameType(frame_type));
         }
-        let reserved = u16::from_le_bytes([r.get_u8(), r.get_u8()]);
+        let reserved = r.take(2, "header.reserved")?;
+        let reserved = u16::from_le_bytes([reserved[0], reserved[1]]);
         if reserved != 0 {
             return Err(WireError::BadReserved(reserved));
         }
-        let payload_len = r.get_u32_le();
+        let payload_len = r.u32("header.payload_len")?;
         if payload_len > max_payload {
             return Err(WireError::Oversized {
                 len: payload_len,
                 max: max_payload,
             });
         }
-        let payload_crc = r.get_u32_le();
+        let payload_crc = r.u32("header.payload_crc")?;
+        r.finish("header")?;
         Ok(FrameHeader {
             frame_type,
             payload_len,
@@ -489,7 +438,7 @@ impl FrameHeader {
 /// Parse a payload whose header already validated. Total: returns a typed
 /// error for any byte sequence.
 pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
-    let mut r = Reader(payload);
+    let mut r = ByteReader::new(payload);
     match frame_type {
         1 => {
             let req_id = r.u64("Predict.req_id")?;
@@ -523,7 +472,7 @@ pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError
             let req_id = r.u64("Error.req_id")?;
             let code = ErrorCode::from_u8(r.u8("Error.code")?)?;
             let len = r.u32("Error.msg_len")? as usize;
-            let message = r.utf8(len, "Error.message")?;
+            let message = r.utf8(len, "Error.message")?.to_owned();
             r.finish("Error")?;
             Ok(Frame::Error {
                 req_id,
@@ -550,7 +499,7 @@ pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError
             let inflight = r.u32("Pong.inflight")?;
             let draining = r.u8("Pong.draining")? != 0;
             let len = r.u32("Pong.precision_len")? as usize;
-            let precision = r.utf8(len, "Pong.precision")?;
+            let precision = r.utf8(len, "Pong.precision")?.to_owned();
             r.finish("Pong")?;
             Ok(Frame::Pong(PongInfo {
                 nonce,
@@ -573,9 +522,8 @@ pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError
             Ok(Frame::GetMetrics)
         }
         12 => {
-            let len = payload.len();
-            let text = r.utf8(len, "MetricsText.body")?;
-            Ok(Frame::MetricsText(text))
+            let text = r.utf8(payload.len(), "MetricsText.body")?;
+            Ok(Frame::MetricsText(text.to_owned()))
         }
         other => Err(WireError::BadFrameType(other)),
     }
@@ -690,6 +638,68 @@ mod tests {
         ));
     }
 
+    /// One exact encoding per frame kind, header included, pinned so that a
+    /// codec change which still round-trips cannot move a byte on the wire.
+    #[test]
+    fn golden_frame_bytes() {
+        let golden: [(Frame, &str); 10] = [
+            (
+                Frame::Predict(PredictRequest {
+                    req_id: 42,
+                    k: 5,
+                    deadline_us: 250_000,
+                    trace_id: 0xDEAD_BEEF_CAFE_F00D,
+                    indices: vec![1, 17],
+                    values: vec![1.0, -0.5],
+                }),
+                "534c57310301000030000000d598d1832a000000000000000500000090d00300000000000df0fecaefbeadde0200000001000000110000000000803f000000bf",
+            ),
+            (
+                Frame::TopK {
+                    req_id: 42,
+                    ids: vec![3, 1, 4],
+                },
+                "534c573103020000180000002035bf4b2a0000000000000003000000030000000100000004000000",
+            ),
+            (
+                Frame::Error {
+                    req_id: 9,
+                    code: ErrorCode::Invalid,
+                    message: "k=0".into(),
+                },
+                "534c573103030000100000005b0331c4090000000000000001030000006b3d30",
+            ),
+            (
+                Frame::RetryLater {
+                    req_id: 7,
+                    queue_depth: 4096,
+                },
+                "534c5731030400000c000000908c6b13070000000000000000100000",
+            ),
+            (Frame::Ping { nonce: 0xDEAD }, "534c573103050000080000002c5596afadde000000000000"),
+            (
+                Frame::Pong(PongInfo {
+                    nonce: 0xDEAD,
+                    inflight: 12,
+                    draining: true,
+                    precision: "i8".into(),
+                }),
+                "534c573103060000130000006c7f460fadde0000000000000c00000001020000006938",
+            ),
+            (Frame::Drain, "534c5731030900000000000000000000"),
+            (Frame::DeadlineExceeded { req_id: 99 }, "534c5731030a0000080000003178463b6300000000000000"),
+            (Frame::GetMetrics, "534c5731030b00000000000000000000"),
+            (Frame::MetricsText("up 1\n".into()), "534c5731030c0000050000007290ea82757020310a"),
+        ];
+        for (frame, hex) in golden {
+            let got: String = frame_bytes(&frame)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, hex, "{frame:?}");
+        }
+    }
+
     #[test]
     fn predict_length_depends_on_nnz_alone() {
         for nnz in [0usize, 1, 7] {
@@ -775,40 +785,43 @@ mod tests {
 
     #[test]
     fn payload_underflow_and_trailing_bytes_are_malformed() {
+        let le = |fields: &[&[u8]]| fields.concat();
         // Predict claiming 1000 non-zeros with none present.
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        payload.put_u32_le(5);
-        payload.put_u64_le(0);
-        payload.put_u64_le(0);
-        payload.put_u32_le(1000);
+        let payload = le(&[
+            &1u64.to_le_bytes(),
+            &5u32.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &1000u32.to_le_bytes(),
+        ]);
         assert!(matches!(
             decode_payload(1, &payload),
             Err(WireError::Malformed(_))
         ));
         // Ping with trailing junk.
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        payload.put_u8(0);
+        let payload = le(&[&1u64.to_le_bytes(), &[0]]);
         assert!(matches!(
             decode_payload(5, &payload),
             Err(WireError::Malformed(_))
         ));
         // Error frame with non-UTF-8 message bytes.
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        payload.put_u8(1);
-        payload.put_u32_le(2);
-        payload.put_slice(&[0xFF, 0xFE]);
+        let payload = le(&[
+            &1u64.to_le_bytes(),
+            &[1],
+            &2u32.to_le_bytes(),
+            &[0xFF, 0xFE],
+        ]);
         assert!(matches!(
             decode_payload(3, &payload),
             Err(WireError::Malformed(_))
         ));
-        // Predict whose payload stops inside the deadline field.
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        payload.put_u32_le(5);
-        payload.put_u32_le(0); // only 4 of the deadline's 8 bytes present
+        // Predict whose payload stops inside the deadline field: only 4 of
+        // its 8 bytes are present.
+        let payload = le(&[
+            &1u64.to_le_bytes(),
+            &5u32.to_le_bytes(),
+            &0u32.to_le_bytes(),
+        ]);
         assert!(matches!(
             decode_payload(1, &payload),
             Err(WireError::Malformed(_))

@@ -17,11 +17,11 @@
 //! copies on the load path. Cloning shares the arenas.
 
 use crate::snapshot::{
-    corrupt, LayerDims, SectionKind, SnapshotError, SnapshotImage, SnapshotPrecision,
+    corrupt, read_usize, LayerDims, SectionKind, SnapshotError, SnapshotImage, SnapshotPrecision,
     SnapshotWriter,
 };
 use slide_core::LayerParams;
-use slide_mem::{AlignedVec, ArenaView};
+use slide_mem::{AlignedVec, ArenaView, ByteReader};
 use slide_simd::{quantize_acts_u8, quantize_row_i8, KernelSet, RowGather};
 
 /// One activation vector as the layouts consume it: the f32 values plus the
@@ -518,30 +518,27 @@ impl QuantReport {
     /// [`SnapshotError::Corrupt`] on truncation, trailing bytes, or an
     /// over-long layer name.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = crate::snapshot::Reader::new(bytes);
-        let count = r.u32()? as usize;
+        let mut r = ByteReader::new(bytes);
+        let count = r.u32("QuantReport.count")? as usize;
         if count > 4096 {
             return Err(corrupt(format!("{count} quant report layers")));
         }
         let mut layers = Vec::with_capacity(count);
         for _ in 0..count {
-            let name_len = r.u32()? as usize;
+            let name_len = r.u32("QuantReport.name_len")? as usize;
             if name_len > 256 {
                 return Err(corrupt(format!("{name_len}-byte quant layer name")));
             }
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| corrupt("quant layer name is not UTF-8"))?
-                .to_string();
             layers.push(LayerQuantStats {
-                name,
-                rows: r.usize()?,
-                cols: r.usize()?,
-                max_err: f32::from_bits(r.u32()?),
-                mean_err: f32::from_bits(r.u32()?),
-                max_scale: f32::from_bits(r.u32()?),
+                name: r.utf8(name_len, "QuantReport.name")?.to_owned(),
+                rows: read_usize(&mut r, "QuantReport.rows")?,
+                cols: read_usize(&mut r, "QuantReport.cols")?,
+                max_err: f32::from_bits(r.u32("QuantReport.max_err")?),
+                mean_err: f32::from_bits(r.u32("QuantReport.mean_err")?),
+                max_scale: f32::from_bits(r.u32("QuantReport.max_scale")?),
             });
         }
-        r.done()?;
+        r.finish("QuantReport")?;
         Ok(QuantReport { layers })
     }
 }

@@ -57,7 +57,7 @@ use slide_core::{
     HashFamilyKind, LshConfig, MemoryConfig, Network, NetworkConfig, Precision, Retrieval,
 };
 use slide_hash::LshTables;
-use slide_mem::{crc32, pod_bytes, AlignedVec, ArenaView, Pod, SharedArena};
+use slide_mem::{crc32, pod_bytes, AlignedVec, ArenaView, ByteReader, Pod, ReadError, SharedArena};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -210,6 +210,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+impl From<ReadError> for SnapshotError {
+    fn from(e: ReadError) -> Self {
+        SnapshotError::Corrupt(e.to_string())
+    }
+}
+
 impl From<ServeBuildError> for SnapshotError {
     fn from(e: ServeBuildError) -> Self {
         SnapshotError::Build(e)
@@ -264,26 +270,6 @@ impl SectionKind {
             _ => return None,
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian plumbing
-// ---------------------------------------------------------------------------
-
-fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-    buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut [u8], off: usize, v: u64) {
-    buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(buf[off..off + 4].try_into().expect("bounds checked"))
-}
-
-fn get_u64(buf: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(buf[off..off + 8].try_into().expect("bounds checked"))
 }
 
 fn align_up(v: usize) -> usize {
@@ -341,40 +327,45 @@ impl SnapshotWriter {
         // past the table is either CRC-covered payload or an inter-section
         // gap no reader ever dereferences.
         let mut cursor = HEADER_LEN + table_len;
-        let offsets: Vec<usize> = self
-            .sections
-            .iter()
-            .map(|(_, _, bytes)| {
-                let at = align_up(cursor);
-                cursor = at + bytes.len();
-                at
-            })
-            .collect();
+        let mut offsets = Vec::with_capacity(self.sections.len());
+        let mut table = Vec::with_capacity(table_len);
+        for (kind, index, bytes) in &self.sections {
+            let at = align_up(cursor);
+            cursor = at + bytes.len();
+            offsets.push(at);
+            table.extend_from_slice(&(*kind as u32).to_le_bytes());
+            table.extend_from_slice(&index.to_le_bytes());
+            table.extend_from_slice(&(at as u64).to_le_bytes());
+            table.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            table.extend_from_slice(&crc32(bytes).to_le_bytes());
+            table.extend_from_slice(&0u32.to_le_bytes());
+        }
         let total = cursor.max(HEADER_LEN);
+
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        for word in [
+            MAGIC,
+            FORMAT_VERSION,
+            self.precision.code(),
+            self.plan_kind,
+            self.shards,
+            self.sections.len() as u32,
+        ] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        header.extend_from_slice(&(total as u64).to_le_bytes());
+        header.extend_from_slice(&crc32(&table).to_le_bytes());
+        header.resize(60, 0); // bytes 36..60 are reserved
+        let header_crc = crc32(&header);
+        header.extend_from_slice(&header_crc.to_le_bytes());
+
         let mut image = AlignedVec::<u8>::zeroed(total);
         let buf = image.as_mut_slice();
-
-        for (i, (kind, index, bytes)) in self.sections.iter().enumerate() {
-            let entry = HEADER_LEN + i * SECTION_ENTRY_LEN;
-            put_u32(buf, entry, *kind as u32);
-            put_u32(buf, entry + 4, *index);
-            put_u64(buf, entry + 8, offsets[i] as u64);
-            put_u64(buf, entry + 16, bytes.len() as u64);
-            put_u32(buf, entry + 24, crc32(bytes));
-            buf[offsets[i]..offsets[i] + bytes.len()].copy_from_slice(bytes);
+        buf[..HEADER_LEN].copy_from_slice(&header);
+        buf[HEADER_LEN..HEADER_LEN + table_len].copy_from_slice(&table);
+        for ((_, _, bytes), &at) in self.sections.iter().zip(&offsets) {
+            buf[at..at + bytes.len()].copy_from_slice(bytes);
         }
-        let table_crc = crc32(&buf[HEADER_LEN..HEADER_LEN + table_len]);
-
-        put_u32(buf, 0, MAGIC);
-        put_u32(buf, 4, FORMAT_VERSION);
-        put_u32(buf, 8, self.precision.code());
-        put_u32(buf, 12, self.plan_kind);
-        put_u32(buf, 16, self.shards);
-        put_u32(buf, 20, self.sections.len() as u32);
-        put_u64(buf, 24, total as u64);
-        put_u32(buf, 32, table_crc);
-        let header_crc = crc32(&buf[..60]);
-        put_u32(buf, 60, header_crc);
         image
     }
 }
@@ -431,23 +422,33 @@ impl SnapshotImage {
                 buf.len()
             )));
         }
-        if get_u32(buf, 0) != MAGIC {
+        let mut h = ByteReader::new(&buf[..HEADER_LEN]);
+        let magic = h.u32("header.magic")?;
+        let version = h.u32("header.version")?;
+        let precision_code = h.u32("header.precision")?;
+        let plan_kind = h.u32("header.plan_kind")?;
+        let shards = h.u32("header.shards")? as usize;
+        let count = h.u32("header.section_count")? as usize;
+        let total = h.u64("header.total_len")?;
+        let table_crc = h.u32("header.table_crc")?;
+        h.take(24, "header.reserved")?;
+        let header_crc = h.u32("header.crc")?;
+        h.finish("header")?;
+        if magic != MAGIC {
             return Err(corrupt("bad magic (not a .slsnap image)"));
         }
-        if get_u32(buf, 60) != crc32(&buf[..60]) {
+        if header_crc != crc32(&buf[..60]) {
             return Err(corrupt("header checksum mismatch"));
         }
-        let version = get_u32(buf, 4);
         if version != FORMAT_VERSION {
             return Err(SnapshotError::Unsupported(format!(
                 "format version {version}, this build reads {FORMAT_VERSION}"
             )));
         }
-        let precision = SnapshotPrecision::from_code(get_u32(buf, 8)).ok_or_else(|| {
-            SnapshotError::Unsupported(format!("precision code {}", get_u32(buf, 8)))
+        let precision = SnapshotPrecision::from_code(precision_code).ok_or_else(|| {
+            SnapshotError::Unsupported(format!("precision code {precision_code}"))
         })?;
-        let shards = get_u32(buf, 16) as usize;
-        let plan = match get_u32(buf, 12) {
+        let plan = match plan_kind {
             0 => {
                 if shards != 1 {
                     return Err(corrupt(format!("unsharded image declares {shards} shards")));
@@ -460,32 +461,31 @@ impl SnapshotImage {
         if plan.is_some() && shards == 0 {
             return Err(corrupt("sharded image declares zero shards"));
         }
-        let total = get_u64(buf, 24) as usize;
-        if total != buf.len() {
+        if total != buf.len() as u64 {
             return Err(corrupt(format!(
                 "header declares {total} bytes, file holds {}",
                 buf.len()
             )));
         }
-        let count = get_u32(buf, 20) as usize;
         let table_len = count
             .checked_mul(SECTION_ENTRY_LEN)
             .filter(|&t| HEADER_LEN + t <= buf.len())
             .ok_or_else(|| corrupt(format!("section table of {count} entries out of bounds")))?;
         let table = &buf[HEADER_LEN..HEADER_LEN + table_len];
-        if get_u32(buf, 32) != crc32(table) {
+        if table_crc != crc32(table) {
             return Err(corrupt("section table checksum mismatch"));
         }
+        let mut t = ByteReader::new(table);
         let mut sections = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = i * SECTION_ENTRY_LEN;
-            let kind = SectionKind::from_u32(get_u32(table, at)).ok_or_else(|| {
-                SnapshotError::Unsupported(format!("section kind {}", get_u32(table, at)))
-            })?;
-            let index = get_u32(table, at + 4);
-            let offset = get_u64(table, at + 8) as usize;
-            let len = get_u64(table, at + 16) as usize;
-            let crc = get_u32(table, at + 24);
+        for _ in 0..count {
+            let code = t.u32("section.kind")?;
+            let kind = SectionKind::from_u32(code)
+                .ok_or_else(|| SnapshotError::Unsupported(format!("section kind {code}")))?;
+            let index = t.u32("section.index")?;
+            let offset = t.u64("section.offset")? as usize;
+            let len = t.u64("section.len")? as usize;
+            let crc = t.u32("section.crc")?;
+            t.u32("section.reserved")?;
             if !offset.is_multiple_of(SECTION_ALIGN) {
                 return Err(corrupt(format!(
                     "section {kind:?}[{index}] at unaligned offset {offset}"
@@ -520,6 +520,7 @@ impl SnapshotImage {
                 len,
             });
         }
+        t.finish("section table")?;
         // The writer lays payloads out in ascending, disjoint ranges; two
         // that share a byte would let one section alias another's data.
         let mut by_offset: Vec<&SectionEntry> = sections.iter().filter(|s| s.len > 0).collect();
@@ -665,53 +666,13 @@ pub fn encode_config(config: &NetworkConfig) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked cursor over a config/manifest payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("payload truncated"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| corrupt("value exceeds this platform's usize"))
-    }
-
-    pub(crate) fn done(&self) -> Result<(), SnapshotError> {
-        if self.at != self.buf.len() {
-            return Err(corrupt(format!(
-                "{} trailing payload bytes",
-                self.buf.len() - self.at
-            )));
-        }
-        Ok(())
-    }
+/// A `u64` field as a `usize`.
+pub(crate) fn read_usize(
+    r: &mut ByteReader<'_>,
+    what: &'static str,
+) -> Result<usize, SnapshotError> {
+    usize::try_from(r.u64(what)?)
+        .map_err(|_| corrupt(format!("{what} exceeds this platform's usize")))
 }
 
 /// Decode the [`SectionKind::Config`] payload. The decoded config is run
@@ -724,34 +685,34 @@ impl<'a> Reader<'a> {
 /// hidden layers but one; [`SnapshotError::Corrupt`] on truncation,
 /// trailing bytes, unknown enum codes, or a config that fails validation.
 pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let input_dim = r.usize()?;
-    let output_dim = r.usize()?;
-    let hidden_count = r.u32()?;
+    let mut r = ByteReader::new(bytes);
+    let input_dim = read_usize(&mut r, "config.input_dim")?;
+    let output_dim = read_usize(&mut r, "config.output_dim")?;
+    let hidden_count = r.u32("config.hidden_count")?;
     if hidden_count != 1 {
         return Err(SnapshotError::Unsupported(format!(
             "config declares {hidden_count} hidden layers, this build serves one"
         )));
     }
-    let hidden = r.usize()?;
-    let seed = r.u64()?;
-    let precision = match r.u32()? {
+    let hidden = read_usize(&mut r, "config.hidden")?;
+    let seed = r.u64("config.seed")?;
+    let precision = match r.u32("config.precision")? {
         0 => Precision::Fp32,
         1 => Precision::Bf16Activations,
         2 => Precision::Bf16Both,
         p => return Err(corrupt(format!("precision code {p}"))),
     };
-    let family_tag = r.u32()?;
-    let bin_size = r.usize()?;
+    let family_tag = r.u32("config.hash_family")?;
+    let bin_size = read_usize(&mut r, "config.bin_size")?;
     let family = match family_tag {
         0 => HashFamilyKind::Dwta { bin_size },
         1 => HashFamilyKind::SimHash,
         t => return Err(corrupt(format!("hash family tag {t}"))),
     };
-    let key_bits = r.u32()?;
-    let tables = r.usize()?;
-    let bucket_cap = r.usize()?;
-    match r.u32()? {
+    let key_bits = r.u32("config.key_bits")?;
+    let tables = read_usize(&mut r, "config.tables")?;
+    let bucket_cap = read_usize(&mut r, "config.bucket_cap")?;
+    match r.u32("config.bucket_policy")? {
         1 => {}
         0 => {
             return Err(SnapshotError::Unsupported(
@@ -760,19 +721,19 @@ pub fn decode_config(bytes: &[u8]) -> Result<NetworkConfig, SnapshotError> {
         }
         p => return Err(corrupt(format!("bucket policy code {p}"))),
     }
-    let min_active = r.usize()?;
-    let max_active = match r.u32()? {
+    let min_active = read_usize(&mut r, "config.min_active")?;
+    let max_active = match r.u32("config.max_active_tag")? {
         0 => {
-            r.u64()?;
+            r.u64("config.max_active")?;
             None
         }
-        1 => Some(r.usize()?),
+        1 => Some(read_usize(&mut r, "config.max_active")?),
         t => return Err(corrupt(format!("max_active tag {t}"))),
     };
-    let probes = r.usize()?;
-    let coalesced_params = r.u8()? != 0;
-    let coalesced_data = r.u8()? != 0;
-    r.done()?;
+    let probes = read_usize(&mut r, "config.probes")?;
+    let coalesced_params = r.u8("config.coalesced_params")? != 0;
+    let coalesced_data = r.u8("config.coalesced_data")? != 0;
+    r.finish("config")?;
     let config = NetworkConfig {
         input_dim,
         hidden,
@@ -835,20 +796,20 @@ pub fn encode_manifest(layers: &[LayerDims]) -> Vec<u8> {
 ///
 /// [`SnapshotError::Corrupt`] on truncation or trailing bytes.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<LayerDims>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let count = r.u32()? as usize;
+    let mut r = ByteReader::new(bytes);
+    let count = r.u32("manifest.count")? as usize;
     if count > 1_000_000 {
         return Err(corrupt(format!("{count} manifest entries")));
     }
     let mut layers = Vec::with_capacity(count);
     for _ in 0..count {
         layers.push(LayerDims {
-            rows: r.usize()?,
-            cols: r.usize()?,
-            bias_len: r.usize()?,
+            rows: read_usize(&mut r, "manifest.rows")?,
+            cols: read_usize(&mut r, "manifest.cols")?,
+            bias_len: read_usize(&mut r, "manifest.bias_len")?,
         });
     }
-    r.done()?;
+    r.finish("manifest")?;
     Ok(layers)
 }
 
