@@ -75,11 +75,12 @@ if [[ "$MODE" == "smoke" ]]; then
     step "cargo build --release -p slide-bench --bins"
     cargo build --release -p slide-bench --bins
 
-    # Every section of `paper` (each table, figure and ablation) at the
-    # smallest configuration, each distinct run trained once: 51-54 s on
-    # 2 vCPUs, against 124 s for the nine per-table programs it replaced
-    # (EXPERIMENTS.md §20). --barchart keeps fig6 from writing fig6_out/;
-    # the phases section writes BENCH_train.json.
+    # Every section of `paper` (each table, figure and ablation, and the
+    # per-tier kernel table) at the smallest configuration, each distinct
+    # run trained once: 51-54 s on 2 vCPUs for the trained sections, against
+    # 124 s for the nine per-table programs they replaced (EXPERIMENTS.md
+    # §20), plus ~10 s for `kernels`. --barchart keeps fig6 from writing
+    # fig6_out/; the phases section writes BENCH_train.json.
     step "smoke: paper --barchart (every section, 1 epoch, emits BENCH_train.json)"
     SLIDE_SCALE=1 SLIDE_EPOCHS=1 SLIDE_JSON_OUT=BENCH_train.json \
         ./target/release/paper --barchart > /dev/null
@@ -595,6 +596,17 @@ if grep -rnE '\bbytes::|\bBufMut\b|shims/bytes' crates src tests examples Cargo.
     exit 1
 fi
 
+step "one ungated harness (no Criterion shim, no cargo benches)"
+# Kernel timings are the `paper kernels` section; gated cells live in
+# benchmark/. No crate pulls in a bench harness and no manifest declares a
+# bench target.
+if grep -rnE 'criterion(::|_group|_main|\.workspace| *=)|shims/criterion|\[\[bench\]\]|crates/bench/benches' \
+        Cargo.toml crates src tests examples shims ||
+    [[ -e shims/criterion || -e crates/bench/benches ]]; then
+    echo "ci.sh: a bench harness (criterion, [[bench]] or crates/bench/benches) is back" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets --all-features -- -D warnings"
 cargo clippy --all-targets --all-features -- -D warnings
 
@@ -749,7 +761,12 @@ fi
 # reader_props.rs (3) and the ByteReader doctest,
 # wire::tests::golden_frame_bytes and checkpoint::tests::{golden_checkpoint_digest,
 # truncated_output_layer_leaves_network_untouched, trailing_bytes_rejected}.
-MIN_TIER1_TESTS=626
+# One ungated harness: 626 - 2 + 1 = 625. Deleted with the criterion shim:
+# its tests::{bencher_times_work, ids_format}. Added:
+# wire::tests::encoding_after_existing_bytes_appends_exactly_the_frame.
+# Moved unchanged in number: the percentile_us doctest from slide-serve to
+# slide-obs.
+MIN_TIER1_TESTS=625
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"
 TEST_LOG="$(mktemp)"

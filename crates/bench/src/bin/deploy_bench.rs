@@ -36,8 +36,8 @@ use rand::SeedableRng;
 use slide_data::{precision_at_k, ZipfDrift};
 use slide_net::deploy::{GateConfig, RegistryWatcher, TrainerLoop, TrainerLoopConfig};
 use slide_net::FleetSpec;
-use slide_obs::ObsHub;
-use slide_serve::{percentile_us, BatchConfig, BatchingServer, ServeError, SnapshotPrecision};
+use slide_obs::{percentile_us, ObsHub};
+use slide_serve::{BatchConfig, BatchingServer, ServeError, SnapshotPrecision};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

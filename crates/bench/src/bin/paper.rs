@@ -1,9 +1,10 @@
 //! Every reproduced table, figure and ablation, each a section over one
-//! run set (see DESIGN.md §3 for the index).
+//! run set, and the per-tier kernel table (see DESIGN.md §3 for the index).
 //!
 //! ```sh
 //! cargo run -p slide-bench --release --bin paper                  # every section
 //! cargo run -p slide-bench --release --bin paper -- table2 fig6   # just these
+//! cargo run -p slide-bench --release --bin paper -- kernels       # no training
 //! cargo run -p slide-bench --release --bin paper -- --barchart    # no fig6_out/ CSVs
 //! SLIDE_JSON_OUT=BENCH_train.json cargo run -p slide-bench --release --bin paper -- phases
 //! ```
@@ -15,18 +16,25 @@
 //! trained against the rows requested.
 
 use slide_bench::{
-    epochs, fmt_ratio_vs, fmt_secs, print_table, scale, Lab, Measurement, Method, Run, Workload,
+    epochs, fmt_ratio_vs, fmt_secs, print_table, scale, with_preset_policy, Lab, Measurement,
+    Method, Run, Workload,
 };
 use slide_core::{ConvergenceLog, MemoryConfig, PhaseBreakdown, Precision};
 use slide_data::DatasetStats;
-use slide_simd::{SimdLevel, SimdPolicy};
+use slide_hash::{DwtaConfig, DwtaHash, SimHash, SimHashConfig};
+use slide_simd::{
+    adam_step_f32, axpy_f32, bf16, crc32_update, dot_f32, quantize_acts_u8, quantize_row_i8,
+    AdamStep, KernelSet, SimdLevel, SimdPolicy,
+};
+use std::hint::black_box;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// A section: prints its table(s) from the run set.
 type Section = fn(&mut Paper);
 
 /// The sections in the order a full run prints them.
-const SECTIONS: [(&str, Section); 10] = [
+const SECTIONS: [(&str, Section); 11] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
@@ -37,6 +45,7 @@ const SECTIONS: [(&str, Section); 10] = [
     ("sampling", sampling),
     ("phases", phases),
     ("ladder", ladder),
+    ("kernels", kernels),
 ];
 
 /// The run set: one lab per workload, made when a section first needs it.
@@ -723,4 +732,229 @@ fn ladder(p: &mut Paper) {
          Optimized SLIDE (CLX) and +bf16 is CPX. bf16 is emulated in software \
          here, so +bf16 need not beat +coalesced (EXPERIMENTS.md)."
     );
+}
+
+/// Time per call of `f` in ns: the call count doubles until one window of
+/// calls takes 10 ms (the doubling is the warm-up), then the median of five
+/// such windows.
+fn ns_per_call(mut f: impl FnMut()) -> f64 {
+    let mut window = |calls: u32| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        start.elapsed()
+    };
+    let mut calls = 1;
+    while window(calls) < Duration::from_millis(10) {
+        calls *= 2;
+    }
+    let mut ns: Vec<f64> = (0..5)
+        .map(|_| window(calls).as_nanos() as f64 / f64::from(calls))
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[2]
+}
+
+/// Format a time in ns with a readable unit.
+fn fmt_ns(ns: f64) -> String {
+    match ns {
+        _ if ns >= 1e6 => format!("{:.2}ms", ns / 1e6),
+        _ if ns >= 1e3 => format!("{:.2}us", ns / 1e3),
+        _ => format!("{ns:.1}ns"),
+    }
+}
+
+/// `n` deterministic values in [-1, 1], standing in for weights.
+fn wave(n: usize, seed: usize) -> Vec<f32> {
+    (0..n).map(|i| ((i + seed) as f32 * 0.37).sin()).collect()
+}
+
+/// The rows of the per-tier table, in the order [`kernels`] times them.
+const PER_TIER: [&str; 11] = [
+    "dot_f32, 128",
+    "axpy_f32, 128",
+    "adam_step_f32, 64Ki",
+    "bf16 narrow, 64Ki",
+    "bf16 widen, 64Ki",
+    "adam_step_bf16, 64Ki",
+    "DWTA keys_dense, 128d K=6 L=24",
+    "SimHash keys_dense, 200d K=9 L=25",
+    "crc32, 584 B",
+    "crc32, 64 KiB",
+    "crc32, 65 MiB",
+];
+
+/// **§4.2–§4.4 at the kernel level**: every vectorized kernel at each SIMD
+/// tier the host has (Table 4 one kernel at a time), then the gathered
+/// active-set kernels at the best tier against the per-row loops they
+/// replaced. No run is trained; the SIMD policy in force on entry is
+/// restored after each tier.
+fn kernels(_: &mut Paper) {
+    let start = Instant::now();
+    let best = slide_simd::detected_level();
+    let tiers: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&tier| tier <= best)
+        .collect();
+    const FLAT: usize = 1 << 16; // one flat ADAM / bf16 sweep
+    let (a, b, mut y, g) = (wave(128, 1), wave(128, 2), wave(128, 3), wave(FLAT, 4));
+    let (mut w, mut m, mut v) = (wave(FLAT, 5), vec![0.01; FLAT], vec![0.02; FLAT]);
+    let (mut wq, mut mq, mut vq) = (vec![0x3C23_u16; FLAT], vec![0.01; FLAT], vec![0.02; FLAT]);
+    let (mut narrow, ones, mut wide) = (vec![0_u16; FLAT], vec![0x3F80_u16; FLAT], vec![0.0; FLAT]);
+    let step = AdamStep::bias_corrected(1e-3, 0.9, 0.999, 1e-8, 10);
+    let act: Vec<f32> = wave(200, 6).iter().map(|x| x.max(0.0)).collect();
+    let dwta = DwtaHash::new(DwtaConfig {
+        tables: 24,
+        ..DwtaConfig::default()
+    });
+    let simhash = SimHash::new(SimHashConfig {
+        dim: 200,
+        tables: 25,
+        ..SimHashConfig::default()
+    });
+    let (mut dwta_scratch, mut simhash_scratch) = (dwta.make_scratch(), simhash.make_scratch());
+    let mut keys = vec![0; 25];
+    let image: Vec<u8> = (0..65_usize << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+        .collect();
+    let crc = |len: usize| ns_per_call(|| _ = black_box(crc32_update(0, black_box(&image[..len]))));
+    let ns: Vec<[f64; 11]> = (tiers.iter())
+        .map(|&tier| {
+            with_preset_policy(SimdPolicy::Force(tier), || {
+                [
+                    ns_per_call(|| _ = black_box(dot_f32(black_box(&a), &b))),
+                    ns_per_call(|| axpy_f32(1.001, black_box(&a), &mut y)),
+                    ns_per_call(|| adam_step_f32(&mut w, &mut m, &mut v, black_box(&g), step)),
+                    ns_per_call(|| bf16::f32_to_bf16_slice(black_box(&g), &mut narrow)),
+                    ns_per_call(|| bf16::bf16_to_f32_slice(black_box(&ones), &mut wide)),
+                    ns_per_call(|| bf16::adam_step_bf16(&mut wq, &mut mq, &mut vq, &g, step)),
+                    ns_per_call(|| {
+                        dwta.keys_dense(&act[..128], &mut dwta_scratch, &mut keys[..24])
+                    }),
+                    ns_per_call(|| simhash.keys_dense(&act, &mut simhash_scratch, &mut keys)),
+                    crc(584),
+                    crc(64 << 10),
+                    crc(65 << 20),
+                ]
+            })
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = (PER_TIER.iter().enumerate())
+        .map(|(k, label)| {
+            let mut row = vec![label.to_string(), fmt_ns(ns[0][k])];
+            row.extend(
+                ns[1..]
+                    .iter()
+                    .map(|t| format!("{} ({:.1}x)", fmt_ns(t[k]), ns[0][k] / t[k])),
+            );
+            row
+        })
+        .collect();
+    let names: Vec<String> = tiers.iter().map(SimdLevel::to_string).collect();
+    let mut header = vec!["Kernel"];
+    header.extend(names.iter().map(String::as_str));
+    print_table(
+        "Kernels per SIMD tier: time per call (speedup over scalar)",
+        &header,
+        &rows,
+        &[34, 12, 18, 18],
+    );
+    println!(
+        "\nbf16 kernels have an AVX-512 path only; crc32 is the byte-at-a-time table \
+         at scalar and the carry-less-multiply fold above it where the host has pclmulqdq."
+    );
+
+    let ks = KernelSet::for_level(best);
+    let rows: Vec<Vec<String>> = [128, 1024]
+        .into_iter()
+        .flat_map(|cols| [64, 512, 4096].map(|rows| gather_row(&ks, rows, cols)))
+        .collect();
+    print_table(
+        &format!("Gathered kernels at {best}: ns per row (1row = the per-row dot or axpy loop)"),
+        &"shape,score 1row,f32,bf16,i8,bwd 1row,fused,gemv 1row,blocked"
+            .split(',')
+            .collect::<Vec<_>>(),
+        &rows,
+        &[12, 12, 8, 8, 8, 10, 8, 11, 8],
+    );
+    println!("\nkernels: {:.1}s", start.elapsed().as_secs_f64());
+}
+
+/// One row of the gather table: ns per row of each scoring, backward and
+/// gemv variant over `rows` rows of `cols` floats. Scoring and backward
+/// gather `rows` distinct rows, scattered over an arena four times larger
+/// (an odd multiplier permutes the power-of-two arena), so gathers miss
+/// cache as an LSH active set does in training.
+fn gather_row(ks: &KernelSet, rows: usize, cols: usize) -> Vec<String> {
+    let order: Vec<usize> = (0..rows).map(|i| i * 0x9E37_79B1 % (rows * 4)).collect();
+    let (w, x) = (wave(rows * 4 * cols, 7), wave(cols, 8));
+    let mut out = vec![0.0_f32; rows];
+    let mut cells = vec![format!("{rows}x{cols}")];
+    let mut time = |ns: f64| cells.push(format!("{:.1}", ns / rows as f64));
+
+    // Scoring: the pre-fusion loop, then the multi-row f32, bf16 and i8 kernels.
+    time(ns_per_call(|| {
+        for (o, &r) in out.iter_mut().zip(&order) {
+            *o = ks.dot(&w[r * cols..][..cols], &x);
+        }
+        black_box(&mut out);
+    }));
+    let f_rows: Vec<*const f32> = order.iter().map(|&r| w[r * cols..].as_ptr()).collect();
+    // SAFETY: every pointer addresses `cols` floats of `w`, alive and unchanged.
+    time(ns_per_call(|| unsafe {
+        ks.score_rows_f32(&f_rows, black_box(&x), &mut out)
+    }));
+    let mut wb = vec![0_u16; w.len()];
+    bf16::f32_to_bf16_slice(&w, &mut wb);
+    let b_rows: Vec<*const u16> = order.iter().map(|&r| wb[r * cols..].as_ptr()).collect();
+    // SAFETY: every pointer addresses `cols` values of `wb`, alive and unchanged.
+    time(ns_per_call(|| unsafe {
+        ks.score_rows_bf16(&b_rows, black_box(&x), &mut out)
+    }));
+    let mut wi = vec![0_i8; w.len()];
+    let scales: Vec<f32> = w
+        .chunks(cols)
+        .zip(wi.chunks_mut(cols))
+        .map(|(src, dst)| quantize_row_i8(src, dst))
+        .collect();
+    let scales: Vec<f32> = order.iter().map(|&r| scales[r]).collect();
+    let mut xq = vec![0_u8; cols];
+    let x_scale = quantize_acts_u8(&x.iter().map(|v| v.abs()).collect::<Vec<_>>(), &mut xq);
+    let i_rows: Vec<*const i8> = order.iter().map(|&r| wi[r * cols..].as_ptr()).collect();
+    // SAFETY: every pointer addresses `cols` codes of `wi`, alive and unchanged.
+    time(ns_per_call(|| unsafe {
+        ks.score_rows_i8(&i_rows, &scales, black_box(&xq), x_scale, &mut out)
+    }));
+
+    // Backward: two axpy calls per row, then the fused kernel.
+    let (h, deltas) = (wave(cols, 9), wave(rows, 10));
+    let (mut g, mut dx) = (vec![0.0_f32; w.len()], vec![0.0_f32; cols]);
+    time(ns_per_call(|| {
+        for (&r, &d) in order.iter().zip(&deltas) {
+            ks.axpy(d, &w[r * cols..][..cols], &mut dx);
+            ks.axpy(d * 0.125, &h, &mut g[r * cols..][..cols]);
+        }
+        black_box(&mut dx);
+    }));
+    let base = g.as_mut_ptr();
+    let g_rows: Vec<*mut f32> = order.iter().map(|&r| base.wrapping_add(r * cols)).collect();
+    // SAFETY: the pointers address `cols` floats of `w` and of `g`; `order`
+    // repeats no row, so no two gradient rows alias, and `dx` aliases neither.
+    time(ns_per_call(|| unsafe {
+        ks.backward_rows_f32(&f_rows, &g_rows, &deltas, 0.125, black_box(&h), &mut dx)
+    }));
+
+    // Full gemv over a contiguous arena: one dot per row, then blocked.
+    let (arena, bias) = (wave(rows * cols, 11), vec![0.01_f32; rows]);
+    time(ns_per_call(|| {
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = ks.dot(&arena[r * cols..][..cols], &x) + bias[r];
+        }
+        black_box(&mut out);
+    }));
+    time(ns_per_call(|| {
+        ks.gemv(black_box(&arena), cols, &x, &bias, &mut out)
+    }));
+    cells
 }

@@ -37,20 +37,6 @@ impl DatasetStats {
             model_parameters: model_parameters(train.feature_dim(), hidden_dim, train.label_dim()),
         }
     }
-
-    /// Render as a Table 1-style row.
-    pub fn to_row(&self) -> String {
-        format!(
-            "{:<24} {:>12} {:>10.4}% {:>10} {:>10} {:>9} {:>14}",
-            self.name,
-            self.feature_dim,
-            self.feature_sparsity_pct,
-            self.label_dim,
-            self.train_size,
-            self.test_size,
-            self.model_parameters
-        )
-    }
 }
 
 /// Parameter count of the standard SLIDE architecture
@@ -90,6 +76,5 @@ mod tests {
         assert_eq!(stats.test_size, 1);
         assert!((stats.feature_sparsity_pct - 0.5).abs() < 1e-9);
         assert_eq!(stats.model_parameters, 1000 * 16 + 16 + 16 * 50 + 50);
-        assert!(stats.to_row().contains("toy"));
     }
 }

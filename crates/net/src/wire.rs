@@ -356,15 +356,22 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
 }
 
 /// Append `frame` (header + payload) to `out`.
+///
+/// The payload is encoded straight after a header whose length and CRC
+/// fields are zero, and those two fields are then patched in place: no
+/// intermediate payload buffer, no copy.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    encode_payload(frame, &mut payload);
+    let start = out.len();
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    // Version, frame type, then the two reserved bytes.
+    // Version, frame type, the two reserved bytes, then length and CRC.
     out.extend_from_slice(&[VERSION, frame.type_byte(), 0, 0]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 8]);
+    encode_payload(frame, out);
+    let payload = &out[start + HEADER_LEN..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start + 8..start + 12].copy_from_slice(&len);
+    out[start + 12..start + HEADER_LEN].copy_from_slice(&crc);
 }
 
 /// Encode `frame` into a fresh buffer.
@@ -697,6 +704,32 @@ mod tests {
                 .map(|b| format!("{b:02x}"))
                 .collect();
             assert_eq!(got, hex, "{frame:?}");
+        }
+    }
+
+    /// Encoding appends: a frame written after bytes already in `out`
+    /// leaves them alone and adds exactly its own encoding, with length and
+    /// CRC patched at its own header.
+    #[test]
+    fn encoding_after_existing_bytes_appends_exactly_the_frame() {
+        let frames = [
+            Frame::TopK {
+                req_id: 42,
+                ids: vec![3, 1, 4],
+            },
+            Frame::Pong(PongInfo {
+                nonce: 0xDEAD,
+                inflight: 12,
+                draining: true,
+                precision: "i8".into(),
+            }),
+        ];
+        let mut out = b"earlier bytes".to_vec();
+        let mut expected = out.clone();
+        for frame in &frames {
+            encode_frame(frame, &mut out);
+            expected.extend_from_slice(&frame_bytes(frame));
+            assert_eq!(out, expected, "{frame:?}");
         }
     }
 

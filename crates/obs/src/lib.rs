@@ -43,7 +43,7 @@ mod metrics;
 mod registry;
 mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{percentile_us, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
 pub use trace::{derive_trace_id, splitmix64, SpanRecord, Stage, StageSample, TraceRing};
 

@@ -113,6 +113,22 @@ const MAX_EXP: u32 = 40;
 const BUCKETS: usize =
     (SUB_BUCKETS + (MAX_EXP as u64 - SUB_BUCKET_BITS as u64) * SUB_BUCKETS) as usize;
 
+/// Nearest-rank percentile of an ascending-sorted sample set (`q` in
+/// percent): the exact value [`Histogram::quantile`] estimates. Returns 0
+/// for an empty set.
+///
+/// ```
+/// assert_eq!(slide_obs::percentile_us(&[10, 20, 30, 40], 50.0), 20);
+/// assert_eq!(slide_obs::percentile_us(&[10, 20, 30, 40], 99.0), 40);
+/// ```
+pub fn percentile_us(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// A log-linear bucketed histogram of `u64` values (microseconds, counts —
 /// any nonnegative magnitude), HDR-style:
 ///
@@ -128,8 +144,7 @@ const BUCKETS: usize =
 ///   exact nearest-rank value `x`:
 ///   `x ≤ quantile(q) ≤ x + x/32 + 1` — a relative error of at most
 ///   [`RELATIVE_ERROR_BOUND`](Self::RELATIVE_ERROR_BOUND) = 1/32, plus one
-///   integer unit of slack (tested against `percentile_us` ground truth in
-///   `slide-serve`).
+///   integer unit of slack (tested against [`percentile_us`] ground truth).
 /// * **Exact moments**: `sum`, `count`, and `max` are tracked exactly, so
 ///   mean and max in JSON views stay bit-accurate.
 /// * **Mergeable**: [`merge_from`](Self::merge_from) folds one histogram
@@ -240,8 +255,8 @@ impl Histogram {
     /// Estimated `q`-th percentile (`q` in (0, 100]): the upper bound of
     /// the bucket containing the nearest-rank sample, clamped to the exact
     /// recorded max — matching the nearest-rank convention of
-    /// `slide_serve::percentile_us` to within the bucket error bound, and
-    /// never exceeding the true maximum. Returns 0 when empty.
+    /// [`percentile_us`] to within the bucket error bound, and never
+    /// exceeding the true maximum. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         self.snapshot().quantile(q)
     }
@@ -421,17 +436,6 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
     }
 
-    /// Nearest-rank percentile on a sorted slice — mirrors
-    /// `slide_serve::percentile_us`, duplicated locally because obs sits
-    /// below serve in the crate DAG.
-    fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = ((q / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-        sorted[rank.min(sorted.len()) - 1]
-    }
-
     #[test]
     fn quantile_matches_exact_within_error_bound() {
         // Deterministic heavy-tailed workload via splitmix64.
@@ -458,7 +462,7 @@ mod tests {
         }
         samples.sort_unstable();
         for q in [10.0, 50.0, 90.0, 99.0, 99.9] {
-            let exact = exact_percentile(&samples, q);
+            let exact = percentile_us(&samples, q);
             let est = h.quantile(q);
             assert!(est >= exact, "q={q}: est {est} < exact {exact}");
             let allowed = (exact as f64 * Histogram::RELATIVE_ERROR_BOUND).ceil() as u64 + 1;

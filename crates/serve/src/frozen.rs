@@ -284,13 +284,6 @@ impl<L: RowLayout> Engine<L> {
         &self.plan
     }
 
-    /// The precision the source network stored its weights in. bf16 is
-    /// widened at snapshot time, but the provenance is recorded so serve
-    /// logs and bench meta can say what the snapshot came from.
-    pub fn source_precision(&self) -> Precision {
-        self.config.precision
-    }
-
     /// Storage-precision label for logs and stats views (see
     /// [`crate::FrozenModel::precision`]).
     pub fn precision_label(&self) -> &'static str {
@@ -774,9 +767,7 @@ mod tests {
             frozen.shard_layer(0).row(3),
             net.output().params().row_f32(3)
         );
-        // The widening is no longer silent: provenance is recorded for
-        // serve logs and bench meta.
-        assert_eq!(frozen.source_precision(), slide_core::Precision::Bf16Both);
+        // The widening is not silent: the label names the source precision.
         assert_eq!(frozen.precision_label(), "bf16-widened-f32");
         assert_eq!(QuantizedFrozenNetwork::freeze(&net).precision_label(), "i8");
     }

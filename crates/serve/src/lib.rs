@@ -71,8 +71,6 @@ pub use frozen::{Engine, FrozenNetwork, QuantizedFrozenNetwork, ServeScratch};
 pub use layer::{Act, FrozenLayer, LayerQuantStats, QuantReport, QuantizedLayer, RowLayout};
 pub use model::{p_at_k, FrozenModel, IntoFrozenModel};
 pub use registry::ModelRegistry;
-pub use server::{
-    percentile_us, query_salt, stage_histogram, BatchConfig, BatchingServer, ServeStats,
-};
+pub use server::{query_salt, stage_histogram, BatchConfig, BatchingServer, ServeStats};
 pub use shard::ShardPlan;
 pub use snapshot::{load, Snapshot, SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec};

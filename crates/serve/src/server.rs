@@ -295,21 +295,6 @@ pub fn query_salt(indices: &[u32], values: &[f32], k: usize) -> u64 {
     mix(h ^ indices.len() as u64)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample set (`q` in
-/// percent). Returns 0 for an empty set.
-///
-/// ```
-/// assert_eq!(slide_serve::percentile_us(&[10, 20, 30, 40], 50.0), 20);
-/// assert_eq!(slide_serve::percentile_us(&[10, 20, 30, 40], 99.0), 40);
-/// ```
-pub fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// A point-in-time snapshot of a server's counters.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
@@ -778,6 +763,7 @@ mod tests {
     use super::*;
     use crate::FrozenNetwork;
     use slide_core::{LshConfig, Network, NetworkConfig};
+    use slide_obs::percentile_us;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_frozen(seed: u64) -> FrozenNetwork {
