@@ -552,6 +552,17 @@ if grep -rnE 'partition_tables|MaxActiveUnsupported' crates src tests examples; 
     exit 1
 fi
 
+step "one way to build a serving engine (network -> .slsnap image -> view)"
+# Engine::freeze is Snapshot::build followed by Engine::from_image, and the
+# writer lays the whole image out before filling each payload in place
+# (DESIGN.md §9). No direct arena constructor, shard cut, row-list helper
+# or staged section buffer comes back.
+if grep -rnE 'freeze_sharded|from_params_rows|cut_layers|widen_rows_into|bias_gather_into|section_pod' \
+        crates src tests examples; then
+    echo "ci.sh: a second serving-engine build path is back" >&2
+    exit 1
+fi
+
 step "one routing rule (least-load over closed breakers, no hash ring)"
 # The router sends each attempt to the closed-breaker replica with the
 # fewest inflight forwards (DESIGN.md §8); no second routing policy, ring
@@ -766,6 +777,10 @@ fi
 # wire::tests::encoding_after_existing_bytes_appends_exactly_the_frame.
 # Moved unchanged in number: the percentile_us doctest from slide-serve to
 # slide-obs.
+# One serving-engine build path: 625 - 1 + 1 = 625. Deleted with the code it
+# tested: params::tests::widen_rows_into_matches_per_row_widen
+# (LayerParams::{widen_rows_into, bias_gather_into}). Added:
+# snapshot::tests::written_sections_align_pack_and_read_back.
 MIN_TIER1_TESTS=625
 
 step "cargo test -q (ratchet: >= $MIN_TIER1_TESTS tests)"

@@ -131,54 +131,12 @@ impl LayerParams {
     }
 
     /// Copy weight row `r` into an f32 buffer (widening bf16 if needed) —
-    /// used by table rebuilds that hash weight vectors.
+    /// used by table rebuilds that hash weight vectors and by the serving
+    /// snapshot's row writers.
     pub fn widen_row_into(&self, r: usize, out: &mut [f32]) {
         match &self.weights {
             WeightStorage::F32(store) => out.copy_from_slice(store.row(r)),
             WeightStorage::Bf16(arena) => slide_simd::bf16::bf16_to_f32_slice(arena.row(r), out),
-        }
-    }
-
-    /// Range-restricted snapshot: copy the gathered weight rows `rows` into
-    /// `out` at `stride` elements per row (widening bf16), without ever
-    /// materializing the rows in between. `stride >= cols` allows the
-    /// cache-line row padding the frozen serving arenas use; padding
-    /// elements are left untouched. This is the row-subset sibling of
-    /// [`LayerParams::widen_row_into`], added so a sharded serving snapshot
-    /// can build each shard's arena directly from the training layer
-    /// instead of copying the whole layer first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride < self.cols()`, `out` is shorter than
-    /// `rows.len() * stride`, or any row id is out of range.
-    pub fn widen_rows_into(&self, rows: &[u32], stride: usize, out: &mut [f32]) {
-        assert!(
-            stride >= self.cols,
-            "widen_rows_into: stride {stride} < cols {}",
-            self.cols
-        );
-        assert!(
-            out.len() >= rows.len() * stride,
-            "widen_rows_into: out holds {} elements, need {}",
-            out.len(),
-            rows.len() * stride
-        );
-        for (i, &r) in rows.iter().enumerate() {
-            self.widen_row_into(r as usize, &mut out[i * stride..i * stride + self.cols]);
-        }
-    }
-
-    /// Range-restricted bias snapshot: `out[i] = bias[rows[i]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()` or any row id is out of range.
-    pub fn bias_gather_into(&self, rows: &[u32], out: &mut [f32]) {
-        assert_eq!(out.len(), rows.len(), "bias_gather_into: out width");
-        let bias = self.bias.flat();
-        for (o, &r) in out.iter_mut().zip(rows) {
-            *o = bias[r as usize];
         }
     }
 
@@ -577,33 +535,6 @@ mod tests {
             let qr = q.row_f32(r);
             for c in 0..32 {
                 assert_eq!(qr[c], slide_simd::Bf16::from_f32(fr[c]).to_f32());
-            }
-        }
-    }
-
-    #[test]
-    fn widen_rows_into_matches_per_row_widen() {
-        for precision in [Precision::Fp32, Precision::Bf16Both] {
-            let p = params(precision, ParamLayout::Coalesced);
-            let rows = [6u32, 0, 3];
-            let stride = 48; // padded beyond cols = 32
-            let mut out = vec![f32::NAN; rows.len() * stride];
-            p.widen_rows_into(&rows, stride, &mut out);
-            for (i, &r) in rows.iter().enumerate() {
-                assert_eq!(
-                    &out[i * stride..i * stride + 32],
-                    p.row_f32(r as usize).as_slice(),
-                    "{precision:?} row {r}"
-                );
-                // Padding untouched.
-                assert!(out[i * stride + 32..(i + 1) * stride]
-                    .iter()
-                    .all(|v| v.is_nan()));
-            }
-            let mut bias = vec![0.0f32; rows.len()];
-            p.bias_gather_into(&rows, &mut bias);
-            for (i, &r) in rows.iter().enumerate() {
-                assert_eq!(bias[i], p.bias_at(r as usize));
             }
         }
     }

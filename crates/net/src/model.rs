@@ -122,10 +122,11 @@ impl FleetSpec {
         }
     }
 
-    /// Freeze `net` into the engine this spec calls for — via the unified
-    /// snapshot path, so every replica serves exactly what a registry
-    /// publish of the same network would serve (the snapshot battery
-    /// proves build→encode→decode is bit-equal to the direct constructors).
+    /// Freeze `net` into the engine this spec calls for: the engine views
+    /// the image [`FleetSpec::snapshot`] cuts, so every replica serves
+    /// exactly what a registry publish of the same network would serve —
+    /// the same bytes, viewed the same way (every serving engine is built
+    /// network → image → view).
     ///
     /// # Panics
     ///

@@ -2,12 +2,15 @@
 //!
 //! Training needs row-owned writes into its parameters, ADAM moments, and
 //! hash tables rebuilt to follow the drifting weights. Serving needs none
-//! of that: an [`Engine`] copies the weights into contiguous, 64-byte-aligned,
-//! row-padded arenas (the Figure-3 flat-layout discipline, minus every
-//! mutable companion array), builds its LSH tables once from the frozen
-//! weights, and then answers queries through `&self` with zero locks and
-//! zero allocation on the hot path — safe to share across any number of
-//! threads via `Arc`.
+//! of that: an [`Engine`] views a verified `.slsnap` image — contiguous,
+//! 64-byte-aligned, row-padded arenas (the Figure-3 flat-layout discipline,
+//! minus every mutable companion array) and LSH tables built once from the
+//! frozen weights — and answers queries through `&self` with zero locks and
+//! zero allocation on the hot path, safe to share across any number of
+//! threads via `Arc`. There is one way to build one: network → image →
+//! view. [`Engine::freeze`] writes the image in memory, `load` maps it from
+//! disk, and both run [`Engine::from_image`] over it, so a built engine and
+//! a loaded one are the same by construction.
 //!
 //! Every serving variant is this one loop — forward the input layer to the
 //! hidden activation, LSH-retrieve an active set, gather-score its rows,
@@ -16,10 +19,12 @@
 //! [`QuantizedLayer`]) and over the shard count `N ≥ 1` of the output
 //! arena.
 
-use crate::error::ServeBuildError;
 use crate::layer::{Act, FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
 use crate::shard::ShardPlan;
-use crate::snapshot::SnapshotPrecision;
+use crate::snapshot::{
+    carries_report, decode_preamble, decode_tables, serving_plan, SectionKind, Snapshot,
+    SnapshotError, SnapshotImage, SnapshotPrecision, SnapshotSpec,
+};
 use slide_core::{relu, Network, NetworkConfig, Precision, Retrieval, SelectBuffers, StampSet};
 use slide_data::top_k_indices;
 use slide_hash::{LshScratch, LshTables, TableStats};
@@ -37,7 +42,7 @@ struct Shard<L> {
 }
 
 /// An immutable, share-everywhere inference snapshot of a trained
-/// [`Network`]:
+/// [`Network`], viewed out of its `.slsnap` image:
 ///
 /// * the f32 **sparse-input layer**, run once per query to produce the
 ///   hidden activation `h`;
@@ -69,7 +74,7 @@ struct Shard<L> {
 ///
 /// ```
 /// use slide_core::{Network, NetworkConfig};
-/// use slide_serve::{FrozenNetwork, ShardPlan};
+/// use slide_serve::{FrozenNetwork, ShardPlan, Snapshot, SnapshotSpec};
 ///
 /// let net = Network::new(NetworkConfig::standard(256, 16, 64)).unwrap();
 /// let idx = [1u32, 17];
@@ -82,7 +87,8 @@ struct Shard<L> {
 /// assert_eq!(topk.len(), 5);
 ///
 /// let plan = ShardPlan::contiguous(4, 64).unwrap();
-/// let sharded = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+/// let snapshot = Snapshot::build(&net, &SnapshotSpec::f32().sharded(plan)).unwrap();
+/// let sharded = FrozenNetwork::from_image(snapshot.image()).unwrap();
 /// let mut scratch = sharded.make_scratch();
 /// assert_eq!(sharded.predict_sparse(x, 5, &mut scratch, 0), topk);
 /// ```
@@ -157,121 +163,64 @@ pub struct ServeScratch {
     kernels: KernelSet,
 }
 
-/// Resolve an optional shard plan against `config`: `None` is the one-shard
-/// plan over every output row.
-///
-/// # Errors
-///
-/// [`ServeBuildError::PlanRowsMismatch`] if the plan does not cover the
-/// network's output rows.
-pub(crate) fn serving_plan(
-    config: &NetworkConfig,
-    plan: Option<ShardPlan>,
-) -> Result<ShardPlan, ServeBuildError> {
-    let plan = match plan {
-        Some(plan) => plan,
-        None => ShardPlan::contiguous(1, config.output_dim)?,
-    };
-    if plan.rows() != config.output_dim {
-        return Err(ServeBuildError::PlanRowsMismatch {
-            plan_rows: plan.rows(),
-            output_dim: config.output_dim,
-        });
-    }
-    Ok(plan)
-}
-
-/// Cut `net`'s output layer in snapshot-ordinal order — one row-subset per
-/// shard of `plan` (the full output arena is never materialized when
-/// `N > 1`) — handing each to `sink` as it is built.
-pub(crate) fn cut_layers<L: RowLayout>(
-    net: &Network,
-    plan: &ShardPlan,
-    report: &mut QuantReport,
-    mut sink: impl FnMut(L),
-) {
-    for s in 0..plan.shards() {
-        let rows: Vec<u32> = plan.shard_rows(s).collect();
-        sink(L::from_params_rows(
-            net.output().params(),
-            &rows,
-            "output",
-            report,
-        ));
-    }
-}
-
 impl<L: RowLayout> Engine<L> {
-    /// Snapshot `net` into a one-shard (unsharded) serving engine: copy all
-    /// weights into aligned arenas in layout `L` and build fresh hash tables
-    /// from the output rows using the network's own LSH family.
+    /// Snapshot `net` into an unsharded serving engine:
+    /// [`Snapshot::build`] under this layout's precision, then
+    /// [`Engine::from_image`] over the built image. The engine views the
+    /// image, so it is the engine a `load` of the saved image serves.
     pub fn freeze(net: &Network) -> Self {
-        Self::freeze_sharded(net, None).expect("the one-shard plan fits every valid network")
+        let spec = SnapshotSpec {
+            precision: L::PRECISION,
+            shard_plan: None,
+        };
+        Snapshot::build(net, &spec)
+            .and_then(|snapshot| Self::from_image(snapshot.image()))
+            .expect("an unsharded image of a valid network serves")
     }
 
-    /// As [`Engine::freeze`], with the output layer split under `plan`
-    /// (`None` is the one-shard plan).
+    /// Instantiate the engine an image of this layout describes — the one
+    /// constructor: every arena and the one global table set are views into
+    /// the image (zero copies), whatever the shard count.
     ///
     /// # Errors
     ///
-    /// [`ServeBuildError::PlanRowsMismatch`] if the plan does not match the
-    /// network's output dimensionality.
-    pub fn freeze_sharded(
-        net: &Network,
-        plan: impl Into<Option<ShardPlan>>,
-    ) -> Result<Self, ServeBuildError> {
-        let plan = serving_plan(net.config(), plan.into())?;
-        // Tables first: their transient key buffer is freed before any
-        // arena is cut.
-        let retrieval = Retrieval::serving(net.config());
-        let tables = retrieval.tables_from_rows(net.output().params());
-        let mut report = QuantReport::default();
-        let mut shards = Vec::new();
-        cut_layers(net, &plan, &mut report, |l| shards.push(l));
-        Ok(Self::assemble(
-            net.config().clone(),
-            plan,
-            FrozenLayer::from_params(net.input().params()),
-            shards,
-            retrieval,
-            tables,
-            report,
-        ))
-    }
-
-    /// Put an engine together from its parts — shared by the build path
-    /// (layers just cut from a network) and the load path (layers viewing an
-    /// image, tables viewing its CSR sections). `plan` must have passed
-    /// [`serving_plan`] and the layers must have the shapes
-    /// `expected_manifest` declares for it; `tables` is `retrieval`'s build
-    /// over every output row.
-    pub(crate) fn assemble(
-        config: NetworkConfig,
-        plan: ShardPlan,
-        input: FrozenLayer,
-        shard_layers: Vec<L>,
-        retrieval: Retrieval,
-        tables: LshTables,
-        report: QuantReport,
-    ) -> Self {
-        assert_eq!(shard_layers.len(), plan.shards(), "one layer per shard");
-        let shards = shard_layers
-            .into_iter()
-            .enumerate()
-            .map(|(s, layer)| Shard {
-                layer,
-                start: plan.shard_rows(s).start,
+    /// [`SnapshotError::Unsupported`] if the image holds another layout;
+    /// [`SnapshotError::Corrupt`] on section-shape disagreements.
+    pub fn from_image(image: &SnapshotImage) -> Result<Self, SnapshotError> {
+        if image.precision() != L::PRECISION {
+            return Err(SnapshotError::Unsupported(format!(
+                "an {} image cannot back an {} engine",
+                image.precision().label(),
+                L::PRECISION.label()
+            )));
+        }
+        let (config, spec, manifest) = decode_preamble(image)?;
+        let plan = serving_plan(&config, spec.shard_plan)?;
+        let input = FrozenLayer::decode(image, 0, manifest[0])?;
+        let shards = (1..manifest.len())
+            .map(|o| {
+                Ok(Shard {
+                    layer: L::decode(image, o as u32, manifest[o])?,
+                    start: plan.shard_rows(o - 1).start,
+                })
             })
-            .collect();
-        Engine {
-            retrieval,
+            .collect::<Result<_, SnapshotError>>()?;
+        let retrieval = Retrieval::serving(&config);
+        let tables = decode_tables(image, &retrieval)?;
+        let report = if carries_report::<L>(&spec) {
+            QuantReport::decode(image.bytes(SectionKind::QuantReport, 0)?)?
+        } else {
+            QuantReport::default()
+        };
+        Ok(Engine {
             config,
             plan,
             input,
             shards,
             tables,
+            retrieval,
             report,
-        }
+        })
     }
 
     /// The configuration of the network this snapshot was frozen from.
@@ -317,10 +266,11 @@ impl<L: RowLayout> Engine<L> {
         &self.shards[s].layer
     }
 
-    /// The per-layer quantization-error report recorded at freeze time
-    /// (empty for the f32 layout). Engines loaded from a *sharded* image
-    /// report nothing: `.slsnap` v1 persists the report only in unsharded
-    /// images.
+    /// The per-layer quantization-error report the image carries: one
+    /// entry for an unsharded i8 engine, empty for the f32 layout and for
+    /// sharded images (`.slsnap` v1 keeps the report only in unsharded
+    /// ones). A built engine and a loaded one view the same image, so they
+    /// report the same.
     pub fn report(&self) -> &QuantReport {
         &self.report
     }
@@ -583,7 +533,7 @@ impl<L: RowLayout> Engine<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FrozenModel;
+    use crate::{FrozenModel, ServeBuildError};
     use slide_core::LshConfig;
 
     fn tiny_net_seeded(seed: u64) -> Network {
@@ -600,6 +550,16 @@ mod tests {
 
     fn tiny_net() -> Network {
         tiny_net_seeded(NetworkConfig::standard(128, 16, 64).seed)
+    }
+
+    /// `net`'s engine of layout `L`, output layer sharded under `plan`.
+    fn sharded_engine<L: RowLayout>(net: &Network, plan: ShardPlan) -> Engine<L> {
+        let spec = SnapshotSpec {
+            precision: L::PRECISION,
+            shard_plan: None,
+        };
+        let snapshot = Snapshot::build(net, &spec.sharded(plan)).unwrap();
+        Engine::from_image(snapshot.image()).unwrap()
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -870,7 +830,7 @@ mod tests {
         let mut ws = whole.make_scratch();
         for shards in [1usize, 2, 4, 8] {
             let plan = ShardPlan::contiguous(shards, rows).unwrap();
-            let sharded = Engine::<L>::freeze_sharded(net, plan).unwrap();
+            let sharded = sharded_engine::<L>(net, plan);
             assert_eq!(sharded.precision_label(), whole.precision_label());
             let mut ss = sharded.make_scratch();
             for s in 0..24u32 {
@@ -910,7 +870,7 @@ mod tests {
         let net = tiny_net_seeded(9);
         let frozen = FrozenNetwork::freeze(&net);
         let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let sharded = sharded_engine::<FrozenLayer>(&net, plan);
         let mut fs = frozen.make_scratch();
         let mut ss = sharded.make_scratch();
         for s in 0..16u32 {
@@ -933,7 +893,7 @@ mod tests {
         let frozen = FrozenNetwork::freeze(&net);
         for shards in [2usize, 4] {
             let plan = ShardPlan::contiguous(shards, 64).unwrap();
-            let sharded = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+            let sharded = sharded_engine::<FrozenLayer>(&net, plan);
             assert_eq!(sharded.tables, frozen.tables, "{shards} shards");
             assert_eq!(sharded.arena_bytes(), frozen.arena_bytes());
         }
@@ -944,7 +904,7 @@ mod tests {
         let net = tiny_net_seeded(8);
         let quant = QuantizedFrozenNetwork::freeze(&net);
         let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let sharded = sharded_engine::<QuantizedLayer>(&net, plan);
         let shard_sum: usize = (0..4).map(|s| sharded.shard_layer(s).arena_bytes()).sum();
         assert_eq!(
             shard_sum,
@@ -958,7 +918,7 @@ mod tests {
     fn sharded_engine_serves_through_the_server() {
         let net = tiny_net_seeded(4);
         let plan = ShardPlan::contiguous(4, 64).unwrap();
-        let sharded = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let sharded = sharded_engine::<FrozenLayer>(&net, plan);
         assert_eq!(FrozenModel::precision(&sharded), "f32");
         let server = crate::BatchingServer::start(
             sharded,
@@ -985,7 +945,7 @@ mod tests {
         let mut truncated = 0;
         for shards in [2usize, 4] {
             let plan = ShardPlan::contiguous(shards, 64).unwrap();
-            let sharded = Engine::<L>::freeze_sharded(net, plan).unwrap();
+            let sharded = sharded_engine::<L>(net, plan);
             let mut ss = sharded.make_scratch();
             for s in 0..24u32 {
                 let idx = [s % 128, (s * 7 + 3) % 128, (s * 31 + 11) % 128];
@@ -1022,7 +982,14 @@ mod tests {
             ShardPlan::contiguous(2, 32).unwrap(),
             ShardPlan::contiguous(4, 128).unwrap(),
         ] {
-            let err = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap_err();
+            let err = Snapshot::build(&net, &SnapshotSpec::i8().sharded(plan)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Build(ServeBuildError::PlanRowsMismatch { output_dim: 64, .. })
+                ),
+                "{err}"
+            );
             assert!(err.to_string().contains("64"), "{err}");
         }
     }

@@ -3,26 +3,31 @@
 //!
 //! [`crate::Engine`] is generic over a [`RowLayout`] and knows nothing about
 //! storage precision; everything precision-specific lives behind the
-//! trait's four hooks — build from training rows, gemv the whole layer,
-//! gather-score a row subset, encode/decode the snapshot sections. Exactly
-//! two layouts exist: [`FrozenLayer`] (f32 rows) and [`QuantizedLayer`]
-//! (per-row symmetric i8 codes + f32 scales). A new storage format (int4,
-//! bf16) is one more impl of this trait, not one more engine.
+//! trait's hooks — the snapshot sections a layer occupies, writing training
+//! rows into them, viewing them back, gemv over the whole layer and
+//! gather-scoring a row subset. Exactly two layouts exist: [`FrozenLayer`]
+//! (f32 rows) and [`QuantizedLayer`] (per-row symmetric i8 codes + f32
+//! scales). A new storage format (int4, bf16) is one more impl of this
+//! trait, not one more engine.
 //!
 //! Both layouts pad rows to a 64-byte stride so every row starts on a
 //! cache-line boundary (whole-line AVX-512 loads, no split lines — §4.1 of
-//! the paper), and both hold their arenas as [`ArenaView`]s: a layer built
-//! from a live network views a buffer it just filled, a layer decoded from a
-//! snapshot views the mmapped file directly — same scoring code, zero weight
-//! copies on the load path. Cloning shares the arenas.
+//! the paper), and both hold their arenas as [`ArenaView`]s into a
+//! `.slsnap` image: an in-memory one just written from a live network, or
+//! the mmapped file — same scoring code, zero weight copies after the
+//! write. Cloning shares the arenas.
 
 use crate::snapshot::{
     corrupt, read_usize, LayerDims, SectionKind, SnapshotError, SnapshotImage, SnapshotPrecision,
     SnapshotWriter,
 };
 use slide_core::LayerParams;
-use slide_mem::{AlignedVec, ArenaView, ByteReader};
+use slide_mem::{pod_bytes, ArenaView, ByteReader};
 use slide_simd::{quantize_acts_u8, quantize_row_i8, KernelSet, RowGather};
+use std::ops::Range;
+
+/// Bytes per f32 weight, scale or bias entry in a snapshot section.
+const F32_BYTES: usize = std::mem::size_of::<f32>();
 
 /// One activation vector as the layouts consume it: the f32 values plus the
 /// unsigned 7-bit codes and scale [`RowLayout::prepare`] derived from them
@@ -44,20 +49,32 @@ pub trait RowLayout: Sized + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// The snapshot precision code images of this layout carry.
     const PRECISION: SnapshotPrecision;
 
-    /// Snapshot the gathered `rows` of a training-layer parameter block
-    /// (row `i` of the result is source row `rows[i]`, bf16 widened first).
-    /// Lossy layouts append their reconstruction-error stats for the layer
-    /// to `report` under `name`.
+    /// The snapshot sections a layer of shape `dims` occupies, in write
+    /// order, each with its payload length in bytes: what the writer lays
+    /// out before any row is written, and what [`RowLayout::decode`] checks
+    /// an image against. Lengths saturate instead of overflowing, so the
+    /// shape of a crafted image fails that check rather than panicking.
+    fn sections(dims: LayerDims) -> Vec<(SectionKind, usize)>;
+
+    /// Write rows `rows` of a training-layer parameter block (bf16 widened
+    /// first) and their `bias` into the sections [`RowLayout::sections`]
+    /// reserved at `ordinal`. The caller passes the bias because the
+    /// transposed input layer's is per column and the output layer's per
+    /// row. Lossy layouts return the layer's reconstruction-error stats
+    /// under `name`.
     ///
     /// # Panics
     ///
-    /// Panics if any row id is out of range for `p`.
-    fn from_params_rows(
-        p: &LayerParams,
-        rows: &[u32],
+    /// Panics if a row is out of range for `p` or the sections were laid
+    /// out for another shape.
+    fn write_rows(
+        w: &mut SnapshotWriter,
+        ordinal: u32,
         name: &str,
-        report: &mut QuantReport,
-    ) -> Self;
+        p: &LayerParams,
+        rows: Range<usize>,
+        bias: &[f32],
+    ) -> Option<LayerQuantStats>;
 
     /// Storage rows (output units).
     fn rows(&self) -> usize;
@@ -100,9 +117,6 @@ pub trait RowLayout: Sized + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// equals `x.x.len()`.
     unsafe fn score(ks: &KernelSet, gathered: &RowGather, x: Act<'_>, out: &mut [f32]);
 
-    /// Write this layer's snapshot sections at `ordinal`.
-    fn encode(&self, w: &mut SnapshotWriter, ordinal: u32);
-
     /// View this layer out of `image` at `ordinal` with the manifest's
     /// declared shape.
     ///
@@ -113,21 +127,22 @@ pub trait RowLayout: Sized + Clone + std::fmt::Debug + Send + Sync + 'static {
     fn decode(image: &SnapshotImage, ordinal: u32, dims: LayerDims) -> Result<Self, SnapshotError>;
 }
 
-/// The bias section every layout shares, checked against the manifest.
-fn decode_bias(
+/// Check that every section layout `L` keeps at `ordinal` holds exactly the
+/// bytes the manifest's `dims` imply.
+fn check_sections<L: RowLayout>(
     image: &SnapshotImage,
     ordinal: u32,
     dims: LayerDims,
-) -> Result<ArenaView<f32>, SnapshotError> {
-    let bias = image.view::<f32>(SectionKind::Bias, ordinal)?;
-    if bias.len() != dims.bias_len {
-        return Err(corrupt(format!(
-            "layer {ordinal}: {} bias elements, manifest declares {}",
-            bias.len(),
-            dims.bias_len
-        )));
+) -> Result<(), SnapshotError> {
+    for (kind, want) in L::sections(dims) {
+        let have = image.bytes(kind, ordinal)?.len();
+        if have != want {
+            return Err(corrupt(format!(
+                "layer {ordinal}: {kind:?} holds {have} bytes, the manifest implies {want}"
+            )));
+        }
     }
-    Ok(bias)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -152,31 +167,6 @@ fn stride_of<T>(cols: usize) -> usize {
 }
 
 impl FrozenLayer {
-    /// Snapshot a whole training-layer parameter block, bias copied verbatim
-    /// (bf16 weights are widened to f32). This is the sparse-input layer's
-    /// constructor in every engine: that layer is stored transposed — one
-    /// row per input feature, bias per *column* — so its forward pass is a
-    /// handful of per-feature f32 `axpy`s with no dense operand for an
-    /// integer dot to consume, and it stays f32 under every layout.
-    pub fn from_params(p: &LayerParams) -> Self {
-        let (rows, cols) = (p.rows(), p.cols());
-        let stride = stride_of::<f32>(cols);
-        let mut weights = AlignedVec::<f32>::zeroed(rows * stride);
-        for r in 0..rows {
-            p.widen_row_into(
-                r,
-                &mut weights.as_mut_slice()[r * stride..r * stride + cols],
-            );
-        }
-        FrozenLayer {
-            weights: ArenaView::from_vec(weights),
-            bias: ArenaView::from_vec(AlignedVec::from_slice(p.bias_slice())),
-            rows,
-            cols,
-            stride,
-        }
-    }
-
     /// Weight row `r` (cache-line aligned, `cols` elements).
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -192,25 +182,43 @@ impl FrozenLayer {
 impl RowLayout for FrozenLayer {
     const PRECISION: SnapshotPrecision = SnapshotPrecision::F32;
 
-    fn from_params_rows(
-        p: &LayerParams,
-        rows: &[u32],
+    fn sections(dims: LayerDims) -> Vec<(SectionKind, usize)> {
+        let row_bytes = stride_of::<f32>(dims.cols).saturating_mul(F32_BYTES);
+        vec![
+            (SectionKind::WeightsF32, dims.rows.saturating_mul(row_bytes)),
+            (SectionKind::Bias, dims.bias_len.saturating_mul(F32_BYTES)),
+        ]
+    }
+
+    /// The one writer of f32 rows — also the sparse-input layer's under
+    /// every layout: that layer is stored transposed (one row per input
+    /// feature, bias per *column*), so its forward pass is a handful of
+    /// per-feature f32 `axpy`s with no dense operand for an integer dot to
+    /// consume.
+    fn write_rows(
+        w: &mut SnapshotWriter,
+        ordinal: u32,
         _name: &str,
-        _report: &mut QuantReport,
-    ) -> Self {
+        p: &LayerParams,
+        rows: Range<usize>,
+        bias: &[f32],
+    ) -> Option<LayerQuantStats> {
         let cols = p.cols();
-        let stride = stride_of::<f32>(cols);
-        let mut weights = AlignedVec::<f32>::zeroed(rows.len() * stride);
-        p.widen_rows_into(rows, stride, weights.as_mut_slice());
-        let mut bias = AlignedVec::<f32>::zeroed(rows.len());
-        p.bias_gather_into(rows, bias.as_mut_slice());
-        FrozenLayer {
-            weights: ArenaView::from_vec(weights),
-            bias: ArenaView::from_vec(bias),
-            rows: rows.len(),
-            cols,
-            stride,
+        let row_bytes = stride_of::<f32>(cols) * F32_BYTES;
+        let mut row = vec![0.0f32; cols];
+        let weights = w.payload(SectionKind::WeightsF32, ordinal);
+        assert_eq!(
+            weights.len(),
+            rows.len() * row_bytes,
+            "layer {ordinal}: WeightsF32 laid out for another row count"
+        );
+        for (r, dst) in rows.zip(weights.chunks_exact_mut(row_bytes)) {
+            p.widen_row_into(r, &mut row);
+            dst[..cols * F32_BYTES].copy_from_slice(pod_bytes(&row));
         }
+        w.payload(SectionKind::Bias, ordinal)
+            .copy_from_slice(pod_bytes(bias));
+        None
     }
 
     fn rows(&self) -> usize {
@@ -244,28 +252,14 @@ impl RowLayout for FrozenLayer {
         unsafe { ks.score_rows_f32(&gathered.w_f32, x.x, out) }
     }
 
-    fn encode(&self, w: &mut SnapshotWriter, ordinal: u32) {
-        w.section_pod(SectionKind::WeightsF32, ordinal, self.flat());
-        w.section_pod(SectionKind::Bias, ordinal, self.bias());
-    }
-
     fn decode(image: &SnapshotImage, ordinal: u32, dims: LayerDims) -> Result<Self, SnapshotError> {
-        let weights = image.view::<f32>(SectionKind::WeightsF32, ordinal)?;
-        let bias = decode_bias(image, ordinal, dims)?;
-        let stride = stride_of::<f32>(dims.cols);
-        if weights.len() != dims.rows * stride {
-            return Err(corrupt(format!(
-                "layer {ordinal}: {} weights for {} rows x {stride} stride",
-                weights.len(),
-                dims.rows
-            )));
-        }
+        check_sections::<Self>(image, ordinal, dims)?;
         Ok(FrozenLayer {
-            weights,
-            bias,
+            weights: image.view(SectionKind::WeightsF32, ordinal)?,
+            bias: image.view(SectionKind::Bias, ordinal)?,
             rows: dims.rows,
             cols: dims.cols,
-            stride,
+            stride: stride_of::<f32>(dims.cols),
         })
     }
 }
@@ -302,39 +296,60 @@ impl QuantizedLayer {
 impl RowLayout for QuantizedLayer {
     const PRECISION: SnapshotPrecision = SnapshotPrecision::I8;
 
+    fn sections(dims: LayerDims) -> Vec<(SectionKind, usize)> {
+        vec![
+            (
+                SectionKind::QuantWeights,
+                dims.rows.saturating_mul(stride_of::<i8>(dims.cols)),
+            ),
+            (
+                SectionKind::QuantScales,
+                dims.rows.saturating_mul(F32_BYTES),
+            ),
+            (SectionKind::Bias, dims.bias_len.saturating_mul(F32_BYTES)),
+        ]
+    }
+
     /// Per-row symmetric quantization is a pure function of the row, so a
     /// shard's codes and scales are bit-identical to the same rows of a
     /// whole-layer snapshot — what sharded/unsharded equivalence rests on.
-    fn from_params_rows(
-        p: &LayerParams,
-        rows: &[u32],
+    /// Each row's codes and scale land in two sections, so both are looked
+    /// up per row.
+    fn write_rows(
+        w: &mut SnapshotWriter,
+        ordinal: u32,
         name: &str,
-        report: &mut QuantReport,
-    ) -> Self {
-        let cols = p.cols();
+        p: &LayerParams,
+        rows: Range<usize>,
+        bias: &[f32],
+    ) -> Option<LayerQuantStats> {
+        let (n, cols) = (rows.len(), p.cols());
         let stride = stride_of::<i8>(cols);
-        let mut q = AlignedVec::<i8>::zeroed(rows.len() * stride);
-        let mut scales = AlignedVec::<f32>::zeroed(rows.len());
-        let mut row_buf = vec![0.0f32; cols];
+        let mut row = vec![0.0f32; cols];
+        let mut codes = vec![0i8; cols];
         let mut max_err = 0.0f32;
         let mut err_sum = 0.0f64;
         let mut max_scale = 0.0f32;
-        for (i, &r) in rows.iter().enumerate() {
-            p.widen_row_into(r as usize, &mut row_buf);
-            let qrow = &mut q.as_mut_slice()[i * stride..i * stride + cols];
-            let s = quantize_row_i8(&row_buf, qrow);
-            scales.as_mut_slice()[i] = s;
+        for (i, r) in rows.enumerate() {
+            p.widen_row_into(r, &mut row);
+            let s = quantize_row_i8(&row, &mut codes);
             max_scale = max_scale.max(s);
-            for (&w, &c) in row_buf.iter().zip(qrow.iter()) {
-                let err = (w - s * c as f32).abs();
+            for (&x, &c) in row.iter().zip(&codes) {
+                let err = (x - s * c as f32).abs();
                 max_err = max_err.max(err);
                 err_sum += err as f64;
             }
+            w.payload(SectionKind::QuantWeights, ordinal)[i * stride..][..cols]
+                .copy_from_slice(pod_bytes(&codes));
+            w.payload(SectionKind::QuantScales, ordinal)[i * F32_BYTES..][..F32_BYTES]
+                .copy_from_slice(&s.to_le_bytes());
         }
-        let elements = rows.len() * cols;
-        report.layers.push(LayerQuantStats {
+        w.payload(SectionKind::Bias, ordinal)
+            .copy_from_slice(pod_bytes(bias));
+        let elements = n * cols;
+        Some(LayerQuantStats {
             name: name.to_string(),
-            rows: rows.len(),
+            rows: n,
             cols,
             max_err,
             mean_err: if elements == 0 {
@@ -343,17 +358,7 @@ impl RowLayout for QuantizedLayer {
                 (err_sum / elements as f64) as f32
             },
             max_scale,
-        });
-        let mut bias = AlignedVec::<f32>::zeroed(rows.len());
-        p.bias_gather_into(rows, bias.as_mut_slice());
-        QuantizedLayer {
-            q: ArenaView::from_vec(q),
-            scales: ArenaView::from_vec(scales),
-            bias: ArenaView::from_vec(bias),
-            rows: rows.len(),
-            cols,
-            stride,
-        }
+        })
     }
 
     fn rows(&self) -> usize {
@@ -403,32 +408,15 @@ impl RowLayout for QuantizedLayer {
         unsafe { ks.score_rows_i8(&gathered.w_i8, &gathered.scales, x.q, x.scale, out) }
     }
 
-    fn encode(&self, w: &mut SnapshotWriter, ordinal: u32) {
-        w.section_pod(SectionKind::QuantWeights, ordinal, self.q.as_slice());
-        w.section_pod(SectionKind::QuantScales, ordinal, self.scales.as_slice());
-        w.section_pod(SectionKind::Bias, ordinal, self.bias());
-    }
-
     fn decode(image: &SnapshotImage, ordinal: u32, dims: LayerDims) -> Result<Self, SnapshotError> {
-        let q = image.view::<i8>(SectionKind::QuantWeights, ordinal)?;
-        let scales = image.view::<f32>(SectionKind::QuantScales, ordinal)?;
-        let bias = decode_bias(image, ordinal, dims)?;
-        let stride = stride_of::<i8>(dims.cols);
-        if q.len() != dims.rows * stride || scales.len() != dims.rows {
-            return Err(corrupt(format!(
-                "layer {ordinal}: {} codes and {} scales for {} rows x {stride} stride",
-                q.len(),
-                scales.len(),
-                dims.rows
-            )));
-        }
+        check_sections::<Self>(image, ordinal, dims)?;
         Ok(QuantizedLayer {
-            q,
-            scales,
-            bias,
+            q: image.view(SectionKind::QuantWeights, ordinal)?,
+            scales: image.view(SectionKind::QuantScales, ordinal)?,
+            bias: image.view(SectionKind::Bias, ordinal)?,
             rows: dims.rows,
             cols: dims.cols,
-            stride,
+            stride: stride_of::<i8>(dims.cols),
         })
     }
 }
@@ -493,6 +481,13 @@ impl QuantReport {
         self.layers
             .iter()
             .all(|l| l.max_err <= l.max_scale * 0.5 + 1e-6)
+    }
+
+    /// Byte length of the [`SectionKind::QuantReport`] payload for layers
+    /// named `names`: fixed by the names alone, so the writer reserves the
+    /// section before any layer is quantized.
+    pub(crate) fn encoded_len(names: &[&str]) -> usize {
+        4 + names.iter().map(|n| 32 + n.len()).sum::<usize>()
     }
 
     /// Encode into the [`SectionKind::QuantReport`] payload.

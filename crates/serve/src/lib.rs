@@ -7,10 +7,10 @@
 //! active-set machinery of `slide-hash`, and SLIDE's one-thread-per-sample
 //! execution model — but strips away everything mutation-related:
 //!
-//! * [`Engine`] — the one frozen engine: a read-only snapshot of a trained
-//!   [`slide_core::Network`] (its sparse input layer, which yields the one
-//!   hidden activation, and its output layer) with contiguous
-//!   64-byte-aligned weight arenas, pre-built hash tables, and a lock-free `&self`
+//! * [`Engine`] — the one frozen engine: a read-only view of a trained
+//!   [`slide_core::Network`]'s `.slsnap` image (its sparse input layer,
+//!   which yields the one hidden activation, and its output layer) with
+//!   contiguous 64-byte-aligned weight arenas, pre-built hash tables, and a lock-free `&self`
 //!   [`Engine::predict_sparse`] that is safe to share across threads via
 //!   `Arc` (no writable parameter view, no optimizer state, no table locks). Its tables
 //!   are filled and its active sets picked by [`slide_core::Retrieval`], the

@@ -38,17 +38,19 @@
 //! set whatever the shard count, and a load views them in place: loaded
 //! retrieval is the built retrieval, byte for byte.
 //!
-//! One codec serves every engine: [`encode`] writes the image of any
-//! [`SnapshotSpec`] (layout × shard plan), [`decode`] instantiates whatever
-//! an image describes; the per-layout sections are the
-//! [`RowLayout::encode`] / [`RowLayout::decode`] hooks. [`Snapshot`] wraps
-//! the pair for callers: [`Snapshot::build`] cuts a verified image,
-//! [`load`] brings one back as an `Arc<dyn FrozenModel>` with the weight
-//! arenas viewing the mapped file (see [`crate::ModelRegistry`] for
-//! versioned publish/rollback).
+//! One codec serves every engine, and an image is the only way to one:
+//! [`encode`] writes the image of any [`SnapshotSpec`] (layout × shard plan)
+//! in place through [`SnapshotWriter`], [`Engine::from_image`] views
+//! whatever an image describes; the per-layout sections are the
+//! [`RowLayout::sections`] / [`RowLayout::write_rows`] /
+//! [`RowLayout::decode`] hooks. [`Snapshot`] wraps the pair for callers:
+//! [`Snapshot::build`] cuts a verified image in memory ([`Engine::freeze`]
+//! is that plus [`Engine::from_image`]), [`load`] brings one back as an
+//! `Arc<dyn FrozenModel>` with the weight arenas viewing the mapped file
+//! (see [`crate::ModelRegistry`] for versioned publish/rollback).
 
 use crate::error::ServeBuildError;
-use crate::frozen::{cut_layers, serving_plan, Engine};
+use crate::frozen::Engine;
 use crate::layer::{FrozenLayer, QuantReport, QuantizedLayer, RowLayout};
 use crate::model::FrozenModel;
 use crate::registry::write_atomic;
@@ -178,8 +180,9 @@ pub enum SnapshotError {
     /// The image is well-formed but this build cannot serve it (unknown
     /// format version, precision code, or plan kind).
     Unsupported(String),
-    /// The decoded parts were healthy but the serving engine rejected them
-    /// (e.g. a `max_active` config sharded serving cannot honour).
+    /// The spec cannot be served for this network: a shard plan whose rows
+    /// disagree with the output layer
+    /// ([`ServeBuildError::PlanRowsMismatch`]).
     Build(ServeBuildError),
 }
 
@@ -280,93 +283,108 @@ fn align_up(v: usize) -> usize {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Assembles a snapshot image in memory: add sections, then
-/// [`SnapshotWriter::finish`] lays them out with aligned offsets and CRCs.
-/// The finished image is byte-for-byte what [`SnapshotImage::open`] later
-/// maps, so "build" and "load" hand the engines identical arenas.
+/// Writes a snapshot image in place. [`SnapshotWriter::new`] takes every
+/// section's `(kind, index, byte length)` up front, lays the image out and
+/// allocates it once at its final length; each payload is then filled where
+/// it lies ([`SnapshotWriter::payload`]); [`SnapshotWriter::finish`] last
+/// checksums the payloads and writes the section table and header. No
+/// section is staged anywhere else, and the finished image is byte-for-byte
+/// what [`SnapshotImage::open`] later maps.
 #[derive(Debug)]
 pub struct SnapshotWriter {
-    precision: SnapshotPrecision,
-    plan_kind: u32,
-    shards: u32,
-    sections: Vec<(SectionKind, u32, Vec<u8>)>,
+    spec: SnapshotSpec,
+    sections: Vec<SectionEntry>,
+    image: AlignedVec<u8>,
 }
 
 impl SnapshotWriter {
-    /// Start an image for `spec`.
-    pub fn new(spec: &SnapshotSpec) -> Self {
-        let (plan_kind, shards) = match spec.shard_plan {
-            None => (0, 1),
-            Some(p) => (1, p.shards() as u32),
-        };
-        SnapshotWriter {
-            precision: spec.precision,
-            plan_kind,
-            shards,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Append a raw byte section.
-    pub fn section(&mut self, kind: SectionKind, index: u32, bytes: Vec<u8>) {
-        self.sections.push((kind, index, bytes));
-    }
-
-    /// Append a typed section (the payload is the elements' raw LE bytes —
-    /// every [`Pod`] type is a fixed-width little-endian scalar on every
-    /// platform this engine targets).
-    pub fn section_pod<T: Pod>(&mut self, kind: SectionKind, index: u32, data: &[T]) {
-        self.section(kind, index, pod_bytes(data).to_vec());
-    }
-
-    /// Lay the image out: header, section table, aligned payloads, CRCs.
-    pub fn finish(self) -> AlignedVec<u8> {
-        let table_len = self.sections.len() * SECTION_ENTRY_LEN;
+    /// Lay out an image for `spec` holding `sections`, in order, and
+    /// allocate it zeroed.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] if two sections share a `(kind, index)`:
+    /// the reader would refuse the image.
+    pub fn new(
+        spec: &SnapshotSpec,
+        sections: &[(SectionKind, u32, usize)],
+    ) -> Result<Self, SnapshotError> {
         // Align up *before* each payload, never after the last one: the
         // image ends exactly where its final section does, so every byte
         // past the table is either CRC-covered payload or an inter-section
         // gap no reader ever dereferences.
-        let mut cursor = HEADER_LEN + table_len;
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut table = Vec::with_capacity(table_len);
-        for (kind, index, bytes) in &self.sections {
-            let at = align_up(cursor);
-            cursor = at + bytes.len();
-            offsets.push(at);
-            table.extend_from_slice(&(*kind as u32).to_le_bytes());
-            table.extend_from_slice(&index.to_le_bytes());
-            table.extend_from_slice(&(at as u64).to_le_bytes());
-            table.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-            table.extend_from_slice(&crc32(bytes).to_le_bytes());
+        let mut cursor = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
+        let mut entries: Vec<SectionEntry> = Vec::with_capacity(sections.len());
+        for &(kind, index, len) in sections {
+            if entries.iter().any(|s| s.kind == kind && s.index == index) {
+                return Err(corrupt(format!("duplicate section {kind:?}[{index}]")));
+            }
+            let offset = align_up(cursor);
+            cursor = offset + len;
+            entries.push(SectionEntry {
+                kind,
+                index,
+                offset,
+                len,
+            });
+        }
+        Ok(SnapshotWriter {
+            spec: *spec,
+            sections: entries,
+            image: AlignedVec::zeroed(cursor),
+        })
+    }
+
+    /// The payload of section `(kind, index)`, to fill in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`SnapshotWriter::new`] laid out no such section.
+    pub fn payload(&mut self, kind: SectionKind, index: u32) -> &mut [u8] {
+        let s = self
+            .sections
+            .iter()
+            .find(|s| s.kind == kind && s.index == index)
+            .unwrap_or_else(|| panic!("section {kind:?}[{index}] was not laid out"));
+        &mut self.image.as_mut_slice()[s.offset..s.offset + s.len]
+    }
+
+    /// Seal the image: payload CRCs, section table, header.
+    pub fn finish(mut self) -> AlignedVec<u8> {
+        let mut table = Vec::with_capacity(self.sections.len() * SECTION_ENTRY_LEN);
+        for s in &self.sections {
+            table.extend_from_slice(&(s.kind as u32).to_le_bytes());
+            table.extend_from_slice(&s.index.to_le_bytes());
+            table.extend_from_slice(&(s.offset as u64).to_le_bytes());
+            table.extend_from_slice(&(s.len as u64).to_le_bytes());
+            table.extend_from_slice(&crc32(&self.image[s.offset..s.offset + s.len]).to_le_bytes());
             table.extend_from_slice(&0u32.to_le_bytes());
         }
-        let total = cursor.max(HEADER_LEN);
-
+        let (plan_kind, shards) = match self.spec.shard_plan {
+            None => (0, 1),
+            Some(p) => (1, p.shards() as u32),
+        };
         let mut header = Vec::with_capacity(HEADER_LEN);
         for word in [
             MAGIC,
             FORMAT_VERSION,
-            self.precision.code(),
-            self.plan_kind,
-            self.shards,
+            self.spec.precision.code(),
+            plan_kind,
+            shards,
             self.sections.len() as u32,
         ] {
             header.extend_from_slice(&word.to_le_bytes());
         }
-        header.extend_from_slice(&(total as u64).to_le_bytes());
+        header.extend_from_slice(&(self.image.len() as u64).to_le_bytes());
         header.extend_from_slice(&crc32(&table).to_le_bytes());
         header.resize(60, 0); // bytes 36..60 are reserved
         let header_crc = crc32(&header);
         header.extend_from_slice(&header_crc.to_le_bytes());
 
-        let mut image = AlignedVec::<u8>::zeroed(total);
-        let buf = image.as_mut_slice();
+        let buf = self.image.as_mut_slice();
         buf[..HEADER_LEN].copy_from_slice(&header);
-        buf[HEADER_LEN..HEADER_LEN + table_len].copy_from_slice(&table);
-        for ((_, _, bytes), &at) in self.sections.iter().zip(&offsets) {
-            buf[at..at + bytes.len()].copy_from_slice(bytes);
-        }
-        image
+        buf[HEADER_LEN..HEADER_LEN + table.len()].copy_from_slice(&table);
+        self.image
     }
 }
 
@@ -610,8 +628,7 @@ impl SnapshotImage {
 }
 
 // ---------------------------------------------------------------------------
-// NetworkConfig codec (hand-rolled: the serde shim is untrusted for
-// persistence; this is an explicit, versioned-with-the-format binary layout)
+// NetworkConfig codec (an explicit binary layout, versioned with the format)
 // ---------------------------------------------------------------------------
 
 /// Encode `config` into the [`SectionKind::Config`] payload.
@@ -848,11 +865,13 @@ pub fn expected_manifest(config: &NetworkConfig, spec: &SnapshotSpec) -> Vec<Lay
 // Table sections
 // ---------------------------------------------------------------------------
 
-/// Write the global frozen tables as the three CSR sections.
-fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
-    writer.section_pod(SectionKind::TableOffsets, 0, tables.offsets());
-    writer.section_pod(SectionKind::TableItems, 0, tables.items());
-    writer.section_pod(SectionKind::TableArrivals, 0, tables.arrivals());
+/// The global frozen tables' three CSR sections and their payload bytes.
+fn table_sections(tables: &LshTables) -> [(SectionKind, &[u8]); 3] {
+    [
+        (SectionKind::TableOffsets, pod_bytes(tables.offsets())),
+        (SectionKind::TableItems, pod_bytes(tables.items())),
+        (SectionKind::TableArrivals, pod_bytes(tables.arrivals())),
+    ]
 }
 
 /// The global tables over an image's CSR sections, validated under
@@ -860,7 +879,10 @@ fn encode_tables(writer: &mut SnapshotWriter, tables: &LshTables) {
 /// exactly as the original build did — and never copied: loaded tables are
 /// the saved bytes, so they retrieve bit-identically. An id outside the
 /// output layer is refused here, before any query can probe it.
-fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTables, SnapshotError> {
+pub(crate) fn decode_tables(
+    image: &SnapshotImage,
+    retrieval: &Retrieval,
+) -> Result<LshTables, SnapshotError> {
     retrieval
         .tables_from_csr(
             image.view(SectionKind::TableOffsets, 0)?,
@@ -874,12 +896,42 @@ fn decode_tables(image: &SnapshotImage, retrieval: &Retrieval) -> Result<LshTabl
 // The one codec
 // ---------------------------------------------------------------------------
 
-/// Encode `net` as `spec` describes. Layers stream straight from the
-/// training network into the writer one at a time — the input layer, then
-/// one row-subset arena per shard — followed by the one global table set
-/// and, for unsharded lossy images, the
-/// quantization report. An unsharded image is the one-shard case: shard
-/// count 1, output layer at ordinal 1.
+/// The quantization report's name for the output layer, the one lossy layer.
+const OUTPUT_LAYER: &str = "output";
+
+/// Resolve an optional shard plan against `config`: `None` is the one-shard
+/// plan over every output row.
+///
+/// # Errors
+///
+/// [`ServeBuildError::PlanRowsMismatch`] if the plan does not cover the
+/// network's output rows.
+pub(crate) fn serving_plan(
+    config: &NetworkConfig,
+    plan: Option<ShardPlan>,
+) -> Result<ShardPlan, ServeBuildError> {
+    let plan = plan.map_or_else(|| ShardPlan::contiguous(1, config.output_dim), Ok)?;
+    if plan.rows() != config.output_dim {
+        return Err(ServeBuildError::PlanRowsMismatch {
+            plan_rows: plan.rows(),
+            output_dim: config.output_dim,
+        });
+    }
+    Ok(plan)
+}
+
+/// Whether an image of layout `L` under `spec` carries the quantization
+/// report: `.slsnap` v1 keeps it in unsharded lossy images only.
+pub(crate) fn carries_report<L: RowLayout>(spec: &SnapshotSpec) -> bool {
+    L::PRECISION == SnapshotPrecision::I8 && spec.shard_plan.is_none()
+}
+
+/// Encode `net` as `spec` describes, straight into the image. The tables
+/// are built first; every section's length then follows from the config,
+/// the manifest, the tables and the report's fixed-size encoding, so the
+/// image is allocated once and each layer's rows — the input layer, then
+/// one row range per shard — are written where they lie. An unsharded image
+/// is the one-shard case: shard count 1, output layer at ordinal 1.
 ///
 /// # Errors
 ///
@@ -899,22 +951,66 @@ fn encode_as<L: RowLayout>(
     let config = net.config();
     let plan = serving_plan(config, spec.shard_plan)?;
     // Tables first: their transient key buffer is freed before the image
-    // grows.
+    // is allocated.
     let tables = Retrieval::serving(config).tables_from_rows(net.output().params());
-    let mut w = SnapshotWriter::new(spec);
-    w.section(SectionKind::Config, 0, encode_config(config));
+    let tables = table_sections(&tables);
     let manifest = expected_manifest(config, spec);
-    w.section(SectionKind::Manifest, 0, encode_manifest(&manifest));
-    FrozenLayer::from_params(net.input().params()).encode(&mut w, 0);
+    let (config_bytes, manifest_bytes) = (encode_config(config), encode_manifest(&manifest));
+    let head = [
+        (SectionKind::Config, &config_bytes[..]),
+        (SectionKind::Manifest, &manifest_bytes[..]),
+    ];
+
+    let mut layout: Vec<_> = head.map(|(kind, bytes)| (kind, 0, bytes.len())).into();
+    for (ordinal, &dims) in manifest.iter().enumerate() {
+        let sections = match ordinal {
+            0 => FrozenLayer::sections(dims),
+            _ => L::sections(dims),
+        };
+        layout.extend(
+            sections
+                .into_iter()
+                .map(|(kind, len)| (kind, ordinal as u32, len)),
+        );
+    }
+    layout.extend(tables.map(|(kind, bytes)| (kind, 0, bytes.len())));
+    if carries_report::<L>(spec) {
+        let len = QuantReport::encoded_len(&[OUTPUT_LAYER]);
+        layout.push((SectionKind::QuantReport, 0, len));
+    }
+
+    let mut w = SnapshotWriter::new(spec, &layout)?;
+    for (kind, bytes) in head.into_iter().chain(tables) {
+        w.payload(kind, 0).copy_from_slice(bytes);
+    }
+    let input = net.input().params();
+    FrozenLayer::write_rows(
+        &mut w,
+        0,
+        "input",
+        input,
+        0..input.rows(),
+        input.bias_slice(),
+    );
+    let output = net.output().params();
     let mut report = QuantReport::default();
-    let mut ordinal = 0;
-    cut_layers(net, &plan, &mut report, |layer: L| {
-        ordinal += 1;
-        layer.encode(&mut w, ordinal);
-    });
-    encode_tables(&mut w, &tables);
-    if spec.shard_plan.is_none() && !report.layers.is_empty() {
-        w.section(SectionKind::QuantReport, 0, report.encode());
+    for s in 0..plan.shards() {
+        let rows = plan.shard_rows(s);
+        let rows = rows.start as usize..rows.end as usize;
+        let bias = &output.bias_slice()[rows.clone()];
+        let ordinal = 1 + s as u32;
+        report.layers.extend(L::write_rows(
+            &mut w,
+            ordinal,
+            OUTPUT_LAYER,
+            output,
+            rows,
+            bias,
+        ));
+    }
+    if carries_report::<L>(spec) {
+        w.payload(SectionKind::QuantReport, 0)
+            .copy_from_slice(&report.encode());
     }
     Ok(w.finish())
 }
@@ -923,7 +1019,7 @@ fn encode_as<L: RowLayout>(
 /// the [`SnapshotSpec`] the image was cut under, and cross-check the
 /// manifest against what that config and spec must produce — after this,
 /// every layer shape (widths chain, shard row counts) is trusted.
-fn decode_preamble(
+pub(crate) fn decode_preamble(
     image: &SnapshotImage,
 ) -> Result<(NetworkConfig, SnapshotSpec, Vec<LayerDims>), SnapshotError> {
     let config = decode_config(image.bytes(SectionKind::Config, 0)?)?;
@@ -943,44 +1039,6 @@ fn decode_preamble(
         ));
     }
     Ok((config, spec, manifest))
-}
-
-impl<L: RowLayout> Engine<L> {
-    /// Instantiate the engine an image of this layout describes: every
-    /// arena and the one global table set are views into the image (zero
-    /// copies), whatever the shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Unsupported`] if the image holds another layout;
-    /// [`SnapshotError::Corrupt`] on section-shape disagreements;
-    /// [`SnapshotError::Build`] if the decoded parts are unservable.
-    pub fn from_image(image: &SnapshotImage) -> Result<Self, SnapshotError> {
-        if image.precision() != L::PRECISION {
-            return Err(SnapshotError::Unsupported(format!(
-                "an {} image cannot back an {} engine",
-                image.precision().label(),
-                L::PRECISION.label()
-            )));
-        }
-        let (config, spec, manifest) = decode_preamble(image)?;
-        let plan = serving_plan(&config, spec.shard_plan)?;
-        let input = FrozenLayer::decode(image, 0, manifest[0])?;
-        let shards: Vec<L> = (1..manifest.len())
-            .map(|o| L::decode(image, o as u32, manifest[o]))
-            .collect::<Result<_, _>>()?;
-        let retrieval = Retrieval::serving(&config);
-        let tables = decode_tables(image, &retrieval)?;
-        // `.slsnap` v1: the report rides in unsharded lossy images only.
-        let report = if L::PRECISION == SnapshotPrecision::I8 && spec.shard_plan.is_none() {
-            QuantReport::decode(image.bytes(SectionKind::QuantReport, 0)?)?
-        } else {
-            QuantReport::default()
-        };
-        Ok(Engine::assemble(
-            config, plan, input, shards, retrieval, tables, report,
-        ))
-    }
 }
 
 /// Instantiate the serving engine `image` describes, dispatching on the
@@ -1046,9 +1104,9 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Build`] if the spec is unservable for this network
-    /// (plan row mismatch, `max_active`); verification errors cannot occur
-    /// on a freshly encoded image short of a bug.
+    /// [`SnapshotError::Build`] if the spec's shard plan disagrees with the
+    /// network's output rows; verification errors cannot occur on a freshly
+    /// encoded image short of a bug.
     pub fn build(net: &Network, spec: &SnapshotSpec) -> Result<Self, SnapshotError> {
         let image = SnapshotImage::from_arena(SharedArena::from_bytes(encode(net, spec)?))?;
         Ok(Snapshot { image, spec: *spec })
@@ -1119,6 +1177,7 @@ pub fn load(path: &Path) -> Result<Arc<dyn FrozenModel>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use slide_core::LshConfig;
     use slide_mem::SparseVecRef;
 
@@ -1179,12 +1238,27 @@ mod tests {
         assert_eq!(decode_manifest(&encode_manifest(&layers)).unwrap(), layers);
     }
 
+    /// An image holding `sections`, in order, through the writer.
+    fn written(
+        spec: &SnapshotSpec,
+        sections: &[(SectionKind, u32, &[u8])],
+    ) -> Result<AlignedVec<u8>, SnapshotError> {
+        let layout: Vec<_> = sections.iter().map(|&(k, i, b)| (k, i, b.len())).collect();
+        let mut w = SnapshotWriter::new(spec, &layout)?;
+        for &(kind, index, bytes) in sections {
+            w.payload(kind, index).copy_from_slice(bytes);
+        }
+        Ok(w.finish())
+    }
+
     #[test]
     fn writer_layout_aligns_and_verifies() {
-        let mut w = SnapshotWriter::new(&SnapshotSpec::f32());
-        w.section(SectionKind::Config, 0, vec![1, 2, 3]);
-        w.section_pod(SectionKind::Bias, 7, &[1.0f32, -2.0, 3.5]);
-        let image = SnapshotImage::from_arena(SharedArena::from_bytes(w.finish())).unwrap();
+        let sections = [
+            (SectionKind::Config, 0, &[1u8, 2, 3][..]),
+            (SectionKind::Bias, 7, pod_bytes(&[1.0f32, -2.0, 3.5])),
+        ];
+        let bytes = written(&SnapshotSpec::f32(), &sections).unwrap();
+        let image = SnapshotImage::from_arena(SharedArena::from_bytes(bytes)).unwrap();
         assert_eq!(image.precision(), SnapshotPrecision::F32);
         assert_eq!(image.plan(), None);
         assert_eq!(image.bytes(SectionKind::Config, 0).unwrap(), &[1, 2, 3]);
@@ -1201,9 +1275,8 @@ mod tests {
 
     #[test]
     fn bit_flips_anywhere_are_detected() {
-        let mut w = SnapshotWriter::new(&SnapshotSpec::i8());
-        w.section_pod(SectionKind::QuantScales, 0, &[0.5f32; 40]);
-        let image = w.finish();
+        let scales = [(SectionKind::QuantScales, 0, pod_bytes(&[0.5f32; 40]))];
+        let image = written(&SnapshotSpec::i8(), &scales).unwrap();
         // Flip one bit at a spread of offsets covering header, table, and
         // payload; every single one must be rejected (not panic).
         for at in [0usize, 5, 9, 21, 33, 61, 70, 80, 90, image.len() - 1] {
@@ -1219,9 +1292,8 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected_not_ub() {
-        let mut w = SnapshotWriter::new(&SnapshotSpec::f32());
-        w.section_pod(SectionKind::WeightsF32, 0, &[1.0f32; 64]);
-        let image = w.finish();
+        let weights = [(SectionKind::WeightsF32, 0, pod_bytes(&[1.0f32; 64]))];
+        let image = written(&SnapshotSpec::f32(), &weights).unwrap();
         for keep in [0usize, 10, 63, 64, 100, image.len() - 1] {
             let mut bytes = AlignedVec::<u8>::zeroed(keep);
             bytes
@@ -1234,8 +1306,49 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Any section list: every payload lands 64-byte aligned, in order,
+        // packed (each starts at the first aligned byte past the one
+        // before) and reads back exactly; the image ends at the last
+        // payload; and a repeated (kind, index) is refused up front.
+        #[test]
+        fn written_sections_align_pack_and_read_back(
+            raw in prop::collection::vec(
+                (1u32..11, 0u32..4, prop::collection::vec(any::<u8>(), 0..200)),
+                0..12,
+            )
+        ) {
+            let sections: Vec<(SectionKind, u32, &[u8])> = raw
+                .iter()
+                .map(|(k, i, b)| (SectionKind::from_u32(*k).unwrap(), *i, b.as_slice()))
+                .collect();
+            let mut keys = std::collections::HashSet::new();
+            let unique = sections.iter().all(|&(k, i, _)| keys.insert((k as u32, i)));
+            match written(&SnapshotSpec::i8(), &sections) {
+                Err(e) => prop_assert!(!unique && matches!(e, SnapshotError::Corrupt(_)), "{e}"),
+                Ok(bytes) => {
+                    prop_assert!(unique, "a duplicate section was laid out");
+                    let image = SnapshotImage::from_arena(SharedArena::from_bytes(bytes)).unwrap();
+                    let base = image.arena().as_slice().as_ptr() as usize;
+                    let mut end = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
+                    for &(kind, index, payload) in &sections {
+                        let got = image.bytes(kind, index).unwrap();
+                        prop_assert_eq!(got, payload);
+                        let at = got.as_ptr() as usize;
+                        prop_assert_eq!(at % SECTION_ALIGN, 0);
+                        prop_assert_eq!(at - base, align_up(end));
+                        end = at - base + payload.len();
+                    }
+                    prop_assert_eq!(image.arena().len(), end);
+                }
+            }
+        }
+    }
+
     fn image_of(net: &Network, spec: &SnapshotSpec) -> SnapshotImage {
-        SnapshotImage::from_arena(SharedArena::from_bytes(encode(net, spec).unwrap())).unwrap()
+        Snapshot::build(net, spec).unwrap().image
     }
 
     fn queries(input_dim: u32) -> Vec<(Vec<u32>, Vec<f32>)> {
@@ -1253,21 +1366,32 @@ mod tests {
             .collect()
     }
 
-    /// Encode → decode equals the directly frozen engine of layout `L`.
+    /// The engine of layout `L` built from `net` equals the one mmapped back
+    /// from its saved file.
     fn assert_save_load_bit_identical<L: RowLayout>(net: &Network, plan: Option<ShardPlan>) {
         let spec = SnapshotSpec {
             precision: L::PRECISION,
             shard_plan: plan,
         };
-        let original = Engine::<L>::freeze_sharded(net, plan).unwrap();
-        let image = image_of(net, &spec);
+        let snapshot = Snapshot::build(net, &spec).unwrap();
+        let original = Engine::<L>::from_image(snapshot.image()).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "slide_serve_save_load_{}x{}_{}.slsnap",
+            L::PRECISION.label(),
+            spec.shards(),
+            std::process::id()
+        ));
+        snapshot.save(&path).unwrap();
+        let image = SnapshotImage::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(image.precision(), L::PRECISION);
         assert_eq!(image.plan(), plan.map(|p| p.shards()));
+        assert_eq!(image.arena().as_slice(), snapshot.bytes());
         let loaded = Engine::<L>::from_image(&image).unwrap();
         assert_eq!(loaded.config(), original.config());
-        if plan.is_none() {
-            assert_eq!(loaded.report(), original.report());
-        }
+        assert_eq!(loaded.report(), original.report());
+        let lossy_unsharded = L::PRECISION == SnapshotPrecision::I8 && plan.is_none();
+        assert_eq!(original.report().layers.len(), usize::from(lossy_unsharded));
         let (mut so, mut sl) = (original.make_scratch(), loaded.make_scratch());
         for (q, (idx, val)) in queries(net.config().input_dim as u32)
             .into_iter()
@@ -1352,7 +1476,7 @@ mod tests {
                 assert_eq!(topk.len(), 4);
                 if spec.precision == SnapshotPrecision::F32 {
                     // Every f32 spec — sharded or not, built or loaded — is
-                    // bit-equal to the directly frozen engine.
+                    // bit-equal to the frozen unsharded engine.
                     assert_eq!(
                         topk,
                         frozen.predict_sparse(x, 4, &mut reference, q as u64),

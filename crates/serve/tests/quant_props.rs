@@ -165,7 +165,7 @@ fn max_active_is_honoured_at_one_shard_in_both_layouts() {
 }
 
 /// `lsh.max_active` with more than one shard, both layouts: the N-shard
-/// engine, built directly and saved → `load`ed, selects the one-shard
+/// engine, built over its image and saved → `load`ed, selects the one-shard
 /// engine's capped active set and answers bit-equal to it.
 #[test]
 fn max_active_is_honoured_beyond_one_shard() {
@@ -179,8 +179,10 @@ fn max_active_is_honoured_beyond_one_shard() {
     let mut truncated = 0usize;
     for shards in [2usize, 3] {
         let plan = ShardPlan::contiguous(shards, 128).unwrap();
-        let sharded_f32 = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
-        let sharded_i8 = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap();
+        let build = |spec: SnapshotSpec| Snapshot::build(&net, &spec.sharded(plan)).unwrap();
+        let sharded_f32 = FrozenNetwork::from_image(build(SnapshotSpec::f32()).image()).unwrap();
+        let sharded_i8 =
+            QuantizedFrozenNetwork::from_image(build(SnapshotSpec::i8()).image()).unwrap();
         let (mut sf, mut si) = (sharded_f32.make_scratch(), sharded_i8.make_scratch());
         let mut loaded: Vec<_> = [SnapshotSpec::f32(), SnapshotSpec::i8()]
             .iter()

@@ -303,22 +303,28 @@ fn forge_two_hidden_widths(image: &mut Vec<u8>) {
     }
     layers.extend_from_slice(&manifest[28..]);
 
-    let mut w = SnapshotWriter::new(&SnapshotSpec::f32());
-    w.section(SectionKind::Config, 0, forged);
-    w.section(SectionKind::Manifest, 0, layers);
+    let mut sections = vec![
+        (SectionKind::Config, 0, forged),
+        (SectionKind::Manifest, 0, layers),
+    ];
     for kind in [SectionKind::WeightsF32, SectionKind::Bias] {
-        w.section(kind, 0, section(kind, 0));
-        w.section(kind, 2, section(kind, 1));
+        sections.push((kind, 0, section(kind, 0)));
+        sections.push((kind, 2, section(kind, 1)));
     }
     let stride = width.next_multiple_of(16);
-    w.section_pod(SectionKind::WeightsF32, 1, &vec![0.0f32; width * stride]);
-    w.section_pod(SectionKind::Bias, 1, &vec![0.0f32; width]);
+    sections.push((SectionKind::WeightsF32, 1, vec![0; width * stride * 4]));
+    sections.push((SectionKind::Bias, 1, vec![0; width * 4]));
     for kind in [
         SectionKind::TableOffsets,
         SectionKind::TableItems,
         SectionKind::TableArrivals,
     ] {
-        w.section(kind, 0, section(kind, 0));
+        sections.push((kind, 0, section(kind, 0)));
+    }
+    let layout: Vec<_> = sections.iter().map(|(k, i, b)| (*k, *i, b.len())).collect();
+    let mut w = SnapshotWriter::new(&SnapshotSpec::f32(), &layout).expect("distinct sections");
+    for (kind, index, bytes) in &sections {
+        w.payload(*kind, *index).copy_from_slice(bytes);
     }
     *image = w.finish().as_slice().to_vec();
 }

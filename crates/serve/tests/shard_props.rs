@@ -19,8 +19,9 @@ use slide_core::{LshConfig, Network, NetworkConfig, Trainer, TrainerConfig};
 use slide_data::{generate_synthetic, Dataset, SynthConfig};
 use slide_mem::SparseVecRef;
 use slide_serve::{
-    p_at_k, query_salt, BatchConfig, BatchingServer, FrozenModel, FrozenNetwork,
-    QuantizedFrozenNetwork, ShardPlan,
+    p_at_k, query_salt, BatchConfig, BatchingServer, Engine, FrozenLayer, FrozenModel,
+    FrozenNetwork, QuantizedFrozenNetwork, QuantizedLayer, RowLayout, ShardPlan, Snapshot,
+    SnapshotSpec,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -30,6 +31,17 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
 fn plans(shards: usize, rows: usize) -> [ShardPlan; 1] {
     [ShardPlan::contiguous(shards, rows).unwrap()]
+}
+
+/// `net`'s engine of layout `L`, output layer sharded under `plan`: built
+/// as every engine is, through its `.slsnap` image.
+fn sharded_engine<L: RowLayout>(net: &Network, plan: ShardPlan) -> Engine<L> {
+    let spec = SnapshotSpec {
+        precision: L::PRECISION,
+        shard_plan: None,
+    };
+    let snapshot = Snapshot::build(net, &spec.sharded(plan)).unwrap();
+    Engine::from_image(snapshot.image()).unwrap()
 }
 
 fn untrained_net(seed: u64, hidden: usize) -> Network {
@@ -112,7 +124,7 @@ fn trained_f32_sharding_is_invariant_in_topk_and_p_at_1() {
 
     for shards in SHARD_COUNTS {
         for plan in plans(shards, 64) {
-            let sharded = FrozenNetwork::freeze_sharded(net, plan).unwrap();
+            let sharded = sharded_engine::<FrozenLayer>(net, plan);
             let mut ss = sharded.make_scratch();
             for i in 0..test.len().min(64) {
                 let x = test.features(i);
@@ -137,7 +149,7 @@ fn trained_i8_sharding_is_invariant_in_topk_and_p_at_1() {
 
     for shards in SHARD_COUNTS {
         for plan in plans(shards, 64) {
-            let sharded = QuantizedFrozenNetwork::freeze_sharded(net, plan).unwrap();
+            let sharded = sharded_engine::<QuantizedLayer>(net, plan);
             let mut ss = sharded.make_scratch();
             for i in 0..test.len().min(64) {
                 let x = test.features(i);
@@ -170,8 +182,8 @@ proptest! {
         let mut qs = quant.make_scratch();
         for shards in SHARD_COUNTS {
             for plan in plans(shards, 96) {
-                let sharded_f32 = FrozenNetwork::freeze_sharded(&net, plan).unwrap();
-                let sharded_i8 = QuantizedFrozenNetwork::freeze_sharded(&net, plan).unwrap();
+                let sharded_f32 = sharded_engine::<FrozenLayer>(&net, plan);
+                let sharded_i8 = sharded_engine::<QuantizedLayer>(&net, plan);
                 let mut sf = sharded_f32.make_scratch();
                 let mut si = sharded_i8.make_scratch();
                 for (s, (idx, val)) in queries.iter().enumerate() {
@@ -202,8 +214,8 @@ fn sharded_precision_hot_swap_under_load_never_errors() {
     let (net, test) = trained();
     let plan = ShardPlan::contiguous(4, 64).unwrap();
     let engines: [Arc<dyn FrozenModel>; 2] = [
-        Arc::new(FrozenNetwork::freeze_sharded(net, plan).unwrap()),
-        Arc::new(QuantizedFrozenNetwork::freeze_sharded(net, plan).unwrap()),
+        Arc::new(sharded_engine::<FrozenLayer>(net, plan)),
+        Arc::new(sharded_engine::<QuantizedLayer>(net, plan)),
     ];
     let direct: Vec<[Vec<u32>; 2]> = {
         let mut scratch = [engines[0].make_scratch_any(), engines[1].make_scratch_any()];
